@@ -2,7 +2,7 @@
 injection simulator, ripple extraction and magnetic-parameter identification.
 """
 
-from .injection import F_eval, InjectionSpec, Waveform, f_eval, voltage_at
+from .injection import InjectionSpec, Waveform
 from .magnetics import (
     Currents,
     FluxLinkage,
@@ -47,7 +47,6 @@ __all__ = [
     "EstimationResult",
     "ExperimentPlan",
     "FluxLinkage",
-    "F_eval",
     "InductanceMatrix",
     "InjectionSpec",
     "MotorParams",
@@ -73,7 +72,6 @@ __all__ = [
     "estimate_d_axis",
     "estimate_from_records",
     "extract_ripple",
-    "f_eval",
     "flux_by_integration",
     "flux_from_currents_exact",
     "flux_from_currents_first_order",
@@ -85,5 +83,4 @@ __all__ = [
     "simulate",
     "simulate_averaged",
     "step_response",
-    "voltage_at",
 ]

@@ -41,7 +41,7 @@ import numpy as np
 
 from .injection import InjectionSpec, Waveform
 from .leastsq import RankDeficient, ols_fit
-from .magnetics import MotorParams
+from .magnetics import MotorParams, _hessian
 from .ripple import RippleMeasurement, default_discard, extract_ripple
 from .simulator import SimConfig, Trace, simulate_batch
 
@@ -293,26 +293,12 @@ def estimate_cross(meas_c: Sequence[RippleMeasurement], meas_d: Sequence[RippleM
 
 
 def predict_ripple(p: MotorParams, spec: InjectionSpec) -> tuple[float, float]:
-    """First-order ripple amplitudes for a locked-rotor injection run; the
-    bias currents are u_bar/R."""
-    ibd = spec.u_bar_d / p.R
-    ibq = spec.u_bar_q / p.R
+    """First-order ripple amplitudes for a locked-rotor injection run: the
+    Hessian at the linearized flux L * i_bar applied to u_tilde / omega, with
+    the bias currents i_bar = u_bar / R."""
+    h_dd, h_dq, h_qq = _hessian(p, p.Ld * spec.u_bar_d / p.R, p.Lq * spec.u_bar_q / p.R)
     utd, utq = spec.u_tilde_d, spec.u_tilde_q
-    Ld, Lq = p.Ld, p.Lq
-    i_tilde_d = (
-        utd / Ld
-        + 2.0 * p.a22 * Lq * ibq * (2.0 * Ld * ibd * utq + Lq * ibq * utd)
-        + 12.0 * p.a40 * Ld * Ld * ibd * ibd * utd
-        + 6.0 * p.a30 * Ld * ibd * utd
-        + 2.0 * p.a12 * Lq * ibq * utq
-    ) / spec.omega
-    i_tilde_q = (
-        utq / Lq
-        + 2.0 * p.a22 * Ld * ibd * (2.0 * Lq * ibq * utd + Ld * ibd * utq)
-        + 12.0 * p.a04 * Lq * Lq * ibq * ibq * utq
-        + 2.0 * p.a12 * (Ld * ibd * utq + Lq * ibq * utd)
-    ) / spec.omega
-    return i_tilde_d, i_tilde_q
+    return (h_dd * utd + h_dq * utq) / spec.omega, (h_dq * utd + h_qq * utq) / spec.omega
 
 
 def _hessian_regressors(fd: np.ndarray, fq: np.ndarray) -> tuple[np.ndarray, ...]:

@@ -134,21 +134,11 @@ def f_array(w: Waveform, tau) -> np.ndarray:
     return np.interp(t, nodes, ext)
 
 
-def f_array_left(w: Waveform, tau) -> np.ndarray:
-    """Like f_array but returns the value just *before* tau; differs only at
-    the square wave's switching instants. The integrator closes each step on
-    the half-period the step belongs to."""
-    t = _wrap(np.asarray(tau, dtype=float))
-    if w.kind == SQUARE:
-        return np.where((t > 0.0) & (t <= math.pi), 1.0, -1.0)
-    if w.kind == SINE:
-        return np.sin(t)
-    ext, nodes, _, _, _ = _sampled_tables(w.samples)
-    return np.interp(t, nodes, ext)
-
-
 def F_array(w: Waveform, tau) -> np.ndarray:
-    """Vectorized zero-mean primitive of the waveform."""
+    """Vectorized zero-mean primitive of the waveform.
+
+    Square: triangular, F(0) = -pi/2, peaks +-pi/2. Sine: -cos(tau).
+    """
     t = _wrap(np.asarray(tau, dtype=float))
     if w.kind == SQUARE:
         return np.where(t < math.pi, t - math.pi / 2.0, 1.5 * math.pi - t)
@@ -161,24 +151,3 @@ def F_array(w: Waveform, tau) -> np.ndarray:
     slope = (ext[k + 1] - ext[k]) / h
     return cum[k] + ext[k] * dt + 0.5 * slope * dt * dt - f_mean
 
-
-def f_eval(w: Waveform, tau: float) -> float:
-    """Waveform value at scaled time tau (reduced modulo 2*pi).
-
-    The square wave is +1 on [0, pi) and -1 on [pi, 2*pi).
-    """
-    return float(f_array(w, tau))
-
-
-def F_eval(w: Waveform, tau: float) -> float:
-    """Zero-mean primitive of the waveform at scaled time tau.
-
-    Square: triangular, F(0) = -pi/2, peaks +-pi/2. Sine: -cos(tau).
-    """
-    return float(F_array(w, tau))
-
-
-def voltage_at(spec: InjectionSpec, t: float) -> tuple[float, float]:
-    """Impressed (u_d, u_q) at time t >= 0."""
-    fv = f_eval(spec.waveform, spec.omega * t)
-    return spec.u_bar_d + spec.u_tilde_d * fv, spec.u_bar_q + spec.u_tilde_q * fv

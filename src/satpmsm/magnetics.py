@@ -127,20 +127,26 @@ def energy(p: MotorParams, f: FluxLinkage) -> float:
     )
 
 
+def _currents(p: MotorParams, fd, fq):
+    """Gradient of `energy` at (fd, fq), in Horner form; fd and fq may be
+    scalars or arrays of one shape. i_d is even and i_q odd in fq, exactly."""
+    fq2 = fq * fq
+    i_d = fd * (1.0 / p.Ld + fd * (3.0 * p.a30 + 4.0 * p.a40 * fd)) + fq2 * (p.a12 + 2.0 * p.a22 * fd)
+    i_q = fq * (1.0 / p.Lq + 2.0 * fd * (p.a12 + p.a22 * fd) + 4.0 * p.a04 * fq2)
+    return i_d, i_q
+
+
 def currents_from_flux(p: MotorParams, f: FluxLinkage) -> Currents:
     """Currents as the gradient of `energy` (the magnetization curves)."""
-    fd, fq = f.phi_d, f.phi_q
-    fd2, fq2 = fd * fd, fq * fq
-    i_d = fd / p.Ld + 3.0 * p.a30 * fd2 + p.a12 * fq2 + 4.0 * p.a40 * fd2 * fd + 2.0 * p.a22 * fd * fq2
-    i_q = fq / p.Lq + 2.0 * p.a12 * fd * fq + 2.0 * p.a22 * fd2 * fq + 4.0 * p.a04 * fq2 * fq
-    return Currents(i_d, i_q)
+    return Currents(*_currents(p, f.phi_d, f.phi_q))
 
 
-def _hessian(p: MotorParams, fd: float, fq: float) -> tuple[float, float, float]:
-    """Second derivatives (H_dd, H_dq, H_qq) of `energy` at (fd, fq).
+def _hessian(p: MotorParams, fd, fq):
+    """Second derivatives (H_dd, H_dq, H_qq) of `energy` at (fd, fq), scalars
+    or arrays of one shape.
 
-    H_dq == H_qd exactly; this inverse-inductance matrix drives both the
-    Newton inversion and the ripple predictions.
+    H_dq == H_qd exactly; this inverse-inductance matrix drives the Newton
+    inversion, the ripple prediction and the inductance matrix.
     """
     h_dd = 1.0 / p.Ld + 6.0 * p.a30 * fd + 12.0 * p.a40 * fd * fd + 2.0 * p.a22 * fq * fq
     h_dq = 2.0 * p.a12 * fq + 4.0 * p.a22 * fd * fq
@@ -192,8 +198,8 @@ def flux_from_currents_exact(p: MotorParams, i: Currents, tol: float = 1e-12) ->
         raise NonConvergence(f"first-order seed not finite for target {i}")
 
     def residual(fd: float, fq: float) -> tuple[float, float]:
-        c = currents_from_flux(p, FluxLinkage(fd, fq))
-        return c.i_d - i.i_d, c.i_q - i.i_q
+        c_d, c_q = _currents(p, fd, fq)
+        return c_d - i.i_d, c_q - i.i_q
 
     rd, rq = residual(fd, fq)
     for _ in range(_NEWTON_MAX_ITER):
@@ -225,23 +231,14 @@ def inductance_matrix(p: MotorParams, i: Currents) -> InductanceMatrix:
     """Differential inductance matrix, first order in the saturation
     coefficients, evaluated at a current operating point.
 
-    These are the derivatives of the first-order flux maps; structurally
-    L_dq == L_qd. At zero current (or zero coefficients) it reduces to
-    diag(Ld, Lq).
+    The first-order flux map is phi = L i - L g(L i), with g the saturation
+    part of the current map, so its Jacobian is L - L (Hess H(L i) - L^-1) L
+    for L = diag(Ld, Lq). Structurally L_dq == L_qd; at zero current (or zero
+    coefficients) it reduces to diag(Ld, Lq) exactly.
     """
-    i_d, i_q = i.i_d, i.i_q
     Ld, Lq = p.Ld, p.Lq
-    l_dd = Ld * (
-        1.0
-        - 6.0 * p.a30 * Ld * Ld * i_d
-        - 12.0 * p.a40 * Ld**3 * i_d * i_d
-        - 2.0 * p.a22 * Ld * Lq * Lq * i_q * i_q
-    )
-    l_dq = -2.0 * Ld * Lq * Lq * i_q * (p.a12 + 2.0 * p.a22 * Ld * i_d)
-    l_qq = Lq * (
-        1.0
-        - 2.0 * p.a12 * Ld * Lq * i_d
-        - 2.0 * p.a22 * Ld * Ld * Lq * i_d * i_d
-        - 12.0 * p.a04 * Lq**3 * i_q * i_q
-    )
-    return InductanceMatrix(L_dd=l_dd, L_dq=l_dq, L_qd=l_dq, L_qq=l_qq)
+    h_dd, h_dq, h_qq = _hessian(p, Ld * i.i_d, Lq * i.i_q)
+    l_dq = -Ld * h_dq * Lq
+    return InductanceMatrix(
+        L_dd=Ld - Ld * (h_dd - 1.0 / Ld) * Ld, L_dq=l_dq, L_qd=l_dq,
+        L_qq=Lq - Lq * (h_qq - 1.0 / Lq) * Lq)

@@ -9,7 +9,10 @@ contaminated by the ripple and vice versa.
 
 The same window also averages the running integrals of voltage and current
 from the first sample; with the resistance they give the window-mean flux of
-a locked-rotor run started at rest, phi = integral(u - R i) dt.
+a locked-rotor run started at rest, phi = integral(u - R i) dt. Currents and
+smooth drives are integrated by the trapezoid rule; a square-wave drive is
+read as right-continuous samples aligned to its switching instants and held
+constant over each sample interval.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ import math
 
 import numpy as np
 
-from .injection import F_array, InjectionSpec
+from .injection import SQUARE, F_array, InjectionSpec
 from .leastsq import ols_fit
 from .magnetics import MotorParams
 from .simulator import Trace
@@ -53,7 +56,7 @@ class RippleMeasurement:
     sigma_i_bar_q: float = 0.0
     sigma_i_tilde_d: float = 0.0
     sigma_i_tilde_q: float = 0.0
-    # window means of the running trapezoid integrals of u and i from t[0]
+    # window means of the running integrals of u and i from t[0]
     mean_int_u_d: float = 0.0
     mean_int_u_q: float = 0.0
     mean_int_i_d: float = 0.0
@@ -70,6 +73,13 @@ def cumulative_trapezoid(t: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Running integral of y over t by the trapezoidal rule, 0 at t[0]."""
     steps = 0.5 * (y[1:] + y[:-1]) * np.diff(t)
     return np.concatenate([[0.0], np.cumsum(steps)])
+
+
+def _cumulative_steps(t: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Running integral of y over t holding each sample until the next, 0 at
+    t[0]: exact for right-continuous samples of a piecewise-constant y that
+    switches only at sample instants."""
+    return np.concatenate([[0.0], np.cumsum(y[:-1] * np.diff(t))])
 
 
 def default_discard(p: MotorParams, spec: InjectionSpec) -> float:
@@ -118,8 +128,13 @@ def extract_ripple(trace: Trace, spec: InjectionSpec, discard: float) -> RippleM
         sig = np.sqrt(s2 * np.diag(xtx_inv))
         return float(beta[0]), float(beta[1]), rms, float(sig[0]), float(sig[1])
 
-    def window_mean_integral(y):
-        return float(np.mean(cumulative_trapezoid(t, y)[window]))
+    def window_mean_integral(y, rule=cumulative_trapezoid):
+        return float(np.mean(rule(t, y)[window]))
+
+    # a square-wave drive is constant between its switching instants, where
+    # its samples take the new level; the trapezoid rule would shift the
+    # injected-axis flux by -u_tilde * dt / 2
+    u_rule = _cumulative_steps if spec.waveform.kind == SQUARE else cumulative_trapezoid
 
     bar_d, til_d, rms_d, sbar_d, stil_d = fit(trace.i_d[window])
     bar_q, til_q, rms_q, sbar_q, stil_q = fit(trace.i_q[window])
@@ -130,8 +145,8 @@ def extract_ripple(trace: Trace, spec: InjectionSpec, discard: float) -> RippleM
         n_periods_used=n_whole, n_samples=n_win,
         sigma_i_bar_d=sbar_d, sigma_i_bar_q=sbar_q,
         sigma_i_tilde_d=stil_d, sigma_i_tilde_q=stil_q,
-        mean_int_u_d=window_mean_integral(trace.u_d),
-        mean_int_u_q=window_mean_integral(trace.u_q),
+        mean_int_u_d=window_mean_integral(trace.u_d, u_rule),
+        mean_int_u_q=window_mean_integral(trace.u_q, u_rule),
         mean_int_i_d=window_mean_integral(trace.i_d),
         mean_int_i_q=window_mean_integral(trace.i_q),
     )

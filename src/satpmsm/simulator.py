@@ -18,8 +18,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .injection import InjectionSpec, f_array, f_array_left
-from .magnetics import FluxLinkage, MotorParams
+from .injection import InjectionSpec, f_array
+from .magnetics import FluxLinkage, MotorParams, _currents
 
 _CSV_HEADER = ["t", "u_d", "u_q", "i_d", "i_q", "phi_d", "phi_q"]
 
@@ -104,10 +104,6 @@ class Trace:
     def sample_period(self) -> float:
         return float(self.t[1] - self.t[0])
 
-    @property
-    def duration(self) -> float:
-        return float(self.t[-1] - self.t[0])
-
     def with_noise(self, amp: float, seed: int) -> "Trace":
         """Copy with fresh uniform noise in [-amp, +amp] on the currents."""
         if amp == 0.0:
@@ -120,39 +116,20 @@ class Trace:
         )
 
     def to_csv(self, path) -> None:
-        with open(path, "w") as fh:
-            fh.write(",".join(_CSV_HEADER) + "\n")
-            has_flux = self.phi_d is not None and self.phi_q is not None
-            for k in range(len(self.t)):
-                row = [self.t[k], self.u_d[k], self.u_q[k], self.i_d[k], self.i_q[k]]
-                if has_flux:
-                    row += [self.phi_d[k], self.phi_q[k]]
-                fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
+        names = _CSV_HEADER if self.phi_d is not None and self.phi_q is not None else _CSV_HEADER[:5]
+        data = np.column_stack([getattr(self, name) for name in names])
+        np.savetxt(path, data, fmt="%.17g", delimiter=",", header=",".join(names), comments="")
 
     @staticmethod
     def from_csv(path) -> "Trace":
         with open(path) as fh:
             header = fh.readline().strip().split(",")
-            cols = {name: [] for name in header}
-            for line in fh:
-                line = line.strip()
-                if not line:
-                    continue
-                for name, field in zip(header, line.split(",")):
-                    cols[name].append(float(field))
-        for name in ("t", "u_d", "u_q", "i_d", "i_q"):
-            if name not in cols:
-                raise ValueError(f"trace CSV {path} missing column {name!r}")
-        arrays = {name: np.asarray(vals, dtype=float) for name, vals in cols.items()}
-        return Trace(
-            t=arrays["t"],
-            u_d=arrays["u_d"],
-            u_q=arrays["u_q"],
-            i_d=arrays["i_d"],
-            i_q=arrays["i_q"],
-            phi_d=arrays.get("phi_d"),
-            phi_q=arrays.get("phi_q"),
-        )
+            for name in _CSV_HEADER[:5]:
+                if name not in header:
+                    raise ValueError(f"trace CSV {path} missing column {name!r}")
+            data = np.loadtxt(fh, delimiter=",", ndmin=2, usecols=range(len(header)))
+        cols = dict(zip(header, data.T.copy()))
+        return Trace(**{name: cols.get(name) for name in _CSV_HEADER})
 
 
 def _check_step(spec: InjectionSpec, cfg: SimConfig) -> None:
@@ -169,68 +146,48 @@ def _check_step(spec: InjectionSpec, cfg: SimConfig) -> None:
                 f"half-period {half:.6g}s is not an integer multiple of dt={cfg.dt:.6g}s")
 
 
-def _batch_rk4(p: MotorParams, cfg: SimConfig, u_of_stage) -> tuple[np.ndarray, ...]:
+def _batch_rk4(p: MotorParams, cfg: SimConfig, ubar_d, ubar_q, util_d, util_q,
+               f0: np.ndarray, fmid: np.ndarray, f1: np.ndarray) -> tuple[np.ndarray, ...]:
     """Integrate dphi/dt = u - R*i(phi) + speed coupling for a batch of runs.
 
-    u_of_stage(k, stage) returns per-run (u_d, u_q) arrays for step k at
-    stage 0 (t_k), 1 (midpoint) or 2 (t_{k+1}, left-sided value).
+    The drive of run j is u = u_bar[j] + u_tilde[j] * f, with the waveform
+    value f of step k taken at t_k (f0[k], right-continuous), at the step
+    midpoint (fmid[k]) and at t_{k+1} closing the step (f1[k], left-sided);
+    f0 has one more entry than there are steps, for the last sample.
     Returns sampled (t, phi_d, phi_q, i_d, i_q, u_d, u_q) arrays with the
     sample axis first.
     """
     dt = cfg.dt
-    n_steps = int(round(cfg.t_end / dt))
     stride = cfg.sample_stride()
-    Ld, Lq, R = p.Ld, p.Lq, p.R
-    a30, a12, a40, a22, a04 = p.a30, p.a12, p.a40, p.a22, p.a04
-    w = cfg.theta_dot
-    phi_m = p.phi_m
+    R, w, phi_m = p.R, cfg.theta_dot, p.phi_m
 
     def rhs(fd, fq, u_d, u_q):
-        i_d = fd / Ld + 3.0 * a30 * fd * fd + a12 * fq * fq + 4.0 * a40 * fd**3 + 2.0 * a22 * fd * fq * fq
-        i_q = fq / Lq + 2.0 * a12 * fd * fq + 2.0 * a22 * fd * fd * fq + 4.0 * a04 * fq**3
+        i_d, i_q = _currents(p, fd, fq)
         return u_d - R * i_d + w * fq, u_q - R * i_q - w * (fd + phi_m)
 
-    def observed(fd, fq):
-        i_d = fd / Ld + 3.0 * a30 * fd * fd + a12 * fq * fq + 4.0 * a40 * fd**3 + 2.0 * a22 * fd * fq * fq
-        i_q = fq / Lq + 2.0 * a12 * fd * fq + 2.0 * a22 * fd * fd * fq + 4.0 * a04 * fq**3
-        return i_d, i_q
-
-    probe_u = u_of_stage(0, 0)
-    n_runs = len(np.atleast_1d(probe_u[0]))
-    fd = np.full(n_runs, cfg.initial_flux.phi_d, dtype=float)
-    fq = np.full(n_runs, cfg.initial_flux.phi_q, dtype=float)
-
+    fd = np.full(len(ubar_d), cfg.initial_flux.phi_d, dtype=float)
+    fq = np.full(len(ubar_d), cfg.initial_flux.phi_q, dtype=float)
+    n_steps = len(fmid)
     n_samples = n_steps // stride + 1
-    out_t = np.empty(n_samples)
-    out_fd = np.empty((n_samples, n_runs))
-    out_fq = np.empty((n_samples, n_runs))
-    out_ud = np.empty((n_samples, n_runs))
-    out_uq = np.empty((n_samples, n_runs))
-
-    sample_idx = 0
-    for k in range(n_steps + 1):
-        if k % stride == 0:
-            u_d, u_q = u_of_stage(k, 0)
-            out_t[sample_idx] = k * dt
-            out_fd[sample_idx] = fd
-            out_fq[sample_idx] = fq
-            out_ud[sample_idx] = u_d
-            out_uq[sample_idx] = u_q
-            sample_idx += 1
-        if k == n_steps:
-            break
-        u0d, u0q = u_of_stage(k, 0)
-        umd, umq = u_of_stage(k, 1)
-        u1d, u1q = u_of_stage(k, 2)
-        k1d, k1q = rhs(fd, fq, u0d, u0q)
+    out_fd = np.empty((n_samples, len(fd)))
+    out_fq = np.empty((n_samples, len(fd)))
+    out_fd[0], out_fq[0] = fd, fq
+    for k, (a, m, b) in enumerate(zip(f0[:-1].tolist(), fmid.tolist(), f1.tolist()), start=1):
+        umd, umq = ubar_d + util_d * m, ubar_q + util_q * m
+        k1d, k1q = rhs(fd, fq, ubar_d + util_d * a, ubar_q + util_q * a)
         k2d, k2q = rhs(fd + 0.5 * dt * k1d, fq + 0.5 * dt * k1q, umd, umq)
         k3d, k3q = rhs(fd + 0.5 * dt * k2d, fq + 0.5 * dt * k2q, umd, umq)
-        k4d, k4q = rhs(fd + dt * k3d, fq + dt * k3q, u1d, u1q)
+        k4d, k4q = rhs(fd + dt * k3d, fq + dt * k3q, ubar_d + util_d * b, ubar_q + util_q * b)
         fd = fd + (dt / 6.0) * (k1d + 2.0 * k2d + 2.0 * k3d + k4d)
         fq = fq + (dt / 6.0) * (k1q + 2.0 * k2q + 2.0 * k3q + k4q)
+        if k % stride == 0:
+            out_fd[k // stride], out_fq[k // stride] = fd, fq
 
-    i_d, i_q = observed(out_fd, out_fq)
-    return out_t, out_fd, out_fq, i_d, i_q, out_ud, out_uq
+    sampled = np.arange(0, n_steps + 1, stride)
+    f_out = f0[sampled][:, None]
+    i_d, i_q = _currents(p, out_fd, out_fq)
+    return (sampled * dt, out_fd, out_fq, i_d, i_q,
+            ubar_d + util_d * f_out, ubar_q + util_q * f_out)
 
 
 def simulate_batch(
@@ -268,29 +225,18 @@ def simulate_batch(
         steps_per_half = round(0.5 * specs[0].period / dt)
         halves = np.arange(n_steps + 1) // steps_per_half
         f0 = np.where(halves % 2 == 0, 1.0, -1.0)  # right-continuous at t_k
-        fmid = f0[:-1]                             # step interior: same piece
-        f1 = f0[:-1]                               # left-sided at t_{k+1}
+        fmid = f1 = f0[:-1]                        # the step's own half-period
     else:
         tau = omega * dt * np.arange(n_steps + 1)
-        f0 = f_array(w, tau)                       # right-continuous at t_k
+        f0 = f_array(w, tau)
         fmid = f_array(w, tau[:-1] + 0.5 * omega * dt)
-        f1 = f_array_left(w, tau[1:])              # left-sided at t_{k+1}
+        f1 = f0[1:]                                # continuous: no side to pick
 
-    ubar_d = np.array([s.u_bar_d for s in specs])
-    ubar_q = np.array([s.u_bar_q for s in specs])
-    util_d = np.array([s.u_tilde_d for s in specs])
-    util_q = np.array([s.u_tilde_q for s in specs])
-
-    def u_of_stage(k, stage):
-        if stage == 0:
-            fv = f0[k]
-        elif stage == 1:
-            fv = fmid[k]
-        else:
-            fv = f1[k]
-        return ubar_d + util_d * fv, ubar_q + util_q * fv
-
-    t, fd, fq, i_d, i_q, u_d, u_q = _batch_rk4(p, cfg, u_of_stage)
+    t, fd, fq, i_d, i_q, u_d, u_q = _batch_rk4(
+        p, cfg,
+        np.array([s.u_bar_d for s in specs]), np.array([s.u_bar_q for s in specs]),
+        np.array([s.u_tilde_d for s in specs]), np.array([s.u_tilde_q for s in specs]),
+        f0, fmid, f1)
     traces = []
     for j, seed in enumerate(seeds):
         trace = Trace(
@@ -321,20 +267,9 @@ def simulate_averaged(p: MotorParams, u_bar_d: float, u_bar_q: float, cfg: SimCo
     """
     if cfg.theta_dot != 0.0:
         raise ValueError("the averaged system is defined for locked rotor (theta_dot = 0)")
-    ub_d = np.array([u_bar_d], dtype=float)
-    ub_q = np.array([u_bar_q], dtype=float)
-
-    def u_of_stage(k, stage):
-        return ub_d, ub_q
-
-    t, fd, fq, i_d, i_q, u_d, u_q = _batch_rk4(p, cfg, u_of_stage)
+    zero = np.zeros(int(round(cfg.t_end / cfg.dt)) + 1)
+    t, fd, fq, i_d, i_q, u_d, u_q = _batch_rk4(
+        p, cfg, np.array([float(u_bar_d)]), np.array([float(u_bar_q)]), np.zeros(1), np.zeros(1),
+        zero, zero[:-1], zero[1:])
     return Trace(t=t, u_d=u_d[:, 0], u_q=u_q[:, 0], i_d=i_d[:, 0], i_q=i_q[:, 0],
                  phi_d=fd[:, 0], phi_q=fq[:, 0])
-
-
-def default_dt(spec: InjectionSpec, steps_per_period: int = 200) -> float:
-    """Default integration step: an even number of steps per period so the
-    square wave switches on step boundaries."""
-    if steps_per_period < 50 or steps_per_period % 2:
-        raise ValueError("steps_per_period must be even and >= 50")
-    return spec.period / steps_per_period

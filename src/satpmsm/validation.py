@@ -17,7 +17,7 @@ from .estimator import predict_ripple
 from .injection import InjectionSpec, Waveform
 from .magnetics import Currents, MotorParams, flux_from_currents_exact
 from .ripple import cumulative_trapezoid, default_discard, extract_ripple
-from .simulator import SimConfig, Trace, simulate, simulate_batch
+from .simulator import SimConfig, Trace, simulate_averaged, simulate_batch
 
 
 @dataclasses.dataclass(frozen=True)
@@ -105,17 +105,11 @@ class StepResponseResult:
 def step_response(p: MotorParams, u_step: float, t_end: float, *,
                   n_samples: int = 2000) -> StepResponseResult:
     """d-axis voltage step from zero flux, locked rotor: the full model next
-    to the same motor with the saturation coefficients zeroed."""
-    # constant drive: the sine waveform with zero ripple has no step-grid
-    # alignment constraint
-    spec = InjectionSpec(u_step, 0.0, 0.0, 0.0, 2 * math.pi * 500.0, Waveform.sine())
-    dt = t_end / n_samples
-    dt = min(dt, spec.period / 200)
-    stride = max(1, round(t_end / n_samples / dt))
-    cfg = SimConfig(dt=dt, t_end=t_end, sample_period=stride * dt)
-    sat = simulate(p, spec, cfg)
-    lin = simulate(p.without_saturation(), spec, cfg)
-    return StepResponseResult(saturated=sat, linear=lin)
+    to the same motor with the saturation coefficients zeroed, both
+    integrated as the ripple-free averaged system over n_samples steps."""
+    cfg = SimConfig(dt=t_end / n_samples, t_end=t_end)
+    return StepResponseResult(saturated=simulate_averaged(p, u_step, 0.0, cfg),
+                              linear=simulate_averaged(p.without_saturation(), u_step, 0.0, cfg))
 
 
 @dataclasses.dataclass(frozen=True)

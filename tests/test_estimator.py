@@ -328,6 +328,20 @@ class TestEndToEnd:
         bare = estimate_from_records(measure_traces(runs, stripped, discard), ipm, plan)
         assert full == bare
 
+    def test_rebuilt_mean_flux_matches_state(self, ipm):
+        # the square-wave drive is held between its switching instants, so
+        # the window mean of integral(u - R i) dt carries no -u_tilde*dt/2
+        # offset on the injected axis (1.5e-4 Wb here by the trapezoid rule)
+        plan = ipm_plan(id_grid=(-1.0, 0.5, 1.0), iq_grid=(-1.0, 0.5, 1.0))
+        runs = plan_runs(plan, ipm.R)
+        traces, discard = simulate_plan(ipm, runs, measure_periods=10)
+        for rec, tr in zip(measure_traces(runs, traces, discard), traces):
+            m = rec.meas
+            i0 = int(np.searchsorted(tr.t, discard * (1.0 - 1e-9)))
+            window = slice(i0, i0 + m.n_samples)
+            assert abs(m.mean_int_u_d - ipm.R * m.mean_int_i_d - np.mean(tr.phi_d[window])) <= 5e-6
+            assert abs(m.mean_int_u_q - ipm.R * m.mean_int_i_q - np.mean(tr.phi_q[window])) <= 5e-6
+
     def test_trace_not_at_rest_refused(self, ipm):
         # a run started from nonzero flux breaks phi(0) = 0, on which the
         # flux integration rests: refused by name, not silently integrated

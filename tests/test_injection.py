@@ -3,16 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from satpmsm.injection import (
-    F_array,
-    F_eval,
-    InjectionSpec,
-    Waveform,
-    f_array,
-    f_array_left,
-    f_eval,
-    voltage_at,
-)
+from satpmsm.injection import F_array, InjectionSpec, Waveform, f_array
+from satpmsm.simulator import SimConfig, simulate
 
 import oracles
 
@@ -51,56 +43,46 @@ class TestWaveformConstruction:
 class TestF:
     def test_square_values(self):
         sq = Waveform.square()
-        assert f_eval(sq, math.pi / 2) == 1.0
-        assert f_eval(sq, 3 * math.pi / 2) == -1.0
-        assert f_eval(sq, 0.0) == 1.0
-        assert f_eval(sq, math.pi) == -1.0
+        assert f_array(sq, math.pi / 2) == 1.0
+        assert f_array(sq, 3 * math.pi / 2) == -1.0
+        assert f_array(sq, 0.0) == 1.0
+        assert f_array(sq, math.pi) == -1.0
 
     def test_sine_peak(self):
-        assert f_eval(Waveform.sine(), math.pi / 2) == pytest.approx(1.0, rel=1e-15)
+        assert f_array(Waveform.sine(), math.pi / 2) == pytest.approx(1.0, rel=1e-15)
 
     def test_periodicity(self):
         for w in (Waveform.square(), Waveform.sine(), sampled_ramp()):
             for tau in (0.3, 2.0, 4.5):
-                assert f_eval(w, tau) == pytest.approx(f_eval(w, tau + 6 * math.pi), abs=1e-12)
-                assert f_eval(w, tau) == pytest.approx(f_eval(w, tau - 4 * math.pi), abs=1e-12)
-
-    def test_left_evaluation_differs_only_at_jumps(self):
-        sq = Waveform.square()
-        assert float(f_array_left(sq, math.pi)) == 1.0
-        assert float(f_array(sq, math.pi)) == -1.0
-        assert float(f_array_left(sq, 2 * math.pi)) == -1.0
-        assert float(f_array(sq, 2 * math.pi)) == 1.0
-        assert float(f_array_left(sq, 1.0)) == float(f_array(sq, 1.0))
-        sn = Waveform.sine()
-        assert float(f_array_left(sn, math.pi)) == float(f_array(sn, math.pi))
+                assert f_array(w, tau) == pytest.approx(f_array(w, tau + 6 * math.pi), abs=1e-12)
+                assert f_array(w, tau) == pytest.approx(f_array(w, tau - 4 * math.pi), abs=1e-12)
 
     def test_zero_mean_midpoint_quadrature(self):
         # ~1e4 midpoint nodes, count aligned to the waveform's pieces so the
         # rule is exact for the piecewise-linear cases
         for w, n in ((Waveform.square(), 10000), (Waveform.sine(), 10000), (sampled_ramp(), 10048)):
-            integral = oracles.midpoint_integral(lambda x: f_eval(w, x), 0.0, 2 * math.pi, n)
+            integral = oracles.midpoint_integral(lambda x: f_array(w, x), 0.0, 2 * math.pi, n)
             assert abs(integral) < 1e-10
 
 
 class TestBigF:
     def test_square_shape(self):
         sq = Waveform.square()
-        assert F_eval(sq, 0.0) == pytest.approx(-math.pi / 2, rel=1e-15)
-        assert F_eval(sq, math.pi / 2) == pytest.approx(0.0, abs=1e-15)
-        assert F_eval(sq, math.pi) == pytest.approx(math.pi / 2, rel=1e-15)
-        assert F_eval(sq, 1.5 * math.pi) == pytest.approx(0.0, abs=1e-12)
+        assert F_array(sq, 0.0) == pytest.approx(-math.pi / 2, rel=1e-15)
+        assert F_array(sq, math.pi / 2) == pytest.approx(0.0, abs=1e-15)
+        assert F_array(sq, math.pi) == pytest.approx(math.pi / 2, rel=1e-15)
+        assert F_array(sq, 1.5 * math.pi) == pytest.approx(0.0, abs=1e-12)
 
     def test_sine_is_minus_cos(self):
         sn = Waveform.sine()
         for tau in np.linspace(0, 2 * math.pi, 17):
-            assert F_eval(sn, float(tau)) == pytest.approx(-math.cos(tau), abs=1e-14)
+            assert F_array(sn, float(tau)) == pytest.approx(-math.cos(tau), abs=1e-14)
 
     def test_zero_mean(self):
         # cell counts aligned to the waveform pieces: the midpoint error then
         # cancels over the period for the piecewise-quadratic primitive
         for w in (Waveform.square(), Waveform.sine(), sampled_ramp(100)):
-            integral = oracles.midpoint_integral(lambda x: F_eval(w, x), 0.0, 2 * math.pi, 10000)
+            integral = oracles.midpoint_integral(lambda x: F_array(w, x), 0.0, 2 * math.pi, 10000)
             assert abs(integral) < 1e-10
 
     def test_derivative_recovers_f(self):
@@ -112,8 +94,8 @@ class TestBigF:
                 if w.kind == "square" and abs(tau - math.pi) < 1e-3:
                     continue
                 h = 1e-6
-                deriv = (F_eval(w, tau + h) - F_eval(w, tau - h)) / (2 * h)
-                f = f_eval(w, tau)
+                deriv = (F_array(w, tau + h) - F_array(w, tau - h)) / (2 * h)
+                f = float(f_array(w, tau))
                 assert abs(deriv - f) <= 1e-4 * max(1.0, abs(f))
 
     def test_sampled_primitive_vs_quadrature_oracle(self):
@@ -129,12 +111,12 @@ class TestBigF:
         mean = float(np.sum(0.5 * (raw[1:] + raw[:-1]) * h)) / (2 * math.pi)
         for k in range(0, n + 1, n // 16):
             tau = k * h
-            assert F_eval(w, float(tau)) == pytest.approx(float(raw[k]) - mean, abs=1e-8)
+            assert F_array(w, float(tau)) == pytest.approx(float(raw[k]) - mean, abs=1e-8)
 
     def test_same_period_as_f(self):
         for w in (Waveform.square(), Waveform.sine(), sampled_ramp()):
             for tau in (0.7, 3.0, 5.1):
-                assert F_eval(w, tau) == pytest.approx(F_eval(w, tau + 2 * math.pi), abs=1e-12)
+                assert F_array(w, tau) == pytest.approx(F_array(w, tau + 2 * math.pi), abs=1e-12)
 
 
 class TestInjectionSpec:
@@ -146,33 +128,22 @@ class TestInjectionSpec:
         spec = InjectionSpec(0, 0, 1, 0, omega=2 * math.pi * 500, waveform=Waveform.square())
         assert spec.period == pytest.approx(1 / 500, rel=1e-15)
 
-    def test_voltage_fig2_point(self):
+    def test_voltage_fig2_point(self, ipm):
         # square injection at quarter period: 23 + 30 = 53 V on the d axis
         spec = InjectionSpec(u_bar_d=23.0, u_bar_q=0.0, u_tilde_d=30.0, u_tilde_q=0.0,
                              omega=2 * math.pi * 500, waveform=Waveform.square())
-        t = (math.pi / 2) / spec.omega
-        u_d, u_q = voltage_at(spec, t)
-        assert u_d == pytest.approx(53.0, rel=1e-14)
-        assert u_q == 0.0
+        tr = simulate(ipm, spec, SimConfig(dt=spec.period / 200, t_end=spec.period))
+        assert tr.u_d[50] == pytest.approx(53.0, rel=1e-14)
+        assert np.all(tr.u_q == 0.0)
 
-    def test_constant_when_no_ripple(self):
+    def test_constant_when_no_ripple(self, ipm):
         spec = InjectionSpec(u_bar_d=5.0, u_bar_q=-2.0, u_tilde_d=0.0, u_tilde_q=0.0,
                              omega=100.0, waveform=Waveform.sine())
-        for t in (0.0, 0.01, 0.5):
-            assert voltage_at(spec, t) == (5.0, -2.0)
+        tr = simulate(ipm, spec, SimConfig(dt=spec.period / 200, t_end=0.5))
+        assert np.all(tr.u_d == 5.0) and np.all(tr.u_q == -2.0)
 
-    def test_sine_zero_crossing(self):
+    def test_sine_zero_crossing(self, ipm):
         spec = InjectionSpec(0.0, 0.0, 7.0, 3.0, omega=1000.0, waveform=Waveform.sine())
-        t = math.pi / spec.omega
-        u_d, u_q = voltage_at(spec, t)
-        assert abs(u_d) < 1e-12 and abs(u_q) < 1e-12
-
-
-def test_vector_scalar_agreement():
-    taus = np.linspace(-5.0, 15.0, 101)
-    for w in (Waveform.square(), Waveform.sine(), sampled_ramp(48)):
-        fv = f_array(w, taus)
-        Fv = F_array(w, taus)
-        for tau, a, b in zip(taus, fv, Fv):
-            assert f_eval(w, float(tau)) == pytest.approx(float(a), abs=1e-14)
-            assert F_eval(w, float(tau)) == pytest.approx(float(b), abs=1e-14)
+        tr = simulate(ipm, spec, SimConfig(dt=spec.period / 200, t_end=spec.period))
+        # sample 100 sits at half a period
+        assert abs(tr.u_d[100]) < 1e-12 and abs(tr.u_q[100]) < 1e-12

@@ -9,7 +9,6 @@ from satpmsm.simulator import (
     SimConfig,
     StepTooLarge,
     Trace,
-    default_dt,
     simulate,
     simulate_averaged,
     simulate_batch,
@@ -52,12 +51,6 @@ class TestConfig:
         cfg = SimConfig(dt=spec.period / 51, t_end=0.01)
         with pytest.raises(ValueError, match="step boundaries"):
             simulate(ipm, spec, cfg)
-
-    def test_default_dt(self):
-        spec = square_spec(u_tilde_d=1.0)
-        assert default_dt(spec) == pytest.approx(spec.period / 200)
-        with pytest.raises(ValueError):
-            default_dt(spec, steps_per_period=33)
 
 
 class TestAgainstLinearAnalytic:
@@ -304,6 +297,17 @@ class TestTraceCsv:
         tr = Trace.from_csv(path)
         assert tr.phi_d is None and tr.phi_q is None
         assert len(tr.t) == 3
+
+    def test_written_bytes(self, tmp_path):
+        tr = Trace(t=np.array([0.0, 1e-5]), u_d=np.array([30.0, -30.0]), u_q=np.array([0.0, -0.0]),
+                   i_d=np.array([0.0, 0.1 + 0.2]), i_q=np.array([1e-300, 2.5e17]),
+                   phi_d=np.array([0.0, 1 / 3]), phi_q=np.array([-1.5, 7.0]))
+        path = tmp_path / "run.csv"
+        tr.to_csv(path)
+        assert path.read_bytes() == (
+            b"t,u_d,u_q,i_d,i_q,phi_d,phi_q\n"
+            b"0,30,0,0,1e-300,0,-1.5\n"
+            b"1.0000000000000001e-05,-30,-0,0.30000000000000004,2.5e+17,0.33333333333333331,7\n")
 
     def test_import_missing_core_column(self, tmp_path):
         path = tmp_path / "bad.csv"

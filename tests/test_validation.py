@@ -11,7 +11,7 @@ from satpmsm.magnetics import (
     currents_from_flux,
     FluxLinkage,
 )
-from satpmsm.simulator import SimConfig, Trace, simulate
+from satpmsm.simulator import SimConfig, Trace, simulate, simulate_averaged
 from satpmsm.validation import (
     SweepSpec,
     angle_sweep,
@@ -97,7 +97,7 @@ class TestStepResponse:
         dev = float(np.max(np.abs(r.saturated.i_d - r.linear.i_d)))
         assert dev <= 0.01 * scale
 
-    def test_large_step_shows_saturation(self, ipm):
+    def test_large_step_shows_saturation(self, ipm, spm):
         # frozen against a measured ratio of ~39x between the deviations
         def rel_dev(u):
             r = step_response(ipm, u, 0.05)
@@ -105,6 +105,16 @@ class TestStepResponse:
             return float(np.max(np.abs(r.saturated.i_d - r.linear.i_d))) / scale
 
         assert rel_dev(ipm.R * 2.0) >= 5.0 * rel_dev(ipm.R * 0.05)
+        # the harshest shipped step (SPM, R times the 8 A sweep limit over
+        # 12 time constants) is resolved on its sample grid: a 50x finer
+        # integration moves no sample by more than 1e-8 of the peak
+        u, t_end = spm.R * 8.0, 12.0 * spm.Ld / spm.R
+        r = step_response(spm, u, t_end)
+        dt = t_end / 2000
+        fine = simulate_averaged(spm, u, 0.0, SimConfig(dt=dt / 50, t_end=t_end, sample_period=dt))
+        assert len(fine.t) == len(r.saturated.t)
+        scale = float(np.max(np.abs(fine.i_d)))
+        assert np.max(np.abs(r.saturated.i_d - fine.i_d)) <= 1e-8 * scale
 
     def test_csv(self, ipm, tmp_path):
         r = step_response(ipm, 10.0, 0.01, n_samples=100)
