@@ -143,8 +143,7 @@ def cmd_validate(config: ProjectConfig) -> int:
     result.write_csv(sweep_path)
     print(f"wrote {sweep_path}")
 
-    for u_step in v.step_volts:
-        r = step_response(config.motor, u_step, v.step_t_end)
+    for u_step, r in zip(v.step_volts, step_response(config.motor, v.step_volts, v.step_t_end)):
         step_path = config.out_dir / f"step_response_{u_step:+.2f}V.csv"
         r.write_csv(step_path)
         flux = flux_by_integration(r.saturated, config.motor)

@@ -13,7 +13,10 @@ All quantities are SI: weber, ampere, henry, ohm, volt, rad/s.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
+
+import numpy as np
 
 
 class NonConvergence(RuntimeError):
@@ -59,6 +62,17 @@ class MotorParams:
         for name in ("phi_m", "a30", "a12", "a40", "a22", "a04"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite")
+
+    @functools.cached_property
+    def _current_table(self) -> tuple[tuple[float, float], ...]:
+        """Coefficient rows (d, q) of the current map `_row_currents`: c0,
+        c1, c2, c3 and e, in that order. Cached per motor, because building
+        it costs about as much as one scalar evaluation of the map."""
+        return ((1.0 / self.Ld, 1.0 / self.Lq),
+                (3.0 * self.a30, 2.0 * self.a12),
+                (4.0 * self.a40, 2.0 * self.a22),
+                (2.0 * self.a22, 4.0 * self.a04),
+                (self.a12, 0.0))
 
     def without_saturation(self) -> "MotorParams":
         """Same motor with all saturation coefficients zeroed."""
@@ -127,13 +141,33 @@ def energy(p: MotorParams, f: FluxLinkage) -> float:
     )
 
 
+def _current_rows(motors) -> np.ndarray:
+    """`_current_table` of each motor as a C-contiguous (5, 2, n) array: the
+    five coefficient rows of a batch of n lanes, lane j holding motors[j].
+    Contiguous because a strided operand costs a numpy call about twice."""
+    return np.array([p._current_table for p in motors], dtype=float).transpose(1, 2, 0).copy()
+
+
+def _row_currents(x, fd, fq2, c0, c1, c2, c3, e):
+    """Gradient of `energy` along the axis whose flux is x (fd or fq), given
+    that axis's coefficient rows; fq2 = fq*fq. Elementwise, so x may be one
+    float or the stacked (2, ...) d/q flux rows with (2, ...) coefficients.
+    With e_q = 0, i_d is even and i_q odd in fq, exactly."""
+    return x * (c0 + fd * (c1 + c2 * fd) + c3 * fq2) + e * fq2
+
+
+def _stacked_currents(rows, X):
+    """Both current rows of stacked fluxes X = (phi_d, phi_q) in one pass;
+    rows are `_current_rows` shaped to broadcast against X."""
+    return _row_currents(X, X[0], X[1] * X[1], *rows)
+
+
 def _currents(p: MotorParams, fd, fq):
-    """Gradient of `energy` at (fd, fq), in Horner form; fd and fq may be
-    scalars or arrays of one shape. i_d is even and i_q odd in fq, exactly."""
+    """Gradient of `energy` at (fd, fq): `_row_currents` once per axis."""
     fq2 = fq * fq
-    i_d = fd * (1.0 / p.Ld + fd * (3.0 * p.a30 + 4.0 * p.a40 * fd)) + fq2 * (p.a12 + 2.0 * p.a22 * fd)
-    i_q = fq * (1.0 / p.Lq + 2.0 * fd * (p.a12 + p.a22 * fd) + 4.0 * p.a04 * fq2)
-    return i_d, i_q
+    (c0d, c0q), (c1d, c1q), (c2d, c2q), (c3d, c3q), (ed, eq) = p._current_table
+    return (_row_currents(fd, fd, fq2, c0d, c1d, c2d, c3d, ed),
+            _row_currents(fq, fd, fq2, c0q, c1q, c2q, c3q, eq))
 
 
 def currents_from_flux(p: MotorParams, f: FluxLinkage) -> Currents:

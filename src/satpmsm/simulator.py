@@ -1,10 +1,11 @@
 """Fixed-step integration of the electrical dynamics in flux coordinates.
 
-State is the flux-linkage pair; the drive is a pulsating d-q voltage. The
-integrator is classic RK4. For square-wave injection the step grid is
-required to align with the switching instants (dt divides the half-period)
-and each step evaluates the voltage one-sidedly, so every step integrates a
-smooth piece and the nominal RK4 order survives the discontinuities.
+State is the flux-linkage pair, stacked as one (2, n) array over a batch of
+n runs; the drive is a pulsating d-q voltage. The integrator is classic RK4.
+For square-wave injection the step grid is required to align with the
+switching instants (dt divides the half-period) and each step evaluates the
+voltage one-sidedly, so every step integrates a smooth piece and the nominal
+RK4 order survives the discontinuities.
 
 Measurement noise is additive uniform on the sampled currents only; the flux
 channels stay noise-free (they are internal state, not a measurement).
@@ -14,14 +15,21 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import warnings
 from typing import Sequence
 
 import numpy as np
 
 from .injection import InjectionSpec, f_array
-from .magnetics import FluxLinkage, MotorParams, _currents
+from .magnetics import FluxLinkage, MotorParams, _current_rows, _stacked_currents
 
 _CSV_HEADER = ["t", "u_d", "u_q", "i_d", "i_q", "phi_d", "phi_q"]
+
+
+def _write_columns(path, header: str, *columns) -> None:
+    """CSV of the header line, then one row per sample of the equal-length
+    columns, every value at round-trip precision."""
+    np.savetxt(path, np.column_stack(columns), fmt="%.17g", delimiter=",", header=header, comments="")
 
 
 class StepTooLarge(RuntimeError):
@@ -117,8 +125,7 @@ class Trace:
 
     def to_csv(self, path) -> None:
         names = _CSV_HEADER if self.phi_d is not None and self.phi_q is not None else _CSV_HEADER[:5]
-        data = np.column_stack([getattr(self, name) for name in names])
-        np.savetxt(path, data, fmt="%.17g", delimiter=",", header=",".join(names), comments="")
+        _write_columns(path, ",".join(names), *(getattr(self, name) for name in names))
 
     @staticmethod
     def from_csv(path) -> "Trace":
@@ -127,7 +134,11 @@ class Trace:
             for name in _CSV_HEADER[:5]:
                 if name not in header:
                     raise ValueError(f"trace CSV {path} missing column {name!r}")
-            data = np.loadtxt(fh, delimiter=",", ndmin=2, usecols=range(len(header)))
+            with warnings.catch_warnings():  # an empty file is refused below
+                warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+                data = np.loadtxt(fh, delimiter=",", ndmin=2, usecols=range(len(header)))
+        if len(data) < 2:
+            raise ValueError(f"trace CSV {path} has {len(data)} data rows, needs at least 2")
         cols = dict(zip(header, data.T.copy()))
         return Trace(**{name: cols.get(name) for name in _CSV_HEADER})
 
@@ -146,48 +157,66 @@ def _check_step(spec: InjectionSpec, cfg: SimConfig) -> None:
                 f"half-period {half:.6g}s is not an integer multiple of dt={cfg.dt:.6g}s")
 
 
-def _batch_rk4(p: MotorParams, cfg: SimConfig, ubar_d, ubar_q, util_d, util_q,
+def _batch_rk4(motors: Sequence[MotorParams], cfg: SimConfig, u_bar: np.ndarray, u_tilde: np.ndarray,
                f0: np.ndarray, fmid: np.ndarray, f1: np.ndarray) -> tuple[np.ndarray, ...]:
     """Integrate dphi/dt = u - R*i(phi) + speed coupling for a batch of runs.
 
-    The drive of run j is u = u_bar[j] + u_tilde[j] * f, with the waveform
-    value f of step k taken at t_k (f0[k], right-continuous), at the step
-    midpoint (fmid[k]) and at t_{k+1} closing the step (f1[k], left-sided);
-    f0 has one more entry than there are steps, for the last sample.
-    Returns sampled (t, phi_d, phi_q, i_d, i_q, u_d, u_q) arrays with the
-    sample axis first.
+    Lane j is motor motors[j] driven by u = u_bar[:, j] + u_tilde[:, j] * f,
+    with the (d, q) voltages stacked as rows of u_bar and u_tilde (2, n). The
+    waveform value f of step k is taken at t_k (f0[k], right-continuous), at
+    the step midpoint (fmid[k]) and at t_{k+1} closing the step (f1[k],
+    left-sided); f0 has one more entry than there are steps, for the last
+    sample. The state X = (phi_d, phi_q) is one (2, n) array, so each RK4 line
+    serves both axes; the speed coupling (w phi_q, -w phi_d) is W * X[::-1]
+    and the magnet term -w phi_m rides in the q bias.
+    Returns t and the sampled flux, current and voltage, each (2, n, n_samples).
     """
     dt = cfg.dt
     stride = cfg.sample_stride()
-    R, w, phi_m = p.R, cfg.theta_dot, p.phi_m
+    w = cfg.theta_dot
+    rows = _current_rows(motors)
+    C = tuple(rows)  # the five (2, n) rows, unpacked once
+    R = np.array([[p.R for p in motors]] * 2)  # full (2, n): a broadcast operand costs ~2x
+    bias = u_bar.astype(float)  # a copy
+    bias[1] -= w * np.array([p.phi_m for p in motors])
+    W = np.array([[w], [-w]])
 
-    def rhs(fd, fq, u_d, u_q):
-        i_d, i_q = _currents(p, fd, fq)
-        return u_d - R * i_d + w * fq, u_q - R * i_q - w * (fd + phi_m)
+    def rhs(X, U):
+        dX = U - R * _stacked_currents(C, X)
+        return dX + W * X[::-1] if w else dX  # locked rotor: no coupling
 
-    fd = np.full(len(ubar_d), cfg.initial_flux.phi_d, dtype=float)
-    fq = np.full(len(ubar_d), cfg.initial_flux.phi_q, dtype=float)
+    X = np.empty((2, len(motors)))
+    X[0], X[1] = cfg.initial_flux.phi_d, cfg.initial_flux.phi_q
     n_steps = len(fmid)
     n_samples = n_steps // stride + 1
-    out_fd = np.empty((n_samples, len(fd)))
-    out_fq = np.empty((n_samples, len(fd)))
-    out_fd[0], out_fq[0] = fd, fq
+    out = np.empty((2, len(motors), n_samples))
+    out[:, :, 0] = X
+    h2, h6 = 0.5 * dt, dt / 6.0
     for k, (a, m, b) in enumerate(zip(f0[:-1].tolist(), fmid.tolist(), f1.tolist()), start=1):
-        umd, umq = ubar_d + util_d * m, ubar_q + util_q * m
-        k1d, k1q = rhs(fd, fq, ubar_d + util_d * a, ubar_q + util_q * a)
-        k2d, k2q = rhs(fd + 0.5 * dt * k1d, fq + 0.5 * dt * k1q, umd, umq)
-        k3d, k3q = rhs(fd + 0.5 * dt * k2d, fq + 0.5 * dt * k2q, umd, umq)
-        k4d, k4q = rhs(fd + dt * k3d, fq + dt * k3q, ubar_d + util_d * b, ubar_q + util_q * b)
-        fd = fd + (dt / 6.0) * (k1d + 2.0 * k2d + 2.0 * k3d + k4d)
-        fq = fq + (dt / 6.0) * (k1q + 2.0 * k2q + 2.0 * k3q + k4q)
+        # square waves and the averaged system hold f over the step
+        ua = bias + u_tilde * a
+        um = ua if m == a else bias + u_tilde * m
+        ub = um if b == m else bias + u_tilde * b
+        k1 = rhs(X, ua)
+        k2 = rhs(X + h2 * k1, um)
+        k3 = rhs(X + h2 * k2, um)
+        k4 = rhs(X + dt * k3, ub)
+        X = X + h6 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         if k % stride == 0:
-            out_fd[k // stride], out_fq[k // stride] = fd, fq
+            out[:, :, k // stride] = X
 
     sampled = np.arange(0, n_steps + 1, stride)
-    f_out = f0[sampled][:, None]
-    i_d, i_q = _currents(p, out_fd, out_fq)
-    return (sampled * dt, out_fd, out_fq, i_d, i_q,
-            ubar_d + util_d * f_out, ubar_q + util_q * f_out)
+    return (sampled * dt, out, _stacked_currents(rows[..., None], out),
+            u_bar[..., None] + u_tilde[..., None] * f0[sampled])
+
+
+def _traces(t, phi, i, u) -> list[Trace]:
+    """One Trace per lane of the kernel's lane-major output: read-only row
+    views, all sharing one t; nothing is copied."""
+    for a in (t, phi, i, u):
+        a.flags.writeable = False
+    return [Trace(t=t, u_d=u[0, j], u_q=u[1, j], i_d=i[0, j], i_q=i[1, j], phi_d=phi[0, j], phi_q=phi[1, j])
+            for j in range(phi.shape[1])]
 
 
 def simulate_batch(
@@ -232,25 +261,13 @@ def simulate_batch(
         fmid = f_array(w, tau[:-1] + 0.5 * omega * dt)
         f1 = f0[1:]                                # continuous: no side to pick
 
-    t, fd, fq, i_d, i_q, u_d, u_q = _batch_rk4(
-        p, cfg,
-        np.array([s.u_bar_d for s in specs]), np.array([s.u_bar_q for s in specs]),
-        np.array([s.u_tilde_d for s in specs]), np.array([s.u_tilde_q for s in specs]),
-        f0, fmid, f1)
-    traces = []
-    for j, seed in enumerate(seeds):
-        trace = Trace(
-            t=t.copy(),
-            u_d=u_d[:, j].copy(),
-            u_q=u_q[:, j].copy(),
-            i_d=i_d[:, j].copy(),
-            i_q=i_q[:, j].copy(),
-            phi_d=fd[:, j].copy(),
-            phi_q=fq[:, j].copy(),
-        )
-        if cfg.noise_amp > 0:
-            trace = trace.with_noise(cfg.noise_amp, int(seed))
-        traces.append(trace)
+    traces = _traces(*_batch_rk4(
+        [p] * len(specs), cfg,
+        np.array([[s.u_bar_d for s in specs], [s.u_bar_q for s in specs]]),
+        np.array([[s.u_tilde_d for s in specs], [s.u_tilde_q for s in specs]]),
+        f0, fmid, f1))
+    if cfg.noise_amp > 0:
+        traces = [tr.with_noise(cfg.noise_amp, int(seed)) for tr, seed in zip(traces, seeds)]
     return traces
 
 
@@ -259,17 +276,20 @@ def simulate(p: MotorParams, spec: InjectionSpec, cfg: SimConfig, seed: int = 0)
     return simulate_batch(p, [spec], cfg, [seed])[0]
 
 
-def simulate_averaged(p: MotorParams, u_bar_d: float, u_bar_q: float, cfg: SimConfig) -> Trace:
-    """Integrate the ripple-free averaged system dphi/dt = u_bar - R*i(phi).
+def simulate_averaged(motors: Sequence[MotorParams], u_bar: Sequence[tuple[float, float]],
+                      cfg: SimConfig) -> list[Trace]:
+    """Integrate the ripple-free averaged system dphi/dt = u_bar - R*i(phi),
+    one lane per (motors[j], u_bar[j] = (u_bar_d, u_bar_q)) pair, in one batch.
 
-    Locked rotor only. Its trajectory tends to the constant flux solving
+    Locked rotor only. Each trajectory tends to the constant flux solving
     u_bar = R*i(phi); deterministic, so noise settings are ignored.
     """
     if cfg.theta_dot != 0.0:
         raise ValueError("the averaged system is defined for locked rotor (theta_dot = 0)")
+    if len(u_bar) != len(motors):
+        raise ValueError("need one mean voltage pair per motor")
+    if not motors:
+        return []
     zero = np.zeros(int(round(cfg.t_end / cfg.dt)) + 1)
-    t, fd, fq, i_d, i_q, u_d, u_q = _batch_rk4(
-        p, cfg, np.array([float(u_bar_d)]), np.array([float(u_bar_q)]), np.zeros(1), np.zeros(1),
-        zero, zero[:-1], zero[1:])
-    return Trace(t=t, u_d=u_d[:, 0], u_q=u_q[:, 0], i_d=i_d[:, 0], i_q=i_q[:, 0],
-                 phi_d=fd[:, 0], phi_q=fq[:, 0])
+    u = np.array(u_bar, dtype=float).T
+    return _traces(*_batch_rk4(motors, cfg, u, np.zeros_like(u), zero, zero[:-1], zero[1:]))

@@ -17,7 +17,7 @@ from .estimator import predict_ripple
 from .injection import InjectionSpec, Waveform
 from .magnetics import Currents, MotorParams, flux_from_currents_exact
 from .ripple import cumulative_trapezoid, default_discard, extract_ripple
-from .simulator import SimConfig, Trace, simulate_averaged, simulate_batch
+from .simulator import SimConfig, Trace, _write_columns, simulate_averaged, simulate_batch
 
 
 @dataclasses.dataclass(frozen=True)
@@ -54,10 +54,7 @@ class AngleSweepResult:
         """x,y_model,y_measured for the injected-axis ripple."""
         pred = self.predicted_d if self.inject_axis == "d" else self.predicted_q
         sim = self.simulated_d if self.inject_axis == "d" else self.simulated_q
-        with open(path, "w") as fh:
-            fh.write("x,y_model,y_measured\n")
-            for row in zip(self.magnitudes, pred, sim):
-                fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
+        _write_columns(path, "x,y_model,y_measured", self.magnitudes, pred, sim)
 
 
 def angle_sweep(p: MotorParams, s: SweepSpec, *, steps_per_period: int = 200,
@@ -96,20 +93,20 @@ class StepResponseResult:
     linear: Trace
 
     def write_csv(self, path) -> None:
-        with open(path, "w") as fh:
-            fh.write("t,i_sat,i_lin\n")
-            for row in zip(self.saturated.t, self.saturated.i_d, self.linear.i_d):
-                fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
+        _write_columns(path, "t,i_sat,i_lin", self.saturated.t, self.saturated.i_d, self.linear.i_d)
 
 
-def step_response(p: MotorParams, u_step: float, t_end: float, *,
-                  n_samples: int = 2000) -> StepResponseResult:
-    """d-axis voltage step from zero flux, locked rotor: the full model next
-    to the same motor with the saturation coefficients zeroed, both
-    integrated as the ripple-free averaged system over n_samples steps."""
+def step_response(p: MotorParams, u_steps: Sequence[float], t_end: float, *,
+                  n_samples: int = 2000) -> list[StepResponseResult]:
+    """d-axis voltage steps from zero flux, locked rotor: the full model next
+    to the same motor with the saturation coefficients zeroed, one result per
+    voltage in u_steps. All voltage x {saturated, linear} lanes integrate as
+    one batch of the ripple-free averaged system over n_samples steps."""
     cfg = SimConfig(dt=t_end / n_samples, t_end=t_end)
-    return StepResponseResult(saturated=simulate_averaged(p, u_step, 0.0, cfg),
-                              linear=simulate_averaged(p.without_saturation(), u_step, 0.0, cfg))
+    n = len(u_steps)
+    traces = simulate_averaged([p] * n + [p.without_saturation()] * n,
+                               [(float(u), 0.0) for u in u_steps] * 2, cfg)
+    return [StepResponseResult(saturated=sat, linear=lin) for sat, lin in zip(traces[:n], traces[n:])]
 
 
 @dataclasses.dataclass(frozen=True)
@@ -119,10 +116,7 @@ class FluxIntegrationResult:
     phi_d_model: np.ndarray
 
     def write_csv(self, path) -> None:
-        with open(path, "w") as fh:
-            fh.write("x,y_model,y_measured\n")
-            for row in zip(self.i_d, self.phi_d_model, self.phi_d_integrated):
-                fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
+        _write_columns(path, "x,y_model,y_measured", self.i_d, self.phi_d_model, self.phi_d_integrated)
 
 
 def flux_by_integration(trace: Trace, p: MotorParams) -> FluxIntegrationResult:
@@ -154,14 +148,10 @@ class MagnetizationCurves:
     phi_q: np.ndarray
 
     def write_csv(self, path_d, path_q) -> None:
-        with open(path_d, "w") as fh:
-            fh.write("i_d," + ",".join(f"phi_d_at_iq_{lv:g}" for lv in self.iq_levels) + "\n")
-            for j, x in enumerate(self.grid):
-                fh.write(",".join(f"{v:.17g}" for v in [x, *self.phi_d[:, j]]) + "\n")
-        with open(path_q, "w") as fh:
-            fh.write("i_q," + ",".join(f"phi_q_at_id_{lv:g}" for lv in self.id_levels) + "\n")
-            for j, x in enumerate(self.grid):
-                fh.write(",".join(f"{v:.17g}" for v in [x, *self.phi_q[:, j]]) + "\n")
+        _write_columns(path_d, "i_d," + ",".join(f"phi_d_at_iq_{lv:g}" for lv in self.iq_levels),
+                       self.grid, *self.phi_d)
+        _write_columns(path_q, "i_q," + ",".join(f"phi_q_at_id_{lv:g}" for lv in self.id_levels),
+                       self.grid, *self.phi_q)
 
 
 def magnetization_curves(p: MotorParams, grid: Sequence[float],

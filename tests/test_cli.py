@@ -154,6 +154,13 @@ class TestEstimateCommand:
                      "--ingest", str(base / "sim" / "manifest.txt")])
         assert code == 1
         assert victim.name in capsys.readouterr().err
+        # a trace cut to its header and one row is refused the same way
+        assert main(["simulate", "--config", str(cfg_path), "--out", str(base / "sim")]) == 0
+        victim.write_text("\n".join(victim.read_text().splitlines()[:2]) + "\n")
+        code = main(["estimate", "--config", str(cfg_path), "--out", str(base / "x"),
+                     "--ingest", str(base / "sim" / "manifest.txt")])
+        assert code == 1
+        assert victim.name in capsys.readouterr().err
 
     def test_trace_not_at_rest_exit_code(self, cfg_path, capsys):
         # an ingested trace that starts from nonzero flux cannot have its

@@ -11,7 +11,9 @@ from satpmsm.magnetics import (
     energy,
     flux_from_currents_exact,
     flux_from_currents_first_order,
+    _current_rows,
     _currents,
+    _stacked_currents,
     inductance_matrix,
 )
 
@@ -102,14 +104,17 @@ class TestCurrentsFromFlux:
         want_d, want_q = oracles.currents_oracle(ipm, 0.1, 0.05)
         assert c.i_d == pytest.approx(want_d, rel=1e-14)
         assert c.i_q == pytest.approx(want_q, rel=1e-14)
-        # the array kernel behind it, element by element
+        # the scalar path on floats and the stacked (2, n) form the simulator
+        # integrates, one lane per flux, element by element
         rng = np.random.default_rng(9)
         fd, fq = rng.uniform(-0.3, 0.3, size=(2, 200))
-        i_d, i_q = _currents(ipm, fd, fq)
+        stacked = _stacked_currents(_current_rows([ipm] * len(fd)), np.stack([fd, fq]))
         for k in range(len(fd)):
             want_d, want_q = oracles.currents_oracle(ipm, fd[k], fq[k])
-            assert i_d[k] == pytest.approx(want_d, rel=1e-14)
-            assert i_q[k] == pytest.approx(want_q, rel=1e-14)
+            i_d, i_q = _currents(ipm, float(fd[k]), float(fq[k]))
+            assert i_d == pytest.approx(want_d, rel=1e-14)
+            assert i_q == pytest.approx(want_q, rel=1e-14)
+            assert (stacked[0, k], stacked[1, k]) == (i_d, i_q)
 
     def test_gradient_of_energy(self):
         # central finite differences of the potential, relative 1e-6

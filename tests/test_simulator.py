@@ -135,6 +135,17 @@ class TestSymmetryAndDeterminism:
         for b, a in zip(batch, alone):
             assert np.array_equal(b.i_d, a.i_d)
             assert np.array_equal(b.i_q, a.i_q)
+        # the averaged system mixes motors per lane: saturated, linear and a
+        # different-R lane in one batch match each lane run alone
+        import dataclasses
+        lanes = [(ipm, (10.0, 5.0)), (ipm.without_saturation(), (10.0, 5.0)),
+                 (dataclasses.replace(ipm, R=2 * ipm.R), (-8.0, 3.0))]
+        cfg = SimConfig(dt=1e-5, t_end=0.01)
+        batch = simulate_averaged([p for p, _ in lanes], [u for _, u in lanes], cfg)
+        for b, (p, u) in zip(batch, lanes):
+            a, = simulate_averaged([p], [u], cfg)
+            for name in ("t", "u_d", "u_q", "i_d", "i_q", "phi_d", "phi_q"):
+                assert np.array_equal(getattr(b, name), getattr(a, name)), name
 
     def test_batch_requires_common_omega(self, ipm):
         s1 = square_spec(u_tilde_d=10.0, omega=OMEGA_500)
@@ -246,19 +257,19 @@ class TestSampledWaveformPath:
 class TestAveragedSystem:
     def test_zero_input_stays_at_zero(self, ipm):
         cfg = SimConfig(dt=1e-5, t_end=0.01)
-        tr = simulate_averaged(ipm, 0.0, 0.0, cfg)
+        tr, = simulate_averaged([ipm], [(0.0, 0.0)], cfg)
         assert np.all(tr.phi_d == 0.0) and np.all(tr.phi_q == 0.0)
 
     def test_linear_steady_state(self):
         # pure exponential settling: 16 time constants for the 1e-6 margin
         p = MotorParams(R=10.0, Ld=0.1, Lq=0.05)
         cfg = SimConfig(dt=1e-5, t_end=16 * p.Ld / p.R)
-        tr = simulate_averaged(p, 5.0, 0.0, cfg)
+        tr, = simulate_averaged([p], [(5.0, 0.0)], cfg)
         assert tr.phi_d[-1] == pytest.approx(p.Ld * 0.5, abs=1e-6)
 
     def test_saturated_steady_state_vs_exact_inversion(self, ipm):
         cfg = SimConfig(dt=1e-5, t_end=10 * ipm.Ld / ipm.R)
-        tr = simulate_averaged(ipm, 12.15 * 1.0, 0.0, cfg)
+        tr, = simulate_averaged([ipm], [(12.15 * 1.0, 0.0)], cfg)
         want = flux_from_currents_exact(ipm, Currents(1.0, 0.0), tol=1e-12)
         assert abs(tr.phi_d[-1] - want.phi_d) <= 1e-6
         assert abs(tr.phi_q[-1] - want.phi_q) <= 1e-6
@@ -266,7 +277,7 @@ class TestAveragedSystem:
     def test_requires_locked_rotor(self, ipm):
         cfg = SimConfig(dt=1e-5, t_end=0.01, theta_dot=50.0)
         with pytest.raises(ValueError):
-            simulate_averaged(ipm, 1.0, 0.0, cfg)
+            simulate_averaged([ipm], [(1.0, 0.0)], cfg)
 
 
 class TestTraceCsv:

@@ -13,6 +13,10 @@ from satpmsm.magnetics import (
 )
 from satpmsm.simulator import SimConfig, Trace, simulate, simulate_averaged
 from satpmsm.validation import (
+    AngleSweepResult,
+    FluxIntegrationResult,
+    MagnetizationCurves,
+    StepResponseResult,
     SweepSpec,
     angle_sweep,
     flux_by_integration,
@@ -83,44 +87,65 @@ class TestAngleSweep:
         lines = path.read_text().splitlines()
         assert lines[0] == "x,y_model,y_measured"
         assert len(lines) == 3
+        # the bytes of a two-row file: round-trip digits, signed zero
+        x, a, b = np.array([0.0, 1.5]), np.array([1 / 3, -0.0]), np.array([0.1 + 0.2, 2.5e17])
+        AngleSweepResult(x, a, b, b, a, "d").write_csv(path)
+        assert path.read_bytes() == (b"x,y_model,y_measured\n"
+                                     b"0,0.33333333333333331,0.30000000000000004\n1.5,-0,2.5e+17\n")
+        FluxIntegrationResult(x, a, b).write_csv(path)
+        assert path.read_bytes() == (b"x,y_model,y_measured\n"
+                                     b"0,0.30000000000000004,0.33333333333333331\n1.5,2.5e+17,-0\n")
 
 
 class TestStepResponse:
     def test_zero_coefficients_identical(self):
         p = MotorParams(R=10.0, Ld=0.1, Lq=0.05)
-        r = step_response(p, 5.0, 0.02)
+        r, = step_response(p, [5.0], 0.02)
         assert np.array_equal(r.saturated.i_d, r.linear.i_d)
 
     def test_small_step_stays_linear(self, ipm):
-        r = step_response(ipm, ipm.R * 0.05, 0.05)
+        r, = step_response(ipm, [ipm.R * 0.05], 0.05)
         scale = float(np.max(np.abs(r.linear.i_d)))
         dev = float(np.max(np.abs(r.saturated.i_d - r.linear.i_d)))
         assert dev <= 0.01 * scale
 
     def test_large_step_shows_saturation(self, ipm, spm):
         # frozen against a measured ratio of ~39x between the deviations
-        def rel_dev(u):
-            r = step_response(ipm, u, 0.05)
+        def rel_dev(r):
             scale = float(np.max(np.abs(r.linear.i_d)))
             return float(np.max(np.abs(r.saturated.i_d - r.linear.i_d))) / scale
 
-        assert rel_dev(ipm.R * 2.0) >= 5.0 * rel_dev(ipm.R * 0.05)
+        volts = [ipm.R * 2.0, ipm.R * 0.05]
+        alone = [step_response(ipm, [u], 0.05)[0] for u in volts]
+        assert rel_dev(alone[0]) >= 5.0 * rel_dev(alone[1])
+        # both voltages in one batch give bit for bit the single-voltage runs
+        for r, a in zip(step_response(ipm, volts, 0.05), alone):
+            for field in ("saturated", "linear"):
+                for name in ("t", "u_d", "i_d", "i_q", "phi_d", "phi_q"):
+                    assert np.array_equal(getattr(getattr(r, field), name),
+                                          getattr(getattr(a, field), name)), (field, name)
         # the harshest shipped step (SPM, R times the 8 A sweep limit over
         # 12 time constants) is resolved on its sample grid: a 50x finer
         # integration moves no sample by more than 1e-8 of the peak
         u, t_end = spm.R * 8.0, 12.0 * spm.Ld / spm.R
-        r = step_response(spm, u, t_end)
+        r, = step_response(spm, [u], t_end)
         dt = t_end / 2000
-        fine = simulate_averaged(spm, u, 0.0, SimConfig(dt=dt / 50, t_end=t_end, sample_period=dt))
+        fine, = simulate_averaged([spm], [(u, 0.0)], SimConfig(dt=dt / 50, t_end=t_end, sample_period=dt))
         assert len(fine.t) == len(r.saturated.t)
         scale = float(np.max(np.abs(fine.i_d)))
         assert np.max(np.abs(r.saturated.i_d - fine.i_d)) <= 1e-8 * scale
 
     def test_csv(self, ipm, tmp_path):
-        r = step_response(ipm, 10.0, 0.01, n_samples=100)
+        r, = step_response(ipm, [10.0], 0.01, n_samples=100)
         path = tmp_path / "step.csv"
         r.write_csv(path)
         assert path.read_text().splitlines()[0] == "t,i_sat,i_lin"
+        t = np.array([0.0, 1e-5])
+        sat = Trace(t=t, u_d=t, u_q=t, i_d=np.array([0.1 + 0.2, 2.5e17]), i_q=t)
+        lin = Trace(t=t, u_d=t, u_q=t, i_d=np.array([1e-300, -7.0]), i_q=t)
+        StepResponseResult(sat, lin).write_csv(path)
+        assert path.read_bytes() == (b"t,i_sat,i_lin\n0,0.30000000000000004,1e-300\n"
+                                     b"1.0000000000000001e-05,2.5e+17,-7\n")
 
 
 class TestFluxIntegration:
@@ -212,3 +237,9 @@ class TestMagnetizationCurves:
         r.write_csv(pd, pq)
         assert pd.read_text().splitlines()[0] == "i_d,phi_d_at_iq_0,phi_d_at_iq_1"
         assert len(pq.read_text().splitlines()) == 6
+        grid = np.array([0.0, 1.5])
+        MagnetizationCurves(grid, (0.0, -1.5), np.array([[1 / 3, -0.0], [0.1 + 0.2, 2.5e17]]),
+                            (2.0,), np.array([[1e-300, -7.0]])).write_csv(pd, pq)
+        assert pd.read_bytes() == (b"i_d,phi_d_at_iq_0,phi_d_at_iq_-1.5\n"
+                                   b"0,0.33333333333333331,0.30000000000000004\n1.5,-0,2.5e+17\n")
+        assert pq.read_bytes() == b"i_q,phi_q_at_id_2\n0,1e-300\n1.5,-7\n"
