@@ -22,11 +22,11 @@ from pathlib import Path
 from .config import ProjectConfig, load_config
 from .estimator import (
     ZeroRipple,
-    ExperimentPlan,
     NotAtRest,
     estimate_from_records,
     measure_traces,
     plan_runs,
+    run_identification,
     simulate_plan,
 )
 from .leastsq import RankDeficient
@@ -68,23 +68,6 @@ def cmd_simulate(config: ProjectConfig, seed: int) -> int:
     return EXIT_OK
 
 
-def _plan_from_manifest(entries) -> ExperimentPlan:
-    omegas = {run.spec.omega for run, _ in entries}
-    if len(omegas) != 1:
-        raise ConfigError("ingest manifest mixes injection pulsations")
-    u_tildes = {max(run.spec.u_tilde_d, run.spec.u_tilde_q) for run, _ in entries}
-    if len(u_tildes) != 1:
-        raise ConfigError("ingest manifest mixes ripple amplitudes")
-    runs = [run for run, _ in entries]
-    return ExperimentPlan(
-        omega=omegas.pop(),
-        waveform=runs[0].spec.waveform,
-        u_tilde=u_tildes.pop(),
-        id_grid=tuple(r.i_target for r in runs if r.role == "d_sweep"),
-        iq_grid=tuple(r.i_target for r in runs if r.role == "cross_d_inj"),
-    )
-
-
 def cmd_estimate(config: ProjectConfig, seed: int, ingest: Path | None) -> int:
     if ingest is None and config.ingest is not None:
         ingest = config.ingest
@@ -97,23 +80,19 @@ def cmd_estimate(config: ProjectConfig, seed: int, ingest: Path | None) -> int:
         entries = read_manifest(ingest)
         runs = [run for run, _ in entries]
         traces = [Trace.from_csv(p) for _, p in entries]
-        plan = _plan_from_manifest(entries)
         discard = config.discard
         if discard is None:
             discard = default_discard(config.motor, runs[0].spec)
         records = measure_traces(runs, traces, discard, names=[str(path) for _, path in entries])
-        result = estimate_from_records(records, config.motor, plan)
+        result = estimate_from_records(records, config.motor)
         source = f"ingested {len(runs)} traces from {ingest}"
     else:
-        runs = plan_runs(config.plan, config.motor.R)
-        traces, discard = simulate_plan(
-            config.motor, runs,
+        result, records = run_identification(
+            config.motor, config.plan,
             steps_per_period=config.steps_per_period,
             measure_periods=config.measure_periods,
             noise_amp=config.noise_amp, seed=seed, discard=config.discard)
-        records = measure_traces(runs, traces, discard)
-        result = estimate_from_records(records, config.motor, config.plan)
-        source = f"simulated {len(runs)} runs in memory"
+        source = f"simulated {len(records)} runs in memory"
 
     config.out_dir.mkdir(parents=True, exist_ok=True)
     report_path = config.out_dir / "report.txt"

@@ -14,7 +14,7 @@ from pathlib import Path
 
 from .estimator import ExperimentPlan
 from .magnetics import MotorParams
-from .textio import ConfigError, get_float, parse_sections, waveform_from_name
+from .textio import ConfigError, get_float, get_int, parse_sections, waveform_from_name
 
 
 def symmetric_grid(limit: float, step: float) -> tuple[float, ...]:
@@ -92,7 +92,7 @@ def load_config(path) -> ProjectConfig:
         Ld=get_float(m, "Ld_mH", where) * 1e-3,
         Lq=get_float(m, "Lq_mH", where) * 1e-3,
         phi_m=get_float(m, "phi_m_Wb", where) if "phi_m_Wb" in m else 0.0,
-        n_pp=int(get_float(m, "pole_pairs", where)) if "pole_pairs" in m else 1,
+        n_pp=get_int(m, "pole_pairs", where) if "pole_pairs" in m else 1,
         a30=get_float(m, "a30_AperWb2", where) if "a30_AperWb2" in m else 0.0,
         a12=get_float(m, "a12_AperWb2", where) if "a12_AperWb2" in m else 0.0,
         a40=get_float(m, "a40_AperWb3", where) if "a40_AperWb3" in m else 0.0,
@@ -113,8 +113,8 @@ def load_config(path) -> ProjectConfig:
 
     sim = sections.get("sim", {})
     where = f"{path} [sim]"
-    steps_per_period = int(get_float(sim, "steps_per_period", where)) if "steps_per_period" in sim else 200
-    measure_periods = int(get_float(sim, "measure_periods", where)) if "measure_periods" in sim else 40
+    steps_per_period = get_int(sim, "steps_per_period", where) if "steps_per_period" in sim else 200
+    measure_periods = get_int(sim, "measure_periods", where) if "measure_periods" in sim else 40
     noise_amp = get_float(sim, "noise_mA", where) * 1e-3 if "noise_mA" in sim else 0.0
     discard = get_float(sim, "discard_s", where) if "discard_s" in sim else None
     if noise_amp < 0:

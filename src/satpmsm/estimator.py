@@ -311,14 +311,15 @@ def _hessian_regressors(fd: np.ndarray, fq: np.ndarray) -> tuple[np.ndarray, ...
     return h_dd, h_dq, h_qq
 
 
-def estimate_from_records(records: Sequence[RunRecord], nominal: MotorParams,
-                          plan: ExperimentPlan) -> EstimationResult:
+def estimate_from_records(records: Sequence[RunRecord], nominal: MotorParams) -> EstimationResult:
     """Regress the ripple of all runs on the exact Hessian at their measured
     mean flux (see module docstring).
 
-    R, phi_m and the pole count are passed through from `nominal`; R also
-    rebuilds the flux. The seven magnetic parameters are replaced by their
-    estimates.
+    Each run's rows are scaled by its own drive, omega / u_tilde with u_tilde
+    = max(|u_tilde_d|, |u_tilde_q|), so runs may differ in pulsation and
+    amplitude and the residual stays in 1/H. R, phi_m and the pole count are
+    passed through from `nominal`; R also rebuilds the flux. The seven
+    magnetic parameters are replaced by their estimates.
     """
     by_role: dict[str, list[RunRecord]] = {role: [] for role in ALL_ROLES}
     for rec in records:
@@ -340,9 +341,10 @@ def estimate_from_records(records: Sequence[RunRecord], nominal: MotorParams,
     fd = np.array([m.mean_int_u_d - R * m.mean_int_i_d for m in meas])
     fq = np.array([m.mean_int_u_q - R * m.mean_int_i_q for m in meas])
     h_dd, h_dq, h_qq = _hessian_regressors(fd, fq)
-    ut_d = np.array([r.run.spec.u_tilde_d for r in records])[:, None] / plan.u_tilde
-    ut_q = np.array([r.run.spec.u_tilde_q for r in records])[:, None] / plan.u_tilde
-    scale = plan.omega / plan.u_tilde
+    ut = np.array([(r.run.spec.u_tilde_d, r.run.spec.u_tilde_q) for r in records])
+    amp = np.abs(ut).max(axis=1)
+    ut_d, ut_q = (ut / amp[:, None]).T[:, :, None]
+    scale = np.tile(np.array([r.run.spec.omega for r in records]) / amp, 2)
     X = np.concatenate([h_dd * ut_d + h_dq * ut_q, h_dq * ut_d + h_qq * ut_q])
     y = scale * np.array([m.i_tilde_d for m in meas] + [m.i_tilde_q for m in meas])
     sigma_y = scale * np.array([m.sigma_i_tilde_d for m in meas]
@@ -391,8 +393,7 @@ def measure_traces(runs: Sequence[PlanRun], traces: Sequence[Trace],
 def simulate_plan(motor: MotorParams, runs: Sequence[PlanRun], *,
                   steps_per_period: int = 200, measure_periods: int = 40,
                   noise_amp: float = 0.0, seed: int = 0,
-                  discard: float | None = None,
-                  theta_dot: float = 0.0) -> tuple[list[Trace], float]:
+                  discard: float | None = None) -> tuple[list[Trace], float]:
     """Simulate all planned runs as one lockstep batch.
 
     Returns the traces and the transient discard used to size them.
@@ -405,7 +406,6 @@ def simulate_plan(motor: MotorParams, runs: Sequence[PlanRun], *,
     cfg = SimConfig(
         dt=period / steps_per_period,
         t_end=discard + measure_periods * period,
-        theta_dot=theta_dot,
         noise_amp=noise_amp,
     )
     seeds = [seed + k for k in range(len(runs))]
@@ -425,5 +425,5 @@ def run_identification(motor: MotorParams, plan: ExperimentPlan, *,
         measure_periods=measure_periods, noise_amp=noise_amp, seed=seed,
         discard=discard)
     records = measure_traces(runs, traces, used_discard)
-    result = estimate_from_records(records, motor, plan)
+    result = estimate_from_records(records, motor)
     return result, records

@@ -41,8 +41,8 @@ class Unresolved(RuntimeError):
 
 @dataclasses.dataclass(frozen=True)
 class RippleMeasurement:
-    """Per-axis mean currents, ripple amplitudes (coefficient of F), their
-    standard errors from the fit, and fit diagnostics."""
+    """Per-axis mean currents, ripple amplitudes (coefficient of F), the
+    ripple's standard errors from the fit, and fit diagnostics."""
 
     i_bar_d: float
     i_bar_q: float
@@ -52,8 +52,6 @@ class RippleMeasurement:
     residual_rms_q: float
     n_periods_used: int
     n_samples: int = 0
-    sigma_i_bar_d: float = 0.0
-    sigma_i_bar_q: float = 0.0
     sigma_i_tilde_d: float = 0.0
     sigma_i_tilde_q: float = 0.0
     # window means of the running integrals of u and i from t[0]
@@ -125,8 +123,7 @@ def extract_ripple(trace: Trace, spec: InjectionSpec, discard: float) -> RippleM
         rms = math.sqrt(rss / n_win)
         dof = max(n_win - 2, 1)
         s2 = rss / dof
-        sig = np.sqrt(s2 * np.diag(xtx_inv))
-        return float(beta[0]), float(beta[1]), rms, float(sig[0]), float(sig[1])
+        return float(beta[0]), float(beta[1]), rms, math.sqrt(s2 * xtx_inv[1, 1])
 
     def window_mean_integral(y, rule=cumulative_trapezoid):
         return float(np.mean(rule(t, y)[window]))
@@ -136,14 +133,13 @@ def extract_ripple(trace: Trace, spec: InjectionSpec, discard: float) -> RippleM
     # injected-axis flux by -u_tilde * dt / 2
     u_rule = _cumulative_steps if spec.waveform.kind == SQUARE else cumulative_trapezoid
 
-    bar_d, til_d, rms_d, sbar_d, stil_d = fit(trace.i_d[window])
-    bar_q, til_q, rms_q, sbar_q, stil_q = fit(trace.i_q[window])
+    bar_d, til_d, rms_d, stil_d = fit(trace.i_d[window])
+    bar_q, til_q, rms_q, stil_q = fit(trace.i_q[window])
     return RippleMeasurement(
         i_bar_d=bar_d, i_bar_q=bar_q,
         i_tilde_d=til_d, i_tilde_q=til_q,
         residual_rms_d=rms_d, residual_rms_q=rms_q,
         n_periods_used=n_whole, n_samples=n_win,
-        sigma_i_bar_d=sbar_d, sigma_i_bar_q=sbar_q,
         sigma_i_tilde_d=stil_d, sigma_i_tilde_q=stil_q,
         mean_int_u_d=window_mean_integral(trace.u_d, u_rule),
         mean_int_u_q=window_mean_integral(trace.u_q, u_rule),

@@ -54,6 +54,13 @@ def get_float(section: dict[str, str], key: str, where: str) -> float:
     return value
 
 
+def get_int(section: dict[str, str], key: str, where: str) -> int:
+    value = get_float(section, key, where)
+    if not value.is_integer():
+        raise ConfigError(f"{where}: field {key!r} must be an integer: {section[key]!r}")
+    return int(value)
+
+
 def waveform_from_name(name: str, base_dir: Path, where: str) -> Waveform:
     name = name.strip()
     if name == "square":
@@ -105,14 +112,18 @@ def write_manifest(path, runs: list[PlanRun], trace_files: list[str], omega_hz: 
 
 
 def read_manifest(path) -> list[tuple[PlanRun, Path]]:
-    """Planned runs and their trace paths (resolved against the manifest)."""
+    """Planned runs and their trace paths (resolved against the manifest);
+    runs may differ in pulsation and amplitude."""
     base = Path(path).parent
+    sections = parse_sections(path)
+    if not sections:
+        raise ConfigError(f"{path}: manifest lists no [run] block")
     out: list[tuple[PlanRun, Path]] = []
-    for idx, (name, body) in enumerate(parse_sections(path)):
+    for idx, (name, body) in enumerate(sections):
         where = f"{path} [run #{idx + 1}]"
         if name != "run":
             raise ConfigError(f"{where}: unexpected section [{name}]")
-        for key in ("role", "trace"):
+        for key in ("role", "trace", "waveform"):
             if key not in body:
                 raise ConfigError(f"{where}: missing field {key!r}")
         omega = 2.0 * math.pi * get_float(body, "omega_Hz", where)

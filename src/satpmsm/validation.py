@@ -13,11 +13,11 @@ from typing import Sequence
 
 import numpy as np
 
-from .estimator import predict_ripple
+from .estimator import PlanRun, measure_traces, predict_ripple, simulate_plan
 from .injection import InjectionSpec, Waveform
 from .magnetics import Currents, MotorParams, flux_from_currents_exact
-from .ripple import cumulative_trapezoid, default_discard, extract_ripple
-from .simulator import SimConfig, Trace, _write_columns, simulate_averaged, simulate_batch
+from .ripple import cumulative_trapezoid
+from .simulator import SimConfig, Trace, _write_columns, simulate_averaged
 
 
 @dataclasses.dataclass(frozen=True)
@@ -60,30 +60,24 @@ class AngleSweepResult:
 def angle_sweep(p: MotorParams, s: SweepSpec, *, steps_per_period: int = 200,
                 measure_periods: int = 40) -> AngleSweepResult:
     """Ripple amplitudes along a fixed current-vector angle: first-order
-    prediction next to a full simulate-and-extract measurement per magnitude."""
+    prediction next to a measurement per magnitude, each magnitude one
+    locked-rotor run through the identification's own `simulate_plan` and
+    `measure_traces` (bias u_bar = R * i_bar on both axes)."""
     angle = math.radians(s.angle_deg)
     ut_d = s.u_tilde if s.inject_axis == "d" else 0.0
     ut_q = s.u_tilde if s.inject_axis == "q" else 0.0
-    specs = []
-    for m in s.magnitudes:
-        i_d, i_q = m * math.cos(angle), m * math.sin(angle)
-        specs.append(InjectionSpec(p.R * i_d, p.R * i_q, ut_d, ut_q, s.omega, s.waveform))
-    discard = default_discard(p, specs[0])
-    cfg = SimConfig(dt=specs[0].period / steps_per_period,
-                    t_end=discard + measure_periods * specs[0].period)
-    traces = simulate_batch(p, specs, cfg)
-    pred_d, pred_q, sim_d, sim_q = [], [], [], []
-    for spec, tr in zip(specs, traces):
-        tp_d, tp_q = predict_ripple(p, spec)
-        meas = extract_ripple(tr, spec, discard)
-        pred_d.append(tp_d)
-        pred_q.append(tp_q)
-        sim_d.append(meas.i_tilde_d)
-        sim_q.append(meas.i_tilde_q)
+    runs = [PlanRun("angle_sweep", m, InjectionSpec(
+        p.R * (m * math.cos(angle)), p.R * (m * math.sin(angle)), ut_d, ut_q, s.omega, s.waveform))
+        for m in s.magnitudes]
+    traces, discard = simulate_plan(p, runs, steps_per_period=steps_per_period,
+                                    measure_periods=measure_periods)
+    pred = np.array([predict_ripple(p, run.spec) for run in runs]).reshape(-1, 2)
+    meas = np.array([(rec.meas.i_tilde_d, rec.meas.i_tilde_q)
+                     for rec in measure_traces(runs, traces, discard)]).reshape(-1, 2)
     return AngleSweepResult(
         magnitudes=np.asarray(s.magnitudes, dtype=float),
-        predicted_d=np.array(pred_d), simulated_d=np.array(sim_d),
-        predicted_q=np.array(pred_q), simulated_q=np.array(sim_q),
+        predicted_d=pred[:, 0], simulated_d=meas[:, 0],
+        predicted_q=pred[:, 1], simulated_q=meas[:, 1],
         inject_axis=s.inject_axis)
 
 

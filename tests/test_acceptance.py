@@ -210,7 +210,7 @@ def test_criterion_6_uncertainty_calibration(ipm):
         # uniform noise is applied to the sampled currents only, so noising a
         # clean trace reproduces a noisy simulation with those draws exactly
         noisy = [t.with_noise(0.010, 7000 + rep * 1000 + k) for k, t in enumerate(clean)]
-        result = estimate_from_records(measure_traces(runs, noisy, discard), motor, plan)
+        result = estimate_from_records(measure_traces(runs, noisy, discard), motor)
         for name in PARAMS:
             est = getattr(result.params, name)
             if abs(est - getattr(motor, name)) <= 3.0 * result.sigma[name]:

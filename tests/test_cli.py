@@ -84,6 +84,15 @@ class TestConfig:
         path.write_text(IPM_CFG.replace("R_ohm = 12.15", "R_ohm = twelve"))
         with pytest.raises(ConfigError, match="R_ohm"):
             load_config(path)
+        # integer fields refuse fractions rather than truncating them
+        for old, new, field in (("pole_pairs = 6", "pole_pairs = 2.5", "pole_pairs"),
+                                ("steps_per_period = 200", "steps_per_period = 200.9",
+                                 "steps_per_period"),
+                                ("measure_periods = 12", "measure_periods = 12.5",
+                                 "measure_periods")):
+            path.write_text(IPM_CFG.replace(old, new))
+            with pytest.raises(ConfigError, match=f"{field}.*integer"):
+                load_config(path)
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError):
@@ -161,6 +170,30 @@ class TestEstimateCommand:
                      "--ingest", str(base / "sim" / "manifest.txt")])
         assert code == 1
         assert victim.name in capsys.readouterr().err
+
+    def test_mixed_manifest_estimated(self, cfg_path, capsys):
+        # one manifest joining a 500 Hz / 30 V plan and a 1 kHz / 20 V plan:
+        # each run is scaled by its own drive, so the union estimates as well
+        # as either plan alone (a single shared scale would be 3x off for half
+        # of the runs)
+        base = cfg_path.parent
+        fast = base / "fast.cfg"
+        fast.write_text(IPM_CFG.replace("omega_Hz = 500", "omega_Hz = 1000").replace(
+            "u_tilde_V = 30", "u_tilde_V = 20"))
+        blocks = []
+        for cfg, name in ((cfg_path, "slow"), (fast, "fast")):
+            assert main(["simulate", "--config", str(cfg), "--out", str(base / name)]) == 0
+            text = (base / name / "manifest.txt").read_text()
+            blocks.append(text.replace("trace = traces/", f"trace = {name}/traces/"))
+        (base / "mixed.txt").write_text("".join(blocks))
+        assert main(["estimate", "--config", str(cfg_path), "--out", str(base / "est"),
+                     "--ingest", str(base / "mixed.txt")]) == 0
+        assert "ingested 28 traces" in capsys.readouterr().out
+        got = read_report(base / "est" / "report.txt")["parameters"]
+        for key, want in (("Ld_mH", 91.9), ("Lq_mH", 45.8), ("a30_AperWb2", 7.70),
+                          ("a12_AperWb2", 5.35), ("a40_AperWb3", 19.42),
+                          ("a22_AperWb3", 22.18), ("a04_AperWb3", 6.62)):
+            assert got[key] == pytest.approx(want, rel=0.03), key
 
     def test_trace_not_at_rest_exit_code(self, cfg_path, capsys):
         # an ingested trace that starts from nonzero flux cannot have its

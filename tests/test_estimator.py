@@ -13,6 +13,7 @@ from satpmsm.estimator import (
     EstimationResult,
     ExperimentPlan,
     NotAtRest,
+    PlanRun,
     RunRecord,
     ZeroRipple,
     estimate_cross,
@@ -27,7 +28,7 @@ from satpmsm.estimator import (
 )
 from satpmsm.injection import InjectionSpec, Waveform
 from satpmsm.leastsq import RankDeficient
-from satpmsm.magnetics import FluxLinkage, MotorParams
+from satpmsm.magnetics import FluxLinkage, MotorParams, _hessian
 from satpmsm.ripple import RippleMeasurement
 from satpmsm.simulator import SimConfig, simulate
 
@@ -312,10 +313,10 @@ class TestEndToEnd:
         runs = plan_runs(plan, ipm.R)
         records = [RunRecord(r, meas(i_tilde_d=0.1, i_tilde_q=0.1)) for r in runs]
         with pytest.raises(RankDeficient, match="d-axis"):
-            estimate_from_records(records, ipm, plan)
+            estimate_from_records(records, ipm)
         records[0] = RunRecord(runs[0], meas(i_tilde_d=0.0, i_tilde_q=0.1))
         with pytest.raises(ZeroRipple):
-            estimate_from_records(records, ipm, plan)
+            estimate_from_records(records, ipm)
 
     def test_reads_no_flux_channel(self, ipm):
         # the mean flux is rebuilt from t, u and i alone: dropping the flux
@@ -324,8 +325,8 @@ class TestEndToEnd:
         runs = plan_runs(plan, ipm.R)
         traces, discard = simulate_plan(ipm, runs, measure_periods=10)
         stripped = [dataclasses.replace(t, phi_d=None, phi_q=None) for t in traces]
-        full = estimate_from_records(measure_traces(runs, traces, discard), ipm, plan)
-        bare = estimate_from_records(measure_traces(runs, stripped, discard), ipm, plan)
+        full = estimate_from_records(measure_traces(runs, traces, discard), ipm)
+        bare = estimate_from_records(measure_traces(runs, stripped, discard), ipm)
         assert full == bare
 
     def test_rebuilt_mean_flux_matches_state(self, ipm):
@@ -359,6 +360,43 @@ class TestEndToEnd:
         with pytest.raises(NotAtRest, match="bench_03.csv"):
             measure_traces(runs, traces, discard,
                            names=[f"bench_{k:02d}.csv" for k in range(len(runs))])
+
+    def test_mixed_drives_exact(self, ipm):
+        # runs at two pulsations and two amplitudes, each ripple the exact
+        # Hess H(phi) u_tilde / omega at a known mean flux: one regression
+        # scaled run by run recovers theta to rounding
+        rng = np.random.default_rng(4)
+        roles = ([ROLE_LD, ROLE_LQ] + [ROLE_D_SWEEP] * 4
+                 + [ROLE_CROSS_D_INJ] * 4 + [ROLE_CROSS_Q_INJ] * 4)
+        records = []
+        for k, role in enumerate(roles):
+            omega, ut = (OMEGA, 30.0) if k % 2 else (2 * OMEGA, -20.0)
+            q_inj = role in (ROLE_LQ, ROLE_CROSS_Q_INJ)
+            spec = InjectionSpec(0.0, 0.0, 0.0 if q_inj else ut, ut if q_inj else 0.0,
+                                 omega, Waveform.square())
+            fd, fq = (0.0, 0.0) if role in (ROLE_LD, ROLE_LQ) else rng.uniform(-0.15, 0.15, 2)
+            h_dd, h_dq, h_qq = _hessian(ipm, fd, fq)
+            m = dataclasses.replace(
+                meas(i_tilde_d=(h_dd * spec.u_tilde_d + h_dq * spec.u_tilde_q) / omega,
+                     i_tilde_q=(h_dq * spec.u_tilde_d + h_qq * spec.u_tilde_q) / omega),
+                mean_int_u_d=fd, mean_int_u_q=fq)
+            records.append(RunRecord(PlanRun(role, float(k), spec), m))
+        result = estimate_from_records(records, ipm)
+        for name in ("Ld", "Lq", "a30", "a12", "a40", "a22", "a04"):
+            assert getattr(result.params, name) == pytest.approx(getattr(ipm, name), rel=1e-10), name
+        # each run is weighted by its own amplitude: on inexact ripples,
+        # doubling one run's drive together with its ripple changes no bit
+        noisy = [dataclasses.replace(r, meas=dataclasses.replace(
+            r.meas, i_tilde_d=r.meas.i_tilde_d * (1 + 1e-3 * e_d),
+            i_tilde_q=r.meas.i_tilde_q * (1 + 1e-3 * e_q)))
+            for r, (e_d, e_q) in zip(records, rng.standard_normal((len(records), 2)))]
+        rec = noisy[7]
+        doubled = noisy[:7] + [RunRecord(
+            dataclasses.replace(rec.run, spec=dataclasses.replace(
+                rec.run.spec, u_tilde_d=2 * rec.run.spec.u_tilde_d)),
+            dataclasses.replace(rec.meas, i_tilde_d=2 * rec.meas.i_tilde_d,
+                                i_tilde_q=2 * rec.meas.i_tilde_q))] + noisy[8:]
+        assert estimate_from_records(doubled, ipm) == estimate_from_records(noisy, ipm) != result
 
     def test_estimation_result_validation(self, ipm):
         with pytest.raises(ValueError):

@@ -92,6 +92,13 @@ class TestManifest:
         path.write_text("[walk]\nrole = ld\n")
         with pytest.raises(ConfigError, match="unexpected section"):
             read_manifest(path)
+        # no [run] block at all, and a [run] block without its waveform
+        path.write_text("# identification run manifest\n")
+        with pytest.raises(ConfigError, match=r"m\.txt: manifest lists no \[run\] block"):
+            read_manifest(path)
+        path.write_text("[run]\nrole = ld\ntrace = tr.csv\n")
+        with pytest.raises(ConfigError, match=r"m\.txt \[run #1\]: missing field 'waveform'"):
+            read_manifest(path)
 
 
 class TestReport:
