@@ -6,14 +6,12 @@ from .injection import InjectionSpec, Waveform
 from .magnetics import (
     Currents,
     FluxLinkage,
-    InductanceMatrix,
     MotorParams,
     NonConvergence,
     currents_from_flux,
     energy,
     flux_from_currents_exact,
     flux_from_currents_first_order,
-    inductance_matrix,
 )
 from .simulator import SimConfig, StepTooLarge, Trace, simulate, simulate_averaged
 from .ripple import RippleMeasurement, TooShort, Unresolved, default_discard, extract_ripple
@@ -47,7 +45,6 @@ __all__ = [
     "EstimationResult",
     "ExperimentPlan",
     "FluxLinkage",
-    "InductanceMatrix",
     "InjectionSpec",
     "MotorParams",
     "NonConvergence",
@@ -75,7 +72,6 @@ __all__ = [
     "flux_by_integration",
     "flux_from_currents_exact",
     "flux_from_currents_first_order",
-    "inductance_matrix",
     "magnetization_curves",
     "plan_runs",
     "predict_ripple",

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import math
 import sys
 from pathlib import Path
 
@@ -62,8 +61,7 @@ def cmd_simulate(config: ProjectConfig, seed: int) -> int:
         name = _run_name(idx, run.role, run.i_target)
         trace.to_csv(trace_dir / name)
         names.append(f"traces/{name}")
-    omega_hz = config.plan.omega / (2.0 * math.pi)
-    write_manifest(config.out_dir / "manifest.txt", runs, names, omega_hz)
+    write_manifest(config.out_dir / "manifest.txt", runs, names)
     print(f"wrote {len(runs)} traces and manifest.txt to {config.out_dir}")
     return EXIT_OK
 

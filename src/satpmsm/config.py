@@ -14,7 +14,7 @@ from pathlib import Path
 
 from .estimator import ExperimentPlan
 from .magnetics import MotorParams
-from .textio import ConfigError, get_float, get_int, parse_sections, waveform_from_name
+from .textio import ConfigError, checked, get_float, get_floats, get_int, parse_sections, waveform_from_name
 
 
 def symmetric_grid(limit: float, step: float) -> tuple[float, ...]:
@@ -34,12 +34,10 @@ def _parse_grid(body: dict[str, str], axis: str, where: str) -> tuple[float, ...
     key_max = f"{axis}_max_A"
     key_step = f"{axis}_step_A"
     if key_list in body:
-        try:
-            return tuple(float(v) for v in body[key_list].split(","))
-        except ValueError:
-            raise ConfigError(f"{where}: {key_list} must be a comma-separated number list") from None
+        return get_floats(body, key_list, where)
     if key_max in body or key_step in body:
-        return symmetric_grid(get_float(body, key_max, where), get_float(body, key_step, where))
+        return checked(where, symmetric_grid,
+                       get_float(body, key_max, where), get_float(body, key_step, where))
     return ()
 
 
@@ -87,7 +85,8 @@ def load_config(path) -> ProjectConfig:
 
     m = sections["motor"]
     where = f"{path} [motor]"
-    motor = MotorParams(
+    motor = checked(
+        where, MotorParams,
         R=get_float(m, "R_ohm", where),
         Ld=get_float(m, "Ld_mH", where) * 1e-3,
         Lq=get_float(m, "Lq_mH", where) * 1e-3,
@@ -103,7 +102,8 @@ def load_config(path) -> ProjectConfig:
     pl = sections["plan"]
     where = f"{path} [plan]"
     waveform = waveform_from_name(pl.get("waveform", "square"), path.parent, where)
-    plan = ExperimentPlan(
+    plan = checked(
+        where, ExperimentPlan,
         omega=2.0 * math.pi * get_float(pl, "omega_Hz", where),
         waveform=waveform,
         u_tilde=get_float(pl, "u_tilde_V", where),
@@ -139,18 +139,18 @@ def load_config(path) -> ProjectConfig:
     max_bias = max((abs(v) for v in plan.id_grid), default=1.0)
     mag_grid = tuple(v for v in _parse_grid(va, "mag", where) if v >= 0)
     if not mag_grid:
-        mag_grid = tuple(v for v in symmetric_grid(max_bias, max_bias / 4) if v >= 0)
+        mag_grid = tuple(v for v in checked(where, symmetric_grid, max_bias, max_bias / 4) if v >= 0)
     if "step_volts_V" in va:
-        try:
-            step_volts = tuple(float(v) for v in va["step_volts_V"].split(","))
-        except ValueError:
-            raise ConfigError(f"{where}: step_volts_V must be a comma-separated list") from None
+        step_volts = get_floats(va, "step_volts_V", where)
     else:
         step_volts = (0.25 * motor.R * max_bias, motor.R * max_bias)
+    inject_axis = va.get("inject_axis", "d")
+    if inject_axis not in ("d", "q"):
+        raise ConfigError(f"{where}: inject_axis must be 'd' or 'q', got {inject_axis!r}")
     validation = ValidationConfig(
         angle_deg=get_float(va, "angle_deg", where) if "angle_deg" in va else 60.0,
         mag_grid=mag_grid,
-        inject_axis=va.get("inject_axis", "d"),
+        inject_axis=inject_axis,
         step_volts=step_volts,
         step_t_end=get_float(va, "step_t_end_s", where) if "step_t_end_s" in va else 12.0 * motor.Ld / motor.R,
     )
@@ -159,13 +159,9 @@ def load_config(path) -> ProjectConfig:
     where = f"{path} [curves]"
     grid = _parse_grid(cu, "curve", where)
     if not grid:
-        grid = symmetric_grid(max_bias, max_bias / 8)
-    levels_raw = cu.get("levels_A")
-    if levels_raw is not None:
-        try:
-            levels = tuple(float(v) for v in levels_raw.split(","))
-        except ValueError:
-            raise ConfigError(f"{where}: levels_A must be a comma-separated list") from None
+        grid = checked(where, symmetric_grid, max_bias, max_bias / 8)
+    if "levels_A" in cu:
+        levels = get_floats(cu, "levels_A", where)
     else:
         iq_max = max((abs(v) for v in plan.iq_grid), default=max_bias)
         levels = (0.0, 0.5 * iq_max, iq_max)

@@ -26,9 +26,10 @@ and through 1/theta for Ld and Lq.
 
 `estimate_L`, `estimate_d_axis` and `estimate_cross` keep the paper's
 first-order split: inductances from (a), then regressions of the saturation
-coefficients at the linearized flux L * i_bar. That flux misses the true
-operating point at second order in the coefficients, a bias that does not
-shrink with pulsation, so the identification itself does not use them.
+coefficients on columns of the same Hessian, evaluated at the linearized
+flux L * i_bar. That flux misses the true operating point at second order in
+the coefficients, a bias that does not shrink with pulsation, so the
+identification itself does not use them.
 """
 
 from __future__ import annotations
@@ -56,6 +57,7 @@ ALL_ROLES = (ROLE_LD, ROLE_LQ, ROLE_D_SWEEP, ROLE_CROSS_D_INJ, ROLE_CROSS_Q_INJ)
 PARAM_NAMES = ("Ld", "Lq", "a30", "a12", "a40", "a22", "a04")
 
 _ZERO_RIPPLE_FLOOR = 1e-12
+_THETA_BASIS = np.eye(len(PARAM_NAMES))  # one-hot theta: `_hessian` as regressor rows
 _AT_REST_FACTOR = 5.0
 
 
@@ -187,56 +189,55 @@ def estimate_L(meas_d: RippleMeasurement, meas_q: RippleMeasurement,
     return InductanceEstimate(L_d, L_q, sigma_L_d, sigma_L_q)
 
 
-def _propagated_sigma(X, xtx_inv, sigma_y, beta_fn, L_vals, L_sigmas):
-    """Standard errors of an OLS fit with independent per-point noise, plus
-    the first-order contribution of the inductance estimates entering the
-    regressors and intercepts (via finite differences of the whole fit)."""
+def _fit_with_sigma(fit, L_vals, L_sigmas, sigma_y):
+    """OLS of one regression, fit(*L_vals) -> (X, y).
+
+    Returns the coefficients, their standard errors and the residual RMS.
+    The errors hold the independent per-point noise sigma_y plus, for each
+    inductance estimate in L_vals with a nonzero sigma, its first-order
+    contribution through the regressors and intercepts (finite differences
+    of the whole fit).
+    """
+    X, y = fit(*L_vals)
+    beta, xtx_inv, resid = ols_fit(X, y)
     A = xtx_inv @ X.T
     var = (A * A) @ (np.asarray(sigma_y) ** 2)
-    beta0 = beta_fn(*L_vals)
     for j, (val, sig) in enumerate(zip(L_vals, L_sigmas)):
-        if sig == 0.0:
-            continue
-        h = 1e-6 * val
-        bumped = list(L_vals)
-        bumped[j] = val + h
-        dbeta = (beta_fn(*bumped) - beta0) / h
-        var = var + (dbeta * sig) ** 2
-    return np.sqrt(var)
+        if sig != 0.0:
+            h = 1e-6 * val
+            dbeta = (ols_fit(*fit(*L_vals[:j], val + h, *L_vals[j + 1:]))[0] - beta) / h
+            var = var + (dbeta * sig) ** 2
+    return beta, np.sqrt(var), float(np.sqrt(np.mean(resid ** 2)))
 
 
 def estimate_d_axis(meas: Sequence[RippleMeasurement], L_d: float,
                     plan: ExperimentPlan, sigma_L_d: float = 0.0) -> DAxisEstimate:
     """d-axis saturation from the bias sweep (b): regress the excess ripple
-    slope omega*i_tilde_d/u_tilde - 1/L_d on [6 L_d i_bar, 12 L_d^2 i_bar^2]."""
+    slope omega*i_tilde_d/u_tilde - 1/L_d on the a30 and a40 columns of
+    H_dd at the linearized flux (L_d i_bar, 0)."""
     if len({m.i_bar_d for m in meas}) < 3:
         raise RankDeficient("d-axis sweep needs >= 3 distinct bias currents")
-    i_bar = np.array([m.i_bar_d for m in meas])
+    i_bar = np.array([m.i_bar_d for m in meas])[:, None]
     i_tilde = np.array([m.i_tilde_d for m in meas])
     sigma_y = plan.omega * np.array([m.sigma_i_tilde_d for m in meas]) / plan.u_tilde
 
     def fit(L):
-        X = np.column_stack([6.0 * L * i_bar, 12.0 * L * L * i_bar * i_bar])
-        y = plan.omega * i_tilde / plan.u_tilde - 1.0 / L
-        return X, y
+        h_dd = _hessian(_THETA_BASIS, L * i_bar, 0.0)[0]
+        return h_dd[:, [2, 4]], plan.omega * i_tilde / plan.u_tilde - 1.0 / L
 
-    X, y = fit(L_d)
-    beta, xtx_inv, resid = ols_fit(X, y)
-    sig = _propagated_sigma(
-        X, xtx_inv, sigma_y,
-        lambda L: ols_fit(*fit(L))[0], [L_d], [sigma_L_d])
-    rms = float(np.sqrt(np.mean(resid ** 2)))
+    beta, sig, rms = _fit_with_sigma(fit, [L_d], [sigma_L_d], sigma_y)
     return DAxisEstimate(float(beta[0]), float(beta[1]), float(sig[0]), float(sig[1]), rms)
 
 
 def estimate_cross(meas_c: Sequence[RippleMeasurement], meas_d: Sequence[RippleMeasurement],
                    L_d: float, L_q: float, plan: ExperimentPlan,
                    sigma_L_d: float = 0.0, sigma_L_q: float = 0.0) -> CrossEstimate:
-    """Cross and q-axis saturation from the q-bias sweeps.
+    """Cross and q-axis saturation from the q-bias sweeps, each regressed on
+    one column of the Hessian at the linearized flux (0, L_q i_bar_q).
 
-    a22 from the d ripple under d injection (c); a12 from one stacked
-    regression over the q ripple of (c) and the d ripple of (d) (both scale
-    with 2 L_q i_bar_q); a04 from the q ripple under q injection (d).
+    a22 from the d ripple under d injection (c), on H_dd; a12 from one
+    stacked regression over the q ripple of (c) and the d ripple of (d), both
+    on H_dq; a04 from the q ripple under q injection (d), on H_qq.
     """
     if len({m.i_bar_q for m in meas_c} | {m.i_bar_q for m in meas_d}) < 3:
         raise RankDeficient("cross sweeps need >= 3 distinct bias currents")
@@ -244,51 +245,35 @@ def estimate_cross(meas_c: Sequence[RippleMeasurement], meas_d: Sequence[RippleM
     ib_d = np.array([m.i_bar_q for m in meas_d])
     om, ut = plan.omega, plan.u_tilde
 
+    def hessian_at(Lq, ib):
+        return _hessian(_THETA_BASIS, 0.0, Lq * ib[:, None])
+
     def fit_a22(Ld, Lq):
-        X = (2.0 * Lq * Lq * ib_c * ib_c)[:, None]
         y = om * np.array([m.i_tilde_d for m in meas_c]) / ut - 1.0 / Ld
-        return X, y
+        return hessian_at(Lq, ib_c)[0][:, [5]], y
 
     def fit_a12(Lq):
-        X = np.concatenate([2.0 * Lq * ib_c, 2.0 * Lq * ib_d])[:, None]
-        y = om / ut * np.concatenate([
-            [m.i_tilde_q for m in meas_c],
-            [m.i_tilde_d for m in meas_d],
-        ])
-        return X, y
+        y = om / ut * np.array([m.i_tilde_q for m in meas_c] + [m.i_tilde_d for m in meas_d])
+        return hessian_at(Lq, np.concatenate([ib_c, ib_d]))[1][:, [3]], y
 
     def fit_a04(Lq):
-        X = (12.0 * Lq * Lq * ib_d * ib_d)[:, None]
         y = om * np.array([m.i_tilde_q for m in meas_d]) / ut - 1.0 / Lq
-        return X, y
+        return hessian_at(Lq, ib_d)[2][:, [6]], y
 
-    X22, y22 = fit_a22(L_d, L_q)
-    b22, inv22, r22 = ols_fit(X22, y22)
-    s22 = _propagated_sigma(
-        X22, inv22, om / ut * np.array([m.sigma_i_tilde_d for m in meas_c]),
-        lambda Ld, Lq: ols_fit(*fit_a22(Ld, Lq))[0], [L_d, L_q], [sigma_L_d, sigma_L_q])
-
-    X12, y12 = fit_a12(L_q)
-    b12, inv12, r12 = ols_fit(X12, y12)
-    s12 = _propagated_sigma(
-        X12, inv12,
-        om / ut * np.concatenate([[m.sigma_i_tilde_q for m in meas_c],
-                                  [m.sigma_i_tilde_d for m in meas_d]]),
-        lambda Lq: ols_fit(*fit_a12(Lq))[0], [L_q], [sigma_L_q])
-
-    X04, y04 = fit_a04(L_q)
-    b04, inv04, r04 = ols_fit(X04, y04)
-    s04 = _propagated_sigma(
-        X04, inv04, om / ut * np.array([m.sigma_i_tilde_q for m in meas_d]),
-        lambda Lq: ols_fit(*fit_a04(Lq))[0], [L_q], [sigma_L_q])
-
-    def rms(r):
-        return float(np.sqrt(np.mean(np.asarray(r) ** 2)))
-
+    b22, s22, r22 = _fit_with_sigma(
+        fit_a22, [L_d, L_q], [sigma_L_d, sigma_L_q],
+        om / ut * np.array([m.sigma_i_tilde_d for m in meas_c]))
+    b12, s12, r12 = _fit_with_sigma(
+        fit_a12, [L_q], [sigma_L_q],
+        om / ut * np.array([m.sigma_i_tilde_q for m in meas_c]
+                           + [m.sigma_i_tilde_d for m in meas_d]))
+    b04, s04, r04 = _fit_with_sigma(
+        fit_a04, [L_q], [sigma_L_q],
+        om / ut * np.array([m.sigma_i_tilde_q for m in meas_d]))
     return CrossEstimate(
         a22=float(b22[0]), a12=float(b12[0]), a04=float(b04[0]),
         sigma_a22=float(s22[0]), sigma_a12=float(s12[0]), sigma_a04=float(s04[0]),
-        residual_rms_a22=rms(r22), residual_rms_a12=rms(r12), residual_rms_a04=rms(r04),
+        residual_rms_a22=r22, residual_rms_a12=r12, residual_rms_a04=r04,
     )
 
 
@@ -296,19 +281,9 @@ def predict_ripple(p: MotorParams, spec: InjectionSpec) -> tuple[float, float]:
     """First-order ripple amplitudes for a locked-rotor injection run: the
     Hessian at the linearized flux L * i_bar applied to u_tilde / omega, with
     the bias currents i_bar = u_bar / R."""
-    h_dd, h_dq, h_qq = _hessian(p, p.Ld * spec.u_bar_d / p.R, p.Lq * spec.u_bar_q / p.R)
+    h_dd, h_dq, h_qq = _hessian(p.theta, p.Ld * spec.u_bar_d / p.R, p.Lq * spec.u_bar_q / p.R)
     utd, utq = spec.u_tilde_d, spec.u_tilde_q
     return (h_dd * utd + h_dq * utq) / spec.omega, (h_dq * utd + h_qq * utq) / spec.omega
-
-
-def _hessian_regressors(fd: np.ndarray, fq: np.ndarray) -> tuple[np.ndarray, ...]:
-    """Rows of (H_dd, H_dq, H_qq) at the fluxes (fd, fq) as linear maps of
-    theta = (1/Ld, 1/Lq, a30, a12, a40, a22, a04)."""
-    zero, one = np.zeros_like(fd), np.ones_like(fd)
-    h_dd = np.column_stack([one, zero, 6.0 * fd, zero, 12.0 * fd * fd, 2.0 * fq * fq, zero])
-    h_dq = np.column_stack([zero, zero, zero, 2.0 * fq, zero, 4.0 * fd * fq, zero])
-    h_qq = np.column_stack([zero, one, zero, 2.0 * fd, zero, 2.0 * fd * fd, 12.0 * fq * fq])
-    return h_dd, h_dq, h_qq
 
 
 def estimate_from_records(records: Sequence[RunRecord], nominal: MotorParams) -> EstimationResult:
@@ -340,7 +315,7 @@ def estimate_from_records(records: Sequence[RunRecord], nominal: MotorParams) ->
     R = nominal.R
     fd = np.array([m.mean_int_u_d - R * m.mean_int_i_d for m in meas])
     fq = np.array([m.mean_int_u_q - R * m.mean_int_i_q for m in meas])
-    h_dd, h_dq, h_qq = _hessian_regressors(fd, fq)
+    h_dd, h_dq, h_qq = _hessian(_THETA_BASIS, fd[:, None], fq[:, None])
     ut = np.array([(r.run.spec.u_tilde_d, r.run.spec.u_tilde_q) for r in records])
     amp = np.abs(ut).max(axis=1)
     ut_d, ut_q = (ut / amp[:, None]).T[:, :, None]
@@ -350,17 +325,14 @@ def estimate_from_records(records: Sequence[RunRecord], nominal: MotorParams) ->
     sigma_y = scale * np.array([m.sigma_i_tilde_d for m in meas]
                                + [m.sigma_i_tilde_q for m in meas])
 
-    theta, xtx_inv, resid = ols_fit(X, y)
-    A = xtx_inv @ X.T
-    sig = np.sqrt((A * A) @ (sigma_y ** 2))
+    theta, sig, rms = _fit_with_sigma(lambda: (X, y), [], [], sigma_y)
     inv_Ld, inv_Lq, a30, a12, a40, a22, a04 = (float(v) for v in theta)
     params = dataclasses.replace(
         nominal, Ld=1.0 / inv_Ld, Lq=1.0 / inv_Lq,
         a30=a30, a12=a12, a40=a40, a22=a22, a04=a04)
     sigma = {"Ld": float(sig[0]) / inv_Ld**2, "Lq": float(sig[1]) / inv_Lq**2}
     sigma.update((name, float(s)) for name, s in zip(PARAM_NAMES[2:], sig[2:]))
-    residuals = {"ripple_slope": float(np.sqrt(np.mean(resid ** 2)))}
-    return EstimationResult(params=params, sigma=sigma, fit_residuals=residuals)
+    return EstimationResult(params=params, sigma=sigma, fit_residuals={"ripple_slope": rms})
 
 
 def measure_traces(runs: Sequence[PlanRun], traces: Sequence[Trace],

@@ -74,6 +74,12 @@ class MotorParams:
                 (2.0 * self.a22, 4.0 * self.a04),
                 (self.a12, 0.0))
 
+    @functools.cached_property
+    def theta(self) -> tuple[float, ...]:
+        """The identified parameters theta = (1/Ld, 1/Lq, a30, a12, a40, a22,
+        a04), in which the Hessian `_hessian` is linear."""
+        return (1.0 / self.Ld, 1.0 / self.Lq, self.a30, self.a12, self.a40, self.a22, self.a04)
+
     def without_saturation(self) -> "MotorParams":
         """Same motor with all saturation coefficients zeroed."""
         return dataclasses.replace(self, a30=0.0, a12=0.0, a40=0.0, a22=0.0, a04=0.0)
@@ -101,24 +107,6 @@ class Currents:
     def __post_init__(self) -> None:
         if not (math.isfinite(self.i_d) and math.isfinite(self.i_q)):
             raise ValueError("currents must be finite")
-
-
-@dataclasses.dataclass(frozen=True)
-class InductanceMatrix:
-    """Differential (small-signal) inductance matrix d(phi)/d(i) [henry].
-
-    Symmetric by construction: the off-diagonal entries are one shared value
-    because the fluxes derive from a scalar potential.
-    """
-
-    L_dd: float
-    L_dq: float
-    L_qd: float
-    L_qq: float
-
-    def __post_init__(self) -> None:
-        if self.L_dq != self.L_qd:
-            raise ValueError("inductance matrix must be symmetric")
 
 
 def energy(p: MotorParams, f: FluxLinkage) -> float:
@@ -175,38 +163,29 @@ def currents_from_flux(p: MotorParams, f: FluxLinkage) -> Currents:
     return Currents(*_currents(p, f.phi_d, f.phi_q))
 
 
-def _hessian(p: MotorParams, fd, fq):
-    """Second derivatives (H_dd, H_dq, H_qq) of `energy` at (fd, fq), scalars
-    or arrays of one shape.
+def _hessian(theta, fd, fq):
+    """Second derivatives (H_dd, H_dq, H_qq) of `energy` at (fd, fq), for the
+    parameters theta = `MotorParams.theta`; scalars or broadcasting arrays.
 
-    H_dq == H_qd exactly; this inverse-inductance matrix drives the Newton
-    inversion, the ripple prediction and the inductance matrix.
+    Linear in theta, so theta = np.eye(7) with fd, fq of shape (n, 1) gives
+    each entry as (n, 7) regressor rows. H_dq == H_qd exactly; this
+    inverse-inductance matrix drives the Newton inversion, the ripple
+    prediction and every regression. Its inverse is the differential
+    inductance matrix.
     """
-    h_dd = 1.0 / p.Ld + 6.0 * p.a30 * fd + 12.0 * p.a40 * fd * fd + 2.0 * p.a22 * fq * fq
-    h_dq = 2.0 * p.a12 * fq + 4.0 * p.a22 * fd * fq
-    h_qq = 1.0 / p.Lq + 2.0 * p.a12 * fd + 2.0 * p.a22 * fd * fd + 12.0 * p.a04 * fq * fq
+    inv_ld, inv_lq, a30, a12, a40, a22, a04 = theta
+    h_dd = inv_ld + 6.0 * a30 * fd + 12.0 * a40 * fd * fd + 2.0 * a22 * fq * fq
+    h_dq = 2.0 * a12 * fq + 4.0 * a22 * fd * fq
+    h_qq = inv_lq + 2.0 * a12 * fd + 2.0 * a22 * fd * fd + 12.0 * a04 * fq * fq
     return h_dd, h_dq, h_qq
 
 
 def flux_from_currents_first_order(p: MotorParams, i: Currents) -> FluxLinkage:
     """Explicit flux-from-current inversion, first order in the saturation
-    coefficients (the O(|a|^2) remainder is dropped)."""
-    i_d, i_q = i.i_d, i.i_q
-    Ld, Lq = p.Ld, p.Lq
-    phi_d = Ld * (
-        i_d
-        - 3.0 * p.a30 * Ld * Ld * i_d * i_d
-        - p.a12 * Lq * Lq * i_q * i_q
-        - 4.0 * p.a40 * Ld**3 * i_d**3
-        - 2.0 * p.a22 * Ld * Lq * Lq * i_d * i_q * i_q
-    )
-    phi_q = Lq * (
-        i_q
-        - 2.0 * p.a12 * Ld * Lq * i_d * i_q
-        - 2.0 * p.a22 * Ld * Ld * Lq * i_d * i_d * i_q
-        - 4.0 * p.a04 * Lq**3 * i_q**3
-    )
-    return FluxLinkage(phi_d, phi_q)
+    coefficients: phi = L (i - g(L i)) = L (2 i - i(L i)), with g the
+    saturation part of the current map (the O(|a|^2) remainder is dropped)."""
+    c_d, c_q = _currents(p, p.Ld * i.i_d, p.Lq * i.i_q)
+    return FluxLinkage(p.Ld * (2.0 * i.i_d - c_d), p.Lq * (2.0 * i.i_q - c_q))
 
 
 _NEWTON_MAX_ITER = 50
@@ -239,7 +218,7 @@ def flux_from_currents_exact(p: MotorParams, i: Currents, tol: float = 1e-12) ->
     for _ in range(_NEWTON_MAX_ITER):
         if abs(rd) <= tol and abs(rq) <= tol:
             return FluxLinkage(fd, fq)
-        h_dd, h_dq, h_qq = _hessian(p, fd, fq)
+        h_dd, h_dq, h_qq = _hessian(p.theta, fd, fq)
         det = h_dd * h_qq - h_dq * h_dq
         if det == 0.0 or not math.isfinite(det):
             raise NonConvergence(f"singular Jacobian at ({fd:.6g}, {fq:.6g}) for target {i}")
@@ -260,19 +239,3 @@ def flux_from_currents_exact(p: MotorParams, i: Currents, tol: float = 1e-12) ->
         return FluxLinkage(fd, fq)
     raise NonConvergence(f"no convergence within {_NEWTON_MAX_ITER} iterations for target {i}")
 
-
-def inductance_matrix(p: MotorParams, i: Currents) -> InductanceMatrix:
-    """Differential inductance matrix, first order in the saturation
-    coefficients, evaluated at a current operating point.
-
-    The first-order flux map is phi = L i - L g(L i), with g the saturation
-    part of the current map, so its Jacobian is L - L (Hess H(L i) - L^-1) L
-    for L = diag(Ld, Lq). Structurally L_dq == L_qd; at zero current (or zero
-    coefficients) it reduces to diag(Ld, Lq) exactly.
-    """
-    Ld, Lq = p.Ld, p.Lq
-    h_dd, h_dq, h_qq = _hessian(p, Ld * i.i_d, Lq * i.i_q)
-    l_dq = -Ld * h_dq * Lq
-    return InductanceMatrix(
-        L_dd=Ld - Ld * (h_dd - 1.0 / Ld) * Ld, L_dq=l_dq, L_qd=l_dq,
-        L_qq=Lq - Lq * (h_qq - 1.0 / Lq) * Lq)

@@ -42,6 +42,15 @@ def parse_sections(path) -> list[tuple[str, dict[str, str]]]:
     return sections
 
 
+def checked(where: str, factory, *args, **kwargs):
+    """factory(*args, **kwargs), its ValueError re-raised as a ConfigError
+    prefixed with `where` (file and section)."""
+    try:
+        return factory(*args, **kwargs)
+    except ValueError as exc:
+        raise ConfigError(f"{where}: {exc}") from None
+
+
 def get_float(section: dict[str, str], key: str, where: str) -> float:
     if key not in section:
         raise ConfigError(f"{where}: missing field {key!r}")
@@ -52,6 +61,17 @@ def get_float(section: dict[str, str], key: str, where: str) -> float:
     if not math.isfinite(value):
         raise ConfigError(f"{where}: field {key!r} must be finite")
     return value
+
+
+def get_floats(section: dict[str, str], key: str, where: str) -> tuple[float, ...]:
+    """A comma-separated list of finite numbers."""
+    try:
+        values = tuple(float(v) for v in section[key].split(","))
+    except ValueError:
+        values = (math.nan,)
+    if not all(math.isfinite(v) for v in values):
+        raise ConfigError(f"{where}: {key} must be a comma-separated list of finite numbers")
+    return values
 
 
 def get_int(section: dict[str, str], key: str, where: str) -> int:
@@ -71,31 +91,24 @@ def waveform_from_name(name: str, base_dir: Path, where: str) -> Waveform:
         path = base_dir / name[len("file:"):].strip()
         if not path.exists():
             raise ConfigError(f"{where}: waveform file {path} does not exist")
-        return Waveform.from_file(path)
+        return checked(f"{where}: waveform file {path}", Waveform.from_file, path)
     raise ConfigError(f"{where}: unknown waveform {name!r} (square, sine or file:<path>)")
 
 
-def write_waveform_file(path, w: Waveform) -> None:
-    """One sampled-waveform period, one value per line."""
-    if w.kind != SAMPLED:
-        raise ValueError("only sampled waveforms are written to files")
-    with open(path, "w") as fh:
-        fh.write("\n".join(f"{v:.17g}" for v in w.samples) + "\n")
-
-
-def write_manifest(path, runs: list[PlanRun], trace_files: list[str], omega_hz: float) -> None:
+def write_manifest(path, runs: list[PlanRun], trace_files: list[str]) -> None:
     """One [run] block per trace: role, target current, drive and CSV path.
 
-    A sampled waveform is written next to the manifest and referenced by
-    file, keeping the output directory a self-contained dataset.
+    Each run records its own pulsation and waveform. Every distinct sampled
+    waveform is written once next to the manifest, one value per line
+    (waveform.txt, waveform_2.txt, ...), and referenced by file, keeping the
+    output directory a self-contained dataset.
     """
     path = Path(path)
-    waveform = runs[0].spec.waveform if runs else None
-    if waveform is not None and waveform.kind == SAMPLED:
-        write_waveform_file(path.parent / "waveform.txt", waveform)
-        waveform_name = "file:waveform.txt"
-    else:
-        waveform_name = waveform.kind if waveform is not None else ""
+    files: dict[Waveform, str] = {}
+    for w in (run.spec.waveform for run in runs):
+        if w.kind == SAMPLED and w not in files:
+            files[w] = f"waveform_{len(files) + 1}.txt" if files else "waveform.txt"
+            (path.parent / files[w]).write_text("".join(f"{v:.17g}\n" for v in w.samples))
     with open(path, "w") as fh:
         fh.write("# identification run manifest\n")
         for run, rel in zip(runs, trace_files):
@@ -106,8 +119,9 @@ def write_manifest(path, runs: list[PlanRun], trace_files: list[str], omega_hz: 
             fh.write(f"u_bar_q_V = {run.spec.u_bar_q:.17g}\n")
             fh.write(f"u_tilde_d_V = {run.spec.u_tilde_d:.17g}\n")
             fh.write(f"u_tilde_q_V = {run.spec.u_tilde_q:.17g}\n")
-            fh.write(f"omega_Hz = {omega_hz:.17g}\n")
-            fh.write(f"waveform = {waveform_name}\n")
+            fh.write(f"omega_Hz = {run.spec.omega / (2.0 * math.pi):.17g}\n")
+            w = run.spec.waveform
+            fh.write(f"waveform = {'file:' + files[w] if w in files else w.kind}\n")
             fh.write(f"trace = {rel}\n")
 
 

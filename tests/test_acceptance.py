@@ -33,7 +33,6 @@ from satpmsm.injection import F_array, InjectionSpec, Waveform
 from satpmsm.magnetics import (
     Currents,
     FluxLinkage,
-    MotorParams,
     currents_from_flux,
     energy,
     flux_from_currents_exact,

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -92,6 +93,24 @@ class TestConfig:
                                  "measure_periods")):
             path.write_text(IPM_CFG.replace(old, new))
             with pytest.raises(ConfigError, match=f"{field}.*integer"):
+                load_config(path)
+        # values the model or the plan rejects name the file and section too
+        (tmp_path / "wave.txt").write_text("1.0\nabc\n-1.0\n")
+        for old, new, where, message in (
+                ("omega_Hz = 500", "omega_Hz = -500", "plan", "omega must be positive"),
+                ("Ld_mH = 91.9", "Ld_mH = 0", "motor", "Ld must be positive"),
+                ("id_grid_A = -1.0, -0.5, 0.5, 1.0", "id_max_A = -2.0\nid_step_A = 0.3",
+                 "plan", "limit and step must be positive"),
+                ("u_tilde_V = 30", "u_tilde_V = 0", "plan", "u_tilde must be positive"),
+                ("waveform = square", "waveform = file:wave.txt", "plan",
+                 "wave.txt: could not convert string to float: 'abc'"),
+                ("[paths]", "[validate]\ninject_axis = x\n\n[paths]", "validate",
+                 "inject_axis must be 'd' or 'q'"),
+                ("[paths]", "[curves]\nlevels_A = 0.0, nan\n\n[paths]", "curves",
+                 "levels_A must be a comma-separated list of finite numbers")):
+            path.write_text(IPM_CFG.replace(old, new))
+            with pytest.raises(ConfigError, match=re.escape(f"{path} [{where}]: ") + ".*"
+                               + re.escape(message)):
                 load_config(path)
 
     def test_missing_file(self, tmp_path):

@@ -375,7 +375,7 @@ class TestEndToEnd:
             spec = InjectionSpec(0.0, 0.0, 0.0 if q_inj else ut, ut if q_inj else 0.0,
                                  omega, Waveform.square())
             fd, fq = (0.0, 0.0) if role in (ROLE_LD, ROLE_LQ) else rng.uniform(-0.15, 0.15, 2)
-            h_dd, h_dq, h_qq = _hessian(ipm, fd, fq)
+            h_dd, h_dq, h_qq = _hessian(ipm.theta, fd, fq)
             m = dataclasses.replace(
                 meas(i_tilde_d=(h_dd * spec.u_tilde_d + h_dq * spec.u_tilde_q) / omega,
                      i_tilde_q=(h_dq * spec.u_tilde_d + h_qq * spec.u_tilde_q) / omega),

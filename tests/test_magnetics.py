@@ -4,7 +4,6 @@ import pytest
 from satpmsm.magnetics import (
     Currents,
     FluxLinkage,
-    InductanceMatrix,
     MotorParams,
     NonConvergence,
     currents_from_flux,
@@ -13,8 +12,8 @@ from satpmsm.magnetics import (
     flux_from_currents_first_order,
     _current_rows,
     _currents,
+    _hessian,
     _stacked_currents,
-    inductance_matrix,
 )
 
 import oracles
@@ -57,10 +56,6 @@ class TestTypes:
             FluxLinkage(float("inf"), 0.0)
         with pytest.raises(ValueError):
             Currents(0.0, float("nan"))
-
-    def test_inductance_matrix_symmetry_enforced(self):
-        with pytest.raises(ValueError):
-            InductanceMatrix(L_dd=0.1, L_dq=0.01, L_qd=0.02, L_qq=0.1)
 
     def test_without_saturation(self, ipm):
         lin = ipm.without_saturation()
@@ -234,60 +229,6 @@ class TestExactInversion:
             flux_from_currents_exact(ipm, Currents(0.1, 0.1), tol=0.0)
 
 
-class TestInductanceMatrix:
-    def test_zero_current(self, ipm):
-        m = inductance_matrix(ipm, Currents(0.0, 0.0))
-        assert m.L_dd == ipm.Ld and m.L_qq == ipm.Lq
-        assert m.L_dq == 0.0 and m.L_qd == 0.0
-
-    def test_linear_motor_any_current(self):
-        p = MotorParams(R=1.0, Ld=0.1, Lq=0.05)
-        m = inductance_matrix(p, Currents(5.0, -3.0))
-        assert m.L_dd == p.Ld and m.L_qq == p.Lq and m.L_dq == 0.0
-
-    def test_ipm_point_vs_term_oracle(self, ipm):
-        # independent evaluation: differentiate the first-order flux maps
-        # by central differences in current
-        m = inductance_matrix(ipm, Currents(1.0, 1.0))
-        h = 1e-7
-
-        def flux(i_d, i_q):
-            return oracles.first_order_flux_oracle(ipm, i_d, i_q)
-
-        l_dd = (flux(1 + h, 1)[0] - flux(1 - h, 1)[0]) / (2 * h)
-        l_dq = (flux(1, 1 + h)[0] - flux(1, 1 - h)[0]) / (2 * h)
-        l_qd = (flux(1 + h, 1)[1] - flux(1 - h, 1)[1]) / (2 * h)
-        l_qq = (flux(1, 1 + h)[1] - flux(1, 1 - h)[1]) / (2 * h)
-        assert m.L_dd == pytest.approx(l_dd, rel=1e-7)
-        assert m.L_dq == pytest.approx(l_dq, rel=1e-7)
-        assert m.L_qd == pytest.approx(l_qd, rel=1e-7)
-        assert m.L_qq == pytest.approx(l_qq, rel=1e-7)
-
-    def test_matches_exact_jacobian_to_first_order(self, ipm):
-        # Jacobian of the exact inversion agrees with the matrix up to an
-        # O(|a|^2) discrepancy: scaling coefficients by eps must shrink the
-        # disagreement ~quadratically
-        import dataclasses
-
-        def max_disagreement(eps):
-            pk = dataclasses.replace(
-                ipm, a30=ipm.a30 * eps, a12=ipm.a12 * eps,
-                a40=ipm.a40 * eps, a22=ipm.a22 * eps, a04=ipm.a04 * eps)
-            h = 1e-6
-            worst = 0.0
-            for i_d, i_q in ((0.5, 0.3), (-0.4, 0.6), (0.2, -0.5)):
-                m = inductance_matrix(pk, Currents(i_d, i_q))
-                jac_dd = (flux_from_currents_exact(pk, Currents(i_d + h, i_q), 1e-13).phi_d
-                          - flux_from_currents_exact(pk, Currents(i_d - h, i_q), 1e-13).phi_d) / (2 * h)
-                jac_dq = (flux_from_currents_exact(pk, Currents(i_d, i_q + h), 1e-13).phi_d
-                          - flux_from_currents_exact(pk, Currents(i_d, i_q - h), 1e-13).phi_d) / (2 * h)
-                worst = max(worst, abs(jac_dd - m.L_dd), abs(jac_dq - m.L_dq))
-            return worst
-
-        d1, d2 = max_disagreement(0.5), max_disagreement(0.25)
-        assert d2 < d1 / 2.5
-
-
 def test_hessian_symmetry_many_points():
     # numerical Jacobian of the flux->current map on random points is
     # symmetric to 1e-8 relative to the Jacobian scale (its dominant
@@ -304,3 +245,15 @@ def test_hessian_symmetry_many_points():
                    - currents_from_flux(p, FluxLinkage(fd, fq - h)).i_d) / (2 * h)
         scale = max(1.0 / p.Ld, 1.0 / p.Lq, abs(didq_dfd), abs(did_dfq))
         assert abs(didq_dfd - did_dfq) <= 1e-8 * scale
+        # the closed-form Hessian is that Jacobian, and one-hot theta gives
+        # its regressor rows
+        did_dfd = (currents_from_flux(p, FluxLinkage(fd + h, fq)).i_d
+                   - currents_from_flux(p, FluxLinkage(fd - h, fq)).i_d) / (2 * h)
+        didq_dfq = (currents_from_flux(p, FluxLinkage(fd, fq + h)).i_q
+                    - currents_from_flux(p, FluxLinkage(fd, fq - h)).i_q) / (2 * h)
+        hess = _hessian(p.theta, fd, fq)
+        for got, want in zip(hess, (did_dfd, did_dfq, didq_dfq)):
+            assert abs(got - want) <= 1e-6 * scale
+        rows = _hessian(np.eye(7), np.array([[fd]]), np.array([[fq]]))
+        for row, h_val in zip(rows, hess):
+            assert abs(row[0] @ p.theta - h_val) <= 1e-14 * scale

@@ -71,7 +71,7 @@ class TestManifest:
         runs = [PlanRun("d_sweep", 0.123456789, spec)]
         trace = tmp_path / "tr.csv"
         trace.write_text("t,u_d,u_q,i_d,i_q\n0,0,0,0,0\n0.001,0,0,0,0\n")
-        write_manifest(tmp_path / "m.txt", runs, ["tr.csv"], omega_hz=500.0)
+        write_manifest(tmp_path / "m.txt", runs, ["tr.csv"])
         back = read_manifest(tmp_path / "m.txt")
         assert len(back) == 1
         run, path = back[0]
@@ -80,10 +80,27 @@ class TestManifest:
         assert run.spec.u_bar_d == 1.5
         assert run.spec.omega == pytest.approx(2 * math.pi * 500, rel=1e-15)
         assert path == trace
+        # a mixed run list keeps each run's own pulsation and waveform, and
+        # each distinct sampled waveform is written to its own file once
+        tri = Waveform.from_samples([0.0, 1.0, 0.0, -1.0])
+        ramp = Waveform.from_samples([-1.5, -0.5, 0.5, 1.5])
+        specs = [InjectionSpec(0.0, 0.0, 30.0, 0.0, 2 * math.pi * 500, Waveform.square()),
+                 InjectionSpec(0.0, 2.0, 0.0, 20.0, 2 * math.pi * 1000, Waveform.sine()),
+                 InjectionSpec(0.0, 0.0, 10.0, 0.0, 2 * math.pi * 250, tri),
+                 InjectionSpec(1.0, 0.0, 10.0, 0.0, 2 * math.pi * 750, ramp),
+                 InjectionSpec(0.0, 0.0, 0.0, 10.0, 2 * math.pi * 250, tri)]
+        runs = [PlanRun("d_sweep", float(k), spec) for k, spec in enumerate(specs)]
+        write_manifest(tmp_path / "mixed.txt", runs, ["tr.csv"] * len(runs))
+        back = read_manifest(tmp_path / "mixed.txt")
+        for spec, (run, _) in zip(specs, back, strict=True):
+            assert run.spec.waveform == spec.waveform
+            assert run.spec.omega == pytest.approx(spec.omega, rel=1e-15)
+            assert run.spec.u_bar_d == spec.u_bar_d and run.spec.u_tilde_q == spec.u_tilde_q
+        assert sorted(p.name for p in tmp_path.glob("waveform*")) == ["waveform.txt", "waveform_2.txt"]
 
     def test_missing_trace_file(self, tmp_path):
         spec = InjectionSpec(0, 0, 30.0, 0, 2 * math.pi * 500, Waveform.square())
-        write_manifest(tmp_path / "m.txt", [PlanRun("ld", 0.0, spec)], ["gone.csv"], 500.0)
+        write_manifest(tmp_path / "m.txt", [PlanRun("ld", 0.0, spec)], ["gone.csv"])
         with pytest.raises(ConfigError, match="gone.csv"):
             read_manifest(tmp_path / "m.txt")
 

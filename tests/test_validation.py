@@ -5,7 +5,6 @@ import pytest
 
 from satpmsm.injection import InjectionSpec, Waveform
 from satpmsm.magnetics import (
-    Currents,
     MotorParams,
     NonConvergence,
     currents_from_flux,
