@@ -113,9 +113,7 @@ def cmd_validate(config: ProjectConfig) -> int:
         angle_deg=v.angle_deg, magnitudes=v.mag_grid,
         omega=config.plan.omega, waveform=config.plan.waveform,
         u_tilde=config.plan.u_tilde, inject_axis=v.inject_axis)
-    result = angle_sweep(config.motor, sweep,
-                         steps_per_period=config.steps_per_period,
-                         measure_periods=config.measure_periods)
+    result = angle_sweep(config.motor, sweep, steps_per_period=config.steps_per_period)
     sweep_path = config.out_dir / f"angle_sweep_{v.angle_deg:g}deg.csv"
     result.write_csv(sweep_path)
     print(f"wrote {sweep_path}")

@@ -5,7 +5,9 @@ n runs; the drive is a pulsating d-q voltage. The integrator is classic RK4.
 For square-wave injection the step grid is required to align with the
 switching instants (dt divides the half-period) and each step evaluates the
 voltage one-sidedly, so every step integrates a smooth piece and the nominal
-RK4 order survives the discontinuities.
+RK4 order survives the discontinuities. A batch starts at one flux
+(`SimConfig.initial_flux`) or, in `simulate_periodic`, each run on its own
+periodic steady state.
 
 Measurement noise is additive uniform on the sampled currents only; the flux
 channels stay noise-free (they are internal state, not a measurement).
@@ -20,10 +22,15 @@ from typing import Sequence
 
 import numpy as np
 
-from .injection import InjectionSpec, f_array
-from .magnetics import FluxLinkage, MotorParams, _current_rows, _stacked_currents
+from .injection import F_array, InjectionSpec, f_array
+from .magnetics import (Currents, FluxLinkage, MotorParams, NonConvergence, _current_rows,
+                        _stacked_currents, flux_from_currents_first_order)
 
 _CSV_HEADER = ["t", "u_d", "u_q", "i_d", "i_q", "phi_d", "phi_q"]
+
+_SHOOT_MAX_ITER = 50     # Newton steps of `simulate_periodic`
+_SHOOT_TOL = 1e-12       # one-period flux residual per axis [Wb]
+_SHOOT_FD_STEP = 1e-6    # finite-difference step of the shooting Jacobian [Wb]
 
 
 def _write_columns(path, header: str, *columns) -> None:
@@ -157,12 +164,49 @@ def _check_step(spec: InjectionSpec, cfg: SimConfig) -> None:
                 f"half-period {half:.6g}s is not an integer multiple of dt={cfg.dt:.6g}s")
 
 
-def _batch_rk4(motors: Sequence[MotorParams], cfg: SimConfig, u_bar: np.ndarray, u_tilde: np.ndarray,
-               f0: np.ndarray, fmid: np.ndarray, f1: np.ndarray) -> tuple[np.ndarray, ...]:
+def _waveform_arrays(spec: InjectionSpec, dt: float, n_steps: int) -> tuple[np.ndarray, ...]:
+    """The waveform values f0, fmid, f1 that `_batch_rk4` takes for n_steps
+    steps of dt from t = 0 under `spec`'s drive."""
+    w, omega = spec.waveform, spec.omega
+    if w.kind == "square":
+        # switching instants sit on step boundaries (`_check_step`); derive
+        # the sign from the integer step index, because the float phase
+        # omega*dt*k eventually rounds to the wrong side of a boundary and a
+        # single mis-sided stage kicks the flux by O(dt * u_tilde)
+        steps_per_half = round(0.5 * spec.period / dt)
+        halves = np.arange(n_steps + 1) // steps_per_half
+        f0 = np.where(halves % 2 == 0, 1.0, -1.0)  # right-continuous at t_k
+        return f0, f0[:-1], f0[:-1]                # the step's own half-period
+    tau = omega * dt * np.arange(n_steps + 1)
+    f0 = f_array(w, tau)
+    return f0, f_array(w, tau[:-1] + 0.5 * omega * dt), f0[1:]  # continuous: no side to pick
+
+
+def _stacked_drive(specs: Sequence[InjectionSpec], cfg: SimConfig) -> tuple[np.ndarray, np.ndarray]:
+    """u_bar and u_tilde of a batch of runs as (2, n) d and q rows; the runs
+    must share waveform and pulsation, resolved by cfg's step."""
+    for s in specs:
+        if s.waveform != specs[0].waveform or s.omega != specs[0].omega:
+            raise ValueError("batched runs must share waveform and omega")
+        _check_step(s, cfg)
+    return (np.array([[s.u_bar_d for s in specs], [s.u_bar_q for s in specs]]),
+            np.array([[s.u_tilde_d for s in specs], [s.u_tilde_q for s in specs]]))
+
+
+def _start(cfg: SimConfig, n: int) -> np.ndarray:
+    """cfg.initial_flux as the (2, n) start of n lanes."""
+    return np.broadcast_to([[cfg.initial_flux.phi_d], [cfg.initial_flux.phi_q]], (2, n))
+
+
+def _batch_rk4(motors: Sequence[MotorParams], cfg: SimConfig, X0: np.ndarray, u_bar: np.ndarray,
+               u_tilde: np.ndarray, f0: np.ndarray, fmid: np.ndarray,
+               f1: np.ndarray) -> tuple[np.ndarray, ...]:
     """Integrate dphi/dt = u - R*i(phi) + speed coupling for a batch of runs.
 
-    Lane j is motor motors[j] driven by u = u_bar[:, j] + u_tilde[:, j] * f,
-    with the (d, q) voltages stacked as rows of u_bar and u_tilde (2, n). The
+    Lane j is motor motors[j] started at the flux X0[:, j] and driven by
+    u = u_bar[:, j] + u_tilde[:, j] * f, with the (d, q) values stacked as
+    rows of X0, u_bar and u_tilde (2, n); cfg gives dt, the sample stride
+    and the speed, not the start. The
     waveform value f of step k is taken at t_k (f0[k], right-continuous), at
     the step midpoint (fmid[k]) and at t_{k+1} closing the step (f1[k],
     left-sided); f0 has one more entry than there are steps, for the last
@@ -185,8 +229,7 @@ def _batch_rk4(motors: Sequence[MotorParams], cfg: SimConfig, u_bar: np.ndarray,
         dX = U - R * _stacked_currents(C, X)
         return dX + W * X[::-1] if w else dX  # locked rotor: no coupling
 
-    X = np.empty((2, len(motors)))
-    X[0], X[1] = cfg.initial_flux.phi_d, cfg.initial_flux.phi_q
+    X = np.array(X0, dtype=float)  # a contiguous copy
     n_steps = len(fmid)
     n_samples = n_steps // stride + 1
     out = np.empty((2, len(motors), n_samples))
@@ -233,39 +276,14 @@ def simulate_batch(
     """
     if not specs:
         return []
-    w = specs[0].waveform
-    omega = specs[0].omega
-    for s in specs:
-        if s.waveform != w or s.omega != omega:
-            raise ValueError("batched runs must share waveform and omega")
-        _check_step(s, cfg)
+    u_bar, u_tilde = _stacked_drive(specs, cfg)
     if seeds is None:
         seeds = [0] * len(specs)
     if len(seeds) != len(specs):
         raise ValueError("need one seed per run")
 
-    dt = cfg.dt
-    n_steps = int(round(cfg.t_end / dt))
-    if w.kind == "square":
-        # switching instants sit on step boundaries (enforced above); derive
-        # the sign from the integer step index, because the float phase
-        # omega*dt*k eventually rounds to the wrong side of a boundary and a
-        # single mis-sided stage kicks the flux by O(dt * u_tilde)
-        steps_per_half = round(0.5 * specs[0].period / dt)
-        halves = np.arange(n_steps + 1) // steps_per_half
-        f0 = np.where(halves % 2 == 0, 1.0, -1.0)  # right-continuous at t_k
-        fmid = f1 = f0[:-1]                        # the step's own half-period
-    else:
-        tau = omega * dt * np.arange(n_steps + 1)
-        f0 = f_array(w, tau)
-        fmid = f_array(w, tau[:-1] + 0.5 * omega * dt)
-        f1 = f0[1:]                                # continuous: no side to pick
-
-    traces = _traces(*_batch_rk4(
-        [p] * len(specs), cfg,
-        np.array([[s.u_bar_d for s in specs], [s.u_bar_q for s in specs]]),
-        np.array([[s.u_tilde_d for s in specs], [s.u_tilde_q for s in specs]]),
-        f0, fmid, f1))
+    traces = _traces(*_batch_rk4([p] * len(specs), cfg, _start(cfg, len(specs)), u_bar, u_tilde,
+                                 *_waveform_arrays(specs[0], cfg.dt, int(round(cfg.t_end / cfg.dt)))))
     if cfg.noise_amp > 0:
         traces = [tr.with_noise(cfg.noise_amp, int(seed)) for tr, seed in zip(traces, seeds)]
     return traces
@@ -292,4 +310,75 @@ def simulate_averaged(motors: Sequence[MotorParams], u_bar: Sequence[tuple[float
         return []
     zero = np.zeros(int(round(cfg.t_end / cfg.dt)) + 1)
     u = np.array(u_bar, dtype=float).T
-    return _traces(*_batch_rk4(motors, cfg, u, np.zeros_like(u), zero, zero[:-1], zero[1:]))
+    return _traces(*_batch_rk4(motors, cfg, _start(cfg, len(motors)), u, np.zeros_like(u),
+                               zero, zero[:-1], zero[1:]))
+
+
+def _shooting_step(phi: np.ndarray, r: np.ndarray, col_d: np.ndarray, col_q: np.ndarray) -> np.ndarray:
+    """Newton step of each lane on the one-period residual r = P(phi) - phi,
+    given the changes col_d, col_q of P over `_SHOOT_FD_STEP` along d and q.
+
+    Where the Jacobian J = dP/dphi - I has an eigenvalue lam > 0, the lane sits
+    on the unstable side of a fold of the energy, and Newton would lead back
+    to the fold. There J is shifted by 2 lam, which flips that eigenvalue, so
+    the step follows the flow P(phi) - phi at Newton's length. No step is
+    longer than the larger of |phi| and |r|, which keeps a step next to a
+    fold, where J is nearly singular, from leaving the model's range.
+    """
+    (j_dd, j_qd), (j_dq, j_qq) = col_d / _SHOOT_FD_STEP, col_q / _SHOOT_FD_STEP
+    j_dd, j_qq = j_dd - 1.0, j_qq - 1.0
+    half_trace = 0.5 * (j_dd + j_qq)
+    lam = half_trace + np.sqrt(np.maximum(half_trace**2 - (j_dd * j_qq - j_dq * j_qd), 0.0))
+    shift = 2.0 * np.maximum(lam, 0.0)
+    a_dd, a_qq = shift - j_dd, shift - j_qq  # step = (shift I - J)^-1 r
+    step = np.array([a_qq * r[0] + j_dq * r[1], j_qd * r[0] + a_dd * r[1]]) / (a_dd * a_qq - j_dq * j_qd)
+    limit = np.maximum(np.hypot(*phi), np.hypot(*r))
+    return step * (limit / np.maximum(np.hypot(*step), limit))
+
+
+def simulate_periodic(p: MotorParams, specs: Sequence[InjectionSpec], *,
+                      steps_per_period: int = 200, n_periods: int = 2) -> list[Trace]:
+    """Noise-free locked-rotor traces of n_periods injection periods on the
+    periodic steady state of each run; the runs share waveform and pulsation.
+
+    Each run starts at the flux phi0 that solves P(phi0) = phi0 for the
+    one-period map P, found by Newton shooting (Aprille & Trick, Proc. IEEE
+    1972) with all runs in one batch. The Jacobian comes from forward
+    differences: the starts phi0, phi0 + h e_d and phi0 + h e_q of every run
+    integrate one period side by side, and `_shooting_step` turns the three
+    ends into each run's step. The warm start is
+    the first-order inverse at the mean current i_bar = u_bar / R, shifted by
+    the ripple flux u_tilde * F(0) / omega at t = 0. A run whose one-period
+    residual still exceeds `_SHOOT_TOL` on an axis after `_SHOOT_MAX_ITER`
+    steps raises NonConvergence naming its mean current.
+    """
+    if not specs:
+        return []
+    period = specs[0].period
+    cfg = SimConfig(dt=period / steps_per_period, t_end=n_periods * period)
+    u_bar, u_tilde = _stacked_drive(specs, cfg)
+    n = len(specs)
+    i_bar = u_bar / p.R
+    phi = np.array([dataclasses.astuple(flux_from_currents_first_order(p, Currents(*i))) for i in i_bar.T]).T
+    phi = phi + u_tilde * float(F_array(specs[0].waveform, 0.0)) / specs[0].omega
+
+    one_period = dataclasses.replace(cfg, t_end=period, sample_period=period)
+    drive = (np.tile(u_bar, 3), np.tile(u_tilde, 3), *_waveform_arrays(specs[0], cfg.dt, steps_per_period))
+    offsets = np.zeros((2, 3 * n))
+    offsets[0, n:2 * n] = offsets[1, 2 * n:] = _SHOOT_FD_STEP
+    with np.errstate(over="ignore", invalid="ignore"):  # a run that runs away is reported below
+        for _ in range(_SHOOT_MAX_ITER):
+            end = _batch_rk4([p] * (3 * n), one_period, np.tile(phi, 3) + offsets, *drive)[1][:, :, -1]
+            r = end[:, :n] - phi
+            open_ = ~np.all(np.abs(r) <= _SHOOT_TOL, axis=0)  # NaN stays open
+            if not open_.any():
+                break
+            step = _shooting_step(phi, r, end[:, n:2 * n] - end[:, :n], end[:, 2 * n:] - end[:, :n])
+            phi = phi + np.where(open_, step, 0.0)
+        else:
+            d, q = i_bar[:, np.argmax(open_)]
+            raise NonConvergence(
+                f"no periodic orbit within {_SHOOT_MAX_ITER} shooting steps for the run at "
+                f"i_bar = ({d:.6g}, {q:.6g}) A, |i_bar| = {math.hypot(d, q):.6g} A")
+    return _traces(*_batch_rk4([p] * n, cfg, phi, u_bar, u_tilde,
+                               *_waveform_arrays(specs[0], cfg.dt, n_periods * steps_per_period)))

@@ -183,9 +183,3 @@ def write_report(path, result: EstimationResult) -> None:
         for name, value in result.fit_residuals.items():
             fh.write(f"{name} = {value:.17g}\n")
 
-
-def read_report(path) -> dict[str, dict[str, float]]:
-    out: dict[str, dict[str, float]] = {}
-    for name, body in parse_sections(path):
-        out[name] = {k: float(v) for k, v in body.items()}
-    return out

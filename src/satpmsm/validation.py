@@ -13,11 +13,11 @@ from typing import Sequence
 
 import numpy as np
 
-from .estimator import PlanRun, measure_traces, predict_ripple, simulate_plan
+from .estimator import predict_ripple
 from .injection import InjectionSpec, Waveform
 from .magnetics import Currents, MotorParams, flux_from_currents_exact
-from .ripple import cumulative_trapezoid
-from .simulator import SimConfig, Trace, _write_columns, simulate_averaged
+from .ripple import MIN_WHOLE_PERIODS, cumulative_trapezoid, extract_ripple
+from .simulator import SimConfig, Trace, _write_columns, simulate_averaged, simulate_periodic
 
 
 @dataclasses.dataclass(frozen=True)
@@ -57,23 +57,21 @@ class AngleSweepResult:
         _write_columns(path, "x,y_model,y_measured", self.magnitudes, pred, sim)
 
 
-def angle_sweep(p: MotorParams, s: SweepSpec, *, steps_per_period: int = 200,
-                measure_periods: int = 40) -> AngleSweepResult:
+def angle_sweep(p: MotorParams, s: SweepSpec, *, steps_per_period: int = 200) -> AngleSweepResult:
     """Ripple amplitudes along a fixed current-vector angle: first-order
-    prediction next to a measurement per magnitude, each magnitude one
-    locked-rotor run through the identification's own `simulate_plan` and
-    `measure_traces` (bias u_bar = R * i_bar on both axes)."""
+    prediction next to a measurement per magnitude. Each magnitude is one
+    locked-rotor run biased at u_bar = R * i_bar on both axes, measured by
+    `extract_ripple` over `MIN_WHOLE_PERIODS` periods of its periodic steady
+    state (`simulate_periodic`, all magnitudes in one batch)."""
     angle = math.radians(s.angle_deg)
     ut_d = s.u_tilde if s.inject_axis == "d" else 0.0
     ut_q = s.u_tilde if s.inject_axis == "q" else 0.0
-    runs = [PlanRun("angle_sweep", m, InjectionSpec(
-        p.R * (m * math.cos(angle)), p.R * (m * math.sin(angle)), ut_d, ut_q, s.omega, s.waveform))
-        for m in s.magnitudes]
-    traces, discard = simulate_plan(p, runs, steps_per_period=steps_per_period,
-                                    measure_periods=measure_periods)
-    pred = np.array([predict_ripple(p, run.spec) for run in runs]).reshape(-1, 2)
-    meas = np.array([(rec.meas.i_tilde_d, rec.meas.i_tilde_q)
-                     for rec in measure_traces(runs, traces, discard)]).reshape(-1, 2)
+    specs = [InjectionSpec(p.R * (m * math.cos(angle)), p.R * (m * math.sin(angle)), ut_d, ut_q,
+                           s.omega, s.waveform) for m in s.magnitudes]
+    traces = simulate_periodic(p, specs, steps_per_period=steps_per_period, n_periods=MIN_WHOLE_PERIODS)
+    pred = np.array([predict_ripple(p, spec) for spec in specs]).reshape(-1, 2)
+    meas = np.array([(m.i_tilde_d, m.i_tilde_q) for m in (
+        extract_ripple(tr, spec, 0.0) for tr, spec in zip(traces, specs))]).reshape(-1, 2)
     return AngleSweepResult(
         magnitudes=np.asarray(s.magnitudes, dtype=float),
         predicted_d=pred[:, 0], simulated_d=meas[:, 0],

@@ -2,14 +2,16 @@
 
 Everything here deliberately avoids the library's own code paths: energies
 and currents are summed monomial-by-monomial from explicit term lists, the
-flux inversion uses nested bisection instead of Newton, and integrals use
-aligned midpoint sums. Keep it that way; these are the oracles the library
-is checked against.
+flux inversion uses nested bisection instead of Newton, integrals use
+aligned midpoint sums, and report files are read line by line without the
+library's parser. Keep it that way; these are the oracles the library is
+checked against.
 """
 
 from __future__ import annotations
 
 import math
+from pathlib import Path
 
 
 def energy_terms(Ld, Lq, a30, a12, a40, a22, a04):
@@ -192,3 +194,17 @@ def ripple_amplitudes_oracle(p, u_bar_d, u_bar_q, u_tilde_d, u_tilde_q, omega):
     i_tilde_d = (h_dd * u_tilde_d + h_dq * u_tilde_q) / omega
     i_tilde_q = (h_dq * u_tilde_d + h_qq * u_tilde_q) / omega
     return i_tilde_d, i_tilde_q
+
+
+def read_report(path) -> dict[str, dict[str, float]]:
+    """The values of a report file as {section: {key: value}}."""
+    out: dict[str, dict[str, float]] = {}
+    section: dict[str, float] = {}
+    for line in Path(path).read_text().splitlines():
+        line = line.split("#", 1)[0].strip()
+        if line.startswith("["):
+            section = out.setdefault(line[1:-1], {})
+        elif line:
+            key, value = line.split("=")
+            section[key.strip()] = float(value)
+    return out

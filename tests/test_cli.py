@@ -9,7 +9,9 @@ from satpmsm.config import load_config, symmetric_grid
 from satpmsm.estimator import plan_runs
 from satpmsm.magnetics import FluxLinkage
 from satpmsm.simulator import SimConfig, Trace, simulate
-from satpmsm.textio import ConfigError, read_manifest, read_report
+from satpmsm.textio import ConfigError, read_manifest
+
+import oracles
 
 IPM_CFG = """\
 # interior-magnet motor, desk-scale sweep
@@ -151,7 +153,7 @@ class TestEstimateCommand:
     def test_in_memory_estimate(self, cfg_path, capsys):
         out = cfg_path.parent / "mem_out"
         assert main(["estimate", "--config", str(cfg_path), "--out", str(out)]) == 0
-        report = read_report(out / "report.txt")
+        report = oracles.read_report(out / "report.txt")
         assert "parameters" in report and "sigma" in report
         # inductances come back within a percent on the in-memory loop
         assert report["parameters"]["Ld_mH"] == pytest.approx(91.9, rel=1e-2)
@@ -208,7 +210,7 @@ class TestEstimateCommand:
         assert main(["estimate", "--config", str(cfg_path), "--out", str(base / "est"),
                      "--ingest", str(base / "mixed.txt")]) == 0
         assert "ingested 28 traces" in capsys.readouterr().out
-        got = read_report(base / "est" / "report.txt")["parameters"]
+        got = oracles.read_report(base / "est" / "report.txt")["parameters"]
         for key, want in (("Ld_mH", 91.9), ("Lq_mH", 45.8), ("a30_AperWb2", 7.70),
                           ("a12_AperWb2", 5.35), ("a40_AperWb3", 19.42),
                           ("a22_AperWb3", 22.18), ("a04_AperWb3", 6.62)):
@@ -241,7 +243,7 @@ class TestEstimateCommand:
         path.write_text(text)
         out = tmp_path / "out"
         assert main(["estimate", "--config", str(path), "--out", str(out), "--seed", "11"]) == 0
-        report = read_report(out / "report.txt")
+        report = oracles.read_report(out / "report.txt")
         for name, unit in (("a30", "AperWb2"), ("a12", "AperWb2"), ("a40", "AperWb3"),
                            ("a22", "AperWb3"), ("a04", "AperWb3")):
             est = report["parameters"][f"{name}_{unit}"]

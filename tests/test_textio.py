@@ -9,11 +9,12 @@ from satpmsm.textio import (
     ConfigError,
     parse_sections,
     read_manifest,
-    read_report,
     waveform_from_name,
     write_manifest,
     write_report,
 )
+
+import oracles
 
 
 class TestParser:
@@ -129,7 +130,7 @@ class TestReport:
             fit_residuals={"d_axis": 1e-9, "a22": 2e-9, "a12": 3e-9, "a04": 4e-9})
         path = tmp_path / "report.txt"
         write_report(path, result)
-        back = read_report(path)
+        back = oracles.read_report(path)
         assert back["parameters"]["Ld_mH"] == pytest.approx(91.9, rel=1e-15)
         assert back["parameters"]["a22_AperWb3"] == 22.18
         assert back["sigma"]["Lq_mH"] == pytest.approx(0.2, rel=1e-12)

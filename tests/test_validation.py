@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from satpmsm.estimator import PlanRun, simulate_plan
 from satpmsm.injection import InjectionSpec, Waveform
 from satpmsm.magnetics import (
     MotorParams,
@@ -10,7 +11,8 @@ from satpmsm.magnetics import (
     currents_from_flux,
     FluxLinkage,
 )
-from satpmsm.simulator import SimConfig, Trace, simulate, simulate_averaged
+from satpmsm.ripple import default_discard, extract_ripple
+from satpmsm.simulator import SimConfig, Trace, simulate, simulate_averaged, simulate_periodic
 from satpmsm.validation import (
     AngleSweepResult,
     FluxIntegrationResult,
@@ -37,7 +39,7 @@ class TestAngleSweep:
 
     def test_zero_magnitude_is_linear_limit(self, ipm):
         s = SweepSpec(60.0, (0.0,), OMEGA, Waveform.square(), 30.0)
-        r = angle_sweep(ipm, s, measure_periods=20)
+        r = angle_sweep(ipm, s)
         want = 30.0 / (OMEGA * ipm.Ld)
         assert r.predicted_d[0] == pytest.approx(want, rel=1e-12)
         assert r.simulated_d[0] == pytest.approx(want, rel=5e-3)
@@ -45,7 +47,7 @@ class TestAngleSweep:
     def test_axis_aligned_matches_cross_config_forms(self, ipm):
         # angle 90 deg with d injection reproduces the q-bias sweep models
         s = SweepSpec(90.0, (1.0,), OMEGA, Waveform.square(), 30.0)
-        r = angle_sweep(ipm, s, measure_periods=20)
+        r = angle_sweep(ipm, s)
         ib = 1.0
         want_d = 30.0 / OMEGA * (1 / ipm.Ld + 2 * ipm.a22 * ipm.Lq**2 * ib * ib)
         want_q = 2 * 30.0 / OMEGA * ipm.a12 * ipm.Lq * ib
@@ -56,7 +58,7 @@ class TestAngleSweep:
         # the measured ripple equals the potential's second derivative at the
         # exact steady flux of the 60-degree bias point
         s = SweepSpec(60.0, (2.0,), OMEGA, Waveform.square(), 30.0)
-        r = angle_sweep(ipm, s, measure_periods=20)
+        r = angle_sweep(ipm, s)
         i_d, i_q = 2.0 * math.cos(math.radians(60)), 2.0 * math.sin(math.radians(60))
         fd, fq = oracles.invert_flux_bisection(ipm, i_d, i_q)
         h_dd, h_dq, _ = oracles.hessian_fd_oracle(ipm, fd, fq)
@@ -69,7 +71,7 @@ class TestAngleSweep:
         # reference by a fixed truncation offset at saturating magnitudes
         def gap(omega):
             s = SweepSpec(60.0, (2.0,), omega, Waveform.square(), 30.0)
-            r = angle_sweep(ipm, s, measure_periods=20)
+            r = angle_sweep(ipm, s)
             i_d, i_q = 2.0 * math.cos(math.radians(60)), 2.0 * math.sin(math.radians(60))
             fd, fq = oracles.invert_flux_bisection(ipm, i_d, i_q)
             h_dd, _, _ = oracles.hessian_fd_oracle(ipm, fd, fq)
@@ -78,9 +80,50 @@ class TestAngleSweep:
         gaps = [gap(OMEGA * 2**k) for k in range(3)]
         assert gaps[0] > gaps[1] > gaps[2]
 
+    @staticmethod
+    def _settled_reference(p, s):
+        """d ripples of from-rest runs settled over four times the default
+        discard, and the sweep's specs."""
+        angle = math.radians(s.angle_deg)
+        runs = [PlanRun("angle_sweep", m, InjectionSpec(
+            p.R * (m * math.cos(angle)), p.R * (m * math.sin(angle)), s.u_tilde, 0.0, s.omega, s.waveform))
+            for m in s.magnitudes]
+        discard = 4.0 * default_discard(p, runs[0].spec)
+        traces, _ = simulate_plan(p, runs, measure_periods=2, discard=discard)
+        ripple = [extract_ripple(tr, run.spec, discard).i_tilde_d for tr, run in zip(traces, runs)]
+        return np.array(ripple), [run.spec for run in runs]
+
+    @pytest.mark.parametrize("fixture, angle, magnitudes, u_tilde, waveform", [
+        # i_d < 0 on SPM: the runs settle past the fold of the d-axis curve;
+        # at 120 deg a shooting step lands next to the far fold, where only
+        # the step limit keeps the next one in the model's range
+        ("spm", 180.0, (0.5, 1.0, 2.0, 4.0), 40.0, Waveform.square()),
+        ("spm", 120.0, (3.0,), 40.0, Waveform.square()),
+        ("ipm", 60.0, (0.6, 1.2, 2.0), 30.0, Waveform.sine()),
+    ])
+    def test_orbit_matches_long_settled_runs(self, fixture, angle, magnitudes, u_tilde, waveform, request):
+        p = request.getfixturevalue(fixture)
+        s = SweepSpec(angle, magnitudes, OMEGA, waveform, u_tilde)
+        ref, specs = self._settled_reference(p, s)
+        r = angle_sweep(p, s)
+        assert np.all(np.abs(r.simulated_d - ref) <= 1e-6 * np.abs(ref))
+        # the measured window starts on a periodic orbit: one period returns
+        # the flux to its start
+        for tr in simulate_periodic(p, specs):
+            assert len(tr.t) == 401
+            assert abs(tr.phi_d[200] - tr.phi_d[0]) <= 1e-12
+            assert abs(tr.phi_q[200] - tr.phi_q[0]) <= 1e-12
+
+    def test_no_orbit_names_the_magnitude(self):
+        # the d-axis current peaks at 0.86 A, so a 2 A bias runs away
+        bad = MotorParams(R=1.0, Ld=0.1, Lq=0.1, a40=-50.0)
+        s = SweepSpec(0.0, (0.5, 2.0), OMEGA, Waveform.square(), 30.0)
+        with pytest.raises(NonConvergence, match=r"\|i_bar\| = 2 A"):
+            angle_sweep(bad, s)
+
     def test_csv(self, ipm, tmp_path):
         s = SweepSpec(0.0, (0.0, 1.0), OMEGA, Waveform.square(), 30.0)
-        r = angle_sweep(ipm, s, measure_periods=10)
+        r = angle_sweep(ipm, s)
         path = tmp_path / "sweep.csv"
         r.write_csv(path)
         lines = path.read_text().splitlines()
