@@ -25,10 +25,9 @@ import numpy as np
 from .injection import SQUARE, F_array, InjectionSpec
 from .leastsq import ols_fit
 from .magnetics import MotorParams
-from .simulator import Trace
+from .simulator import MIN_WHOLE_PERIODS, Trace
 
 MIN_SAMPLES_PER_PERIOD = 16
-MIN_WHOLE_PERIODS = 2
 
 
 class TooShort(RuntimeError):

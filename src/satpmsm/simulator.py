@@ -28,6 +28,10 @@ from .magnetics import (Currents, FluxLinkage, MotorParams, NonConvergence, _cur
 
 _CSV_HEADER = ["t", "u_d", "u_q", "i_d", "i_q", "phi_d", "phi_q"]
 
+# Fewest whole injection periods a ripple fit takes (`ripple.extract_ripple`);
+# `simulate_periodic` returns this many periods of each orbit.
+MIN_WHOLE_PERIODS = 2
+
 _SHOOT_MAX_ITER = 50     # Newton steps of `simulate_periodic`
 _SHOOT_TOL = 1e-12       # one-period flux residual per axis [Wb]
 _SHOOT_FD_STEP = 1e-6    # finite-difference step of the shooting Jacobian [Wb]
@@ -337,9 +341,11 @@ def _shooting_step(phi: np.ndarray, r: np.ndarray, col_d: np.ndarray, col_q: np.
 
 
 def simulate_periodic(p: MotorParams, specs: Sequence[InjectionSpec], *,
-                      steps_per_period: int = 200, n_periods: int = 2) -> list[Trace]:
-    """Noise-free locked-rotor traces of n_periods injection periods on the
-    periodic steady state of each run; the runs share waveform and pulsation.
+                      steps_per_period: int = 200) -> list[Trace]:
+    """Noise-free locked-rotor traces of `MIN_WHOLE_PERIODS` injection periods
+    on the periodic steady state of each run; the runs share waveform and
+    pulsation. Every period of an orbit is the same up to its residual, so
+    the fewest periods a ripple fit takes are all it needs.
 
     Each run starts at the flux phi0 that solves P(phi0) = phi0 for the
     one-period map P, found by Newton shooting (Aprille & Trick, Proc. IEEE
@@ -355,7 +361,7 @@ def simulate_periodic(p: MotorParams, specs: Sequence[InjectionSpec], *,
     if not specs:
         return []
     period = specs[0].period
-    cfg = SimConfig(dt=period / steps_per_period, t_end=n_periods * period)
+    cfg = SimConfig(dt=period / steps_per_period, t_end=MIN_WHOLE_PERIODS * period)
     u_bar, u_tilde = _stacked_drive(specs, cfg)
     n = len(specs)
     i_bar = u_bar / p.R
@@ -381,4 +387,4 @@ def simulate_periodic(p: MotorParams, specs: Sequence[InjectionSpec], *,
                 f"no periodic orbit within {_SHOOT_MAX_ITER} shooting steps for the run at "
                 f"i_bar = ({d:.6g}, {q:.6g}) A, |i_bar| = {math.hypot(d, q):.6g} A")
     return _traces(*_batch_rk4([p] * n, cfg, phi, u_bar, u_tilde,
-                               *_waveform_arrays(specs[0], cfg.dt, n_periods * steps_per_period)))
+                               *_waveform_arrays(specs[0], cfg.dt, MIN_WHOLE_PERIODS * steps_per_period)))

@@ -16,7 +16,7 @@ import numpy as np
 from .estimator import predict_ripple
 from .injection import InjectionSpec, Waveform
 from .magnetics import Currents, MotorParams, flux_from_currents_exact
-from .ripple import MIN_WHOLE_PERIODS, cumulative_trapezoid, extract_ripple
+from .ripple import cumulative_trapezoid, extract_ripple
 from .simulator import SimConfig, Trace, _write_columns, simulate_averaged, simulate_periodic
 
 
@@ -68,7 +68,7 @@ def angle_sweep(p: MotorParams, s: SweepSpec, *, steps_per_period: int = 200) ->
     ut_q = s.u_tilde if s.inject_axis == "q" else 0.0
     specs = [InjectionSpec(p.R * (m * math.cos(angle)), p.R * (m * math.sin(angle)), ut_d, ut_q,
                            s.omega, s.waveform) for m in s.magnitudes]
-    traces = simulate_periodic(p, specs, steps_per_period=steps_per_period, n_periods=MIN_WHOLE_PERIODS)
+    traces = simulate_periodic(p, specs, steps_per_period=steps_per_period)
     pred = np.array([predict_ripple(p, spec) for spec in specs]).reshape(-1, 2)
     meas = np.array([(m.i_tilde_d, m.i_tilde_q) for m in (
         extract_ripple(tr, spec, 0.0) for tr, spec in zip(traces, specs))]).reshape(-1, 2)

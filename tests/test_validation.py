@@ -12,7 +12,8 @@ from satpmsm.magnetics import (
     FluxLinkage,
 )
 from satpmsm.ripple import default_discard, extract_ripple
-from satpmsm.simulator import SimConfig, Trace, simulate, simulate_averaged, simulate_periodic
+from satpmsm.simulator import (MIN_WHOLE_PERIODS, SimConfig, Trace, simulate, simulate_averaged,
+                               simulate_periodic)
 from satpmsm.validation import (
     AngleSweepResult,
     FluxIntegrationResult,
@@ -82,16 +83,17 @@ class TestAngleSweep:
 
     @staticmethod
     def _settled_reference(p, s):
-        """d ripples of from-rest runs settled over four times the default
-        discard, and the sweep's specs."""
+        """d and q ripples of from-rest runs settled over four times the
+        default discard, and the sweep's specs."""
         angle = math.radians(s.angle_deg)
         runs = [PlanRun("angle_sweep", m, InjectionSpec(
             p.R * (m * math.cos(angle)), p.R * (m * math.sin(angle)), s.u_tilde, 0.0, s.omega, s.waveform))
             for m in s.magnitudes]
         discard = 4.0 * default_discard(p, runs[0].spec)
         traces, _ = simulate_plan(p, runs, measure_periods=2, discard=discard)
-        ripple = [extract_ripple(tr, run.spec, discard).i_tilde_d for tr, run in zip(traces, runs)]
-        return np.array(ripple), [run.spec for run in runs]
+        ripple = [extract_ripple(tr, run.spec, discard) for tr, run in zip(traces, runs)]
+        return (np.array([m.i_tilde_d for m in ripple]), np.array([m.i_tilde_q for m in ripple]),
+                [run.spec for run in runs])
 
     @pytest.mark.parametrize("fixture, angle, magnitudes, u_tilde, waveform", [
         # i_d < 0 on SPM: the runs settle past the fold of the d-axis curve;
@@ -104,13 +106,16 @@ class TestAngleSweep:
     def test_orbit_matches_long_settled_runs(self, fixture, angle, magnitudes, u_tilde, waveform, request):
         p = request.getfixturevalue(fixture)
         s = SweepSpec(angle, magnitudes, OMEGA, waveform, u_tilde)
-        ref, specs = self._settled_reference(p, s)
+        ref_d, ref_q, specs = self._settled_reference(p, s)
         r = angle_sweep(p, s)
-        assert np.all(np.abs(r.simulated_d - ref) <= 1e-6 * np.abs(ref))
+        assert np.all(np.abs(r.simulated_d - ref_d) <= 1e-6 * np.abs(ref_d))
+        # the cross ripple too; at 180 deg it is rounding noise of sin(pi),
+        # so a 1e-12 A floor
+        assert np.all(np.abs(r.simulated_q - ref_q) <= 1e-6 * np.abs(ref_q) + 1e-12)
         # the measured window starts on a periodic orbit: one period returns
         # the flux to its start
         for tr in simulate_periodic(p, specs):
-            assert len(tr.t) == 401
+            assert len(tr.t) == MIN_WHOLE_PERIODS * 200 + 1
             assert abs(tr.phi_d[200] - tr.phi_d[0]) <= 1e-12
             assert abs(tr.phi_q[200] - tr.phi_q[0]) <= 1e-12
 
