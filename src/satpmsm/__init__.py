@@ -14,7 +14,7 @@ from .magnetics import (
     flux_from_currents_first_order,
 )
 from .simulator import SimConfig, StepTooLarge, Trace, simulate, simulate_averaged
-from .ripple import RippleMeasurement, TooShort, Unresolved, default_discard, extract_ripple
+from .ripple import RippleMeasurement, TooShort, Unresolved, extract_ripple
 from .estimator import (
     EstimationResult,
     ExperimentPlan,
@@ -62,7 +62,6 @@ __all__ = [
     "ZeroRipple",
     "angle_sweep",
     "currents_from_flux",
-    "default_discard",
     "energy",
     "estimate_L",
     "estimate_cross",

@@ -30,7 +30,7 @@ from .estimator import (
 )
 from .leastsq import RankDeficient
 from .magnetics import NonConvergence
-from .ripple import TooShort, Unresolved, default_discard
+from .ripple import TooShort, Unresolved
 from .simulator import StepTooLarge, Trace
 from .textio import ConfigError, read_manifest, write_manifest, write_report
 from .validation import SweepSpec, angle_sweep, flux_by_integration, magnetization_curves, step_response
@@ -49,11 +49,11 @@ def _run_name(idx: int, role: str, i_target: float) -> str:
 
 def cmd_simulate(config: ProjectConfig, seed: int) -> int:
     runs = plan_runs(config.plan, config.motor.R)
-    traces, _ = simulate_plan(
+    traces = simulate_plan(
         config.motor, runs,
         steps_per_period=config.steps_per_period,
         measure_periods=config.measure_periods,
-        noise_amp=config.noise_amp, seed=seed, discard=config.discard)
+        noise_amp=config.noise_amp, seed=seed)
     trace_dir = config.out_dir / "traces"
     trace_dir.mkdir(parents=True, exist_ok=True)
     names = []
@@ -78,10 +78,7 @@ def cmd_estimate(config: ProjectConfig, seed: int, ingest: Path | None) -> int:
         entries = read_manifest(ingest)
         runs = [run for run, _ in entries]
         traces = [Trace.from_csv(p) for _, p in entries]
-        discard = config.discard
-        if discard is None:
-            discard = default_discard(config.motor, runs[0].spec)
-        records = measure_traces(runs, traces, discard, names=[str(path) for _, path in entries])
+        records = measure_traces(runs, traces, names=[str(path) for _, path in entries])
         result = estimate_from_records(records, config.motor)
         source = f"ingested {len(runs)} traces from {ingest}"
     else:
@@ -89,7 +86,7 @@ def cmd_estimate(config: ProjectConfig, seed: int, ingest: Path | None) -> int:
             config.motor, config.plan,
             steps_per_period=config.steps_per_period,
             measure_periods=config.measure_periods,
-            noise_amp=config.noise_amp, seed=seed, discard=config.discard)
+            noise_amp=config.noise_amp, seed=seed)
         source = f"simulated {len(records)} runs in memory"
 
     config.out_dir.mkdir(parents=True, exist_ok=True)

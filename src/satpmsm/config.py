@@ -63,7 +63,6 @@ class ProjectConfig:
     steps_per_period: int
     measure_periods: int
     noise_amp: float
-    discard: float | None
     out_dir: Path
     ingest: Path | None
     validation: ValidationConfig
@@ -116,7 +115,9 @@ def load_config(path) -> ProjectConfig:
     steps_per_period = get_int(sim, "steps_per_period", where) if "steps_per_period" in sim else 200
     measure_periods = get_int(sim, "measure_periods", where) if "measure_periods" in sim else 40
     noise_amp = get_float(sim, "noise_mA", where) * 1e-3 if "noise_mA" in sim else 0.0
-    discard = get_float(sim, "discard_s", where) if "discard_s" in sim else None
+    if "discard_s" in sim:
+        raise ConfigError(f"{where}: discard_s is not supported: every run is measured "
+                          "from rest over measure_periods periods, with no transient discard")
     if noise_amp < 0:
         raise ConfigError(f"{where}: noise_mA must be >= 0")
     if steps_per_period < 50 or steps_per_period % 2:
@@ -170,7 +171,7 @@ def load_config(path) -> ProjectConfig:
     return ProjectConfig(
         motor=motor, plan=plan,
         steps_per_period=steps_per_period, measure_periods=measure_periods,
-        noise_amp=noise_amp, discard=discard,
+        noise_amp=noise_amp,
         out_dir=out_dir, ingest=ingest,
         validation=validation, curves=curves,
     )

@@ -10,23 +10,27 @@ The experiment plan holds the rotor locked and realizes four configurations:
 Bias voltages follow from the target mean currents through u_bar = R * i_bar;
 R is an input (taken as known), never estimated.
 
-At high pulsation the ripple of every run is omega * i_tilde = Hess H(phi_bar)
-u_tilde, with Hess H the potential's second derivatives at the run's mean flux.
-That relation is linear in theta = (1/Ld, 1/Lq, a30, a12, a40, a22, a04), so
-`estimate_from_records` solves one least-squares problem over the d and q
-ripple rows of all runs. The mean flux comes from each run's own record: the
-rotor is locked and every run starts at rest, so phi(t) = integral(u - R i) dt
-from the first sample, averaged over the ripple-fit window. Only the t, u and
-i channels are read, never a trace's flux channels, so estimates from
-ingested measurement data and from in-memory simulations agree bit for bit.
+Every run starts at rest, so its flux at each sample is phi(t) =
+integral(u - R i) dt from the first sample (`ripple.rebuild_flux`), and its
+current is i(t) = grad H(phi(t)). The potential is quartic, so that relation
+is linear in theta = (1/Ld, 1/Lq, a30, a12, a40, a22, a04) at every sample,
+the transient from rest included: `estimate_from_records` solves one least
+squares over every d and q sample of every run, with the regressor columns
+taken from the model's current map at one-hot theta. Each whole injection
+period's mean is subtracted from the currents and from the regressors first.
+That keeps the ripple and the transient's drift within the period, and drops
+the slow random walk that current noise puts into the rebuilt flux,
+R * integral(n) dt, which would otherwise weigh on the sigmas (see
+DECISIONS.md). Only the t, u and i channels are read, never a trace's flux
+channels, so estimates from ingested measurement data and from in-memory
+simulations agree bit for bit.
 
-Reported uncertainties are 1-sigma standard errors: the per-run ripple
-standard errors (from the extraction fit) propagated through the regression,
-and through 1/theta for Ld and Lq.
+Reported uncertainties are 1-sigma ordinary least-squares standard errors
+from the residual scatter, propagated through 1/theta for Ld and Lq.
 
 `estimate_L`, `estimate_d_axis` and `estimate_cross` keep the paper's
-first-order split: inductances from (a), then regressions of the saturation
-coefficients on columns of the same Hessian, evaluated at the linearized
+first-order split: inductances from (a), then regressions of the settled
+ripple amplitudes on columns of the Hessian, evaluated at the linearized
 flux L * i_bar. That flux misses the true operating point at second order in
 the coefficients, a bias that does not shrink with pulsation, so the
 identification itself does not use them.
@@ -41,9 +45,9 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .injection import InjectionSpec, Waveform
-from .leastsq import RankDeficient, ols_fit
-from .magnetics import MotorParams, _hessian
-from .ripple import RippleMeasurement, default_discard, extract_ripple
+from .leastsq import RankDeficient, gram_fit, ols_fit
+from .magnetics import MotorParams, _current_coefficients, _hessian, _stacked_currents
+from .ripple import RippleMeasurement, extract_ripple, rebuild_flux
 from .simulator import SimConfig, Trace, simulate_batch
 
 ROLE_LD = "ld"
@@ -57,7 +61,10 @@ ALL_ROLES = (ROLE_LD, ROLE_LQ, ROLE_D_SWEEP, ROLE_CROSS_D_INJ, ROLE_CROSS_Q_INJ)
 PARAM_NAMES = ("Ld", "Lq", "a30", "a12", "a40", "a22", "a04")
 
 _ZERO_RIPPLE_FLOOR = 1e-12
-_THETA_BASIS = np.eye(len(PARAM_NAMES))  # one-hot theta: `_hessian` as regressor rows
+_THETA_BASIS = np.eye(len(PARAM_NAMES))  # one-hot theta: the model as regressor rows
+# the current map's coefficients at one-hot theta as (5, 7, 2, 1) rows, so
+# `_stacked_currents` at (2, n) fluxes gives its (7, 2, n) regressor columns
+_CURRENT_BASIS = np.array(_current_coefficients(_THETA_BASIS)).transpose(0, 2, 1)[..., None]
 _AT_REST_FACTOR = 5.0
 
 
@@ -103,10 +110,12 @@ class PlanRun:
 
 @dataclasses.dataclass(frozen=True)
 class RunRecord:
-    """A planned run together with its extracted ripple measurement."""
+    """A planned run together with its recorded trace and the ripple
+    measurement extracted from it."""
 
     run: PlanRun
     meas: RippleMeasurement
+    trace: Trace
 
 
 @dataclasses.dataclass(frozen=True)
@@ -286,15 +295,30 @@ def predict_ripple(p: MotorParams, spec: InjectionSpec) -> tuple[float, float]:
     return (h_dd * utd + h_dq * utq) / spec.omega, (h_dq * utd + h_qq * utq) / spec.omega
 
 
-def estimate_from_records(records: Sequence[RunRecord], nominal: MotorParams) -> EstimationResult:
-    """Regress the ripple of all runs on the exact Hessian at their measured
-    mean flux (see module docstring).
+def _period_centred(rec: RunRecord, R: float) -> tuple[np.ndarray, np.ndarray, int]:
+    """One run's regressor columns (7, m) and current samples (m,), d samples
+    then q samples, each block of one injection period centred on its own
+    mean, and the number of blocks. A block holds the nearest whole number of
+    samples per period; a trailing part period is left out."""
+    trace = rec.trace
+    per = round(rec.run.spec.period / trace.sample_period)
+    n = len(trace.t) // per * per
+    phi = rebuild_flux(trace, rec.run.spec, R)[:, :n]
+    X = _stacked_currents(_CURRENT_BASIS, phi).reshape(len(PARAM_NAMES), -1, per)
+    y = np.stack([trace.i_d[:n], trace.i_q[:n]]).reshape(-1, per)
+    X -= X.mean(axis=2, keepdims=True)
+    y -= y.mean(axis=1, keepdims=True)
+    return X.reshape(len(PARAM_NAMES), -1), y.reshape(-1), len(y)
 
-    Each run's rows are scaled by its own drive, omega / u_tilde with u_tilde
-    = max(|u_tilde_d|, |u_tilde_q|), so runs may differ in pulsation and
-    amplitude and the residual stays in 1/H. R, phi_m and the pole count are
-    passed through from `nominal`; R also rebuilds the flux. The seven
-    magnetic parameters are replaced by their estimates.
+
+def estimate_from_records(records: Sequence[RunRecord], nominal: MotorParams) -> EstimationResult:
+    """Regress the period-centred currents of all runs on the period-centred
+    current map at their rebuilt flux (see module docstring).
+
+    The normal equations are accumulated run by run, so runs may differ in
+    pulsation, amplitude and length. R, phi_m and the pole count are passed
+    through from `nominal`; R also rebuilds the flux. The seven magnetic
+    parameters are replaced by their estimates.
     """
     by_role: dict[str, list[RunRecord]] = {role: [] for role in ALL_ROLES}
     for rec in records:
@@ -311,91 +335,92 @@ def estimate_from_records(records: Sequence[RunRecord], nominal: MotorParams) ->
     if len({r.run.i_target for r in by_role[ROLE_CROSS_D_INJ] + by_role[ROLE_CROSS_Q_INJ]}) < 3:
         raise RankDeficient("cross sweeps need >= 3 distinct bias currents")
 
-    meas = [r.meas for r in records]
-    R = nominal.R
-    fd = np.array([m.mean_int_u_d - R * m.mean_int_i_d for m in meas])
-    fq = np.array([m.mean_int_u_q - R * m.mean_int_i_q for m in meas])
-    h_dd, h_dq, h_qq = _hessian(_THETA_BASIS, fd[:, None], fq[:, None])
-    ut = np.array([(r.run.spec.u_tilde_d, r.run.spec.u_tilde_q) for r in records])
-    amp = np.abs(ut).max(axis=1)
-    ut_d, ut_q = (ut / amp[:, None]).T[:, :, None]
-    scale = np.tile(np.array([r.run.spec.omega for r in records]) / amp, 2)
-    X = np.concatenate([h_dd * ut_d + h_dq * ut_q, h_dq * ut_d + h_qq * ut_q])
-    y = scale * np.array([m.i_tilde_d for m in meas] + [m.i_tilde_q for m in meas])
-    sigma_y = scale * np.array([m.sigma_i_tilde_d for m in meas]
-                               + [m.sigma_i_tilde_q for m in meas])
+    k = len(PARAM_NAMES)
+    xtx, xty, yty, n_rows, n_blocks = np.zeros((k, k)), np.zeros(k), 0.0, 0, 0
+    for rec in records:
+        X, y, blocks = _period_centred(rec, nominal.R)
+        xtx += X @ X.T
+        xty += X @ y
+        yty += float(y @ y)
+        n_rows += len(y)
+        n_blocks += blocks
+    theta, xtx_inv = gram_fit(xtx, xty)
+    rss = max(yty - float(theta @ xty), 0.0)
+    sig = np.sqrt(rss / (n_rows - n_blocks - k) * np.diag(xtx_inv))
 
-    theta, sig, rms = _fit_with_sigma(lambda: (X, y), [], [], sigma_y)
     inv_Ld, inv_Lq, a30, a12, a40, a22, a04 = (float(v) for v in theta)
     params = dataclasses.replace(
         nominal, Ld=1.0 / inv_Ld, Lq=1.0 / inv_Lq,
         a30=a30, a12=a12, a40=a40, a22=a22, a04=a04)
     sigma = {"Ld": float(sig[0]) / inv_Ld**2, "Lq": float(sig[1]) / inv_Lq**2}
     sigma.update((name, float(s)) for name, s in zip(PARAM_NAMES[2:], sig[2:]))
-    return EstimationResult(params=params, sigma=sigma, fit_residuals={"ripple_slope": rms})
+    return EstimationResult(params=params, sigma=sigma,
+                            fit_residuals={"current_A": math.sqrt(rss / n_rows)})
+
+
+def _noise_rms(i: np.ndarray) -> float:
+    """Noise RMS of a sampled current from its second differences: for white
+    noise their mean square is six times the noise variance, while a smooth
+    transient or ripple adds only O(dt^2) per sample."""
+    d2 = np.diff(i, 2)
+    return math.sqrt(float(d2 @ d2) / (6 * len(d2)))
 
 
 def measure_traces(runs: Sequence[PlanRun], traces: Sequence[Trace],
-                   discard: float, names: Sequence[str] | None = None) -> list[RunRecord]:
-    """Extract the ripple of each trace against its planned injection.
+                   names: Sequence[str] | None = None) -> list[RunRecord]:
+    """Extract the ripple of each trace against its planned injection, over
+    all its whole periods, and record it with the trace.
 
     Every trace must start at rest (zero current, hence zero flux), because
     the estimator rebuilds the flux by integrating from the first sample:
-    a first current sample beyond five times the run's fit-residual RMS
-    raises NotAtRest, naming the trace by `names` or by its run.
+    a first current sample beyond five times its channel's noise RMS
+    (`_noise_rms`, which the transient from rest does not inflate) raises
+    NotAtRest, naming the trace by `names` or by its run.
     """
     if len(runs) != len(traces):
         raise ValueError("one trace per planned run required")
     records = []
     for k, (run, trace) in enumerate(zip(runs, traces)):
-        meas = extract_ripple(trace, run.spec, discard)
-        for axis, i0, rms in (("d", trace.i_d[0], meas.residual_rms_d),
-                              ("q", trace.i_q[0], meas.residual_rms_q)):
-            if abs(i0) > max(_AT_REST_FACTOR * rms, _ZERO_RIPPLE_FLOOR):
+        meas = extract_ripple(trace, run.spec, 0.0)
+        for axis, i in (("d", trace.i_d), ("q", trace.i_q)):
+            floor = _noise_rms(i)
+            if abs(i[0]) > max(_AT_REST_FACTOR * floor, _ZERO_RIPPLE_FLOOR):
                 name = names[k] if names is not None else (
                     f"run {k} ({run.role}, {run.i_target:+.3f} A)")
                 raise NotAtRest(
-                    f"{name}: first i_{axis} sample {i0:.3g} A exceeds "
-                    f"{_AT_REST_FACTOR:g}x the fit-residual RMS {rms:.3g} A; "
+                    f"{name}: first i_{axis} sample {i[0]:.3g} A exceeds "
+                    f"{_AT_REST_FACTOR:g}x the noise RMS {floor:.3g} A; "
                     "traces must start de-energized")
-        records.append(RunRecord(run, meas))
+        records.append(RunRecord(run, meas, trace))
     return records
 
 
 def simulate_plan(motor: MotorParams, runs: Sequence[PlanRun], *,
                   steps_per_period: int = 200, measure_periods: int = 40,
-                  noise_amp: float = 0.0, seed: int = 0,
-                  discard: float | None = None) -> tuple[list[Trace], float]:
-    """Simulate all planned runs as one lockstep batch.
-
-    Returns the traces and the transient discard used to size them.
-    """
+                  noise_amp: float = 0.0, seed: int = 0) -> list[Trace]:
+    """Simulate all planned runs from rest as one lockstep batch over
+    `measure_periods` injection periods, each of `steps_per_period` steps."""
     if not runs:
-        return [], 0.0
+        return []
     period = runs[0].spec.period
-    if discard is None:
-        discard = default_discard(motor, runs[0].spec)
     cfg = SimConfig(
         dt=period / steps_per_period,
-        t_end=discard + measure_periods * period,
+        t_end=measure_periods * period,
         noise_amp=noise_amp,
     )
     seeds = [seed + k for k in range(len(runs))]
-    traces = simulate_batch(motor, [r.spec for r in runs], cfg, seeds)
-    return traces, discard
+    return simulate_batch(motor, [r.spec for r in runs], cfg, seeds)
 
 
 def run_identification(motor: MotorParams, plan: ExperimentPlan, *,
                        steps_per_period: int = 200, measure_periods: int = 40,
-                       noise_amp: float = 0.0, seed: int = 0,
-                       discard: float | None = None) -> tuple[EstimationResult, list[RunRecord]]:
+                       noise_amp: float = 0.0, seed: int = 0) -> tuple[EstimationResult, list[RunRecord]]:
     """Simulate the whole plan against `motor` and estimate its magnetic
     parameters back; the closed-loop path used by tests and the CLI."""
     runs = plan_runs(plan, motor.R)
-    traces, used_discard = simulate_plan(
+    traces = simulate_plan(
         motor, runs, steps_per_period=steps_per_period,
-        measure_periods=measure_periods, noise_amp=noise_amp, seed=seed,
-        discard=discard)
-    records = measure_traces(runs, traces, used_discard)
+        measure_periods=measure_periods, noise_amp=noise_amp, seed=seed)
+    records = measure_traces(runs, traces)
     result = estimate_from_records(records, motor)
     return result, records

@@ -1,5 +1,6 @@
-"""Ordinary least squares via QR, shared by ripple extraction and the
-parameter regressions."""
+"""Ordinary least squares, shared by ripple extraction and the parameter
+regressions: by QR on the regressor matrix, or on normal equations
+accumulated block by block."""
 
 from __future__ import annotations
 
@@ -34,3 +35,21 @@ def ols_fit(X: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.nd
     xtx_inv = r_inv @ r_inv.T
     residuals = y - X @ beta
     return beta, xtx_inv, residuals
+
+
+def gram_fit(xtx: np.ndarray, xty: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Solve the normal equations xtx b = xty of a least squares accumulated
+    as its Gram matrix, with the columns scaled to a unit diagonal.
+
+    Returns (b, xtx_inv) as `ols_fit` does. Raises RankDeficient when a
+    column is zero or the scaled Gram matrix is numerically singular.
+    """
+    scale = np.sqrt(np.diag(xtx))
+    if not np.all(scale > 0.0) or not np.all(np.isfinite(xtx)):
+        raise RankDeficient("a regressor column is zero or not finite")
+    outer = np.outer(scale, scale)
+    scaled = xtx / outer
+    if np.linalg.cond(scaled) > 1e12:
+        raise RankDeficient("regressor matrix is numerically rank-deficient")
+    xtx_inv = np.linalg.inv(scaled) / outer
+    return xtx_inv @ xty, xtx_inv

@@ -65,19 +65,14 @@ class MotorParams:
 
     @functools.cached_property
     def _current_table(self) -> tuple[tuple[float, float], ...]:
-        """Coefficient rows (d, q) of the current map `_row_currents`: c0,
-        c1, c2, c3 and e, in that order. Cached per motor, because building
-        it costs about as much as one scalar evaluation of the map."""
-        return ((1.0 / self.Ld, 1.0 / self.Lq),
-                (3.0 * self.a30, 2.0 * self.a12),
-                (4.0 * self.a40, 2.0 * self.a22),
-                (2.0 * self.a22, 4.0 * self.a04),
-                (self.a12, 0.0))
+        """`_current_coefficients` of this motor. Cached per motor, because
+        building it costs about as much as one scalar evaluation of the map."""
+        return _current_coefficients(self.theta)
 
     @functools.cached_property
     def theta(self) -> tuple[float, ...]:
         """The identified parameters theta = (1/Ld, 1/Lq, a30, a12, a40, a22,
-        a04), in which the Hessian `_hessian` is linear."""
+        a04), in which the current map and its Hessian `_hessian` are linear."""
         return (1.0 / self.Ld, 1.0 / self.Lq, self.a30, self.a12, self.a40, self.a22, self.a04)
 
     def without_saturation(self) -> "MotorParams":
@@ -127,6 +122,23 @@ def energy(p: MotorParams, f: FluxLinkage) -> float:
         + p.a22 * fd2 * fq2
         + p.a04 * fq2 * fq2
     )
+
+
+def _current_coefficients(theta):
+    """Coefficient rows (d, q) of the current map `_row_currents`: c0, c1, c2,
+    c3 and e, in that order, for the parameters theta = `MotorParams.theta`.
+
+    Linear in theta, so theta = np.eye(7) gives each coefficient as a row of
+    7 regressor weights, and the map evaluated with them gives the current's
+    regressor columns. e_q = 0 * (1/Ld) is a zero shaped like theta's
+    entries, and +0.0 for any motor, whose 1/Ld is positive.
+    """
+    inv_ld, inv_lq, a30, a12, a40, a22, a04 = theta
+    return ((inv_ld, inv_lq),
+            (3.0 * a30, 2.0 * a12),
+            (4.0 * a40, 2.0 * a22),
+            (2.0 * a22, 4.0 * a04),
+            (a12, 0.0 * inv_ld))
 
 
 def _current_rows(motors) -> np.ndarray:

@@ -1,4 +1,5 @@
-"""Mean and ripple-amplitude extraction from a recorded run.
+"""Mean and ripple-amplitude extraction from a recorded run, and the flux
+rebuilt from it.
 
 After the startup transient, each current channel is i_bar + i_tilde *
 F(omega*t) up to the second-order remainder of the injection expansion. Both
@@ -7,9 +8,8 @@ coefficients are fit per axis by ordinary least squares on the basis
 windowing keeps the basis functions orthogonal, so the mean estimate is not
 contaminated by the ripple and vice versa.
 
-The same window also averages the running integrals of voltage and current
-from the first sample; with the resistance they give the window-mean flux of
-a locked-rotor run started at rest, phi = integral(u - R i) dt. Currents and
+`rebuild_flux` gives the flux of a locked-rotor run started at rest at every
+sample, phi(t) = integral(u - R i) dt from the first sample. Currents and
 smooth drives are integrated by the trapezoid rule; a square-wave drive is
 read as right-continuous samples aligned to its switching instants and held
 constant over each sample interval.
@@ -24,7 +24,6 @@ import numpy as np
 
 from .injection import SQUARE, F_array, InjectionSpec
 from .leastsq import ols_fit
-from .magnetics import MotorParams
 from .simulator import MIN_WHOLE_PERIODS, Trace
 
 MIN_SAMPLES_PER_PERIOD = 16
@@ -53,11 +52,6 @@ class RippleMeasurement:
     n_samples: int = 0
     sigma_i_tilde_d: float = 0.0
     sigma_i_tilde_q: float = 0.0
-    # window means of the running integrals of u and i from t[0]
-    mean_int_u_d: float = 0.0
-    mean_int_u_q: float = 0.0
-    mean_int_i_d: float = 0.0
-    mean_int_i_q: float = 0.0
 
     def __post_init__(self) -> None:
         if self.residual_rms_d < 0 or self.residual_rms_q < 0:
@@ -79,11 +73,18 @@ def _cumulative_steps(t: np.ndarray, y: np.ndarray) -> np.ndarray:
     return np.concatenate([[0.0], np.cumsum(y[:-1] * np.diff(t))])
 
 
-def default_discard(p: MotorParams, spec: InjectionSpec) -> float:
-    """Transient discard: seven electrical time constants, rounded up to
-    whole injection periods."""
-    t_settle = 7.0 * max(p.Ld, p.Lq) / p.R
-    return math.ceil(t_settle / spec.period - 1e-9) * spec.period
+def rebuild_flux(trace: Trace, spec: InjectionSpec, R: float) -> np.ndarray:
+    """Flux phi = integral(u - R i) dt from the first sample, at every sample,
+    as stacked (2, n) d and q rows; exact only for a run started at rest.
+
+    A square-wave drive is constant between its switching instants, where its
+    samples take the new level, so it is integrated as held levels; the
+    trapezoid rule would shift the injected-axis flux by -u_tilde * dt / 2.
+    """
+    t = trace.t
+    u_rule = _cumulative_steps if spec.waveform.kind == SQUARE else cumulative_trapezoid
+    return np.stack([u_rule(t, u) - R * cumulative_trapezoid(t, i)
+                     for u, i in ((trace.u_d, trace.i_d), (trace.u_q, trace.i_q))])
 
 
 def extract_ripple(trace: Trace, spec: InjectionSpec, discard: float) -> RippleMeasurement:
@@ -124,14 +125,6 @@ def extract_ripple(trace: Trace, spec: InjectionSpec, discard: float) -> RippleM
         s2 = rss / dof
         return float(beta[0]), float(beta[1]), rms, math.sqrt(s2 * xtx_inv[1, 1])
 
-    def window_mean_integral(y, rule=cumulative_trapezoid):
-        return float(np.mean(rule(t, y)[window]))
-
-    # a square-wave drive is constant between its switching instants, where
-    # its samples take the new level; the trapezoid rule would shift the
-    # injected-axis flux by -u_tilde * dt / 2
-    u_rule = _cumulative_steps if spec.waveform.kind == SQUARE else cumulative_trapezoid
-
     bar_d, til_d, rms_d, stil_d = fit(trace.i_d[window])
     bar_q, til_q, rms_q, stil_q = fit(trace.i_q[window])
     return RippleMeasurement(
@@ -140,8 +133,4 @@ def extract_ripple(trace: Trace, spec: InjectionSpec, discard: float) -> RippleM
         residual_rms_d=rms_d, residual_rms_q=rms_q,
         n_periods_used=n_whole, n_samples=n_win,
         sigma_i_tilde_d=stil_d, sigma_i_tilde_q=stil_q,
-        mean_int_u_d=window_mean_integral(trace.u_d, u_rule),
-        mean_int_u_q=window_mean_integral(trace.u_q, u_rule),
-        mean_int_i_d=window_mean_integral(trace.i_d),
-        mean_int_i_q=window_mean_integral(trace.i_q),
     )

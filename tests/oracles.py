@@ -129,6 +129,13 @@ def rl_step_current(V, R, L, t):
     return (V / R) * (1.0 - math.exp(-R * t / L))
 
 
+def default_discard(p, spec):
+    """Transient discard: seven electrical time constants, rounded up to
+    whole injection periods."""
+    t_settle = 7.0 * max(p.Ld, p.Lq) / p.R
+    return math.ceil(t_settle / spec.period - 1e-9) * spec.period
+
+
 def analytic_pipeline_oracle(p, id_grid, iq_grid):
     """Infinite-pulsation limit of the whole identification loop.
 

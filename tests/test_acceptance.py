@@ -38,7 +38,7 @@ from satpmsm.magnetics import (
     flux_from_currents_exact,
     flux_from_currents_first_order,
 )
-from satpmsm.ripple import RippleMeasurement, default_discard, extract_ripple
+from satpmsm.ripple import RippleMeasurement, extract_ripple
 from satpmsm.simulator import SimConfig, simulate
 
 import oracles
@@ -174,7 +174,7 @@ def test_criterion_5_steady_state_identity(spm):
     """Post-transient mean current equals u_bar/R within 0.1% for the
     square-injection configuration (23 V bias, 30 V ripple, 500 Hz)."""
     spec = InjectionSpec(23.0, 0.0, 30.0, 0.0, OMEGA_500, Waveform.square())
-    discard = default_discard(spm, spec)
+    discard = oracles.default_discard(spm, spec)
     cfg = SimConfig(dt=spec.period / 200, t_end=discard + 40 * spec.period)
     meas = extract_ripple(simulate(spm, spec, cfg), spec, discard)
     want = 23.0 / 6.69
@@ -201,7 +201,7 @@ def test_criterion_6_uncertainty_calibration(ipm):
     plan = ExperimentPlan(omega=2.0 * math.pi * 2000.0, waveform=Waveform.square(),
                           u_tilde=30.0, id_grid=grid, iq_grid=grid)
     runs = plan_runs(plan, motor.R)
-    clean, discard = simulate_plan(motor, runs, measure_periods=20)
+    clean = simulate_plan(motor, runs, measure_periods=20)
 
     n_reps = 200
     hits = {name: 0 for name in PARAMS}
@@ -209,7 +209,7 @@ def test_criterion_6_uncertainty_calibration(ipm):
         # uniform noise is applied to the sampled currents only, so noising a
         # clean trace reproduces a noisy simulation with those draws exactly
         noisy = [t.with_noise(0.010, 7000 + rep * 1000 + k) for k, t in enumerate(clean)]
-        result = estimate_from_records(measure_traces(runs, noisy, discard), motor)
+        result = estimate_from_records(measure_traces(runs, noisy), motor)
         for name in PARAMS:
             est = getattr(result.params, name)
             if abs(est - getattr(motor, name)) <= 3.0 * result.sigma[name]:

@@ -119,6 +119,17 @@ class TestConfig:
         with pytest.raises(ConfigError):
             load_config(tmp_path / "nope.cfg")
 
+    def test_discard_key_refused(self, tmp_path, capsys):
+        # runs are measured from rest with no transient discard: a config
+        # that still sets one fails at load, naming the key, rather than
+        # being run as if it were honoured
+        path = tmp_path / "old.cfg"
+        path.write_text(IPM_CFG.replace("noise_mA = 0", "noise_mA = 0\ndiscard_s = 0.06"))
+        with pytest.raises(ConfigError, match=re.escape(f"{path} [sim]: discard_s")):
+            load_config(path)
+        assert main(["estimate", "--config", str(path), "--out", str(tmp_path / "o")]) == 1
+        assert "discard_s" in capsys.readouterr().err
+
 
 class TestSimulateCommand:
     def test_writes_traces_and_manifest(self, cfg_path):

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from satpmsm.config import symmetric_grid
 from satpmsm.estimator import (
     ROLE_CROSS_D_INJ,
     ROLE_CROSS_Q_INJ,
@@ -13,7 +14,6 @@ from satpmsm.estimator import (
     EstimationResult,
     ExperimentPlan,
     NotAtRest,
-    PlanRun,
     RunRecord,
     ZeroRipple,
     estimate_cross,
@@ -28,8 +28,8 @@ from satpmsm.estimator import (
 )
 from satpmsm.injection import InjectionSpec, Waveform
 from satpmsm.leastsq import RankDeficient
-from satpmsm.magnetics import FluxLinkage, MotorParams, _hessian
-from satpmsm.ripple import RippleMeasurement
+from satpmsm.magnetics import FluxLinkage, MotorParams
+from satpmsm.ripple import RippleMeasurement, extract_ripple, rebuild_flux
 from satpmsm.simulator import SimConfig, simulate
 
 import oracles
@@ -42,6 +42,14 @@ def meas(i_bar_d=0.0, i_bar_q=0.0, i_tilde_d=0.0, i_tilde_q=0.0, sigma=0.0):
         i_bar_d=i_bar_d, i_bar_q=i_bar_q, i_tilde_d=i_tilde_d, i_tilde_q=i_tilde_q,
         residual_rms_d=0.0, residual_rms_q=0.0, n_periods_used=10, n_samples=2000,
         sigma_i_tilde_d=sigma, sigma_i_tilde_q=sigma)
+
+
+def settled_ripples(motor, runs, periods):
+    """Ripple of each run over `periods` periods after the transient discard:
+    the paper's split needs settled operating points."""
+    discard = oracles.default_discard(motor, runs[0].spec)
+    traces = simulate_plan(motor, runs, measure_periods=round(discard / runs[0].spec.period) + periods)
+    return [extract_ripple(tr, run.spec, discard) for tr, run in zip(traces, runs)]
 
 
 def scaled(p, eps):
@@ -251,10 +259,9 @@ class TestEndToEnd:
         plan = ExperimentPlan(omega=OMEGA, waveform=Waveform.square(), u_tilde=30.0,
                               id_grid=grid, iq_grid=grid)
         runs = plan_runs(plan, ipm.R)
-        traces, discard = simulate_plan(ipm, runs, measure_periods=20)
         by_role = {}
-        for rec in measure_traces(runs, traces, discard):
-            by_role.setdefault(rec.run.role, []).append(rec.meas)
+        for run, m in zip(runs, settled_ripples(ipm, runs, 20)):
+            by_role.setdefault(run.role, []).append(m)
         ind = estimate_L(by_role[ROLE_LD][0], by_role[ROLE_LQ][0], plan)
         d_ax = estimate_d_axis(by_role[ROLE_D_SWEEP], ind.L_d, plan)
         cross = estimate_cross(by_role[ROLE_CROSS_D_INJ], by_role[ROLE_CROSS_Q_INJ],
@@ -276,9 +283,8 @@ class TestEndToEnd:
         def lq_error(omega):
             plan = ExperimentPlan(omega=omega, waveform=Waveform.square(), u_tilde=30.0)
             runs = plan_runs(plan, ipm.R)
-            traces, discard = simulate_plan(ipm, runs, measure_periods=20)
-            records = measure_traces(runs, traces, discard)
-            est = estimate_L(records[0].meas, records[1].meas, plan)
+            m_d, m_q = settled_ripples(ipm, runs, 20)
+            est = estimate_L(m_d, m_q, plan)
             return abs(est.L_q - ipm.Lq)
 
         errs = [lq_error(OMEGA * 2**k) for k in range(3)]
@@ -311,92 +317,103 @@ class TestEndToEnd:
         # the d-axis curvature undetermined
         plan = ipm_plan(id_grid=(-1.0, 1.0), iq_grid=(-1.0, 0.5, 1.0))
         runs = plan_runs(plan, ipm.R)
-        records = [RunRecord(r, meas(i_tilde_d=0.1, i_tilde_q=0.1)) for r in runs]
+        traces = simulate_plan(ipm, runs, measure_periods=2)
+        records = [RunRecord(r, meas(i_tilde_d=0.1, i_tilde_q=0.1), t) for r, t in zip(runs, traces)]
         with pytest.raises(RankDeficient, match="d-axis"):
             estimate_from_records(records, ipm)
-        records[0] = RunRecord(runs[0], meas(i_tilde_d=0.0, i_tilde_q=0.1))
+        records[0] = RunRecord(runs[0], meas(i_tilde_d=0.0, i_tilde_q=0.1), traces[0])
         with pytest.raises(ZeroRipple):
             estimate_from_records(records, ipm)
 
     def test_reads_no_flux_channel(self, ipm):
-        # the mean flux is rebuilt from t, u and i alone: dropping the flux
+        # the flux is rebuilt from t, u and i alone: dropping the flux
         # channels, as measured data has none, changes no bit of the result
         plan = ipm_plan(id_grid=(-1.0, 0.5, 1.0), iq_grid=(-1.0, 0.5, 1.0))
         runs = plan_runs(plan, ipm.R)
-        traces, discard = simulate_plan(ipm, runs, measure_periods=10)
+        traces = simulate_plan(ipm, runs, measure_periods=10)
         stripped = [dataclasses.replace(t, phi_d=None, phi_q=None) for t in traces]
-        full = estimate_from_records(measure_traces(runs, traces, discard), ipm)
-        bare = estimate_from_records(measure_traces(runs, stripped, discard), ipm)
+        full = estimate_from_records(measure_traces(runs, traces), ipm)
+        bare = estimate_from_records(measure_traces(runs, stripped), ipm)
         assert full == bare
 
-    def test_rebuilt_mean_flux_matches_state(self, ipm):
+    def test_rebuilt_flux_matches_state(self, ipm):
         # the square-wave drive is held between its switching instants, so
-        # the window mean of integral(u - R i) dt carries no -u_tilde*dt/2
-        # offset on the injected axis (1.5e-4 Wb here by the trapezoid rule)
+        # integral(u - R i) dt from rest follows the state flux at every
+        # sample, with no -u_tilde*dt/2 offset on the injected axis (1.5e-4
+        # Wb here by the trapezoid rule)
         plan = ipm_plan(id_grid=(-1.0, 0.5, 1.0), iq_grid=(-1.0, 0.5, 1.0))
         runs = plan_runs(plan, ipm.R)
-        traces, discard = simulate_plan(ipm, runs, measure_periods=10)
-        for rec, tr in zip(measure_traces(runs, traces, discard), traces):
-            m = rec.meas
-            i0 = int(np.searchsorted(tr.t, discard * (1.0 - 1e-9)))
-            window = slice(i0, i0 + m.n_samples)
-            assert abs(m.mean_int_u_d - ipm.R * m.mean_int_i_d - np.mean(tr.phi_d[window])) <= 5e-6
-            assert abs(m.mean_int_u_q - ipm.R * m.mean_int_i_q - np.mean(tr.phi_q[window])) <= 5e-6
+        for run, tr in zip(runs, simulate_plan(ipm, runs, measure_periods=10)):
+            phi = rebuild_flux(tr, run.spec, ipm.R)
+            assert np.max(np.abs(phi - np.stack([tr.phi_d, tr.phi_q]))) <= 5e-6
 
     def test_trace_not_at_rest_refused(self, ipm):
         # a run started from nonzero flux breaks phi(0) = 0, on which the
         # flux integration rests: refused by name, not silently integrated
         plan = ipm_plan(id_grid=(-1.0, 0.5, 1.0), iq_grid=(-1.0, 0.5, 1.0))
         runs = plan_runs(plan, ipm.R)
-        traces, discard = simulate_plan(ipm, runs, measure_periods=10,
-                                        noise_amp=0.010, seed=3)
-        measure_traces(runs, traces, discard)
+        traces = simulate_plan(ipm, runs, measure_periods=10,
+                               noise_amp=0.010, seed=3)
+        measure_traces(runs, traces)
         spec = runs[3].spec
         cfg = SimConfig(dt=spec.period / 200, t_end=float(traces[3].t[-1]),
                         initial_flux=FluxLinkage(0.02, 0.0), noise_amp=0.010)
         traces[3] = simulate(ipm, spec, cfg, seed=3)
         with pytest.raises(NotAtRest, match=r"run 3 \(d_sweep, \+0\.500 A\)"):
-            measure_traces(runs, traces, discard)
+            measure_traces(runs, traces)
         with pytest.raises(NotAtRest, match="bench_03.csv"):
-            measure_traces(runs, traces, discard,
+            measure_traces(runs, traces,
                            names=[f"bench_{k:02d}.csv" for k in range(len(runs))])
 
     def test_mixed_drives_exact(self, ipm):
-        # runs at two pulsations and two amplitudes, each ripple the exact
-        # Hess H(phi) u_tilde / omega at a known mean flux: one regression
-        # scaled run by run recovers theta to rounding
-        rng = np.random.default_rng(4)
-        roles = ([ROLE_LD, ROLE_LQ] + [ROLE_D_SWEEP] * 4
-                 + [ROLE_CROSS_D_INJ] * 4 + [ROLE_CROSS_Q_INJ] * 4)
-        records = []
-        for k, role in enumerate(roles):
-            omega, ut = (OMEGA, 30.0) if k % 2 else (2 * OMEGA, -20.0)
-            q_inj = role in (ROLE_LQ, ROLE_CROSS_Q_INJ)
-            spec = InjectionSpec(0.0, 0.0, 0.0 if q_inj else ut, ut if q_inj else 0.0,
-                                 omega, Waveform.square())
-            fd, fq = (0.0, 0.0) if role in (ROLE_LD, ROLE_LQ) else rng.uniform(-0.15, 0.15, 2)
-            h_dd, h_dq, h_qq = _hessian(ipm.theta, fd, fq)
-            m = dataclasses.replace(
-                meas(i_tilde_d=(h_dd * spec.u_tilde_d + h_dq * spec.u_tilde_q) / omega,
-                     i_tilde_q=(h_dq * spec.u_tilde_d + h_qq * spec.u_tilde_q) / omega),
-                mean_int_u_d=fd, mean_int_u_q=fq)
-            records.append(RunRecord(PlanRun(role, float(k), spec), m))
+        # runs at two pulsations, amplitudes and lengths in one regression:
+        # every sample obeys i = grad H(phi) whatever its drive, so the
+        # normal equations summed run by run recover theta noise-free
+        grids = dict(id_grid=(-1.0, 0.5, 1.0), iq_grid=(-1.0, 0.5, 1.0))
+        mixed = []
+        for plan, periods in ((ipm_plan(**grids), 10),
+                              (ipm_plan(u_tilde=20.0, omega=2 * OMEGA, **grids), 16)):
+            runs = plan_runs(plan, ipm.R)
+            mixed.append(measure_traces(runs, simulate_plan(ipm, runs, measure_periods=periods)))
+        records = [pair[k % 2] for k, pair in enumerate(zip(*mixed))]
+        assert {len(r.trace.t) for r in records} == {2001, 3201}
         result = estimate_from_records(records, ipm)
         for name in ("Ld", "Lq", "a30", "a12", "a40", "a22", "a04"):
-            assert getattr(result.params, name) == pytest.approx(getattr(ipm, name), rel=1e-10), name
-        # each run is weighted by its own amplitude: on inexact ripples,
-        # doubling one run's drive together with its ripple changes no bit
-        noisy = [dataclasses.replace(r, meas=dataclasses.replace(
-            r.meas, i_tilde_d=r.meas.i_tilde_d * (1 + 1e-3 * e_d),
-            i_tilde_q=r.meas.i_tilde_q * (1 + 1e-3 * e_q)))
-            for r, (e_d, e_q) in zip(records, rng.standard_normal((len(records), 2)))]
-        rec = noisy[7]
-        doubled = noisy[:7] + [RunRecord(
-            dataclasses.replace(rec.run, spec=dataclasses.replace(
-                rec.run.spec, u_tilde_d=2 * rec.run.spec.u_tilde_d)),
-            dataclasses.replace(rec.meas, i_tilde_d=2 * rec.meas.i_tilde_d,
-                                i_tilde_q=2 * rec.meas.i_tilde_q))] + noisy[8:]
-        assert estimate_from_records(doubled, ipm) == estimate_from_records(noisy, ipm) != result
+            assert getattr(result.params, name) == pytest.approx(getattr(ipm, name), rel=1e-4), name
+
+    @pytest.mark.parametrize("fixture, i_max, i_step, u_tilde", [
+        ("ipm", 2.0, 0.3, 30.0), ("spm", 8.0, 0.5, 40.0)])
+    @pytest.mark.parametrize("periods", [10, 25])
+    def test_noise_free_recovery_from_rest(self, fixture, i_max, i_step, u_tilde, periods, request):
+        # the fixtures' own sweeps, measured from rest with no transient
+        # discard: the regression is exact at every sample, so only the RK4
+        # and trapezoid errors remain, including on the SPM runs that settle
+        # past the fold of the d-axis curve
+        p = request.getfixturevalue(fixture)
+        grid = symmetric_grid(i_max, i_step)
+        plan = ipm_plan(id_grid=grid, iq_grid=grid, u_tilde=u_tilde)
+        result, _ = run_identification(p, plan, measure_periods=periods)
+        for name in ("Ld", "Lq", "a30", "a12", "a40", "a22", "a04"):
+            assert getattr(result.params, name) == pytest.approx(getattr(p, name), rel=1e-4), name
+
+    def test_sigma_calibration_at_hardware_coefficients(self, ipm):
+        # the IPM fixture itself at 500 Hz, 25 periods from rest, 10 mA:
+        # with no model remainder left, the reported sigmas must cover the
+        # noise alone, so each parameter lies within 3 sigma in >= 95 % of
+        # 200 seeded repetitions
+        grid = symmetric_grid(2.0, 0.3)
+        runs = plan_runs(ipm_plan(id_grid=grid, iq_grid=grid), ipm.R)
+        clean = simulate_plan(ipm, runs, measure_periods=25)
+        names = ("Ld", "Lq", "a30", "a12", "a40", "a22", "a04")
+        hits = dict.fromkeys(names, 0)
+        n_reps = 200
+        for rep in range(n_reps):
+            noisy = [t.with_noise(0.010, 9000 + rep * 1000 + k) for k, t in enumerate(clean)]
+            result = estimate_from_records(measure_traces(runs, noisy), ipm)
+            for name in names:
+                hits[name] += abs(getattr(result.params, name) - getattr(ipm, name)) <= 3.0 * result.sigma[name]
+        coverage = {name: hits[name] / n_reps for name in names}
+        assert all(c >= 0.95 for c in coverage.values()), coverage
 
     def test_estimation_result_validation(self, ipm):
         with pytest.raises(ValueError):

@@ -5,7 +5,7 @@ import pytest
 
 from satpmsm.injection import F_array, InjectionSpec, Waveform
 from satpmsm.leastsq import RankDeficient, ols_fit
-from satpmsm.ripple import RippleMeasurement, TooShort, Unresolved, default_discard, extract_ripple
+from satpmsm.ripple import RippleMeasurement, TooShort, Unresolved, extract_ripple
 from satpmsm.simulator import SimConfig, Trace, simulate
 
 import oracles
@@ -135,7 +135,7 @@ class TestExtractRipple:
 class TestOnSimulatedRuns:
     def test_default_discard_whole_periods(self, ipm):
         spec = InjectionSpec(0, 0, 30.0, 0, OMEGA, Waveform.square())
-        d = default_discard(ipm, spec)
+        d = oracles.default_discard(ipm, spec)
         assert d >= 7.0 * max(ipm.Ld, ipm.Lq) / ipm.R
         assert d / spec.period == pytest.approx(round(d / spec.period), abs=1e-9)
 
@@ -143,7 +143,7 @@ class TestOnSimulatedRuns:
         # at zero bias the ripple is u_tilde/(omega L) up to O(1/omega^2)
         spec = InjectionSpec(0, 0, 30.0, 0, OMEGA, Waveform.square())
         dt = spec.period / 200
-        discard = default_discard(ipm, spec)
+        discard = oracles.default_discard(ipm, spec)
         cfg = SimConfig(dt=dt, t_end=discard + 30 * spec.period)
         m = extract_ripple(simulate(ipm, spec, cfg), spec, discard)
         want = 30.0 / (OMEGA * ipm.Ld)
@@ -155,7 +155,7 @@ class TestOnSimulatedRuns:
         # at the *exact* steady flux; reference via the bisection oracle
         spec = InjectionSpec(23.0, 0, 30.0, 0, OMEGA, Waveform.square())
         dt = spec.period / 200
-        discard = default_discard(spm, spec)
+        discard = oracles.default_discard(spm, spec)
         cfg = SimConfig(dt=dt, t_end=discard + 30 * spec.period)
         m = extract_ripple(simulate(spm, spec, cfg), spec, discard)
         fd, fq = oracles.invert_flux_bisection(spm, 23.0 / spm.R, 0.0)
@@ -168,7 +168,7 @@ class TestOnSimulatedRuns:
         def gap(omega):
             spec = InjectionSpec(0.3 * ipm.R, 0, 30.0, 0, omega, Waveform.square())
             dt = spec.period / 200
-            discard = default_discard(ipm, spec)
+            discard = oracles.default_discard(ipm, spec)
             cfg = SimConfig(dt=dt, t_end=discard + 30 * spec.period)
             m = extract_ripple(simulate(ipm, spec, cfg), spec, discard)
             want_d, _ = oracles.ripple_amplitudes_oracle(ipm, 0.3 * ipm.R, 0.0, 30.0, 0.0, omega)

@@ -241,13 +241,13 @@ class TestSampledWaveformPath:
         assert np.max(np.abs(tr_s.i_d - tr_b.i_d)) < 2e-3 * scale
 
     def test_ripple_extraction_on_sampled_waveform(self, ipm):
-        from satpmsm.ripple import default_discard, extract_ripple
+        from satpmsm.ripple import extract_ripple
         n = 512
         samples = np.sin(2 * math.pi * np.arange(n) / n)
         samples -= samples.mean()
         w = Waveform.from_samples(samples)
         spec = InjectionSpec(0.0, 0.0, 20.0, 0.0, OMEGA_500, w)
-        discard = default_discard(ipm, spec)
+        discard = oracles.default_discard(ipm, spec)
         cfg = SimConfig(dt=spec.period / 200, t_end=discard + 20 * spec.period)
         meas = extract_ripple(simulate(ipm, spec, cfg), spec, discard)
         # zero bias: ripple coefficient is u_tilde/(omega Ld) up to O(1/omega^2)

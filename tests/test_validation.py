@@ -11,7 +11,7 @@ from satpmsm.magnetics import (
     currents_from_flux,
     FluxLinkage,
 )
-from satpmsm.ripple import default_discard, extract_ripple
+from satpmsm.ripple import extract_ripple
 from satpmsm.simulator import (MIN_WHOLE_PERIODS, SimConfig, Trace, simulate, simulate_averaged,
                                simulate_periodic)
 from satpmsm.validation import (
@@ -89,8 +89,8 @@ class TestAngleSweep:
         runs = [PlanRun("angle_sweep", m, InjectionSpec(
             p.R * (m * math.cos(angle)), p.R * (m * math.sin(angle)), s.u_tilde, 0.0, s.omega, s.waveform))
             for m in s.magnitudes]
-        discard = 4.0 * default_discard(p, runs[0].spec)
-        traces, _ = simulate_plan(p, runs, measure_periods=2, discard=discard)
+        discard = 4.0 * oracles.default_discard(p, runs[0].spec)
+        traces = simulate_plan(p, runs, measure_periods=round(discard / runs[0].spec.period) + 2)
         ripple = [extract_ripple(tr, run.spec, discard) for tr, run in zip(traces, runs)]
         return (np.array([m.i_tilde_d for m in ripple]), np.array([m.i_tilde_q for m in ripple]),
                 [run.spec for run in runs])
