@@ -44,10 +44,10 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .injection import InjectionSpec, Waveform
+from .injection import F_array, InjectionSpec, Waveform
 from .leastsq import RankDeficient, gram_fit, ols_fit
 from .magnetics import MotorParams, _current_coefficients, _hessian, _stacked_currents
-from .ripple import RippleMeasurement, extract_ripple, rebuild_flux
+from .ripple import RippleMeasurement, period_blocks, rebuild_flux
 from .simulator import SimConfig, Trace, simulate_batch
 
 ROLE_LD = "ld"
@@ -110,11 +110,9 @@ class PlanRun:
 
 @dataclasses.dataclass(frozen=True)
 class RunRecord:
-    """A planned run together with its recorded trace and the ripple
-    measurement extracted from it."""
+    """A planned run together with its recorded trace."""
 
     run: PlanRun
-    meas: RippleMeasurement
     trace: Trace
 
 
@@ -295,20 +293,38 @@ def predict_ripple(p: MotorParams, spec: InjectionSpec) -> tuple[float, float]:
     return (h_dd * utd + h_dq * utq) / spec.omega, (h_dq * utd + h_qq * utq) / spec.omega
 
 
+def _centred(a: np.ndarray, per: int, blocks: int) -> np.ndarray:
+    """The first blocks * per samples along a's last axis, each block of per
+    samples minus its own mean, flattened back along that axis."""
+    a = a[..., :blocks * per].reshape(*a.shape[:-1], blocks, per)
+    return (a - a.mean(axis=-1, keepdims=True)).reshape(*a.shape[:-2], -1)
+
+
 def _period_centred(rec: RunRecord, R: float) -> tuple[np.ndarray, np.ndarray, int]:
     """One run's regressor columns (7, m) and current samples (m,), d samples
     then q samples, each block of one injection period centred on its own
     mean, and the number of blocks. A block holds the nearest whole number of
-    samples per period; a trailing part period is left out."""
+    samples per period (`ripple.period_blocks`); a trailing part period is
+    left out."""
     trace = rec.trace
-    per = round(rec.run.spec.period / trace.sample_period)
-    n = len(trace.t) // per * per
-    phi = rebuild_flux(trace, rec.run.spec, R)[:, :n]
-    X = _stacked_currents(_CURRENT_BASIS, phi).reshape(len(PARAM_NAMES), -1, per)
-    y = np.stack([trace.i_d[:n], trace.i_q[:n]]).reshape(-1, per)
-    X -= X.mean(axis=2, keepdims=True)
-    y -= y.mean(axis=1, keepdims=True)
-    return X.reshape(len(PARAM_NAMES), -1), y.reshape(-1), len(y)
+    per, blocks = period_blocks(trace, rec.run.spec)
+    X = _centred(_stacked_currents(_CURRENT_BASIS, rebuild_flux(trace, rec.run.spec, R)), per, blocks)
+    y = _centred(np.stack([trace.i_d, trace.i_q]), per, blocks)
+    return X.reshape(len(PARAM_NAMES), -1), y.reshape(-1), 2 * blocks
+
+
+def _zero_bias_ripple(rec: RunRecord, i: np.ndarray) -> tuple[float, float]:
+    """Ripple amplitude of the current i of a zero-bias run, the coefficient
+    of F(omega*t), and its standard error: both centred per period, as in the
+    regression, so the transient from rest drifts only within a period."""
+    spec = rec.run.spec
+    per, blocks = period_blocks(rec.trace, spec)
+    f = _centred(F_array(spec.waveform, spec.omega * rec.trace.t), per, blocks)
+    y = _centred(i, per, blocks)
+    ff = float(f @ f)
+    i_tilde = float(f @ y) / ff
+    r = y - i_tilde * f
+    return i_tilde, math.sqrt(float(r @ r) / (len(y) - blocks - 1) / ff)
 
 
 def estimate_from_records(records: Sequence[RunRecord], nominal: MotorParams) -> EstimationResult:
@@ -327,9 +343,9 @@ def estimate_from_records(records: Sequence[RunRecord], nominal: MotorParams) ->
         by_role[rec.run.role].append(rec)
     if not by_role[ROLE_LD] or not by_role[ROLE_LQ]:
         raise ValueError("plan must include both zero-bias runs")
-    m_d, m_q = by_role[ROLE_LD][0].meas, by_role[ROLE_LQ][0].meas
-    _checked_ripple(m_d.i_tilde_d, m_d.sigma_i_tilde_d, "d-axis zero-bias run")
-    _checked_ripple(m_q.i_tilde_q, m_q.sigma_i_tilde_q, "q-axis zero-bias run")
+    rec_d, rec_q = by_role[ROLE_LD][0], by_role[ROLE_LQ][0]
+    _checked_ripple(*_zero_bias_ripple(rec_d, rec_d.trace.i_d), "d-axis zero-bias run")
+    _checked_ripple(*_zero_bias_ripple(rec_q, rec_q.trace.i_q), "q-axis zero-bias run")
     if len({r.run.i_target for r in by_role[ROLE_D_SWEEP]}) < 3:
         raise RankDeficient("d-axis sweep needs >= 3 distinct bias currents")
     if len({r.run.i_target for r in by_role[ROLE_CROSS_D_INJ] + by_role[ROLE_CROSS_Q_INJ]}) < 3:
@@ -368,20 +384,21 @@ def _noise_rms(i: np.ndarray) -> float:
 
 def measure_traces(runs: Sequence[PlanRun], traces: Sequence[Trace],
                    names: Sequence[str] | None = None) -> list[RunRecord]:
-    """Extract the ripple of each trace against its planned injection, over
-    all its whole periods, and record it with the trace.
+    """Check each trace against its planned injection and record it with it.
 
-    Every trace must start at rest (zero current, hence zero flux), because
-    the estimator rebuilds the flux by integrating from the first sample:
-    a first current sample beyond five times its channel's noise RMS
-    (`_noise_rms`, which the transient from rest does not inflate) raises
-    NotAtRest, naming the trace by `names` or by its run.
+    The sampling must resolve the injection period over at least
+    `MIN_WHOLE_PERIODS` whole periods (`ripple.period_blocks` raises
+    Unresolved or TooShort). Every trace must start at rest (zero current,
+    hence zero flux), because the estimator rebuilds the flux by integrating
+    from the first sample: a first current sample beyond five times its
+    channel's noise RMS (`_noise_rms`, which the transient from rest does not
+    inflate) raises NotAtRest, naming the trace by `names` or by its run.
     """
     if len(runs) != len(traces):
         raise ValueError("one trace per planned run required")
     records = []
     for k, (run, trace) in enumerate(zip(runs, traces)):
-        meas = extract_ripple(trace, run.spec, 0.0)
+        period_blocks(trace, run.spec)
         for axis, i in (("d", trace.i_d), ("q", trace.i_q)):
             floor = _noise_rms(i)
             if abs(i[0]) > max(_AT_REST_FACTOR * floor, _ZERO_RIPPLE_FLOOR):
@@ -391,7 +408,7 @@ def measure_traces(runs: Sequence[PlanRun], traces: Sequence[Trace],
                     f"{name}: first i_{axis} sample {i[0]:.3g} A exceeds "
                     f"{_AT_REST_FACTOR:g}x the noise RMS {floor:.3g} A; "
                     "traces must start de-energized")
-        records.append(RunRecord(run, meas, trace))
+        records.append(RunRecord(run, trace))
     return records
 
 

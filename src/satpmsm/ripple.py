@@ -12,7 +12,8 @@ contaminated by the ripple and vice versa.
 sample, phi(t) = integral(u - R i) dt from the first sample. Currents and
 smooth drives are integrated by the trapezoid rule; a square-wave drive is
 read as right-continuous samples aligned to its switching instants and held
-constant over each sample interval.
+constant over each sample interval. `period_blocks` cuts such a record
+into whole injection periods from its first sample.
 """
 
 from __future__ import annotations
@@ -30,7 +31,8 @@ MIN_SAMPLES_PER_PERIOD = 16
 
 
 class TooShort(RuntimeError):
-    """Fewer than two whole injection periods remain after the discard."""
+    """Fewer than `MIN_WHOLE_PERIODS` whole injection periods remain after
+    the discard."""
 
 
 class Unresolved(RuntimeError):
@@ -87,6 +89,26 @@ def rebuild_flux(trace: Trace, spec: InjectionSpec, R: float) -> np.ndarray:
                      for u, i in ((trace.u_d, trace.i_d), (trace.u_q, trace.i_q))])
 
 
+def _samples_per_period(trace: Trace, spec: InjectionSpec) -> float:
+    per = spec.period / trace.sample_period
+    if per < MIN_SAMPLES_PER_PERIOD:
+        raise Unresolved(f"{per:.1f} samples per period < {MIN_SAMPLES_PER_PERIOD}")
+    return per
+
+
+def period_blocks(trace: Trace, spec: InjectionSpec) -> tuple[int, int]:
+    """Samples per injection period, rounded to a whole number, and how many
+    such blocks the trace holds from its first sample.
+
+    Raises Unresolved and TooShort on the same terms as `extract_ripple`.
+    """
+    per = round(_samples_per_period(trace, spec))
+    blocks = len(trace.t) // per
+    if blocks < MIN_WHOLE_PERIODS:
+        raise TooShort(f"only {blocks} whole periods, need {MIN_WHOLE_PERIODS}")
+    return per, blocks
+
+
 def extract_ripple(trace: Trace, spec: InjectionSpec, discard: float) -> RippleMeasurement:
     """Fit i(t) ~ i_bar + i_tilde * F(omega*t) per axis after `discard`.
 
@@ -97,9 +119,7 @@ def extract_ripple(trace: Trace, spec: InjectionSpec, discard: float) -> RippleM
         raise ValueError("discard must be >= 0")
     period = spec.period
     sp = trace.sample_period
-    if period / sp < MIN_SAMPLES_PER_PERIOD:
-        raise Unresolved(
-            f"{period / sp:.1f} samples per period < {MIN_SAMPLES_PER_PERIOD}")
+    _samples_per_period(trace, spec)
     t = trace.t
     i0 = int(np.searchsorted(t, t[0] + discard - 1e-12 * sp))
     if i0 >= len(t):

@@ -29,8 +29,8 @@ from satpmsm.estimator import (
 from satpmsm.injection import InjectionSpec, Waveform
 from satpmsm.leastsq import RankDeficient
 from satpmsm.magnetics import FluxLinkage, MotorParams
-from satpmsm.ripple import RippleMeasurement, extract_ripple, rebuild_flux
-from satpmsm.simulator import SimConfig, simulate
+from satpmsm.ripple import RippleMeasurement, TooShort, Unresolved, extract_ripple, rebuild_flux
+from satpmsm.simulator import SimConfig, Trace, simulate
 
 import oracles
 
@@ -313,16 +313,23 @@ class TestEndToEnd:
         assert len(records) == 2 + 3 + 6
 
     def test_refusals(self, ipm):
-        # zero-bias ripple below its noise floor, then a plan that leaves
-        # the d-axis curvature undetermined
+        # records shorter than two periods or sampled too coarsely, a plan
+        # that leaves the d-axis curvature undetermined, then a d-axis
+        # zero-bias run whose current is noise alone, with no ripple
         plan = ipm_plan(id_grid=(-1.0, 1.0), iq_grid=(-1.0, 0.5, 1.0))
         runs = plan_runs(plan, ipm.R)
+        with pytest.raises(TooShort):
+            measure_traces(runs[:1], simulate_plan(ipm, runs[:1], measure_periods=1))
         traces = simulate_plan(ipm, runs, measure_periods=2)
-        records = [RunRecord(r, meas(i_tilde_d=0.1, i_tilde_q=0.1), t) for r, t in zip(runs, traces)]
+        coarse = Trace(*(getattr(traces[0], c)[::20] for c in ("t", "u_d", "u_q", "i_d", "i_q")))
+        with pytest.raises(Unresolved):
+            measure_traces(runs[:1], [coarse])
+        records = measure_traces(runs, traces)
         with pytest.raises(RankDeficient, match="d-axis"):
             estimate_from_records(records, ipm)
-        records[0] = RunRecord(runs[0], meas(i_tilde_d=0.0, i_tilde_q=0.1), traces[0])
-        with pytest.raises(ZeroRipple):
+        silent = dataclasses.replace(traces[0], i_d=np.zeros_like(traces[0].i_d))
+        records[0] = RunRecord(runs[0], silent.with_noise(0.010, seed=1))
+        with pytest.raises(ZeroRipple, match="d-axis zero-bias"):
             estimate_from_records(records, ipm)
 
     def test_reads_no_flux_channel(self, ipm):
@@ -365,19 +372,49 @@ class TestEndToEnd:
             measure_traces(runs, traces,
                            names=[f"bench_{k:02d}.csv" for k in range(len(runs))])
 
-    def test_mixed_drives_exact(self, ipm):
-        # runs at two pulsations, amplitudes and lengths in one regression:
-        # every sample obeys i = grad H(phi) whatever its drive, so the
-        # normal equations summed run by run recover theta noise-free
+    @staticmethod
+    def mixed_records(motor, make_trace):
+        """Records of two plans at different pulsations, amplitudes and
+        lengths, interleaved run by run; make_trace(run's simulated trace)
+        gives the trace recorded for it."""
         grids = dict(id_grid=(-1.0, 0.5, 1.0), iq_grid=(-1.0, 0.5, 1.0))
         mixed = []
         for plan, periods in ((ipm_plan(**grids), 10),
                               (ipm_plan(u_tilde=20.0, omega=2 * OMEGA, **grids), 16)):
-            runs = plan_runs(plan, ipm.R)
-            mixed.append(measure_traces(runs, simulate_plan(ipm, runs, measure_periods=periods)))
+            runs = plan_runs(plan, motor.R)
+            traces = simulate_plan(motor, runs, measure_periods=periods)
+            mixed.append(measure_traces(runs, [make_trace(t) for t in traces]))
         records = [pair[k % 2] for k, pair in enumerate(zip(*mixed))]
         assert {len(r.trace.t) for r in records} == {2001, 3201}
-        result = estimate_from_records(records, ipm)
+        return records
+
+    def test_mixed_drives_exact(self, ipm):
+        # synthetic runs that obey the rebuild to rounding: the currents are
+        # the oracle gradient at the simulated fluxes (zero at the first
+        # sample) and each held drive level is solved from the flux step,
+        # u_k = (phi_k+1 - phi_k) / dt + R (i_k + i_k+1) / 2. Every sample
+        # obeys i = grad H(phi) whatever its drive, so the normal equations
+        # summed run by run recover theta to rounding; a rebuilt flux off by
+        # as little as half a sample would not
+        def exact(tr):
+            i_d, i_q = np.array([oracles.currents_oracle(ipm, a, b)
+                                 for a, b in zip(tr.phi_d, tr.phi_q)]).T
+            h = np.diff(tr.t)
+
+            def held_drive(phi, i):
+                return np.append(np.diff(phi) / h + ipm.R * 0.5 * (i[1:] + i[:-1]), 0.0)
+
+            return dataclasses.replace(tr, u_d=held_drive(tr.phi_d, i_d),
+                                       u_q=held_drive(tr.phi_q, i_q), i_d=i_d, i_q=i_q)
+
+        result = estimate_from_records(self.mixed_records(ipm, exact), ipm)
+        for name in ("Ld", "Lq", "a30", "a12", "a40", "a22", "a04"):
+            assert getattr(result.params, name) == pytest.approx(getattr(ipm, name), rel=1e-10), name
+
+    def test_mixed_drives_simulated(self, ipm):
+        # the same mixed runs as RK4 integrates them: only the integration
+        # and trapezoid errors remain
+        result = estimate_from_records(self.mixed_records(ipm, lambda tr: tr), ipm)
         for name in ("Ld", "Lq", "a30", "a12", "a40", "a22", "a04"):
             assert getattr(result.params, name) == pytest.approx(getattr(ipm, name), rel=1e-4), name
 
