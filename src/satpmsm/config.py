@@ -148,12 +148,15 @@ def load_config(path) -> ProjectConfig:
     inject_axis = va.get("inject_axis", "d")
     if inject_axis not in ("d", "q"):
         raise ConfigError(f"{where}: inject_axis must be 'd' or 'q', got {inject_axis!r}")
+    step_t_end = get_float(va, "step_t_end_s", where) if "step_t_end_s" in va else 12.0 * motor.Ld / motor.R
+    if step_t_end <= 0:
+        raise ConfigError(f"{where}: step_t_end_s must be positive")
     validation = ValidationConfig(
         angle_deg=get_float(va, "angle_deg", where) if "angle_deg" in va else 60.0,
         mag_grid=mag_grid,
         inject_axis=inject_axis,
         step_volts=step_volts,
-        step_t_end=get_float(va, "step_t_end_s", where) if "step_t_end_s" in va else 12.0 * motor.Ld / motor.R,
+        step_t_end=step_t_end,
     )
 
     cu = sections.get("curves", {})

@@ -44,10 +44,10 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .injection import F_array, InjectionSpec, Waveform
-from .leastsq import RankDeficient, gram_fit, ols_fit
+from .injection import InjectionSpec, Waveform
+from .leastsq import RankDeficient, gram_fit
 from .magnetics import MotorParams, _current_coefficients, _hessian, _stacked_currents
-from .ripple import RippleMeasurement, period_blocks, rebuild_flux
+from .ripple import RippleMeasurement, _centred, extract_ripple, period_blocks, rebuild_flux
 from .simulator import SimConfig, Trace, simulate_batch
 
 ROLE_LD = "ld"
@@ -197,7 +197,7 @@ def estimate_L(meas_d: RippleMeasurement, meas_q: RippleMeasurement,
 
 
 def _fit_with_sigma(fit, L_vals, L_sigmas, sigma_y):
-    """OLS of one regression, fit(*L_vals) -> (X, y).
+    """OLS of one regression, fit(*L_vals) -> (X, y), by its normal equations.
 
     Returns the coefficients, their standard errors and the residual RMS.
     The errors hold the independent per-point noise sigma_y plus, for each
@@ -205,16 +205,19 @@ def _fit_with_sigma(fit, L_vals, L_sigmas, sigma_y):
     contribution through the regressors and intercepts (finite differences
     of the whole fit).
     """
+    def solve(X, y):
+        return gram_fit(X.T @ X, X.T @ y)
+
     X, y = fit(*L_vals)
-    beta, xtx_inv, resid = ols_fit(X, y)
+    beta, xtx_inv = solve(X, y)
     A = xtx_inv @ X.T
     var = (A * A) @ (np.asarray(sigma_y) ** 2)
     for j, (val, sig) in enumerate(zip(L_vals, L_sigmas)):
         if sig != 0.0:
             h = 1e-6 * val
-            dbeta = (ols_fit(*fit(*L_vals[:j], val + h, *L_vals[j + 1:]))[0] - beta) / h
+            dbeta = (solve(*fit(*L_vals[:j], val + h, *L_vals[j + 1:]))[0] - beta) / h
             var = var + (dbeta * sig) ** 2
-    return beta, np.sqrt(var), float(np.sqrt(np.mean(resid ** 2)))
+    return beta, np.sqrt(var), float(np.sqrt(np.mean((y - X @ beta) ** 2)))
 
 
 def estimate_d_axis(meas: Sequence[RippleMeasurement], L_d: float,
@@ -293,13 +296,6 @@ def predict_ripple(p: MotorParams, spec: InjectionSpec) -> tuple[float, float]:
     return (h_dd * utd + h_dq * utq) / spec.omega, (h_dq * utd + h_qq * utq) / spec.omega
 
 
-def _centred(a: np.ndarray, per: int, blocks: int) -> np.ndarray:
-    """The first blocks * per samples along a's last axis, each block of per
-    samples minus its own mean, flattened back along that axis."""
-    a = a[..., :blocks * per].reshape(*a.shape[:-1], blocks, per)
-    return (a - a.mean(axis=-1, keepdims=True)).reshape(*a.shape[:-2], -1)
-
-
 def _period_centred(rec: RunRecord, R: float) -> tuple[np.ndarray, np.ndarray, int]:
     """One run's regressor columns (7, m) and current samples (m,), d samples
     then q samples, each block of one injection period centred on its own
@@ -311,20 +307,6 @@ def _period_centred(rec: RunRecord, R: float) -> tuple[np.ndarray, np.ndarray, i
     X = _centred(_stacked_currents(_CURRENT_BASIS, rebuild_flux(trace, rec.run.spec, R)), per, blocks)
     y = _centred(np.stack([trace.i_d, trace.i_q]), per, blocks)
     return X.reshape(len(PARAM_NAMES), -1), y.reshape(-1), 2 * blocks
-
-
-def _zero_bias_ripple(rec: RunRecord, i: np.ndarray) -> tuple[float, float]:
-    """Ripple amplitude of the current i of a zero-bias run, the coefficient
-    of F(omega*t), and its standard error: both centred per period, as in the
-    regression, so the transient from rest drifts only within a period."""
-    spec = rec.run.spec
-    per, blocks = period_blocks(rec.trace, spec)
-    f = _centred(F_array(spec.waveform, spec.omega * rec.trace.t), per, blocks)
-    y = _centred(i, per, blocks)
-    ff = float(f @ f)
-    i_tilde = float(f @ y) / ff
-    r = y - i_tilde * f
-    return i_tilde, math.sqrt(float(r @ r) / (len(y) - blocks - 1) / ff)
 
 
 def estimate_from_records(records: Sequence[RunRecord], nominal: MotorParams) -> EstimationResult:
@@ -344,8 +326,10 @@ def estimate_from_records(records: Sequence[RunRecord], nominal: MotorParams) ->
     if not by_role[ROLE_LD] or not by_role[ROLE_LQ]:
         raise ValueError("plan must include both zero-bias runs")
     rec_d, rec_q = by_role[ROLE_LD][0], by_role[ROLE_LQ][0]
-    _checked_ripple(*_zero_bias_ripple(rec_d, rec_d.trace.i_d), "d-axis zero-bias run")
-    _checked_ripple(*_zero_bias_ripple(rec_q, rec_q.trace.i_q), "q-axis zero-bias run")
+    meas_d = extract_ripple(rec_d.trace, rec_d.run.spec, 0.0)
+    _checked_ripple(meas_d.i_tilde_d, meas_d.sigma_i_tilde_d, "d-axis zero-bias run")
+    meas_q = extract_ripple(rec_q.trace, rec_q.run.spec, 0.0)
+    _checked_ripple(meas_q.i_tilde_q, meas_q.sigma_i_tilde_q, "q-axis zero-bias run")
     if len({r.run.i_target for r in by_role[ROLE_D_SWEEP]}) < 3:
         raise RankDeficient("d-axis sweep needs >= 3 distinct bias currents")
     if len({r.run.i_target for r in by_role[ROLE_CROSS_D_INJ] + by_role[ROLE_CROSS_Q_INJ]}) < 3:

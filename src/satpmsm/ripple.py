@@ -1,19 +1,20 @@
 """Mean and ripple-amplitude extraction from a recorded run, and the flux
 rebuilt from it.
 
-After the startup transient, each current channel is i_bar + i_tilde *
-F(omega*t) up to the second-order remainder of the injection expansion. Both
-coefficients are fit per axis by ordinary least squares on the basis
-{1, F(omega*t)} over an integer number of whole periods; whole-period
-windowing keeps the basis functions orthogonal, so the mean estimate is not
-contaminated by the ripple and vice versa.
+Each current channel is i_bar + i_tilde * F(omega*t) up to the second-order
+remainder of the injection expansion, plus whatever drift the mean still has
+(the transient of a run from rest). The ripple coefficient is fit per axis
+over whole injection periods (`period_blocks`) with F and the current each
+centred on their own mean in every period (`_centred`), so a drifting mean
+moves the fit only by its swing within a period; the mean is then averaged
+over the window with the fitted ripple taken out. The regression in
+`estimator` centres its regressors by the same rule.
 
 `rebuild_flux` gives the flux of a locked-rotor run started at rest at every
 sample, phi(t) = integral(u - R i) dt from the first sample. Currents and
 smooth drives are integrated by the trapezoid rule; a square-wave drive is
 read as right-continuous samples aligned to its switching instants and held
-constant over each sample interval. `period_blocks` cuts such a record
-into whole injection periods from its first sample.
+constant over each sample interval.
 """
 
 from __future__ import annotations
@@ -24,15 +25,14 @@ import math
 import numpy as np
 
 from .injection import SQUARE, F_array, InjectionSpec
-from .leastsq import ols_fit
 from .simulator import MIN_WHOLE_PERIODS, Trace
 
 MIN_SAMPLES_PER_PERIOD = 16
 
 
 class TooShort(RuntimeError):
-    """Fewer than `MIN_WHOLE_PERIODS` whole injection periods remain after
-    the discard."""
+    """A record holds fewer than `MIN_WHOLE_PERIODS` whole injection periods
+    of samples from its first sample at or after the discard."""
 
 
 class Unresolved(RuntimeError):
@@ -89,68 +89,63 @@ def rebuild_flux(trace: Trace, spec: InjectionSpec, R: float) -> np.ndarray:
                      for u, i in ((trace.u_d, trace.i_d), (trace.u_q, trace.i_q))])
 
 
-def _samples_per_period(trace: Trace, spec: InjectionSpec) -> float:
+def period_blocks(trace: Trace, spec: InjectionSpec, start: int = 0) -> tuple[int, int]:
+    """Samples per injection period, rounded to a whole number, and how many
+    such blocks the trace holds from sample `start` on.
+
+    Raises Unresolved below `MIN_SAMPLES_PER_PERIOD` samples per period and
+    TooShort below `MIN_WHOLE_PERIODS` blocks.
+    """
     per = spec.period / trace.sample_period
     if per < MIN_SAMPLES_PER_PERIOD:
         raise Unresolved(f"{per:.1f} samples per period < {MIN_SAMPLES_PER_PERIOD}")
-    return per
-
-
-def period_blocks(trace: Trace, spec: InjectionSpec) -> tuple[int, int]:
-    """Samples per injection period, rounded to a whole number, and how many
-    such blocks the trace holds from its first sample.
-
-    Raises Unresolved and TooShort on the same terms as `extract_ripple`.
-    """
-    per = round(_samples_per_period(trace, spec))
-    blocks = len(trace.t) // per
+    per = round(per)
+    blocks = (len(trace.t) - start) // per
     if blocks < MIN_WHOLE_PERIODS:
         raise TooShort(f"only {blocks} whole periods, need {MIN_WHOLE_PERIODS}")
     return per, blocks
 
 
+def _centred(a: np.ndarray, per: int, blocks: int) -> np.ndarray:
+    """The first blocks * per samples along a's last axis, each block of per
+    samples minus its own mean, flattened back along that axis."""
+    a = a[..., :blocks * per].reshape(*a.shape[:-1], blocks, per)
+    return (a - a.mean(axis=-1, keepdims=True)).reshape(*a.shape[:-2], -1)
+
+
 def extract_ripple(trace: Trace, spec: InjectionSpec, discard: float) -> RippleMeasurement:
     """Fit i(t) ~ i_bar + i_tilde * F(omega*t) per axis after `discard`.
 
-    The fit window is the largest whole number of injection periods that
-    starts at the first sample at or after `discard`.
+    The window is the whole injection periods from the first sample at or
+    after `discard`. i_tilde = f.y / f.f with F and i centred per period, and
+    its standard error takes one degree of freedom per period mean; i_bar is
+    the window mean of i - i_tilde * F.
     """
     if discard < 0:
         raise ValueError("discard must be >= 0")
-    period = spec.period
-    sp = trace.sample_period
-    _samples_per_period(trace, spec)
     t = trace.t
-    i0 = int(np.searchsorted(t, t[0] + discard - 1e-12 * sp))
-    if i0 >= len(t):
-        raise TooShort("discard exceeds the trace duration")
-    span = t[-1] - t[i0]
-    n_whole = int(math.floor(span / period + 1e-9))
-    if n_whole < MIN_WHOLE_PERIODS:
-        raise TooShort(
-            f"only {n_whole} whole periods after discard, need {MIN_WHOLE_PERIODS}")
-    n_win = int(math.floor(n_whole * period / sp + 1e-9))
-    window = slice(i0, i0 + n_win)
+    i0 = int(np.searchsorted(t, t[0] + discard - 1e-12 * trace.sample_period))
+    per, blocks = period_blocks(trace, spec, i0)
+    n = per * blocks
+    window = slice(i0, i0 + n)
+    F = F_array(spec.waveform, spec.omega * t[window])
+    f = _centred(F, per, blocks)
+    ff = float(f @ f)
 
-    basis = np.column_stack([
-        np.ones(n_win),
-        F_array(spec.waveform, spec.omega * t[window]),
-    ])
+    def fit(i):
+        y = _centred(i[window], per, blocks)
+        i_tilde = float(f @ y) / ff
+        r = y - i_tilde * f
+        rss = float(r @ r)
+        i_bar = float(np.mean(i[window] - i_tilde * F))
+        return i_bar, i_tilde, math.sqrt(rss / n), math.sqrt(rss / (n - blocks - 1) / ff)
 
-    def fit(y):
-        beta, xtx_inv, resid = ols_fit(basis, y)
-        rss = float(resid @ resid)
-        rms = math.sqrt(rss / n_win)
-        dof = max(n_win - 2, 1)
-        s2 = rss / dof
-        return float(beta[0]), float(beta[1]), rms, math.sqrt(s2 * xtx_inv[1, 1])
-
-    bar_d, til_d, rms_d, stil_d = fit(trace.i_d[window])
-    bar_q, til_q, rms_q, stil_q = fit(trace.i_q[window])
+    bar_d, til_d, rms_d, stil_d = fit(trace.i_d)
+    bar_q, til_q, rms_q, stil_q = fit(trace.i_q)
     return RippleMeasurement(
         i_bar_d=bar_d, i_bar_q=bar_q,
         i_tilde_d=til_d, i_tilde_q=til_q,
         residual_rms_d=rms_d, residual_rms_q=rms_q,
-        n_periods_used=n_whole, n_samples=n_win,
+        n_periods_used=blocks, n_samples=n,
         sigma_i_tilde_d=stil_d, sigma_i_tilde_q=stil_q,
     )

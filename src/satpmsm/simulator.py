@@ -28,7 +28,8 @@ from .magnetics import (Currents, FluxLinkage, MotorParams, NonConvergence, _cur
 
 _CSV_HEADER = ["t", "u_d", "u_q", "i_d", "i_q", "phi_d", "phi_q"]
 
-# Fewest whole injection periods a ripple fit takes (`ripple.extract_ripple`);
+# Fewest whole injection periods a record must hold (`ripple.period_blocks`);
+# the ripple fit and the identification centre each of them on its own mean.
 # `simulate_periodic` returns this many periods of each orbit.
 MIN_WHOLE_PERIODS = 2
 
@@ -150,8 +151,15 @@ class Trace:
                 data = np.loadtxt(fh, delimiter=",", ndmin=2, usecols=range(len(header)))
         if len(data) < 2:
             raise ValueError(f"trace CSV {path} has {len(data)} data rows, needs at least 2")
+        bad = np.argwhere(~np.isfinite(data))
+        if len(bad):
+            row, col = bad[0]
+            raise ValueError(f"trace CSV {path}: {header[col]} in data row {row + 1} is not finite")
         cols = dict(zip(header, data.T.copy()))
-        return Trace(**{name: cols.get(name) for name in _CSV_HEADER})
+        try:
+            return Trace(**{name: cols.get(name) for name in _CSV_HEADER})
+        except ValueError as exc:
+            raise ValueError(f"trace CSV {path}: {exc}") from None
 
 
 def _check_step(spec: InjectionSpec, cfg: SimConfig) -> None:

@@ -109,7 +109,9 @@ class TestConfig:
                 ("[paths]", "[validate]\ninject_axis = x\n\n[paths]", "validate",
                  "inject_axis must be 'd' or 'q'"),
                 ("[paths]", "[curves]\nlevels_A = 0.0, nan\n\n[paths]", "curves",
-                 "levels_A must be a comma-separated list of finite numbers")):
+                 "levels_A must be a comma-separated list of finite numbers"),
+                ("[paths]", "[validate]\nstep_t_end_s = -0.5\n\n[paths]", "validate",
+                 "step_t_end_s must be positive")):
             path.write_text(IPM_CFG.replace(old, new))
             with pytest.raises(ConfigError, match=re.escape(f"{path} [{where}]: ") + ".*"
                                + re.escape(message)):
@@ -202,6 +204,20 @@ class TestEstimateCommand:
                      "--ingest", str(base / "sim" / "manifest.txt")])
         assert code == 1
         assert victim.name in capsys.readouterr().err
+        # so are a nan current sample and a time stamp moved by 0.3 dt: input
+        # errors naming the file, not numerical failures
+        header = victim.read_text().split("\n", 1)[0]
+        for col, frac_dt, message in ((3, math.nan, "i_d in data row 5 is not finite"),
+                                      (0, 0.3, "t must be uniformly sampled")):
+            assert main(["simulate", "--config", str(cfg_path), "--out", str(base / "sim")]) == 0
+            data = np.loadtxt(victim, delimiter=",", skiprows=1)
+            data[4, col] += frac_dt * (data[1, 0] - data[0, 0])
+            np.savetxt(victim, data, fmt="%.17g", delimiter=",", header=header, comments="")
+            code = main(["estimate", "--config", str(cfg_path), "--out", str(base / "x"),
+                         "--ingest", str(base / "sim" / "manifest.txt")])
+            assert code == 1
+            err = capsys.readouterr().err
+            assert victim.name in err and message in err
 
     def test_mixed_manifest_estimated(self, cfg_path, capsys):
         # one manifest joining a 500 Hz / 30 V plan and a 1 kHz / 20 V plan:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from satpmsm.injection import F_array, InjectionSpec, Waveform
-from satpmsm.leastsq import RankDeficient, ols_fit
+from satpmsm.leastsq import RankDeficient, gram_fit
 from satpmsm.ripple import RippleMeasurement, TooShort, Unresolved, extract_ripple
 from satpmsm.simulator import SimConfig, Trace, simulate
 
@@ -28,20 +28,20 @@ class TestOls:
         rng = np.random.default_rng(0)
         X = rng.normal(size=(40, 3))
         y = rng.normal(size=40)
-        beta, xtx_inv, resid = ols_fit(X, y)
+        beta, xtx_inv = gram_fit(X.T @ X, X.T @ y)
         want = np.linalg.solve(X.T @ X, X.T @ y)
         assert np.allclose(beta, want, rtol=1e-10)
         assert np.allclose(xtx_inv, np.linalg.inv(X.T @ X), rtol=1e-9)
-        assert np.allclose(resid, y - X @ beta)
 
     def test_rank_deficient(self):
         X = np.column_stack([np.ones(10), np.ones(10)])
         with pytest.raises(RankDeficient):
-            ols_fit(X, np.ones(10))
+            gram_fit(X.T @ X, X.T @ np.ones(10))
 
     def test_underdetermined(self):
+        X = np.ones((1, 2))
         with pytest.raises(RankDeficient):
-            ols_fit(np.ones((1, 2)), np.ones(1))
+            gram_fit(X.T @ X, X.T @ np.ones(1))
 
 
 class TestExtractRipple:
@@ -111,17 +111,25 @@ class TestExtractRipple:
         assert np.max(np.abs(estimates - 0.3)) < 1e-3
 
     def test_sigma_tracks_noise_scatter(self):
-        # reported standard error should match the seed-to-seed scatter
+        # reported standard error should match the seed-to-seed scatter, for
+        # a constant mean and for one that drifts as in a run from rest,
+        # 0.2 (1 - exp(-t/tau)) A
         spec = InjectionSpec(0, 0, 10.0, 0, OMEGA, Waveform.square())
         base = synthetic_trace(spec, n_periods=50, bar_d=1.0, til_d=0.3)
-        estimates, sigmas = [], []
-        for seed in range(60):
-            m = extract_ripple(base.with_noise(0.010, seed), spec, discard=0.0)
-            estimates.append(m.i_tilde_d)
-            sigmas.append(m.sigma_i_tilde_d)
-        scatter = float(np.std(estimates))
-        sigma = float(np.mean(sigmas))
-        assert 0.7 * scatter < sigma < 1.4 * scatter
+        traces = [base]
+        for tau_periods in (5, 15, 30):
+            drift = 0.2 * (1.0 - np.exp(-base.t / (tau_periods * spec.period)))
+            traces.append(Trace(t=base.t, u_d=base.u_d, u_q=base.u_q,
+                                i_d=base.i_d - 1.0 + drift, i_q=base.i_q))
+        for tr in traces:
+            estimates, sigmas = [], []
+            for seed in range(60):
+                m = extract_ripple(tr.with_noise(0.010, seed), spec, discard=0.0)
+                estimates.append(m.i_tilde_d)
+                sigmas.append(m.sigma_i_tilde_d)
+            scatter = float(np.std(estimates))
+            sigma = float(np.mean(sigmas))
+            assert 0.7 * scatter < sigma < 1.4 * scatter
 
     def test_validation(self):
         with pytest.raises(ValueError):
