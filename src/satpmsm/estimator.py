@@ -196,32 +196,18 @@ def estimate_L(meas_d: RippleMeasurement, meas_q: RippleMeasurement,
     return InductanceEstimate(L_d, L_q, sigma_L_d, sigma_L_q)
 
 
-def _fit_with_sigma(fit, L_vals, L_sigmas, sigma_y):
-    """OLS of one regression, fit(*L_vals) -> (X, y), by its normal equations.
+def _fit_with_sigma(X, y, sigma_y):
+    """OLS of y on the columns of X by its normal equations.
 
-    Returns the coefficients, their standard errors and the residual RMS.
-    The errors hold the independent per-point noise sigma_y plus, for each
-    inductance estimate in L_vals with a nonzero sigma, its first-order
-    contribution through the regressors and intercepts (finite differences
-    of the whole fit).
+    Returns the coefficients, their standard errors from the independent
+    per-point noise sigma_y, and the residual RMS.
     """
-    def solve(X, y):
-        return gram_fit(X.T @ X, X.T @ y)
-
-    X, y = fit(*L_vals)
-    beta, xtx_inv = solve(X, y)
+    beta, xtx_inv = gram_fit(X.T @ X, X.T @ y)
     A = xtx_inv @ X.T
-    var = (A * A) @ (np.asarray(sigma_y) ** 2)
-    for j, (val, sig) in enumerate(zip(L_vals, L_sigmas)):
-        if sig != 0.0:
-            h = 1e-6 * val
-            dbeta = (solve(*fit(*L_vals[:j], val + h, *L_vals[j + 1:]))[0] - beta) / h
-            var = var + (dbeta * sig) ** 2
-    return beta, np.sqrt(var), float(np.sqrt(np.mean((y - X @ beta) ** 2)))
+    return beta, np.sqrt((A * A) @ (np.asarray(sigma_y) ** 2)), float(np.sqrt(np.mean((y - X @ beta) ** 2)))
 
 
-def estimate_d_axis(meas: Sequence[RippleMeasurement], L_d: float,
-                    plan: ExperimentPlan, sigma_L_d: float = 0.0) -> DAxisEstimate:
+def estimate_d_axis(meas: Sequence[RippleMeasurement], L_d: float, plan: ExperimentPlan) -> DAxisEstimate:
     """d-axis saturation from the bias sweep (b): regress the excess ripple
     slope omega*i_tilde_d/u_tilde - 1/L_d on the a30 and a40 columns of
     H_dd at the linearized flux (L_d i_bar, 0)."""
@@ -230,18 +216,14 @@ def estimate_d_axis(meas: Sequence[RippleMeasurement], L_d: float,
     i_bar = np.array([m.i_bar_d for m in meas])[:, None]
     i_tilde = np.array([m.i_tilde_d for m in meas])
     sigma_y = plan.omega * np.array([m.sigma_i_tilde_d for m in meas]) / plan.u_tilde
-
-    def fit(L):
-        h_dd = _hessian(_THETA_BASIS, L * i_bar, 0.0)[0]
-        return h_dd[:, [2, 4]], plan.omega * i_tilde / plan.u_tilde - 1.0 / L
-
-    beta, sig, rms = _fit_with_sigma(fit, [L_d], [sigma_L_d], sigma_y)
+    h_dd = _hessian(_THETA_BASIS, L_d * i_bar, 0.0)[0]
+    beta, sig, rms = _fit_with_sigma(
+        h_dd[:, [2, 4]], plan.omega * i_tilde / plan.u_tilde - 1.0 / L_d, sigma_y)
     return DAxisEstimate(float(beta[0]), float(beta[1]), float(sig[0]), float(sig[1]), rms)
 
 
 def estimate_cross(meas_c: Sequence[RippleMeasurement], meas_d: Sequence[RippleMeasurement],
-                   L_d: float, L_q: float, plan: ExperimentPlan,
-                   sigma_L_d: float = 0.0, sigma_L_q: float = 0.0) -> CrossEstimate:
+                   L_d: float, L_q: float, plan: ExperimentPlan) -> CrossEstimate:
     """Cross and q-axis saturation from the q-bias sweeps, each regressed on
     one column of the Hessian at the linearized flux (0, L_q i_bar_q).
 
@@ -251,34 +233,19 @@ def estimate_cross(meas_c: Sequence[RippleMeasurement], meas_d: Sequence[RippleM
     """
     if len({m.i_bar_q for m in meas_c} | {m.i_bar_q for m in meas_d}) < 3:
         raise RankDeficient("cross sweeps need >= 3 distinct bias currents")
-    ib_c = np.array([m.i_bar_q for m in meas_c])
-    ib_d = np.array([m.i_bar_q for m in meas_d])
     om, ut = plan.omega, plan.u_tilde
-
-    def hessian_at(Lq, ib):
-        return _hessian(_THETA_BASIS, 0.0, Lq * ib[:, None])
-
-    def fit_a22(Ld, Lq):
-        y = om * np.array([m.i_tilde_d for m in meas_c]) / ut - 1.0 / Ld
-        return hessian_at(Lq, ib_c)[0][:, [5]], y
-
-    def fit_a12(Lq):
-        y = om / ut * np.array([m.i_tilde_q for m in meas_c] + [m.i_tilde_d for m in meas_d])
-        return hessian_at(Lq, np.concatenate([ib_c, ib_d]))[1][:, [3]], y
-
-    def fit_a04(Lq):
-        y = om * np.array([m.i_tilde_q for m in meas_d]) / ut - 1.0 / Lq
-        return hessian_at(Lq, ib_d)[2][:, [6]], y
-
+    h_c = _hessian(_THETA_BASIS, 0.0, L_q * np.array([m.i_bar_q for m in meas_c])[:, None])
+    h_d = _hessian(_THETA_BASIS, 0.0, L_q * np.array([m.i_bar_q for m in meas_d])[:, None])
     b22, s22, r22 = _fit_with_sigma(
-        fit_a22, [L_d, L_q], [sigma_L_d, sigma_L_q],
+        h_c[0][:, [5]], om * np.array([m.i_tilde_d for m in meas_c]) / ut - 1.0 / L_d,
         om / ut * np.array([m.sigma_i_tilde_d for m in meas_c]))
     b12, s12, r12 = _fit_with_sigma(
-        fit_a12, [L_q], [sigma_L_q],
+        np.concatenate([h_c[1], h_d[1]])[:, [3]],
+        om / ut * np.array([m.i_tilde_q for m in meas_c] + [m.i_tilde_d for m in meas_d]),
         om / ut * np.array([m.sigma_i_tilde_q for m in meas_c]
                            + [m.sigma_i_tilde_d for m in meas_d]))
     b04, s04, r04 = _fit_with_sigma(
-        fit_a04, [L_q], [sigma_L_q],
+        h_d[2][:, [6]], om * np.array([m.i_tilde_q for m in meas_d]) / ut - 1.0 / L_q,
         om / ut * np.array([m.sigma_i_tilde_q for m in meas_d]))
     return CrossEstimate(
         a22=float(b22[0]), a12=float(b12[0]), a04=float(b04[0]),

@@ -118,14 +118,9 @@ def _sampled_tables(samples: tuple[float, ...]):
     return ext, nodes, cum, f_mean, h
 
 
-def _wrap(tau):
-    t = np.mod(tau, TWO_PI)
-    return np.where(t < 0.0, t + TWO_PI, t)
-
-
 def f_array(w: Waveform, tau) -> np.ndarray:
     """Vectorized waveform evaluation (right-continuous at jumps)."""
-    t = _wrap(np.asarray(tau, dtype=float))
+    t = np.mod(np.asarray(tau, dtype=float), TWO_PI)  # never negative: the divisor is positive
     if w.kind == SQUARE:
         return np.where(t < math.pi, 1.0, -1.0)
     if w.kind == SINE:
@@ -139,7 +134,7 @@ def F_array(w: Waveform, tau) -> np.ndarray:
 
     Square: triangular, F(0) = -pi/2, peaks +-pi/2. Sine: -cos(tau).
     """
-    t = _wrap(np.asarray(tau, dtype=float))
+    t = np.mod(np.asarray(tau, dtype=float), TWO_PI)
     if w.kind == SQUARE:
         return np.where(t < math.pi, t - math.pi / 2.0, 1.5 * math.pi - t)
     if w.kind == SINE:

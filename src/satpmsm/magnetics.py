@@ -37,6 +37,9 @@ class MotorParams:
     n_pp    pole pairs
     a30,a12 cubic saturation coefficients [A/Wb^2]
     a40,a22,a04  quartic saturation coefficients [A/Wb^3]
+
+    phi_m and n_pp are motor data that configs and reports carry; the
+    locked-rotor dynamics do not read them.
     """
 
     R: float
@@ -218,10 +221,14 @@ def flux_from_currents_exact(p: MotorParams, i: Currents, tol: float = 1e-12) ->
     if not tol > 0:
         raise ValueError(f"tol must be positive, got {tol}")
     seed = flux_from_currents_first_order(p, i)
-    fd, fq = seed.phi_d, seed.phi_q
-    if not (math.isfinite(fd) and math.isfinite(fq)):
+    if not (math.isfinite(seed.phi_d) and math.isfinite(seed.phi_q)):
         raise NonConvergence(f"first-order seed not finite for target {i}")
+    return _invert(p, i, seed.phi_d, seed.phi_q, tol)
 
+
+def _invert(p: MotorParams, i: Currents, fd: float, fq: float, tol: float) -> FluxLinkage:
+    """The damped Newton of `flux_from_currents_exact`, seeded at the flux
+    (fd, fq)."""
     def residual(fd: float, fq: float) -> tuple[float, float]:
         c_d, c_q = _currents(p, fd, fq)
         return c_d - i.i_d, c_q - i.i_q

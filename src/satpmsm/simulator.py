@@ -5,9 +5,9 @@ n runs; the drive is a pulsating d-q voltage. The integrator is classic RK4.
 For square-wave injection the step grid is required to align with the
 switching instants (dt divides the half-period) and each step evaluates the
 voltage one-sidedly, so every step integrates a smooth piece and the nominal
-RK4 order survives the discontinuities. A batch starts at one flux
-(`SimConfig.initial_flux`) or, in `simulate_periodic`, each run on its own
-periodic steady state.
+RK4 order survives the discontinuities. The rotor is locked: no speed
+couples the axes. A batch starts at rest or, in `simulate_periodic`, each run
+on its own periodic steady state.
 
 Measurement noise is additive uniform on the sampled currents only; the flux
 channels stay noise-free (they are internal state, not a measurement).
@@ -23,7 +23,7 @@ from typing import Sequence
 import numpy as np
 
 from .injection import F_array, InjectionSpec, f_array
-from .magnetics import (Currents, FluxLinkage, MotorParams, NonConvergence, _current_rows,
+from .magnetics import (Currents, MotorParams, NonConvergence, _current_rows,
                         _stacked_currents, flux_from_currents_first_order)
 
 _CSV_HEADER = ["t", "u_d", "u_q", "i_d", "i_q", "phi_d", "phi_q"]
@@ -54,8 +54,6 @@ class SimConfig:
 
     dt            integration step [s]
     t_end         run duration [s]
-    theta_dot     electrical speed [rad/s]; 0 = locked rotor
-    initial_flux  state at t = 0
     sample_period output sampling interval [s]; defaults to dt; must be an
                   integer multiple of dt
     noise_amp     half-width of the uniform current measurement noise [A]
@@ -63,8 +61,6 @@ class SimConfig:
 
     dt: float
     t_end: float
-    theta_dot: float = 0.0
-    initial_flux: FluxLinkage = FluxLinkage(0.0, 0.0)
     sample_period: float | None = None
     noise_amp: float = 0.0
 
@@ -205,41 +201,31 @@ def _stacked_drive(specs: Sequence[InjectionSpec], cfg: SimConfig) -> tuple[np.n
             np.array([[s.u_tilde_d for s in specs], [s.u_tilde_q for s in specs]]))
 
 
-def _start(cfg: SimConfig, n: int) -> np.ndarray:
-    """cfg.initial_flux as the (2, n) start of n lanes."""
-    return np.broadcast_to([[cfg.initial_flux.phi_d], [cfg.initial_flux.phi_q]], (2, n))
-
-
 def _batch_rk4(motors: Sequence[MotorParams], cfg: SimConfig, X0: np.ndarray, u_bar: np.ndarray,
                u_tilde: np.ndarray, f0: np.ndarray, fmid: np.ndarray,
                f1: np.ndarray) -> tuple[np.ndarray, ...]:
-    """Integrate dphi/dt = u - R*i(phi) + speed coupling for a batch of runs.
+    """Integrate the locked-rotor dynamics dphi/dt = u - R*i(phi) for a
+    batch of runs.
 
     Lane j is motor motors[j] started at the flux X0[:, j] and driven by
     u = u_bar[:, j] + u_tilde[:, j] * f, with the (d, q) values stacked as
-    rows of X0, u_bar and u_tilde (2, n); cfg gives dt, the sample stride
-    and the speed, not the start. The
+    rows of X0, u_bar and u_tilde (2, n); each lane carries its motor's
+    coefficient rows and R. cfg gives dt and the sample stride. The
     waveform value f of step k is taken at t_k (f0[k], right-continuous), at
     the step midpoint (fmid[k]) and at t_{k+1} closing the step (f1[k],
     left-sided); f0 has one more entry than there are steps, for the last
     sample. The state X = (phi_d, phi_q) is one (2, n) array, so each RK4 line
-    serves both axes; the speed coupling (w phi_q, -w phi_d) is W * X[::-1]
-    and the magnet term -w phi_m rides in the q bias.
+    serves both axes.
     Returns t and the sampled flux, current and voltage, each (2, n, n_samples).
     """
     dt = cfg.dt
     stride = cfg.sample_stride()
-    w = cfg.theta_dot
     rows = _current_rows(motors)
     C = tuple(rows)  # the five (2, n) rows, unpacked once
     R = np.array([[p.R for p in motors]] * 2)  # full (2, n): a broadcast operand costs ~2x
-    bias = u_bar.astype(float)  # a copy
-    bias[1] -= w * np.array([p.phi_m for p in motors])
-    W = np.array([[w], [-w]])
 
     def rhs(X, U):
-        dX = U - R * _stacked_currents(C, X)
-        return dX + W * X[::-1] if w else dX  # locked rotor: no coupling
+        return U - R * _stacked_currents(C, X)
 
     X = np.array(X0, dtype=float)  # a contiguous copy
     n_steps = len(fmid)
@@ -249,9 +235,9 @@ def _batch_rk4(motors: Sequence[MotorParams], cfg: SimConfig, X0: np.ndarray, u_
     h2, h6 = 0.5 * dt, dt / 6.0
     for k, (a, m, b) in enumerate(zip(f0[:-1].tolist(), fmid.tolist(), f1.tolist()), start=1):
         # square waves and the averaged system hold f over the step
-        ua = bias + u_tilde * a
-        um = ua if m == a else bias + u_tilde * m
-        ub = um if b == m else bias + u_tilde * b
+        ua = u_bar + u_tilde * a
+        um = ua if m == a else u_bar + u_tilde * m
+        ub = um if b == m else u_bar + u_tilde * b
         k1 = rhs(X, ua)
         k2 = rhs(X + h2 * k1, um)
         k3 = rhs(X + h2 * k2, um)
@@ -280,7 +266,8 @@ def simulate_batch(
     cfg: SimConfig,
     seeds: Sequence[int] | None = None,
 ) -> list[Trace]:
-    """Integrate several runs that share the waveform, pulsation and config.
+    """Integrate several runs from rest that share the waveform, pulsation
+    and config.
 
     The runs advance in lockstep as one vectorized state, which is what makes
     full identification sweeps affordable; per-run mean/ripple voltages are
@@ -294,7 +281,7 @@ def simulate_batch(
     if len(seeds) != len(specs):
         raise ValueError("need one seed per run")
 
-    traces = _traces(*_batch_rk4([p] * len(specs), cfg, _start(cfg, len(specs)), u_bar, u_tilde,
+    traces = _traces(*_batch_rk4([p] * len(specs), cfg, np.zeros((2, len(specs))), u_bar, u_tilde,
                                  *_waveform_arrays(specs[0], cfg.dt, int(round(cfg.t_end / cfg.dt)))))
     if cfg.noise_amp > 0:
         traces = [tr.with_noise(cfg.noise_amp, int(seed)) for tr, seed in zip(traces, seeds)]
@@ -308,21 +295,20 @@ def simulate(p: MotorParams, spec: InjectionSpec, cfg: SimConfig, seed: int = 0)
 
 def simulate_averaged(motors: Sequence[MotorParams], u_bar: Sequence[tuple[float, float]],
                       cfg: SimConfig) -> list[Trace]:
-    """Integrate the ripple-free averaged system dphi/dt = u_bar - R*i(phi),
-    one lane per (motors[j], u_bar[j] = (u_bar_d, u_bar_q)) pair, in one batch.
+    """Integrate the ripple-free averaged system dphi/dt = u_bar - R*i(phi)
+    from rest, one lane per (motors[j], u_bar[j] = (u_bar_d, u_bar_q)) pair,
+    in one batch.
 
-    Locked rotor only. Each trajectory tends to the constant flux solving
-    u_bar = R*i(phi); deterministic, so noise settings are ignored.
+    Each trajectory tends to the constant flux solving u_bar = R*i(phi);
+    deterministic, so noise settings are ignored.
     """
-    if cfg.theta_dot != 0.0:
-        raise ValueError("the averaged system is defined for locked rotor (theta_dot = 0)")
     if len(u_bar) != len(motors):
         raise ValueError("need one mean voltage pair per motor")
     if not motors:
         return []
     zero = np.zeros(int(round(cfg.t_end / cfg.dt)) + 1)
     u = np.array(u_bar, dtype=float).T
-    return _traces(*_batch_rk4(motors, cfg, _start(cfg, len(motors)), u, np.zeros_like(u),
+    return _traces(*_batch_rk4(motors, cfg, np.zeros_like(u), u, np.zeros_like(u),
                                zero, zero[:-1], zero[1:]))
 
 

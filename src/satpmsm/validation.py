@@ -15,9 +15,11 @@ import numpy as np
 
 from .estimator import predict_ripple
 from .injection import InjectionSpec, Waveform
-from .magnetics import Currents, MotorParams, flux_from_currents_exact
+from .magnetics import Currents, MotorParams, _invert, flux_from_currents_exact
 from .ripple import cumulative_trapezoid, extract_ripple
 from .simulator import SimConfig, Trace, _write_columns, simulate_averaged, simulate_periodic
+
+_STEP_SAMPLES = 2000  # integration steps of each step response, one sample each
 
 
 @dataclasses.dataclass(frozen=True)
@@ -88,13 +90,12 @@ class StepResponseResult:
         _write_columns(path, "t,i_sat,i_lin", self.saturated.t, self.saturated.i_d, self.linear.i_d)
 
 
-def step_response(p: MotorParams, u_steps: Sequence[float], t_end: float, *,
-                  n_samples: int = 2000) -> list[StepResponseResult]:
+def step_response(p: MotorParams, u_steps: Sequence[float], t_end: float) -> list[StepResponseResult]:
     """d-axis voltage steps from zero flux, locked rotor: the full model next
     to the same motor with the saturation coefficients zeroed, one result per
     voltage in u_steps. All voltage x {saturated, linear} lanes integrate as
-    one batch of the ripple-free averaged system over n_samples steps."""
-    cfg = SimConfig(dt=t_end / n_samples, t_end=t_end)
+    one batch of the ripple-free averaged system over `_STEP_SAMPLES` steps."""
+    cfg = SimConfig(dt=t_end / _STEP_SAMPLES, t_end=t_end)
     n = len(u_steps)
     traces = simulate_averaged([p] * n + [p.without_saturation()] * n,
                                [(float(u), 0.0) for u in u_steps] * 2, cfg)
@@ -112,20 +113,23 @@ class FluxIntegrationResult:
 
 
 def flux_by_integration(trace: Trace, p: MotorParams) -> FluxIntegrationResult:
-    """Reconstruct phi_d(t) = phi_d(0) + integral(u_d - R i_d) dt by the
-    trapezoidal rule and pair it with the concurrent current.
+    """Reconstruct phi(t) = phi(0) + integral(u - R i) dt on both axes by
+    the trapezoidal rule and pair phi_d with the concurrent current.
 
-    The model column re-derives the flux from the measured current pair
-    through the exact inversion, for overlay plots. Starts from the trace's
-    flux channel when present, else from zero (de-energized motor).
+    The model column re-derives the flux from the measured current pair by
+    Newton inversion of the model to 1e-10 A, seeded at each sample's
+    integrated flux: the record says on which side of a fold of the d-axis
+    curve the motor sits, where the first-order seed of
+    `flux_from_currents_exact` can land past it. Starts from the trace's flux
+    channels when present, else from zero (de-energized motor).
     """
-    phi0 = float(trace.phi_d[0]) if trace.phi_d is not None else 0.0
-    phi = phi0 + cumulative_trapezoid(trace.t, trace.u_d - p.R * trace.i_d)
+    phi = [(float(ch[0]) if ch is not None else 0.0) + cumulative_trapezoid(trace.t, u - p.R * i)
+           for ch, u, i in ((trace.phi_d, trace.u_d, trace.i_d), (trace.phi_q, trace.u_q, trace.i_q))]
     model = np.array([
-        flux_from_currents_exact(p, Currents(float(i_d), float(i_q)), tol=1e-10).phi_d
-        for i_d, i_q in zip(trace.i_d, trace.i_q)
+        _invert(p, Currents(float(i_d), float(i_q)), float(fd), float(fq), 1e-10).phi_d
+        for i_d, i_q, fd, fq in zip(trace.i_d, trace.i_q, *phi)
     ])
-    return FluxIntegrationResult(i_d=trace.i_d.copy(), phi_d_integrated=phi, phi_d_model=model)
+    return FluxIntegrationResult(i_d=trace.i_d.copy(), phi_d_integrated=phi[0], phi_d_model=model)
 
 
 @dataclasses.dataclass(frozen=True)

@@ -1,5 +1,7 @@
+import dataclasses
 import math
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,8 +9,7 @@ import pytest
 from satpmsm.cli import main
 from satpmsm.config import load_config, symmetric_grid
 from satpmsm.estimator import plan_runs
-from satpmsm.magnetics import FluxLinkage
-from satpmsm.simulator import SimConfig, Trace, simulate
+from satpmsm.simulator import Trace
 from satpmsm.textio import ConfigError, read_manifest
 
 import oracles
@@ -244,15 +245,13 @@ class TestEstimateCommand:
             assert got[key] == pytest.approx(want, rel=0.03), key
 
     def test_trace_not_at_rest_exit_code(self, cfg_path, capsys):
-        # an ingested trace that starts from nonzero flux cannot have its
-        # flux rebuilt from zero: numerical failure naming the file
+        # an ingested trace that starts one period into its run cannot have
+        # its flux rebuilt from zero: numerical failure naming the file
         base = cfg_path.parent
         assert main(["simulate", "--config", str(cfg_path), "--out", str(base / "sim")]) == 0
         victim = next((base / "sim" / "traces").glob("003_*.csv"))
-        run = plan_runs(load_config(cfg_path).plan, 12.15)[3]
-        cfg = SimConfig(dt=run.spec.period / 200, t_end=float(Trace.from_csv(victim).t[-1]),
-                        initial_flux=FluxLinkage(0.02, 0.0))
-        simulate(load_config(cfg_path).motor, run.spec, cfg).to_csv(victim)
+        tr = Trace.from_csv(victim)
+        Trace(*(getattr(tr, f.name)[200:] for f in dataclasses.fields(Trace))).to_csv(victim)
         code = main(["estimate", "--config", str(cfg_path), "--out", str(base / "x"),
                      "--ingest", str(base / "sim" / "manifest.txt")])
         assert code == 2
@@ -288,6 +287,20 @@ class TestValidateAndCurves:
         assert len(sweep) == 1 and len(steps) == 2 and len(fluxes) == 2
         header = sweep[0].read_text().splitlines()[0]
         assert header == "x,y_model,y_measured"
+
+    def test_validate_shipped_spm(self, tmp_path):
+        # the shipped SPM fixture's harshest step crosses the current at
+        # which the first-order seed lands past the fold of the d-axis curve;
+        # the record-seeded inversion still writes every flux file
+        cfg = Path(__file__).resolve().parents[1] / "configs" / "spm.cfg"
+        out = tmp_path / "val"
+        assert main(["validate", "--config", str(cfg), "--out", str(out)]) == 0
+        steps = sorted(out.glob("step_response_*.csv"))
+        fluxes = sorted(out.glob("flux_integration_*.csv"))
+        assert len(steps) == 2
+        assert [f.name.replace("flux_integration", "step_response") for f in fluxes] == [s.name for s in steps]
+        for step, flux in zip(steps, fluxes):
+            assert len(flux.read_text().splitlines()) == len(step.read_text().splitlines())
 
     def test_curves_outputs(self, cfg_path):
         out = cfg_path.parent / "cur"

@@ -28,9 +28,9 @@ from satpmsm.estimator import (
 )
 from satpmsm.injection import InjectionSpec, Waveform
 from satpmsm.leastsq import RankDeficient
-from satpmsm.magnetics import FluxLinkage, MotorParams
+from satpmsm.magnetics import MotorParams
 from satpmsm.ripple import RippleMeasurement, TooShort, Unresolved, extract_ripple, rebuild_flux
-from satpmsm.simulator import SimConfig, Trace, simulate
+from satpmsm.simulator import Trace
 
 import oracles
 
@@ -197,6 +197,55 @@ class TestCrossRegression:
             estimate_cross(ms, ms, spm.Ld, spm.Lq, plan)
 
 
+def split_sigma_data(motor):
+    """Plan and measurements for the paper's split: ripple amplitudes with
+    1 % noise and unequal per-point sigmas on each axis, at unequal biases."""
+    rng = np.random.default_rng(17)
+    grid = (-2.0, -1.3, -0.4, 0.5, 1.1, 2.0)
+    plan = ipm_plan(id_grid=grid, iq_grid=grid)
+
+    def noisy(ib_d, ib_q):
+        it_d, it_q = predict_ripple(motor, InjectionSpec(
+            motor.R * ib_d, motor.R * ib_q, plan.u_tilde, plan.u_tilde, OMEGA, plan.waveform))
+        s_d, s_q = rng.uniform(1e-4, 2e-3, 2)
+        return dataclasses.replace(
+            meas(ib_d, ib_q, it_d * (1 + 0.01 * rng.standard_normal()),
+                 it_q * (1 + 0.01 * rng.standard_normal())),
+            sigma_i_tilde_d=s_d, sigma_i_tilde_q=s_q)
+
+    return (plan, [noisy(ib, 0.0) for ib in grid], [noisy(0.0, ib) for ib in grid],
+            [noisy(0.0, ib) for ib in grid])
+
+
+class TestSplitSigmas:
+    def test_sigmas_propagate_point_noise(self, ipm):
+        # each coefficient's sigma is the per-point noise (omega/u_tilde)
+        # sigma_i pushed through the pseudo-inverse of its regressor columns,
+        # written out here from the Hessian at the linearized flux
+        plan, ms_d, ms_c, ms_q = split_sigma_data(ipm)
+        k = OMEGA / plan.u_tilde
+
+        def propagated(columns, sigma_i):
+            A = np.linalg.pinv(np.column_stack(columns))
+            return np.sqrt(np.diag(A @ np.diag((k * np.asarray(sigma_i)) ** 2) @ A.T))
+
+        x_d = ipm.Ld * np.array([m.i_bar_d for m in ms_d])
+        want = propagated([6 * x_d, 12 * x_d**2], [m.sigma_i_tilde_d for m in ms_d])
+        est = estimate_d_axis(ms_d, ipm.Ld, plan)
+        assert [est.sigma_a30, est.sigma_a40] == pytest.approx(want, rel=1e-10)
+
+        x_c = ipm.Lq * np.array([m.i_bar_q for m in ms_c])
+        x_q = ipm.Lq * np.array([m.i_bar_q for m in ms_q])
+        est = estimate_cross(ms_c, ms_q, ipm.Ld, ipm.Lq, plan)
+        assert est.sigma_a22 == pytest.approx(
+            propagated([2 * x_c**2], [m.sigma_i_tilde_d for m in ms_c])[0], rel=1e-10)
+        assert est.sigma_a12 == pytest.approx(propagated(
+            [2 * np.concatenate([x_c, x_q])],
+            [m.sigma_i_tilde_q for m in ms_c] + [m.sigma_i_tilde_d for m in ms_q])[0], rel=1e-10)
+        assert est.sigma_a04 == pytest.approx(
+            propagated([12 * x_q**2], [m.sigma_i_tilde_q for m in ms_q])[0], rel=1e-10)
+
+
 class TestPredictRipple:
     def test_linear_limit(self):
         p = MotorParams(R=10.0, Ld=0.1, Lq=0.05)
@@ -355,17 +404,15 @@ class TestEndToEnd:
             assert np.max(np.abs(phi - np.stack([tr.phi_d, tr.phi_q]))) <= 5e-6
 
     def test_trace_not_at_rest_refused(self, ipm):
-        # a run started from nonzero flux breaks phi(0) = 0, on which the
-        # flux integration rests: refused by name, not silently integrated
+        # a record that starts one period into its run breaks phi(0) = 0, on
+        # which the flux integration rests: refused by name, not silently
+        # integrated
         plan = ipm_plan(id_grid=(-1.0, 0.5, 1.0), iq_grid=(-1.0, 0.5, 1.0))
         runs = plan_runs(plan, ipm.R)
         traces = simulate_plan(ipm, runs, measure_periods=10,
                                noise_amp=0.010, seed=3)
         measure_traces(runs, traces)
-        spec = runs[3].spec
-        cfg = SimConfig(dt=spec.period / 200, t_end=float(traces[3].t[-1]),
-                        initial_flux=FluxLinkage(0.02, 0.0), noise_amp=0.010)
-        traces[3] = simulate(ipm, spec, cfg, seed=3)
+        traces[3] = Trace(*(getattr(traces[3], f.name)[200:] for f in dataclasses.fields(Trace)))
         with pytest.raises(NotAtRest, match=r"run 3 \(d_sweep, \+0\.500 A\)"):
             measure_traces(runs, traces)
         with pytest.raises(NotAtRest, match="bench_03.csv"):

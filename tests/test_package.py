@@ -32,3 +32,65 @@ def test_public_definitions_are_used():
     dead = sorted(f"{module}:{name}" for name, module in defined.items()
                   if name not in satpmsm.__all__ and name not in used)
     assert dead == []
+
+
+def _name(expr):
+    """The name a call expression refers to: f for f(...) and m.f(...)."""
+    return expr.id if isinstance(expr, ast.Name) else getattr(expr, "attr", None)
+
+
+def _passed(paths):
+    """By called name: the keywords some call passes, and the most positional
+    arguments any call passes. `checked(where, factory, *args, **kwargs)`
+    counts as a call of factory; a keyword of `dataclasses.replace` counts
+    under the name "replace", for every dataclass field of that name."""
+    passed = {}
+    for path in paths:
+        for call in (n for n in ast.walk(ast.parse(path.read_text())) if isinstance(n, ast.Call)):
+            name, args = _name(call.func), call.args
+            if name == "checked" and len(args) >= 2:
+                name, args = _name(args[1]), args[2:]
+            keywords, n_pos = passed.get(name, (set(), 0))
+            passed[name] = (keywords | {k.arg for k in call.keywords if k.arg is not None},
+                            max(n_pos, sum(not isinstance(a, ast.Starred) for a in args)))
+    return passed
+
+
+def _options(tree):
+    """(name, defaulted parameters or fields, parameters or fields in
+    positional order, whether a dataclass) of each public top-level function
+    and dataclass of one module."""
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+            a = node.args
+            positional = [p.arg for p in a.posonlyargs + a.args]
+            defaulted = positional[len(positional) - len(a.defaults):] + [
+                p.arg for p, d in zip(a.kwonlyargs, a.kw_defaults) if d is not None]
+            yield node.name, defaulted, positional, False
+        elif (isinstance(node, ast.ClassDef) and not node.name.startswith("_")
+              and any("dataclass" in ast.unparse(d) for d in node.decorator_list)):
+            fields = [f for f in node.body if isinstance(f, ast.AnnAssign) and isinstance(f.target, ast.Name)]
+            yield (node.name, [f.target.id for f in fields if f.value is not None],
+                   [f.target.id for f in fields], True)
+
+
+def test_every_option_is_set_by_a_caller():
+    # every defaulted parameter of a public function and every defaulted
+    # field of a public dataclass is passed by some call in the package, or
+    # by the tests where no package code calls it: an option no caller sets
+    # keeps a code path that never runs. cli.main(argv) is the console
+    # entry point
+    src = Path(satpmsm.__file__).parent
+    in_src = _passed(sorted(src.glob("*.py")))
+    in_tests = _passed(sorted(Path(__file__).parent.glob("*.py")))
+    unset = []
+    for path in sorted(src.glob("*.py")):
+        for name, defaulted, positional, is_dataclass in _options(ast.parse(path.read_text())):
+            if (path.stem, name) == ("cli", "main"):
+                continue
+            keywords, n_pos = in_src.get(name) or in_tests.get(name, (set(), 0))
+            if is_dataclass:
+                keywords = keywords | in_src.get("replace", (set(), 0))[0]
+            given = keywords | set(positional[:n_pos])
+            unset += [f"{path.stem}.{name}({p})" for p in defaulted if p not in given]
+    assert unset == []

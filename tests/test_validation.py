@@ -183,7 +183,7 @@ class TestStepResponse:
         assert np.max(np.abs(r.saturated.i_d - fine.i_d)) <= 1e-8 * scale
 
     def test_csv(self, ipm, tmp_path):
-        r, = step_response(ipm, [10.0], 0.01, n_samples=100)
+        r, = step_response(ipm, [10.0], 0.01)
         path = tmp_path / "step.csv"
         r.write_csv(path)
         assert path.read_text().splitlines()[0] == "t,i_sat,i_lin"
@@ -219,6 +219,16 @@ class TestFluxIntegration:
         r = flux_by_integration(tr, ipm)
         # exact inversion of noise-free currents recovers the true state flux
         assert float(np.max(np.abs(r.phi_d_model - tr.phi_d))) < 1e-9
+
+    def test_model_column_past_the_fold(self, spm):
+        # the harshest shipped SPM step (R times the 8 A sweep limit over 12
+        # time constants): at i_d = 4.2 A the first-order seed of
+        # `flux_from_currents_exact` lands at -0.67 Wb, past the fold of the
+        # d-axis curve at -0.27 Wb, and its line search stalls; seeded at the
+        # integrated flux, the model column follows the state
+        r, = step_response(spm, [spm.R * 8.0], 12.0 * spm.Ld / spm.R)
+        flux = flux_by_integration(r.saturated, spm)
+        assert float(np.max(np.abs(flux.phi_d_model - r.saturated.phi_d))) <= 1e-9
 
     def test_noise_drift_within_worst_case_bound(self, ipm):
         spec = InjectionSpec(6.0, 0.0, 20.0, 0.0, OMEGA, Waveform.sine())
