@@ -14,6 +14,7 @@ from pathlib import Path
 
 from .estimator import ExperimentPlan
 from .magnetics import MotorParams
+from .simulator import MIN_WHOLE_PERIODS
 from .textio import ConfigError, checked, get_float, get_floats, get_int, parse_sections, waveform_from_name
 
 
@@ -122,8 +123,8 @@ def load_config(path) -> ProjectConfig:
         raise ConfigError(f"{where}: noise_mA must be >= 0")
     if steps_per_period < 50 or steps_per_period % 2:
         raise ConfigError(f"{where}: steps_per_period must be even and >= 50")
-    if measure_periods < 2:
-        raise ConfigError(f"{where}: measure_periods must be >= 2")
+    if measure_periods < MIN_WHOLE_PERIODS:
+        raise ConfigError(f"{where}: measure_periods must be >= {MIN_WHOLE_PERIODS}")
 
     paths = sections.get("paths", {})
     out_dir = Path(paths["out_dir"]) if "out_dir" in paths else Path("out")

@@ -292,11 +292,6 @@ def estimate_from_records(records: Sequence[RunRecord], nominal: MotorParams) ->
         by_role[rec.run.role].append(rec)
     if not by_role[ROLE_LD] or not by_role[ROLE_LQ]:
         raise ValueError("plan must include both zero-bias runs")
-    rec_d, rec_q = by_role[ROLE_LD][0], by_role[ROLE_LQ][0]
-    meas_d = extract_ripple(rec_d.trace, rec_d.run.spec, 0.0)
-    _checked_ripple(meas_d.i_tilde_d, meas_d.sigma_i_tilde_d, "d-axis zero-bias run")
-    meas_q = extract_ripple(rec_q.trace, rec_q.run.spec, 0.0)
-    _checked_ripple(meas_q.i_tilde_q, meas_q.sigma_i_tilde_q, "q-axis zero-bias run")
     if len({r.run.i_target for r in by_role[ROLE_D_SWEEP]}) < 3:
         raise RankDeficient("d-axis sweep needs >= 3 distinct bias currents")
     if len({r.run.i_target for r in by_role[ROLE_CROSS_D_INJ] + by_role[ROLE_CROSS_Q_INJ]}) < 3:
@@ -343,22 +338,30 @@ def measure_traces(runs: Sequence[PlanRun], traces: Sequence[Trace],
     hence zero flux), because the estimator rebuilds the flux by integrating
     from the first sample: a first current sample beyond five times its
     channel's noise RMS (`_noise_rms`, which the transient from rest does not
-    inflate) raises NotAtRest, naming the trace by `names` or by its run.
+    inflate) raises NotAtRest. Every zero-bias run must show a ripple on its
+    injected axis, fitted over the whole record by `extract_ripple`, or
+    ZeroRipple is raised. Both refusals name the trace by `names` or by its
+    run.
     """
     if len(runs) != len(traces):
         raise ValueError("one trace per planned run required")
     records = []
     for k, (run, trace) in enumerate(zip(runs, traces)):
         period_blocks(trace, run.spec)
+        name = names[k] if names is not None else f"run {k} ({run.role}, {run.i_target:+.3f} A)"
         for axis, i in (("d", trace.i_d), ("q", trace.i_q)):
             floor = _noise_rms(i)
             if abs(i[0]) > max(_AT_REST_FACTOR * floor, _ZERO_RIPPLE_FLOOR):
-                name = names[k] if names is not None else (
-                    f"run {k} ({run.role}, {run.i_target:+.3f} A)")
                 raise NotAtRest(
                     f"{name}: first i_{axis} sample {i[0]:.3g} A exceeds "
                     f"{_AT_REST_FACTOR:g}x the noise RMS {floor:.3g} A; "
                     "traces must start de-energized")
+        if run.role in (ROLE_LD, ROLE_LQ):
+            meas = extract_ripple(trace, run.spec, 0.0)
+            if run.role == ROLE_LD:
+                _checked_ripple(meas.i_tilde_d, meas.sigma_i_tilde_d, f"{name}: d-axis zero-bias run")
+            else:
+                _checked_ripple(meas.i_tilde_q, meas.sigma_i_tilde_q, f"{name}: q-axis zero-bias run")
         records.append(RunRecord(run, trace))
     return records
 
@@ -367,17 +370,15 @@ def simulate_plan(motor: MotorParams, runs: Sequence[PlanRun], *,
                   steps_per_period: int = 200, measure_periods: int = 40,
                   noise_amp: float = 0.0, seed: int = 0) -> list[Trace]:
     """Simulate all planned runs from rest as one lockstep batch over
-    `measure_periods` injection periods, each of `steps_per_period` steps."""
+    `measure_periods` injection periods, each of `steps_per_period` steps,
+    and measure them: run k's currents get uniform noise in [-noise_amp,
+    +noise_amp] drawn from seed + k (`Trace.with_noise`)."""
     if not runs:
         return []
     period = runs[0].spec.period
-    cfg = SimConfig(
-        dt=period / steps_per_period,
-        t_end=measure_periods * period,
-        noise_amp=noise_amp,
-    )
-    seeds = [seed + k for k in range(len(runs))]
-    return simulate_batch(motor, [r.spec for r in runs], cfg, seeds)
+    cfg = SimConfig(dt=period / steps_per_period, t_end=measure_periods * period)
+    traces = simulate_batch(motor, [r.spec for r in runs], cfg)
+    return [tr.with_noise(noise_amp, seed + k) for k, tr in enumerate(traces)]
 
 
 def run_identification(motor: MotorParams, plan: ExperimentPlan, *,

@@ -111,8 +111,9 @@ def energy(p: MotorParams, f: FluxLinkage) -> float:
     """Magnetic potential H(phi_d, phi_q); H(0,0) = 0.
 
     Quadratic part phi_d^2/(2 Ld) + phi_q^2/(2 Lq) plus the five saturation
-    monomials. Only its gradient is physical; the absolute scale is exposed
-    for testing.
+    monomials. Only its gradient is physical. No code of the package calls
+    it: it stays as the definition of the model that acceptance criterion 4
+    checks the current map against.
     """
     fd, fq = f.phi_d, f.phi_q
     fd2, fq2 = fd * fd, fq * fq
@@ -174,7 +175,9 @@ def _currents(p: MotorParams, fd, fq):
 
 
 def currents_from_flux(p: MotorParams, f: FluxLinkage) -> Currents:
-    """Currents as the gradient of `energy` (the magnetization curves)."""
+    """Currents as the gradient of `energy` (the magnetization curves), at
+    one flux pair. The package evaluates the same map on arrays; this scalar
+    form stays for acceptance criterion 4, which checks it against `energy`."""
     return Currents(*_currents(p, f.phi_d, f.phi_q))
 
 

@@ -113,18 +113,18 @@ class FluxIntegrationResult:
 
 
 def flux_by_integration(trace: Trace, p: MotorParams) -> FluxIntegrationResult:
-    """Reconstruct phi(t) = phi(0) + integral(u - R i) dt on both axes by
-    the trapezoidal rule and pair phi_d with the concurrent current.
+    """Reconstruct phi(t) = integral(u - R i) dt on both axes by the
+    trapezoidal rule and pair phi_d with the concurrent current. The trace
+    must start de-energized (zero flux), as every step response does.
 
     The model column re-derives the flux from the measured current pair by
     Newton inversion of the model to 1e-10 A, seeded at each sample's
     integrated flux: the record says on which side of a fold of the d-axis
     curve the motor sits, where the first-order seed of
-    `flux_from_currents_exact` can land past it. Starts from the trace's flux
-    channels when present, else from zero (de-energized motor).
+    `flux_from_currents_exact` can land past it.
     """
-    phi = [(float(ch[0]) if ch is not None else 0.0) + cumulative_trapezoid(trace.t, u - p.R * i)
-           for ch, u, i in ((trace.phi_d, trace.u_d, trace.i_d), (trace.phi_q, trace.u_q, trace.i_q))]
+    phi = [cumulative_trapezoid(trace.t, u - p.R * i)
+           for u, i in ((trace.u_d, trace.i_d), (trace.u_q, trace.i_q))]
     model = np.array([
         _invert(p, Currents(float(i_d), float(i_q)), float(fd), float(fq), 1e-10).phi_d
         for i_d, i_q, fd, fq in zip(trace.i_d, trace.i_q, *phi)

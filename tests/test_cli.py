@@ -220,11 +220,10 @@ class TestEstimateCommand:
             err = capsys.readouterr().err
             assert victim.name in err and message in err
 
-    def test_mixed_manifest_estimated(self, cfg_path, capsys):
-        # one manifest joining a 500 Hz / 30 V plan and a 1 kHz / 20 V plan:
-        # each run is scaled by its own drive, so the union estimates as well
-        # as either plan alone (a single shared scale would be 3x off for half
-        # of the runs)
+    @staticmethod
+    def mixed_manifest(cfg_path):
+        """One manifest joining a 500 Hz / 30 V plan (traces under slow/) and
+        a 1 kHz / 20 V plan (under fast/)."""
         base = cfg_path.parent
         fast = base / "fast.cfg"
         fast.write_text(IPM_CFG.replace("omega_Hz = 500", "omega_Hz = 1000").replace(
@@ -235,14 +234,36 @@ class TestEstimateCommand:
             text = (base / name / "manifest.txt").read_text()
             blocks.append(text.replace("trace = traces/", f"trace = {name}/traces/"))
         (base / "mixed.txt").write_text("".join(blocks))
+        return base / "mixed.txt"
+
+    def test_mixed_manifest_estimated(self, cfg_path, capsys):
+        # each run is scaled by its own drive, so the union of two plans
+        # estimates as well as either plan alone (a single shared scale would
+        # be 3x off for half of the runs)
+        base = cfg_path.parent
         assert main(["estimate", "--config", str(cfg_path), "--out", str(base / "est"),
-                     "--ingest", str(base / "mixed.txt")]) == 0
+                     "--ingest", str(self.mixed_manifest(cfg_path))]) == 0
         assert "ingested 28 traces" in capsys.readouterr().out
         got = oracles.read_report(base / "est" / "report.txt")["parameters"]
         for key, want in (("Ld_mH", 91.9), ("Lq_mH", 45.8), ("a30_AperWb2", 7.70),
                           ("a12_AperWb2", 5.35), ("a40_AperWb3", 19.42),
                           ("a22_AperWb3", 22.18), ("a04_AperWb3", 6.62)):
             assert got[key] == pytest.approx(want, rel=0.03), key
+
+    def test_dead_second_zero_bias_run_refused(self, cfg_path, capsys):
+        # every zero-bias run must show its ripple, not only the first of its
+        # axis: the second plan's d run with a current of noise alone is a
+        # numerical failure naming its file
+        manifest = self.mixed_manifest(cfg_path)
+        victim = next((cfg_path.parent / "fast" / "traces").glob("000_ld_*.csv"))
+        tr = Trace.from_csv(victim)
+        noise = np.random.default_rng(1).uniform(-0.010, 0.010, len(tr.t))
+        dataclasses.replace(tr, i_d=noise).to_csv(victim)
+        code = main(["estimate", "--config", str(cfg_path), "--out", str(cfg_path.parent / "est"),
+                     "--ingest", str(manifest)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "ZeroRipple" in err and f"fast/traces/{victim.name}: d-axis zero-bias run" in err
 
     def test_trace_not_at_rest_exit_code(self, cfg_path, capsys):
         # an ingested trace that starts one period into its run cannot have

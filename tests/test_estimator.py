@@ -14,7 +14,6 @@ from satpmsm.estimator import (
     EstimationResult,
     ExperimentPlan,
     NotAtRest,
-    RunRecord,
     ZeroRipple,
     estimate_cross,
     estimate_d_axis,
@@ -377,9 +376,9 @@ class TestEndToEnd:
         with pytest.raises(RankDeficient, match="d-axis"):
             estimate_from_records(records, ipm)
         silent = dataclasses.replace(traces[0], i_d=np.zeros_like(traces[0].i_d))
-        records[0] = RunRecord(runs[0], silent.with_noise(0.010, seed=1))
-        with pytest.raises(ZeroRipple, match="d-axis zero-bias"):
-            estimate_from_records(records, ipm)
+        traces[0] = silent.with_noise(0.010, seed=1)
+        with pytest.raises(ZeroRipple, match=r"run 0 \(ld, \+0\.000 A\): d-axis zero-bias"):
+            measure_traces(runs, traces)
 
     def test_reads_no_flux_channel(self, ipm):
         # the flux is rebuilt from t, u and i alone: dropping the flux

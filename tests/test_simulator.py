@@ -29,16 +29,6 @@ class TestConfig:
             SimConfig(dt=0.0, t_end=1.0)
         with pytest.raises(ValueError):
             SimConfig(dt=1e-5, t_end=0.0)
-        with pytest.raises(ValueError):
-            SimConfig(dt=1e-5, t_end=1.0, noise_amp=-1.0)
-        with pytest.raises(ValueError):
-            SimConfig(dt=1e-5, t_end=1.0, sample_period=5e-6)
-
-    def test_sample_stride(self):
-        assert SimConfig(dt=1e-5, t_end=1.0).sample_stride() == 1
-        assert SimConfig(dt=1e-5, t_end=1.0, sample_period=4e-5).sample_stride() == 4
-        with pytest.raises(ValueError):
-            SimConfig(dt=1e-5, t_end=1.0, sample_period=2.5e-5).sample_stride()
 
     def test_step_too_large(self, ipm):
         spec = square_spec(u_tilde_d=10.0)
@@ -59,10 +49,9 @@ class TestAgainstLinearAnalytic:
         p = MotorParams(R=10.0, Ld=0.1, Lq=0.05)
         spec = square_spec(u_bar_d=1.0)
         dt = spec.period / 200
-        cfg = SimConfig(dt=dt, t_end=0.05, sample_period=10 * dt)
-        tr = simulate(p, spec, cfg)
+        tr = simulate(p, spec, SimConfig(dt=dt, t_end=0.05))
         scale = 1.0 / p.R
-        for t, i in zip(tr.t, tr.i_d):
+        for t, i in zip(tr.t[::10], tr.i_d[::10]):
             want = oracles.rl_step_current(1.0, p.R, p.Ld, t)
             assert abs(i - want) <= 1e-6 * scale
         assert np.all(tr.i_q == 0.0)
@@ -96,14 +85,19 @@ class TestSymmetryAndDeterminism:
 
     def test_same_seed_reproduces(self, ipm):
         spec = square_spec(u_tilde_d=20.0)
-        cfg = SimConfig(dt=spec.period / 200, t_end=0.02, noise_amp=0.01)
-        a = simulate(ipm, spec, cfg, seed=42)
-        b = simulate(ipm, spec, cfg, seed=42)
-        c = simulate(ipm, spec, cfg, seed=43)
+        clean = simulate(ipm, spec, SimConfig(dt=spec.period / 200, t_end=0.02))
+        a, b, c = (clean.with_noise(0.01, seed) for seed in (42, 42, 43))
         assert np.array_equal(a.i_d, b.i_d)
         assert not np.array_equal(a.i_d, c.i_d)
         # noise never touches the state channels
         assert np.array_equal(a.phi_d, c.phi_d)
+
+    def test_with_noise_refuses_negative_amplitude(self, ipm):
+        spec = square_spec(u_tilde_d=20.0)
+        clean = simulate(ipm, spec, SimConfig(dt=spec.period / 200, t_end=0.002))
+        assert clean.with_noise(0.0, 1) is clean
+        with pytest.raises(ValueError, match="noise amplitude must be >= 0"):
+            clean.with_noise(-0.01, 1)
 
     def test_batch_matches_single(self, ipm):
         s1 = square_spec(u_bar_d=2.0, u_tilde_d=20.0)
@@ -183,13 +177,11 @@ class TestNumericalQuality:
     def test_step_halving_sine(self, ipm):
         spec = InjectionSpec(5.0, 0.0, 20.0, 10.0, OMEGA_500, Waveform.sine())
         dt = spec.period / 200
-        cfg1 = SimConfig(dt=dt, t_end=0.02, sample_period=dt)
-        cfg2 = SimConfig(dt=dt / 2, t_end=0.02, sample_period=dt)
-        a = simulate(ipm, spec, cfg1)
-        b = simulate(ipm, spec, cfg2)
+        a = simulate(ipm, spec, SimConfig(dt=dt, t_end=0.02))
+        b = simulate(ipm, spec, SimConfig(dt=dt / 2, t_end=0.02))
         scale = float(np.max(np.abs(a.i_d)))
-        assert np.max(np.abs(a.i_d - b.i_d)) <= 1e-8 * scale
-        assert np.max(np.abs(a.i_q - b.i_q)) <= 1e-8 * scale
+        assert np.max(np.abs(a.i_d - b.i_d[::2])) <= 1e-8 * scale
+        assert np.max(np.abs(a.i_q - b.i_q[::2])) <= 1e-8 * scale
 
     def test_dissipation_monotone(self, ipm, spm):
         # under a constant drive u the averaged system dissipates
@@ -262,8 +254,8 @@ class TestAveragedSystem:
 class TestTraceCsv:
     def test_round_trip_bitwise(self, ipm, tmp_path):
         spec = square_spec(u_bar_d=2.0, u_tilde_d=25.0)
-        cfg = SimConfig(dt=spec.period / 200, t_end=0.01, noise_amp=0.01)
-        tr = simulate(ipm, spec, cfg, seed=7)
+        cfg = SimConfig(dt=spec.period / 200, t_end=0.01)
+        tr = simulate(ipm, spec, cfg).with_noise(0.01, 7)
         path = tmp_path / "run.csv"
         tr.to_csv(path)
         back = Trace.from_csv(path)

@@ -177,10 +177,10 @@ class TestStepResponse:
         u, t_end = spm.R * 8.0, 12.0 * spm.Ld / spm.R
         r, = step_response(spm, [u], t_end)
         dt = t_end / 2000
-        fine, = simulate_averaged([spm], [(u, 0.0)], SimConfig(dt=dt / 50, t_end=t_end, sample_period=dt))
-        assert len(fine.t) == len(r.saturated.t)
+        fine, = simulate_averaged([spm], [(u, 0.0)], SimConfig(dt=dt / 50, t_end=t_end))
+        assert len(fine.t[::50]) == len(r.saturated.t)
         scale = float(np.max(np.abs(fine.i_d)))
-        assert np.max(np.abs(r.saturated.i_d - fine.i_d)) <= 1e-8 * scale
+        assert np.max(np.abs(r.saturated.i_d - fine.i_d[::50])) <= 1e-8 * scale
 
     def test_csv(self, ipm, tmp_path):
         r, = step_response(ipm, [10.0], 0.01)
