@@ -369,7 +369,7 @@ def measure_traces(runs: Sequence[PlanRun], traces: Sequence[Trace],
 def simulate_plan(motor: MotorParams, runs: Sequence[PlanRun], *,
                   steps_per_period: int = 200, measure_periods: int = 40,
                   noise_amp: float = 0.0, seed: int = 0) -> list[Trace]:
-    """Simulate all planned runs from rest as one lockstep batch over
+    """Simulate all planned runs from rest as one batch (`simulate_batch`) over
     `measure_periods` injection periods, each of `steps_per_period` steps,
     and measure them: run k's currents get uniform noise in [-noise_amp,
     +noise_amp] drawn from seed + k (`Trace.with_noise`)."""

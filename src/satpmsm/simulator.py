@@ -2,12 +2,14 @@
 
 State is the flux-linkage pair, stacked as one (2, n) array over a batch of
 n runs; the drive is a pulsating d-q voltage. The integrator is classic RK4.
-For square-wave injection the step grid is required to align with the
-switching instants (dt divides the half-period) and each step evaluates the
-voltage one-sidedly, so every step integrates a smooth piece and the nominal
-RK4 order survives the discontinuities. The rotor is locked: no speed
-couples the axes. A batch starts at rest or, in `simulate_periodic`, each run
-on its own periodic steady state. Every step is one sample.
+The step grid must divide the injection period, and for square-wave
+injection align with the switching instants (dt divides the half-period);
+each step evaluates the voltage one-sidedly, so every step integrates a
+smooth piece and the nominal RK4 order survives the discontinuities. The
+rotor is locked: no speed couples the axes. A batch starts at rest, its
+periods integrated side by side by parareal (`simulate_batch`), or, in
+`simulate_periodic`, each run on its own periodic steady state. Both rest
+on one period map, `_rk4` from per-lane starts. Every step is one sample.
 
 The simulator stands in for the motor, not for the sensors: measurement
 noise is added afterwards, by `estimator.simulate_plan` through
@@ -37,6 +39,9 @@ MIN_WHOLE_PERIODS = 2
 _SHOOT_MAX_ITER = 50     # Newton steps of `simulate_periodic`
 _SHOOT_TOL = 1e-12       # one-period flux residual per axis [Wb]
 _SHOOT_FD_STEP = 1e-6    # finite-difference step of the shooting Jacobian [Wb]
+
+_PARAREAL_COARSE_STEPS = 10  # RK4 steps per period of the coarse propagator; even
+_PARAREAL_TOL = 1e-13        # largest move of a done run's period starts [Wb]
 
 
 def _write_columns(path, header: str, *columns) -> None:
@@ -153,17 +158,19 @@ def _check_step(spec: InjectionSpec, cfg: SimConfig) -> None:
     if cfg.dt > period / 50.0:
         raise StepTooLarge(
             f"dt={cfg.dt:.3g}s exceeds 1/50 of the injection period {period:.3g}s")
-    if spec.waveform.kind == "square":
-        half = period / 2.0
-        steps = half / cfg.dt
-        if abs(steps - round(steps)) > 1e-6:
-            raise ValueError(
-                "square-wave switching instants must fall on step boundaries: "
-                f"half-period {half:.6g}s is not an integer multiple of dt={cfg.dt:.6g}s")
+    # every period is the same step sequence (`simulate_batch` integrates the
+    # periods side by side); a square wave also switches on step boundaries
+    span, what = (period / 2.0, "half-period") if spec.waveform.kind == "square" else (period, "period")
+    steps = span / cfg.dt
+    if abs(steps - round(steps)) > 1e-6:
+        raise ValueError(
+            f"the injection {what} {span:.6g}s is not an integer multiple of dt={cfg.dt:.6g}s"
+            + (": square-wave switching instants must fall on step boundaries"
+               if spec.waveform.kind == "square" else ""))
 
 
 def _waveform_arrays(spec: InjectionSpec, dt: float, n_steps: int) -> tuple[np.ndarray, ...]:
-    """The waveform values f0, fmid, f1 that `_batch_rk4` takes for n_steps
+    """The waveform values f0, fmid, f1 that `_rk4` takes for n_steps
     steps of dt from t = 0 under `spec`'s drive."""
     w, omega = spec.waveform, spec.omega
     if w.kind == "square":
@@ -191,36 +198,36 @@ def _stacked_drive(specs: Sequence[InjectionSpec], cfg: SimConfig) -> tuple[np.n
             np.array([[s.u_tilde_d for s in specs], [s.u_tilde_q for s in specs]]))
 
 
-def _batch_rk4(motors: Sequence[MotorParams], dt: float, X0: np.ndarray, u_bar: np.ndarray,
-               u_tilde: np.ndarray, f0: np.ndarray, fmid: np.ndarray,
-               f1: np.ndarray) -> tuple[np.ndarray, ...]:
-    """Integrate the locked-rotor dynamics dphi/dt = u - R*i(phi) for a
-    batch of runs.
+def _lanes(motors: Sequence[MotorParams]) -> tuple[np.ndarray, np.ndarray]:
+    """The coefficient rows (5, 2, n) and the full (2, n) R of a batch of
+    lanes, lane j holding motors[j]: the motor operands of `_rk4`."""
+    return _current_rows(motors), np.array([[p.R for p in motors]] * 2)  # a broadcast R costs ~2x
 
-    Lane j is motor motors[j] started at the flux X0[:, j] and driven by
-    u = u_bar[:, j] + u_tilde[:, j] * f, with the (d, q) values stacked as
-    rows of X0, u_bar and u_tilde (2, n); each lane carries its motor's
-    coefficient rows and R; every step of dt is one sample. The
-    waveform value f of step k is taken at t_k (f0[k], right-continuous), at
-    the step midpoint (fmid[k]) and at t_{k+1} closing the step (f1[k],
-    left-sided); f0 has one more entry than there are steps, for the last
-    sample. The state X = (phi_d, phi_q) is one (2, n) array, so each RK4 line
-    serves both axes.
-    Returns t and the sampled flux, current and voltage, each (2, n, n_steps + 1).
+
+def _rk4(rows: np.ndarray, R: np.ndarray, dt: float, X0: np.ndarray, u_bar: np.ndarray,
+         u_tilde: np.ndarray, f0: np.ndarray, fmid: np.ndarray, f1: np.ndarray,
+         out: np.ndarray | None = None) -> np.ndarray:
+    """Integrate the locked-rotor dynamics dphi/dt = u - R*i(phi) for a
+    batch of lanes over len(fmid) steps of dt and return the end flux.
+
+    The state X = (phi_d, phi_q) is one (2, *lanes) array started at X0, so
+    each RK4 line serves both axes; R, u_bar, u_tilde and each of the five
+    coefficient rows have X's shape (`_lanes`), and the drive is u = u_bar +
+    u_tilde * f. The waveform value f of step k is taken at t_k (f0[k],
+    right-continuous), at the step midpoint (fmid[k]) and at t_{k+1}
+    closing the step (f1[k], left-sided). Given out (2, *lanes, steps), the
+    flux at the start of step k goes to out[..., k]; nothing else is stored.
     """
-    rows = _current_rows(motors)
-    C = tuple(rows)  # the five (2, n) rows, unpacked once
-    R = np.array([[p.R for p in motors]] * 2)  # full (2, n): a broadcast operand costs ~2x
+    C = tuple(rows)  # the five rows, unpacked once
 
     def rhs(X, U):
         return U - R * _stacked_currents(C, X)
 
     X = np.array(X0, dtype=float)  # a contiguous copy
-    n_steps = len(fmid)
-    out = np.empty((2, len(motors), n_steps + 1))
-    out[:, :, 0] = X
     h2, h6 = 0.5 * dt, dt / 6.0
-    for k, (a, m, b) in enumerate(zip(f0[:-1].tolist(), fmid.tolist(), f1.tolist()), start=1):
+    for k, (a, m, b) in enumerate(zip(f0.tolist(), fmid.tolist(), f1.tolist())):  # f0 may run one longer
+        if out is not None:
+            out[..., k] = X
         # square waves and the averaged system hold f over the step
         ua = u_bar + u_tilde * a
         um = ua if m == a else u_bar + u_tilde * m
@@ -230,10 +237,27 @@ def _batch_rk4(motors: Sequence[MotorParams], dt: float, X0: np.ndarray, u_bar: 
         k3 = rhs(X + h2 * k2, um)
         k4 = rhs(X + dt * k3, ub)
         X = X + h6 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        out[:, :, k] = X
+    return X
 
-    return (np.arange(n_steps + 1) * dt, out, _stacked_currents(rows[..., None], out),
+
+def _sampled(rows: np.ndarray, dt: float, phi: np.ndarray, u_bar: np.ndarray,
+             u_tilde: np.ndarray, f0: np.ndarray) -> tuple[np.ndarray, ...]:
+    """t, flux, current and voltage of a lane-major flux record phi
+    (2, n, samples) of the lanes with coefficient rows `rows`, driven by
+    u_bar + u_tilde * f0, one sample per step."""
+    return (np.arange(phi.shape[-1]) * dt, phi, _stacked_currents(rows[..., None], phi),
             u_bar[..., None] + u_tilde[..., None] * f0)
+
+
+def _batch_rk4(motors: Sequence[MotorParams], dt: float, X0: np.ndarray, u_bar: np.ndarray,
+               u_tilde: np.ndarray, f0: np.ndarray, fmid: np.ndarray,
+               f1: np.ndarray) -> tuple[np.ndarray, ...]:
+    """`_rk4` of lane j = motors[j] from X0[:, j], sampled at every step:
+    t and the flux, current and voltage, each (2, n, len(fmid) + 1)."""
+    rows, R = _lanes(motors)
+    out = np.empty((2, len(motors), len(fmid) + 1))
+    out[:, :, -1] = _rk4(rows, R, dt, X0, u_bar, u_tilde, f0, fmid, f1, out[:, :, :-1])
+    return _sampled(rows, dt, out, u_bar, u_tilde, f0)
 
 
 def _traces(t, phi, i, u) -> list[Trace]:
@@ -245,19 +269,82 @@ def _traces(t, phi, i, u) -> list[Trace]:
             for j in range(phi.shape[1])]
 
 
+def _parareal(p: MotorParams, spec: InjectionSpec, dt: float, n_steps: int, u_bar: np.ndarray,
+              u_tilde: np.ndarray) -> tuple[np.ndarray, int]:
+    """The flux record (2, n, n_steps + 1) of n runs of motor p from rest,
+    lane j driven by u_bar[:, j] + u_tilde[:, j] * f under `spec`'s
+    waveform, and the number of fine sweeps it took.
+
+    The P whole periods are integrated side by side by parareal (Lions,
+    Maday & Turinici, C. R. Acad. Sci. Paris 2001). The fine propagator F
+    is one period of `_rk4` at dt, the coarse G one period at
+    `_PARAREAL_COARSE_STEPS` steps. The period starts U begin at U[0] = 0,
+    U[p+1] = G(U[p]); each fine sweep runs all runs x periods as one batch,
+    lane (j, p), and writes its samples straight into the record; the
+    update is U'[p+1] = G(U'[p]) + F(U[p]) - G(U[p]). A run whose starts
+    all move by at most `_PARAREAL_TOL` is done and keeps its starts, so
+    later sweeps rewrite its samples bit for bit and every run comes out as
+    it would alone. The loop ends when every run is done, or after P
+    sweeps, which reproduce the sequential integration exactly up to
+    rounding. A trailing part period continues from the last period's end.
+    """
+    n = u_bar.shape[1]
+    spp = round(spec.period / dt)
+    P, rest = divmod(n_steps, spp)
+    phi = np.empty((2, n, n_steps + 1))
+    fine = _waveform_arrays(spec, dt, spp)
+    narrow = _lanes([p] * n)
+    end, sweeps = np.zeros((2, n)), 0
+    if P:
+        coarse_dt = spp * dt / _PARAREAL_COARSE_STEPS
+        coarse = _waveform_arrays(spec, coarse_dt, _PARAREAL_COARSE_STEPS)
+
+        def coarse_sweep(U):
+            """Add G(U[..., k]) to U[..., k + 1] in period order; return U
+            and the G values."""
+            G = np.empty((2, n, P - 1))
+            for k in range(P - 1):
+                G[..., k] = _rk4(*narrow, coarse_dt, U[..., k], u_bar, u_tilde, *coarse)
+                U[..., k + 1] += G[..., k]
+            return U, G
+
+        rows, R, u_bar_p, u_tilde_p = (np.repeat(a[..., None], P, axis=-1) for a in (*narrow, u_bar, u_tilde))
+        samples = phi[:, :, :P * spp].reshape(2, n, P, spp)  # a view: the sweeps write through it
+        U, G = coarse_sweep(np.zeros((2, n, P)))
+        done = np.zeros(n, dtype=bool)
+        for sweeps in range(1, P + 1):
+            F = _rk4(rows, R, dt, U, u_bar_p, u_tilde_p, *fine, samples)
+            if sweeps == P:
+                break
+            U_next = np.zeros((2, n, P))
+            U_next[..., 1:] = F[..., :-1] - G
+            U_next, G = coarse_sweep(U_next)
+            done |= np.all(np.abs(U_next - U) <= _PARAREAL_TOL, axis=(0, 2))  # NaN stays open
+            if done.all():
+                break
+            U = np.where(done[:, None], U, U_next)
+        end = F[..., -1]
+    if rest:
+        end = _rk4(*narrow, dt, end, u_bar, u_tilde, *(f[:rest] for f in fine), phi[:, :, P * spp:-1])
+    phi[:, :, -1] = end
+    return phi, sweeps
+
+
 def simulate_batch(p: MotorParams, specs: Sequence[InjectionSpec], cfg: SimConfig) -> list[Trace]:
     """Noise-free traces of several runs from rest that share the waveform,
     pulsation and config.
 
-    The runs advance in lockstep as one vectorized state, which is what makes
-    full identification sweeps affordable; per-run mean/ripple voltages are
-    free to differ.
+    The runs advance as one vectorized state, and so do their injection
+    periods (`_parareal`), which is what makes full identification sweeps
+    affordable; per-run mean/ripple voltages are free to differ.
     """
     if not specs:
         return []
     u_bar, u_tilde = _stacked_drive(specs, cfg)
-    return _traces(*_batch_rk4([p] * len(specs), cfg.dt, np.zeros((2, len(specs))), u_bar, u_tilde,
-                               *_waveform_arrays(specs[0], cfg.dt, int(round(cfg.t_end / cfg.dt)))))
+    n_steps = int(round(cfg.t_end / cfg.dt))
+    phi, _ = _parareal(p, specs[0], cfg.dt, n_steps, u_bar, u_tilde)
+    return _traces(*_sampled(_current_rows([p] * len(specs)), cfg.dt, phi, u_bar, u_tilde,
+                             _waveform_arrays(specs[0], cfg.dt, n_steps)[0]))
 
 
 def simulate(p: MotorParams, spec: InjectionSpec, cfg: SimConfig) -> Trace:
@@ -335,12 +422,13 @@ def simulate_periodic(p: MotorParams, specs: Sequence[InjectionSpec], *,
     phi = np.array([dataclasses.astuple(flux_from_currents_first_order(p, Currents(*i))) for i in i_bar.T]).T
     phi = phi + u_tilde * float(F_array(specs[0].waveform, 0.0)) / specs[0].omega
 
+    lanes = _lanes([p] * (3 * n))
     drive = (np.tile(u_bar, 3), np.tile(u_tilde, 3), *_waveform_arrays(specs[0], cfg.dt, steps_per_period))
     offsets = np.zeros((2, 3 * n))
     offsets[0, n:2 * n] = offsets[1, 2 * n:] = _SHOOT_FD_STEP
     with np.errstate(over="ignore", invalid="ignore"):  # a run that runs away is reported below
         for _ in range(_SHOOT_MAX_ITER):
-            end = _batch_rk4([p] * (3 * n), cfg.dt, np.tile(phi, 3) + offsets, *drive)[1][:, :, -1]
+            end = _rk4(*lanes, cfg.dt, np.tile(phi, 3) + offsets, *drive)
             r = end[:, :n] - phi
             open_ = ~np.all(np.abs(r) <= _SHOOT_TOL, axis=0)  # NaN stays open
             if not open_.any():

@@ -1,8 +1,12 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from satpmsm import simulator
+from satpmsm.config import load_config
+from satpmsm.estimator import plan_runs
 from satpmsm.injection import F_array, InjectionSpec, Waveform
 from satpmsm.magnetics import Currents, FluxLinkage, MotorParams, energy, flux_from_currents_exact
 from satpmsm.simulator import (
@@ -41,6 +45,14 @@ class TestConfig:
         cfg = SimConfig(dt=spec.period / 51, t_end=0.01)
         with pytest.raises(ValueError, match="step boundaries"):
             simulate(ipm, spec, cfg)
+
+    def test_sine_period_alignment_required(self, ipm):
+        # every period must be the same whole number of steps, whatever the
+        # waveform, because the periods are integrated side by side
+        spec = InjectionSpec(0.0, 0.0, 10.0, 0.0, OMEGA_500, Waveform.sine())
+        dt = spec.period / 200.5
+        with pytest.raises(ValueError, match=rf"period {spec.period:.6g}s .* dt={dt:.6g}s"):
+            simulate(ipm, spec, SimConfig(dt=dt, t_end=0.01))
 
 
 class TestAgainstLinearAnalytic:
@@ -126,6 +138,77 @@ class TestSymmetryAndDeterminism:
         cfg = SimConfig(dt=s1.period / 200, t_end=0.01)
         with pytest.raises(ValueError):
             simulate_batch(ipm, [s1, s2], cfg)
+
+
+def sequential_currents(p, specs, cfg):
+    """Reference: the currents (2, n, steps + 1) of the runs integrated from
+    rest one step after the other, by the same RK4 kernel."""
+    u_bar, u_tilde = simulator._stacked_drive(specs, cfg)
+    n_steps = round(cfg.t_end / cfg.dt)
+    return simulator._batch_rk4([p] * len(specs), cfg.dt, np.zeros(u_bar.shape), u_bar, u_tilde,
+                                *simulator._waveform_arrays(specs[0], cfg.dt, n_steps))[2]
+
+
+def batch_currents(traces):
+    return np.array([[tr.i_d for tr in traces], [tr.i_q for tr in traces]])
+
+
+class TestPeriodParallel:
+    """`simulate_batch` integrates the periods side by side (parareal); it
+    must reproduce the sequential integration up to rounding."""
+
+    @pytest.mark.parametrize("name", ["ipm", "spm"])
+    def test_fixture_plan_matches_sequential(self, name):
+        config = load_config(Path(__file__).resolve().parents[1] / "configs" / f"{name}.cfg")
+        specs = [r.spec for r in plan_runs(config.plan, config.motor.R)]
+        period = specs[0].period
+        cfg = SimConfig(dt=period / config.steps_per_period, t_end=config.measure_periods * period)
+        assert config.measure_periods == 25
+        want = sequential_currents(config.motor, specs, cfg)
+        got = batch_currents(simulate_batch(config.motor, specs, cfg))
+        assert np.max(np.abs(got - want)) <= 1e-12
+        # the shipped coarse step converges in two fine sweeps on both fixtures
+        u_bar, u_tilde = simulator._stacked_drive(specs, cfg)
+        _, sweeps = simulator._parareal(config.motor, specs[0], cfg.dt, want.shape[-1] - 1, u_bar, u_tilde)
+        assert sweeps <= 2
+
+    @pytest.mark.parametrize("waveform", [
+        Waveform.sine(),
+        Waveform.from_samples(np.sin(2 * math.pi * np.arange(64) / 64) + 0.3 * np.cos(6 * math.pi * np.arange(64) / 64)),
+    ], ids=["sine", "sampled"])
+    def test_continuous_drives_match_sequential(self, ipm, waveform):
+        specs = [InjectionSpec(u_d, u_q, 20.0, 10.0, OMEGA_500, waveform)
+                 for u_d, u_q in ((0.0, 0.0), (12.0, -6.0), (-20.0, 15.0))]
+        cfg = SimConfig(dt=specs[0].period / 200, t_end=12 * specs[0].period)
+        got = batch_currents(simulate_batch(ipm, specs, cfg))
+        assert np.max(np.abs(got - sequential_currents(ipm, specs, cfg))) <= 1e-12
+
+    def test_done_run_keeps_its_starts(self, ipm):
+        # at 25 Hz the runs need 3 and 4 fine sweeps; the first stops moving
+        # its period starts while the second still converges, and must come
+        # out of the batch bit for bit as it does alone
+        specs = [square_spec(u_tilde_d=30.0, omega=OMEGA_500 / 20),
+                 square_spec(u_bar_d=10.0, u_bar_q=5.0, u_tilde_d=30.0, omega=OMEGA_500 / 20)]
+        dt, n_steps = specs[0].period / 200, 10 * 200
+        u_bar, u_tilde = simulator._stacked_drive(specs, SimConfig(dt=dt, t_end=n_steps * dt))
+        alone = [simulator._parareal(ipm, specs[0], dt, n_steps, u_bar[:, j:j + 1], u_tilde[:, j:j + 1])
+                 for j in range(2)]
+        assert [sweeps for _, sweeps in alone] == [3, 4]
+        batch, sweeps = simulator._parareal(ipm, specs[0], dt, n_steps, u_bar, u_tilde)
+        assert sweeps == 4
+        for j, (phi, _) in enumerate(alone):
+            assert np.array_equal(batch[:, j], phi[:, 0])
+
+    @pytest.mark.parametrize("periods", [0.5, 1.0, 7.5])
+    def test_trailing_part_period(self, spm, periods):
+        # 7.5 periods: 7 side by side, then half a period from the 7th's end;
+        # less than two whole periods leaves nothing to run side by side
+        specs = [square_spec(u_bar_d=-8.0, u_tilde_d=30.0), square_spec(u_bar_q=10.0, u_tilde_q=25.0)]
+        cfg = SimConfig(dt=specs[0].period / 200, t_end=periods * specs[0].period)
+        traces = simulate_batch(spm, specs, cfg)
+        want = sequential_currents(spm, specs, cfg)
+        assert [len(tr.t) for tr in traces] == [round(periods * 200) + 1] * 2
+        assert np.max(np.abs(batch_currents(traces) - want)) <= 1e-12
 
 
 class TestAveragingOrder:
