@@ -7,9 +7,10 @@ injection align with the switching instants (dt divides the half-period);
 each step evaluates the voltage one-sidedly, so every step integrates a
 smooth piece and the nominal RK4 order survives the discontinuities. The
 rotor is locked: no speed couples the axes. A batch starts at rest, its
-periods integrated side by side by parareal (`simulate_batch`), or, in
-`simulate_periodic`, each run on its own periodic steady state. Both rest
-on one period map, `_rk4` from per-lane starts. Every step is one sample.
+periods integrated side by side by parareal where that pays
+(`simulate_batch`), or, in `simulate_periodic`, each run on its own
+periodic steady state. Both rest on one period map, `_rk4` from per-lane
+starts. Every step is one sample.
 
 The simulator stands in for the motor, not for the sensors: measurement
 noise is added afterwards, by `estimator.simulate_plan` through
@@ -41,7 +42,9 @@ _SHOOT_TOL = 1e-12       # one-period flux residual per axis [Wb]
 _SHOOT_FD_STEP = 1e-6    # finite-difference step of the shooting Jacobian [Wb]
 
 _PARAREAL_COARSE_STEPS = 10  # RK4 steps per period of the coarse propagator; even
+_PARAREAL_COARSE_Z = 0.1     # largest coarse step R * dt_G / min(Ld, Lq) parareal runs with
 _PARAREAL_TOL = 1e-13        # largest move of a done run's period starts [Wb]
+_PARAREAL_MAX_SWEEPS = 3     # fine sweeps before an open run finishes sequentially
 
 
 def _write_columns(path, header: str, *columns) -> None:
@@ -270,64 +273,82 @@ def _traces(t, phi, i, u) -> list[Trace]:
 
 
 def _parareal(p: MotorParams, spec: InjectionSpec, dt: float, n_steps: int, u_bar: np.ndarray,
-              u_tilde: np.ndarray) -> tuple[np.ndarray, int]:
-    """The flux record (2, n, n_steps + 1) of n runs of motor p from rest,
-    lane j driven by u_bar[:, j] + u_tilde[:, j] * f under `spec`'s
-    waveform, and the number of fine sweeps it took.
+              u_tilde: np.ndarray) -> tuple[tuple[np.ndarray, ...], int]:
+    """`_sampled` t, flux, current and voltage (2, n, n_steps + 1) of n runs
+    of motor p from rest, lane j driven by u_bar[:, j] + u_tilde[:, j] * f
+    under `spec`'s waveform, and the number of fine sweeps it took.
 
     The P whole periods are integrated side by side by parareal (Lions,
     Maday & Turinici, C. R. Acad. Sci. Paris 2001). The fine propagator F
     is one period of `_rk4` at dt, the coarse G one period at
     `_PARAREAL_COARSE_STEPS` steps. The period starts U begin at U[0] = 0,
     U[p+1] = G(U[p]); each fine sweep runs all runs x periods as one batch,
-    lane (j, p), and writes its samples straight into the record; the
-    update is U'[p+1] = G(U'[p]) + F(U[p]) - G(U[p]). A run whose starts
-    all move by at most `_PARAREAL_TOL` is done and keeps its starts, so
-    later sweeps rewrite its samples bit for bit and every run comes out as
-    it would alone. The loop ends when every run is done, or after P
-    sweeps, which reproduce the sequential integration exactly up to
-    rounding. A trailing part period continues from the last period's end.
+    lane (j, p), and writes its samples straight into the record. After
+    sweep s the first s + 1 starts are exact, U'[p+1] = F(U[p]) for p < s;
+    the others update as U'[p+1] = G(U'[p]) + F(U[p]) - G(U[p]). A run
+    whose starts all move by at most `_PARAREAL_TOL` is done and keeps its
+    starts, so later sweeps rewrite its samples bit for bit and every run
+    comes out as it would alone. After `_PARAREAL_MAX_SWEEPS` sweeps a run
+    not yet done continues sequentially from its last exact start, which no
+    coarse value entered. A trailing part period continues from the last
+    period's end.
+
+    Parareal pays only where it converges in far fewer sweeps than there
+    are periods. The record runs sequentially throughout when it holds no
+    more whole periods than the sweep cap, or when a coarse step exceeds
+    `_PARAREAL_COARSE_Z` of the motor's shortest unsaturated time constant
+    min(Ld, Lq) / R: there the coarse propagator is inaccurate or unstable.
     """
     n = u_bar.shape[1]
     spp = round(spec.period / dt)
-    P, rest = divmod(n_steps, spp)
+    P = n_steps // spp
+    rows, R = _lanes([p] * n)
+    drive = _waveform_arrays(spec, dt, n_steps)
     phi = np.empty((2, n, n_steps + 1))
+
+    def finish(lanes: np.ndarray, k0: int, X0: np.ndarray) -> None:
+        """Integrate the lanes (a mask) from X0 at step k0 to the record's end."""
+        idx = slice(None) if lanes.all() else np.flatnonzero(lanes)  # a slice writes through
+        out = phi[:, idx, k0:-1]
+        phi[:, idx, -1] = _rk4(rows[..., idx], R[:, idx], dt, X0, u_bar[:, idx], u_tilde[:, idx],
+                               *(f[k0:] for f in drive), out)
+        if isinstance(idx, np.ndarray):
+            phi[:, idx, k0:-1] = out
+
+    coarse_dt, sweeps = spec.period / _PARAREAL_COARSE_STEPS, 0
+    if P <= _PARAREAL_MAX_SWEEPS or coarse_dt * p.R / min(p.Ld, p.Lq) > _PARAREAL_COARSE_Z:
+        finish(np.ones(n, dtype=bool), 0, np.zeros((2, n)))
+        return _sampled(rows, dt, phi, u_bar, u_tilde, drive[0]), sweeps
+    coarse = _waveform_arrays(spec, coarse_dt, _PARAREAL_COARSE_STEPS)
+
+    def coarse_sweep(U, G, k0):
+        """Add G(U[..., k]) to U[..., k + 1] in period order from k0, keeping
+        the G values in G[..., k]."""
+        for k in range(k0, P - 1):
+            G[..., k] = _rk4(rows, R, coarse_dt, U[..., k], u_bar, u_tilde, *coarse)
+            U[..., k + 1] += G[..., k]
+
+    rows_p, R_p, u_bar_p, u_tilde_p = (np.repeat(a[..., None], P, axis=-1) for a in (rows, R, u_bar, u_tilde))
     fine = _waveform_arrays(spec, dt, spp)
-    narrow = _lanes([p] * n)
-    end, sweeps = np.zeros((2, n)), 0
-    if P:
-        coarse_dt = spp * dt / _PARAREAL_COARSE_STEPS
-        coarse = _waveform_arrays(spec, coarse_dt, _PARAREAL_COARSE_STEPS)
-
-        def coarse_sweep(U):
-            """Add G(U[..., k]) to U[..., k + 1] in period order; return U
-            and the G values."""
-            G = np.empty((2, n, P - 1))
-            for k in range(P - 1):
-                G[..., k] = _rk4(*narrow, coarse_dt, U[..., k], u_bar, u_tilde, *coarse)
-                U[..., k + 1] += G[..., k]
-            return U, G
-
-        rows, R, u_bar_p, u_tilde_p = (np.repeat(a[..., None], P, axis=-1) for a in (*narrow, u_bar, u_tilde))
-        samples = phi[:, :, :P * spp].reshape(2, n, P, spp)  # a view: the sweeps write through it
-        U, G = coarse_sweep(np.zeros((2, n, P)))
-        done = np.zeros(n, dtype=bool)
-        for sweeps in range(1, P + 1):
-            F = _rk4(rows, R, dt, U, u_bar_p, u_tilde_p, *fine, samples)
-            if sweeps == P:
-                break
+    samples = phi[:, :, :P * spp].reshape(2, n, P, spp)  # a view: the sweeps write through it
+    U, G = np.zeros((2, n, P)), np.empty((2, n, P - 1))
+    done = np.zeros(n, dtype=bool)
+    with np.errstate(over="ignore", invalid="ignore"):  # an unconverged start is never kept
+        coarse_sweep(U, G, 0)
+        for sweeps in range(1, _PARAREAL_MAX_SWEEPS + 1):
+            F = _rk4(rows_p, R_p, dt, U, u_bar_p, u_tilde_p, *fine, samples)
             U_next = np.zeros((2, n, P))
-            U_next[..., 1:] = F[..., :-1] - G
-            U_next, G = coarse_sweep(U_next)
+            U_next[..., 1:sweeps + 1] = F[..., :sweeps]
+            U_next[..., sweeps + 1:] = F[..., sweeps:-1] - G[..., sweeps:]
+            coarse_sweep(U_next, G, sweeps)
             done |= np.all(np.abs(U_next - U) <= _PARAREAL_TOL, axis=(0, 2))  # NaN stays open
-            if done.all():
+            if done.all() or sweeps == _PARAREAL_MAX_SWEEPS:
                 break
             U = np.where(done[:, None], U, U_next)
-        end = F[..., -1]
-    if rest:
-        end = _rk4(*narrow, dt, end, u_bar, u_tilde, *(f[:rest] for f in fine), phi[:, :, P * spp:-1])
-    phi[:, :, -1] = end
-    return phi, sweeps
+    for lanes, k in ((done, P), (~done, sweeps)):
+        if lanes.any():
+            finish(lanes, k * spp, F[:, lanes, k - 1])
+    return _sampled(rows, dt, phi, u_bar, u_tilde, drive[0]), sweeps
 
 
 def simulate_batch(p: MotorParams, specs: Sequence[InjectionSpec], cfg: SimConfig) -> list[Trace]:
@@ -341,10 +362,8 @@ def simulate_batch(p: MotorParams, specs: Sequence[InjectionSpec], cfg: SimConfi
     if not specs:
         return []
     u_bar, u_tilde = _stacked_drive(specs, cfg)
-    n_steps = int(round(cfg.t_end / cfg.dt))
-    phi, _ = _parareal(p, specs[0], cfg.dt, n_steps, u_bar, u_tilde)
-    return _traces(*_sampled(_current_rows([p] * len(specs)), cfg.dt, phi, u_bar, u_tilde,
-                             _waveform_arrays(specs[0], cfg.dt, n_steps)[0]))
+    sampled, _ = _parareal(p, specs[0], cfg.dt, int(round(cfg.t_end / cfg.dt)), u_bar, u_tilde)
+    return _traces(*sampled)
 
 
 def simulate(p: MotorParams, spec: InjectionSpec, cfg: SimConfig) -> Trace:

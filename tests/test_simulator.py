@@ -1,4 +1,5 @@
 import math
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -154,8 +155,9 @@ def batch_currents(traces):
 
 
 class TestPeriodParallel:
-    """`simulate_batch` integrates the periods side by side (parareal); it
-    must reproduce the sequential integration up to rounding."""
+    """`simulate_batch` integrates the periods side by side (parareal) where
+    that pays, and sequentially elsewhere; either way it must reproduce the
+    sequential integration up to rounding."""
 
     @pytest.mark.parametrize("name", ["ipm", "spm"])
     def test_fixture_plan_matches_sequential(self, name):
@@ -167,10 +169,11 @@ class TestPeriodParallel:
         want = sequential_currents(config.motor, specs, cfg)
         got = batch_currents(simulate_batch(config.motor, specs, cfg))
         assert np.max(np.abs(got - want)) <= 1e-12
-        # the shipped coarse step converges in two fine sweeps on both fixtures
+        # the fixtures run parareal, and the shipped coarse step converges
+        # in two fine sweeps on both
         u_bar, u_tilde = simulator._stacked_drive(specs, cfg)
         _, sweeps = simulator._parareal(config.motor, specs[0], cfg.dt, want.shape[-1] - 1, u_bar, u_tilde)
-        assert sweeps <= 2
+        assert 1 <= sweeps <= 2
 
     @pytest.mark.parametrize("waveform", [
         Waveform.sine(),
@@ -183,26 +186,60 @@ class TestPeriodParallel:
         got = batch_currents(simulate_batch(ipm, specs, cfg))
         assert np.max(np.abs(got - sequential_currents(ipm, specs, cfg))) <= 1e-12
 
-    def test_done_run_keeps_its_starts(self, ipm):
-        # at 25 Hz the runs need 3 and 4 fine sweeps; the first stops moving
-        # its period starts while the second still converges, and must come
-        # out of the batch bit for bit as it does alone
-        specs = [square_spec(u_tilde_d=30.0, omega=OMEGA_500 / 20),
-                 square_spec(u_bar_d=10.0, u_bar_q=5.0, u_tilde_d=30.0, omega=OMEGA_500 / 20)]
-        dt, n_steps = specs[0].period / 200, 10 * 200
-        u_bar, u_tilde = simulator._stacked_drive(specs, SimConfig(dt=dt, t_end=n_steps * dt))
-        alone = [simulator._parareal(ipm, specs[0], dt, n_steps, u_bar[:, j:j + 1], u_tilde[:, j:j + 1])
+    @pytest.mark.parametrize("max_sweeps, alone_sweeps", [(3, [2, 3]), (2, [2, 2])])
+    def test_run_comes_out_as_alone(self, spm, monkeypatch, max_sweeps, alone_sweeps):
+        # at 120 Hz the second run needs 3 fine sweeps, the first 2; with a
+        # cap of 2 sweeps the second finishes sequentially instead. Either
+        # way the first keeps its starts while the loop runs on, and both
+        # come out of the batch bit for bit as they do alone
+        monkeypatch.setattr(simulator, "_PARAREAL_MAX_SWEEPS", max_sweeps)
+        specs = [square_spec(u_tilde_d=30.0, omega=OMEGA_500 * 0.24),
+                 square_spec(u_bar_d=-20.0, u_bar_q=15.0, u_tilde_d=30.0, omega=OMEGA_500 * 0.24)]
+        cfg = SimConfig(dt=specs[0].period / 200, t_end=10 * specs[0].period)
+        u_bar, u_tilde = simulator._stacked_drive(specs, cfg)
+        alone = [simulator._parareal(spm, specs[0], cfg.dt, 2000, u_bar[:, j:j + 1], u_tilde[:, j:j + 1])
                  for j in range(2)]
-        assert [sweeps for _, sweeps in alone] == [3, 4]
-        batch, sweeps = simulator._parareal(ipm, specs[0], dt, n_steps, u_bar, u_tilde)
-        assert sweeps == 4
-        for j, (phi, _) in enumerate(alone):
-            assert np.array_equal(batch[:, j], phi[:, 0])
+        assert [sweeps for _, sweeps in alone] == alone_sweeps
+        (_, phi, i, _), sweeps = simulator._parareal(spm, specs[0], cfg.dt, 2000, u_bar, u_tilde)
+        assert sweeps == max(alone_sweeps)
+        for j, ((_, phi_j, _, _), _) in enumerate(alone):
+            assert np.array_equal(phi[:, j], phi_j[:, 0])
+        assert np.max(np.abs(i - sequential_currents(spm, specs, cfg))) <= 1e-12
+
+    @pytest.mark.parametrize("omega, periods", [(2 * math.pi * 5.0, 25), (OMEGA_500, 2), (OMEGA_500, 3)],
+                             ids=["5Hz", "2-periods", "3-periods"])
+    def test_sequential_where_parareal_cannot_pay(self, ipm, omega, periods):
+        # at 5 Hz a period spans 5 unsaturated time constants of the IPM
+        # motor, where a coarse step of a tenth of a period is unstable; a
+        # record of no more whole periods than the sweep cap leaves nothing
+        # to gain. Both integrate sequentially, exactly as the reference
+        specs = [square_spec(u_tilde_d=30.0, omega=omega), square_spec(u_bar_d=20.0, u_tilde_q=30.0, omega=omega)]
+        cfg = SimConfig(dt=specs[0].period / 200, t_end=periods * specs[0].period)
+        u_bar, u_tilde = simulator._stacked_drive(specs, cfg)
+        (_, _, i, _), sweeps = simulator._parareal(ipm, specs[0], cfg.dt, periods * 200, u_bar, u_tilde)
+        assert sweeps == 0
+        assert np.array_equal(i, sequential_currents(ipm, specs, cfg))
+
+    def test_diverging_coarse_propagator_stays_exact(self, ipm, monkeypatch):
+        # forced onto parareal at 5 Hz, the coarse propagator overflows: no
+        # run converges, and each finishes sequentially from its last start
+        # that no coarse value entered
+        monkeypatch.setattr(simulator, "_PARAREAL_COARSE_Z", math.inf)
+        omega = 2 * math.pi * 5.0
+        specs = [square_spec(u_tilde_d=30.0, omega=omega), square_spec(u_bar_d=20.0, u_tilde_q=30.0, omega=omega)]
+        cfg = SimConfig(dt=specs[0].period / 200, t_end=25 * specs[0].period)
+        u_bar, u_tilde = simulator._stacked_drive(specs, cfg)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            (_, _, i, _), sweeps = simulator._parareal(ipm, specs[0], cfg.dt, 5000, u_bar, u_tilde)
+        assert sweeps == simulator._PARAREAL_MAX_SWEEPS
+        assert np.all(np.isfinite(i))
+        assert np.max(np.abs(i - sequential_currents(ipm, specs, cfg))) <= 1e-12
 
     @pytest.mark.parametrize("periods", [0.5, 1.0, 7.5])
     def test_trailing_part_period(self, spm, periods):
         # 7.5 periods: 7 side by side, then half a period from the 7th's end;
-        # less than two whole periods leaves nothing to run side by side
+        # a period or less runs sequentially
         specs = [square_spec(u_bar_d=-8.0, u_tilde_d=30.0), square_spec(u_bar_q=10.0, u_tilde_q=25.0)]
         cfg = SimConfig(dt=specs[0].period / 200, t_end=periods * specs[0].period)
         traces = simulate_batch(spm, specs, cfg)
