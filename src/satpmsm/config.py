@@ -42,6 +42,21 @@ def _parse_grid(body: dict[str, str], axis: str, where: str) -> tuple[float, ...
     return ()
 
 
+# every key each section may set; any other key or section exits 1 at load
+# rather than being ignored
+_KEYS = {
+    "motor": ("R_ohm", "Ld_mH", "Lq_mH", "phi_m_Wb", "pole_pairs",
+              "a30_AperWb2", "a12_AperWb2", "a40_AperWb3", "a22_AperWb3", "a04_AperWb3"),
+    "plan": ("omega_Hz", "waveform", "u_tilde_V",
+             "id_grid_A", "id_max_A", "id_step_A", "iq_grid_A", "iq_max_A", "iq_step_A"),
+    "sim": ("steps_per_period", "measure_periods", "noise_mA"),
+    "paths": ("out_dir", "ingest"),
+    "validate": ("angle_deg", "inject_axis", "mag_grid_A", "mag_max_A", "mag_step_A",
+                 "step_volts_V", "step_t_end_s"),
+    "curves": ("curve_grid_A", "curve_max_A", "curve_step_A", "levels_A"),
+}
+
+
 @dataclasses.dataclass(frozen=True)
 class ValidationConfig:
     angle_deg: float
@@ -78,6 +93,12 @@ def load_config(path) -> ProjectConfig:
     for name, body in parse_sections(path):
         if name in sections:
             raise ConfigError(f"{path}: duplicate section [{name}]")
+        if name not in _KEYS:
+            raise ConfigError(f"{path}: unknown section [{name}] (known: {', '.join(_KEYS)})")
+        for key in body:
+            if key not in _KEYS[name]:
+                raise ConfigError(f"{path} [{name}]: {key} is not a key of [{name}] "
+                                  f"(known: {', '.join(_KEYS[name])})")
         sections[name] = body
     for required in ("motor", "plan"):
         if required not in sections:
@@ -116,9 +137,6 @@ def load_config(path) -> ProjectConfig:
     steps_per_period = get_int(sim, "steps_per_period", where) if "steps_per_period" in sim else 200
     measure_periods = get_int(sim, "measure_periods", where) if "measure_periods" in sim else 40
     noise_amp = get_float(sim, "noise_mA", where) * 1e-3 if "noise_mA" in sim else 0.0
-    if "discard_s" in sim:
-        raise ConfigError(f"{where}: discard_s is not supported: every run is measured "
-                          "from rest over measure_periods periods, with no transient discard")
     if noise_amp < 0:
         raise ConfigError(f"{where}: noise_mA must be >= 0")
     if steps_per_period < 50 or steps_per_period % 2:

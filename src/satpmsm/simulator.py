@@ -6,11 +6,12 @@ The step grid must divide the injection period, and for square-wave
 injection align with the switching instants (dt divides the half-period);
 each step evaluates the voltage one-sidedly, so every step integrates a
 smooth piece and the nominal RK4 order survives the discontinuities. The
-rotor is locked: no speed couples the axes. A batch starts at rest, its
-periods integrated side by side by parareal where that pays
-(`simulate_batch`), or, in `simulate_periodic`, each run on its own
-periodic steady state. Both rest on one period map, `_rk4` from per-lane
-starts. Every step is one sample.
+rotor is locked: no speed couples the axes. A batch starts at rest
+(`simulate_batch`, `simulate_averaged`) or, in `simulate_periodic`, each
+run on its own periodic steady state. Every sampled record comes from one
+function, `_record`: its periods integrated side by side by parareal where
+that pays, else one after the other, all by one period map, `_rk4` from
+per-lane starts. Every step is one sample.
 
 The simulator stands in for the motor, not for the sensors: measurement
 noise is added afterwards, by `estimator.simulate_plan` through
@@ -20,6 +21,7 @@ noise is added afterwards, by `estimator.simulate_plan` through
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 import warnings
 from typing import Sequence
@@ -156,18 +158,18 @@ class Trace:
             raise ValueError(f"trace CSV {path}: {exc}") from None
 
 
-def _check_step(spec: InjectionSpec, cfg: SimConfig) -> None:
+def _check_step(spec: InjectionSpec, dt: float) -> None:
     period = spec.period
-    if cfg.dt > period / 50.0:
+    if not 0 < dt <= period / 50.0:
         raise StepTooLarge(
-            f"dt={cfg.dt:.3g}s exceeds 1/50 of the injection period {period:.3g}s")
-    # every period is the same step sequence (`simulate_batch` integrates the
+            f"dt={dt:.3g}s is not positive or exceeds 1/50 of the injection period {period:.3g}s")
+    # every period is the same step sequence (`_record` integrates the
     # periods side by side); a square wave also switches on step boundaries
     span, what = (period / 2.0, "half-period") if spec.waveform.kind == "square" else (period, "period")
-    steps = span / cfg.dt
+    steps = span / dt
     if abs(steps - round(steps)) > 1e-6:
         raise ValueError(
-            f"the injection {what} {span:.6g}s is not an integer multiple of dt={cfg.dt:.6g}s"
+            f"the injection {what} {span:.6g}s is not an integer multiple of dt={dt:.6g}s"
             + (": square-wave switching instants must fall on step boundaries"
                if spec.waveform.kind == "square" else ""))
 
@@ -190,13 +192,13 @@ def _waveform_arrays(spec: InjectionSpec, dt: float, n_steps: int) -> tuple[np.n
     return f0, f_array(w, tau[:-1] + 0.5 * omega * dt), f0[1:]  # continuous: no side to pick
 
 
-def _stacked_drive(specs: Sequence[InjectionSpec], cfg: SimConfig) -> tuple[np.ndarray, np.ndarray]:
+def _stacked_drive(specs: Sequence[InjectionSpec], dt: float) -> tuple[np.ndarray, np.ndarray]:
     """u_bar and u_tilde of a batch of runs as (2, n) d and q rows; the runs
-    must share waveform and pulsation, resolved by cfg's step."""
+    must share waveform and pulsation, resolved by the step dt."""
     for s in specs:
         if s.waveform != specs[0].waveform or s.omega != specs[0].omega:
             raise ValueError("batched runs must share waveform and omega")
-        _check_step(s, cfg)
+        _check_step(s, dt)
     return (np.array([[s.u_bar_d for s in specs], [s.u_bar_q for s in specs]]),
             np.array([[s.u_tilde_d for s in specs], [s.u_tilde_q for s in specs]]))
 
@@ -243,26 +245,6 @@ def _rk4(rows: np.ndarray, R: np.ndarray, dt: float, X0: np.ndarray, u_bar: np.n
     return X
 
 
-def _sampled(rows: np.ndarray, dt: float, phi: np.ndarray, u_bar: np.ndarray,
-             u_tilde: np.ndarray, f0: np.ndarray) -> tuple[np.ndarray, ...]:
-    """t, flux, current and voltage of a lane-major flux record phi
-    (2, n, samples) of the lanes with coefficient rows `rows`, driven by
-    u_bar + u_tilde * f0, one sample per step."""
-    return (np.arange(phi.shape[-1]) * dt, phi, _stacked_currents(rows[..., None], phi),
-            u_bar[..., None] + u_tilde[..., None] * f0)
-
-
-def _batch_rk4(motors: Sequence[MotorParams], dt: float, X0: np.ndarray, u_bar: np.ndarray,
-               u_tilde: np.ndarray, f0: np.ndarray, fmid: np.ndarray,
-               f1: np.ndarray) -> tuple[np.ndarray, ...]:
-    """`_rk4` of lane j = motors[j] from X0[:, j], sampled at every step:
-    t and the flux, current and voltage, each (2, n, len(fmid) + 1)."""
-    rows, R = _lanes(motors)
-    out = np.empty((2, len(motors), len(fmid) + 1))
-    out[:, :, -1] = _rk4(rows, R, dt, X0, u_bar, u_tilde, f0, fmid, f1, out[:, :, :-1])
-    return _sampled(rows, dt, out, u_bar, u_tilde, f0)
-
-
 def _traces(t, phi, i, u) -> list[Trace]:
     """One Trace per lane of the kernel's lane-major output: read-only row
     views, all sharing one t; nothing is copied."""
@@ -272,83 +254,81 @@ def _traces(t, phi, i, u) -> list[Trace]:
             for j in range(phi.shape[1])]
 
 
-def _parareal(p: MotorParams, spec: InjectionSpec, dt: float, n_steps: int, u_bar: np.ndarray,
-              u_tilde: np.ndarray) -> tuple[tuple[np.ndarray, ...], int]:
-    """`_sampled` t, flux, current and voltage (2, n, n_steps + 1) of n runs
-    of motor p from rest, lane j driven by u_bar[:, j] + u_tilde[:, j] * f
-    under `spec`'s waveform, and the number of fine sweeps it took.
+def _record(motors: Sequence[MotorParams], dt: float, n_steps: int, spp: int, X0: np.ndarray,
+            u_bar: np.ndarray, u_tilde: np.ndarray, waveform) -> tuple[tuple[np.ndarray, ...], int]:
+    """The record t, flux, current and voltage (each (2, n, n_steps + 1),
+    t shared) of lane j = motors[j] integrated by `_rk4` over n_steps steps
+    of dt from X0[:, j], driven by u_bar[:, j] + u_tilde[:, j] * f, one sample
+    per step, and the number of fine sweeps it took. waveform(dt, k) gives
+    the f0, fmid, f1 of k steps of dt from t = 0, and the drive repeats
+    every spp steps.
 
-    The P whole periods are integrated side by side by parareal (Lions,
-    Maday & Turinici, C. R. Acad. Sci. Paris 2001). The fine propagator F
-    is one period of `_rk4` at dt, the coarse G one period at
-    `_PARAREAL_COARSE_STEPS` steps. The period starts U begin at U[0] = 0,
-    U[p+1] = G(U[p]); each fine sweep runs all runs x periods as one batch,
-    lane (j, p), and writes its samples straight into the record. After
-    sweep s the first s + 1 starts are exact, U'[p+1] = F(U[p]) for p < s;
-    the others update as U'[p+1] = G(U'[p]) + F(U[p]) - G(U[p]). A run
-    whose starts all move by at most `_PARAREAL_TOL` is done and keeps its
-    starts, so later sweeps rewrite its samples bit for bit and every run
-    comes out as it would alone. After `_PARAREAL_MAX_SWEEPS` sweeps a run
-    not yet done continues sequentially from its last exact start, which no
-    coarse value entered. A trailing part period continues from the last
-    period's end.
+    The P = n_steps // spp whole chunks of spp steps are integrated side by
+    side by parareal (Lions, Maday & Turinici, C. R. Acad. Sci. Paris 2001).
+    The fine propagator F is one chunk of `_rk4` at dt, the coarse G one
+    chunk at `_PARAREAL_COARSE_STEPS` steps. The chunk starts U begin at
+    U[0] = X0, U[p+1] = G(U[p]); each fine sweep runs all lanes x chunks as
+    one batch, lane (j, p), and writes its samples straight into the
+    record. After sweep s the first s + 1 starts are exact, U'[p+1] =
+    F(U[p]) for p < s; the others update as U'[p+1] = G(U'[p]) + F(U[p]) -
+    G(U[p]). A lane whose starts all move by at most `_PARAREAL_TOL` is done
+    and keeps its starts, so later sweeps rewrite its samples bit for bit
+    and every lane comes out as it would alone. After `_PARAREAL_MAX_SWEEPS`
+    sweeps a lane not yet done continues sequentially from its last exact
+    start, which no coarse value entered. A trailing part chunk continues
+    from the last chunk's end.
 
     Parareal pays only where it converges in far fewer sweeps than there
-    are periods. The record runs sequentially throughout when it holds no
-    more whole periods than the sweep cap, or when a coarse step exceeds
-    `_PARAREAL_COARSE_Z` of the motor's shortest unsaturated time constant
-    min(Ld, Lq) / R: there the coarse propagator is inaccurate or unstable.
+    are chunks. The record runs sequentially from X0 throughout when it
+    holds no more whole chunks than the sweep cap, or when a coarse step
+    exceeds `_PARAREAL_COARSE_Z` of some lane's shortest unsaturated time
+    constant min(Ld, Lq) / R: there the coarse propagator is inaccurate or
+    unstable.
     """
-    n = u_bar.shape[1]
-    spp = round(spec.period / dt)
-    P = n_steps // spp
-    rows, R = _lanes([p] * n)
-    drive = _waveform_arrays(spec, dt, n_steps)
+    n, P = len(motors), n_steps // spp
+    rows, R = _lanes(motors)
+    drive = waveform(dt, n_steps)
     phi = np.empty((2, n, n_steps + 1))
+    coarse_dt = spp * dt / _PARAREAL_COARSE_STEPS
+    sweeps, done, starts = 0, np.zeros(n, dtype=bool), X0[..., None]  # starts[..., k]: chunk k's exact start
+    if P > _PARAREAL_MAX_SWEEPS and all(coarse_dt * p.R / min(p.Ld, p.Lq) <= _PARAREAL_COARSE_Z for p in motors):
+        coarse = waveform(coarse_dt, _PARAREAL_COARSE_STEPS)
 
-    def finish(lanes: np.ndarray, k0: int, X0: np.ndarray) -> None:
-        """Integrate the lanes (a mask) from X0 at step k0 to the record's end."""
-        idx = slice(None) if lanes.all() else np.flatnonzero(lanes)  # a slice writes through
-        out = phi[:, idx, k0:-1]
-        phi[:, idx, -1] = _rk4(rows[..., idx], R[:, idx], dt, X0, u_bar[:, idx], u_tilde[:, idx],
-                               *(f[k0:] for f in drive), out)
-        if isinstance(idx, np.ndarray):
-            phi[:, idx, k0:-1] = out
+        def coarse_sweep(U, G, k0):
+            """Add G(U[..., k]) to U[..., k + 1] in chunk order from k0, keeping
+            the G values in G[..., k]."""
+            for k in range(k0, P - 1):
+                G[..., k] = _rk4(rows, R, coarse_dt, U[..., k], u_bar, u_tilde, *coarse)
+                U[..., k + 1] += G[..., k]
 
-    coarse_dt, sweeps = spec.period / _PARAREAL_COARSE_STEPS, 0
-    if P <= _PARAREAL_MAX_SWEEPS or coarse_dt * p.R / min(p.Ld, p.Lq) > _PARAREAL_COARSE_Z:
-        finish(np.ones(n, dtype=bool), 0, np.zeros((2, n)))
-        return _sampled(rows, dt, phi, u_bar, u_tilde, drive[0]), sweeps
-    coarse = _waveform_arrays(spec, coarse_dt, _PARAREAL_COARSE_STEPS)
-
-    def coarse_sweep(U, G, k0):
-        """Add G(U[..., k]) to U[..., k + 1] in period order from k0, keeping
-        the G values in G[..., k]."""
-        for k in range(k0, P - 1):
-            G[..., k] = _rk4(rows, R, coarse_dt, U[..., k], u_bar, u_tilde, *coarse)
-            U[..., k + 1] += G[..., k]
-
-    rows_p, R_p, u_bar_p, u_tilde_p = (np.repeat(a[..., None], P, axis=-1) for a in (rows, R, u_bar, u_tilde))
-    fine = _waveform_arrays(spec, dt, spp)
-    samples = phi[:, :, :P * spp].reshape(2, n, P, spp)  # a view: the sweeps write through it
-    U, G = np.zeros((2, n, P)), np.empty((2, n, P - 1))
-    done = np.zeros(n, dtype=bool)
-    with np.errstate(over="ignore", invalid="ignore"):  # an unconverged start is never kept
-        coarse_sweep(U, G, 0)
-        for sweeps in range(1, _PARAREAL_MAX_SWEEPS + 1):
-            F = _rk4(rows_p, R_p, dt, U, u_bar_p, u_tilde_p, *fine, samples)
-            U_next = np.zeros((2, n, P))
-            U_next[..., 1:sweeps + 1] = F[..., :sweeps]
-            U_next[..., sweeps + 1:] = F[..., sweeps:-1] - G[..., sweeps:]
-            coarse_sweep(U_next, G, sweeps)
-            done |= np.all(np.abs(U_next - U) <= _PARAREAL_TOL, axis=(0, 2))  # NaN stays open
-            if done.all() or sweeps == _PARAREAL_MAX_SWEEPS:
-                break
-            U = np.where(done[:, None], U, U_next)
+        rows_p, R_p, u_bar_p, u_tilde_p = (np.repeat(a[..., None], P, axis=-1) for a in (rows, R, u_bar, u_tilde))
+        fine = waveform(dt, spp)
+        samples = phi[:, :, :P * spp].reshape(2, n, P, spp)  # a view: the sweeps write through it
+        U, G = np.zeros((2, n, P)), np.empty((2, n, P - 1))
+        U[..., 0] = X0
+        with np.errstate(over="ignore", invalid="ignore"):  # an unconverged start is never kept
+            coarse_sweep(U, G, 0)
+            for sweeps in range(1, _PARAREAL_MAX_SWEEPS + 1):
+                F = _rk4(rows_p, R_p, dt, U, u_bar_p, u_tilde_p, *fine, samples)
+                U_next = U.copy()  # U[..., 0] = X0 stays; every later start is set below
+                U_next[..., 1:sweeps + 1] = F[..., :sweeps]
+                U_next[..., sweeps + 1:] = F[..., sweeps:-1] - G[..., sweeps:]
+                coarse_sweep(U_next, G, sweeps)
+                done |= np.all(np.abs(U_next - U) <= _PARAREAL_TOL, axis=(0, 2))  # NaN stays open
+                if done.all() or sweeps == _PARAREAL_MAX_SWEEPS:
+                    break
+                U = np.where(done[:, None], U, U_next)
+        starts = np.concatenate((starts, F), axis=-1)
     for lanes, k in ((done, P), (~done, sweeps)):
         if lanes.any():
-            finish(lanes, k * spp, F[:, lanes, k - 1])
-    return _sampled(rows, dt, phi, u_bar, u_tilde, drive[0]), sweeps
+            idx = slice(None) if lanes.all() else np.flatnonzero(lanes)  # a slice writes through
+            out = phi[:, idx, k * spp:-1]
+            phi[:, idx, -1] = _rk4(rows[..., idx], R[:, idx], dt, starts[:, idx, k], u_bar[:, idx],
+                                   u_tilde[:, idx], *(f[k * spp:] for f in drive), out)
+            if isinstance(idx, np.ndarray):
+                phi[:, idx, k * spp:-1] = out
+    return (np.arange(n_steps + 1) * dt, phi, _stacked_currents(rows[..., None], phi),
+            u_bar[..., None] + u_tilde[..., None] * drive[0]), sweeps
 
 
 def simulate_batch(p: MotorParams, specs: Sequence[InjectionSpec], cfg: SimConfig) -> list[Trace]:
@@ -356,14 +336,15 @@ def simulate_batch(p: MotorParams, specs: Sequence[InjectionSpec], cfg: SimConfi
     pulsation and config.
 
     The runs advance as one vectorized state, and so do their injection
-    periods (`_parareal`), which is what makes full identification sweeps
+    periods (`_record`), which is what makes full identification sweeps
     affordable; per-run mean/ripple voltages are free to differ.
     """
     if not specs:
         return []
-    u_bar, u_tilde = _stacked_drive(specs, cfg)
-    sampled, _ = _parareal(p, specs[0], cfg.dt, int(round(cfg.t_end / cfg.dt)), u_bar, u_tilde)
-    return _traces(*sampled)
+    u_bar, u_tilde = _stacked_drive(specs, cfg.dt)
+    return _traces(*_record([p] * len(specs), cfg.dt, int(round(cfg.t_end / cfg.dt)),
+                            round(specs[0].period / cfg.dt), np.zeros(u_bar.shape), u_bar, u_tilde,
+                            functools.partial(_waveform_arrays, specs[0]))[0])
 
 
 def simulate(p: MotorParams, spec: InjectionSpec, cfg: SimConfig) -> Trace:
@@ -385,10 +366,11 @@ def simulate_averaged(motors: Sequence[MotorParams], u_bar: Sequence[tuple[float
         raise ValueError("need one mean voltage pair per motor")
     if not motors:
         return []
-    zero = np.zeros(int(round(cfg.t_end / cfg.dt)) + 1)
+    n_steps = int(round(cfg.t_end / cfg.dt))
     u = np.array(u_bar, dtype=float).T
-    return _traces(*_batch_rk4(motors, cfg.dt, np.zeros_like(u), u, np.zeros_like(u),
-                               zero, zero[:-1], zero[1:]))
+    # a chunk longer than the record: `_record` integrates it in one sequential pass
+    return _traces(*_record(motors, cfg.dt, n_steps, n_steps + 1, np.zeros_like(u), u, np.zeros_like(u),
+                            lambda dt, k: (np.zeros(k + 1), np.zeros(k), np.zeros(k)))[0])
 
 
 def _shooting_step(phi: np.ndarray, r: np.ndarray, col_d: np.ndarray, col_q: np.ndarray) -> np.ndarray:
@@ -433,21 +415,21 @@ def simulate_periodic(p: MotorParams, specs: Sequence[InjectionSpec], *,
     """
     if not specs:
         return []
-    period = specs[0].period
-    cfg = SimConfig(dt=period / steps_per_period, t_end=MIN_WHOLE_PERIODS * period)
-    u_bar, u_tilde = _stacked_drive(specs, cfg)
+    dt = specs[0].period / steps_per_period
+    u_bar, u_tilde = _stacked_drive(specs, dt)
     n = len(specs)
     i_bar = u_bar / p.R
     phi = np.array([dataclasses.astuple(flux_from_currents_first_order(p, Currents(*i))) for i in i_bar.T]).T
     phi = phi + u_tilde * float(F_array(specs[0].waveform, 0.0)) / specs[0].omega
 
     lanes = _lanes([p] * (3 * n))
-    drive = (np.tile(u_bar, 3), np.tile(u_tilde, 3), *_waveform_arrays(specs[0], cfg.dt, steps_per_period))
+    waveform = functools.partial(_waveform_arrays, specs[0])
+    drive = (np.tile(u_bar, 3), np.tile(u_tilde, 3), *waveform(dt, steps_per_period))
     offsets = np.zeros((2, 3 * n))
     offsets[0, n:2 * n] = offsets[1, 2 * n:] = _SHOOT_FD_STEP
     with np.errstate(over="ignore", invalid="ignore"):  # a run that runs away is reported below
         for _ in range(_SHOOT_MAX_ITER):
-            end = _rk4(*lanes, cfg.dt, np.tile(phi, 3) + offsets, *drive)
+            end = _rk4(*lanes, dt, np.tile(phi, 3) + offsets, *drive)
             r = end[:, :n] - phi
             open_ = ~np.all(np.abs(r) <= _SHOOT_TOL, axis=0)  # NaN stays open
             if not open_.any():
@@ -459,5 +441,6 @@ def simulate_periodic(p: MotorParams, specs: Sequence[InjectionSpec], *,
             raise NonConvergence(
                 f"no periodic orbit within {_SHOOT_MAX_ITER} shooting steps for the run at "
                 f"i_bar = ({d:.6g}, {q:.6g}) A, |i_bar| = {math.hypot(d, q):.6g} A")
-    return _traces(*_batch_rk4([p] * n, cfg.dt, phi, u_bar, u_tilde,
-                               *_waveform_arrays(specs[0], cfg.dt, MIN_WHOLE_PERIODS * steps_per_period)))
+    # 2 chunks, no more than the sweep cap: `_record` integrates sequentially
+    return _traces(*_record([p] * n, dt, MIN_WHOLE_PERIODS * steps_per_period, steps_per_period, phi,
+                            u_bar, u_tilde, waveform)[0])

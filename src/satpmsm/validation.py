@@ -134,19 +134,18 @@ def flux_by_integration(trace: Trace, p: MotorParams) -> FluxIntegrationResult:
 
 @dataclasses.dataclass(frozen=True)
 class MagnetizationCurves:
-    """phi_d over the current grid at fixed i_q levels, and phi_q over the
-    grid (as i_q) at fixed i_d levels."""
+    """phi_d over the current grid at the levels as fixed i_q, and phi_q
+    over the grid (as i_q) at the levels as fixed i_d."""
 
     grid: np.ndarray
-    iq_levels: tuple[float, ...]
+    levels: tuple[float, ...]
     phi_d: np.ndarray  # shape (n_levels, n_grid)
-    id_levels: tuple[float, ...]
     phi_q: np.ndarray
 
     def write_csv(self, path_d, path_q) -> None:
-        _write_columns(path_d, "i_d," + ",".join(f"phi_d_at_iq_{lv:g}" for lv in self.iq_levels),
+        _write_columns(path_d, "i_d," + ",".join(f"phi_d_at_iq_{lv:g}" for lv in self.levels),
                        self.grid, *self.phi_d)
-        _write_columns(path_q, "i_q," + ",".join(f"phi_q_at_id_{lv:g}" for lv in self.id_levels),
+        _write_columns(path_q, "i_q," + ",".join(f"phi_q_at_id_{lv:g}" for lv in self.levels),
                        self.grid, *self.phi_q)
 
 
@@ -159,9 +158,8 @@ def magnetization_curves(p: MotorParams, grid: Sequence[float],
     phi_q = np.empty((len(levels), len(grid)))
     for i, lv in enumerate(levels):
         for j, x in enumerate(grid):
-            f = flux_from_currents_exact(p, Currents(float(x), float(lv)), tol=1e-12)
+            f = flux_from_currents_exact(p, Currents(float(x), float(lv)))
             phi_d[i, j] = f.phi_d
-            f = flux_from_currents_exact(p, Currents(float(lv), float(x)), tol=1e-12)
+            f = flux_from_currents_exact(p, Currents(float(lv), float(x)))
             phi_q[i, j] = f.phi_q
-    return MagnetizationCurves(grid=grid, iq_levels=tuple(levels), phi_d=phi_d,
-                               id_levels=tuple(levels), phi_q=phi_q)
+    return MagnetizationCurves(grid=grid, levels=tuple(levels), phi_d=phi_d, phi_q=phi_q)

@@ -133,6 +133,18 @@ class TestConfig:
         assert main(["estimate", "--config", str(path), "--out", str(tmp_path / "o")]) == 1
         assert "discard_s" in capsys.readouterr().err
 
+    def test_unknown_key_or_section_refused(self, tmp_path, capsys):
+        # a misspelt key or section fails at load, naming the file, the
+        # section and the key, rather than leaving the default in force
+        path = tmp_path / "typo.cfg"
+        for old, new, message in (("noise_mA = 0", "noise_ma = 10", f"{path} [sim]: noise_ma"),
+                                  ("[sim]", "[simm]", f"{path}: unknown section [simm]")):
+            path.write_text(IPM_CFG.replace(old, new))
+            with pytest.raises(ConfigError, match=re.escape(message)):
+                load_config(path)
+            assert main(["estimate", "--config", str(path), "--out", str(tmp_path / "o")]) == 1
+            assert message in capsys.readouterr().err
+
 
 class TestSimulateCommand:
     def test_writes_traces_and_manifest(self, cfg_path):

@@ -68,39 +68,55 @@ def _name(expr):
     return expr.id if isinstance(expr, ast.Name) else getattr(expr, "attr", None)
 
 
+def _callee(call):
+    """The called name and positional arguments of a call;
+    `checked(where, factory, *args, **kwargs)` counts as a call of factory."""
+    name, args = _name(call.func), call.args
+    if name == "checked" and len(args) >= 2:
+        return _name(args[1]), args[2:]
+    return name, args
+
+
 def _passed(paths):
     """By called name: the keywords some call passes, and the most positional
-    arguments any call passes. `checked(where, factory, *args, **kwargs)`
-    counts as a call of factory; a keyword of `dataclasses.replace` counts
-    under the name "replace", for every dataclass field of that name."""
+    arguments any call passes, `checked` unwrapped (`_callee`); a keyword of
+    `dataclasses.replace` counts under the name "replace", for every
+    dataclass field of that name."""
     passed = {}
     for path in paths:
         for call in (n for n in ast.walk(ast.parse(path.read_text())) if isinstance(n, ast.Call)):
-            name, args = _name(call.func), call.args
-            if name == "checked" and len(args) >= 2:
-                name, args = _name(args[1]), args[2:]
+            name, args = _callee(call)
             keywords, n_pos = passed.get(name, (set(), 0))
             passed[name] = (keywords | {k.arg for k in call.keywords if k.arg is not None},
                             max(n_pos, sum(not isinstance(a, ast.Starred) for a in args)))
     return passed
 
 
-def _options(tree):
-    """(name, defaulted parameters or fields, parameters or fields in
-    positional order, whether a dataclass) of each public top-level function
-    and dataclass of one module."""
-    for node in tree.body:
-        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+def _signatures(nodes):
+    """(name, parameters or fields in positional order, {parameter or field:
+    default expression}, whether a dataclass) of each function, method and
+    dataclass among the nodes; a method's self or cls is left out, as its
+    calls do not pass it."""
+    for node in nodes:
+        if isinstance(node, ast.FunctionDef):
             a = node.args
             positional = [p.arg for p in a.posonlyargs + a.args]
-            defaulted = positional[len(positional) - len(a.defaults):] + [
-                p.arg for p, d in zip(a.kwonlyargs, a.kw_defaults) if d is not None]
-            yield node.name, defaulted, positional, False
-        elif (isinstance(node, ast.ClassDef) and not node.name.startswith("_")
+            defaults = dict(zip(positional[len(positional) - len(a.defaults):], a.defaults))
+            defaults.update((p.arg, d) for p, d in zip(a.kwonlyargs, a.kw_defaults) if d is not None)
+            yield node.name, [p for p in positional if p not in ("self", "cls")], defaults, False
+        elif (isinstance(node, ast.ClassDef)
               and any("dataclass" in ast.unparse(d) for d in node.decorator_list)):
             fields = [f for f in node.body if isinstance(f, ast.AnnAssign) and isinstance(f.target, ast.Name)]
-            yield (node.name, [f.target.id for f in fields if f.value is not None],
-                   [f.target.id for f in fields], True)
+            yield (node.name, [f.target.id for f in fields],
+                   {f.target.id: f.value for f in fields if f.value is not None}, True)
+
+
+# options that the package's calls leave at their default and only the
+# tests set, and why each stays
+TEST_SET_OPTIONS = {
+    "magnetics.flux_from_currents_exact(tol)":
+        "the Newton tolerance: criterion 4 tightens it to 1e-13, and its validation is tested",
+}
 
 
 def test_every_option_is_set_by_a_caller():
@@ -114,12 +130,35 @@ def test_every_option_is_set_by_a_caller():
     in_tests = _passed(sorted(Path(__file__).parent.glob("*.py")))
     unset = []
     for path in sorted(src.glob("*.py")):
-        for name, defaulted, positional, is_dataclass in _options(ast.parse(path.read_text())):
-            if (path.stem, name) == ("cli", "main"):
+        for name, positional, defaults, is_dataclass in _signatures(ast.parse(path.read_text()).body):
+            if name.startswith("_") or (path.stem, name) == ("cli", "main"):
                 continue
             keywords, n_pos = in_src.get(name) or in_tests.get(name, (set(), 0))
             if is_dataclass:
                 keywords = keywords | in_src.get("replace", (set(), 0))[0]
             given = keywords | set(positional[:n_pos])
-            unset += [f"{path.stem}.{name}({p})" for p in defaulted if p not in given]
-    assert unset == []
+            unset += [f"{path.stem}.{name}({p})" for p in defaults if p not in given]
+    assert sorted(unset) == sorted(TEST_SET_OPTIONS)
+
+
+def test_no_call_repeats_a_default():
+    # no call in the package passes an expression that spells the callee's
+    # default (any function, method or dataclass of the package of that
+    # name): such an argument reads as a choice that differs from the
+    # default, and it stops following the default when that changes
+    src = Path(satpmsm.__file__).parent
+    trees = {path.name: ast.parse(path.read_text()) for path in sorted(src.glob("*.py"))}
+    signatures = {}
+    for tree in trees.values():
+        for name, positional, defaults, _ in _signatures(ast.walk(tree)):
+            signatures.setdefault(name, []).append((positional, defaults))
+    repeated = []
+    for module, tree in trees.items():
+        for call in (n for n in ast.walk(tree) if isinstance(n, ast.Call)):
+            name, args = _callee(call)
+            n_pos = next((k for k, a in enumerate(args) if isinstance(a, ast.Starred)), len(args))
+            for positional, defaults in signatures.get(name, ()):
+                passed = list(zip(positional, args[:n_pos])) + [(k.arg, k.value) for k in call.keywords]
+                repeated += [f"{module}:{call.lineno} {name}({param})" for param, value in passed
+                             if param in defaults and ast.dump(value) == ast.dump(defaults[param])]
+    assert repeated == []

@@ -1,3 +1,4 @@
+import functools
 import math
 import warnings
 from pathlib import Path
@@ -9,7 +10,8 @@ from satpmsm import simulator
 from satpmsm.config import load_config
 from satpmsm.estimator import plan_runs
 from satpmsm.injection import F_array, InjectionSpec, Waveform
-from satpmsm.magnetics import Currents, FluxLinkage, MotorParams, energy, flux_from_currents_exact
+from satpmsm.magnetics import (Currents, FluxLinkage, MotorParams, _stacked_currents, energy,
+                               flux_from_currents_exact)
 from satpmsm.simulator import (
     SimConfig,
     StepTooLarge,
@@ -144,10 +146,20 @@ class TestSymmetryAndDeterminism:
 def sequential_currents(p, specs, cfg):
     """Reference: the currents (2, n, steps + 1) of the runs integrated from
     rest one step after the other, by the same RK4 kernel."""
-    u_bar, u_tilde = simulator._stacked_drive(specs, cfg)
+    u_bar, u_tilde = simulator._stacked_drive(specs, cfg.dt)
     n_steps = round(cfg.t_end / cfg.dt)
-    return simulator._batch_rk4([p] * len(specs), cfg.dt, np.zeros(u_bar.shape), u_bar, u_tilde,
-                                *simulator._waveform_arrays(specs[0], cfg.dt, n_steps))[2]
+    rows, R = simulator._lanes([p] * len(specs))
+    phi = np.empty((2, len(specs), n_steps + 1))
+    phi[..., -1] = simulator._rk4(rows, R, cfg.dt, np.zeros(u_bar.shape), u_bar, u_tilde,
+                                  *simulator._waveform_arrays(specs[0], cfg.dt, n_steps), phi[..., :-1])
+    return _stacked_currents(rows[..., None], phi)
+
+
+def from_rest(p, spec, dt, n_steps, u_bar, u_tilde):
+    """`_record` of the runs of motor p from rest under spec's waveform, one
+    chunk per injection period, and its number of fine sweeps."""
+    return simulator._record([p] * u_bar.shape[1], dt, n_steps, round(spec.period / dt), np.zeros(u_bar.shape),
+                             u_bar, u_tilde, functools.partial(simulator._waveform_arrays, spec))
 
 
 def batch_currents(traces):
@@ -171,8 +183,8 @@ class TestPeriodParallel:
         assert np.max(np.abs(got - want)) <= 1e-12
         # the fixtures run parareal, and the shipped coarse step converges
         # in two fine sweeps on both
-        u_bar, u_tilde = simulator._stacked_drive(specs, cfg)
-        _, sweeps = simulator._parareal(config.motor, specs[0], cfg.dt, want.shape[-1] - 1, u_bar, u_tilde)
+        u_bar, u_tilde = simulator._stacked_drive(specs, cfg.dt)
+        _, sweeps = from_rest(config.motor, specs[0], cfg.dt, want.shape[-1] - 1, u_bar, u_tilde)
         assert 1 <= sweeps <= 2
 
     @pytest.mark.parametrize("waveform", [
@@ -196,11 +208,11 @@ class TestPeriodParallel:
         specs = [square_spec(u_tilde_d=30.0, omega=OMEGA_500 * 0.24),
                  square_spec(u_bar_d=-20.0, u_bar_q=15.0, u_tilde_d=30.0, omega=OMEGA_500 * 0.24)]
         cfg = SimConfig(dt=specs[0].period / 200, t_end=10 * specs[0].period)
-        u_bar, u_tilde = simulator._stacked_drive(specs, cfg)
-        alone = [simulator._parareal(spm, specs[0], cfg.dt, 2000, u_bar[:, j:j + 1], u_tilde[:, j:j + 1])
+        u_bar, u_tilde = simulator._stacked_drive(specs, cfg.dt)
+        alone = [from_rest(spm, specs[0], cfg.dt, 2000, u_bar[:, j:j + 1], u_tilde[:, j:j + 1])
                  for j in range(2)]
         assert [sweeps for _, sweeps in alone] == alone_sweeps
-        (_, phi, i, _), sweeps = simulator._parareal(spm, specs[0], cfg.dt, 2000, u_bar, u_tilde)
+        (_, phi, i, _), sweeps = from_rest(spm, specs[0], cfg.dt, 2000, u_bar, u_tilde)
         assert sweeps == max(alone_sweeps)
         for j, ((_, phi_j, _, _), _) in enumerate(alone):
             assert np.array_equal(phi[:, j], phi_j[:, 0])
@@ -215,8 +227,8 @@ class TestPeriodParallel:
         # to gain. Both integrate sequentially, exactly as the reference
         specs = [square_spec(u_tilde_d=30.0, omega=omega), square_spec(u_bar_d=20.0, u_tilde_q=30.0, omega=omega)]
         cfg = SimConfig(dt=specs[0].period / 200, t_end=periods * specs[0].period)
-        u_bar, u_tilde = simulator._stacked_drive(specs, cfg)
-        (_, _, i, _), sweeps = simulator._parareal(ipm, specs[0], cfg.dt, periods * 200, u_bar, u_tilde)
+        u_bar, u_tilde = simulator._stacked_drive(specs, cfg.dt)
+        (_, _, i, _), sweeps = from_rest(ipm, specs[0], cfg.dt, periods * 200, u_bar, u_tilde)
         assert sweeps == 0
         assert np.array_equal(i, sequential_currents(ipm, specs, cfg))
 
@@ -228,10 +240,10 @@ class TestPeriodParallel:
         omega = 2 * math.pi * 5.0
         specs = [square_spec(u_tilde_d=30.0, omega=omega), square_spec(u_bar_d=20.0, u_tilde_q=30.0, omega=omega)]
         cfg = SimConfig(dt=specs[0].period / 200, t_end=25 * specs[0].period)
-        u_bar, u_tilde = simulator._stacked_drive(specs, cfg)
+        u_bar, u_tilde = simulator._stacked_drive(specs, cfg.dt)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            (_, _, i, _), sweeps = simulator._parareal(ipm, specs[0], cfg.dt, 5000, u_bar, u_tilde)
+            (_, _, i, _), sweeps = from_rest(ipm, specs[0], cfg.dt, 5000, u_bar, u_tilde)
         assert sweeps == simulator._PARAREAL_MAX_SWEEPS
         assert np.all(np.isfinite(i))
         assert np.max(np.abs(i - sequential_currents(ipm, specs, cfg))) <= 1e-12

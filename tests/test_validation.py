@@ -296,7 +296,7 @@ class TestMagnetizationCurves:
         assert len(pq.read_text().splitlines()) == 6
         grid = np.array([0.0, 1.5])
         MagnetizationCurves(grid, (0.0, -1.5), np.array([[1 / 3, -0.0], [0.1 + 0.2, 2.5e17]]),
-                            (2.0,), np.array([[1e-300, -7.0]])).write_csv(pd, pq)
+                            np.array([[1e-300, -7.0], [2.0, 0.5]])).write_csv(pd, pq)
         assert pd.read_bytes() == (b"i_d,phi_d_at_iq_0,phi_d_at_iq_-1.5\n"
                                    b"0,0.33333333333333331,0.30000000000000004\n1.5,-0,2.5e+17\n")
-        assert pq.read_bytes() == b"i_q,phi_q_at_id_2\n0,1e-300\n1.5,-7\n"
+        assert pq.read_bytes() == b"i_q,phi_q_at_id_0,phi_q_at_id_-1.5\n0,1e-300,2\n1.5,-7,0.5\n"
