@@ -198,12 +198,18 @@ def _hessian(theta, fd, fq):
     return h_dd, h_dq, h_qq
 
 
+def _first_order(p: MotorParams, i_d, i_q):
+    """`flux_from_currents_first_order` at the currents (i_d, i_q), floats or
+    arrays."""
+    c_d, c_q = _currents(p, p.Ld * i_d, p.Lq * i_q)
+    return p.Ld * (2.0 * i_d - c_d), p.Lq * (2.0 * i_q - c_q)
+
+
 def flux_from_currents_first_order(p: MotorParams, i: Currents) -> FluxLinkage:
     """Explicit flux-from-current inversion, first order in the saturation
     coefficients: phi = L (i - g(L i)) = L (2 i - i(L i)), with g the
     saturation part of the current map (the O(|a|^2) remainder is dropped)."""
-    c_d, c_q = _currents(p, p.Ld * i.i_d, p.Lq * i.i_q)
-    return FluxLinkage(p.Ld * (2.0 * i.i_d - c_d), p.Lq * (2.0 * i.i_q - c_q))
+    return FluxLinkage(*_first_order(p, i.i_d, i.i_q))
 
 
 _NEWTON_MAX_ITER = 50
@@ -215,7 +221,8 @@ def flux_from_currents_exact(p: MotorParams, i: Currents, tol: float = 1e-12) ->
 
     Damped Newton on currents_from_flux, seeded at the first-order inversion;
     the step is halved while the current residual grows. Convergence means
-    both current components match the target within `tol` amperes.
+    both current components match the target within `tol` amperes. The
+    scalar form of `_invert`.
 
     Raises NonConvergence when the iteration stalls, which in practice means
     the target lies outside the locally invertible region of the quartic
@@ -223,41 +230,82 @@ def flux_from_currents_exact(p: MotorParams, i: Currents, tol: float = 1e-12) ->
     """
     if not tol > 0:
         raise ValueError(f"tol must be positive, got {tol}")
-    seed = flux_from_currents_first_order(p, i)
-    if not (math.isfinite(seed.phi_d) and math.isfinite(seed.phi_q)):
-        raise NonConvergence(f"first-order seed not finite for target {i}")
-    return _invert(p, i, seed.phi_d, seed.phi_q, tol)
+    fd, fq = _invert(p, np.array([i.i_d]), np.array([i.i_q]), tol)
+    return FluxLinkage(float(fd[0]), float(fq[0]))
 
 
-def _invert(p: MotorParams, i: Currents, fd: float, fq: float, tol: float) -> FluxLinkage:
-    """The damped Newton of `flux_from_currents_exact`, seeded at the flux
-    (fd, fq)."""
-    def residual(fd: float, fq: float) -> tuple[float, float]:
+@np.errstate(over="ignore", invalid="ignore")  # an element that overflows fails as it does alone
+def _invert(p: MotorParams, i_d: np.ndarray, i_q: np.ndarray, tol: float,
+            seed: tuple[np.ndarray, np.ndarray] | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """The damped Newton of `flux_from_currents_exact` for the 1-D arrays of
+    current targets (i_d[k], i_q[k]), seeded at the fluxes seed = (fd, fq),
+    or at the first-order inversion; returns the flux arrays (fd, fq).
+
+    Every element runs the scalar iteration on its own, with the same float
+    operations, so each result is bit for bit what that element gives alone:
+    a Newton step on the inverse-inductance matrix `_hessian`, then its own
+    line search, halving its own step until the current residual falls.
+    Masks of element indices replace the scalar loop: an element that
+    converges or fails is frozen while the others go on, and so is every
+    element past a failure, which can no longer be the one reported. Once
+    none is left, the lowest-index failure raises what that element raises
+    alone: NonConvergence for a singular Jacobian, a stalled line search or
+    no convergence within `_NEWTON_MAX_ITER` steps, ValueError for a
+    first-order seed that is not finite. Non-finite targets raise
+    ValueError before any iteration.
+    """
+    if not (np.all(np.isfinite(i_d)) and np.all(np.isfinite(i_q))):
+        raise ValueError("currents must be finite")
+    fd, fq = (np.array(a, dtype=float) for a in (seed if seed is not None else _first_order(p, i_d, i_q)))
+    live = np.ones(len(i_d), dtype=bool) if seed is not None else np.isfinite(fd) & np.isfinite(fq)
+    # element -> what it raises alone; `flux_from_currents_first_order` refuses a seed that is not finite
+    failures: dict[int, Exception] = {j: ValueError("flux linkage must be finite") for j in np.flatnonzero(~live)}
+
+    def residual(k, fd, fq):
         c_d, c_q = _currents(p, fd, fq)
-        return c_d - i.i_d, c_q - i.i_q
+        return c_d - i_d[k], c_q - i_q[k]
 
-    rd, rq = residual(fd, fq)
+    def fail(k, text):
+        for j in k:
+            failures[j] = NonConvergence(text.format(fd[j], fq[j], Currents(float(i_d[j]), float(i_q[j]))))
+
+    def open_(k):
+        return k[~((np.abs(rd[k]) <= tol) & (np.abs(rq[k]) <= tol))]
+
+    k = np.flatnonzero(live)  # the elements still iterating
+    rd, rq = np.empty_like(fd), np.empty_like(fq)
+    rd[k], rq[k] = residual(k, fd[k], fq[k])
     for _ in range(_NEWTON_MAX_ITER):
-        if abs(rd) <= tol and abs(rq) <= tol:
-            return FluxLinkage(fd, fq)
-        h_dd, h_dq, h_qq = _hessian(p.theta, fd, fq)
+        k = open_(k)
+        if failures:
+            k = k[k < min(failures)]  # the failure raised is the lowest-index one
+        if not len(k):
+            break
+        h_dd, h_dq, h_qq = _hessian(p.theta, fd[k], fq[k])
         det = h_dd * h_qq - h_dq * h_dq
-        if det == 0.0 or not math.isfinite(det):
-            raise NonConvergence(f"singular Jacobian at ({fd:.6g}, {fq:.6g}) for target {i}")
-        step_d = -(h_qq * rd - h_dq * rq) / det
-        step_q = -(h_dd * rq - h_dq * rd) / det
-        norm0 = rd * rd + rq * rq
-        lam = 1.0
+        singular = (det == 0.0) | ~np.isfinite(det)
+        fail(k[singular], "singular Jacobian at ({:.6g}, {:.6g}) for target {}")
+        k, h_dd, h_dq, h_qq, det = (a[~singular] for a in (k, h_dd, h_dq, h_qq, det))
+        step_d = -(h_qq * rd[k] - h_dq * rq[k]) / det
+        step_q = -(h_dd * rq[k] - h_dq * rd[k]) / det
+        norm0 = rd[k] * rd[k] + rq[k] * rq[k]
+        # every element still searching has halved its own step as often as the others
+        lam, s = 1.0, np.arange(len(k))  # s: positions in k still searching
         for _ in range(_NEWTON_MAX_HALVINGS):
-            nd, nq = fd + lam * step_d, fq + lam * step_q
-            rd_n, rq_n = residual(nd, nq)
-            if rd_n * rd_n + rq_n * rq_n < norm0:
-                fd, fq, rd, rq = nd, nq, rd_n, rq_n
+            ks = k[s]
+            nd, nq = fd[ks] + lam * step_d[s], fq[ks] + lam * step_q[s]
+            rd_n, rq_n = residual(ks, nd, nq)
+            better = rd_n * rd_n + rq_n * rq_n < norm0[s]
+            j = ks[better]
+            fd[j], fq[j], rd[j], rq[j] = nd[better], nq[better], rd_n[better], rq_n[better]
+            s = s[~better]
+            if not len(s):
                 break
             lam *= 0.5
-        else:
-            raise NonConvergence(f"line search stalled at ({fd:.6g}, {fq:.6g}) for target {i}")
-    if abs(rd) <= tol and abs(rq) <= tol:
-        return FluxLinkage(fd, fq)
-    raise NonConvergence(f"no convergence within {_NEWTON_MAX_ITER} iterations for target {i}")
-
+        fail(k[s], "line search stalled at ({:.6g}, {:.6g}) for target {}")
+        k = np.delete(k, s)
+    else:
+        fail(open_(k), f"no convergence within {_NEWTON_MAX_ITER} iterations for target {{2}}")
+    if failures:
+        raise failures[min(failures)]
+    return fd, fq

@@ -9,9 +9,10 @@ smooth piece and the nominal RK4 order survives the discontinuities. The
 rotor is locked: no speed couples the axes. A batch starts at rest
 (`simulate_batch`, `simulate_averaged`) or, in `simulate_periodic`, each
 run on its own periodic steady state. Every sampled record comes from one
-function, `_record`: its periods integrated side by side by parareal where
-that pays, else one after the other, all by one period map, `_rk4` from
-per-lane starts. Every step is one sample.
+function, `_record`: its chunks (injection periods, or time constants of
+the averaged system) integrated side by side, by parareal where that pays
+or from exact starts where they are known, else one after the other, all
+by one chunk map, `_rk4` from per-lane starts. Every step is one sample.
 
 The simulator stands in for the motor, not for the sensors: measurement
 noise is added afterwards, by `estimator.simulate_plan` through
@@ -254,6 +255,12 @@ def _traces(t, phi, i, u) -> list[Trace]:
             for j in range(phi.shape[1])]
 
 
+def _coarse_fits(p: MotorParams, coarse_dt: float) -> bool:
+    """Whether a coarse step of coarse_dt is at most `_PARAREAL_COARSE_Z` of
+    p's shortest unsaturated time constant min(Ld, Lq) / R."""
+    return coarse_dt * p.R / min(p.Ld, p.Lq) <= _PARAREAL_COARSE_Z
+
+
 def _record(motors: Sequence[MotorParams], dt: float, n_steps: int, spp: int, X0: np.ndarray,
             u_bar: np.ndarray, u_tilde: np.ndarray, waveform) -> tuple[tuple[np.ndarray, ...], int]:
     """The record t, flux, current and voltage (each (2, n, n_steps + 1),
@@ -264,61 +271,73 @@ def _record(motors: Sequence[MotorParams], dt: float, n_steps: int, spp: int, X0
     every spp steps.
 
     The P = n_steps // spp whole chunks of spp steps are integrated side by
-    side by parareal (Lions, Maday & Turinici, C. R. Acad. Sci. Paris 2001).
-    The fine propagator F is one chunk of `_rk4` at dt, the coarse G one
-    chunk at `_PARAREAL_COARSE_STEPS` steps. The chunk starts U begin at
-    U[0] = X0, U[p+1] = G(U[p]); each fine sweep runs all lanes x chunks as
-    one batch, lane (j, p), and writes its samples straight into the
-    record. After sweep s the first s + 1 starts are exact, U'[p+1] =
-    F(U[p]) for p < s; the others update as U'[p+1] = G(U'[p]) + F(U[p]) -
-    G(U[p]). A lane whose starts all move by at most `_PARAREAL_TOL` is done
-    and keeps its starts, so later sweeps rewrite its samples bit for bit
-    and every lane comes out as it would alone. After `_PARAREAL_MAX_SWEEPS`
-    sweeps a lane not yet done continues sequentially from its last exact
-    start, which no coarse value entered. A trailing part chunk continues
-    from the last chunk's end.
+    side: each fine sweep runs all lanes x chunks as one batch, lane (j, p),
+    and writes its samples straight into the record through a view of it.
+    Given every whole chunk's exact start, X0 of shape (2, n, P), one fine
+    sweep from those starts is the whole record, with no coarse work.
+
+    From one start per lane, X0 of shape (2, n), the chunks run by parareal
+    (Lions, Maday & Turinici, C. R. Acad. Sci. Paris 2001). The fine
+    propagator F is one chunk of `_rk4` at dt, the coarse G one chunk at
+    `_PARAREAL_COARSE_STEPS` steps. The chunk starts U begin at U[0] = X0,
+    U[p+1] = G(U[p]). After sweep s the first s + 1 starts are exact,
+    U'[p+1] = F(U[p]) for p < s; the others update as U'[p+1] = G(U'[p]) +
+    F(U[p]) - G(U[p]). A lane whose starts all move by at most
+    `_PARAREAL_TOL` is done and keeps its starts, so later sweeps rewrite
+    its samples bit for bit and every lane comes out as it would alone.
+    After `_PARAREAL_MAX_SWEEPS` sweeps a lane not yet done continues
+    sequentially from its last exact start, which no coarse value entered.
+    A trailing part chunk continues from the last chunk's end.
 
     Parareal pays only where it converges in far fewer sweeps than there
     are chunks. The record runs sequentially from X0 throughout when it
     holds no more whole chunks than the sweep cap, or when a coarse step
-    exceeds `_PARAREAL_COARSE_Z` of some lane's shortest unsaturated time
-    constant min(Ld, Lq) / R: there the coarse propagator is inaccurate or
-    unstable.
+    fails `_coarse_fits` for some lane: there the coarse propagator is
+    inaccurate or unstable.
     """
     n, P = len(motors), n_steps // spp
     rows, R = _lanes(motors)
     drive = waveform(dt, n_steps)
     phi = np.empty((2, n, n_steps + 1))
     coarse_dt = spp * dt / _PARAREAL_COARSE_STEPS
-    sweeps, done, starts = 0, np.zeros(n, dtype=bool), X0[..., None]  # starts[..., k]: chunk k's exact start
-    if P > _PARAREAL_MAX_SWEEPS and all(coarse_dt * p.R / min(p.Ld, p.Lq) <= _PARAREAL_COARSE_Z for p in motors):
-        coarse = waveform(coarse_dt, _PARAREAL_COARSE_STEPS)
-
-        def coarse_sweep(U, G, k0):
-            """Add G(U[..., k]) to U[..., k + 1] in chunk order from k0, keeping
-            the G values in G[..., k]."""
-            for k in range(k0, P - 1):
-                G[..., k] = _rk4(rows, R, coarse_dt, U[..., k], u_bar, u_tilde, *coarse)
-                U[..., k + 1] += G[..., k]
-
+    known = X0.ndim == 3  # every whole chunk's exact start given
+    # starts[..., k]: chunk k's exact start
+    sweeps, done, starts = 0, np.full(n, known), X0 if known else X0[..., None]
+    if known or P > _PARAREAL_MAX_SWEEPS and all(_coarse_fits(p, coarse_dt) for p in motors):
         rows_p, R_p, u_bar_p, u_tilde_p = (np.repeat(a[..., None], P, axis=-1) for a in (rows, R, u_bar, u_tilde))
         fine = waveform(dt, spp)
         samples = phi[:, :, :P * spp].reshape(2, n, P, spp)  # a view: the sweeps write through it
-        U, G = np.zeros((2, n, P)), np.empty((2, n, P - 1))
-        U[..., 0] = X0
-        with np.errstate(over="ignore", invalid="ignore"):  # an unconverged start is never kept
-            coarse_sweep(U, G, 0)
-            for sweeps in range(1, _PARAREAL_MAX_SWEEPS + 1):
-                F = _rk4(rows_p, R_p, dt, U, u_bar_p, u_tilde_p, *fine, samples)
-                U_next = U.copy()  # U[..., 0] = X0 stays; every later start is set below
-                U_next[..., 1:sweeps + 1] = F[..., :sweeps]
-                U_next[..., sweeps + 1:] = F[..., sweeps:-1] - G[..., sweeps:]
-                coarse_sweep(U_next, G, sweeps)
-                done |= np.all(np.abs(U_next - U) <= _PARAREAL_TOL, axis=(0, 2))  # NaN stays open
-                if done.all() or sweeps == _PARAREAL_MAX_SWEEPS:
-                    break
-                U = np.where(done[:, None], U, U_next)
-        starts = np.concatenate((starts, F), axis=-1)
+
+        def fine_sweep(U):
+            return _rk4(rows_p, R_p, dt, U, u_bar_p, u_tilde_p, *fine, samples)
+
+        if known:
+            F, sweeps = fine_sweep(X0), 1
+        else:
+            coarse = waveform(coarse_dt, _PARAREAL_COARSE_STEPS)
+
+            def coarse_sweep(U, G, k0):
+                """Add G(U[..., k]) to U[..., k + 1] in chunk order from k0, keeping
+                the G values in G[..., k]."""
+                for k in range(k0, P - 1):
+                    G[..., k] = _rk4(rows, R, coarse_dt, U[..., k], u_bar, u_tilde, *coarse)
+                    U[..., k + 1] += G[..., k]
+
+            U, G = np.zeros((2, n, P)), np.empty((2, n, P - 1))
+            U[..., 0] = X0
+            with np.errstate(over="ignore", invalid="ignore"):  # an unconverged start is never kept
+                coarse_sweep(U, G, 0)
+                for sweeps in range(1, _PARAREAL_MAX_SWEEPS + 1):
+                    F = fine_sweep(U)
+                    U_next = U.copy()  # U[..., 0] = X0 stays; every later start is set below
+                    U_next[..., 1:sweeps + 1] = F[..., :sweeps]
+                    U_next[..., sweeps + 1:] = F[..., sweeps:-1] - G[..., sweeps:]
+                    coarse_sweep(U_next, G, sweeps)
+                    done |= np.all(np.abs(U_next - U) <= _PARAREAL_TOL, axis=(0, 2))  # NaN stays open
+                    if done.all() or sweeps == _PARAREAL_MAX_SWEEPS:
+                        break
+                    U = np.where(done[:, None], U, U_next)
+        starts = np.concatenate((starts[..., :1], F), axis=-1)
     for lanes, k in ((done, P), (~done, sweeps)):
         if lanes.any():
             idx = slice(None) if lanes.all() else np.flatnonzero(lanes)  # a slice writes through
@@ -354,23 +373,46 @@ def simulate(p: MotorParams, spec: InjectionSpec, cfg: SimConfig) -> Trace:
     return simulate_batch(p, [spec], cfg)[0]
 
 
+def _averaged_chunk(p: MotorParams, dt: float, n_steps: int) -> int:
+    """Chunk length, in steps of dt, at which `_record` integrates a lane of
+    motor p under a constant drive over n_steps.
+
+    The chunk is the shortest unsaturated time constant min(Ld, Lq) / R in
+    whole steps, which is the longest chunk whose coarse step
+    `_coarse_fits`. It is counted down from one step past the quotient
+    until it fits, so that no rounding puts it a step off either way. A
+    lane whose time constant is shorter than one step gets a chunk longer
+    than the record, which runs it sequentially."""
+    spp = int(min(p.Ld, p.Lq) / p.R / dt) + 1
+    while spp >= 1 and not _coarse_fits(p, spp * dt / _PARAREAL_COARSE_STEPS):
+        spp -= 1
+    return spp if spp >= 1 else n_steps + 1
+
+
 def simulate_averaged(motors: Sequence[MotorParams], u_bar: Sequence[tuple[float, float]],
                       cfg: SimConfig) -> list[Trace]:
     """Integrate the ripple-free averaged system dphi/dt = u_bar - R*i(phi)
-    from rest, one lane per (motors[j], u_bar[j] = (u_bar_d, u_bar_q)) pair,
-    in one batch.
+    from rest, one lane per (motors[j], u_bar[j] = (u_bar_d, u_bar_q)) pair.
 
-    Each trajectory tends to the constant flux solving u_bar = R*i(phi).
+    The record runs in time chunks of `_averaged_chunk` steps (`_record`).
+    That chunk depends on the lane's own motor and dt only, so the lanes
+    that share one integrate as one batch, and every lane comes out as it
+    would alone; the traces return in input order. Each trajectory tends to
+    the constant flux solving u_bar = R*i(phi).
     """
     if len(u_bar) != len(motors):
         raise ValueError("need one mean voltage pair per motor")
-    if not motors:
-        return []
     n_steps = int(round(cfg.t_end / cfg.dt))
     u = np.array(u_bar, dtype=float).T
-    # a chunk longer than the record: `_record` integrates it in one sequential pass
-    return _traces(*_record(motors, cfg.dt, n_steps, n_steps + 1, np.zeros_like(u), u, np.zeros_like(u),
-                            lambda dt, k: (np.zeros(k + 1), np.zeros(k), np.zeros(k)))[0])
+    chunks = [_averaged_chunk(p, cfg.dt, n_steps) for p in motors]
+    traces: list[Trace] = [None] * len(motors)
+    for spp in dict.fromkeys(chunks):
+        idx = [j for j, c in enumerate(chunks) if c == spp]
+        group = _record([motors[j] for j in idx], cfg.dt, n_steps, spp, np.zeros((2, len(idx))), u[:, idx],
+                        np.zeros((2, len(idx))), lambda dt, k: (np.zeros(k + 1), np.zeros(k), np.zeros(k)))[0]
+        for j, tr in zip(idx, _traces(*group)):
+            traces[j] = tr
+    return traces
 
 
 def _shooting_step(phi: np.ndarray, r: np.ndarray, col_d: np.ndarray, col_q: np.ndarray) -> np.ndarray:
@@ -412,6 +454,12 @@ def simulate_periodic(p: MotorParams, specs: Sequence[InjectionSpec], *,
     the ripple flux u_tilde * F(0) / omega at t = 0. A run whose one-period
     residual still exceeds `_SHOOT_TOL` on an axis after `_SHOOT_MAX_ITER`
     steps raises NonConvergence naming its mean current.
+
+    Both recorded periods start exactly where they start in one pass: phi0,
+    and P(phi0) from the base lanes of the Newton sweep that confirmed
+    convergence. `_record` integrates them side by side, in one fine sweep
+    at twice the width, which is byte for byte the sequential record of a
+    square wave.
     """
     if not specs:
         return []
@@ -441,6 +489,7 @@ def simulate_periodic(p: MotorParams, specs: Sequence[InjectionSpec], *,
             raise NonConvergence(
                 f"no periodic orbit within {_SHOOT_MAX_ITER} shooting steps for the run at "
                 f"i_bar = ({d:.6g}, {q:.6g}) A, |i_bar| = {math.hypot(d, q):.6g} A")
-    # 2 chunks, no more than the sweep cap: `_record` integrates sequentially
-    return _traces(*_record([p] * n, dt, MIN_WHOLE_PERIODS * steps_per_period, steps_per_period, phi,
+    # the last Newton sweep's base lanes hold P(phi), the second period's start
+    starts = np.stack((phi, end[:, :n]), axis=-1)  # MIN_WHOLE_PERIODS = 2 of them
+    return _traces(*_record([p] * n, dt, MIN_WHOLE_PERIODS * steps_per_period, steps_per_period, starts,
                             u_bar, u_tilde, waveform)[0])

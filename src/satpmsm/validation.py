@@ -15,7 +15,7 @@ import numpy as np
 
 from .estimator import predict_ripple
 from .injection import InjectionSpec, Waveform
-from .magnetics import Currents, MotorParams, _invert, flux_from_currents_exact
+from .magnetics import MotorParams, _invert
 from .ripple import cumulative_trapezoid, extract_ripple
 from .simulator import SimConfig, Trace, _write_columns, simulate_averaged, simulate_periodic
 
@@ -93,8 +93,10 @@ class StepResponseResult:
 def step_response(p: MotorParams, u_steps: Sequence[float], t_end: float) -> list[StepResponseResult]:
     """d-axis voltage steps from zero flux, locked rotor: the full model next
     to the same motor with the saturation coefficients zeroed, one result per
-    voltage in u_steps. All voltage x {saturated, linear} lanes integrate as
-    one batch of the ripple-free averaged system over `_STEP_SAMPLES` steps."""
+    voltage in u_steps. All voltage x {saturated, linear} lanes integrate
+    the ripple-free averaged system over `_STEP_SAMPLES` steps, in time
+    chunks of their shortest unsaturated time constant side by side
+    (`simulate_averaged`)."""
     cfg = SimConfig(dt=t_end / _STEP_SAMPLES, t_end=t_end)
     n = len(u_steps)
     traces = simulate_averaged([p] * n + [p.without_saturation()] * n,
@@ -121,14 +123,12 @@ def flux_by_integration(trace: Trace, p: MotorParams) -> FluxIntegrationResult:
     Newton inversion of the model to 1e-10 A, seeded at each sample's
     integrated flux: the record says on which side of a fold of the d-axis
     curve the motor sits, where the first-order seed of
-    `flux_from_currents_exact` can land past it.
+    `flux_from_currents_exact` can land past it. All samples invert in one
+    array Newton (`magnetics._invert`), each as it would alone.
     """
     phi = [cumulative_trapezoid(trace.t, u - p.R * i)
            for u, i in ((trace.u_d, trace.i_d), (trace.u_q, trace.i_q))]
-    model = np.array([
-        _invert(p, Currents(float(i_d), float(i_q)), float(fd), float(fq), 1e-10).phi_d
-        for i_d, i_q, fd, fq in zip(trace.i_d, trace.i_q, *phi)
-    ])
+    model, _ = _invert(p, trace.i_d, trace.i_q, 1e-10, phi)
     return FluxIntegrationResult(i_d=trace.i_d.copy(), phi_d_integrated=phi[0], phi_d_model=model)
 
 
@@ -152,14 +152,15 @@ class MagnetizationCurves:
 def magnetization_curves(p: MotorParams, grid: Sequence[float],
                          levels: Sequence[float]) -> MagnetizationCurves:
     """Flux-current curves by numerically inverting the magnetization map on
-    a grid; one curve per fixed other-axis current level."""
+    a grid; one curve per fixed other-axis current level.
+
+    Every point inverts as `flux_from_currents_exact` does, in one array
+    Newton (`magnetics._invert`) over the targets of a loop over levels, then
+    grid points, d curve before q curve; a failure names the first point of
+    that loop that fails."""
     grid = np.asarray(grid, dtype=float)
-    phi_d = np.empty((len(levels), len(grid)))
-    phi_q = np.empty((len(levels), len(grid)))
-    for i, lv in enumerate(levels):
-        for j, x in enumerate(grid):
-            f = flux_from_currents_exact(p, Currents(float(x), float(lv)))
-            phi_d[i, j] = f.phi_d
-            f = flux_from_currents_exact(p, Currents(float(lv), float(x)))
-            phi_q[i, j] = f.phi_q
-    return MagnetizationCurves(grid=grid, levels=tuple(levels), phi_d=phi_d, phi_q=phi_q)
+    level, x = np.meshgrid(np.asarray(levels, dtype=float), grid, indexing="ij")
+    fd, fq = _invert(p, np.stack((x, level), axis=-1).ravel(), np.stack((level, x), axis=-1).ravel(), 1e-12)
+    shape = (len(levels), len(grid), 2)
+    return MagnetizationCurves(grid=grid, levels=tuple(levels), phi_d=fd.reshape(shape)[..., 0],
+                               phi_q=fq.reshape(shape)[..., 1])

@@ -1,6 +1,10 @@
+import math
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from satpmsm.config import load_config
 from satpmsm.magnetics import (
     Currents,
     FluxLinkage,
@@ -10,11 +14,17 @@ from satpmsm.magnetics import (
     energy,
     flux_from_currents_exact,
     flux_from_currents_first_order,
+    _NEWTON_MAX_HALVINGS,
+    _NEWTON_MAX_ITER,
     _current_rows,
     _currents,
     _hessian,
+    _invert,
     _stacked_currents,
 )
+from satpmsm.ripple import cumulative_trapezoid
+from satpmsm.simulator import Trace
+from satpmsm.validation import flux_by_integration, magnetization_curves, step_response
 
 import oracles
 
@@ -227,6 +237,142 @@ class TestExactInversion:
     def test_tol_validation(self, ipm):
         with pytest.raises(ValueError):
             flux_from_currents_exact(ipm, Currents(0.1, 0.1), tol=0.0)
+
+
+def scalar_newton(p, i, fd, fq, tol):
+    """Reference: the damped Newton of one target (Currents i) from the seed
+    (fd, fq), written as a loop over Python floats on the library's current
+    map and Hessian."""
+    def residual(fd, fq):
+        c_d, c_q = _currents(p, fd, fq)
+        return c_d - i.i_d, c_q - i.i_q
+
+    rd, rq = residual(fd, fq)
+    for _ in range(_NEWTON_MAX_ITER):
+        if abs(rd) <= tol and abs(rq) <= tol:
+            return fd, fq
+        h_dd, h_dq, h_qq = _hessian(p.theta, fd, fq)
+        det = h_dd * h_qq - h_dq * h_dq
+        if det == 0.0 or not math.isfinite(det):
+            raise NonConvergence(f"singular Jacobian at ({fd:.6g}, {fq:.6g}) for target {i}")
+        step_d = -(h_qq * rd - h_dq * rq) / det
+        step_q = -(h_dd * rq - h_dq * rd) / det
+        norm0 = rd * rd + rq * rq
+        lam = 1.0
+        for _ in range(_NEWTON_MAX_HALVINGS):
+            nd, nq = fd + lam * step_d, fq + lam * step_q
+            rd_n, rq_n = residual(nd, nq)
+            if rd_n * rd_n + rq_n * rq_n < norm0:
+                fd, fq, rd, rq = nd, nq, rd_n, rq_n
+                break
+            lam *= 0.5
+        else:
+            raise NonConvergence(f"line search stalled at ({fd:.6g}, {fq:.6g}) for target {i}")
+    if abs(rd) <= tol and abs(rq) <= tol:
+        return fd, fq
+    raise NonConvergence(f"no convergence within {_NEWTON_MAX_ITER} iterations for target {i}")
+
+
+def scalar_exact(p, i_d, i_q, tol=1e-12):
+    """Reference `flux_from_currents_exact`: `scalar_newton` from the
+    first-order seed, or the exception it raises."""
+    i = Currents(float(i_d), float(i_q))
+    try:
+        seed = flux_from_currents_first_order(p, i)
+        return scalar_newton(p, i, seed.phi_d, seed.phi_q, tol)
+    except (NonConvergence, ValueError) as exc:
+        return exc
+
+
+def fixture_config(name):
+    return load_config(Path(__file__).resolve().parents[1] / "configs" / f"{name}.cfg")
+
+
+class TestArrayNewton:
+    """`_invert` runs the scalar damped Newton per element on arrays: every
+    result is bit for bit the scalar one, and a failure raises what the
+    scalar loop over the same targets raises."""
+
+    @pytest.mark.parametrize("name", ["ipm", "spm"])
+    def test_step_response_samples_bitwise(self, name):
+        # every sample of both fixtures' validate steps, seeded at its
+        # integrated flux, as `flux_by_integration` does
+        config = fixture_config(name)
+        p, v = config.motor, config.validation
+        for r in step_response(p, v.step_volts, v.step_t_end):
+            tr = r.saturated
+            model = flux_by_integration(tr, p).phi_d_model
+            seeds = [cumulative_trapezoid(tr.t, u - p.R * i) for u, i in ((tr.u_d, tr.i_d), (tr.u_q, tr.i_q))]
+            want = [scalar_newton(p, Currents(float(a), float(b)), float(fd), float(fq), 1e-10)[0]
+                    for a, b, fd, fq in zip(tr.i_d, tr.i_q, *seeds)]
+            assert model.tobytes() == np.array(want).tobytes()
+
+    def test_curves_grid_bitwise(self):
+        config = fixture_config("ipm")
+        c = config.curves
+        r = magnetization_curves(config.motor, c.grid, c.levels)
+        for row, lv in enumerate(c.levels):
+            for col, x in enumerate(c.grid):
+                want_d, want_q = scalar_exact(config.motor, x, lv)[0], scalar_exact(config.motor, lv, x)[1]
+                assert r.phi_d[row, col].tobytes() == np.float64(want_d).tobytes()
+                assert r.phi_q[row, col].tobytes() == np.float64(want_q).tobytes()
+
+    def test_curves_failure_is_the_scalar_loops(self):
+        # the SPM grid meets the fold of the d-axis curve at i_d = -1 A: the
+        # error is the first one of the scalar loop over levels, then grid
+        config = fixture_config("spm")
+        c = config.curves
+        first = next(exc for lv in c.levels for x in c.grid
+                     for exc in (scalar_exact(config.motor, x, lv), scalar_exact(config.motor, lv, x))
+                     if isinstance(exc, Exception))
+        assert str(first) == "line search stalled at (-0.265611, 0) for target Currents(i_d=-1.0, i_q=0.0)"
+        with pytest.raises(NonConvergence) as info:
+            magnetization_curves(config.motor, c.grid, c.levels)
+        assert str(info.value) == str(first)
+
+    def test_lowest_index_failure_raises(self):
+        # 1e6 A fails last in time (no convergence after every iteration),
+        # 1.8 A first (its line search stalls): the lower index is reported,
+        # in the scalar text; alone, each raises its own
+        bad = MotorParams(R=1.0, Ld=0.1, Lq=0.1, a30=-60.0, a40=1.0)
+        targets = [-1.0, 1e6, 1.8, 0.0]
+        scalar = [scalar_exact(bad, x, 0.0) for x in targets]
+        assert [type(r).__name__ for r in scalar] == ["tuple", "NonConvergence", "NonConvergence", "tuple"]
+        assert str(scalar[1]).startswith("no convergence within 50 iterations")
+        assert str(scalar[2]).startswith("line search stalled")
+        with pytest.raises(NonConvergence) as info:
+            _invert(bad, np.array(targets), np.zeros(4), 1e-12)
+        assert str(info.value) == str(scalar[1])
+        with pytest.raises(NonConvergence) as info:
+            _invert(bad, np.array(targets[2:]), np.zeros(2), 1e-12)
+        assert str(info.value) == str(scalar[2])
+        for x, want in zip(targets, scalar):
+            if isinstance(want, Exception):
+                with pytest.raises(NonConvergence) as info:
+                    flux_from_currents_exact(bad, Currents(x, 0.0))
+                assert str(info.value) == str(want)
+            else:
+                got = flux_from_currents_exact(bad, Currents(x, 0.0))
+                assert (got.phi_d, got.phi_q) == want
+
+    def test_seeds_that_fail_alone_fail_the_same(self):
+        # a seed that is not finite: singular Jacobian; a first-order seed
+        # that overflows: the ValueError of its FluxLinkage
+        bad = MotorParams(R=1.0, Ld=0.1, Lq=0.1, a30=-60.0, a40=1.0)
+        with pytest.raises(NonConvergence, match=r"^singular Jacobian at \(inf, 0\) for target "
+                                                  r"Currents\(i_d=1\.0, i_q=0\.0\)$"):
+            _invert(bad, np.array([0.0, 1.0]), np.zeros(2), 1e-12, (np.array([0.0, np.inf]), np.zeros(2)))
+        assert str(scalar_exact(bad, 1e300, 0.0)) == "flux linkage must be finite"
+        with pytest.raises(ValueError, match="^flux linkage must be finite$"):
+            _invert(bad, np.array([0.0, 1e300]), np.zeros(2), 1e-12)
+
+    def test_nan_current_raises(self, ipm):
+        with pytest.raises(ValueError, match="currents must be finite"):
+            _invert(ipm, np.array([0.5, np.nan]), np.zeros(2), 1e-12)
+        t = np.arange(4) * 1e-4
+        tr = Trace(t=t, u_d=np.zeros(4), u_q=np.zeros(4), i_d=np.array([0.0, 0.1, np.nan, 0.2]), i_q=np.zeros(4))
+        with pytest.raises(ValueError, match="currents must be finite"):
+            flux_by_integration(tr, ipm)
 
 
 def test_hessian_symmetry_many_points():

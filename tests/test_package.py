@@ -44,6 +44,7 @@ UNCALLED_EXPORTS = {
     "simulate": "the one-run entry point that acceptance criteria 2 and 5 call",
     "energy": "the model's definition, which criterion 4 checks the current map against",
     "currents_from_flux": "the scalar current map that criterion 4 checks against energy",
+    "flux_from_currents_exact": "the scalar exact inversion that criterion 3 checks the first-order one against",
     "estimate_L": "the paper's first-order split (DECISIONS.md): its inductance step",
     "estimate_d_axis": "the paper's first-order split (DECISIONS.md), checked by criterion 7",
     "estimate_cross": "the paper's first-order split (DECISIONS.md), checked by criterion 7",
@@ -113,10 +114,7 @@ def _signatures(nodes):
 
 # options that the package's calls leave at their default and only the
 # tests set, and why each stays
-TEST_SET_OPTIONS = {
-    "magnetics.flux_from_currents_exact(tol)":
-        "the Newton tolerance: criterion 4 tightens it to 1e-13, and its validation is tested",
-}
+TEST_SET_OPTIONS = {}
 
 
 def test_every_option_is_set_by_a_caller():

@@ -19,6 +19,7 @@ from satpmsm.simulator import (
     simulate,
     simulate_averaged,
     simulate_batch,
+    simulate_periodic,
 )
 
 import oracles
@@ -381,6 +382,130 @@ class TestAveragedSystem:
         want = flux_from_currents_exact(ipm, Currents(1.0, 0.0), tol=1e-12)
         assert abs(tr.phi_d[-1] - want.phi_d) <= 1e-6
         assert abs(tr.phi_q[-1] - want.phi_q) <= 1e-6
+
+
+def sequential_averaged(motors, u_bar, cfg):
+    """Reference: the currents (2, n, steps + 1) of the averaged system of
+    each lane from rest, integrated one step after the other by one plain
+    `_rk4` pass."""
+    n_steps = round(cfg.t_end / cfg.dt)
+    u = np.array(u_bar, dtype=float).T
+    rows, R = simulator._lanes(motors)
+    phi = np.empty((2, len(motors), n_steps + 1))
+    phi[..., -1] = simulator._rk4(rows, R, cfg.dt, np.zeros(u.shape), u, np.zeros(u.shape), np.zeros(n_steps + 1),
+                                  np.zeros(n_steps), np.zeros(n_steps), phi[..., :-1])
+    return _stacked_currents(rows[..., None], phi)
+
+
+class TestChunkedAveraged:
+    """`simulate_averaged` integrates each lane in time chunks of its shortest
+    unsaturated time constant (`_averaged_chunk`), side by side where that
+    pays; either way it must reproduce the sequential integration up to
+    rounding, and a lane must come out of a batch as it does alone."""
+
+    @staticmethod
+    def record_sweeps(monkeypatch):
+        """The chunk and fine-sweep count of every `_record` call from here on."""
+        calls, record = [], simulator._record
+
+        def spy(motors, dt, n_steps, spp, *args):
+            result = record(motors, dt, n_steps, spp, *args)
+            calls.append((spp, result[1]))
+            return result
+
+        monkeypatch.setattr(simulator, "_record", spy)
+        return calls
+
+    @pytest.mark.parametrize("name", ["ipm", "spm"])
+    def test_validate_step_responses_run_parareal(self, name, monkeypatch):
+        from satpmsm.validation import _STEP_SAMPLES, step_response
+        config = load_config(Path(__file__).resolve().parents[1] / "configs" / f"{name}.cfg")
+        p, v = config.motor, config.validation
+        calls = self.record_sweeps(monkeypatch)
+        results = step_response(p, v.step_volts, v.step_t_end)
+        # saturated and linear lanes share R, Ld and Lq, so one chunk length
+        # serves all four lanes, which take the parareal side
+        tau_steps = min(p.Ld, p.Lq) / p.R / (v.step_t_end / _STEP_SAMPLES)
+        assert [spp for spp, _ in calls] == [math.floor(tau_steps)]
+        assert all(sweeps >= 1 for _, sweeps in calls)
+        motors = [p] * len(v.step_volts) + [p.without_saturation()] * len(v.step_volts)
+        cfg = SimConfig(dt=v.step_t_end / _STEP_SAMPLES, t_end=v.step_t_end)
+        want = sequential_averaged(motors, [(u, 0.0) for u in v.step_volts] * 2, cfg)
+        got = batch_currents([r.saturated for r in results] + [r.linear for r in results])
+        assert np.max(np.abs(got - want)) <= 1e-12
+
+    def test_short_record_stays_sequential(self, ipm, monkeypatch):
+        # 3.5 chunks: no more whole chunks than the sweep cap, so one
+        # sequential pass, bit for bit the reference
+        tau = min(ipm.Ld, ipm.Lq) / ipm.R
+        cfg = SimConfig(dt=tau / 100, t_end=3.5 * tau)
+        lanes = [(ipm, (24.3, 0.0)), (ipm.without_saturation(), (24.3, -6.0))]
+        calls = self.record_sweeps(monkeypatch)
+        traces = simulate_averaged([p for p, _ in lanes], [u for _, u in lanes], cfg)
+        assert len(calls) == 1 and calls[0][1] == 0
+        assert round(cfg.t_end / cfg.dt) // calls[0][0] == simulator._PARAREAL_MAX_SWEEPS
+        want = sequential_averaged([p for p, _ in lanes], [u for _, u in lanes], cfg)
+        assert np.array_equal(batch_currents(traces), want)
+
+    def test_lanes_of_different_chunks_come_out_as_alone(self, ipm, spm, monkeypatch):
+        # four motors, three chunk lengths (ipm and its linear twin share
+        # one), each on the parareal side: every lane of the mixed batch is
+        # bit for bit the lane run alone, in input order
+        import dataclasses
+        lanes = [(spm, (53.5, 0.0)), (ipm, (24.3, 0.0)), (dataclasses.replace(ipm, R=2 * ipm.R), (-8.0, 3.0)),
+                 (ipm.without_saturation(), (24.3, 0.0))]
+        cfg = SimConfig(dt=4e-5, t_end=0.12)
+        calls = self.record_sweeps(monkeypatch)
+        batch = simulate_averaged([p for p, _ in lanes], [u for _, u in lanes], cfg)
+        assert len(calls) == 3 and all(sweeps >= 1 for _, sweeps in calls)
+        for b, (p, u) in zip(batch, lanes):
+            a, = simulate_averaged([p], [u], cfg)
+            for name in ("t", "u_d", "u_q", "i_d", "i_q", "phi_d", "phi_q"):
+                assert np.array_equal(getattr(b, name), getattr(a, name)), name
+        want = sequential_averaged([p for p, _ in lanes], [u for _, u in lanes], cfg)
+        assert np.max(np.abs(batch_currents(batch) - want)) <= 1e-12
+
+    def test_chunk_is_the_longest_that_passes_the_coarse_rule(self, ipm, spm):
+        # whatever the rounding of spp * dt, the chunk's coarse step passes
+        # the rule and one step more fails it; where a single step fails it,
+        # the chunk is longer than the record, which then runs sequentially
+        def fits(p, steps, dt):
+            return simulator._coarse_fits(p, steps * dt / simulator._PARAREAL_COARSE_STEPS)
+
+        for p in (ipm, spm, MotorParams(R=3.0, Ld=0.03, Lq=0.09)):
+            tau = min(p.Ld, p.Lq) / p.R
+            for dt in [tau / k for k in range(1, 300)] + [tau / k * (1 + 1e-15) for k in range(1, 300)]:
+                spp = simulator._averaged_chunk(p, dt, 10_000)
+                if spp == 10_001:
+                    assert not fits(p, 1, dt)
+                else:
+                    assert fits(p, spp, dt) and not fits(p, spp + 1, dt)
+            assert simulator._averaged_chunk(p, 1.5 * tau, 40) == 41
+
+
+class TestOrbitRecord:
+    @pytest.mark.parametrize("angle", [0.0, 60.0, 180.0, 270.0])
+    def test_both_periods_in_one_pass_are_the_sequential_record(self, spm, angle, monkeypatch):
+        # `simulate_periodic` records its 2 periods side by side from phi and
+        # P(phi), in one fine sweep: byte for byte the 400 steps from phi
+        # one after the other, signs of zero included
+        calls = TestChunkedAveraged.record_sweeps(monkeypatch)
+        a = math.radians(angle)
+        specs = [square_spec(spm.R * m * math.cos(a), spm.R * m * math.sin(a), u_tilde_d=40.0)
+                 for m in (0.0, 0.5, 2.0, 5.5)]
+        traces = simulate_periodic(spm, specs)
+        assert calls == [(200, 1)]
+        u_bar, u_tilde = simulator._stacked_drive(specs, specs[0].period / 200)
+        rows, R = simulator._lanes([spm] * len(specs))
+        phi = np.empty((2, len(specs), 401))
+        phi[..., 0] = [[tr.phi_d[0] for tr in traces], [tr.phi_q[0] for tr in traces]]
+        phi[..., -1] = simulator._rk4(rows, R, specs[0].period / 200, phi[..., 0], u_bar, u_tilde,
+                                      *simulator._waveform_arrays(specs[0], specs[0].period / 200, 400),
+                                      phi[..., :-1])
+        i = _stacked_currents(rows[..., None], phi)
+        for j, tr in enumerate(traces):
+            for got, want in ((tr.phi_d, phi[0, j]), (tr.phi_q, phi[1, j]), (tr.i_d, i[0, j]), (tr.i_q, i[1, j])):
+                assert got.tobytes() == want.tobytes()
 
 
 class TestTraceCsv:
