@@ -46,14 +46,20 @@ _SHOOT_FD_STEP = 1e-6    # finite-difference step of the shooting Jacobian [Wb]
 
 _PARAREAL_COARSE_STEPS = 10  # RK4 steps per period of the coarse propagator; even
 _PARAREAL_COARSE_Z = 0.1     # largest coarse step R * dt_G / min(Ld, Lq) parareal runs with
-_PARAREAL_TOL = 1e-13        # largest move of a done run's period starts [Wb]
+_PARAREAL_TOL = 1e-13        # largest summed chunk-boundary jump of a done lane [Wb]
 _PARAREAL_MAX_SWEEPS = 3     # fine sweeps before an open run finishes sequentially
 
 
 def _write_columns(path, header: str, *columns) -> None:
     """CSV of the header line, then one row per sample of the equal-length
-    columns, every value at round-trip precision."""
-    np.savetxt(path, np.column_stack(columns), fmt="%.17g", delimiter=",", header=header, comments="")
+    columns, every value at round-trip precision: the bytes of
+    `np.savetxt(path, np.column_stack(columns), fmt="%.17g", delimiter=",",
+    header=header, comments="")`, with the rows formatted in one call."""
+    values = np.column_stack(columns)
+    row = ",".join(["%.17g"] * values.shape[1]) + "\n"
+    with open(path, "w") as fh:
+        fh.write(header + "\n")
+        fh.write((row * len(values)) % tuple(values.ravel().tolist()))
 
 
 class StepTooLarge(RuntimeError):
@@ -223,26 +229,66 @@ def _rk4(rows: np.ndarray, R: np.ndarray, dt: float, X0: np.ndarray, u_bar: np.n
     right-continuous), at the step midpoint (fmid[k]) and at t_{k+1}
     closing the step (f1[k], left-sided). Given out (2, *lanes, steps), the
     flux at the start of step k goes to out[..., k]; nothing else is stored.
+
+    Each step is the binary float operations of u - R * i(X) per stage and
+    X + h6 * (k1 + 2 k2 + 2 k3 + k4), written into buffers allocated once
+    per call, with operands swapped at most, so the result is bit for bit
+    that of the plain expressions. A stage reuses the drive of the stage
+    before it, across steps too, when its waveform value has the same bits:
+    a square wave or the averaged system computes a drive once per half
+    period or once per call, a continuous drive once per closing stage and
+    midpoint, as f1[k] is f0[k + 1].
     """
-    C = tuple(rows)  # the five rows, unpacked once
-
-    def rhs(X, U):
-        return U - R * _stacked_currents(C, X)
-
-    X = np.array(X0, dtype=float)  # a contiguous copy
+    c0, c1, c2, c3, e = rows
+    mul, add = np.multiply, np.add
+    X = np.array(X0, dtype=float)  # a contiguous copy, the state buffer
+    S, U, k1, k2, k3, k4, tmp = (np.empty_like(X) for _ in range(7))
+    fq2 = np.empty_like(X[0])
     h2, h6 = 0.5 * dt, dt / 6.0
+    key = None  # the bits of the waveform value whose drive U holds
+
+    def rhs(X, Xd, Xq, f, k):
+        """k = u - R * `_stacked_currents`(rows, X) under waveform value f."""
+        nonlocal key
+        if key != (f, math.copysign(1.0, f)):  # -0.0 == 0.0, but its drive may differ
+            key = f, math.copysign(1.0, f)
+            mul(u_tilde, f, U)
+            add(u_bar, U, U)
+        mul(Xq, Xq, fq2)
+        mul(c2, Xd, k)
+        add(c1, k, k)
+        mul(Xd, k, k)
+        add(c0, k, k)
+        mul(c3, fq2, tmp)
+        add(k, tmp, k)
+        mul(X, k, k)
+        mul(e, fq2, tmp)
+        add(k, tmp, k)
+        mul(R, k, k)
+        np.subtract(U, k, k)
+
+    state, stage = (X, X[0], X[1]), (S, S[0], S[1])  # the axis rows as views made once
+    steps = None if out is None else np.moveaxis(out, -1, 0)  # steps[k] is a view of out[..., k]
     for k, (a, m, b) in enumerate(zip(f0.tolist(), fmid.tolist(), f1.tolist())):  # f0 may run one longer
-        if out is not None:
-            out[..., k] = X
-        # square waves and the averaged system hold f over the step
-        ua = u_bar + u_tilde * a
-        um = ua if m == a else u_bar + u_tilde * m
-        ub = um if b == m else u_bar + u_tilde * b
-        k1 = rhs(X, ua)
-        k2 = rhs(X + h2 * k1, um)
-        k3 = rhs(X + h2 * k2, um)
-        k4 = rhs(X + dt * k3, ub)
-        X = X + h6 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        if steps is not None:
+            steps[k] = X
+        rhs(*state, a, k1)
+        mul(h2, k1, S)
+        add(X, S, S)
+        rhs(*stage, m, k2)
+        mul(h2, k2, S)
+        add(X, S, S)
+        rhs(*stage, m, k3)
+        mul(dt, k3, S)
+        add(X, S, S)
+        rhs(*stage, b, k4)
+        mul(2.0, k2, k2)
+        add(k1, k2, k1)
+        mul(2.0, k3, k3)
+        add(k1, k3, k1)
+        add(k1, k4, k1)
+        mul(h6, k1, k1)
+        add(X, k1, X)
     return X
 
 
@@ -280,11 +326,15 @@ def _record(motors: Sequence[MotorParams], dt: float, n_steps: int, spp: int, X0
     (Lions, Maday & Turinici, C. R. Acad. Sci. Paris 2001). The fine
     propagator F is one chunk of `_rk4` at dt, the coarse G one chunk at
     `_PARAREAL_COARSE_STEPS` steps. The chunk starts U begin at U[0] = X0,
-    U[p+1] = G(U[p]). After sweep s the first s + 1 starts are exact,
-    U'[p+1] = F(U[p]) for p < s; the others update as U'[p+1] = G(U'[p]) +
-    F(U[p]) - G(U[p]). A lane whose starts all move by at most
-    `_PARAREAL_TOL` is done and keeps its starts, so later sweeps rewrite
-    its samples bit for bit and every lane comes out as it would alone.
+    U[p+1] = G(U[p]). A fine sweep from U leaves a jump F(U[p]) - U[p+1]
+    in the record at every chunk boundary; a lane whose jumps, summed over
+    both axes and all boundaries, come to at most `_PARAREAL_TOL` is done:
+    its record is continuous up to that sum, which bounds the record's
+    flux error against one pass. A done lane keeps its starts, so later
+    sweeps rewrite its samples bit for bit and every lane comes out as it
+    would alone. Only the lanes still open get a coarse correction: after
+    sweep s their first s + 1 starts are exact, U'[p+1] = F(U[p]) for
+    p < s, and the others update as U'[p+1] = G(U'[p]) + F(U[p]) - G(U[p]).
     After `_PARAREAL_MAX_SWEEPS` sweeps a lane not yet done continues
     sequentially from its last exact start, which no coarse value entered.
     A trailing part chunk continues from the last chunk's end.
@@ -316,27 +366,30 @@ def _record(motors: Sequence[MotorParams], dt: float, n_steps: int, spp: int, X0
         else:
             coarse = waveform(coarse_dt, _PARAREAL_COARSE_STEPS)
 
-            def coarse_sweep(U, G, k0):
+            def coarse_sweep(U, G, k0, lanes):
                 """Add G(U[..., k]) to U[..., k + 1] in chunk order from k0, keeping
-                the G values in G[..., k]."""
+                the G values in G[..., k]; U and G hold the given lanes."""
+                rows_l, R_l, u_bar_l, u_tilde_l = rows[..., lanes], R[:, lanes], u_bar[:, lanes], u_tilde[:, lanes]
                 for k in range(k0, P - 1):
-                    G[..., k] = _rk4(rows, R, coarse_dt, U[..., k], u_bar, u_tilde, *coarse)
+                    G[..., k] = _rk4(rows_l, R_l, coarse_dt, U[..., k], u_bar_l, u_tilde_l, *coarse)
                     U[..., k + 1] += G[..., k]
 
             U, G = np.zeros((2, n, P)), np.empty((2, n, P - 1))
             U[..., 0] = X0
             with np.errstate(over="ignore", invalid="ignore"):  # an unconverged start is never kept
-                coarse_sweep(U, G, 0)
+                coarse_sweep(U, G, 0, slice(None))
                 for sweeps in range(1, _PARAREAL_MAX_SWEEPS + 1):
                     F = fine_sweep(U)
-                    U_next = U.copy()  # U[..., 0] = X0 stays; every later start is set below
-                    U_next[..., 1:sweeps + 1] = F[..., :sweeps]
-                    U_next[..., sweeps + 1:] = F[..., sweeps:-1] - G[..., sweeps:]
-                    coarse_sweep(U_next, G, sweeps)
-                    done |= np.all(np.abs(U_next - U) <= _PARAREAL_TOL, axis=(0, 2))  # NaN stays open
+                    jumps = np.sum(np.abs(F[..., :-1] - U[..., 1:]), axis=(0, 2))  # where the record breaks
+                    done |= jumps <= _PARAREAL_TOL  # NaN stays open
                     if done.all() or sweeps == _PARAREAL_MAX_SWEEPS:
                         break
-                    U = np.where(done[:, None], U, U_next)
+                    lanes = np.flatnonzero(~done)  # a done lane keeps its starts
+                    U_open, G_open = U[:, lanes], G[:, lanes]
+                    U_open[..., 1:sweeps + 1] = F[:, lanes, :sweeps]
+                    U_open[..., sweeps + 1:] = F[:, lanes, sweeps:-1] - G_open[..., sweeps:]
+                    coarse_sweep(U_open, G_open, sweeps, lanes)
+                    U[:, lanes], G[:, lanes] = U_open, G_open
         starts = np.concatenate((starts[..., :1], F), axis=-1)
     for lanes, k in ((done, P), (~done, sweeps)):
         if lanes.any():
@@ -451,9 +504,17 @@ def simulate_periodic(p: MotorParams, specs: Sequence[InjectionSpec], *,
     integrate one period side by side, and `_shooting_step` turns the three
     ends into each run's step. The warm start is
     the first-order inverse at the mean current i_bar = u_bar / R, shifted by
-    the ripple flux u_tilde * F(0) / omega at t = 0. A run whose one-period
-    residual still exceeds `_SHOOT_TOL` on an axis after `_SHOOT_MAX_ITER`
-    steps raises NonConvergence naming its mean current.
+    the ripple flux u_tilde * F(0) / omega at t = 0.
+
+    The Newton loop runs twice: first on the coarse period map of
+    `_PARAREAL_COARSE_STEPS` steps, from the warm start, where such a step
+    `_coarse_fits`; then on the fine map of steps_per_period steps, from
+    the coarse fixed point, which is off the fine one by the coarse map's
+    truncation error only, so one or two fine steps finish it. A run whose
+    coarse Newton does not converge starts the fine one from its warm start,
+    so a run comes out of a batch as it does alone. A run whose fine
+    one-period residual still exceeds `_SHOOT_TOL` on an axis after
+    `_SHOOT_MAX_ITER` steps raises NonConvergence naming its mean current.
 
     Both recorded periods start exactly where they start in one pass: phi0,
     and P(phi0) from the base lanes of the Newton sweep that confirmed
@@ -472,23 +533,30 @@ def simulate_periodic(p: MotorParams, specs: Sequence[InjectionSpec], *,
 
     lanes = _lanes([p] * (3 * n))
     waveform = functools.partial(_waveform_arrays, specs[0])
-    drive = (np.tile(u_bar, 3), np.tile(u_tilde, 3), *waveform(dt, steps_per_period))
     offsets = np.zeros((2, 3 * n))
     offsets[0, n:2 * n] = offsets[1, 2 * n:] = _SHOOT_FD_STEP
+    coarse_dt = specs[0].period / _PARAREAL_COARSE_STEPS
+    maps = [(dt, steps_per_period)]
+    if _coarse_fits(p, coarse_dt):
+        maps.insert(0, (coarse_dt, _PARAREAL_COARSE_STEPS))
     with np.errstate(over="ignore", invalid="ignore"):  # a run that runs away is reported below
-        for _ in range(_SHOOT_MAX_ITER):
-            end = _rk4(*lanes, dt, np.tile(phi, 3) + offsets, *drive)
-            r = end[:, :n] - phi
-            open_ = ~np.all(np.abs(r) <= _SHOOT_TOL, axis=0)  # NaN stays open
-            if not open_.any():
-                break
-            step = _shooting_step(phi, r, end[:, n:2 * n] - end[:, :n], end[:, 2 * n:] - end[:, :n])
-            phi = phi + np.where(open_, step, 0.0)
-        else:
-            d, q = i_bar[:, np.argmax(open_)]
-            raise NonConvergence(
-                f"no periodic orbit within {_SHOOT_MAX_ITER} shooting steps for the run at "
-                f"i_bar = ({d:.6g}, {q:.6g}) A, |i_bar| = {math.hypot(d, q):.6g} A")
+        for h, steps in maps:
+            drive = (np.tile(u_bar, 3), np.tile(u_tilde, 3), *waveform(h, steps))
+            start = phi
+            for _ in range(_SHOOT_MAX_ITER):
+                end = _rk4(*lanes, h, np.tile(phi, 3) + offsets, *drive)
+                r = end[:, :n] - phi
+                open_ = ~np.all(np.abs(r) <= _SHOOT_TOL, axis=0)  # NaN stays open
+                if not open_.any():
+                    break
+                step = _shooting_step(phi, r, end[:, n:2 * n] - end[:, :n], end[:, 2 * n:] - end[:, :n])
+                phi = phi + np.where(open_, step, 0.0)
+            phi = np.where(open_, start, phi)  # an open run starts the next map where it started this one
+    if open_.any():
+        d, q = i_bar[:, np.argmax(open_)]
+        raise NonConvergence(
+            f"no periodic orbit within {_SHOOT_MAX_ITER} shooting steps for the run at "
+            f"i_bar = ({d:.6g}, {q:.6g}) A, |i_bar| = {math.hypot(d, q):.6g} A")
     # the last Newton sweep's base lanes hold P(phi), the second period's start
     starts = np.stack((phi, end[:, :n]), axis=-1)  # MIN_WHOLE_PERIODS = 2 of them
     return _traces(*_record([p] * n, dt, MIN_WHOLE_PERIODS * steps_per_period, steps_per_period, starts,

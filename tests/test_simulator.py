@@ -59,6 +59,67 @@ class TestConfig:
             simulate(ipm, spec, SimConfig(dt=dt, t_end=0.01))
 
 
+def plain_rk4(rows, R, dt, X0, u_bar, u_tilde, f0, fmid, f1, out=None):
+    """Reference: classic RK4 of dphi/dt = u - R * i(phi) as plain array
+    expressions, each stage's drive computed from its own waveform value."""
+    def rhs(X, f):
+        return (u_bar + u_tilde * f) - R * _stacked_currents(rows, X)
+
+    X = np.array(X0, dtype=float)
+    for k in range(len(fmid)):
+        if out is not None:
+            out[..., k] = X
+        k1 = rhs(X, f0[k])
+        k2 = rhs(X + 0.5 * dt * k1, fmid[k])
+        k3 = rhs(X + 0.5 * dt * k2, fmid[k])
+        k4 = rhs(X + dt * k3, f1[k])
+        X = X + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    return X
+
+
+class TestKernel:
+    """`_rk4` integrates in buffers it allocates once and reuses a stage's
+    drive; neither may change a bit of the result."""
+
+    @pytest.mark.parametrize("waveform", [
+        Waveform.square(),
+        Waveform.sine(),
+        # zeros of both signs, so a drive reused across a sign of zero shows
+        Waveform.from_samples([-1.0, -0.0, 0.0, 1.0, 0.5, -0.5]),
+        None,
+    ], ids=["square", "sine", "sampled", "averaged"])
+    @pytest.mark.parametrize("chunks", [None, 3])
+    @pytest.mark.parametrize("stored", [False, True])
+    def test_matches_plain_rk4_bitwise(self, ipm, spm, waveform, chunks, stored):
+        motors = [ipm, spm, ipm.without_saturation(), spm, ipm]
+        rows, R = simulator._lanes(motors)
+        # the last lane rests at -0.0 under a drive of -0.0 + 0.0 * f, whose
+        # zero takes the sign of f: it leaves -0.0 at the first stage whose
+        # f is +0.0 or positive
+        u_bar = np.array([[24.3, -0.0, -8.0, 40.0, -0.0], [6.0, 0.0, 12.0, -30.0, -0.0]])
+        u_tilde = np.array([[30.0, 20.0, 0.0, 25.0, 0.0], [0.0, 15.0, 30.0, -10.0, 0.0]])
+        spec = InjectionSpec(0.0, 0.0, 1.0, 0.0, OMEGA_500, waveform or Waveform.square())
+        dt = spec.period / 60
+        if waveform is None:  # the averaged system: no ripple
+            u_tilde = np.zeros_like(u_tilde)
+            drive = np.zeros(121), np.zeros(120), np.zeros(120)
+        else:
+            drive = simulator._waveform_arrays(spec, dt, 120)
+        X0 = np.array([[0.0, 0.05, -0.02, 0.3, -0.0], [0.0, -0.01, 0.04, 0.02, -0.0]])
+        if chunks:  # lanes (2, n, P): every operand repeated, one start per chunk
+            rows, R, u_bar, u_tilde = (np.repeat(a[..., None], chunks, axis=-1) for a in (rows, R, u_bar, u_tilde))
+            X0 = X0[..., None] * np.array([1.0, 0.5, 2.0])
+        # the samples go through a strided view, as `_record` passes them
+        outs = [np.full(X0.shape + (121,), np.nan)[..., 1:] for _ in range(2)] if stored else [None, None]
+        got = simulator._rk4(rows, R, dt, X0, u_bar, u_tilde, *drive, outs[0])
+        want = plain_rk4(rows, R, dt, X0, u_bar, u_tilde, *drive, outs[1])
+        assert np.all(np.isfinite(want))
+        assert got.tobytes() == want.tobytes()
+        if stored:
+            assert outs[0].tobytes() == outs[1].tobytes()
+            assert outs[0][..., 0].tobytes() == X0.tobytes()
+
+
 class TestAgainstLinearAnalytic:
     def test_rl_step_response(self):
         # linear motor under constant d voltage: textbook RL charging curve
@@ -187,6 +248,20 @@ class TestPeriodParallel:
         u_bar, u_tilde = simulator._stacked_drive(specs, cfg.dt)
         _, sweeps = from_rest(config.motor, specs[0], cfg.dt, want.shape[-1] - 1, u_bar, u_tilde)
         assert 1 <= sweeps <= 2
+
+    @pytest.mark.parametrize("name", ["ipm", "spm"])
+    def test_fixture_plan_coarse_work(self, name, rk4_calls):
+        # the fine sweep that finds a record continuous ends its parareal:
+        # the coarse work is the prediction of the P - 1 later chunk starts
+        # and one correction of the P - 2 after the first exact one
+        config = load_config(Path(__file__).resolve().parents[1] / "configs" / f"{name}.cfg")
+        specs = [r.spec for r in plan_runs(config.plan, config.motor.R)]
+        period = specs[0].period
+        simulate_batch(config.motor, specs, SimConfig(dt=period / config.steps_per_period,
+                                                      t_end=config.measure_periods * period))
+        P = config.measure_periods
+        assert sum(steps == simulator._PARAREAL_COARSE_STEPS for steps, _ in rk4_calls) == (P - 1) + (P - 2)
+        assert sum(steps == config.steps_per_period for steps, _ in rk4_calls) == 2
 
     @pytest.mark.parametrize("waveform", [
         Waveform.sine(),
@@ -508,6 +583,41 @@ class TestOrbitRecord:
                 assert got.tobytes() == want.tobytes()
 
 
+class TestCoarseFirstShooting:
+    """`simulate_periodic` runs its Newton shooting on the coarse period map
+    first, where a coarse step fits, then on the fine map from there."""
+
+    def test_fine_only_where_a_coarse_step_does_not_fit(self, ipm, rk4_calls):
+        # at 25 Hz a tenth of a period is about one time constant of the IPM
+        # motor: no coarse period map, only fine Newton steps
+        specs = [square_spec(ipm.R * m, u_tilde_d=30.0, omega=2 * math.pi * 25.0) for m in (0.0, 1.0, 2.0)]
+        assert not simulator._coarse_fits(ipm, specs[0].period / simulator._PARAREAL_COARSE_STEPS)
+        simulate_periodic(ipm, specs)
+        assert rk4_calls and all(steps != simulator._PARAREAL_COARSE_STEPS for steps, _ in rk4_calls)
+
+    def test_run_whose_coarse_newton_fails_leaves_the_others_as_alone(self, ipm, rk4_calls):
+        # at 400 Hz the coarse Newton of the 8 A run on the d axis exhausts
+        # its steps, so that run starts the fine map from its warm start; the
+        # others start it from their coarse orbits. Every run comes out of
+        # the batch bit for bit as it does alone
+        a = math.radians(60.0)
+        specs = [square_spec(ipm.R * m * math.cos(a), ipm.R * m * math.sin(a), u_tilde_d=30.0,
+                             omega=2 * math.pi * 400.0) for m in (1.0, 0.0)]
+        specs.insert(1, square_spec(ipm.R * 8.0, u_tilde_d=30.0, omega=2 * math.pi * 400.0))
+        alone = []
+        for spec in specs:
+            rk4_calls.clear()
+            alone.append(simulate_periodic(ipm, [spec])[0])
+            coarse = sum(steps == simulator._PARAREAL_COARSE_STEPS for steps, _ in rk4_calls)
+            assert (coarse == simulator._SHOOT_MAX_ITER) == (spec is specs[1])
+        for a, b in zip(alone, simulate_periodic(ipm, specs)):
+            for name in ("t", "u_d", "u_q", "i_d", "i_q", "phi_d", "phi_q"):
+                assert getattr(a, name).tobytes() == getattr(b, name).tobytes(), name
+        # the fine orbit is the periodic steady state all the same
+        for tr in alone:
+            assert abs(tr.phi_d[200] - tr.phi_d[0]) <= 1e-12 and abs(tr.phi_q[200] - tr.phi_q[0]) <= 1e-12
+
+
 class TestTraceCsv:
     def test_round_trip_bitwise(self, ipm, tmp_path):
         spec = square_spec(u_bar_d=2.0, u_tilde_d=25.0)
@@ -547,6 +657,17 @@ class TestTraceCsv:
             b"t,u_d,u_q,i_d,i_q,phi_d,phi_q\n"
             b"0,30,0,0,1e-300,0,-1.5\n"
             b"1.0000000000000001e-05,-30,-0,0.30000000000000004,2.5e+17,0.33333333333333331,7\n")
+
+    @pytest.mark.parametrize("n_columns", [1, 3, 7])
+    def test_columns_are_the_bytes_of_savetxt(self, tmp_path, n_columns):
+        # rows formatted in one call, byte for byte what np.savetxt writes
+        values = np.array([-0.0, 0.0, 1e-300, -1e308, 3.0, -42.0, 2.0**53, 1 / 3, 0.1 + 0.2, 5e-324, -2.5e17])
+        columns = [np.roll(values, k) for k in range(n_columns)]
+        header = ",".join(f"c{k}" for k in range(n_columns))
+        simulator._write_columns(tmp_path / "one_call.csv", header, *columns)
+        np.savetxt(tmp_path / "savetxt.csv", np.column_stack(columns), fmt="%.17g", delimiter=",", header=header,
+                   comments="")
+        assert (tmp_path / "one_call.csv").read_bytes() == (tmp_path / "savetxt.csv").read_bytes()
 
     def test_import_missing_core_column(self, tmp_path):
         path = tmp_path / "bad.csv"

@@ -1,8 +1,12 @@
+import collections
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from satpmsm import simulator
+from satpmsm.config import load_config
 from satpmsm.estimator import PlanRun, simulate_plan
 from satpmsm.injection import InjectionSpec, Waveform
 from satpmsm.magnetics import (
@@ -118,6 +122,20 @@ class TestAngleSweep:
             assert len(tr.t) == MIN_WHOLE_PERIODS * 200 + 1
             assert abs(tr.phi_d[200] - tr.phi_d[0]) <= 1e-12
             assert abs(tr.phi_q[200] - tr.phi_q[0]) <= 1e-12
+
+    @pytest.mark.parametrize("name", ["ipm", "spm"])
+    def test_fixture_sweeps_shoot_on_the_coarse_map_first(self, name, rk4_calls):
+        # Newton converges on the coarse period map, then takes at most two
+        # fine one-period steps from its fixed point: one that moves the
+        # orbit by the coarse map's error and one that confirms it
+        config = load_config(Path(__file__).resolve().parents[1] / "configs" / f"{name}.cfg")
+        v = config.validation
+        s = SweepSpec(v.angle_deg, v.mag_grid, config.plan.omega, config.plan.waveform, config.plan.u_tilde,
+                      v.inject_axis)
+        angle_sweep(config.motor, s, steps_per_period=config.steps_per_period)
+        newton = collections.Counter(steps for steps, lanes in rk4_calls if lanes == (3 * len(v.mag_grid),))
+        assert newton[simulator._PARAREAL_COARSE_STEPS] >= 1 and newton[config.steps_per_period] <= 2
+        assert set(newton) == {simulator._PARAREAL_COARSE_STEPS, config.steps_per_period}
 
     def test_no_orbit_names_the_magnitude(self):
         # the d-axis current peaks at 0.86 A, so a 2 A bias runs away
