@@ -67,12 +67,8 @@ def cmd_simulate(config: ProjectConfig, seed: int) -> int:
 
 
 def cmd_estimate(config: ProjectConfig, seed: int, ingest: Path | None) -> int:
-    if ingest is None and config.ingest is not None:
-        ingest = config.ingest
-    if ingest is None:
-        default_manifest = config.out_dir / "manifest.txt"
-        if default_manifest.exists():
-            ingest = default_manifest
+    if ingest is None and (config.out_dir / "manifest.txt").exists():
+        ingest = config.out_dir / "manifest.txt"
 
     if ingest is not None:
         entries = read_manifest(ingest)

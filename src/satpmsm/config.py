@@ -50,7 +50,7 @@ _KEYS = {
     "plan": ("omega_Hz", "waveform", "u_tilde_V",
              "id_grid_A", "id_max_A", "id_step_A", "iq_grid_A", "iq_max_A", "iq_step_A"),
     "sim": ("steps_per_period", "measure_periods", "noise_mA"),
-    "paths": ("out_dir", "ingest"),
+    "paths": ("out_dir",),
     "validate": ("angle_deg", "inject_axis", "mag_grid_A", "mag_max_A", "mag_step_A",
                  "step_volts_V", "step_t_end_s"),
     "curves": ("curve_grid_A", "curve_max_A", "curve_step_A", "levels_A"),
@@ -80,7 +80,6 @@ class ProjectConfig:
     measure_periods: int
     noise_amp: float
     out_dir: Path
-    ingest: Path | None
     validation: ValidationConfig
     curves: CurvesConfig
 
@@ -148,11 +147,6 @@ def load_config(path) -> ProjectConfig:
     out_dir = Path(paths["out_dir"]) if "out_dir" in paths else Path("out")
     if not out_dir.is_absolute():
         out_dir = path.parent / out_dir
-    ingest = None
-    if "ingest" in paths:
-        ingest = Path(paths["ingest"])
-        if not ingest.is_absolute():
-            ingest = path.parent / ingest
 
     va = sections.get("validate", {})
     where = f"{path} [validate]"
@@ -194,6 +188,6 @@ def load_config(path) -> ProjectConfig:
         motor=motor, plan=plan,
         steps_per_period=steps_per_period, measure_periods=measure_periods,
         noise_amp=noise_amp,
-        out_dir=out_dir, ingest=ingest,
+        out_dir=out_dir,
         validation=validation, curves=curves,
     )

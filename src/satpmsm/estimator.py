@@ -56,8 +56,6 @@ ROLE_D_SWEEP = "d_sweep"
 ROLE_CROSS_D_INJ = "cross_d_inj"
 ROLE_CROSS_Q_INJ = "cross_q_inj"
 
-ALL_ROLES = (ROLE_LD, ROLE_LQ, ROLE_D_SWEEP, ROLE_CROSS_D_INJ, ROLE_CROSS_Q_INJ)
-
 PARAM_NAMES = ("Ld", "Lq", "a30", "a12", "a40", "a22", "a04")
 
 _ZERO_RIPPLE_FLOOR = 1e-12
@@ -281,33 +279,29 @@ def estimate_from_records(records: Sequence[RunRecord], nominal: MotorParams) ->
     current map at their rebuilt flux (see module docstring).
 
     The normal equations are accumulated run by run, so runs may differ in
-    pulsation, amplitude and length. R, phi_m and the pole count are passed
-    through from `nominal`; R also rebuilds the flux. The seven magnetic
-    parameters are replaced by their estimates.
+    pulsation, amplitude and length. They are taken on the residuals r0 =
+    y - theta0 X about the nominal theta0 = `nominal.theta` and solved for
+    the step delta = theta - theta0, so the residual sum of squares is
+    r0.r0 - delta.X r0. theta0 only conditions the arithmetic: that sum does
+    not cancel as y.y - theta.X y does. `gram_fit` alone decides whether the
+    records determine theta; run roles are not read. R, phi_m and the pole
+    count are passed through from `nominal`; R also rebuilds the flux. The
+    seven magnetic parameters are replaced by their estimates.
     """
-    by_role: dict[str, list[RunRecord]] = {role: [] for role in ALL_ROLES}
-    for rec in records:
-        if rec.run.role not in by_role:
-            raise ValueError(f"unknown run role {rec.run.role!r}")
-        by_role[rec.run.role].append(rec)
-    if not by_role[ROLE_LD] or not by_role[ROLE_LQ]:
-        raise ValueError("plan must include both zero-bias runs")
-    if len({r.run.i_target for r in by_role[ROLE_D_SWEEP]}) < 3:
-        raise RankDeficient("d-axis sweep needs >= 3 distinct bias currents")
-    if len({r.run.i_target for r in by_role[ROLE_CROSS_D_INJ] + by_role[ROLE_CROSS_Q_INJ]}) < 3:
-        raise RankDeficient("cross sweeps need >= 3 distinct bias currents")
-
+    theta0 = np.array(nominal.theta)
     k = len(PARAM_NAMES)
-    xtx, xty, yty, n_rows, n_blocks = np.zeros((k, k)), np.zeros(k), 0.0, 0, 0
+    xtx, xtr, rtr, n_rows, n_blocks = np.zeros((k, k)), np.zeros(k), 0.0, 0, 0
     for rec in records:
         X, y, blocks = _period_centred(rec, nominal.R)
+        r0 = y - theta0 @ X
         xtx += X @ X.T
-        xty += X @ y
-        yty += float(y @ y)
+        xtr += X @ r0
+        rtr += float(r0 @ r0)
         n_rows += len(y)
         n_blocks += blocks
-    theta, xtx_inv = gram_fit(xtx, xty)
-    rss = max(yty - float(theta @ xty), 0.0)
+    delta, xtx_inv = gram_fit(xtx, xtr)
+    theta = theta0 + delta
+    rss = max(rtr - float(delta @ xtr), 0.0)
     sig = np.sqrt(rss / (n_rows - n_blocks - k) * np.diag(xtx_inv))
 
     inv_Ld, inv_Lq, a30, a12, a40, a22, a04 = (float(v) for v in theta)
@@ -338,14 +332,15 @@ def measure_traces(runs: Sequence[PlanRun], traces: Sequence[Trace],
     hence zero flux), because the estimator rebuilds the flux by integrating
     from the first sample: a first current sample beyond five times its
     channel's noise RMS (`_noise_rms`, which the transient from rest does not
-    inflate) raises NotAtRest. Every zero-bias run must show a ripple on its
-    injected axis, fitted over the whole record by `extract_ripple`, or
-    ZeroRipple is raised. Both refusals name the trace by `names` or by its
-    run.
+    inflate) raises NotAtRest. A zero-bias run is one driven with no bias
+    voltage; each must show a ripple on every axis it injects, fitted over
+    the whole record by `extract_ripple`, or ZeroRipple is raised. Both
+    refusals name the trace by `names` or by its run. The zero-bias runs must
+    inject both axes between them (ValueError); run roles are labels only.
     """
     if len(runs) != len(traces):
         raise ValueError("one trace per planned run required")
-    records = []
+    records, injected = [], set()
     for k, (run, trace) in enumerate(zip(runs, traces)):
         period_blocks(trace, run.spec)
         name = names[k] if names is not None else f"run {k} ({run.role}, {run.i_target:+.3f} A)"
@@ -356,13 +351,17 @@ def measure_traces(runs: Sequence[PlanRun], traces: Sequence[Trace],
                     f"{name}: first i_{axis} sample {i[0]:.3g} A exceeds "
                     f"{_AT_REST_FACTOR:g}x the noise RMS {floor:.3g} A; "
                     "traces must start de-energized")
-        if run.role in (ROLE_LD, ROLE_LQ):
-            meas = extract_ripple(trace, run.spec, 0.0)
-            if run.role == ROLE_LD:
-                _checked_ripple(meas.i_tilde_d, meas.sigma_i_tilde_d, f"{name}: d-axis zero-bias run")
-            else:
-                _checked_ripple(meas.i_tilde_q, meas.sigma_i_tilde_q, f"{name}: q-axis zero-bias run")
+        s = run.spec
+        if s.u_bar_d == s.u_bar_q == 0.0:
+            meas = extract_ripple(trace, s, 0.0)
+            for axis, u_tilde, i_tilde, sigma in (("d", s.u_tilde_d, meas.i_tilde_d, meas.sigma_i_tilde_d),
+                                                  ("q", s.u_tilde_q, meas.i_tilde_q, meas.sigma_i_tilde_q)):
+                if u_tilde != 0.0:
+                    _checked_ripple(i_tilde, sigma, f"{name}: {axis}-axis zero-bias run")
+                    injected.add(axis)
         records.append(RunRecord(run, trace))
+    if injected != {"d", "q"}:
+        raise ValueError("plan must include both zero-bias runs")
     return records
 
 

@@ -33,7 +33,7 @@ from .injection import F_array, InjectionSpec, f_array
 from .magnetics import (Currents, MotorParams, NonConvergence, _current_rows,
                         _stacked_currents, flux_from_currents_first_order)
 
-_CSV_HEADER = ["t", "u_d", "u_q", "i_d", "i_q", "phi_d", "phi_q"]
+_CSV_HEADER = ("t", "u_d", "u_q", "i_d", "i_q")  # the measured channels: all a trace file holds
 
 # Fewest whole injection periods a record must hold (`ripple.period_blocks`);
 # the ripple fit and the identification centre each of them on its own mean.
@@ -91,8 +91,8 @@ class Trace:
     """Uniformly sampled record of one run.
 
     Voltages are the impressed values, currents may carry measurement noise,
-    flux channels are the noise-free internal state (None for imported
-    measurement data, which has no flux channel).
+    flux channels are the noise-free internal state (None for a trace read
+    from a file, since measurement data has no flux channel).
     """
 
     t: np.ndarray
@@ -139,28 +139,31 @@ class Trace:
         )
 
     def to_csv(self, path) -> None:
-        names = _CSV_HEADER if self.phi_d is not None and self.phi_q is not None else _CSV_HEADER[:5]
-        _write_columns(path, ",".join(names), *(getattr(self, name) for name in names))
+        """Write the five measured channels, `t,u_d,u_q,i_d,i_q`; the flux
+        is internal state, which no measurement has."""
+        _write_columns(path, ",".join(_CSV_HEADER), *(getattr(self, name) for name in _CSV_HEADER))
 
     @staticmethod
     def from_csv(path) -> "Trace":
+        """Read the five measured channels by header name; any other column
+        is ignored, so the flux is None."""
         with open(path) as fh:
             header = fh.readline().strip().split(",")
-            for name in _CSV_HEADER[:5]:
-                if name not in header:
-                    raise ValueError(f"trace CSV {path} missing column {name!r}")
+            for name in _CSV_HEADER:
+                if header.count(name) != 1:
+                    what = "repeats" if name in header else "missing"
+                    raise ValueError(f"trace CSV {path} {what} column {name!r}")
             with warnings.catch_warnings():  # an empty file is refused below
                 warnings.filterwarnings("ignore", "loadtxt: input contained no data")
-                data = np.loadtxt(fh, delimiter=",", ndmin=2, usecols=range(len(header)))
+                data = np.loadtxt(fh, delimiter=",", ndmin=2, usecols=[header.index(n) for n in _CSV_HEADER])
         if len(data) < 2:
             raise ValueError(f"trace CSV {path} has {len(data)} data rows, needs at least 2")
         bad = np.argwhere(~np.isfinite(data))
         if len(bad):
             row, col = bad[0]
-            raise ValueError(f"trace CSV {path}: {header[col]} in data row {row + 1} is not finite")
-        cols = dict(zip(header, data.T.copy()))
+            raise ValueError(f"trace CSV {path}: {_CSV_HEADER[col]} in data row {row + 1} is not finite")
         try:
-            return Trace(**{name: cols.get(name) for name in _CSV_HEADER})
+            return Trace(*data.T.copy())
         except ValueError as exc:
             raise ValueError(f"trace CSV {path}: {exc}") from None
 

@@ -137,8 +137,12 @@ class TestConfig:
         # a misspelt key or section fails at load, naming the file, the
         # section and the key, rather than leaving the default in force
         path = tmp_path / "typo.cfg"
+        # no config key names a manifest ([paths] ingest): --ingest and the
+        # manifest that simulate leaves in the output directory do
         for old, new, message in (("noise_mA = 0", "noise_ma = 10", f"{path} [sim]: noise_ma"),
-                                  ("[sim]", "[simm]", f"{path}: unknown section [simm]")):
+                                  ("[sim]", "[simm]", f"{path}: unknown section [simm]"),
+                                  ("out_dir = out", "out_dir = out\ningest = manifest.txt",
+                                   f"{path} [paths]: ingest")):
             path.write_text(IPM_CFG.replace(old, new))
             with pytest.raises(ConfigError, match=re.escape(message)):
                 load_config(path)
@@ -195,6 +199,19 @@ class TestEstimateCommand:
         mem = (base / "mem" / "report.txt").read_bytes()
         ing = (base / "ing" / "report.txt").read_bytes()
         assert mem == ing
+
+    def test_run_roles_are_labels(self, cfg_path):
+        # the estimator reads no run role: a manifest whose roles are all
+        # relabelled gives the same report, byte for byte
+        base = cfg_path.parent
+        assert main(["simulate", "--config", str(cfg_path), "--out", str(base / "sim")]) == 0
+        manifest = base / "sim" / "manifest.txt"
+        relabelled = base / "sim" / "relabelled.txt"
+        relabelled.write_text(re.sub(r"(?m)^role = .*$", "role = bench_run", manifest.read_text()))
+        for path, out in ((manifest, "ing"), (relabelled, "relabelled")):
+            assert main(["estimate", "--config", str(cfg_path), "--out", str(base / out),
+                         "--ingest", str(path)]) == 0
+        assert (base / "relabelled" / "report.txt").read_bytes() == (base / "ing" / "report.txt").read_bytes()
 
     def test_estimate_picks_up_simulated_manifest(self, cfg_path, capsys):
         assert main(["simulate", "--config", str(cfg_path)]) == 0
@@ -284,7 +301,7 @@ class TestEstimateCommand:
         assert main(["simulate", "--config", str(cfg_path), "--out", str(base / "sim")]) == 0
         victim = next((base / "sim" / "traces").glob("003_*.csv"))
         tr = Trace.from_csv(victim)
-        Trace(*(getattr(tr, f.name)[200:] for f in dataclasses.fields(Trace))).to_csv(victim)
+        Trace(tr.t[200:], tr.u_d[200:], tr.u_q[200:], tr.i_d[200:], tr.i_q[200:]).to_csv(victim)
         code = main(["estimate", "--config", str(cfg_path), "--out", str(base / "x"),
                      "--ingest", str(base / "sim" / "manifest.txt")])
         assert code == 2

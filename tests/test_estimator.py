@@ -15,6 +15,7 @@ from satpmsm.estimator import (
     ExperimentPlan,
     NotAtRest,
     ZeroRipple,
+    _period_centred,
     estimate_cross,
     estimate_d_axis,
     estimate_from_records,
@@ -361,9 +362,10 @@ class TestEndToEnd:
         assert len(records) == 2 + 3 + 6
 
     def test_refusals(self, ipm):
-        # records shorter than two periods or sampled too coarsely, a plan
-        # that leaves the d-axis curvature undetermined, then a d-axis
-        # zero-bias run whose current is noise alone, with no ripple
+        # records shorter than two periods or sampled too coarsely, records
+        # with no q excitation, which leave the q columns of the regression
+        # zero, then a d-axis zero-bias run whose current is noise alone,
+        # with no ripple
         plan = ipm_plan(id_grid=(-1.0, 1.0), iq_grid=(-1.0, 0.5, 1.0))
         runs = plan_runs(plan, ipm.R)
         with pytest.raises(TooShort):
@@ -373,12 +375,22 @@ class TestEndToEnd:
         with pytest.raises(Unresolved):
             measure_traces(runs[:1], [coarse])
         records = measure_traces(runs, traces)
-        with pytest.raises(RankDeficient, match="d-axis"):
-            estimate_from_records(records, ipm)
+        d_only = [r for r in records if r.run.spec.u_bar_q == r.run.spec.u_tilde_q == 0.0]
+        with pytest.raises(RankDeficient, match="a regressor column is zero"):
+            estimate_from_records(d_only, ipm)
         silent = dataclasses.replace(traces[0], i_d=np.zeros_like(traces[0].i_d))
         traces[0] = silent.with_noise(0.010, seed=1)
         with pytest.raises(ZeroRipple, match=r"run 0 \(ld, \+0\.000 A\): d-axis zero-bias"):
             measure_traces(runs, traces)
+
+    def test_two_point_d_sweep_identifies(self, ipm):
+        # the Gram matrix, not a count of bias currents, decides: each run's
+        # transient from rest sweeps its flux from zero to its operating
+        # point, so a d sweep of only +-1 A still identifies theta
+        plan = ipm_plan(id_grid=(-1.0, 1.0), iq_grid=(-1.0, 0.5, 1.0))
+        result, _ = run_identification(ipm, plan, measure_periods=10)
+        for name in ("Ld", "Lq", "a30", "a12", "a40", "a22", "a04"):
+            assert getattr(result.params, name) == pytest.approx(getattr(ipm, name), rel=1e-4), name
 
     def test_reads_no_flux_channel(self, ipm):
         # the flux is rebuilt from t, u and i alone: dropping the flux
@@ -478,6 +490,21 @@ class TestEndToEnd:
         result, _ = run_identification(p, plan, measure_periods=periods)
         for name in ("Ld", "Lq", "a30", "a12", "a40", "a22", "a04"):
             assert getattr(result.params, name) == pytest.approx(getattr(p, name), rel=1e-4), name
+
+    def test_residual_rms_is_the_summed_residual(self, spm):
+        # the SPM fixture's sweep, noise-free: the reported residual RMS is
+        # the RMS of the residuals summed one by one, not what is left after
+        # the cancellation of two sums of squares of the currents
+        grid = symmetric_grid(8.0, 0.5)
+        result, records = run_identification(spm, ipm_plan(id_grid=grid, iq_grid=grid, u_tilde=40.0),
+                                             measure_periods=25)
+        theta = np.array(result.params.theta)
+        rss, n = 0.0, 0
+        for rec in records:
+            X, y, _ = _period_centred(rec, spm.R)
+            r = y - theta @ X
+            rss, n = rss + float(r @ r), n + len(r)
+        assert result.fit_residuals["current_A"] == pytest.approx(math.sqrt(rss / n), rel=1e-9)
 
     def test_sigma_calibration_at_hardware_coefficients(self, ipm):
         # the IPM fixture itself at 500 Hz, 25 periods from rest, 10 mA:

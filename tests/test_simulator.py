@@ -1,5 +1,6 @@
 import functools
 import math
+import re
 import warnings
 from pathlib import Path
 
@@ -620,21 +621,24 @@ class TestCoarseFirstShooting:
 
 class TestTraceCsv:
     def test_round_trip_bitwise(self, ipm, tmp_path):
+        # the five measured channels come back bit for bit; the flux, which
+        # no measurement has, is not written
         spec = square_spec(u_bar_d=2.0, u_tilde_d=25.0)
         cfg = SimConfig(dt=spec.period / 200, t_end=0.01)
         tr = simulate(ipm, spec, cfg).with_noise(0.01, 7)
         path = tmp_path / "run.csv"
         tr.to_csv(path)
         back = Trace.from_csv(path)
-        for name in ("t", "u_d", "u_q", "i_d", "i_q", "phi_d", "phi_q"):
+        for name in ("t", "u_d", "u_q", "i_d", "i_q"):
             assert np.array_equal(getattr(tr, name), getattr(back, name)), name
+        assert back.phi_d is None and back.phi_q is None
 
     def test_header(self, ipm, tmp_path):
         spec = square_spec(u_tilde_d=25.0)
         cfg = SimConfig(dt=spec.period / 200, t_end=0.005)
         path = tmp_path / "run.csv"
         simulate(ipm, spec, cfg).to_csv(path)
-        assert path.read_text().splitlines()[0] == "t,u_d,u_q,i_d,i_q,phi_d,phi_q"
+        assert path.read_text().splitlines()[0] == "t,u_d,u_q,i_d,i_q"
 
     def test_import_without_flux(self, tmp_path):
         path = tmp_path / "meas.csv"
@@ -647,6 +651,41 @@ class TestTraceCsv:
         assert tr.phi_d is None and tr.phi_q is None
         assert len(tr.t) == 3
 
+    @pytest.mark.parametrize("header", ["t,u_d,u_q,i_d,i_q,phi_d,phi_q", "phi_q,i_q,t,phi_d,u_q,i_d,u_d"])
+    def test_seven_column_file_reads_five_channels(self, ipm, tmp_path, header):
+        # a file that also holds the flux, in any column order, reads to the
+        # same five channels by header name; the extra columns are ignored
+        spec = square_spec(u_bar_d=2.0, u_tilde_d=25.0)
+        tr = simulate(ipm, spec, SimConfig(dt=spec.period / 200, t_end=0.005)).with_noise(0.01, 7)
+        path = tmp_path / "run.csv"
+        simulator._write_columns(path, header, *(getattr(tr, name) for name in header.split(",")))
+        back = Trace.from_csv(path)
+        for name in ("t", "u_d", "u_q", "i_d", "i_q"):
+            assert np.array_equal(getattr(tr, name), getattr(back, name)), name
+        assert back.phi_d is None and back.phi_q is None
+
+    def test_unread_column_not_checked(self, tmp_path):
+        # only the five channels are parsed, so a column the estimator never
+        # reads may hold anything
+        path = tmp_path / "meas.csv"
+        path.write_text(
+            "t,u_d,u_q,i_d,i_q,note\n"
+            "0,1,0,0.5,0,nan\n"
+            "0.001,1,0,0.6,0,inf\n")
+        tr = Trace.from_csv(path)
+        assert np.array_equal(tr.i_d, [0.5, 0.6])
+
+    def test_repeated_channel_refused(self, tmp_path):
+        # a channel named twice has no one column to read: refused naming the
+        # file and the channel, not read from the last column of that name
+        path = tmp_path / "twice.csv"
+        path.write_text(
+            "t,u_d,u_q,i_d,i_q,i_d\n"
+            "0,1,0,0.5,0,9\n"
+            "0.001,1,0,0.6,0,9\n")
+        with pytest.raises(ValueError, match=re.escape(f"trace CSV {path} repeats column 'i_d'")):
+            Trace.from_csv(path)
+
     def test_written_bytes(self, tmp_path):
         tr = Trace(t=np.array([0.0, 1e-5]), u_d=np.array([30.0, -30.0]), u_q=np.array([0.0, -0.0]),
                    i_d=np.array([0.0, 0.1 + 0.2]), i_q=np.array([1e-300, 2.5e17]),
@@ -654,9 +693,9 @@ class TestTraceCsv:
         path = tmp_path / "run.csv"
         tr.to_csv(path)
         assert path.read_bytes() == (
-            b"t,u_d,u_q,i_d,i_q,phi_d,phi_q\n"
-            b"0,30,0,0,1e-300,0,-1.5\n"
-            b"1.0000000000000001e-05,-30,-0,0.30000000000000004,2.5e+17,0.33333333333333331,7\n")
+            b"t,u_d,u_q,i_d,i_q\n"
+            b"0,30,0,0,1e-300\n"
+            b"1.0000000000000001e-05,-30,-0,0.30000000000000004,2.5e+17\n")
 
     @pytest.mark.parametrize("n_columns", [1, 3, 7])
     def test_columns_are_the_bytes_of_savetxt(self, tmp_path, n_columns):
