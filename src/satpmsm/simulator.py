@@ -14,6 +14,14 @@ the averaged system) integrated side by side, by parareal where that pays
 or from exact starts where they are known, else one after the other, all
 by one chunk map, `_rk4` from per-lane starts. Every step is one sample.
 
+`_rk4` has two implementations of the same arithmetic, chosen by the batch
+width. A numpy step costs the dispatch of its ~60 array calls, about the
+same from 1 to ~100 lanes; a step in Python floats costs about 2.5 us per
+lane. So a batch of at most `_FLOAT_LANES` lanes, such as a coarse chunk of
+a step response or an orbit record of the angle sweep, integrates one lane
+after another in floats, and a wider one, such as a fine sweep of an
+identification plan, as arrays. Both give the same bits.
+
 The simulator stands in for the motor, not for the sensors: measurement
 noise is added afterwards, by `estimator.simulate_plan` through
 `Trace.with_noise`, to the sampled currents only.
@@ -48,6 +56,11 @@ _PARAREAL_COARSE_STEPS = 10  # RK4 steps per period of the coarse propagator; ev
 _PARAREAL_COARSE_Z = 0.1     # largest coarse step R * dt_G / min(Ld, Lq) parareal runs with
 _PARAREAL_TOL = 1e-13        # largest summed chunk-boundary jump of a done lane [Wb]
 _PARAREAL_MAX_SWEEPS = 3     # fine sweeps before an open run finishes sequentially
+
+# Widest batch `_rk4` integrates lane by lane in Python floats. Per RK4 step
+# the floats cost 2.4-2.8 us per lane and numpy 40-85 us at 1-98 lanes, so
+# the two cross near 28 lanes (2-core Xeon, Python 3.11, numpy 2.4.6).
+_FLOAT_LANES = 24
 
 
 def _write_columns(path, header: str, *columns) -> None:
@@ -146,13 +159,22 @@ class Trace:
     @staticmethod
     def from_csv(path) -> "Trace":
         """Read the five measured channels by header name; any other column
-        is ignored, so the flux is None."""
+        is ignored, so the flux is None. Every data row must hold one value
+        per header name."""
         with open(path) as fh:
             header = fh.readline().strip().split(",")
             for name in _CSV_HEADER:
                 if header.count(name) != 1:
                     what = "repeats" if name in header else "missing"
                     raise ValueError(f"trace CSV {path} {what} column {name!r}")
+            start = fh.tell()
+            for row, line in enumerate(fh, 1):
+                if line.count(",") != len(header) - 1:
+                    values = line.partition("#")[0]  # loadtxt skips a comment and a blank line
+                    if values.strip() and values.count(",") != len(header) - 1:
+                        raise ValueError(f"trace CSV {path}: data row {row} has {values.count(',') + 1} values, "
+                                         f"the header names {len(header)}")
+            fh.seek(start)
             with warnings.catch_warnings():  # an empty file is refused below
                 warnings.filterwarnings("ignore", "loadtxt: input contained no data")
                 data = np.loadtxt(fh, delimiter=",", ndmin=2, usecols=[header.index(n) for n in _CSV_HEADER])
@@ -241,7 +263,13 @@ def _rk4(rows: np.ndarray, R: np.ndarray, dt: float, X0: np.ndarray, u_bar: np.n
     a square wave or the averaged system computes a drive once per half
     period or once per call, a continuous drive once per closing stage and
     midpoint, as f1[k] is f0[k + 1].
+
+    A batch of at most `_FLOAT_LANES` lanes runs in `_rk4_floats` instead,
+    where a step costs a few microseconds per lane rather than the ~60 array
+    calls' dispatch; its result has the same bits.
     """
+    if math.prod(X0.shape[1:]) <= _FLOAT_LANES:
+        return _rk4_floats(rows, R, dt, X0, u_bar, u_tilde, f0, fmid, f1, out)
     c0, c1, c2, c3, e = rows
     mul, add = np.multiply, np.add
     X = np.array(X0, dtype=float)  # a contiguous copy, the state buffer
@@ -293,6 +321,44 @@ def _rk4(rows: np.ndarray, R: np.ndarray, dt: float, X0: np.ndarray, u_bar: np.n
         mul(h6, k1, k1)
         add(X, k1, X)
     return X
+
+
+def _rk4_floats(rows, R, dt, X0, u_bar, u_tilde, f0, fmid, f1, out):
+    """`_rk4` one lane after another in Python floats: per lane and axis the
+    same binary operations on the same operands in the same order as the
+    array kernel, so the same bits, an overflow to inf or NaN included."""
+    lanes = X0.shape[1:]
+    fs = list(zip(f0.tolist(), fmid.tolist(), f1.tolist()))
+    h2, h6 = 0.5 * dt, dt / 6.0
+    end = np.empty(X0.shape)
+    operands = np.concatenate([np.reshape(a, (-1, math.prod(lanes))) for a in (rows, R, u_bar, u_tilde, X0)])
+    for lane, (c0d, c0q, c1d, c1q, c2d, c2q, c3d, c3q, ed, eq, Rd, Rq, ubd, ubq, utd, utq, xd, xq) in zip(
+            np.ndindex(*lanes), operands.T.tolist()):
+        trail_d, trail_q = [], []  # the lane's flux at the start of every step
+        for a, m, b in fs:  # the stages of `_rk4`, each at its own state sd, sq
+            trail_d.append(xd)
+            trail_q.append(xq)
+            q2 = xq * xq
+            k1d = ubd + utd * a - Rd * (xd * (c0d + xd * (c1d + c2d * xd) + c3d * q2) + ed * q2)
+            k1q = ubq + utq * a - Rq * (xq * (c0q + xd * (c1q + c2q * xd) + c3q * q2) + eq * q2)
+            sd, sq = xd + h2 * k1d, xq + h2 * k1q
+            q2 = sq * sq
+            k2d = ubd + utd * m - Rd * (sd * (c0d + sd * (c1d + c2d * sd) + c3d * q2) + ed * q2)
+            k2q = ubq + utq * m - Rq * (sq * (c0q + sd * (c1q + c2q * sd) + c3q * q2) + eq * q2)
+            sd, sq = xd + h2 * k2d, xq + h2 * k2q
+            q2 = sq * sq
+            k3d = ubd + utd * m - Rd * (sd * (c0d + sd * (c1d + c2d * sd) + c3d * q2) + ed * q2)
+            k3q = ubq + utq * m - Rq * (sq * (c0q + sd * (c1q + c2q * sd) + c3q * q2) + eq * q2)
+            sd, sq = xd + dt * k3d, xq + dt * k3q
+            q2 = sq * sq
+            k4d = ubd + utd * b - Rd * (sd * (c0d + sd * (c1d + c2d * sd) + c3d * q2) + ed * q2)
+            k4q = ubq + utq * b - Rq * (sq * (c0q + sd * (c1q + c2q * sd) + c3q * q2) + eq * q2)
+            xd = xd + h6 * (k1d + 2.0 * k2d + 2.0 * k3d + k4d)
+            xq = xq + h6 * (k1q + 2.0 * k2q + 2.0 * k3q + k4q)
+        if out is not None:
+            out[(slice(None), *lane)] = trail_d, trail_q
+        end[(slice(None), *lane)] = xd, xq
+    return end
 
 
 def _traces(t, phi, i, u) -> list[Trace]:
@@ -395,7 +461,9 @@ def _record(motors: Sequence[MotorParams], dt: float, n_steps: int, spp: int, X0
                     U[:, lanes], G[:, lanes] = U_open, G_open
         starts = np.concatenate((starts[..., :1], F), axis=-1)
     for lanes, k in ((done, P), (~done, sweeps)):
-        if lanes.any():
+        if lanes.any() and k * spp == n_steps:  # the record ends where chunk k starts
+            phi[:, lanes, -1] = starts[:, lanes, k]
+        elif lanes.any():
             idx = slice(None) if lanes.all() else np.flatnonzero(lanes)  # a slice writes through
             out = phi[:, idx, k * spp:-1]
             phi[:, idx, -1] = _rk4(rows[..., idx], R[:, idx], dt, starts[:, idx, k], u_bar[:, idx],

@@ -234,15 +234,18 @@ class TestEstimateCommand:
                      "--ingest", str(base / "sim" / "manifest.txt")])
         assert code == 1
         assert victim.name in capsys.readouterr().err
-        # so are a nan current sample and a time stamp moved by 0.3 dt: input
-        # errors naming the file, not numerical failures
-        header = victim.read_text().split("\n", 1)[0]
-        for col, frac_dt, message in ((3, math.nan, "i_d in data row 5 is not finite"),
-                                      (0, 0.3, "t must be uniformly sampled")):
+        # so are a nan current sample, a time stamp moved by 0.3 dt and a row
+        # short of a value or one value over: input errors naming the file,
+        # not numerical failures
+        for edit, message in ((lambda v: v[:3] + ["nan"] + v[4:], "i_d in data row 5 is not finite"),
+                              (lambda v: [repr(float(v[0]) + 0.3 * dt)] + v[1:], "t must be uniformly sampled"),
+                              (lambda v: v[:-1], "data row 5 has 4 values, the header names 5"),
+                              (lambda v: v + ["0"], "data row 5 has 6 values, the header names 5")):
             assert main(["simulate", "--config", str(cfg_path), "--out", str(base / "sim")]) == 0
-            data = np.loadtxt(victim, delimiter=",", skiprows=1)
-            data[4, col] += frac_dt * (data[1, 0] - data[0, 0])
-            np.savetxt(victim, data, fmt="%.17g", delimiter=",", header=header, comments="")
+            lines = victim.read_text().splitlines()
+            dt = float(lines[2].split(",")[0]) - float(lines[1].split(",")[0])
+            lines[5] = ",".join(edit(lines[5].split(",")))
+            victim.write_text("\n".join(lines) + "\n")
             code = main(["estimate", "--config", str(cfg_path), "--out", str(base / "x"),
                          "--ingest", str(base / "sim" / "manifest.txt")])
             assert code == 1

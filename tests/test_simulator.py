@@ -80,7 +80,8 @@ def plain_rk4(rows, R, dt, X0, u_bar, u_tilde, f0, fmid, f1, out=None):
 
 class TestKernel:
     """`_rk4` integrates in buffers it allocates once and reuses a stage's
-    drive; neither may change a bit of the result."""
+    drive, or, for a batch of at most `_FLOAT_LANES` lanes, lane by lane in
+    Python floats; none of it may change a bit of the result."""
 
     @pytest.mark.parametrize("waveform", [
         Waveform.square(),
@@ -89,16 +90,25 @@ class TestKernel:
         Waveform.from_samples([-1.0, -0.0, 0.0, 1.0, 0.5, -0.5]),
         None,
     ], ids=["square", "sine", "sampled", "averaged"])
-    @pytest.mark.parametrize("chunks", [None, 3])
+    # n_lanes lanes, times the chunks: up to `_FLOAT_LANES` lanes in all take
+    # the float path, past it the array kernel
+    @pytest.mark.parametrize("chunks, n_lanes", [
+        pytest.param(chunks, n, id=str(chunks) if n == 6 else f"{chunks}-{n}lanes")
+        for n in (6, simulator._FLOAT_LANES, simulator._FLOAT_LANES + 1) for chunks in (None, 3)])
     @pytest.mark.parametrize("stored", [False, True])
-    def test_matches_plain_rk4_bitwise(self, ipm, spm, waveform, chunks, stored):
-        motors = [ipm, spm, ipm.without_saturation(), spm, ipm]
-        rows, R = simulator._lanes(motors)
-        # the last lane rests at -0.0 under a drive of -0.0 + 0.0 * f, whose
+    def test_matches_plain_rk4_bitwise(self, ipm, spm, waveform, chunks, n_lanes, stored):
+        # lane j repeats lane j % 6 of these, from a start scaled by 1 + j // 6 %
+        motors = [ipm, spm, ipm.without_saturation(), spm, ipm, spm]
+        # the fifth lane rests at -0.0 under a drive of -0.0 + 0.0 * f, whose
         # zero takes the sign of f: it leaves -0.0 at the first stage whose
-        # f is +0.0 or positive
-        u_bar = np.array([[24.3, -0.0, -8.0, 40.0, -0.0], [6.0, 0.0, 12.0, -30.0, -0.0]])
-        u_tilde = np.array([[30.0, 20.0, 0.0, 25.0, 0.0], [0.0, 15.0, 30.0, -10.0, 0.0]])
+        # f is +0.0 or positive. The sixth runs away from 1e100 Wb: its
+        # current overflows to inf, and inf - inf makes NaN
+        u_bar = np.array([[24.3, -0.0, -8.0, 40.0, -0.0, 5.0], [6.0, 0.0, 12.0, -30.0, -0.0, 5.0]])
+        u_tilde = np.array([[30.0, 20.0, 0.0, 25.0, 0.0, 30.0], [0.0, 15.0, 30.0, -10.0, 0.0, 0.0]])
+        X0 = np.array([[0.0, 0.05, -0.02, 0.3, -0.0, 1e100], [0.0, -0.01, 0.04, 0.02, -0.0, -3e99]])
+        lanes = np.arange(n_lanes) % 6
+        rows, R = simulator._lanes([motors[j] for j in lanes])
+        u_bar, u_tilde, X0 = u_bar[:, lanes], u_tilde[:, lanes], X0[:, lanes] * (1.0 + 0.01 * (np.arange(n_lanes) // 6))
         spec = InjectionSpec(0.0, 0.0, 1.0, 0.0, OMEGA_500, waveform or Waveform.square())
         dt = spec.period / 60
         if waveform is None:  # the averaged system: no ripple
@@ -106,15 +116,16 @@ class TestKernel:
             drive = np.zeros(121), np.zeros(120), np.zeros(120)
         else:
             drive = simulator._waveform_arrays(spec, dt, 120)
-        X0 = np.array([[0.0, 0.05, -0.02, 0.3, -0.0], [0.0, -0.01, 0.04, 0.02, -0.0]])
         if chunks:  # lanes (2, n, P): every operand repeated, one start per chunk
             rows, R, u_bar, u_tilde = (np.repeat(a[..., None], chunks, axis=-1) for a in (rows, R, u_bar, u_tilde))
             X0 = X0[..., None] * np.array([1.0, 0.5, 2.0])
         # the samples go through a strided view, as `_record` passes them
         outs = [np.full(X0.shape + (121,), np.nan)[..., 1:] for _ in range(2)] if stored else [None, None]
-        got = simulator._rk4(rows, R, dt, X0, u_bar, u_tilde, *drive, outs[0])
-        want = plain_rk4(rows, R, dt, X0, u_bar, u_tilde, *drive, outs[1])
-        assert np.all(np.isfinite(want))
+        with np.errstate(over="ignore", invalid="ignore"):  # the runaway lane's, on the arrays
+            got = simulator._rk4(rows, R, dt, X0, u_bar, u_tilde, *drive, outs[0])
+            want = plain_rk4(rows, R, dt, X0, u_bar, u_tilde, *drive, outs[1])
+        runaway = lanes == 5
+        assert np.all(np.isfinite(want[:, ~runaway])) and np.all(np.isnan(want[:, runaway]))
         assert got.tobytes() == want.tobytes()
         if stored:
             assert outs[0].tobytes() == outs[1].tobytes()
@@ -685,6 +696,24 @@ class TestTraceCsv:
             "0.001,1,0,0.6,0,9\n")
         with pytest.raises(ValueError, match=re.escape(f"trace CSV {path} repeats column 'i_d'")):
             Trace.from_csv(path)
+
+    @pytest.mark.parametrize("row, values", [("0.001,1,0,0.6", 4), ("0.001,1,0,0.6,0,7", 6)],
+                             ids=["short", "long"])
+    def test_ragged_row_refused(self, tmp_path, row, values):
+        # a row short of a value or one value over is refused naming the file
+        # and the row, not parsed by position nor cut to the header's width
+        path = tmp_path / "ragged.csv"
+        path.write_text("t,u_d,u_q,i_d,i_q\n" "0,1,0,0.5,0\n" f"{row}\n" "0.002,1,0,0.7,0\n")
+        with pytest.raises(ValueError, match=re.escape(
+                f"trace CSV {path}: data row 2 has {values} values, the header names 5")):
+            Trace.from_csv(path)
+
+    def test_comment_and_blank_lines_skipped(self, tmp_path):
+        # neither is a ragged row: numpy skips them, and so does the check
+        path = tmp_path / "notes.csv"
+        path.write_text("t,u_d,u_q,i_d,i_q\n" "0,1,0,0.5,0\n" "# bench note, 20 degC\n" "\n"
+                        "0.001,1,0,0.6,0 # a, b\n")
+        assert np.array_equal(Trace.from_csv(path).i_d, [0.5, 0.6])
 
     def test_written_bytes(self, tmp_path):
         tr = Trace(t=np.array([0.0, 1e-5]), u_d=np.array([30.0, -30.0]), u_q=np.array([0.0, -0.0]),
