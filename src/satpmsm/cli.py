@@ -8,7 +8,9 @@
 simulate writes one trace CSV per planned run plus a manifest; estimate runs
 the identification either on ingested traces (--ingest, or a manifest left by
 a previous simulate) or fully in memory; validate and curves emit plot-data
-CSVs. Exit codes: 0 success, 1 configuration error, 2 numerical failure.
+CSVs. simulate and estimate split the plan's runs over one process per
+usable CPU where `os.fork` exists, with the same bytes out as one process.
+Exit codes: 0 success, 1 configuration error, 2 numerical failure.
 """
 
 from __future__ import annotations
@@ -22,8 +24,8 @@ from .config import ProjectConfig, load_config
 from .estimator import (
     ZeroRipple,
     NotAtRest,
-    estimate_from_records,
-    measure_traces,
+    _in_slices,
+    identify,
     plan_runs,
     run_identification,
     simulate_plan,
@@ -49,18 +51,19 @@ def _run_name(idx: int, role: str, i_target: float) -> str:
 
 def cmd_simulate(config: ProjectConfig, seed: int) -> int:
     runs = plan_runs(config.plan, config.motor.R)
-    traces = simulate_plan(
-        config.motor, runs,
-        steps_per_period=config.steps_per_period,
-        measure_periods=config.measure_periods,
-        noise_amp=config.noise_amp, seed=seed)
-    trace_dir = config.out_dir / "traces"
-    trace_dir.mkdir(parents=True, exist_ok=True)
-    names = []
-    for idx, (run, trace) in enumerate(zip(runs, traces)):
-        name = _run_name(idx, run.role, run.i_target)
-        trace.to_csv(trace_dir / name)
-        names.append(f"traces/{name}")
+    names = [f"traces/{_run_name(idx, run.role, run.i_target)}" for idx, run in enumerate(runs)]
+    (config.out_dir / "traces").mkdir(parents=True, exist_ok=True)
+
+    def write(lo: int, hi: int) -> None:
+        traces = simulate_plan(
+            config.motor, runs[lo:hi],
+            steps_per_period=config.steps_per_period,
+            measure_periods=config.measure_periods,
+            noise_amp=config.noise_amp, seed=seed + lo)
+        for name, trace in zip(names[lo:hi], traces):
+            trace.to_csv(config.out_dir / name)
+
+    _in_slices(write, len(runs))  # each worker writes its slice of the plan
     write_manifest(config.out_dir / "manifest.txt", runs, names)
     print(f"wrote {len(runs)} traces and manifest.txt to {config.out_dir}")
     return EXIT_OK
@@ -72,18 +75,18 @@ def cmd_estimate(config: ProjectConfig, seed: int, ingest: Path | None) -> int:
 
     if ingest is not None:
         entries = read_manifest(ingest)
-        runs = [run for run, _ in entries]
-        traces = [Trace.from_csv(p) for _, p in entries]
-        records = measure_traces(runs, traces, names=[str(path) for _, path in entries])
-        result = estimate_from_records(records, config.motor)
-        source = f"ingested {len(runs)} traces from {ingest}"
+        paths = [path for _, path in entries]
+        # each trace is read by its worker just before its checks
+        result = identify([run for run, _ in entries], lambda lo, hi: map(Trace.from_csv, paths[lo:hi]),
+                          config.motor, [str(path) for path in paths])
+        source = f"ingested {len(entries)} traces from {ingest}"
     else:
-        result, records = run_identification(
+        result = run_identification(
             config.motor, config.plan,
             steps_per_period=config.steps_per_period,
             measure_periods=config.measure_periods,
             noise_amp=config.noise_amp, seed=seed)
-        source = f"simulated {len(records)} runs in memory"
+        source = f"simulated {len(plan_runs(config.plan, config.motor.R))} runs in memory"
 
     config.out_dir.mkdir(parents=True, exist_ok=True)
     report_path = config.out_dir / "report.txt"

@@ -28,6 +28,11 @@ simulations agree bit for bit.
 Reported uncertainties are 1-sigma ordinary least-squares standard errors
 from the residual scatter, propagated through 1/theta for Ld and Lq.
 
+The normal equations are a sum over runs, so `identify` has each run
+simulated or read, checked and reduced to its terms in one forked worker
+per usable CPU (`_in_slices`), and sums the terms in run order: the result
+is bit for bit that of one process.
+
 `estimate_L`, `estimate_d_axis` and `estimate_cross` keep the paper's
 first-order split: inductances from (a), then regressions of the settled
 ripple amplitudes on columns of the Hessian, evaluated at the linearized
@@ -40,7 +45,10 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from typing import NamedTuple, Sequence
+import os
+import pickle
+import threading
+from typing import Callable, Iterable, NamedTuple, NoReturn, Sequence
 
 import numpy as np
 
@@ -274,31 +282,27 @@ def _period_centred(rec: RunRecord, R: float) -> tuple[np.ndarray, np.ndarray, i
     return X.reshape(len(PARAM_NAMES), -1), y.reshape(-1), 2 * blocks
 
 
-def estimate_from_records(records: Sequence[RunRecord], nominal: MotorParams) -> EstimationResult:
-    """Regress the period-centred currents of all runs on the period-centred
-    current map at their rebuilt flux (see module docstring).
+def _run_terms(rec: RunRecord, theta0: np.ndarray, R: float) -> tuple[np.ndarray, np.ndarray, float, int, int]:
+    """One run's share of the normal equations about theta0: X X^T, X r0 and
+    r0.r0 for its residuals r0 = y - theta0 X, its rows and its blocks."""
+    X, y, blocks = _period_centred(rec, R)
+    r0 = y - theta0 @ X
+    return X @ X.T, X @ r0, float(r0 @ r0), len(y), blocks
 
-    The normal equations are accumulated run by run, so runs may differ in
-    pulsation, amplitude and length. They are taken on the residuals r0 =
-    y - theta0 X about the nominal theta0 = `nominal.theta` and solved for
-    the step delta = theta - theta0, so the residual sum of squares is
-    r0.r0 - delta.X r0. theta0 only conditions the arithmetic: that sum does
-    not cancel as y.y - theta.X y does. `gram_fit` alone decides whether the
-    records determine theta; run roles are not read. R, phi_m and the pole
-    count are passed through from `nominal`; R also rebuilds the flux. The
-    seven magnetic parameters are replaced by their estimates.
-    """
+
+def _solve(parts: Sequence[Sequence[tuple]], nominal: MotorParams) -> EstimationResult:
+    """Sum the runs' `_run_terms`, given as lists of consecutive runs, in run
+    order and solve them (see `estimate_from_records`)."""
     theta0 = np.array(nominal.theta)
     k = len(PARAM_NAMES)
     xtx, xtr, rtr, n_rows, n_blocks = np.zeros((k, k)), np.zeros(k), 0.0, 0, 0
-    for rec in records:
-        X, y, blocks = _period_centred(rec, nominal.R)
-        r0 = y - theta0 @ X
-        xtx += X @ X.T
-        xtr += X @ r0
-        rtr += float(r0 @ r0)
-        n_rows += len(y)
-        n_blocks += blocks
+    for terms in parts:
+        for run_xtx, run_xtr, run_rtr, rows, blocks in terms:
+            xtx += run_xtx
+            xtr += run_xtr
+            rtr += run_rtr
+            n_rows += rows
+            n_blocks += blocks
     delta, xtx_inv = gram_fit(xtx, xtr)
     theta = theta0 + delta
     rss = max(rtr - float(delta @ xtr), 0.0)
@@ -314,6 +318,27 @@ def estimate_from_records(records: Sequence[RunRecord], nominal: MotorParams) ->
                             fit_residuals={"current_A": math.sqrt(rss / n_rows)})
 
 
+def estimate_from_records(records: Sequence[RunRecord], nominal: MotorParams) -> EstimationResult:
+    """Regress the period-centred currents of all runs on the period-centred
+    current map at their rebuilt flux (see module docstring).
+
+    The normal equations are a sum of per-run terms, so runs may differ in
+    pulsation, amplitude and length. They are taken on the residuals r0 =
+    y - theta0 X about the nominal theta0 = `nominal.theta` and solved for
+    the step delta = theta - theta0, so the residual sum of squares is
+    r0.r0 - delta.X r0. theta0 only conditions the arithmetic: that sum does
+    not cancel as y.y - theta.X y does. Each run's terms are formed in the
+    workers of `_in_slices` and summed in run order, so the result is bit
+    for bit that of one process. `gram_fit` alone decides whether the
+    records determine theta; run roles are not read. R, phi_m and the pole
+    count are passed through from `nominal`; R also rebuilds the flux. The
+    seven magnetic parameters are replaced by their estimates.
+    """
+    theta0 = np.array(nominal.theta)
+    return _solve(_in_slices(
+        lambda lo, hi: [_run_terms(rec, theta0, nominal.R) for rec in records[lo:hi]], len(records)), nominal)
+
+
 def _noise_rms(i: np.ndarray) -> float:
     """Noise RMS of a sampled current from its second differences: for white
     noise their mean square is six times the noise variance, while a smooth
@@ -322,7 +347,11 @@ def _noise_rms(i: np.ndarray) -> float:
     return math.sqrt(float(d2 @ d2) / (6 * len(d2)))
 
 
-def measure_traces(runs: Sequence[PlanRun], traces: Sequence[Trace],
+def _run_label(k: int, run: PlanRun) -> str:
+    return f"run {k} ({run.role}, {run.i_target:+.3f} A)"
+
+
+def measure_traces(runs: Sequence[PlanRun], traces: Iterable[Trace],
                    names: Sequence[str] | None = None) -> list[RunRecord]:
     """Check each trace against its planned injection and record it with it.
 
@@ -335,15 +364,17 @@ def measure_traces(runs: Sequence[PlanRun], traces: Sequence[Trace],
     inflate) raises NotAtRest. A zero-bias run is one driven with no bias
     voltage; each must show a ripple on every axis it injects, fitted over
     the whole record by `extract_ripple`, or ZeroRipple is raised. Both
-    refusals name the trace by `names` or by its run. The zero-bias runs must
-    inject both axes between them (ValueError); run roles are labels only.
+    refusals name the trace by `names` or by its run. The traces are taken
+    one at a time in run order, so the first run that fails a check is the
+    one refused, and where `traces` reads each trace as it is taken, so is
+    the first that cannot be read. Every check is on one run: that the
+    zero-bias runs inject both axes between them is `identify`'s check of
+    the whole plan. Run roles are labels only.
     """
-    if len(runs) != len(traces):
-        raise ValueError("one trace per planned run required")
-    records, injected = [], set()
-    for k, (run, trace) in enumerate(zip(runs, traces)):
+    records = []
+    for k, (run, trace) in enumerate(zip(runs, traces, strict=True)):
         period_blocks(trace, run.spec)
-        name = names[k] if names is not None else f"run {k} ({run.role}, {run.i_target:+.3f} A)"
+        name = names[k] if names is not None else _run_label(k, run)
         for axis, i in (("d", trace.i_d), ("q", trace.i_q)):
             floor = _noise_rms(i)
             if abs(i[0]) > max(_AT_REST_FACTOR * floor, _ZERO_RIPPLE_FLOOR):
@@ -358,10 +389,7 @@ def measure_traces(runs: Sequence[PlanRun], traces: Sequence[Trace],
                                                   ("q", s.u_tilde_q, meas.i_tilde_q, meas.sigma_i_tilde_q)):
                 if u_tilde != 0.0:
                     _checked_ripple(i_tilde, sigma, f"{name}: {axis}-axis zero-bias run")
-                    injected.add(axis)
         records.append(RunRecord(run, trace))
-    if injected != {"d", "q"}:
-        raise ValueError("plan must include both zero-bias runs")
     return records
 
 
@@ -371,7 +399,9 @@ def simulate_plan(motor: MotorParams, runs: Sequence[PlanRun], *,
     """Simulate all planned runs from rest as one batch (`simulate_batch`) over
     `measure_periods` injection periods, each of `steps_per_period` steps,
     and measure them: run k's currents get uniform noise in [-noise_amp,
-    +noise_amp] drawn from seed + k (`Trace.with_noise`)."""
+    +noise_amp] drawn from seed + k (`Trace.with_noise`). Each run's trace
+    is the same whatever runs share its batch, so runs[lo:hi] at seed +
+    lo gives the traces lo..hi-1 of the whole plan."""
     if not runs:
         return []
     period = runs[0].spec.period
@@ -380,15 +410,134 @@ def simulate_plan(motor: MotorParams, runs: Sequence[PlanRun], *,
     return [tr.with_noise(noise_amp, seed + k) for k, tr in enumerate(traces)]
 
 
+def identify(runs: Sequence[PlanRun], load: Callable[[int, int], Iterable[Trace]], nominal: MotorParams,
+             names: Sequence[str] | None = None) -> EstimationResult:
+    """`measure_traces` and `estimate_from_records` over the runs, with the
+    per-run work in workers: the runs are cut into contiguous slices, one
+    per usable CPU (`_in_slices`), and the worker of runs[lo:hi] takes their
+    traces in run order from load(lo, hi), checks them and reduces each run
+    to its terms of the normal equations. No trace leaves its worker. The
+    terms are then summed in run order, so the result is bit for bit that
+    of one process, after the check of the whole plan: its zero-bias runs,
+    those driven with no bias voltage, must inject both axes between them
+    (ValueError). A fault is that of the first run, in run order, that fails
+    a check (see `measure_traces`). The runs are named in faults by `names`,
+    or by their index in `runs`.
+    """
+    if names is None:
+        names = [_run_label(k, run) for k, run in enumerate(runs)]
+    theta0 = np.array(nominal.theta)
+
+    def reduce(lo: int, hi: int) -> list[tuple]:
+        return [_run_terms(rec, theta0, nominal.R) for rec in measure_traces(runs[lo:hi], load(lo, hi), names[lo:hi])]
+
+    parts = _in_slices(reduce, len(runs))
+    injected = {axis for run in runs if run.spec.u_bar_d == run.spec.u_bar_q == 0.0
+                for axis, u_tilde in (("d", run.spec.u_tilde_d), ("q", run.spec.u_tilde_q)) if u_tilde != 0.0}
+    if injected != {"d", "q"}:
+        raise ValueError("plan must include both zero-bias runs")
+    return _solve(parts, nominal)
+
+
 def run_identification(motor: MotorParams, plan: ExperimentPlan, *,
                        steps_per_period: int = 200, measure_periods: int = 40,
-                       noise_amp: float = 0.0, seed: int = 0) -> tuple[EstimationResult, list[RunRecord]]:
+                       noise_amp: float = 0.0, seed: int = 0) -> EstimationResult:
     """Simulate the whole plan against `motor` and estimate its magnetic
-    parameters back; the closed-loop path used by tests and the CLI."""
+    parameters back; the closed-loop path used by tests and the CLI. Each
+    worker of `identify` simulates its own slice of the plan."""
     runs = plan_runs(plan, motor.R)
-    traces = simulate_plan(
-        motor, runs, steps_per_period=steps_per_period,
-        measure_periods=measure_periods, noise_amp=noise_amp, seed=seed)
-    records = measure_traces(runs, traces)
-    result = estimate_from_records(records, motor)
-    return result, records
+
+    def simulated(lo: int, hi: int) -> list[Trace]:
+        return simulate_plan(motor, runs[lo:hi], steps_per_period=steps_per_period,
+                             measure_periods=measure_periods, noise_amp=noise_amp, seed=seed + lo)
+
+    return identify(runs, simulated, motor)
+
+
+def _usable_cpus() -> int:
+    """The CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _in_slices(fn: Callable[[int, int], object], n: int) -> list:
+    """fn(lo, hi) over range(n) cut into min(usable CPUs, n) contiguous
+    slices of near-equal length, in slice order (`_in_workers`)."""
+    k = max(1, min(_usable_cpus(), n))
+    bounds = [n * j // k for j in range(k + 1)]
+    return _in_workers(lambda part: fn(*part), list(zip(bounds[:-1], bounds[1:])))
+
+
+def _in_workers(fn: Callable, parts: Sequence) -> list:
+    """fn(part) for each part, in part order: every part but the last in a
+    child made by `os.fork`, the last in this process.
+
+    Each child pickles (ok, value or exception) down its own pipe and leaves
+    by `os._exit`, so it runs no exit handler and flushes none of this
+    process's buffers. The first exception in part order is raised here as
+    it was raised; a child that leaves no result raises RuntimeError with
+    its exit status. On every exit path all pipes are closed before every
+    child is reaped, so no child outlives the call and one blocked on a
+    full pipe cannot hang it. Where `os.fork` is missing, or other threads
+    run (a fork copies only the calling thread), all parts run here.
+    """
+    if len(parts) < 2 or not hasattr(os, "fork") or threading.active_count() > 1:
+        return [fn(part) for part in parts]
+    pids, fds = [], []
+    try:
+        for part in parts[:-1]:
+            r, w = os.pipe()
+            fds.append(r)
+            try:
+                pid = os.fork()
+                if pid == 0:
+                    _child(fn, part, w, fds)
+            finally:
+                os.close(w)
+            pids.append(pid)
+        try:
+            last = (True, fn(parts[-1]))
+        except Exception as exc:
+            last = (False, exc)
+        blobs = []
+        for r in fds:
+            chunks = [os.read(r, 1 << 20)]
+            while chunks[-1]:
+                chunks.append(os.read(r, 1 << 20))
+            blobs.append(b"".join(chunks))
+    finally:
+        for r in fds:
+            os.close(r)
+        statuses = [os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) for pid in pids]
+    outcomes = [pickle.loads(blob) if status == 0 and blob else
+                (False, RuntimeError(f"worker {j} of {len(parts)} left no result (exit status {status})"))
+                for j, (blob, status) in enumerate(zip(blobs, statuses))]
+    for ok, value in outcomes + [last]:
+        if not ok:
+            raise value
+    return [value for _, value in outcomes + [last]]
+
+
+def _child(fn, part, w: int, inherited: list[int]) -> NoReturn:
+    """The body of an `_in_workers` child: close the read ends it inherited,
+    its own included, write the pickled outcome of fn(part) to w and leave,
+    with status 1 if the write failed."""
+    status = 1
+    try:
+        for fd in inherited:
+            os.close(fd)
+        try:
+            outcome = (True, fn(part))
+        except BaseException as exc:
+            outcome = (False, exc)
+        try:
+            blob = pickle.dumps(outcome)
+        except Exception as exc:
+            blob = pickle.dumps((False, RuntimeError(f"worker result cannot be pickled: {exc!r}")))
+        with open(w, "wb") as fh:
+            fh.write(blob)
+        status = 0
+    finally:
+        os._exit(status)

@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+import io
 import math
 import warnings
 from typing import Sequence
@@ -160,24 +161,38 @@ class Trace:
     def from_csv(path) -> "Trace":
         """Read the five measured channels by header name; any other column
         is ignored, so the flux is None. Every data row must hold one value
-        per header name."""
+        per header name.
+
+        The file is read once. Its rows are parsed with the last header
+        column added to the five, so a parse without error has at least that
+        many values in every row; then, in a file with no comment and no
+        blank line, a comma count of exactly one row's worth per row leaves
+        no row longer. Only a file that fails that test has its rows checked
+        one by one, before a parse of the five columns alone."""
         with open(path) as fh:
             header = fh.readline().strip().split(",")
-            for name in _CSV_HEADER:
-                if header.count(name) != 1:
-                    what = "repeats" if name in header else "missing"
-                    raise ValueError(f"trace CSV {path} {what} column {name!r}")
-            start = fh.tell()
-            for row, line in enumerate(fh, 1):
-                if line.count(",") != len(header) - 1:
+            text = fh.read()
+        for name in _CSV_HEADER:
+            if header.count(name) != 1:
+                what = "repeats" if name in header else "missing"
+                raise ValueError(f"trace CSV {path} {what} column {name!r}")
+        cols, width = [header.index(n) for n in _CSV_HEADER], len(header)
+        rows = text.count("\n") + (not text.endswith("\n") and bool(text))
+        with warnings.catch_warnings():  # an empty file is refused below
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+            try:
+                data = _load_columns(text, cols + [width - 1] * (width - 1 not in cols))
+            except ValueError:
+                data = None
+            if (data is None or len(data) != rows or "#" in text
+                    or text.count(",") != (width - 1) * rows):
+                for row, line in enumerate(text.split("\n"), 1):
                     values = line.partition("#")[0]  # loadtxt skips a comment and a blank line
-                    if values.strip() and values.count(",") != len(header) - 1:
+                    if values.strip() and values.count(",") != width - 1:
                         raise ValueError(f"trace CSV {path}: data row {row} has {values.count(',') + 1} values, "
-                                         f"the header names {len(header)}")
-            fh.seek(start)
-            with warnings.catch_warnings():  # an empty file is refused below
-                warnings.filterwarnings("ignore", "loadtxt: input contained no data")
-                data = np.loadtxt(fh, delimiter=",", ndmin=2, usecols=[header.index(n) for n in _CSV_HEADER])
+                                         f"the header names {width}")
+                data = _load_columns(text, cols)
+        data = data[:, :len(_CSV_HEADER)]
         if len(data) < 2:
             raise ValueError(f"trace CSV {path} has {len(data)} data rows, needs at least 2")
         bad = np.argwhere(~np.isfinite(data))
@@ -188,6 +203,11 @@ class Trace:
             return Trace(*data.T.copy())
         except ValueError as exc:
             raise ValueError(f"trace CSV {path}: {exc}") from None
+
+
+def _load_columns(text: str, cols: list[int]) -> np.ndarray:
+    """The columns cols of the comma-separated rows in text, one row each."""
+    return np.loadtxt(io.StringIO(text), delimiter=",", ndmin=2, usecols=cols)
 
 
 def _check_step(spec: InjectionSpec, dt: float) -> None:

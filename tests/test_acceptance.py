@@ -70,7 +70,7 @@ def test_criterion_1_parameter_recovery(ipm, spm):
     ):
         plan = ExperimentPlan(omega=OMEGA_500, waveform=Waveform.square(),
                               u_tilde=u_tilde, id_grid=grid, iq_grid=grid)
-        result, _ = run_identification(motor, plan, measure_periods=25)
+        result = run_identification(motor, plan, measure_periods=25)
         print(f"  {label} sweep ({len(grid)} bias points, u_tilde={u_tilde:g} V):")
         for name in PARAMS:
             true = getattr(motor, name)

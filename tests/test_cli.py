@@ -1,11 +1,13 @@
 import dataclasses
 import math
+import os
 import re
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from satpmsm import estimator
 from satpmsm.cli import main
 from satpmsm.config import load_config, symmetric_grid
 from satpmsm.estimator import plan_runs
@@ -218,39 +220,47 @@ class TestEstimateCommand:
         assert main(["estimate", "--config", str(cfg_path)]) == 0
         assert "ingested" in capsys.readouterr().out
 
-    def test_missing_trace_file_named(self, cfg_path, capsys):
+    def test_missing_trace_file_named(self, cfg_path, capsys, monkeypatch):
+        # two workers, runs 0-6 and 7-13: each fault below is put into run 3
+        # and run 10 alike, and run 5 starts late (a numerical failure), yet
+        # the input error of run 3, the first run to fail a check, reading
+        # included, is the one reported
+        monkeypatch.setattr(estimator, "_usable_cpus", lambda: 2)
         base = cfg_path.parent
-        assert main(["simulate", "--config", str(cfg_path), "--out", str(base / "sim")]) == 0
-        victim = next((base / "sim" / "traces").glob("003_*.csv"))
-        victim.unlink()
-        code = main(["estimate", "--config", str(cfg_path), "--out", str(base / "x"),
-                     "--ingest", str(base / "sim" / "manifest.txt")])
-        assert code == 1
-        assert victim.name in capsys.readouterr().err
-        # a trace cut to its header and one row is refused the same way
-        assert main(["simulate", "--config", str(cfg_path), "--out", str(base / "sim")]) == 0
-        victim.write_text("\n".join(victim.read_text().splitlines()[:2]) + "\n")
-        code = main(["estimate", "--config", str(cfg_path), "--out", str(base / "x"),
-                     "--ingest", str(base / "sim" / "manifest.txt")])
-        assert code == 1
-        assert victim.name in capsys.readouterr().err
-        # so are a nan current sample, a time stamp moved by 0.3 dt and a row
-        # short of a value or one value over: input errors naming the file,
-        # not numerical failures
-        for edit, message in ((lambda v: v[:3] + ["nan"] + v[4:], "i_d in data row 5 is not finite"),
-                              (lambda v: [repr(float(v[0]) + 0.3 * dt)] + v[1:], "t must be uniformly sampled"),
-                              (lambda v: v[:-1], "data row 5 has 4 values, the header names 5"),
-                              (lambda v: v + ["0"], "data row 5 has 6 values, the header names 5")):
+
+        def faulty(edit):
             assert main(["simulate", "--config", str(cfg_path), "--out", str(base / "sim")]) == 0
-            lines = victim.read_text().splitlines()
-            dt = float(lines[2].split(",")[0]) - float(lines[1].split(",")[0])
-            lines[5] = ",".join(edit(lines[5].split(",")))
-            victim.write_text("\n".join(lines) + "\n")
+            traces = base / "sim" / "traces"
+            late = next(traces.glob("005_*.csv"))
+            tr = Trace.from_csv(late)
+            Trace(tr.t[200:], tr.u_d[200:], tr.u_q[200:], tr.i_d[200:], tr.i_q[200:]).to_csv(late)
+            victim, later = next(traces.glob("003_*.csv")), next(traces.glob("010_*.csv"))
+            edit(victim)
+            edit(later)
             code = main(["estimate", "--config", str(cfg_path), "--out", str(base / "x"),
                          "--ingest", str(base / "sim" / "manifest.txt")])
             assert code == 1
             err = capsys.readouterr().err
-            assert victim.name in err and message in err
+            assert victim.name in err and later.name not in err and late.name not in err
+            return err
+
+        faulty(Path.unlink)
+        # a trace cut to its header and one row is refused the same way
+        faulty(lambda path: path.write_text("\n".join(path.read_text().splitlines()[:2]) + "\n"))
+        # so are a nan current sample, a time stamp moved by 0.3 dt and a row
+        # short of a value or one value over: input errors naming the file,
+        # not numerical failures
+        dt = 1 / 500 / 200  # the config's sample period: 200 steps of a 500 Hz period
+        for edit, message in ((lambda v: v[:3] + ["nan"] + v[4:], "i_d in data row 5 is not finite"),
+                              (lambda v: [repr(float(v[0]) + 0.3 * dt)] + v[1:], "t must be uniformly sampled"),
+                              (lambda v: v[:-1], "data row 5 has 4 values, the header names 5"),
+                              (lambda v: v + ["0"], "data row 5 has 6 values, the header names 5")):
+            def edit_row(path):
+                lines = path.read_text().splitlines()
+                lines[5] = ",".join(edit(lines[5].split(",")))
+                path.write_text("\n".join(lines) + "\n")
+
+            assert message in faulty(edit_row)
 
     @staticmethod
     def mixed_manifest(cfg_path):
@@ -297,19 +307,51 @@ class TestEstimateCommand:
         err = capsys.readouterr().err
         assert "ZeroRipple" in err and f"fast/traces/{victim.name}: d-axis zero-bias run" in err
 
-    def test_trace_not_at_rest_exit_code(self, cfg_path, capsys):
+    def test_trace_not_at_rest_exit_code(self, cfg_path, capsys, monkeypatch):
         # an ingested trace that starts one period into its run cannot have
-        # its flux rebuilt from zero: numerical failure naming the file
+        # its flux rebuilt from zero: numerical failure naming the file. With
+        # two workers, runs 0-6 and 7-13, a later run's fault in either
+        # slice, a file that cannot be read among them, does not hide it
+        monkeypatch.setattr(estimator, "_usable_cpus", lambda: 2)
         base = cfg_path.parent
-        assert main(["simulate", "--config", str(cfg_path), "--out", str(base / "sim")]) == 0
-        victim = next((base / "sim" / "traces").glob("003_*.csv"))
-        tr = Trace.from_csv(victim)
-        Trace(tr.t[200:], tr.u_d[200:], tr.u_q[200:], tr.i_d[200:], tr.i_q[200:]).to_csv(victim)
-        code = main(["estimate", "--config", str(cfg_path), "--out", str(base / "x"),
-                     "--ingest", str(base / "sim" / "manifest.txt")])
-        assert code == 2
-        err = capsys.readouterr().err
-        assert "NotAtRest" in err and victim.name in err
+
+        def late_start(path):
+            tr = Trace.from_csv(path)
+            Trace(tr.t[200:], tr.u_d[200:], tr.u_q[200:], tr.i_d[200:], tr.i_q[200:]).to_csv(path)
+
+        def short_row(path):
+            lines = path.read_text().splitlines()
+            path.write_text("\n".join(lines[:5] + [lines[5].rpartition(",")[0]] + lines[6:]) + "\n")
+
+        for later, fault in ((None, None), ("005", late_start), ("010", late_start),
+                             ("005", short_row), ("010", short_row)):
+            assert main(["simulate", "--config", str(cfg_path), "--out", str(base / "sim")]) == 0
+            victim = next((base / "sim" / "traces").glob("003_*.csv"))
+            late_start(victim)
+            if later is not None:
+                fault(next((base / "sim" / "traces").glob(f"{later}_*.csv")))
+            code = main(["estimate", "--config", str(cfg_path), "--out", str(base / "x"),
+                         "--ingest", str(base / "sim" / "manifest.txt")])
+            assert code == 2
+            err = capsys.readouterr().err
+            assert "NotAtRest" in err and victim.name in err and f"/{later}_" not in err
+            with pytest.raises(ChildProcessError):  # every worker reaped
+                os.waitpid(-1, os.WNOHANG)
+
+    def test_same_files_for_any_worker_count(self, tmp_path, monkeypatch):
+        # the IPM fixture's plan at 10 mA, simulated by one, two or three
+        # workers: the same trace files and manifest, byte for byte
+        cfg = tmp_path / "ipm.cfg"
+        cfg.write_text((Path(__file__).resolve().parents[1] / "configs" / "ipm.cfg").read_text()
+                       .replace("noise_mA = 0", "noise_mA = 10"))
+        written = []
+        for workers in (1, 2, 3):
+            monkeypatch.setattr(estimator, "_usable_cpus", lambda: workers)
+            out = tmp_path / f"workers_{workers}"
+            assert main(["simulate", "--config", str(cfg), "--out", str(out), "--seed", "3"]) == 0
+            written.append({p.relative_to(out): p.read_bytes() for p in out.rglob("*") if p.is_file()})
+        assert len(written[0]) == 1 + 44
+        assert written[0] == written[1] == written[2]
 
     def test_null_motor_alphas_within_sigma(self, tmp_path, capsys):
         text = IPM_CFG

@@ -1,9 +1,13 @@
 import dataclasses
 import math
+import os
+import re
+import signal
 
 import numpy as np
 import pytest
 
+from satpmsm import estimator
 from satpmsm.config import symmetric_grid
 from satpmsm.estimator import (
     ROLE_CROSS_D_INJ,
@@ -15,11 +19,13 @@ from satpmsm.estimator import (
     ExperimentPlan,
     NotAtRest,
     ZeroRipple,
+    _in_workers,
     _period_centred,
     estimate_cross,
     estimate_d_axis,
     estimate_from_records,
     estimate_L,
+    identify,
     measure_traces,
     plan_runs,
     predict_ripple,
@@ -276,7 +282,7 @@ class TestEndToEnd:
         p = MotorParams(R=10.0, Ld=0.1, Lq=0.05)
         plan = ExperimentPlan(omega=OMEGA, waveform=Waveform.square(), u_tilde=20.0,
                               id_grid=(-1.0, -0.5, 0.5, 1.0), iq_grid=(-1.0, -0.5, 0.5, 1.0))
-        result, records = run_identification(p, plan, measure_periods=20)
+        result = run_identification(p, plan, measure_periods=20)
         assert result.params.Ld == pytest.approx(0.1, rel=5e-3)
         assert result.params.Lq == pytest.approx(0.05, rel=5e-3)
         # recovered saturation coefficients are numerically tiny: their ripple
@@ -291,7 +297,7 @@ class TestEndToEnd:
         grid = tuple(np.linspace(-2, 2, 8))
         plan = ExperimentPlan(omega=OMEGA, waveform=Waveform.square(), u_tilde=30.0,
                               id_grid=grid, iq_grid=grid)
-        result, _ = run_identification(p, plan, measure_periods=20)
+        result = run_identification(p, plan, measure_periods=20)
         assert result.params.Ld == pytest.approx(p.Ld, rel=1e-2)
         assert result.params.Lq == pytest.approx(p.Lq, rel=1e-2)
         for name in ("a30", "a12", "a40", "a22", "a04"):
@@ -344,7 +350,7 @@ class TestEndToEnd:
         p = MotorParams(R=10.0, Ld=0.1, Lq=0.05)
         plan = ExperimentPlan(omega=OMEGA, waveform=Waveform.square(), u_tilde=20.0,
                               id_grid=(-1.0, -0.5, 0.5, 1.0), iq_grid=(-1.0, -0.5, 0.5, 1.0))
-        result, _ = run_identification(p, plan, measure_periods=30,
+        result = run_identification(p, plan, measure_periods=30,
                                        noise_amp=0.010, seed=5)
         for name in ("a30", "a12", "a40", "a22", "a04"):
             est = getattr(result.params, name)
@@ -354,12 +360,12 @@ class TestEndToEnd:
     def test_passthrough_and_sigma_sign(self, ipm):
         plan = ExperimentPlan(omega=OMEGA, waveform=Waveform.square(), u_tilde=30.0,
                               id_grid=(-1.0, 0.5, 1.0), iq_grid=(-1.0, 0.5, 1.0))
-        result, records = run_identification(ipm, plan, measure_periods=10)
+        result = run_identification(ipm, plan, measure_periods=10)
         assert result.params.R == ipm.R
         assert result.params.phi_m == ipm.phi_m
         assert result.params.n_pp == ipm.n_pp
         assert all(s >= 0 for s in result.sigma.values())
-        assert len(records) == 2 + 3 + 6
+        assert len(plan_runs(plan, ipm.R)) == 2 + 3 + 6
 
     def test_refusals(self, ipm):
         # records shorter than two periods or sampled too coarsely, records
@@ -388,7 +394,7 @@ class TestEndToEnd:
         # transient from rest sweeps its flux from zero to its operating
         # point, so a d sweep of only +-1 A still identifies theta
         plan = ipm_plan(id_grid=(-1.0, 1.0), iq_grid=(-1.0, 0.5, 1.0))
-        result, _ = run_identification(ipm, plan, measure_periods=10)
+        result = run_identification(ipm, plan, measure_periods=10)
         for name in ("Ld", "Lq", "a30", "a12", "a40", "a22", "a04"):
             assert getattr(result.params, name) == pytest.approx(getattr(ipm, name), rel=1e-4), name
 
@@ -487,7 +493,7 @@ class TestEndToEnd:
         p = request.getfixturevalue(fixture)
         grid = symmetric_grid(i_max, i_step)
         plan = ipm_plan(id_grid=grid, iq_grid=grid, u_tilde=u_tilde)
-        result, _ = run_identification(p, plan, measure_periods=periods)
+        result = run_identification(p, plan, measure_periods=periods)
         for name in ("Ld", "Lq", "a30", "a12", "a40", "a22", "a04"):
             assert getattr(result.params, name) == pytest.approx(getattr(p, name), rel=1e-4), name
 
@@ -496,8 +502,10 @@ class TestEndToEnd:
         # the RMS of the residuals summed one by one, not what is left after
         # the cancellation of two sums of squares of the currents
         grid = symmetric_grid(8.0, 0.5)
-        result, records = run_identification(spm, ipm_plan(id_grid=grid, iq_grid=grid, u_tilde=40.0),
-                                             measure_periods=25)
+        plan = ipm_plan(id_grid=grid, iq_grid=grid, u_tilde=40.0)
+        result = run_identification(spm, plan, measure_periods=25)
+        runs = plan_runs(plan, spm.R)
+        records = measure_traces(runs, simulate_plan(spm, runs, measure_periods=25))
         theta = np.array(result.params.theta)
         rss, n = 0.0, 0
         for rec in records:
@@ -528,3 +536,77 @@ class TestEndToEnd:
     def test_estimation_result_validation(self, ipm):
         with pytest.raises(ValueError):
             EstimationResult(params=ipm, sigma={"Ld": -1.0}, fit_residuals={})
+
+
+@pytest.fixture
+def deadline():
+    """Fail the test, rather than hang the suite, once it has run 60 s."""
+    def expire(signum, frame):
+        raise TimeoutError("test ran past its 60 s deadline")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(60)
+    yield
+    signal.alarm(0)
+    signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.mark.usefixtures("deadline")
+class TestWorkers:
+    def test_result_independent_of_worker_count(self, ipm, monkeypatch, tmp_path):
+        # the IPM fixture plan at 10 mA, simulated in memory and read back
+        # from trace files: one, two and three workers give the same result,
+        # bit for bit, and so do the two sources
+        plan = ipm_plan(id_grid=symmetric_grid(2.0, 0.3), iq_grid=symmetric_grid(2.0, 0.3))
+        runs = plan_runs(plan, ipm.R)
+        paths = [tmp_path / f"{k:03d}.csv" for k in range(len(runs))]
+        for path, trace in zip(paths, simulate_plan(ipm, runs, measure_periods=25, noise_amp=0.010, seed=3)):
+            trace.to_csv(path)
+        results = []
+        for workers in (1, 2, 3):
+            monkeypatch.setattr(estimator, "_usable_cpus", lambda: workers)
+            results.append((run_identification(ipm, plan, measure_periods=25, noise_amp=0.010, seed=3),
+                            identify(runs, lambda lo, hi: map(Trace.from_csv, paths[lo:hi]), ipm)))
+        assert results[0] == results[1] == results[2]
+        assert results[0][0] == results[0][1]
+
+    def test_plan_without_both_zero_bias_axes_refused(self, ipm):
+        plan = ipm_plan(id_grid=(-1.0, 1.0), iq_grid=(-1.0, 0.5, 1.0))
+        runs = plan_runs(plan, ipm.R)[1:]
+        traces = simulate_plan(ipm, runs, measure_periods=2)
+        with pytest.raises(ValueError, match="plan must include both zero-bias runs"):
+            identify(runs, lambda lo, hi: traces[lo:hi], ipm)
+
+    def test_values_in_part_order(self):
+        # every part but the last runs in a child of its own; a value larger
+        # than a pipe's buffer comes back whole, and no child is left
+        out = _in_workers(lambda k: (os.getpid(), np.full(200_000, float(k))), [0, 1, 2])
+        pids = [pid for pid, _ in out]
+        assert pids[-1] == os.getpid() and len(set(pids)) == 3
+        for k, (_, values) in enumerate(out):
+            assert np.array_equal(values, np.full(200_000, float(k)))
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    @pytest.mark.parametrize("error", [NotAtRest, ZeroRipple, TooShort, ValueError])
+    def test_first_error_in_part_order(self, error):
+        # parts 1 (a child) and 2 (this process) both fail: part 1's error
+        # arrives as it was raised, and no child is left
+        def fn(k):
+            if k:
+                raise error(f"part {k} failed")
+            return k
+
+        with pytest.raises(error, match=re.escape("part 1 failed")) as info:
+            _in_workers(fn, [0, 1, 2])
+        assert info.type is error
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_child_without_result(self):
+        # a child that leaves without writing its result is an error with
+        # its exit status, not a hang
+        with pytest.raises(RuntimeError, match=re.escape("left no result (exit status 3)")):
+            _in_workers(lambda k: os._exit(3) if k == 0 else k, [0, 1])
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)

@@ -682,9 +682,10 @@ class TestTraceCsv:
         path.write_text(
             "t,u_d,u_q,i_d,i_q,note\n"
             "0,1,0,0.5,0,nan\n"
-            "0.001,1,0,0.6,0,inf\n")
+            "0.001,1,0,0.6,0,inf\n"
+            "0.002,1,0,0.7,0,see log\n")
         tr = Trace.from_csv(path)
-        assert np.array_equal(tr.i_d, [0.5, 0.6])
+        assert np.array_equal(tr.i_d, [0.5, 0.6, 0.7])
 
     def test_repeated_channel_refused(self, tmp_path):
         # a channel named twice has no one column to read: refused naming the
@@ -706,6 +707,17 @@ class TestTraceCsv:
         path.write_text("t,u_d,u_q,i_d,i_q\n" "0,1,0,0.5,0\n" f"{row}\n" "0.002,1,0,0.7,0\n")
         with pytest.raises(ValueError, match=re.escape(
                 f"trace CSV {path}: data row 2 has {values} values, the header names 5")):
+            Trace.from_csv(path)
+
+    @pytest.mark.parametrize("rows, values", [(("0.001,1,0,0.6,0,1", "0.002,1,0,0.7,0,1,2,3"), 6),
+                                              (("0.001,1,0,0.6,0,1,2,3", "0.002,1,0,0.7,0,1"), 8)])
+    def test_ragged_rows_that_balance_refused(self, tmp_path, rows, values):
+        # a row a value short and one a value over hold as many commas as
+        # two whole rows: refused all the same, at the first of the two
+        path = tmp_path / "ragged.csv"
+        path.write_text("t,u_d,u_q,i_d,i_q,phi_d,phi_q\n" "0,1,0,0.5,0,0,0\n" + "\n".join(rows) + "\n")
+        with pytest.raises(ValueError, match=re.escape(
+                f"trace CSV {path}: data row 2 has {values} values, the header names 7")):
             Trace.from_csv(path)
 
     def test_comment_and_blank_lines_skipped(self, tmp_path):
