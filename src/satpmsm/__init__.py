@@ -25,6 +25,7 @@ from .estimator import (
     estimate_d_axis,
     estimate_from_records,
     estimate_L,
+    measure_traces,
     plan_runs,
     predict_ripple,
     run_identification,
@@ -72,6 +73,7 @@ __all__ = [
     "flux_from_currents_exact",
     "flux_from_currents_first_order",
     "magnetization_curves",
+    "measure_traces",
     "plan_runs",
     "predict_ripple",
     "run_identification",

@@ -9,7 +9,8 @@ simulate writes one trace CSV per planned run plus a manifest; estimate runs
 the identification either on ingested traces (--ingest, or a manifest left by
 a previous simulate) or fully in memory; validate and curves emit plot-data
 CSVs. simulate and estimate split the plan's runs over one process per
-usable CPU where `os.fork` exists, with the same bytes out as one process.
+usable CPU, at most two, where `os.fork` exists, with the same bytes out as
+one process.
 Exit codes: 0 success, 1 configuration error, 2 numerical failure.
 """
 
@@ -24,11 +25,10 @@ from .config import ProjectConfig, load_config
 from .estimator import (
     ZeroRipple,
     NotAtRest,
-    _in_slices,
     identify,
     plan_runs,
     run_identification,
-    simulate_plan,
+    write_simulated,
 )
 from .leastsq import RankDeficient
 from .magnetics import NonConvergence
@@ -53,17 +53,11 @@ def cmd_simulate(config: ProjectConfig, seed: int) -> int:
     runs = plan_runs(config.plan, config.motor.R)
     names = [f"traces/{_run_name(idx, run.role, run.i_target)}" for idx, run in enumerate(runs)]
     (config.out_dir / "traces").mkdir(parents=True, exist_ok=True)
-
-    def write(lo: int, hi: int) -> None:
-        traces = simulate_plan(
-            config.motor, runs[lo:hi],
-            steps_per_period=config.steps_per_period,
-            measure_periods=config.measure_periods,
-            noise_amp=config.noise_amp, seed=seed + lo)
-        for name, trace in zip(names[lo:hi], traces):
-            trace.to_csv(config.out_dir / name)
-
-    _in_slices(write, len(runs))  # each worker writes its slice of the plan
+    write_simulated(
+        config.motor, runs, [config.out_dir / name for name in names],
+        steps_per_period=config.steps_per_period,
+        measure_periods=config.measure_periods,
+        noise_amp=config.noise_amp, seed=seed)
     write_manifest(config.out_dir / "manifest.txt", runs, names)
     print(f"wrote {len(runs)} traces and manifest.txt to {config.out_dir}")
     return EXIT_OK

@@ -30,8 +30,8 @@ from the residual scatter, propagated through 1/theta for Ld and Lq.
 
 The normal equations are a sum over runs, so `identify` has each run
 simulated or read, checked and reduced to its terms in one forked worker
-per usable CPU (`_in_slices`), and sums the terms in run order: the result
-is bit for bit that of one process.
+per usable CPU, at most two (`_in_slices`), and sums the terms in run
+order: the result is bit for bit that of one process.
 
 `estimate_L`, `estimate_d_axis` and `estimate_cross` keep the paper's
 first-order split: inductances from (a), then regressions of the settled
@@ -290,19 +290,18 @@ def _run_terms(rec: RunRecord, theta0: np.ndarray, R: float) -> tuple[np.ndarray
     return X @ X.T, X @ r0, float(r0 @ r0), len(y), blocks
 
 
-def _solve(parts: Sequence[Sequence[tuple]], nominal: MotorParams) -> EstimationResult:
-    """Sum the runs' `_run_terms`, given as lists of consecutive runs, in run
-    order and solve them (see `estimate_from_records`)."""
+def _solve(terms: Iterable[tuple], nominal: MotorParams) -> EstimationResult:
+    """Sum the runs' `_run_terms` in run order and solve them (see
+    `estimate_from_records`)."""
     theta0 = np.array(nominal.theta)
     k = len(PARAM_NAMES)
     xtx, xtr, rtr, n_rows, n_blocks = np.zeros((k, k)), np.zeros(k), 0.0, 0, 0
-    for terms in parts:
-        for run_xtx, run_xtr, run_rtr, rows, blocks in terms:
-            xtx += run_xtx
-            xtr += run_xtr
-            rtr += run_rtr
-            n_rows += rows
-            n_blocks += blocks
+    for run_xtx, run_xtr, run_rtr, rows, blocks in terms:
+        xtx += run_xtx
+        xtr += run_xtr
+        rtr += run_rtr
+        n_rows += rows
+        n_blocks += blocks
     delta, xtx_inv = gram_fit(xtx, xtr)
     theta = theta0 + delta
     rss = max(rtr - float(delta @ xtr), 0.0)
@@ -327,16 +326,13 @@ def estimate_from_records(records: Sequence[RunRecord], nominal: MotorParams) ->
     y - theta0 X about the nominal theta0 = `nominal.theta` and solved for
     the step delta = theta - theta0, so the residual sum of squares is
     r0.r0 - delta.X r0. theta0 only conditions the arithmetic: that sum does
-    not cancel as y.y - theta.X y does. Each run's terms are formed in the
-    workers of `_in_slices` and summed in run order, so the result is bit
-    for bit that of one process. `gram_fit` alone decides whether the
-    records determine theta; run roles are not read. R, phi_m and the pole
-    count are passed through from `nominal`; R also rebuilds the flux. The
-    seven magnetic parameters are replaced by their estimates.
+    not cancel as y.y - theta.X y does. `gram_fit` alone decides whether
+    the records determine theta; run roles are not read. R, phi_m and the
+    pole count are passed through from `nominal`; R also rebuilds the flux.
+    The seven magnetic parameters are replaced by their estimates.
     """
     theta0 = np.array(nominal.theta)
-    return _solve(_in_slices(
-        lambda lo, hi: [_run_terms(rec, theta0, nominal.R) for rec in records[lo:hi]], len(records)), nominal)
+    return _solve((_run_terms(rec, theta0, nominal.R) for rec in records), nominal)
 
 
 def _noise_rms(i: np.ndarray) -> float:
@@ -351,7 +347,7 @@ def _run_label(k: int, run: PlanRun) -> str:
     return f"run {k} ({run.role}, {run.i_target:+.3f} A)"
 
 
-def measure_traces(runs: Sequence[PlanRun], traces: Iterable[Trace],
+def measure_traces(runs: Sequence[PlanRun], traces: Sequence[Trace],
                    names: Sequence[str] | None = None) -> list[RunRecord]:
     """Check each trace against its planned injection and record it with it.
 
@@ -364,17 +360,27 @@ def measure_traces(runs: Sequence[PlanRun], traces: Iterable[Trace],
     inflate) raises NotAtRest. A zero-bias run is one driven with no bias
     voltage; each must show a ripple on every axis it injects, fitted over
     the whole record by `extract_ripple`, or ZeroRipple is raised. Both
-    refusals name the trace by `names` or by its run. The traces are taken
-    one at a time in run order, so the first run that fails a check is the
-    one refused, and where `traces` reads each trace as it is taken, so is
-    the first that cannot be read. Every check is on one run: that the
-    zero-bias runs inject both axes between them is `identify`'s check of
-    the whole plan. Run roles are labels only.
+    refusals name the trace by `names` or by its run. The runs are checked
+    in run order, so the first that fails a check is the one refused. The
+    zero-bias runs must inject both axes between them (ValueError); run
+    roles are labels only.
     """
+    if len(runs) != len(traces):
+        raise ValueError("one trace per planned run required")
+    if names is None:
+        names = [_run_label(k, run) for k, run in enumerate(runs)]
+    records = _measured(runs, traces, names)
+    _check_zero_bias(runs)
+    return records
+
+
+def _measured(runs: Sequence[PlanRun], traces: Iterable[Trace], names: Sequence[str]) -> list[RunRecord]:
+    """The per-run checks of `measure_traces`, taking the traces one at a
+    time in run order: where `traces` reads each trace as it is taken, the
+    first that cannot be read is refused before any later run is read."""
     records = []
-    for k, (run, trace) in enumerate(zip(runs, traces, strict=True)):
+    for run, trace, name in zip(runs, traces, names, strict=True):
         period_blocks(trace, run.spec)
-        name = names[k] if names is not None else _run_label(k, run)
         for axis, i in (("d", trace.i_d), ("q", trace.i_q)):
             floor = _noise_rms(i)
             if abs(i[0]) > max(_AT_REST_FACTOR * floor, _ZERO_RIPPLE_FLOOR):
@@ -391,6 +397,15 @@ def measure_traces(runs: Sequence[PlanRun], traces: Iterable[Trace],
                     _checked_ripple(i_tilde, sigma, f"{name}: {axis}-axis zero-bias run")
         records.append(RunRecord(run, trace))
     return records
+
+
+def _check_zero_bias(runs: Sequence[PlanRun]) -> None:
+    """The zero-bias runs, those driven with no bias voltage, must inject
+    both axes between them."""
+    injected = {axis for run in runs if run.spec.u_bar_d == run.spec.u_bar_q == 0.0
+                for axis, u_tilde in (("d", run.spec.u_tilde_d), ("q", run.spec.u_tilde_q)) if u_tilde != 0.0}
+    if injected != {"d", "q"}:
+        raise ValueError("plan must include both zero-bias runs")
 
 
 def simulate_plan(motor: MotorParams, runs: Sequence[PlanRun], *,
@@ -413,30 +428,37 @@ def simulate_plan(motor: MotorParams, runs: Sequence[PlanRun], *,
 def identify(runs: Sequence[PlanRun], load: Callable[[int, int], Iterable[Trace]], nominal: MotorParams,
              names: Sequence[str] | None = None) -> EstimationResult:
     """`measure_traces` and `estimate_from_records` over the runs, with the
-    per-run work in workers: the runs are cut into contiguous slices, one
-    per usable CPU (`_in_slices`), and the worker of runs[lo:hi] takes their
-    traces in run order from load(lo, hi), checks them and reduces each run
-    to its terms of the normal equations. No trace leaves its worker. The
-    terms are then summed in run order, so the result is bit for bit that
-    of one process, after the check of the whole plan: its zero-bias runs,
-    those driven with no bias voltage, must inject both axes between them
-    (ValueError). A fault is that of the first run, in run order, that fails
-    a check (see `measure_traces`). The runs are named in faults by `names`,
-    or by their index in `runs`.
+    per-run work in workers: the runs are cut into contiguous slices
+    (`_in_slices`), and the worker of runs[lo:hi] takes their traces in run
+    order from load(lo, hi), checks them and reduces each run to its terms
+    of the normal equations. No trace leaves its worker. The terms are then
+    summed in run order, so the result is bit for bit that of one process,
+    after the check of the whole plan: its zero-bias runs must inject both
+    axes between them (ValueError). A fault is that of the first run, in run
+    order, that fails a check. The runs are named in faults by `names`, or
+    by their index in `runs`.
     """
     if names is None:
         names = [_run_label(k, run) for k, run in enumerate(runs)]
     theta0 = np.array(nominal.theta)
 
     def reduce(lo: int, hi: int) -> list[tuple]:
-        return [_run_terms(rec, theta0, nominal.R) for rec in measure_traces(runs[lo:hi], load(lo, hi), names[lo:hi])]
+        return [_run_terms(rec, theta0, nominal.R) for rec in _measured(runs[lo:hi], load(lo, hi), names[lo:hi])]
 
     parts = _in_slices(reduce, len(runs))
-    injected = {axis for run in runs if run.spec.u_bar_d == run.spec.u_bar_q == 0.0
-                for axis, u_tilde in (("d", run.spec.u_tilde_d), ("q", run.spec.u_tilde_q)) if u_tilde != 0.0}
-    if injected != {"d", "q"}:
-        raise ValueError("plan must include both zero-bias runs")
-    return _solve(parts, nominal)
+    _check_zero_bias(runs)
+    return _solve((terms for part in parts for terms in part), nominal)
+
+
+def _simulated(motor: MotorParams, runs: Sequence[PlanRun], *, steps_per_period: int, measure_periods: int,
+               noise_amp: float, seed: int) -> Callable[[int, int], list[Trace]]:
+    """load(lo, hi) for a worker of `_in_slices`: the traces lo..hi-1 of
+    `simulate_plan` over all the runs, from runs[lo:hi] simulated alone at
+    seed + lo."""
+    def load(lo: int, hi: int) -> list[Trace]:
+        return simulate_plan(motor, runs[lo:hi], steps_per_period=steps_per_period,
+                             measure_periods=measure_periods, noise_amp=noise_amp, seed=seed + lo)
+    return load
 
 
 def run_identification(motor: MotorParams, plan: ExperimentPlan, *,
@@ -446,45 +468,62 @@ def run_identification(motor: MotorParams, plan: ExperimentPlan, *,
     parameters back; the closed-loop path used by tests and the CLI. Each
     worker of `identify` simulates its own slice of the plan."""
     runs = plan_runs(plan, motor.R)
-
-    def simulated(lo: int, hi: int) -> list[Trace]:
-        return simulate_plan(motor, runs[lo:hi], steps_per_period=steps_per_period,
-                             measure_periods=measure_periods, noise_amp=noise_amp, seed=seed + lo)
-
-    return identify(runs, simulated, motor)
+    return identify(runs, _simulated(motor, runs, steps_per_period=steps_per_period, measure_periods=measure_periods,
+                                     noise_amp=noise_amp, seed=seed), motor)
 
 
-def _usable_cpus() -> int:
-    """The CPUs this process may run on."""
+def write_simulated(motor: MotorParams, runs: Sequence[PlanRun], paths: Sequence, *, steps_per_period: int,
+                    measure_periods: int, noise_amp: float, seed: int) -> None:
+    """Simulate the runs as `simulate_plan` does and write run k's trace to
+    paths[k] (`Trace.to_csv`): the worker of each slice (`_in_slices`)
+    simulates and writes its own runs, so the files are those of one
+    process."""
+    load = _simulated(motor, runs, steps_per_period=steps_per_period, measure_periods=measure_periods,
+                      noise_amp=noise_amp, seed=seed)
+
+    def write(lo: int, hi: int) -> None:
+        for path, trace in zip(paths[lo:hi], load(lo, hi), strict=True):
+            trace.to_csv(path)
+
+    _in_slices(write, len(runs))
+
+
+# BENCH_19.json measured two workers on a two-CPU host: identify 0.49 ->
+# 0.34 s, with the child at 44 MB peak next to the parent's 60 MB. Every
+# worker repeats its plan's 47 coarse shooting calls and holds its own
+# memory, so more workers are unmeasured and may cost more than they save.
+_MAX_WORKERS = 2
+
+
+def _worker_count(n: int) -> int:
+    """Workers for n runs: one per usable CPU (`os.sched_getaffinity`, else
+    `os.cpu_count`), at most `_MAX_WORKERS` and n, at least one."""
     try:
-        return len(os.sched_getaffinity(0))
+        cpus = len(os.sched_getaffinity(0))
     except AttributeError:  # no affinity call on this platform
-        return os.cpu_count() or 1
+        cpus = os.cpu_count() or 1
+    return max(1, min(_MAX_WORKERS, cpus, n))
 
 
 def _in_slices(fn: Callable[[int, int], object], n: int) -> list:
-    """fn(lo, hi) over range(n) cut into min(usable CPUs, n) contiguous
-    slices of near-equal length, in slice order (`_in_workers`)."""
-    k = max(1, min(_usable_cpus(), n))
-    bounds = [n * j // k for j in range(k + 1)]
-    return _in_workers(lambda part: fn(*part), list(zip(bounds[:-1], bounds[1:])))
-
-
-def _in_workers(fn: Callable, parts: Sequence) -> list:
-    """fn(part) for each part, in part order: every part but the last in a
-    child made by `os.fork`, the last in this process.
+    """fn(lo, hi) over range(n) cut into `_worker_count(n)` contiguous
+    slices of near-equal length, in slice order: every slice but the last
+    in a child made by `os.fork`, the last in this process.
 
     Each child pickles (ok, value or exception) down its own pipe and leaves
     by `os._exit`, so it runs no exit handler and flushes none of this
-    process's buffers. The first exception in part order is raised here as
+    process's buffers. The first exception in slice order is raised here as
     it was raised; a child that leaves no result raises RuntimeError with
     its exit status. On every exit path all pipes are closed before every
     child is reaped, so no child outlives the call and one blocked on a
     full pipe cannot hang it. Where `os.fork` is missing, or other threads
-    run (a fork copies only the calling thread), all parts run here.
+    run (a fork copies only the calling thread), all slices run here.
     """
-    if len(parts) < 2 or not hasattr(os, "fork") or threading.active_count() > 1:
-        return [fn(part) for part in parts]
+    k = _worker_count(n)
+    bounds = [n * j // k for j in range(k + 1)]
+    parts = list(zip(bounds[:-1], bounds[1:]))
+    if k < 2 or not hasattr(os, "fork") or threading.active_count() > 1:
+        return [fn(lo, hi) for lo, hi in parts]
     pids, fds = [], []
     try:
         for part in parts[:-1]:
@@ -498,7 +537,7 @@ def _in_workers(fn: Callable, parts: Sequence) -> list:
                 os.close(w)
             pids.append(pid)
         try:
-            last = (True, fn(parts[-1]))
+            last = (True, fn(*parts[-1]))
         except Exception as exc:
             last = (False, exc)
         blobs = []
@@ -512,7 +551,7 @@ def _in_workers(fn: Callable, parts: Sequence) -> list:
             os.close(r)
         statuses = [os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) for pid in pids]
     outcomes = [pickle.loads(blob) if status == 0 and blob else
-                (False, RuntimeError(f"worker {j} of {len(parts)} left no result (exit status {status})"))
+                (False, RuntimeError(f"worker {j} of {k} left no result (exit status {status})"))
                 for j, (blob, status) in enumerate(zip(blobs, statuses))]
     for ok, value in outcomes + [last]:
         if not ok:
@@ -520,16 +559,16 @@ def _in_workers(fn: Callable, parts: Sequence) -> list:
     return [value for _, value in outcomes + [last]]
 
 
-def _child(fn, part, w: int, inherited: list[int]) -> NoReturn:
-    """The body of an `_in_workers` child: close the read ends it inherited,
-    its own included, write the pickled outcome of fn(part) to w and leave,
+def _child(fn, part: tuple[int, int], w: int, inherited: list[int]) -> NoReturn:
+    """The body of an `_in_slices` child: close the read ends it inherited,
+    its own included, write the pickled outcome of fn(*part) to w and leave,
     with status 1 if the write failed."""
     status = 1
     try:
         for fd in inherited:
             os.close(fd)
         try:
-            outcome = (True, fn(part))
+            outcome = (True, fn(*part))
         except BaseException as exc:
             outcome = (False, exc)
         try:

@@ -225,7 +225,7 @@ class TestEstimateCommand:
         # and run 10 alike, and run 5 starts late (a numerical failure), yet
         # the input error of run 3, the first run to fail a check, reading
         # included, is the one reported
-        monkeypatch.setattr(estimator, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(estimator, "_worker_count", lambda n: 2)
         base = cfg_path.parent
 
         def faulty(edit):
@@ -312,7 +312,7 @@ class TestEstimateCommand:
         # its flux rebuilt from zero: numerical failure naming the file. With
         # two workers, runs 0-6 and 7-13, a later run's fault in either
         # slice, a file that cannot be read among them, does not hide it
-        monkeypatch.setattr(estimator, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(estimator, "_worker_count", lambda n: 2)
         base = cfg_path.parent
 
         def late_start(path):
@@ -346,7 +346,7 @@ class TestEstimateCommand:
                        .replace("noise_mA = 0", "noise_mA = 10"))
         written = []
         for workers in (1, 2, 3):
-            monkeypatch.setattr(estimator, "_usable_cpus", lambda: workers)
+            monkeypatch.setattr(estimator, "_worker_count", lambda n: workers)
             out = tmp_path / f"workers_{workers}"
             assert main(["simulate", "--config", str(cfg), "--out", str(out), "--seed", "3"]) == 0
             written.append({p.relative_to(out): p.read_bytes() for p in out.rglob("*") if p.is_file()})

@@ -19,7 +19,7 @@ from satpmsm.estimator import (
     ExperimentPlan,
     NotAtRest,
     ZeroRipple,
-    _in_workers,
+    _in_slices,
     _period_centred,
     estimate_cross,
     estimate_d_axis,
@@ -564,23 +564,28 @@ class TestWorkers:
             trace.to_csv(path)
         results = []
         for workers in (1, 2, 3):
-            monkeypatch.setattr(estimator, "_usable_cpus", lambda: workers)
+            monkeypatch.setattr(estimator, "_worker_count", lambda n: workers)
             results.append((run_identification(ipm, plan, measure_periods=25, noise_amp=0.010, seed=3),
                             identify(runs, lambda lo, hi: map(Trace.from_csv, paths[lo:hi]), ipm)))
         assert results[0] == results[1] == results[2]
         assert results[0][0] == results[0][1]
 
     def test_plan_without_both_zero_bias_axes_refused(self, ipm):
+        # the plan-wide check, on the workers' path and on the public
+        # per-run one alike
         plan = ipm_plan(id_grid=(-1.0, 1.0), iq_grid=(-1.0, 0.5, 1.0))
         runs = plan_runs(plan, ipm.R)[1:]
         traces = simulate_plan(ipm, runs, measure_periods=2)
         with pytest.raises(ValueError, match="plan must include both zero-bias runs"):
             identify(runs, lambda lo, hi: traces[lo:hi], ipm)
+        with pytest.raises(ValueError, match="plan must include both zero-bias runs"):
+            measure_traces(runs, traces)
 
-    def test_values_in_part_order(self):
-        # every part but the last runs in a child of its own; a value larger
+    def test_values_in_slice_order(self, monkeypatch):
+        # every slice but the last runs in a child of its own; a value larger
         # than a pipe's buffer comes back whole, and no child is left
-        out = _in_workers(lambda k: (os.getpid(), np.full(200_000, float(k))), [0, 1, 2])
+        monkeypatch.setattr(estimator, "_worker_count", lambda n: 3)
+        out = _in_slices(lambda lo, hi: (os.getpid(), np.full(200_000, float(lo))), 3)
         pids = [pid for pid, _ in out]
         assert pids[-1] == os.getpid() and len(set(pids)) == 3
         for k, (_, values) in enumerate(out):
@@ -589,24 +594,26 @@ class TestWorkers:
             os.waitpid(-1, os.WNOHANG)
 
     @pytest.mark.parametrize("error", [NotAtRest, ZeroRipple, TooShort, ValueError])
-    def test_first_error_in_part_order(self, error):
-        # parts 1 (a child) and 2 (this process) both fail: part 1's error
+    def test_first_error_in_slice_order(self, error, monkeypatch):
+        # slices 1 (a child) and 2 (this process) both fail: slice 1's error
         # arrives as it was raised, and no child is left
-        def fn(k):
-            if k:
-                raise error(f"part {k} failed")
-            return k
+        def fn(lo, hi):
+            if lo:
+                raise error(f"slice {lo} failed")
+            return lo
 
-        with pytest.raises(error, match=re.escape("part 1 failed")) as info:
-            _in_workers(fn, [0, 1, 2])
+        monkeypatch.setattr(estimator, "_worker_count", lambda n: 3)
+        with pytest.raises(error, match=re.escape("slice 1 failed")) as info:
+            _in_slices(fn, 3)
         assert info.type is error
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
 
-    def test_child_without_result(self):
+    def test_child_without_result(self, monkeypatch):
         # a child that leaves without writing its result is an error with
         # its exit status, not a hang
+        monkeypatch.setattr(estimator, "_worker_count", lambda n: 2)
         with pytest.raises(RuntimeError, match=re.escape("left no result (exit status 3)")):
-            _in_workers(lambda k: os._exit(3) if k == 0 else k, [0, 1])
+            _in_slices(lambda lo, hi: os._exit(3) if lo == 0 else lo, 2)
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)

@@ -676,16 +676,15 @@ class TestTraceCsv:
         assert back.phi_d is None and back.phi_q is None
 
     def test_unread_column_not_checked(self, tmp_path):
-        # only the five channels are parsed, so a column the estimator never
-        # reads may hold anything
+        # only the five channels are checked, so a column the estimator never
+        # reads may hold anything: numbers that are not finite, which the
+        # one parse of the file reads, or text, which it cannot
         path = tmp_path / "meas.csv"
-        path.write_text(
-            "t,u_d,u_q,i_d,i_q,note\n"
-            "0,1,0,0.5,0,nan\n"
-            "0.001,1,0,0.6,0,inf\n"
-            "0.002,1,0,0.7,0,see log\n")
-        tr = Trace.from_csv(path)
-        assert np.array_equal(tr.i_d, [0.5, 0.6, 0.7])
+        rows = ["0,1,0,0.5,0,nan", "0.001,1,0,0.6,0,inf", "0.002,1,0,0.7,0,see log"]
+        for n in (2, 3):
+            path.write_text("t,u_d,u_q,i_d,i_q,note\n" + "\n".join(rows[:n]) + "\n")
+            tr = Trace.from_csv(path)
+            assert np.array_equal(tr.i_d, [0.5, 0.6, 0.7][:n])
 
     def test_repeated_channel_refused(self, tmp_path):
         # a channel named twice has no one column to read: refused naming the
