@@ -8,18 +8,17 @@ each step evaluates the voltage one-sidedly, so every step integrates a
 smooth piece and the nominal RK4 order survives the discontinuities. The
 rotor is locked: no speed couples the axes. A batch starts at rest
 (`simulate_batch`, `simulate_averaged`) or, in `simulate_periodic`, each
-run on its own periodic steady state. Every sampled record comes from one
-function, `_record`: its chunks (injection periods, or time constants of
-the averaged system) integrated side by side, by parareal where that pays
-or from exact starts where they are known, else one after the other, all
-by one chunk map, `_rk4` from per-lane starts. Every step is one sample.
+run on its own periodic steady state. A narrow record (a step response,
+an orbit) is one `_rk4` pass, one sample per step. An identification
+batch from rest (`_record`) integrates its injection periods side by side
+by parareal where that pays, else it too is one pass.
 
 `_rk4` has two implementations of the same arithmetic, chosen by the batch
 width. A numpy step costs the dispatch of its ~60 array calls, about the
 same from 1 to ~100 lanes; a step in Python floats costs about 2.5 us per
-lane. So a batch of at most `_FLOAT_LANES` lanes, such as a coarse chunk of
-a step response or an orbit record of the angle sweep, integrates one lane
-after another in floats, and a wider one, such as a fine sweep of an
+lane. So a batch of at most `_FLOAT_LANES` lanes, such as the step
+responses or an orbit record of the angle sweep, integrates one lane after
+another in floats, and a wider one, such as a fine sweep of an
 identification plan, as arrays. Both give the same bits.
 
 The simulator stands in for the motor, not for the sensors: measurement
@@ -30,7 +29,6 @@ noise is added afterwards, by `estimator.simulate_plan` through
 from __future__ import annotations
 
 import dataclasses
-import functools
 import io
 import math
 import warnings
@@ -160,8 +158,8 @@ class Trace:
     @staticmethod
     def from_csv(path) -> "Trace":
         """Read the five measured channels by header name; any other column
-        is ignored, so the flux is None. Every data row must hold one value
-        per header name.
+        is ignored, so the flux is None. A header name may have spaces
+        around it. Every data row must hold one value per header name.
 
         The file is read once. Its rows are parsed with the last header
         column added to the five, so a parse without error has at least that
@@ -170,7 +168,7 @@ class Trace:
         no row longer. Only a file that fails that test has its rows checked
         one by one, before a parse of the five columns alone."""
         with open(path) as fh:
-            header = fh.readline().strip().split(",")
+            header = [name.strip() for name in fh.readline().split(",")]
             text = fh.read()
         for name in _CSV_HEADER:
             if header.count(name) != 1:
@@ -381,9 +379,23 @@ def _rk4_floats(rows, R, dt, X0, u_bar, u_tilde, f0, fmid, f1, out):
     return end
 
 
-def _traces(t, phi, i, u) -> list[Trace]:
-    """One Trace per lane of the kernel's lane-major output: read-only row
-    views, all sharing one t; nothing is copied."""
+def _sampled(rows: np.ndarray, R: np.ndarray, dt: float, X0: np.ndarray, u_bar: np.ndarray,
+             u_tilde: np.ndarray, drive: tuple[np.ndarray, ...]) -> np.ndarray:
+    """The flux record (2, *lanes, steps + 1) of one `_rk4` pass from X0
+    over the steps of drive = (f0, fmid, f1), one sample per step and the
+    end flux last."""
+    phi = np.empty((*X0.shape, len(drive[1]) + 1))
+    phi[..., -1] = _rk4(rows, R, dt, X0, u_bar, u_tilde, *drive, phi[..., :-1])
+    return phi
+
+
+def _traces(rows: np.ndarray, dt: float, phi: np.ndarray, u_bar: np.ndarray, u_tilde: np.ndarray,
+            f0: np.ndarray) -> list[Trace]:
+    """One Trace per lane j of the flux record phi (2, n, steps + 1),
+    sampled every dt from t = 0, of lanes with coefficient rows `rows` under
+    the drive u_bar + u_tilde * f0: read-only row views, all sharing one t."""
+    t, i = np.arange(phi.shape[-1]) * dt, _stacked_currents(rows[..., None], phi)
+    u = u_bar[..., None] + u_tilde[..., None] * f0
     for a in (t, phi, i, u):
         a.flags.writeable = False
     return [Trace(t=t, u_d=u[0, j], u_q=u[1, j], i_d=i[0, j], i_q=i[1, j], phi_d=phi[0, j], phi_q=phi[1, j])
@@ -396,102 +408,81 @@ def _coarse_fits(p: MotorParams, coarse_dt: float) -> bool:
     return coarse_dt * p.R / min(p.Ld, p.Lq) <= _PARAREAL_COARSE_Z
 
 
-def _record(motors: Sequence[MotorParams], dt: float, n_steps: int, spp: int, X0: np.ndarray,
-            u_bar: np.ndarray, u_tilde: np.ndarray, waveform) -> tuple[tuple[np.ndarray, ...], int]:
-    """The record t, flux, current and voltage (each (2, n, n_steps + 1),
-    t shared) of lane j = motors[j] integrated by `_rk4` over n_steps steps
-    of dt from X0[:, j], driven by u_bar[:, j] + u_tilde[:, j] * f, one sample
-    per step, and the number of fine sweeps it took. waveform(dt, k) gives
-    the f0, fmid, f1 of k steps of dt from t = 0, and the drive repeats
-    every spp steps.
+def _record(p: MotorParams, spec: InjectionSpec, dt: float, n_steps: int, u_bar: np.ndarray,
+            u_tilde: np.ndarray) -> tuple[list[Trace], int]:
+    """The traces of n runs of motor p from rest over n_steps steps of dt,
+    one sample per step, run j driven by u_bar[:, j] + u_tilde[:, j] * f
+    under spec's waveform f, and the number of fine sweeps they took.
 
-    The P = n_steps // spp whole chunks of spp steps are integrated side by
-    side: each fine sweep runs all lanes x chunks as one batch, lane (j, p),
-    and writes its samples straight into the record through a view of it.
-    Given every whole chunk's exact start, X0 of shape (2, n, P), one fine
-    sweep from those starts is the whole record, with no coarse work.
-
-    From one start per lane, X0 of shape (2, n), the chunks run by parareal
-    (Lions, Maday & Turinici, C. R. Acad. Sci. Paris 2001). The fine
-    propagator F is one chunk of `_rk4` at dt, the coarse G one chunk at
-    `_PARAREAL_COARSE_STEPS` steps. The chunk starts U begin at U[0] = X0,
+    The P = n_steps // spp whole injection periods of spp steps run side by
+    side by parareal (Lions, Maday & Turinici, C. R. Acad. Sci. Paris 2001):
+    each fine sweep runs all runs x periods as one batch, lane (j, p), and
+    writes its samples straight into the record through a view of it. The
+    fine propagator F is one period of `_rk4` at dt, the coarse G one period
+    at `_PARAREAL_COARSE_STEPS` steps. The period starts U begin at U[0] = 0,
     U[p+1] = G(U[p]). A fine sweep from U leaves a jump F(U[p]) - U[p+1]
-    in the record at every chunk boundary; a lane whose jumps, summed over
+    in the record at every period boundary; a run whose jumps, summed over
     both axes and all boundaries, come to at most `_PARAREAL_TOL` is done:
     its record is continuous up to that sum, which bounds the record's
-    flux error against one pass. A done lane keeps its starts, so later
-    sweeps rewrite its samples bit for bit and every lane comes out as it
-    would alone. Only the lanes still open get a coarse correction: after
+    flux error against one pass. A done run keeps its starts, so later
+    sweeps rewrite its samples bit for bit and every run comes out as it
+    would alone. Only the runs still open get a coarse correction: after
     sweep s their first s + 1 starts are exact, U'[p+1] = F(U[p]) for
     p < s, and the others update as U'[p+1] = G(U'[p]) + F(U[p]) - G(U[p]).
-    After `_PARAREAL_MAX_SWEEPS` sweeps a lane not yet done continues
+    After `_PARAREAL_MAX_SWEEPS` sweeps a run not yet done continues
     sequentially from its last exact start, which no coarse value entered.
-    A trailing part chunk continues from the last chunk's end.
+    A trailing part period continues from the last period's end.
 
     Parareal pays only where it converges in far fewer sweeps than there
-    are chunks. The record runs sequentially from X0 throughout when it
-    holds no more whole chunks than the sweep cap, or when a coarse step
-    fails `_coarse_fits` for some lane: there the coarse propagator is
+    are periods. The record is one `_rk4` pass from rest, with no sweep,
+    when it holds no more whole periods than the sweep cap, or when a
+    coarse step fails `_coarse_fits`: there the coarse propagator is
     inaccurate or unstable.
     """
-    n, P = len(motors), n_steps // spp
-    rows, R = _lanes(motors)
-    drive = waveform(dt, n_steps)
+    n, spp = u_bar.shape[1], round(spec.period / dt)
+    P, coarse_dt = n_steps // spp, spp * dt / _PARAREAL_COARSE_STEPS
+    rows, R = _lanes([p] * n)
+    drive = _waveform_arrays(spec, dt, n_steps)
+    if P <= _PARAREAL_MAX_SWEEPS or not _coarse_fits(p, coarse_dt):
+        return _traces(rows, dt, _sampled(rows, R, dt, np.zeros((2, n)), u_bar, u_tilde, drive), u_bar, u_tilde,
+                       drive[0]), 0
     phi = np.empty((2, n, n_steps + 1))
-    coarse_dt = spp * dt / _PARAREAL_COARSE_STEPS
-    known = X0.ndim == 3  # every whole chunk's exact start given
-    # starts[..., k]: chunk k's exact start
-    sweeps, done, starts = 0, np.full(n, known), X0 if known else X0[..., None]
-    if known or P > _PARAREAL_MAX_SWEEPS and all(_coarse_fits(p, coarse_dt) for p in motors):
-        rows_p, R_p, u_bar_p, u_tilde_p = (np.repeat(a[..., None], P, axis=-1) for a in (rows, R, u_bar, u_tilde))
-        fine = waveform(dt, spp)
-        samples = phi[:, :, :P * spp].reshape(2, n, P, spp)  # a view: the sweeps write through it
+    rows_p, R_p, u_bar_p, u_tilde_p = (np.repeat(a[..., None], P, axis=-1) for a in (rows, R, u_bar, u_tilde))
+    fine, coarse = _waveform_arrays(spec, dt, spp), _waveform_arrays(spec, coarse_dt, _PARAREAL_COARSE_STEPS)
+    samples = phi[:, :, :P * spp].reshape(2, n, P, spp)  # a view: the sweeps write through it
 
-        def fine_sweep(U):
-            return _rk4(rows_p, R_p, dt, U, u_bar_p, u_tilde_p, *fine, samples)
+    def coarse_sweep(U, G, k0, lanes):
+        """Add G(U[..., k]) to U[..., k + 1] in period order from k0, keeping
+        the G values in G[..., k]; U and G hold the given lanes."""
+        rows_l, R_l, u_bar_l, u_tilde_l = rows[..., lanes], R[:, lanes], u_bar[:, lanes], u_tilde[:, lanes]
+        for k in range(k0, P - 1):
+            G[..., k] = _rk4(rows_l, R_l, coarse_dt, U[..., k], u_bar_l, u_tilde_l, *coarse)
+            U[..., k + 1] += G[..., k]
 
-        if known:
-            F, sweeps = fine_sweep(X0), 1
-        else:
-            coarse = waveform(coarse_dt, _PARAREAL_COARSE_STEPS)
-
-            def coarse_sweep(U, G, k0, lanes):
-                """Add G(U[..., k]) to U[..., k + 1] in chunk order from k0, keeping
-                the G values in G[..., k]; U and G hold the given lanes."""
-                rows_l, R_l, u_bar_l, u_tilde_l = rows[..., lanes], R[:, lanes], u_bar[:, lanes], u_tilde[:, lanes]
-                for k in range(k0, P - 1):
-                    G[..., k] = _rk4(rows_l, R_l, coarse_dt, U[..., k], u_bar_l, u_tilde_l, *coarse)
-                    U[..., k + 1] += G[..., k]
-
-            U, G = np.zeros((2, n, P)), np.empty((2, n, P - 1))
-            U[..., 0] = X0
-            with np.errstate(over="ignore", invalid="ignore"):  # an unconverged start is never kept
-                coarse_sweep(U, G, 0, slice(None))
-                for sweeps in range(1, _PARAREAL_MAX_SWEEPS + 1):
-                    F = fine_sweep(U)
-                    jumps = np.sum(np.abs(F[..., :-1] - U[..., 1:]), axis=(0, 2))  # where the record breaks
-                    done |= jumps <= _PARAREAL_TOL  # NaN stays open
-                    if done.all() or sweeps == _PARAREAL_MAX_SWEEPS:
-                        break
-                    lanes = np.flatnonzero(~done)  # a done lane keeps its starts
-                    U_open, G_open = U[:, lanes], G[:, lanes]
-                    U_open[..., 1:sweeps + 1] = F[:, lanes, :sweeps]
-                    U_open[..., sweeps + 1:] = F[:, lanes, sweeps:-1] - G_open[..., sweeps:]
-                    coarse_sweep(U_open, G_open, sweeps, lanes)
-                    U[:, lanes], G[:, lanes] = U_open, G_open
-        starts = np.concatenate((starts[..., :1], F), axis=-1)
+    U, G, done = np.zeros((2, n, P)), np.empty((2, n, P - 1)), np.zeros(n, dtype=bool)
+    with np.errstate(over="ignore", invalid="ignore"):  # an unconverged start is never kept
+        coarse_sweep(U, G, 0, slice(None))
+        for sweeps in range(1, _PARAREAL_MAX_SWEEPS + 1):
+            F = _rk4(rows_p, R_p, dt, U, u_bar_p, u_tilde_p, *fine, samples)
+            jumps = np.sum(np.abs(F[..., :-1] - U[..., 1:]), axis=(0, 2))  # where the record breaks
+            done |= jumps <= _PARAREAL_TOL  # NaN stays open
+            if done.all() or sweeps == _PARAREAL_MAX_SWEEPS:
+                break
+            lanes = np.flatnonzero(~done)  # a done run keeps its starts
+            U_open, G_open = U[:, lanes], G[:, lanes]
+            U_open[..., 1:sweeps + 1] = F[:, lanes, :sweeps]
+            U_open[..., sweeps + 1:] = F[:, lanes, sweeps:-1] - G_open[..., sweeps:]
+            coarse_sweep(U_open, G_open, sweeps, lanes)
+            U[:, lanes], G[:, lanes] = U_open, G_open
+    starts = np.concatenate((np.zeros((2, n, 1)), F), axis=-1)  # starts[..., k]: period k's exact start
     for lanes, k in ((done, P), (~done, sweeps)):
-        if lanes.any() and k * spp == n_steps:  # the record ends where chunk k starts
-            phi[:, lanes, -1] = starts[:, lanes, k]
-        elif lanes.any():
-            idx = slice(None) if lanes.all() else np.flatnonzero(lanes)  # a slice writes through
-            out = phi[:, idx, k * spp:-1]
-            phi[:, idx, -1] = _rk4(rows[..., idx], R[:, idx], dt, starts[:, idx, k], u_bar[:, idx],
-                                   u_tilde[:, idx], *(f[k * spp:] for f in drive), out)
-            if isinstance(idx, np.ndarray):
-                phi[:, idx, k * spp:-1] = out
-    return (np.arange(n_steps + 1) * dt, phi, _stacked_currents(rows[..., None], phi),
-            u_bar[..., None] + u_tilde[..., None] * drive[0]), sweeps
+        idx = np.flatnonzero(lanes)
+        if len(idx) and k * spp == n_steps:  # the record ends where period k starts
+            phi[:, idx, -1] = starts[:, idx, k]
+        elif len(idx):  # the rest of the record, from the start of period k
+            phi[:, idx, k * spp:] = _sampled(rows[..., idx], R[:, idx], dt, starts[:, idx, k], u_bar[:, idx],
+                                             u_tilde[:, idx], [f[k * spp:] for f in drive])
+    return _traces(rows, dt, phi, u_bar, u_tilde, drive[0]), sweeps
 
 
 def simulate_batch(p: MotorParams, specs: Sequence[InjectionSpec], cfg: SimConfig) -> list[Trace]:
@@ -504,10 +495,7 @@ def simulate_batch(p: MotorParams, specs: Sequence[InjectionSpec], cfg: SimConfi
     """
     if not specs:
         return []
-    u_bar, u_tilde = _stacked_drive(specs, cfg.dt)
-    return _traces(*_record([p] * len(specs), cfg.dt, int(round(cfg.t_end / cfg.dt)),
-                            round(specs[0].period / cfg.dt), np.zeros(u_bar.shape), u_bar, u_tilde,
-                            functools.partial(_waveform_arrays, specs[0]))[0])
+    return _record(p, specs[0], cfg.dt, round(cfg.t_end / cfg.dt), *_stacked_drive(specs, cfg.dt))[0]
 
 
 def simulate(p: MotorParams, spec: InjectionSpec, cfg: SimConfig) -> Trace:
@@ -517,46 +505,22 @@ def simulate(p: MotorParams, spec: InjectionSpec, cfg: SimConfig) -> Trace:
     return simulate_batch(p, [spec], cfg)[0]
 
 
-def _averaged_chunk(p: MotorParams, dt: float, n_steps: int) -> int:
-    """Chunk length, in steps of dt, at which `_record` integrates a lane of
-    motor p under a constant drive over n_steps.
-
-    The chunk is the shortest unsaturated time constant min(Ld, Lq) / R in
-    whole steps, which is the longest chunk whose coarse step
-    `_coarse_fits`. It is counted down from one step past the quotient
-    until it fits, so that no rounding puts it a step off either way. A
-    lane whose time constant is shorter than one step gets a chunk longer
-    than the record, which runs it sequentially."""
-    spp = int(min(p.Ld, p.Lq) / p.R / dt) + 1
-    while spp >= 1 and not _coarse_fits(p, spp * dt / _PARAREAL_COARSE_STEPS):
-        spp -= 1
-    return spp if spp >= 1 else n_steps + 1
-
-
 def simulate_averaged(motors: Sequence[MotorParams], u_bar: Sequence[tuple[float, float]],
                       cfg: SimConfig) -> list[Trace]:
     """Integrate the ripple-free averaged system dphi/dt = u_bar - R*i(phi)
-    from rest, one lane per (motors[j], u_bar[j] = (u_bar_d, u_bar_q)) pair.
-
-    The record runs in time chunks of `_averaged_chunk` steps (`_record`).
-    That chunk depends on the lane's own motor and dt only, so the lanes
-    that share one integrate as one batch, and every lane comes out as it
-    would alone; the traces return in input order. Each trajectory tends to
-    the constant flux solving u_bar = R*i(phi).
+    from rest, one lane per (motors[j], u_bar[j] = (u_bar_d, u_bar_q)) pair,
+    all lanes in one `_rk4` pass. Each trajectory tends to the constant flux
+    solving u_bar = R*i(phi).
     """
     if len(u_bar) != len(motors):
         raise ValueError("need one mean voltage pair per motor")
-    n_steps = int(round(cfg.t_end / cfg.dt))
-    u = np.array(u_bar, dtype=float).T
-    chunks = [_averaged_chunk(p, cfg.dt, n_steps) for p in motors]
-    traces: list[Trace] = [None] * len(motors)
-    for spp in dict.fromkeys(chunks):
-        idx = [j for j, c in enumerate(chunks) if c == spp]
-        group = _record([motors[j] for j in idx], cfg.dt, n_steps, spp, np.zeros((2, len(idx))), u[:, idx],
-                        np.zeros((2, len(idx))), lambda dt, k: (np.zeros(k + 1), np.zeros(k), np.zeros(k)))[0]
-        for j, tr in zip(idx, _traces(*group)):
-            traces[j] = tr
-    return traces
+    if not motors:
+        return []
+    n_steps = round(cfg.t_end / cfg.dt)
+    u, zero = np.array(u_bar, dtype=float).T, np.zeros((2, len(motors)))
+    rows, R = _lanes(motors)
+    drive = np.zeros(n_steps + 1), np.zeros(n_steps), np.zeros(n_steps)
+    return _traces(rows, cfg.dt, _sampled(rows, R, cfg.dt, zero, u, zero, drive), u, zero, drive[0])
 
 
 def _shooting_step(phi: np.ndarray, r: np.ndarray, col_d: np.ndarray, col_q: np.ndarray) -> np.ndarray:
@@ -607,11 +571,7 @@ def simulate_periodic(p: MotorParams, specs: Sequence[InjectionSpec], *,
     one-period residual still exceeds `_SHOOT_TOL` on an axis after
     `_SHOOT_MAX_ITER` steps raises NonConvergence naming its mean current.
 
-    Both recorded periods start exactly where they start in one pass: phi0,
-    and P(phi0) from the base lanes of the Newton sweep that confirmed
-    convergence. `_record` integrates them side by side, in one fine sweep
-    at twice the width, which is byte for byte the sequential record of a
-    square wave.
+    The record is one `_rk4` pass of `MIN_WHOLE_PERIODS` periods from phi0.
     """
     if not specs:
         return []
@@ -623,7 +583,6 @@ def simulate_periodic(p: MotorParams, specs: Sequence[InjectionSpec], *,
     phi = phi + u_tilde * float(F_array(specs[0].waveform, 0.0)) / specs[0].omega
 
     lanes = _lanes([p] * (3 * n))
-    waveform = functools.partial(_waveform_arrays, specs[0])
     offsets = np.zeros((2, 3 * n))
     offsets[0, n:2 * n] = offsets[1, 2 * n:] = _SHOOT_FD_STEP
     coarse_dt = specs[0].period / _PARAREAL_COARSE_STEPS
@@ -632,7 +591,7 @@ def simulate_periodic(p: MotorParams, specs: Sequence[InjectionSpec], *,
         maps.insert(0, (coarse_dt, _PARAREAL_COARSE_STEPS))
     with np.errstate(over="ignore", invalid="ignore"):  # a run that runs away is reported below
         for h, steps in maps:
-            drive = (np.tile(u_bar, 3), np.tile(u_tilde, 3), *waveform(h, steps))
+            drive = (np.tile(u_bar, 3), np.tile(u_tilde, 3), *_waveform_arrays(specs[0], h, steps))
             start = phi
             for _ in range(_SHOOT_MAX_ITER):
                 end = _rk4(*lanes, h, np.tile(phi, 3) + offsets, *drive)
@@ -648,7 +607,6 @@ def simulate_periodic(p: MotorParams, specs: Sequence[InjectionSpec], *,
         raise NonConvergence(
             f"no periodic orbit within {_SHOOT_MAX_ITER} shooting steps for the run at "
             f"i_bar = ({d:.6g}, {q:.6g}) A, |i_bar| = {math.hypot(d, q):.6g} A")
-    # the last Newton sweep's base lanes hold P(phi), the second period's start
-    starts = np.stack((phi, end[:, :n]), axis=-1)  # MIN_WHOLE_PERIODS = 2 of them
-    return _traces(*_record([p] * n, dt, MIN_WHOLE_PERIODS * steps_per_period, steps_per_period, starts,
-                            u_bar, u_tilde, waveform)[0])
+    rows, R = _lanes([p] * n)
+    drive = _waveform_arrays(specs[0], dt, MIN_WHOLE_PERIODS * steps_per_period)
+    return _traces(rows, dt, _sampled(rows, R, dt, phi, u_bar, u_tilde, drive), u_bar, u_tilde, drive[0])

@@ -94,9 +94,8 @@ def step_response(p: MotorParams, u_steps: Sequence[float], t_end: float) -> lis
     """d-axis voltage steps from zero flux, locked rotor: the full model next
     to the same motor with the saturation coefficients zeroed, one result per
     voltage in u_steps. All voltage x {saturated, linear} lanes integrate
-    the ripple-free averaged system over `_STEP_SAMPLES` steps, in time
-    chunks of their shortest unsaturated time constant side by side
-    (`simulate_averaged`)."""
+    the ripple-free averaged system over `_STEP_SAMPLES` steps in one RK4
+    pass (`simulate_averaged`)."""
     cfg = SimConfig(dt=t_end / _STEP_SAMPLES, t_end=t_end)
     n = len(u_steps)
     traces = simulate_averaged([p] * n + [p.without_saturation()] * n,

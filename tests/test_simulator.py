@@ -1,4 +1,3 @@
-import functools
 import math
 import re
 import warnings
@@ -230,10 +229,12 @@ def sequential_currents(p, specs, cfg):
 
 
 def from_rest(p, spec, dt, n_steps, u_bar, u_tilde):
-    """`_record` of the runs of motor p from rest under spec's waveform, one
-    chunk per injection period, and its number of fine sweeps."""
-    return simulator._record([p] * u_bar.shape[1], dt, n_steps, round(spec.period / dt), np.zeros(u_bar.shape),
-                             u_bar, u_tilde, functools.partial(simulator._waveform_arrays, spec))
+    """The flux and current records (2, n, n_steps + 1) of `_record`'s runs
+    of motor p from rest under spec's waveform, and its number of fine
+    sweeps."""
+    traces, sweeps = simulator._record(p, spec, dt, n_steps, u_bar, u_tilde)
+    phi = np.array([[tr.phi_d for tr in traces], [tr.phi_q for tr in traces]])
+    return (phi, batch_currents(traces)), sweeps
 
 
 def batch_currents(traces):
@@ -300,9 +301,9 @@ class TestPeriodParallel:
         alone = [from_rest(spm, specs[0], cfg.dt, 2000, u_bar[:, j:j + 1], u_tilde[:, j:j + 1])
                  for j in range(2)]
         assert [sweeps for _, sweeps in alone] == alone_sweeps
-        (_, phi, i, _), sweeps = from_rest(spm, specs[0], cfg.dt, 2000, u_bar, u_tilde)
+        (phi, i), sweeps = from_rest(spm, specs[0], cfg.dt, 2000, u_bar, u_tilde)
         assert sweeps == max(alone_sweeps)
-        for j, ((_, phi_j, _, _), _) in enumerate(alone):
+        for j, ((phi_j, _), _) in enumerate(alone):
             assert np.array_equal(phi[:, j], phi_j[:, 0])
         assert np.max(np.abs(i - sequential_currents(spm, specs, cfg))) <= 1e-12
 
@@ -316,7 +317,7 @@ class TestPeriodParallel:
         specs = [square_spec(u_tilde_d=30.0, omega=omega), square_spec(u_bar_d=20.0, u_tilde_q=30.0, omega=omega)]
         cfg = SimConfig(dt=specs[0].period / 200, t_end=periods * specs[0].period)
         u_bar, u_tilde = simulator._stacked_drive(specs, cfg.dt)
-        (_, _, i, _), sweeps = from_rest(ipm, specs[0], cfg.dt, periods * 200, u_bar, u_tilde)
+        (_, i), sweeps = from_rest(ipm, specs[0], cfg.dt, periods * 200, u_bar, u_tilde)
         assert sweeps == 0
         assert np.array_equal(i, sequential_currents(ipm, specs, cfg))
 
@@ -331,7 +332,7 @@ class TestPeriodParallel:
         u_bar, u_tilde = simulator._stacked_drive(specs, cfg.dt)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            (_, _, i, _), sweeps = from_rest(ipm, specs[0], cfg.dt, 5000, u_bar, u_tilde)
+            (_, i), sweeps = from_rest(ipm, specs[0], cfg.dt, 5000, u_bar, u_tilde)
         assert sweeps == simulator._PARAREAL_MAX_SWEEPS
         assert np.all(np.isfinite(i))
         assert np.max(np.abs(i - sequential_currents(ipm, specs, cfg))) <= 1e-12
@@ -485,103 +486,51 @@ def sequential_averaged(motors, u_bar, cfg):
 
 
 class TestChunkedAveraged:
-    """`simulate_averaged` integrates each lane in time chunks of its shortest
-    unsaturated time constant (`_averaged_chunk`), side by side where that
-    pays; either way it must reproduce the sequential integration up to
-    rounding, and a lane must come out of a batch as it does alone."""
-
-    @staticmethod
-    def record_sweeps(monkeypatch):
-        """The chunk and fine-sweep count of every `_record` call from here on."""
-        calls, record = [], simulator._record
-
-        def spy(motors, dt, n_steps, spp, *args):
-            result = record(motors, dt, n_steps, spp, *args)
-            calls.append((spp, result[1]))
-            return result
-
-        monkeypatch.setattr(simulator, "_record", spy)
-        return calls
+    """`simulate_averaged` integrates all lanes in one `_rk4` pass from rest,
+    whatever their time constants: bit for bit the sequential reference,
+    and every lane as it comes out alone."""
 
     @pytest.mark.parametrize("name", ["ipm", "spm"])
-    def test_validate_step_responses_run_parareal(self, name, monkeypatch):
+    def test_step_responses_are_one_sequential_pass(self, name, rk4_calls):
         from satpmsm.validation import _STEP_SAMPLES, step_response
         config = load_config(Path(__file__).resolve().parents[1] / "configs" / f"{name}.cfg")
         p, v = config.motor, config.validation
-        calls = self.record_sweeps(monkeypatch)
         results = step_response(p, v.step_volts, v.step_t_end)
-        # saturated and linear lanes share R, Ld and Lq, so one chunk length
-        # serves all four lanes, which take the parareal side
-        tau_steps = min(p.Ld, p.Lq) / p.R / (v.step_t_end / _STEP_SAMPLES)
-        assert [spp for spp, _ in calls] == [math.floor(tau_steps)]
-        assert all(sweeps >= 1 for _, sweeps in calls)
+        assert rk4_calls == [(_STEP_SAMPLES, (4,))]
         motors = [p] * len(v.step_volts) + [p.without_saturation()] * len(v.step_volts)
         cfg = SimConfig(dt=v.step_t_end / _STEP_SAMPLES, t_end=v.step_t_end)
         want = sequential_averaged(motors, [(u, 0.0) for u in v.step_volts] * 2, cfg)
         got = batch_currents([r.saturated for r in results] + [r.linear for r in results])
-        assert np.max(np.abs(got - want)) <= 1e-12
+        assert np.array_equal(got, want)
 
-    def test_short_record_stays_sequential(self, ipm, monkeypatch):
-        # 3.5 chunks: no more whole chunks than the sweep cap, so one
-        # sequential pass, bit for bit the reference
-        tau = min(ipm.Ld, ipm.Lq) / ipm.R
-        cfg = SimConfig(dt=tau / 100, t_end=3.5 * tau)
-        lanes = [(ipm, (24.3, 0.0)), (ipm.without_saturation(), (24.3, -6.0))]
-        calls = self.record_sweeps(monkeypatch)
-        traces = simulate_averaged([p for p, _ in lanes], [u for _, u in lanes], cfg)
-        assert len(calls) == 1 and calls[0][1] == 0
-        assert round(cfg.t_end / cfg.dt) // calls[0][0] == simulator._PARAREAL_MAX_SWEEPS
-        want = sequential_averaged([p for p, _ in lanes], [u for _, u in lanes], cfg)
-        assert np.array_equal(batch_currents(traces), want)
-
-    def test_lanes_of_different_chunks_come_out_as_alone(self, ipm, spm, monkeypatch):
-        # four motors, three chunk lengths (ipm and its linear twin share
-        # one), each on the parareal side: every lane of the mixed batch is
-        # bit for bit the lane run alone, in input order
+    def test_lanes_of_different_chunks_come_out_as_alone(self, ipm, spm):
+        # four motors of three shortest time constants (ipm and its linear
+        # twin share one): every lane of the mixed batch is bit for bit the
+        # lane run alone, in input order, and the sequential reference
         import dataclasses
         lanes = [(spm, (53.5, 0.0)), (ipm, (24.3, 0.0)), (dataclasses.replace(ipm, R=2 * ipm.R), (-8.0, 3.0)),
                  (ipm.without_saturation(), (24.3, 0.0))]
         cfg = SimConfig(dt=4e-5, t_end=0.12)
-        calls = self.record_sweeps(monkeypatch)
         batch = simulate_averaged([p for p, _ in lanes], [u for _, u in lanes], cfg)
-        assert len(calls) == 3 and all(sweeps >= 1 for _, sweeps in calls)
         for b, (p, u) in zip(batch, lanes):
             a, = simulate_averaged([p], [u], cfg)
             for name in ("t", "u_d", "u_q", "i_d", "i_q", "phi_d", "phi_q"):
                 assert np.array_equal(getattr(b, name), getattr(a, name)), name
         want = sequential_averaged([p for p, _ in lanes], [u for _, u in lanes], cfg)
-        assert np.max(np.abs(batch_currents(batch) - want)) <= 1e-12
-
-    def test_chunk_is_the_longest_that_passes_the_coarse_rule(self, ipm, spm):
-        # whatever the rounding of spp * dt, the chunk's coarse step passes
-        # the rule and one step more fails it; where a single step fails it,
-        # the chunk is longer than the record, which then runs sequentially
-        def fits(p, steps, dt):
-            return simulator._coarse_fits(p, steps * dt / simulator._PARAREAL_COARSE_STEPS)
-
-        for p in (ipm, spm, MotorParams(R=3.0, Ld=0.03, Lq=0.09)):
-            tau = min(p.Ld, p.Lq) / p.R
-            for dt in [tau / k for k in range(1, 300)] + [tau / k * (1 + 1e-15) for k in range(1, 300)]:
-                spp = simulator._averaged_chunk(p, dt, 10_000)
-                if spp == 10_001:
-                    assert not fits(p, 1, dt)
-                else:
-                    assert fits(p, spp, dt) and not fits(p, spp + 1, dt)
-            assert simulator._averaged_chunk(p, 1.5 * tau, 40) == 41
+        assert np.array_equal(batch_currents(batch), want)
 
 
 class TestOrbitRecord:
     @pytest.mark.parametrize("angle", [0.0, 60.0, 180.0, 270.0])
-    def test_both_periods_in_one_pass_are_the_sequential_record(self, spm, angle, monkeypatch):
-        # `simulate_periodic` records its 2 periods side by side from phi and
-        # P(phi), in one fine sweep: byte for byte the 400 steps from phi
-        # one after the other, signs of zero included
-        calls = TestChunkedAveraged.record_sweeps(monkeypatch)
+    def test_both_periods_in_one_pass_are_the_sequential_record(self, spm, angle, rk4_calls):
+        # `simulate_periodic` records its 2 periods in one pass from phi:
+        # byte for byte the 400 steps from phi one after the other, signs of
+        # zero included
         a = math.radians(angle)
         specs = [square_spec(spm.R * m * math.cos(a), spm.R * m * math.sin(a), u_tilde_d=40.0)
                  for m in (0.0, 0.5, 2.0, 5.5)]
         traces = simulate_periodic(spm, specs)
-        assert calls == [(200, 1)]
+        assert rk4_calls[-1] == (400, (len(specs),))
         u_bar, u_tilde = simulator._stacked_drive(specs, specs[0].period / 200)
         rows, R = simulator._lanes([spm] * len(specs))
         phi = np.empty((2, len(specs), 401))
@@ -652,15 +601,18 @@ class TestTraceCsv:
         assert path.read_text().splitlines()[0] == "t,u_d,u_q,i_d,i_q"
 
     def test_import_without_flux(self, tmp_path):
+        # a header with spaces after its commas names the same columns, as
+        # numpy reads the data rows spaced alike
         path = tmp_path / "meas.csv"
-        path.write_text(
-            "t,u_d,u_q,i_d,i_q\n"
-            "0,1,0,0.5,0\n"
-            "0.001,1,0,0.6,0\n"
-            "0.002,1,0,0.7,0\n")
-        tr = Trace.from_csv(path)
-        assert tr.phi_d is None and tr.phi_q is None
-        assert len(tr.t) == 3
+        for sep in (",", ", "):
+            path.write_text("\n".join(sep.join(row) for row in (
+                ("t", "u_d", "u_q", "i_d", "i_q"),
+                ("0", "1", "0", "0.5", "0"),
+                ("0.001", "1", "0", "0.6", "0"),
+                ("0.002", "1", "0", "0.7", "0"))) + "\n")
+            tr = Trace.from_csv(path)
+            assert tr.phi_d is None and tr.phi_q is None
+            assert len(tr.t) == 3 and np.array_equal(tr.i_d, [0.5, 0.6, 0.7])
 
     @pytest.mark.parametrize("header", ["t,u_d,u_q,i_d,i_q,phi_d,phi_q", "phi_q,i_q,t,phi_d,u_q,i_d,u_d"])
     def test_seven_column_file_reads_five_channels(self, ipm, tmp_path, header):
