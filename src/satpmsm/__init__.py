@@ -23,9 +23,8 @@ from .estimator import (
     ZeroRipple,
     estimate_cross,
     estimate_d_axis,
-    estimate_from_records,
     estimate_L,
-    measure_traces,
+    identify,
     plan_runs,
     predict_ripple,
     run_identification,
@@ -67,13 +66,12 @@ __all__ = [
     "estimate_L",
     "estimate_cross",
     "estimate_d_axis",
-    "estimate_from_records",
     "extract_ripple",
     "flux_by_integration",
     "flux_from_currents_exact",
     "flux_from_currents_first_order",
+    "identify",
     "magnetization_curves",
-    "measure_traces",
     "plan_runs",
     "predict_ripple",
     "run_identification",

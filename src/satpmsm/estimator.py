@@ -14,10 +14,10 @@ Every run starts at rest, so its flux at each sample is phi(t) =
 integral(u - R i) dt from the first sample (`ripple.rebuild_flux`), and its
 current is i(t) = grad H(phi(t)). The potential is quartic, so that relation
 is linear in theta = (1/Ld, 1/Lq, a30, a12, a40, a22, a04) at every sample,
-the transient from rest included: `estimate_from_records` solves one least
-squares over every d and q sample of every run, with the regressor columns
-taken from the model's current map at one-hot theta. Each whole injection
-period's mean is subtracted from the currents and from the regressors first.
+the transient from rest included: `identify` solves one least squares over
+every d and q sample of every run, with the regressor columns taken from
+the model's current map at one-hot theta. Each whole injection period's
+mean is subtracted from the currents and from the regressors first.
 That keeps the ripple and the transient's drift within the period, and drops
 the slow random walk that current noise puts into the rebuilt flux,
 R * integral(n) dt, which would otherwise weigh on the sigmas (see
@@ -29,9 +29,9 @@ Reported uncertainties are 1-sigma ordinary least-squares standard errors
 from the residual scatter, propagated through 1/theta for Ld and Lq.
 
 The normal equations are a sum over runs, so `identify` has each run
-simulated or read, checked and reduced to its terms in one forked worker
-per usable CPU, at most two (`_in_slices`), and sums the terms in run
-order: the result is bit for bit that of one process.
+simulated, read or taken from memory, checked and reduced to its terms in
+one forked worker per usable CPU, at most two (`_in_slices`), and sums the
+terms in run order: the result is bit for bit that of one process.
 
 `estimate_L`, `estimate_d_axis` and `estimate_cross` keep the paper's
 first-order split: inductances from (a), then regressions of the settled
@@ -44,11 +44,12 @@ identification itself does not use them.
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import math
 import os
 import pickle
 import threading
-from typing import Callable, Iterable, NamedTuple, NoReturn, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, NoReturn, Sequence
 
 import numpy as np
 
@@ -112,14 +113,6 @@ class PlanRun:
     role: str
     i_target: float
     spec: InjectionSpec
-
-
-@dataclasses.dataclass(frozen=True)
-class RunRecord:
-    """A planned run together with its recorded trace."""
-
-    run: PlanRun
-    trace: Trace
 
 
 @dataclasses.dataclass(frozen=True)
@@ -269,30 +262,29 @@ def predict_ripple(p: MotorParams, spec: InjectionSpec) -> tuple[float, float]:
     return (h_dd * utd + h_dq * utq) / spec.omega, (h_dq * utd + h_qq * utq) / spec.omega
 
 
-def _period_centred(rec: RunRecord, R: float) -> tuple[np.ndarray, np.ndarray, int]:
+def _period_centred(run: PlanRun, trace: Trace, R: float) -> tuple[np.ndarray, np.ndarray, int]:
     """One run's regressor columns (7, m) and current samples (m,), d samples
     then q samples, each block of one injection period centred on its own
     mean, and the number of blocks. A block holds the nearest whole number of
     samples per period (`ripple.period_blocks`); a trailing part period is
     left out."""
-    trace = rec.trace
-    per, blocks = period_blocks(trace, rec.run.spec)
-    X = _centred(_stacked_currents(_CURRENT_BASIS, rebuild_flux(trace, rec.run.spec, R)), per, blocks)
+    per, blocks = period_blocks(trace, run.spec)
+    X = _centred(_stacked_currents(_CURRENT_BASIS, rebuild_flux(trace, run.spec, R)), per, blocks)
     y = _centred(np.stack([trace.i_d, trace.i_q]), per, blocks)
     return X.reshape(len(PARAM_NAMES), -1), y.reshape(-1), 2 * blocks
 
 
-def _run_terms(rec: RunRecord, theta0: np.ndarray, R: float) -> tuple[np.ndarray, np.ndarray, float, int, int]:
+def _run_terms(run: PlanRun, trace: Trace, theta0: np.ndarray,
+               R: float) -> tuple[np.ndarray, np.ndarray, float, int, int]:
     """One run's share of the normal equations about theta0: X X^T, X r0 and
     r0.r0 for its residuals r0 = y - theta0 X, its rows and its blocks."""
-    X, y, blocks = _period_centred(rec, R)
+    X, y, blocks = _period_centred(run, trace, R)
     r0 = y - theta0 @ X
     return X @ X.T, X @ r0, float(r0 @ r0), len(y), blocks
 
 
 def _solve(terms: Iterable[tuple], nominal: MotorParams) -> EstimationResult:
-    """Sum the runs' `_run_terms` in run order and solve them (see
-    `estimate_from_records`)."""
+    """Sum the runs' `_run_terms` in run order and solve them (see `identify`)."""
     theta0 = np.array(nominal.theta)
     k = len(PARAM_NAMES)
     xtx, xtr, rtr, n_rows, n_blocks = np.zeros((k, k)), np.zeros(k), 0.0, 0, 0
@@ -317,24 +309,6 @@ def _solve(terms: Iterable[tuple], nominal: MotorParams) -> EstimationResult:
                             fit_residuals={"current_A": math.sqrt(rss / n_rows)})
 
 
-def estimate_from_records(records: Sequence[RunRecord], nominal: MotorParams) -> EstimationResult:
-    """Regress the period-centred currents of all runs on the period-centred
-    current map at their rebuilt flux (see module docstring).
-
-    The normal equations are a sum of per-run terms, so runs may differ in
-    pulsation, amplitude and length. They are taken on the residuals r0 =
-    y - theta0 X about the nominal theta0 = `nominal.theta` and solved for
-    the step delta = theta - theta0, so the residual sum of squares is
-    r0.r0 - delta.X r0. theta0 only conditions the arithmetic: that sum does
-    not cancel as y.y - theta.X y does. `gram_fit` alone decides whether
-    the records determine theta; run roles are not read. R, phi_m and the
-    pole count are passed through from `nominal`; R also rebuilds the flux.
-    The seven magnetic parameters are replaced by their estimates.
-    """
-    theta0 = np.array(nominal.theta)
-    return _solve((_run_terms(rec, theta0, nominal.R) for rec in records), nominal)
-
-
 def _noise_rms(i: np.ndarray) -> float:
     """Noise RMS of a sampled current from its second differences: for white
     noise their mean square is six times the noise variance, while a smooth
@@ -343,43 +317,15 @@ def _noise_rms(i: np.ndarray) -> float:
     return math.sqrt(float(d2 @ d2) / (6 * len(d2)))
 
 
-def _run_label(k: int, run: PlanRun) -> str:
-    return f"run {k} ({run.role}, {run.i_target:+.3f} A)"
-
-
-def measure_traces(runs: Sequence[PlanRun], traces: Sequence[Trace],
-                   names: Sequence[str] | None = None) -> list[RunRecord]:
-    """Check each trace against its planned injection and record it with it.
-
-    The sampling must resolve the injection period over at least
-    `MIN_WHOLE_PERIODS` whole periods (`ripple.period_blocks` raises
-    Unresolved or TooShort). Every trace must start at rest (zero current,
-    hence zero flux), because the estimator rebuilds the flux by integrating
-    from the first sample: a first current sample beyond five times its
-    channel's noise RMS (`_noise_rms`, which the transient from rest does not
-    inflate) raises NotAtRest. A zero-bias run is one driven with no bias
-    voltage; each must show a ripple on every axis it injects, fitted over
-    the whole record by `extract_ripple`, or ZeroRipple is raised. Both
-    refusals name the trace by `names` or by its run. The runs are checked
-    in run order, so the first that fails a check is the one refused. The
-    zero-bias runs must inject both axes between them (ValueError); run
-    roles are labels only.
-    """
-    if len(runs) != len(traces):
-        raise ValueError("one trace per planned run required")
-    if names is None:
-        names = [_run_label(k, run) for k, run in enumerate(runs)]
-    records = _measured(runs, traces, names)
-    _check_zero_bias(runs)
-    return records
-
-
-def _measured(runs: Sequence[PlanRun], traces: Iterable[Trace], names: Sequence[str]) -> list[RunRecord]:
-    """The per-run checks of `measure_traces`, taking the traces one at a
-    time in run order: where `traces` reads each trace as it is taken, the
-    first that cannot be read is refused before any later run is read."""
-    records = []
-    for run, trace, name in zip(runs, traces, names, strict=True):
+def _measured(runs: Sequence[PlanRun], traces: Iterable[Trace],
+              names: Sequence[str]) -> Iterator[tuple[PlanRun, Trace]]:
+    """The per-run checks of `identify`, yielding each checked (run, trace)
+    pair in run order. The traces are taken one at a time: where `traces`
+    reads each trace as it is taken, the first that cannot be read is
+    refused before any later run is read."""
+    for run, trace, name in itertools.zip_longest(runs, traces, names):
+        if run is None or trace is None:
+            raise ValueError("one trace per planned run required")
         period_blocks(trace, run.spec)
         for axis, i in (("d", trace.i_d), ("q", trace.i_q)):
             floor = _noise_rms(i)
@@ -395,17 +341,7 @@ def _measured(runs: Sequence[PlanRun], traces: Iterable[Trace], names: Sequence[
                                                   ("q", s.u_tilde_q, meas.i_tilde_q, meas.sigma_i_tilde_q)):
                 if u_tilde != 0.0:
                     _checked_ripple(i_tilde, sigma, f"{name}: {axis}-axis zero-bias run")
-        records.append(RunRecord(run, trace))
-    return records
-
-
-def _check_zero_bias(runs: Sequence[PlanRun]) -> None:
-    """The zero-bias runs, those driven with no bias voltage, must inject
-    both axes between them."""
-    injected = {axis for run in runs if run.spec.u_bar_d == run.spec.u_bar_q == 0.0
-                for axis, u_tilde in (("d", run.spec.u_tilde_d), ("q", run.spec.u_tilde_q)) if u_tilde != 0.0}
-    if injected != {"d", "q"}:
-        raise ValueError("plan must include both zero-bias runs")
+        yield run, trace
 
 
 def simulate_plan(motor: MotorParams, runs: Sequence[PlanRun], *,
@@ -427,26 +363,52 @@ def simulate_plan(motor: MotorParams, runs: Sequence[PlanRun], *,
 
 def identify(runs: Sequence[PlanRun], load: Callable[[int, int], Iterable[Trace]], nominal: MotorParams,
              names: Sequence[str] | None = None) -> EstimationResult:
-    """`measure_traces` and `estimate_from_records` over the runs, with the
-    per-run work in workers: the runs are cut into contiguous slices
-    (`_in_slices`), and the worker of runs[lo:hi] takes their traces in run
-    order from load(lo, hi), checks them and reduces each run to its terms
-    of the normal equations. No trace leaves its worker. The terms are then
-    summed in run order, so the result is bit for bit that of one process,
-    after the check of the whole plan: its zero-bias runs must inject both
-    axes between them (ValueError). A fault is that of the first run, in run
-    order, that fails a check. The runs are named in faults by `names`, or
-    by their index in `runs`.
+    """Check the runs' traces and regress their period-centred currents on
+    the period-centred current map at their rebuilt flux (module docstring).
+
+    load(lo, hi) gives the traces of runs[lo:hi] in run order, one per run
+    (else ValueError, as for `names` of another length); traces in memory go
+    in as `lambda lo, hi: traces[lo:hi]`. Each trace must resolve at least
+    `MIN_WHOLE_PERIODS` whole injection periods (`ripple.period_blocks`:
+    Unresolved, TooShort) and start at rest, since its flux is integrated
+    from its first sample: a first current sample beyond five times its
+    channel's noise RMS (`_noise_rms`, which the transient does not inflate)
+    raises NotAtRest. Each zero-bias run, one driven with no bias voltage,
+    must show a ripple on every axis it injects (`extract_ripple` over the
+    whole record), else ZeroRipple, and together they must inject both axes
+    (ValueError). Faults name the run by `names`, or by its index and role,
+    and are those of the first failing run in run order.
+
+    The normal equations, a sum of per-run terms (so runs may differ in
+    pulsation, amplitude and length), are taken on the residuals r0 = y -
+    theta0 X about theta0 = `nominal.theta` and solved for delta = theta -
+    theta0. theta0 only conditions the arithmetic: the residual sum of
+    squares r0.r0 - delta.X r0 does not cancel as y.y - theta.X y does.
+    `gram_fit` alone decides whether the runs determine theta; roles are
+    labels only. The seven magnetic parameters are replaced by their
+    estimates; R (which also rebuilds the flux), phi_m and n_pp are passed
+    through from `nominal`.
+
+    The runs are cut into contiguous slices (`_in_slices`: one worker per
+    usable CPU, at most two, all in this process where `os.fork` is missing
+    or other threads run), each worker loads, checks and reduces its own,
+    and no trace leaves it. The terms are summed in run order, so the result
+    is bit for bit that of one process.
     """
     if names is None:
-        names = [_run_label(k, run) for k, run in enumerate(runs)]
+        names = [f"run {k} ({run.role}, {run.i_target:+.3f} A)" for k, run in enumerate(runs)]
+    elif len(names) != len(runs):
+        raise ValueError(f"one trace per planned run required: {len(names)} names for {len(runs)} runs")
     theta0 = np.array(nominal.theta)
 
     def reduce(lo: int, hi: int) -> list[tuple]:
-        return [_run_terms(rec, theta0, nominal.R) for rec in _measured(runs[lo:hi], load(lo, hi), names[lo:hi])]
+        return [_run_terms(run, trace, theta0, nominal.R)
+                for run, trace in _measured(runs[lo:hi], load(lo, hi), names[lo:hi])]
 
     parts = _in_slices(reduce, len(runs))
-    _check_zero_bias(runs)
+    zero_bias = [run.spec for run in runs if run.spec.u_bar_d == run.spec.u_bar_q == 0.0]
+    if not (any(s.u_tilde_d for s in zero_bias) and any(s.u_tilde_q for s in zero_bias)):
+        raise ValueError("plan must include both zero-bias runs")
     return _solve((terms for part in parts for terms in part), nominal)
 
 

@@ -215,3 +215,8 @@ def read_report(path) -> dict[str, dict[str, float]]:
             key, value = line.split("=")
             section[key.strip()] = float(value)
     return out
+
+
+def in_memory(traces):
+    """The `identify` load of traces already in memory, one per run."""
+    return lambda lo, hi: traces[lo:hi]

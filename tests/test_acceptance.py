@@ -23,8 +23,7 @@ from satpmsm.estimator import (
     ExperimentPlan,
     estimate_cross,
     estimate_d_axis,
-    estimate_from_records,
-    measure_traces,
+    identify,
     plan_runs,
     run_identification,
     simulate_plan,
@@ -209,7 +208,7 @@ def test_criterion_6_uncertainty_calibration(ipm):
         # uniform noise is applied to the sampled currents only, so noising a
         # clean trace reproduces a noisy simulation with those draws exactly
         noisy = [t.with_noise(0.010, 7000 + rep * 1000 + k) for k, t in enumerate(clean)]
-        result = estimate_from_records(measure_traces(runs, noisy), motor)
+        result = identify(runs, oracles.in_memory(noisy), motor)
         for name in PARAMS:
             est = getattr(result.params, name)
             if abs(est - getattr(motor, name)) <= 3.0 * result.sigma[name]:

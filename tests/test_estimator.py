@@ -23,10 +23,8 @@ from satpmsm.estimator import (
     _period_centred,
     estimate_cross,
     estimate_d_axis,
-    estimate_from_records,
     estimate_L,
     identify,
-    measure_traces,
     plan_runs,
     predict_ripple,
     run_identification,
@@ -369,25 +367,26 @@ class TestEndToEnd:
 
     def test_refusals(self, ipm):
         # records shorter than two periods or sampled too coarsely, records
-        # with no q excitation, which leave the q columns of the regression
-        # zero, then a d-axis zero-bias run whose current is noise alone,
-        # with no ripple
+        # with no q excitation, whose zero-bias runs leave the q axis
+        # uninjected (they would leave the q columns of the regression zero,
+        # which `gram_fit` refuses: tests/test_ripple.py), then a d-axis
+        # zero-bias run whose current is noise alone, with no ripple
         plan = ipm_plan(id_grid=(-1.0, 1.0), iq_grid=(-1.0, 0.5, 1.0))
         runs = plan_runs(plan, ipm.R)
         with pytest.raises(TooShort):
-            measure_traces(runs[:1], simulate_plan(ipm, runs[:1], measure_periods=1))
+            identify(runs[:1], oracles.in_memory(simulate_plan(ipm, runs[:1], measure_periods=1)), ipm)
         traces = simulate_plan(ipm, runs, measure_periods=2)
         coarse = Trace(*(getattr(traces[0], c)[::20] for c in ("t", "u_d", "u_q", "i_d", "i_q")))
         with pytest.raises(Unresolved):
-            measure_traces(runs[:1], [coarse])
-        records = measure_traces(runs, traces)
-        d_only = [r for r in records if r.run.spec.u_bar_q == r.run.spec.u_tilde_q == 0.0]
-        with pytest.raises(RankDeficient, match="a regressor column is zero"):
-            estimate_from_records(d_only, ipm)
+            identify(runs[:1], oracles.in_memory([coarse]), ipm)
+        identify(runs, oracles.in_memory(traces), ipm)
+        d_only = [k for k, run in enumerate(runs) if run.spec.u_bar_q == run.spec.u_tilde_q == 0.0]
+        with pytest.raises(ValueError, match="plan must include both zero-bias runs"):
+            identify([runs[k] for k in d_only], oracles.in_memory([traces[k] for k in d_only]), ipm)
         silent = dataclasses.replace(traces[0], i_d=np.zeros_like(traces[0].i_d))
         traces[0] = silent.with_noise(0.010, seed=1)
         with pytest.raises(ZeroRipple, match=r"run 0 \(ld, \+0\.000 A\): d-axis zero-bias"):
-            measure_traces(runs, traces)
+            identify(runs, oracles.in_memory(traces), ipm)
 
     def test_two_point_d_sweep_identifies(self, ipm):
         # the Gram matrix, not a count of bias currents, decides: each run's
@@ -405,8 +404,8 @@ class TestEndToEnd:
         runs = plan_runs(plan, ipm.R)
         traces = simulate_plan(ipm, runs, measure_periods=10)
         stripped = [dataclasses.replace(t, phi_d=None, phi_q=None) for t in traces]
-        full = estimate_from_records(measure_traces(runs, traces), ipm)
-        bare = estimate_from_records(measure_traces(runs, stripped), ipm)
+        full = identify(runs, oracles.in_memory(traces), ipm)
+        bare = identify(runs, oracles.in_memory(stripped), ipm)
         assert full == bare
 
     def test_rebuilt_flux_matches_state(self, ipm):
@@ -428,29 +427,29 @@ class TestEndToEnd:
         runs = plan_runs(plan, ipm.R)
         traces = simulate_plan(ipm, runs, measure_periods=10,
                                noise_amp=0.010, seed=3)
-        measure_traces(runs, traces)
+        identify(runs, oracles.in_memory(traces), ipm)
         traces[3] = Trace(*(getattr(traces[3], f.name)[200:] for f in dataclasses.fields(Trace)))
         with pytest.raises(NotAtRest, match=r"run 3 \(d_sweep, \+0\.500 A\)"):
-            measure_traces(runs, traces)
+            identify(runs, oracles.in_memory(traces), ipm)
         with pytest.raises(NotAtRest, match="bench_03.csv"):
-            measure_traces(runs, traces,
-                           names=[f"bench_{k:02d}.csv" for k in range(len(runs))])
+            identify(runs, oracles.in_memory(traces), ipm,
+                     names=[f"bench_{k:02d}.csv" for k in range(len(runs))])
 
     @staticmethod
     def mixed_records(motor, make_trace):
-        """Records of two plans at different pulsations, amplitudes and
-        lengths, interleaved run by run; make_trace(run's simulated trace)
-        gives the trace recorded for it."""
+        """The runs and traces of two plans at different pulsations,
+        amplitudes and lengths, interleaved run by run; make_trace(run's
+        simulated trace) gives the trace recorded for it."""
         grids = dict(id_grid=(-1.0, 0.5, 1.0), iq_grid=(-1.0, 0.5, 1.0))
         mixed = []
         for plan, periods in ((ipm_plan(**grids), 10),
                               (ipm_plan(u_tilde=20.0, omega=2 * OMEGA, **grids), 16)):
             runs = plan_runs(plan, motor.R)
             traces = simulate_plan(motor, runs, measure_periods=periods)
-            mixed.append(measure_traces(runs, [make_trace(t) for t in traces]))
-        records = [pair[k % 2] for k, pair in enumerate(zip(*mixed))]
-        assert {len(r.trace.t) for r in records} == {2001, 3201}
-        return records
+            mixed.append(list(zip(runs, [make_trace(t) for t in traces])))
+        runs, traces = zip(*(pair[k % 2] for k, pair in enumerate(zip(*mixed))))
+        assert {len(trace.t) for trace in traces} == {2001, 3201}
+        return runs, traces
 
     def test_mixed_drives_exact(self, ipm):
         # synthetic runs that obey the rebuild to rounding: the currents are
@@ -471,14 +470,16 @@ class TestEndToEnd:
             return dataclasses.replace(tr, u_d=held_drive(tr.phi_d, i_d),
                                        u_q=held_drive(tr.phi_q, i_q), i_d=i_d, i_q=i_q)
 
-        result = estimate_from_records(self.mixed_records(ipm, exact), ipm)
+        runs, traces = self.mixed_records(ipm, exact)
+        result = identify(runs, oracles.in_memory(traces), ipm)
         for name in ("Ld", "Lq", "a30", "a12", "a40", "a22", "a04"):
             assert getattr(result.params, name) == pytest.approx(getattr(ipm, name), rel=1e-10), name
 
     def test_mixed_drives_simulated(self, ipm):
         # the same mixed runs as RK4 integrates them: only the integration
         # and trapezoid errors remain
-        result = estimate_from_records(self.mixed_records(ipm, lambda tr: tr), ipm)
+        runs, traces = self.mixed_records(ipm, lambda tr: tr)
+        result = identify(runs, oracles.in_memory(traces), ipm)
         for name in ("Ld", "Lq", "a30", "a12", "a40", "a22", "a04"):
             assert getattr(result.params, name) == pytest.approx(getattr(ipm, name), rel=1e-4), name
 
@@ -505,11 +506,11 @@ class TestEndToEnd:
         plan = ipm_plan(id_grid=grid, iq_grid=grid, u_tilde=40.0)
         result = run_identification(spm, plan, measure_periods=25)
         runs = plan_runs(plan, spm.R)
-        records = measure_traces(runs, simulate_plan(spm, runs, measure_periods=25))
+        traces = simulate_plan(spm, runs, measure_periods=25)
         theta = np.array(result.params.theta)
         rss, n = 0.0, 0
-        for rec in records:
-            X, y, _ = _period_centred(rec, spm.R)
+        for run, trace in zip(runs, traces):
+            X, y, _ = _period_centred(run, trace, spm.R)
             r = y - theta @ X
             rss, n = rss + float(r @ r), n + len(r)
         assert result.fit_residuals["current_A"] == pytest.approx(math.sqrt(rss / n), rel=1e-9)
@@ -527,7 +528,7 @@ class TestEndToEnd:
         n_reps = 200
         for rep in range(n_reps):
             noisy = [t.with_noise(0.010, 9000 + rep * 1000 + k) for k, t in enumerate(clean)]
-            result = estimate_from_records(measure_traces(runs, noisy), ipm)
+            result = identify(runs, oracles.in_memory(noisy), ipm)
             for name in names:
                 hits[name] += abs(getattr(result.params, name) - getattr(ipm, name)) <= 3.0 * result.sigma[name]
         coverage = {name: hits[name] / n_reps for name in names}
@@ -554,32 +555,54 @@ def deadline():
 @pytest.mark.usefixtures("deadline")
 class TestWorkers:
     def test_result_independent_of_worker_count(self, ipm, monkeypatch, tmp_path):
-        # the IPM fixture plan at 10 mA, simulated in memory and read back
-        # from trace files: one, two and three workers give the same result,
-        # bit for bit, and so do the two sources
+        # the IPM fixture plan at 10 mA, simulated by the workers, read back
+        # from trace files and taken from memory: one, two and three workers
+        # give the same result, bit for bit, and so do the three sources
         plan = ipm_plan(id_grid=symmetric_grid(2.0, 0.3), iq_grid=symmetric_grid(2.0, 0.3))
         runs = plan_runs(plan, ipm.R)
+        traces = simulate_plan(ipm, runs, measure_periods=25, noise_amp=0.010, seed=3)
         paths = [tmp_path / f"{k:03d}.csv" for k in range(len(runs))]
-        for path, trace in zip(paths, simulate_plan(ipm, runs, measure_periods=25, noise_amp=0.010, seed=3)):
+        for path, trace in zip(paths, traces):
             trace.to_csv(path)
         results = []
         for workers in (1, 2, 3):
             monkeypatch.setattr(estimator, "_worker_count", lambda n: workers)
             results.append((run_identification(ipm, plan, measure_periods=25, noise_amp=0.010, seed=3),
-                            identify(runs, lambda lo, hi: map(Trace.from_csv, paths[lo:hi]), ipm)))
+                            identify(runs, lambda lo, hi: map(Trace.from_csv, paths[lo:hi]), ipm),
+                            identify(runs, oracles.in_memory(traces), ipm)))
         assert results[0] == results[1] == results[2]
-        assert results[0][0] == results[0][1]
+        assert results[0][0] == results[0][1] == results[0][2]
 
     def test_plan_without_both_zero_bias_axes_refused(self, ipm):
-        # the plan-wide check, on the workers' path and on the public
-        # per-run one alike
+        # the plan-wide check, made after the per-run checks of every run
         plan = ipm_plan(id_grid=(-1.0, 1.0), iq_grid=(-1.0, 0.5, 1.0))
         runs = plan_runs(plan, ipm.R)[1:]
         traces = simulate_plan(ipm, runs, measure_periods=2)
         with pytest.raises(ValueError, match="plan must include both zero-bias runs"):
-            identify(runs, lambda lo, hi: traces[lo:hi], ipm)
-        with pytest.raises(ValueError, match="plan must include both zero-bias runs"):
-            measure_traces(runs, traces)
+            identify(runs, oracles.in_memory(traces), ipm)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_trace_count_must_match_runs(self, ipm, workers, monkeypatch, tmp_path):
+        # a load that gives one trace too few or too many for its slice, and
+        # names of another length than the runs, are refused as a trace count
+        # that does not match the runs; a trace file that cannot be read
+        # keeps its own message
+        monkeypatch.setattr(estimator, "_worker_count", lambda n: workers)
+        plan = ipm_plan(id_grid=(-1.0, 1.0), iq_grid=(-1.0, 0.5, 1.0))
+        runs = plan_runs(plan, ipm.R)
+        traces = simulate_plan(ipm, runs, measure_periods=2)
+        for load in (lambda lo, hi: traces[lo:hi - 1], lambda lo, hi: traces[lo:hi] + traces[:1]):
+            with pytest.raises(ValueError, match="^one trace per planned run required$"):
+                identify(runs, load, ipm)
+        for names in ([f"run{k}" for k in range(len(runs) - 1)], [f"run{k}" for k in range(len(runs) + 1)]):
+            with pytest.raises(ValueError, match=f"^one trace per planned run required: {len(names)} names "):
+                identify(runs, oracles.in_memory(traces), ipm, names=names)
+        paths = [tmp_path / f"{k:03d}.csv" for k in range(len(runs))]
+        for path, trace in zip(paths, traces):
+            trace.to_csv(path)
+        paths[-1].write_text("t,u_d,u_q,i_d\n0,0,0,0\n")
+        with pytest.raises(ValueError, match="missing column 'i_q'"):
+            identify(runs, lambda lo, hi: map(Trace.from_csv, paths[lo:hi]), ipm)
 
     def test_values_in_slice_order(self, monkeypatch):
         # every slice but the last runs in a child of its own; a value larger

@@ -48,8 +48,6 @@ UNCALLED_EXPORTS = {
     "estimate_L": "the paper's first-order split (DECISIONS.md): its inductance step",
     "estimate_d_axis": "the paper's first-order split (DECISIONS.md), checked by criterion 7",
     "estimate_cross": "the paper's first-order split (DECISIONS.md), checked by criterion 7",
-    "estimate_from_records": "the regression of records already in memory, such as runs of several plans mixed",
-    "measure_traces": "the checks of traces already in memory, before estimate_from_records",
 }
 
 

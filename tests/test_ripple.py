@@ -37,6 +37,11 @@ class TestOls:
         X = np.column_stack([np.ones(10), np.ones(10)])
         with pytest.raises(RankDeficient):
             gram_fit(X.T @ X, X.T @ np.ones(10))
+        # a zero column, as records with no q excitation would give the q
+        # columns of the identification
+        X = np.column_stack([np.ones(10), np.zeros(10)])
+        with pytest.raises(RankDeficient, match="a regressor column is zero"):
+            gram_fit(X.T @ X, X.T @ np.ones(10))
 
     def test_underdetermined(self):
         X = np.ones((1, 2))
