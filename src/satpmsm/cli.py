@@ -35,7 +35,7 @@ from .magnetics import NonConvergence
 from .ripple import TooShort, Unresolved
 from .simulator import StepTooLarge, Trace
 from .textio import ConfigError, read_manifest, write_manifest, write_report
-from .validation import SweepSpec, angle_sweep, flux_by_integration, magnetization_curves, step_response
+from .validation import angle_sweep, flux_by_integration, magnetization_curves, step_response
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -98,17 +98,12 @@ def cmd_estimate(config: ProjectConfig, seed: int, ingest: Path | None) -> int:
 
 def cmd_validate(config: ProjectConfig) -> int:
     config.out_dir.mkdir(parents=True, exist_ok=True)
-    v = config.validation
-    sweep = SweepSpec(
-        angle_deg=v.angle_deg, magnitudes=v.mag_grid,
-        omega=config.plan.omega, waveform=config.plan.waveform,
-        u_tilde=config.plan.u_tilde, inject_axis=v.inject_axis)
-    result = angle_sweep(config.motor, sweep, steps_per_period=config.steps_per_period)
-    sweep_path = config.out_dir / f"angle_sweep_{v.angle_deg:g}deg.csv"
+    result = angle_sweep(config.motor, config.sweep, steps_per_period=config.steps_per_period)
+    sweep_path = config.out_dir / f"angle_sweep_{config.sweep.angle_deg:g}deg.csv"
     result.write_csv(sweep_path)
     print(f"wrote {sweep_path}")
 
-    for u_step, r in zip(v.step_volts, step_response(config.motor, v.step_volts, v.step_t_end)):
+    for u_step, r in zip(config.step_volts, step_response(config.motor, config.step_volts, config.step_t_end)):
         step_path = config.out_dir / f"step_response_{u_step:+.2f}V.csv"
         r.write_csv(step_path)
         flux = flux_by_integration(r.saturated, config.motor)
@@ -121,8 +116,7 @@ def cmd_validate(config: ProjectConfig) -> int:
 
 def cmd_curves(config: ProjectConfig) -> int:
     config.out_dir.mkdir(parents=True, exist_ok=True)
-    c = config.curves
-    curves = magnetization_curves(config.motor, c.grid, c.levels)
+    curves = magnetization_curves(config.motor, config.curve_grid, config.curve_levels)
     path_d = config.out_dir / "magnetization_phid.csv"
     path_q = config.out_dir / "magnetization_phiq.csv"
     curves.write_csv(path_d, path_q)

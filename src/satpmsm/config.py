@@ -16,6 +16,7 @@ from .estimator import ExperimentPlan
 from .magnetics import MotorParams
 from .simulator import MIN_WHOLE_PERIODS
 from .textio import ConfigError, checked, get_float, get_floats, get_int, parse_sections, waveform_from_name
+from .validation import SweepSpec
 
 
 def symmetric_grid(limit: float, step: float) -> tuple[float, ...]:
@@ -58,21 +59,6 @@ _KEYS = {
 
 
 @dataclasses.dataclass(frozen=True)
-class ValidationConfig:
-    angle_deg: float
-    mag_grid: tuple[float, ...]
-    inject_axis: str
-    step_volts: tuple[float, ...]
-    step_t_end: float
-
-
-@dataclasses.dataclass(frozen=True)
-class CurvesConfig:
-    grid: tuple[float, ...]
-    levels: tuple[float, ...]
-
-
-@dataclasses.dataclass(frozen=True)
 class ProjectConfig:
     motor: MotorParams
     plan: ExperimentPlan
@@ -80,8 +66,11 @@ class ProjectConfig:
     measure_periods: int
     noise_amp: float
     out_dir: Path
-    validation: ValidationConfig
-    curves: CurvesConfig
+    sweep: SweepSpec
+    step_volts: tuple[float, ...]
+    step_t_end: float
+    curve_grid: tuple[float, ...]
+    curve_levels: tuple[float, ...]
 
 
 def load_config(path) -> ProjectConfig:
@@ -158,19 +147,12 @@ def load_config(path) -> ProjectConfig:
         step_volts = get_floats(va, "step_volts_V", where)
     else:
         step_volts = (0.25 * motor.R * max_bias, motor.R * max_bias)
-    inject_axis = va.get("inject_axis", "d")
-    if inject_axis not in ("d", "q"):
-        raise ConfigError(f"{where}: inject_axis must be 'd' or 'q', got {inject_axis!r}")
+    sweep = checked(where, SweepSpec, angle_deg=get_float(va, "angle_deg", where) if "angle_deg" in va else 60.0,
+                    magnitudes=mag_grid, omega=plan.omega, waveform=plan.waveform, u_tilde=plan.u_tilde,
+                    inject_axis=va.get("inject_axis", "d"))
     step_t_end = get_float(va, "step_t_end_s", where) if "step_t_end_s" in va else 12.0 * motor.Ld / motor.R
     if step_t_end <= 0:
         raise ConfigError(f"{where}: step_t_end_s must be positive")
-    validation = ValidationConfig(
-        angle_deg=get_float(va, "angle_deg", where) if "angle_deg" in va else 60.0,
-        mag_grid=mag_grid,
-        inject_axis=inject_axis,
-        step_volts=step_volts,
-        step_t_end=step_t_end,
-    )
 
     cu = sections.get("curves", {})
     where = f"{path} [curves]"
@@ -182,12 +164,12 @@ def load_config(path) -> ProjectConfig:
     else:
         iq_max = max((abs(v) for v in plan.iq_grid), default=max_bias)
         levels = (0.0, 0.5 * iq_max, iq_max)
-    curves = CurvesConfig(grid=grid, levels=levels)
 
     return ProjectConfig(
         motor=motor, plan=plan,
         steps_per_period=steps_per_period, measure_periods=measure_periods,
         noise_amp=noise_amp,
         out_dir=out_dir,
-        validation=validation, curves=curves,
+        sweep=sweep, step_volts=step_volts, step_t_end=step_t_end,
+        curve_grid=grid, curve_levels=levels,
     )

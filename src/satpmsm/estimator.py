@@ -56,7 +56,7 @@ import numpy as np
 from .injection import InjectionSpec, Waveform
 from .leastsq import RankDeficient, gram_fit
 from .magnetics import MotorParams, _current_coefficients, _hessian, _stacked_currents
-from .ripple import RippleMeasurement, _centred, extract_ripple, period_blocks, rebuild_flux
+from .ripple import RippleMeasurement, TooShort, Unresolved, _centred, extract_ripple, period_blocks, rebuild_flux
 from .simulator import SimConfig, Trace, simulate_batch
 
 ROLE_LD = "ld"
@@ -326,7 +326,10 @@ def _measured(runs: Sequence[PlanRun], traces: Iterable[Trace],
     for run, trace, name in itertools.zip_longest(runs, traces, names):
         if run is None or trace is None:
             raise ValueError("one trace per planned run required")
-        period_blocks(trace, run.spec)
+        try:
+            period_blocks(trace, run.spec)
+        except (TooShort, Unresolved) as exc:
+            raise type(exc)(f"{name}: {exc}") from None
         for axis, i in (("d", trace.i_d), ("q", trace.i_q)):
             floor = _noise_rms(i)
             if abs(i[0]) > max(_AT_REST_FACTOR * floor, _ZERO_RIPPLE_FLOOR):

@@ -60,17 +60,6 @@ class Waveform:
     def from_samples(values: Sequence[float]) -> "Waveform":
         return Waveform(SAMPLED, tuple(float(v) for v in values))
 
-    @staticmethod
-    def from_file(path) -> "Waveform":
-        """One scalar per line, one period, uniformly spaced in tau."""
-        values = []
-        with open(path) as fh:
-            for line in fh:
-                line = line.strip()
-                if line and not line.startswith("#"):
-                    values.append(float(line))
-        return Waveform.from_samples(values)
-
 
 @dataclasses.dataclass(frozen=True)
 class InjectionSpec:

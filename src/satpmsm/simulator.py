@@ -189,7 +189,10 @@ class Trace:
                     if values.strip() and values.count(",") != width - 1:
                         raise ValueError(f"trace CSV {path}: data row {row} has {values.count(',') + 1} values, "
                                          f"the header names {width}")
-                data = _load_columns(text, cols)
+                try:
+                    data = _load_columns(text, cols)
+                except ValueError as exc:
+                    raise ValueError(f"trace CSV {path}: {exc}") from None
         data = data[:, :len(_CSV_HEADER)]
         if len(data) < 2:
             raise ValueError(f"trace CSV {path} has {len(data)} data rows, needs at least 2")

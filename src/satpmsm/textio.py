@@ -1,4 +1,4 @@
-"""Structured key-value text: config files, run manifests and result reports.
+"""Structured key-value text (config files, run manifests, result reports) and waveform files.
 
 The shared format is INI-like sections of `key = value` lines; `#` starts a
 comment. Unlike configparser, repeated section names are kept in order, which
@@ -91,7 +91,9 @@ def waveform_from_name(name: str, base_dir: Path, where: str) -> Waveform:
         path = base_dir / name[len("file:"):].strip()
         if not path.exists():
             raise ConfigError(f"{where}: waveform file {path} does not exist")
-        return checked(f"{where}: waveform file {path}", Waveform.from_file, path)
+        with open(path) as fh:  # one value per line: one period, uniformly spaced in tau
+            return checked(f"{where}: waveform file {path}", Waveform.from_samples,
+                           (float(v) for v in map(str.strip, fh) if v and not v.startswith("#")))
     raise ConfigError(f"{where}: unknown waveform {name!r} (square, sine or file:<path>)")
 
 

@@ -38,7 +38,7 @@ class SweepSpec:
         if any(m < 0 for m in self.magnitudes):
             raise ValueError("magnitudes must be >= 0")
         if self.inject_axis not in ("d", "q"):
-            raise ValueError("inject_axis must be 'd' or 'q'")
+            raise ValueError(f"inject_axis must be 'd' or 'q', got {self.inject_axis!r}")
         if not (self.omega > 0 and self.u_tilde > 0):
             raise ValueError("omega and u_tilde must be positive")
 

@@ -10,7 +10,8 @@ import pytest
 from satpmsm import estimator
 from satpmsm.cli import main
 from satpmsm.config import load_config, symmetric_grid
-from satpmsm.estimator import plan_runs
+from satpmsm.estimator import identify, plan_runs
+from satpmsm.ripple import TooShort, Unresolved
 from satpmsm.simulator import Trace
 from satpmsm.textio import ConfigError, read_manifest
 
@@ -247,11 +248,12 @@ class TestEstimateCommand:
         faulty(Path.unlink)
         # a trace cut to its header and one row is refused the same way
         faulty(lambda path: path.write_text("\n".join(path.read_text().splitlines()[:2]) + "\n"))
-        # so are a nan current sample, a time stamp moved by 0.3 dt and a row
-        # short of a value or one value over: input errors naming the file,
-        # not numerical failures
+        # so are a nan current sample, a value that is no number, a time stamp
+        # moved by 0.3 dt and a row short of a value or one value over: input
+        # errors naming the file, not numerical failures
         dt = 1 / 500 / 200  # the config's sample period: 200 steps of a 500 Hz period
         for edit, message in ((lambda v: v[:3] + ["nan"] + v[4:], "i_d in data row 5 is not finite"),
+                              (lambda v: v[:3] + ["abc"] + v[4:], "could not convert string 'abc'"),
                               (lambda v: [repr(float(v[0]) + 0.3 * dt)] + v[1:], "t must be uniformly sampled"),
                               (lambda v: v[:-1], "data row 5 has 4 values, the header names 5"),
                               (lambda v: v + ["0"], "data row 5 has 6 values, the header names 5")):
@@ -261,6 +263,25 @@ class TestEstimateCommand:
                 path.write_text("\n".join(lines) + "\n")
 
             assert message in faulty(edit_row)
+
+    @pytest.mark.parametrize("error, keep", [(TooShort, slice(300)), (Unresolved, slice(None, None, 20))])
+    def test_short_or_coarse_trace_named(self, cfg_path, capsys, error, keep):
+        # a trace of under two whole periods, or sampled too coarsely to
+        # resolve one, is a numerical failure naming its run: by file through
+        # the CLI, by index and role through identify
+        base = cfg_path.parent
+        assert main(["simulate", "--config", str(cfg_path), "--out", str(base / "sim")]) == 0
+        victim = next((base / "sim" / "traces").glob("003_*.csv"))
+        tr = Trace.from_csv(victim)
+        Trace(*(getattr(tr, c)[keep] for c in ("t", "u_d", "u_q", "i_d", "i_q"))).to_csv(victim)
+        code = main(["estimate", "--config", str(cfg_path), "--out", str(base / "x"),
+                     "--ingest", str(base / "sim" / "manifest.txt")])
+        assert code == 2
+        assert f"{error.__name__}: {victim}: " in capsys.readouterr().err
+        entries = read_manifest(base / "sim" / "manifest.txt")
+        traces = [Trace.from_csv(path) for _, path in entries]
+        with pytest.raises(error, match=r"^run 3 \(d_sweep, "):
+            identify([run for run, _ in entries], oracles.in_memory(traces), load_config(cfg_path).motor)
 
     @staticmethod
     def mixed_manifest(cfg_path):

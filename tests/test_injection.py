@@ -32,13 +32,6 @@ class TestWaveformConstruction:
         with pytest.raises(ValueError):
             Waveform.from_samples([0.0])
 
-    def test_from_file(self, tmp_path):
-        path = tmp_path / "wave.txt"
-        path.write_text("# one period\n1.0\n-1.0\n1.0\n-1.0\n")
-        w = Waveform.from_file(path)
-        assert w.kind == "sampled"
-        assert len(w.samples) == 4
-
 
 class TestF:
     def test_square_values(self):

@@ -298,8 +298,8 @@ class TestArrayNewton:
         # every sample of both fixtures' validate steps, seeded at its
         # integrated flux, as `flux_by_integration` does
         config = fixture_config(name)
-        p, v = config.motor, config.validation
-        for r in step_response(p, v.step_volts, v.step_t_end):
+        p = config.motor
+        for r in step_response(p, config.step_volts, config.step_t_end):
             tr = r.saturated
             model = flux_by_integration(tr, p).phi_d_model
             seeds = [cumulative_trapezoid(tr.t, u - p.R * i) for u, i in ((tr.u_d, tr.i_d), (tr.u_q, tr.i_q))]
@@ -309,10 +309,9 @@ class TestArrayNewton:
 
     def test_curves_grid_bitwise(self):
         config = fixture_config("ipm")
-        c = config.curves
-        r = magnetization_curves(config.motor, c.grid, c.levels)
-        for row, lv in enumerate(c.levels):
-            for col, x in enumerate(c.grid):
+        r = magnetization_curves(config.motor, config.curve_grid, config.curve_levels)
+        for row, lv in enumerate(config.curve_levels):
+            for col, x in enumerate(config.curve_grid):
                 want_d, want_q = scalar_exact(config.motor, x, lv)[0], scalar_exact(config.motor, lv, x)[1]
                 assert r.phi_d[row, col].tobytes() == np.float64(want_d).tobytes()
                 assert r.phi_q[row, col].tobytes() == np.float64(want_q).tobytes()
@@ -321,13 +320,12 @@ class TestArrayNewton:
         # the SPM grid meets the fold of the d-axis curve at i_d = -1 A: the
         # error is the first one of the scalar loop over levels, then grid
         config = fixture_config("spm")
-        c = config.curves
-        first = next(exc for lv in c.levels for x in c.grid
+        first = next(exc for lv in config.curve_levels for x in config.curve_grid
                      for exc in (scalar_exact(config.motor, x, lv), scalar_exact(config.motor, lv, x))
                      if isinstance(exc, Exception))
         assert str(first) == "line search stalled at (-0.265611, 0) for target Currents(i_d=-1.0, i_q=0.0)"
         with pytest.raises(NonConvergence) as info:
-            magnetization_curves(config.motor, c.grid, c.levels)
+            magnetization_curves(config.motor, config.curve_grid, config.curve_levels)
         assert str(info.value) == str(first)
 
     def test_lowest_index_failure_raises(self):

@@ -494,12 +494,12 @@ class TestChunkedAveraged:
     def test_step_responses_are_one_sequential_pass(self, name, rk4_calls):
         from satpmsm.validation import _STEP_SAMPLES, step_response
         config = load_config(Path(__file__).resolve().parents[1] / "configs" / f"{name}.cfg")
-        p, v = config.motor, config.validation
-        results = step_response(p, v.step_volts, v.step_t_end)
+        p, volts, t_end = config.motor, config.step_volts, config.step_t_end
+        results = step_response(p, volts, t_end)
         assert rk4_calls == [(_STEP_SAMPLES, (4,))]
-        motors = [p] * len(v.step_volts) + [p.without_saturation()] * len(v.step_volts)
-        cfg = SimConfig(dt=v.step_t_end / _STEP_SAMPLES, t_end=v.step_t_end)
-        want = sequential_averaged(motors, [(u, 0.0) for u in v.step_volts] * 2, cfg)
+        motors = [p] * len(volts) + [p.without_saturation()] * len(volts)
+        cfg = SimConfig(dt=t_end / _STEP_SAMPLES, t_end=t_end)
+        want = sequential_averaged(motors, [(u, 0.0) for u in volts] * 2, cfg)
         got = batch_currents([r.saturated for r in results] + [r.linear for r in results])
         assert np.array_equal(got, want)
 

@@ -57,6 +57,13 @@ class TestWaveformNames:
         w = waveform_from_name("file:wave.txt", tmp_path, "x")
         assert w.kind == "sampled" and len(w.samples) == 4
 
+    def test_from_file(self, tmp_path):
+        path = tmp_path / "wave.txt"
+        path.write_text("# one period\n1.0\n-1.0\n1.0\n-1.0\n")
+        w = waveform_from_name("file:wave.txt", tmp_path, "x")
+        assert w.kind == "sampled"
+        assert len(w.samples) == 4
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError, match="does not exist"):
             waveform_from_name("file:nope.txt", tmp_path, "x")

@@ -39,7 +39,7 @@ class TestAngleSweep:
     def test_spec_validation(self):
         with pytest.raises(ValueError):
             SweepSpec(60.0, (-1.0,), OMEGA, Waveform.square(), 30.0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="inject_axis must be 'd' or 'q', got 'x'"):
             SweepSpec(60.0, (1.0,), OMEGA, Waveform.square(), 30.0, inject_axis="x")
 
     def test_zero_magnitude_is_linear_limit(self, ipm):
@@ -129,11 +129,9 @@ class TestAngleSweep:
         # fine one-period steps from its fixed point: one that moves the
         # orbit by the coarse map's error and one that confirms it
         config = load_config(Path(__file__).resolve().parents[1] / "configs" / f"{name}.cfg")
-        v = config.validation
-        s = SweepSpec(v.angle_deg, v.mag_grid, config.plan.omega, config.plan.waveform, config.plan.u_tilde,
-                      v.inject_axis)
-        angle_sweep(config.motor, s, steps_per_period=config.steps_per_period)
-        newton = collections.Counter(steps for steps, lanes in rk4_calls if lanes == (3 * len(v.mag_grid),))
+        angle_sweep(config.motor, config.sweep, steps_per_period=config.steps_per_period)
+        newton = collections.Counter(steps for steps, lanes in rk4_calls
+                                     if lanes == (3 * len(config.sweep.magnitudes),))
         assert newton[simulator._PARAREAL_COARSE_STEPS] >= 1 and newton[config.steps_per_period] <= 2
         assert set(newton) == {simulator._PARAREAL_COARSE_STEPS, config.steps_per_period}
 
