@@ -140,7 +140,11 @@ def load_config(path) -> ProjectConfig:
     va = sections.get("validate", {})
     where = f"{path} [validate]"
     max_bias = max((abs(v) for v in plan.id_grid), default=1.0)
-    mag_grid = tuple(v for v in _parse_grid(va, "mag", where) if v >= 0)
+    mag_grid = _parse_grid(va, "mag", where)
+    negative = [v for v in mag_grid if v < 0]
+    if negative and "mag_grid_A" in va:
+        raise ConfigError(f"{where}: mag_grid_A must list magnitudes >= 0, got {negative[0]:g}")
+    mag_grid = tuple(v for v in mag_grid if v >= 0)  # the non-negative half of a mag_max_A/mag_step_A grid
     if not mag_grid:
         mag_grid = tuple(v for v in checked(where, symmetric_grid, max_bias, max_bias / 4) if v >= 0)
     if "step_volts_V" in va:

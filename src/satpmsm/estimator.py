@@ -15,8 +15,9 @@ integral(u - R i) dt from the first sample (`ripple.rebuild_flux`), and its
 current is i(t) = grad H(phi(t)). The potential is quartic, so that relation
 is linear in theta = (1/Ld, 1/Lq, a30, a12, a40, a22, a04) at every sample,
 the transient from rest included: `identify` solves one least squares over
-every d and q sample of every run, with the regressor columns taken from
-the model's current map at one-hot theta. Each whole injection period's
+every d and q sample of every run, with the regressor columns the
+derivatives of the energy's seven monomials, which are the model's current
+map at one-hot theta (`_regressors`). Each whole injection period's
 mean is subtracted from the currents and from the regressors first.
 That keeps the ripple and the transient's drift within the period, and drops
 the slow random walk that current noise puts into the rebuilt flux,
@@ -31,7 +32,10 @@ from the residual scatter, propagated through 1/theta for Ld and Lq.
 The normal equations are a sum over runs, so `identify` has each run
 simulated, read or taken from memory, checked and reduced to its terms in
 one forked worker per usable CPU, at most two (`_in_slices`), and sums the
-terms in run order: the result is bit for bit that of one process.
+terms in run order: the result is bit for bit that of one process. A
+worker takes its runs one at a time: a simulated slice holds its flux
+record in full (`simulate_plan`), but each run's currents, voltages, noise
+and regressors exist only while that run is reduced.
 
 `estimate_L`, `estimate_d_axis` and `estimate_cross` keep the paper's
 first-order split: inductances from (a), then regressions of the settled
@@ -55,7 +59,7 @@ import numpy as np
 
 from .injection import InjectionSpec, Waveform
 from .leastsq import RankDeficient, gram_fit
-from .magnetics import MotorParams, _current_coefficients, _hessian, _stacked_currents
+from .magnetics import MotorParams, _hessian
 from .ripple import RippleMeasurement, TooShort, Unresolved, _centred, extract_ripple, period_blocks, rebuild_flux
 from .simulator import SimConfig, Trace, simulate_batch
 
@@ -69,9 +73,6 @@ PARAM_NAMES = ("Ld", "Lq", "a30", "a12", "a40", "a22", "a04")
 
 _ZERO_RIPPLE_FLOOR = 1e-12
 _THETA_BASIS = np.eye(len(PARAM_NAMES))  # one-hot theta: the model as regressor rows
-# the current map's coefficients at one-hot theta as (5, 7, 2, 1) rows, so
-# `_stacked_currents` at (2, n) fluxes gives its (7, 2, n) regressor columns
-_CURRENT_BASIS = np.array(_current_coefficients(_THETA_BASIS)).transpose(0, 2, 1)[..., None]
 _AT_REST_FACTOR = 5.0
 
 
@@ -262,14 +263,38 @@ def predict_ripple(p: MotorParams, spec: InjectionSpec) -> tuple[float, float]:
     return (h_dd * utd + h_dq * utq) / spec.omega, (h_dq * utd + h_qq * utq) / spec.omega
 
 
+def _regressors(phi: np.ndarray) -> np.ndarray:
+    """The regressor columns (7, 2, n) of the current map at the fluxes phi
+    (2, n): row k on axis a is the derivative along a of parameter k's
+    energy monomial, and zero (five rows) where that monomial holds no power
+    of a's flux. Each of the nine other rows keeps the operand order of
+    `magnetics._row_currents` and ends on + 0.0 where it could give -0.0, so
+    all are bit for bit `_stacked_currents` at one-hot theta."""
+    fd, fq = phi
+    fq2 = fq * fq
+    X = np.zeros((len(PARAM_NAMES), *phi.shape))
+    X[0, 0] = fd + 0.0                      # 1/Ld: fd^2 / 2
+    X[1, 1] = fq + 0.0                      # 1/Lq: fq^2 / 2
+    X[2, 0] = fd * (fd * 3.0)               # a30: fd^3
+    X[3, 0] = fq2                           # a12: fd fq^2
+    X[3, 1] = fq * (fd * 2.0) + 0.0
+    X[4, 0] = fd * (fd * (fd * 4.0)) + 0.0  # a40: fd^4
+    X[5, 0] = fd * (fq2 * 2.0) + 0.0        # a22: fd^2 fq^2
+    X[5, 1] = fq * (fd * (fd * 2.0)) + 0.0
+    X[6, 1] = fq * (fq2 * 4.0) + 0.0        # a04: fq^4
+    return X
+
+
 def _period_centred(run: PlanRun, trace: Trace, R: float) -> tuple[np.ndarray, np.ndarray, int]:
     """One run's regressor columns (7, m) and current samples (m,), d samples
     then q samples, each block of one injection period centred on its own
     mean, and the number of blocks. A block holds the nearest whole number of
     samples per period (`ripple.period_blocks`); a trailing part period is
-    left out."""
+    left out. The regressors are centred in place."""
     per, blocks = period_blocks(trace, run.spec)
-    X = _centred(_stacked_currents(_CURRENT_BASIS, rebuild_flux(trace, run.spec, R)), per, blocks)
+    X = _regressors(rebuild_flux(trace, run.spec, R)[:, :blocks * per])
+    periods = X.reshape(len(PARAM_NAMES), 2, blocks, per)
+    periods -= periods.mean(axis=-1, keepdims=True)
     y = _centred(np.stack([trace.i_d, trace.i_q]), per, blocks)
     return X.reshape(len(PARAM_NAMES), -1), y.reshape(-1), 2 * blocks
 
@@ -349,19 +374,23 @@ def _measured(runs: Sequence[PlanRun], traces: Iterable[Trace],
 
 def simulate_plan(motor: MotorParams, runs: Sequence[PlanRun], *,
                   steps_per_period: int = 200, measure_periods: int = 40,
-                  noise_amp: float = 0.0, seed: int = 0) -> list[Trace]:
+                  noise_amp: float = 0.0, seed: int = 0) -> Iterator[Trace]:
     """Simulate all planned runs from rest as one batch (`simulate_batch`) over
     `measure_periods` injection periods, each of `steps_per_period` steps,
     and measure them: run k's currents get uniform noise in [-noise_amp,
     +noise_amp] drawn from seed + k (`Trace.with_noise`). Each run's trace
     is the same whatever runs share its batch, so runs[lo:hi] at seed +
-    lo gives the traces lo..hi-1 of the whole plan."""
+    lo gives the traces lo..hi-1 of the whole plan.
+
+    The batch is simulated by the call; the traces come out one at a time,
+    each built and measured when it is taken, so only the flux record of
+    the batch is held in full."""
     if not runs:
-        return []
+        return iter(())
     period = runs[0].spec.period
     cfg = SimConfig(dt=period / steps_per_period, t_end=measure_periods * period)
     traces = simulate_batch(motor, [r.spec for r in runs], cfg)
-    return [tr.with_noise(noise_amp, seed + k) for k, tr in enumerate(traces)]
+    return (tr.with_noise(noise_amp, seed + k) for k, tr in enumerate(traces))
 
 
 def identify(runs: Sequence[PlanRun], load: Callable[[int, int], Iterable[Trace]], nominal: MotorParams,
@@ -416,11 +445,11 @@ def identify(runs: Sequence[PlanRun], load: Callable[[int, int], Iterable[Trace]
 
 
 def _simulated(motor: MotorParams, runs: Sequence[PlanRun], *, steps_per_period: int, measure_periods: int,
-               noise_amp: float, seed: int) -> Callable[[int, int], list[Trace]]:
+               noise_amp: float, seed: int) -> Callable[[int, int], Iterator[Trace]]:
     """load(lo, hi) for a worker of `_in_slices`: the traces lo..hi-1 of
     `simulate_plan` over all the runs, from runs[lo:hi] simulated alone at
-    seed + lo."""
-    def load(lo: int, hi: int) -> list[Trace]:
+    seed + lo, taken one at a time."""
+    def load(lo: int, hi: int) -> Iterator[Trace]:
         return simulate_plan(motor, runs[lo:hi], steps_per_period=steps_per_period,
                              measure_periods=measure_periods, noise_amp=noise_amp, seed=seed + lo)
     return load
@@ -454,9 +483,11 @@ def write_simulated(motor: MotorParams, runs: Sequence[PlanRun], paths: Sequence
 
 
 # BENCH_19.json measured two workers on a two-CPU host: identify 0.49 ->
-# 0.34 s, with the child at 44 MB peak next to the parent's 60 MB. Every
-# worker repeats its plan's 47 coarse shooting calls and holds its own
-# memory, so more workers are unmeasured and may cost more than they save.
+# 0.34 s. Each worker holds its slice's flux record and one run at a time;
+# `estimate` on the SPM fixture at 10 mA peaks at 43 MB in the parent and
+# 38 MB in the child (BENCH_24.json). Every worker repeats its plan's 47
+# coarse parareal calls and holds its own memory, so more workers are
+# unmeasured and may cost more than they save.
 _MAX_WORKERS = 2
 
 

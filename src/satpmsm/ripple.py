@@ -11,10 +11,10 @@ over the window with the fitted ripple taken out. The regression in
 `estimator` centres its regressors by the same rule.
 
 `rebuild_flux` gives the flux of a locked-rotor run started at rest at every
-sample, phi(t) = integral(u - R i) dt from the first sample. Currents and
-smooth drives are integrated by the trapezoid rule; a square-wave drive is
-read as right-continuous samples aligned to its switching instants and held
-constant over each sample interval.
+sample, phi(t) = integral(u - R i) dt from the first sample, both axes in
+one pass. Currents and smooth drives are integrated by the trapezoid rule;
+a square-wave drive is read as right-continuous samples aligned to its
+switching instants and held constant over each sample interval.
 """
 
 from __future__ import annotations
@@ -62,31 +62,39 @@ class RippleMeasurement:
             raise ValueError("n_periods_used must be >= 1")
 
 
+def _running_sum(steps: np.ndarray) -> np.ndarray:
+    """0, then the running sums of steps along its last axis."""
+    out = np.zeros((*steps.shape[:-1], steps.shape[-1] + 1))
+    np.cumsum(steps, axis=-1, out=out[..., 1:])
+    return out
+
+
+def _trapezoid_steps(dt: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """The trapezoid areas of y, along its last axis, over the sample steps dt."""
+    return 0.5 * (y[..., 1:] + y[..., :-1]) * dt
+
+
 def cumulative_trapezoid(t: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Running integral of y over t by the trapezoidal rule, 0 at t[0]."""
-    steps = 0.5 * (y[1:] + y[:-1]) * np.diff(t)
-    return np.concatenate([[0.0], np.cumsum(steps)])
-
-
-def _cumulative_steps(t: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Running integral of y over t holding each sample until the next, 0 at
-    t[0]: exact for right-continuous samples of a piecewise-constant y that
-    switches only at sample instants."""
-    return np.concatenate([[0.0], np.cumsum(y[:-1] * np.diff(t))])
+    return _running_sum(_trapezoid_steps(np.diff(t), y))
 
 
 def rebuild_flux(trace: Trace, spec: InjectionSpec, R: float) -> np.ndarray:
     """Flux phi = integral(u - R i) dt from the first sample, at every sample,
     as stacked (2, n) d and q rows; exact only for a run started at rest.
+    Both axes are integrated as (2, n) arrays over one set of sample steps;
+    a running sum along a row adds in sample order, so each row is what it
+    is integrated alone.
 
     A square-wave drive is constant between its switching instants, where its
-    samples take the new level, so it is integrated as held levels; the
-    trapezoid rule would shift the injected-axis flux by -u_tilde * dt / 2.
+    samples take the new level, so it is integrated as held levels, each
+    sample until the next; the trapezoid rule would shift the injected-axis
+    flux by -u_tilde * dt / 2.
     """
-    t = trace.t
-    u_rule = _cumulative_steps if spec.waveform.kind == SQUARE else cumulative_trapezoid
-    return np.stack([u_rule(t, u) - R * cumulative_trapezoid(t, i)
-                     for u, i in ((trace.u_d, trace.i_d), (trace.u_q, trace.i_q))])
+    dt = np.diff(trace.t)
+    u, i = np.stack([trace.u_d, trace.u_q]), np.stack([trace.i_d, trace.i_q])
+    u_steps = u[:, :-1] * dt if spec.waveform.kind == SQUARE else _trapezoid_steps(dt, u)
+    return _running_sum(u_steps) - R * _running_sum(_trapezoid_steps(dt, i))
 
 
 def period_blocks(trace: Trace, spec: InjectionSpec, start: int = 0) -> tuple[int, int]:

@@ -11,7 +11,9 @@ rotor is locked: no speed couples the axes. A batch starts at rest
 run on its own periodic steady state. A narrow record (a step response,
 an orbit) is one `_rk4` pass, one sample per step. An identification
 batch from rest (`_record`) integrates its injection periods side by side
-by parareal where that pays, else it too is one pass.
+by parareal where that pays, else it too is one pass. A batch keeps its
+flux record only; a run's currents and voltages are computed when its
+trace is taken (`_Traces`), one run at a time.
 
 `_rk4` has two implementations of the same arithmetic, chosen by the batch
 width. A numpy step costs the dispatch of its ~60 array calls, about the
@@ -28,9 +30,11 @@ noise is added afterwards, by `estimator.simulate_plan` through
 
 from __future__ import annotations
 
+import collections.abc
 import dataclasses
 import io
 import math
+import re
 import warnings
 from typing import Sequence
 
@@ -192,7 +196,13 @@ class Trace:
                 try:
                     data = _load_columns(text, cols)
                 except ValueError as exc:
-                    raise ValueError(f"trace CSV {path}: {exc}") from None
+                    # numpy counts data rows from 0 and file columns from 1
+                    where = re.fullmatch(r"(.*) at row (\d+), column (\d+)\.", str(exc))
+                    if where is None:
+                        raise ValueError(f"trace CSV {path}: {exc}") from None
+                    what, row, col = where.groups()
+                    raise ValueError(f"trace CSV {path}: data row {int(row) + 1}, column {header[int(col) - 1]}: "
+                                     f"{what}") from None
         data = data[:, :len(_CSV_HEADER)]
         if len(data) < 2:
             raise ValueError(f"trace CSV {path} has {len(data)} data rows, needs at least 2")
@@ -392,17 +402,34 @@ def _sampled(rows: np.ndarray, R: np.ndarray, dt: float, X0: np.ndarray, u_bar: 
     return phi
 
 
-def _traces(rows: np.ndarray, dt: float, phi: np.ndarray, u_bar: np.ndarray, u_tilde: np.ndarray,
-            f0: np.ndarray) -> list[Trace]:
-    """One Trace per lane j of the flux record phi (2, n, steps + 1),
+class _Traces(collections.abc.Sequence):
+    """The Trace of each lane j of the flux record phi (2, n, steps + 1),
     sampled every dt from t = 0, of lanes with coefficient rows `rows` under
-    the drive u_bar + u_tilde * f0: read-only row views, all sharing one t."""
-    t, i = np.arange(phi.shape[-1]) * dt, _stacked_currents(rows[..., None], phi)
-    u = u_bar[..., None] + u_tilde[..., None] * f0
-    for a in (t, phi, i, u):
-        a.flags.writeable = False
-    return [Trace(t=t, u_d=u[0, j], u_q=u[1, j], i_d=i[0, j], i_q=i[1, j], phi_d=phi[0, j], phi_q=phi[1, j])
-            for j in range(phi.shape[1])]
+    the drive u_bar + u_tilde * f0, built when it is taken: lane j's
+    currents and voltages are computed on each access, so no current or
+    voltage array of the whole batch exists. The channels are read-only,
+    the flux channels row views of the record, and all share one t."""
+
+    def __init__(self, rows: np.ndarray, dt: float, phi: np.ndarray, u_bar: np.ndarray, u_tilde: np.ndarray,
+                 f0: np.ndarray) -> None:
+        self._t = np.arange(phi.shape[-1]) * dt
+        for a in (self._t, phi):
+            a.flags.writeable = False
+        self._rows, self._phi, self._u_bar, self._u_tilde, self._f0 = rows, phi, u_bar, u_tilde, f0
+
+    def __len__(self) -> int:
+        return self._phi.shape[1]
+
+    def __getitem__(self, index):
+        j = range(len(self))[index]  # IndexError out of range; a slice gives a range
+        if isinstance(j, range):
+            return [self[k] for k in j]
+        phi = self._phi[:, j]
+        i = _stacked_currents(self._rows[:, :, j, None], phi)
+        u = self._u_bar[:, j, None] + self._u_tilde[:, j, None] * self._f0
+        for a in (i, u):
+            a.flags.writeable = False
+        return Trace(t=self._t, u_d=u[0], u_q=u[1], i_d=i[0], i_q=i[1], phi_d=phi[0], phi_q=phi[1])
 
 
 def _coarse_fits(p: MotorParams, coarse_dt: float) -> bool:
@@ -412,7 +439,7 @@ def _coarse_fits(p: MotorParams, coarse_dt: float) -> bool:
 
 
 def _record(p: MotorParams, spec: InjectionSpec, dt: float, n_steps: int, u_bar: np.ndarray,
-            u_tilde: np.ndarray) -> tuple[list[Trace], int]:
+            u_tilde: np.ndarray) -> tuple[_Traces, int]:
     """The traces of n runs of motor p from rest over n_steps steps of dt,
     one sample per step, run j driven by u_bar[:, j] + u_tilde[:, j] * f
     under spec's waveform f, and the number of fine sweeps they took.
@@ -447,7 +474,7 @@ def _record(p: MotorParams, spec: InjectionSpec, dt: float, n_steps: int, u_bar:
     rows, R = _lanes([p] * n)
     drive = _waveform_arrays(spec, dt, n_steps)
     if P <= _PARAREAL_MAX_SWEEPS or not _coarse_fits(p, coarse_dt):
-        return _traces(rows, dt, _sampled(rows, R, dt, np.zeros((2, n)), u_bar, u_tilde, drive), u_bar, u_tilde,
+        return _Traces(rows, dt, _sampled(rows, R, dt, np.zeros((2, n)), u_bar, u_tilde, drive), u_bar, u_tilde,
                        drive[0]), 0
     phi = np.empty((2, n, n_steps + 1))
     rows_p, R_p, u_bar_p, u_tilde_p = (np.repeat(a[..., None], P, axis=-1) for a in (rows, R, u_bar, u_tilde))
@@ -485,16 +512,18 @@ def _record(p: MotorParams, spec: InjectionSpec, dt: float, n_steps: int, u_bar:
         elif len(idx):  # the rest of the record, from the start of period k
             phi[:, idx, k * spp:] = _sampled(rows[..., idx], R[:, idx], dt, starts[:, idx, k], u_bar[:, idx],
                                              u_tilde[:, idx], [f[k * spp:] for f in drive])
-    return _traces(rows, dt, phi, u_bar, u_tilde, drive[0]), sweeps
+    return _Traces(rows, dt, phi, u_bar, u_tilde, drive[0]), sweeps
 
 
-def simulate_batch(p: MotorParams, specs: Sequence[InjectionSpec], cfg: SimConfig) -> list[Trace]:
+def simulate_batch(p: MotorParams, specs: Sequence[InjectionSpec], cfg: SimConfig) -> Sequence[Trace]:
     """Noise-free traces of several runs from rest that share the waveform,
-    pulsation and config.
+    pulsation and config, one per spec in order.
 
     The runs advance as one vectorized state, and so do their injection
     periods (`_record`), which is what makes full identification sweeps
-    affordable; per-run mean/ripple voltages are free to differ.
+    affordable; per-run mean/ripple voltages are free to differ. The result
+    holds the batch's flux record only and builds a run's trace each time
+    it is taken (`_Traces`), so it may be iterated more than once.
     """
     if not specs:
         return []
@@ -523,7 +552,7 @@ def simulate_averaged(motors: Sequence[MotorParams], u_bar: Sequence[tuple[float
     u, zero = np.array(u_bar, dtype=float).T, np.zeros((2, len(motors)))
     rows, R = _lanes(motors)
     drive = np.zeros(n_steps + 1), np.zeros(n_steps), np.zeros(n_steps)
-    return _traces(rows, cfg.dt, _sampled(rows, R, cfg.dt, zero, u, zero, drive), u, zero, drive[0])
+    return list(_Traces(rows, cfg.dt, _sampled(rows, R, cfg.dt, zero, u, zero, drive), u, zero, drive[0]))
 
 
 def _shooting_step(phi: np.ndarray, r: np.ndarray, col_d: np.ndarray, col_q: np.ndarray) -> np.ndarray:
@@ -612,4 +641,4 @@ def simulate_periodic(p: MotorParams, specs: Sequence[InjectionSpec], *,
             f"i_bar = ({d:.6g}, {q:.6g}) A, |i_bar| = {math.hypot(d, q):.6g} A")
     rows, R = _lanes([p] * n)
     drive = _waveform_arrays(specs[0], dt, MIN_WHOLE_PERIODS * steps_per_period)
-    return _traces(rows, dt, _sampled(rows, R, dt, phi, u_bar, u_tilde, drive), u_bar, u_tilde, drive[0])
+    return list(_Traces(rows, dt, _sampled(rows, R, dt, phi, u_bar, u_tilde, drive), u_bar, u_tilde, drive[0]))

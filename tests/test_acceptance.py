@@ -200,7 +200,7 @@ def test_criterion_6_uncertainty_calibration(ipm):
     plan = ExperimentPlan(omega=2.0 * math.pi * 2000.0, waveform=Waveform.square(),
                           u_tilde=30.0, id_grid=grid, iq_grid=grid)
     runs = plan_runs(plan, motor.R)
-    clean = simulate_plan(motor, runs, measure_periods=20)
+    clean = list(simulate_plan(motor, runs, measure_periods=20))
 
     n_reps = 200
     hits = {name: 0 for name in PARAMS}

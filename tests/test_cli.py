@@ -136,6 +136,20 @@ class TestConfig:
         assert main(["estimate", "--config", str(path), "--out", str(tmp_path / "o")]) == 1
         assert "discard_s" in capsys.readouterr().err
 
+    def test_negative_magnitude_refused(self, tmp_path, capsys):
+        # an explicit mag_grid_A with a negative entry exits 1 at load,
+        # naming the section and the first such value, whether or not the
+        # list has other entries; a mag_max_A/mag_step_A grid is symmetric
+        # and keeps its non-negative half
+        path = tmp_path / "neg.cfg"
+        for grid, value in (("-1.0, 0.5, 1.5", "-1"), ("0.5, -0.25, -1.0", "-0.25")):
+            path.write_text(IPM_CFG.replace("[paths]", f"[validate]\nmag_grid_A = {grid}\n\n[paths]"))
+            assert main(["validate", "--config", str(path), "--out", str(tmp_path / "o")]) == 1
+            err = capsys.readouterr().err
+            assert f"{path} [validate]: " in err and f"got {value}\n" in err
+        path.write_text(IPM_CFG.replace("[paths]", "[validate]\nmag_max_A = 1.0\nmag_step_A = 0.5\n\n[paths]"))
+        assert load_config(path).sweep.magnitudes == (0.5, 1.0)
+
     def test_unknown_key_or_section_refused(self, tmp_path, capsys):
         # a misspelt key or section fails at load, naming the file, the
         # section and the key, rather than leaving the default in force
@@ -254,6 +268,8 @@ class TestEstimateCommand:
         dt = 1 / 500 / 200  # the config's sample period: 200 steps of a 500 Hz period
         for edit, message in ((lambda v: v[:3] + ["nan"] + v[4:], "i_d in data row 5 is not finite"),
                               (lambda v: v[:3] + ["abc"] + v[4:], "could not convert string 'abc'"),
+                              (lambda v: v[:2] + ["1.5e"] + v[3:],
+                               "data row 5, column u_q: could not convert string '1.5e'"),
                               (lambda v: [repr(float(v[0]) + 0.3 * dt)] + v[1:], "t must be uniformly sampled"),
                               (lambda v: v[:-1], "data row 5 has 4 values, the header names 5"),
                               (lambda v: v + ["0"], "data row 5 has 6 values, the header names 5")):

@@ -3,12 +3,14 @@ import math
 import os
 import re
 import signal
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from satpmsm import estimator
-from satpmsm.config import symmetric_grid
+from satpmsm.config import load_config, symmetric_grid
 from satpmsm.estimator import (
     ROLE_CROSS_D_INJ,
     ROLE_CROSS_Q_INJ,
@@ -32,7 +34,7 @@ from satpmsm.estimator import (
 )
 from satpmsm.injection import InjectionSpec, Waveform
 from satpmsm.leastsq import RankDeficient
-from satpmsm.magnetics import MotorParams
+from satpmsm.magnetics import MotorParams, _current_coefficients, _stacked_currents
 from satpmsm.ripple import RippleMeasurement, TooShort, Unresolved, extract_ripple, rebuild_flux
 from satpmsm.simulator import Trace
 
@@ -374,8 +376,8 @@ class TestEndToEnd:
         plan = ipm_plan(id_grid=(-1.0, 1.0), iq_grid=(-1.0, 0.5, 1.0))
         runs = plan_runs(plan, ipm.R)
         with pytest.raises(TooShort):
-            identify(runs[:1], oracles.in_memory(simulate_plan(ipm, runs[:1], measure_periods=1)), ipm)
-        traces = simulate_plan(ipm, runs, measure_periods=2)
+            identify(runs[:1], oracles.in_memory(list(simulate_plan(ipm, runs[:1], measure_periods=1))), ipm)
+        traces = list(simulate_plan(ipm, runs, measure_periods=2))
         coarse = Trace(*(getattr(traces[0], c)[::20] for c in ("t", "u_d", "u_q", "i_d", "i_q")))
         with pytest.raises(Unresolved):
             identify(runs[:1], oracles.in_memory([coarse]), ipm)
@@ -402,7 +404,7 @@ class TestEndToEnd:
         # channels, as measured data has none, changes no bit of the result
         plan = ipm_plan(id_grid=(-1.0, 0.5, 1.0), iq_grid=(-1.0, 0.5, 1.0))
         runs = plan_runs(plan, ipm.R)
-        traces = simulate_plan(ipm, runs, measure_periods=10)
+        traces = list(simulate_plan(ipm, runs, measure_periods=10))
         stripped = [dataclasses.replace(t, phi_d=None, phi_q=None) for t in traces]
         full = identify(runs, oracles.in_memory(traces), ipm)
         bare = identify(runs, oracles.in_memory(stripped), ipm)
@@ -419,14 +421,28 @@ class TestEndToEnd:
             phi = rebuild_flux(tr, run.spec, ipm.R)
             assert np.max(np.abs(phi - np.stack([tr.phi_d, tr.phi_q]))) <= 5e-6
 
+    def test_regressor_rows_are_the_current_map(self):
+        # the nine nonzero rows, written as the derivatives of their energy
+        # monomials, are the current map at one-hot theta bit for bit, signed
+        # zeros included: fluxes of both signs, exact zeros of both signs and
+        # values whose products underflow
+        values = [0.0, -0.0, 5e-324, -5e-324, 1e-200, -1e-200, 0.37, -0.37, 1.9, -2.3]
+        fd, fq = np.meshgrid(values, values)
+        phi = np.concatenate([np.stack([fd.ravel(), fq.ravel()]),
+                              np.random.default_rng(4).normal(scale=0.5, size=(2, 200))], axis=1)
+        basis = np.array(_current_coefficients(np.eye(7))).transpose(0, 2, 1)[..., None]
+        want = _stacked_currents(basis, phi)
+        assert estimator._regressors(phi).tobytes() == want.tobytes()
+        assert np.count_nonzero(np.any(want != 0.0, axis=-1)) == 9
+
     def test_trace_not_at_rest_refused(self, ipm):
         # a record that starts one period into its run breaks phi(0) = 0, on
         # which the flux integration rests: refused by name, not silently
         # integrated
         plan = ipm_plan(id_grid=(-1.0, 0.5, 1.0), iq_grid=(-1.0, 0.5, 1.0))
         runs = plan_runs(plan, ipm.R)
-        traces = simulate_plan(ipm, runs, measure_periods=10,
-                               noise_amp=0.010, seed=3)
+        traces = list(simulate_plan(ipm, runs, measure_periods=10,
+                                    noise_amp=0.010, seed=3))
         identify(runs, oracles.in_memory(traces), ipm)
         traces[3] = Trace(*(getattr(traces[3], f.name)[200:] for f in dataclasses.fields(Trace)))
         with pytest.raises(NotAtRest, match=r"run 3 \(d_sweep, \+0\.500 A\)"):
@@ -522,7 +538,7 @@ class TestEndToEnd:
         # 200 seeded repetitions
         grid = symmetric_grid(2.0, 0.3)
         runs = plan_runs(ipm_plan(id_grid=grid, iq_grid=grid), ipm.R)
-        clean = simulate_plan(ipm, runs, measure_periods=25)
+        clean = list(simulate_plan(ipm, runs, measure_periods=25))
         names = ("Ld", "Lq", "a30", "a12", "a40", "a22", "a04")
         hits = dict.fromkeys(names, 0)
         n_reps = 200
@@ -554,13 +570,34 @@ def deadline():
 
 @pytest.mark.usefixtures("deadline")
 class TestWorkers:
+    def test_worker_holds_one_flux_record(self, monkeypatch):
+        # one worker identifying the IPM fixture plan at 10 mA holds the
+        # slice's flux record and one run at a time: its traced peak stays
+        # within twice the record (2 axes x runs x samples x 8 bytes), where
+        # every run's currents, voltages and noisy currents held at once take
+        # over four times it
+        monkeypatch.setattr(estimator, "_worker_count", lambda n: 1)
+        config = load_config(Path(__file__).resolve().parents[1] / "configs" / "ipm.cfg")
+        runs = plan_runs(config.plan, config.motor.R)
+        record = 2 * len(runs) * (config.measure_periods * config.steps_per_period + 1) * 8
+        # a short run first, so that modules imported on first use are not counted
+        for periods in (2, config.measure_periods):
+            tracemalloc.start()
+            try:
+                run_identification(config.motor, config.plan, steps_per_period=config.steps_per_period,
+                                   measure_periods=periods, noise_amp=0.010, seed=3)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peak <= 2 * record, (peak, record)
+
     def test_result_independent_of_worker_count(self, ipm, monkeypatch, tmp_path):
         # the IPM fixture plan at 10 mA, simulated by the workers, read back
         # from trace files and taken from memory: one, two and three workers
         # give the same result, bit for bit, and so do the three sources
         plan = ipm_plan(id_grid=symmetric_grid(2.0, 0.3), iq_grid=symmetric_grid(2.0, 0.3))
         runs = plan_runs(plan, ipm.R)
-        traces = simulate_plan(ipm, runs, measure_periods=25, noise_amp=0.010, seed=3)
+        traces = list(simulate_plan(ipm, runs, measure_periods=25, noise_amp=0.010, seed=3))
         paths = [tmp_path / f"{k:03d}.csv" for k in range(len(runs))]
         for path, trace in zip(paths, traces):
             trace.to_csv(path)
@@ -577,7 +614,7 @@ class TestWorkers:
         # the plan-wide check, made after the per-run checks of every run
         plan = ipm_plan(id_grid=(-1.0, 1.0), iq_grid=(-1.0, 0.5, 1.0))
         runs = plan_runs(plan, ipm.R)[1:]
-        traces = simulate_plan(ipm, runs, measure_periods=2)
+        traces = list(simulate_plan(ipm, runs, measure_periods=2))
         with pytest.raises(ValueError, match="plan must include both zero-bias runs"):
             identify(runs, oracles.in_memory(traces), ipm)
 
@@ -590,7 +627,7 @@ class TestWorkers:
         monkeypatch.setattr(estimator, "_worker_count", lambda n: workers)
         plan = ipm_plan(id_grid=(-1.0, 1.0), iq_grid=(-1.0, 0.5, 1.0))
         runs = plan_runs(plan, ipm.R)
-        traces = simulate_plan(ipm, runs, measure_periods=2)
+        traces = list(simulate_plan(ipm, runs, measure_periods=2))
         for load in (lambda lo, hi: traces[lo:hi - 1], lambda lo, hi: traces[lo:hi] + traces[:1]):
             with pytest.raises(ValueError, match="^one trace per planned run required$"):
                 identify(runs, load, ipm)

@@ -5,7 +5,7 @@ import pytest
 
 from satpmsm.injection import F_array, InjectionSpec, Waveform
 from satpmsm.leastsq import RankDeficient, gram_fit
-from satpmsm.ripple import RippleMeasurement, TooShort, Unresolved, extract_ripple
+from satpmsm.ripple import RippleMeasurement, TooShort, Unresolved, extract_ripple, rebuild_flux
 from satpmsm.simulator import SimConfig, Trace, simulate
 
 import oracles
@@ -47,6 +47,29 @@ class TestOls:
         X = np.ones((1, 2))
         with pytest.raises(RankDeficient):
             gram_fit(X.T @ X, X.T @ np.ones(1))
+
+
+class TestRebuildFlux:
+    @pytest.mark.parametrize("waveform", [Waveform.square(), Waveform.sine()])
+    def test_both_axes_are_the_per_axis_integral(self, waveform):
+        # both axes integrate as one (2, n) array over one set of sample
+        # steps; each row is bit for bit its axis integrated alone, by held
+        # levels under a square drive and by the trapezoid rule under a
+        # smooth one
+        t = 1e-5 * np.arange(1001)
+        u_d, u_q, i_d, i_q = np.random.default_rng(6).normal(size=(4, len(t)))
+        R = 12.15
+
+        def trapezoid(y):
+            return np.concatenate([[0.0], np.cumsum(0.5 * (y[1:] + y[:-1]) * np.diff(t))])
+
+        def held(y):
+            return np.concatenate([[0.0], np.cumsum(y[:-1] * np.diff(t))])
+
+        u_rule = held if waveform == Waveform.square() else trapezoid
+        want = np.stack([u_rule(u) - R * trapezoid(i) for u, i in ((u_d, i_d), (u_q, i_q))])
+        got = rebuild_flux(Trace(t, u_d, u_q, i_d, i_q), InjectionSpec(0.0, 0.0, 30.0, 0.0, OMEGA, waveform), R)
+        assert got.tobytes() == want.tobytes()
 
 
 class TestExtractRipple:
