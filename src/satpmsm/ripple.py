@@ -122,7 +122,7 @@ def _centred(a: np.ndarray, per: int, blocks: int) -> np.ndarray:
 
 
 def extract_ripple(trace: Trace, spec: InjectionSpec, discard: float) -> RippleMeasurement:
-    """Fit i(t) ~ i_bar + i_tilde * F(omega*t) per axis after `discard`.
+    """Fit i(t) ~ i_bar + i_tilde * F(omega*(t - t[0])) per axis after `discard`.
 
     The window is the whole injection periods from the first sample at or
     after `discard`. i_tilde = f.y / f.f with F and i centred per period, and
@@ -136,7 +136,7 @@ def extract_ripple(trace: Trace, spec: InjectionSpec, discard: float) -> RippleM
     per, blocks = period_blocks(trace, spec, i0)
     n = per * blocks
     window = slice(i0, i0 + n)
-    F = F_array(spec.waveform, spec.omega * t[window])
+    F = F_array(spec.waveform, spec.omega * (t[window] - t[0]))
     f = _centred(F, per, blocks)
     ff = float(f @ f)
 

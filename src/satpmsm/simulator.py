@@ -41,8 +41,7 @@ from typing import Sequence
 import numpy as np
 
 from .injection import F_array, InjectionSpec, f_array
-from .magnetics import (Currents, MotorParams, NonConvergence, _current_rows,
-                        _stacked_currents, flux_from_currents_first_order)
+from .magnetics import MotorParams, NonConvergence, _current_rows, _first_order, _stacked_currents
 
 _CSV_HEADER = ("t", "u_d", "u_q", "i_d", "i_q")  # the measured channels: all a trace file holds
 
@@ -132,7 +131,8 @@ class Trace:
             steps = np.diff(self.t)
             if np.any(steps <= 0):
                 raise ValueError("t must be strictly increasing")
-            if np.max(steps) - np.min(steps) > 1e-9 * float(steps[0]):
+            # a spread of 1e-9 of a step, plus the rounding of t itself, largest at an end of t
+            if np.max(steps) - np.min(steps) > 1e-9 * float(steps[0]) + 4 * np.spacing(max(-self.t[0], self.t[-1])):
                 raise ValueError("t must be uniformly sampled")
 
     @property
@@ -165,12 +165,11 @@ class Trace:
         is ignored, so the flux is None. A header name may have spaces
         around it. Every data row must hold one value per header name.
 
-        The file is read once. Its rows are parsed with the last header
-        column added to the five, so a parse without error has at least that
-        many values in every row; then, in a file with no comment and no
-        blank line, a comma count of exactly one row's worth per row leaves
-        no row longer. Only a file that fails that test has its rows checked
-        one by one, before a parse of the five columns alone."""
+        The file is one numpy parse of all its columns, which refuses a row
+        whose width differs from the first row's; a column that is no
+        channel reads as 0.0 unparsed, so it may hold text. Data rows are
+        counted from 1, comment and blank lines skipped, as numpy counts
+        them; its parse errors are told in these terms (`_parse_fault`)."""
         with open(path) as fh:
             header = [name.strip() for name in fh.readline().split(",")]
             text = fh.read()
@@ -178,47 +177,47 @@ class Trace:
             if header.count(name) != 1:
                 what = "repeats" if name in header else "missing"
                 raise ValueError(f"trace CSV {path} {what} column {name!r}")
-        cols, width = [header.index(n) for n in _CSV_HEADER], len(header)
-        rows = text.count("\n") + (not text.endswith("\n") and bool(text))
+        unread = {col: lambda value: 0.0 for col, name in enumerate(header) if name not in _CSV_HEADER}
         with warnings.catch_warnings():  # an empty file is refused below
             warnings.filterwarnings("ignore", "loadtxt: input contained no data")
             try:
-                data = _load_columns(text, cols + [width - 1] * (width - 1 not in cols))
-            except ValueError:
-                data = None
-            if (data is None or len(data) != rows or "#" in text
-                    or text.count(",") != (width - 1) * rows):
-                for row, line in enumerate(text.split("\n"), 1):
-                    values = line.partition("#")[0]  # loadtxt skips a comment and a blank line
-                    if values.strip() and values.count(",") != width - 1:
-                        raise ValueError(f"trace CSV {path}: data row {row} has {values.count(',') + 1} values, "
-                                         f"the header names {width}")
-                try:
-                    data = _load_columns(text, cols)
-                except ValueError as exc:
-                    # numpy counts data rows from 0 and file columns from 1
-                    where = re.fullmatch(r"(.*) at row (\d+), column (\d+)\.", str(exc))
-                    if where is None:
-                        raise ValueError(f"trace CSV {path}: {exc}") from None
-                    what, row, col = where.groups()
-                    raise ValueError(f"trace CSV {path}: data row {int(row) + 1}, column {header[int(col) - 1]}: "
-                                     f"{what}") from None
-        data = data[:, :len(_CSV_HEADER)]
+                data = np.loadtxt(io.StringIO(text), delimiter=",", ndmin=2, converters=unread)
+            except ValueError as exc:
+                raise ValueError(f"trace CSV {path}: {_parse_fault(str(exc), header, text)}") from None
+        if len(data) and data.shape[1] != len(header):  # every row alike, none as wide as the header
+            raise ValueError(f"trace CSV {path}: data row 1 has {data.shape[1]} values, the header names {len(header)}")
         if len(data) < 2:
             raise ValueError(f"trace CSV {path} has {len(data)} data rows, needs at least 2")
-        bad = np.argwhere(~np.isfinite(data))
+        channels = data.T[[header.index(name) for name in _CSV_HEADER]]
+        bad = np.argwhere(~np.isfinite(channels.T))
         if len(bad):
             row, col = bad[0]
             raise ValueError(f"trace CSV {path}: {_CSV_HEADER[col]} in data row {row + 1} is not finite")
         try:
-            return Trace(*data.T.copy())
+            return Trace(*channels)
         except ValueError as exc:
             raise ValueError(f"trace CSV {path}: {exc}") from None
 
 
-def _load_columns(text: str, cols: list[int]) -> np.ndarray:
-    """The columns cols of the comma-separated rows in text, one row each."""
-    return np.loadtxt(io.StringIO(text), delimiter=",", ndmin=2, usecols=cols)
+def _parse_fault(message: str, header: list[str], text: str) -> str:
+    """numpy's loadtxt error `message` on the data rows `text` of a trace
+    file with this header, told by data row counted from 1 and by column name."""
+    width = len(header)
+    if changed := re.match(r"the number of columns changed from (\d+) to (\d+) at row (\d+)", message):
+        first, values, row = map(int, changed.groups())
+        if first != width:  # the first row is the odd one
+            values, row = first, 1
+        return f"data row {row} has {values} values, the header names {width}"
+    if short := re.match(r"converter specified for column \d+, which is invalid for the number of fields (\d+)",
+                         message):  # the first row ends before an unread column
+        return f"data row 1 has {short[1]} values, the header names {width}"
+    if value := re.fullmatch(r"(.*) at row (\d+), column (\d+)\.", message):
+        what, row, col = value[1], int(value[2]) + 1, int(value[3])  # numpy counts rows from 0
+        if col <= width:
+            return f"data row {row}, column {header[col - 1]}: {what}"
+        rows = [values for values in (line.partition("#")[0] for line in text.split("\n")) if values]
+        return f"data row {row} has {rows[row - 1].count(',') + 1} values, the header names {width}"
+    return message
 
 
 def _check_step(spec: InjectionSpec, dt: float) -> None:
@@ -611,7 +610,7 @@ def simulate_periodic(p: MotorParams, specs: Sequence[InjectionSpec], *,
     u_bar, u_tilde = _stacked_drive(specs, dt)
     n = len(specs)
     i_bar = u_bar / p.R
-    phi = np.array([dataclasses.astuple(flux_from_currents_first_order(p, Currents(*i))) for i in i_bar.T]).T
+    phi = np.array(_first_order(p, *i_bar))
     phi = phi + u_tilde * float(F_array(specs[0].waveform, 0.0)) / specs[0].omega
 
     lanes = _lanes([p] * (3 * n))

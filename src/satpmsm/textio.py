@@ -142,13 +142,13 @@ def read_manifest(path) -> list[tuple[PlanRun, Path]]:
         for key in ("role", "trace", "waveform"):
             if key not in body:
                 raise ConfigError(f"{where}: missing field {key!r}")
-        omega = 2.0 * math.pi * get_float(body, "omega_Hz", where)
-        spec = InjectionSpec(
+        spec = checked(
+            where, InjectionSpec,
             u_bar_d=get_float(body, "u_bar_d_V", where),
             u_bar_q=get_float(body, "u_bar_q_V", where),
             u_tilde_d=get_float(body, "u_tilde_d_V", where),
             u_tilde_q=get_float(body, "u_tilde_q_V", where),
-            omega=omega,
+            omega=2.0 * math.pi * get_float(body, "omega_Hz", where),
             waveform=waveform_from_name(body["waveform"], base, where),
         )
         run = PlanRun(role=body["role"], i_target=get_float(body, "i_target_A", where), spec=spec)

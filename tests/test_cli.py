@@ -2,6 +2,7 @@ import dataclasses
 import math
 import os
 import re
+import shutil
 from pathlib import Path
 
 import numpy as np
@@ -216,6 +217,27 @@ class TestEstimateCommand:
         mem = (base / "mem" / "report.txt").read_bytes()
         ing = (base / "ing" / "report.txt").read_bytes()
         assert mem == ing
+
+    @pytest.mark.parametrize("shift", [0.0005, 100.0005], ids=["quarter_period", "100s"])
+    def test_bench_time_stamps_ingest(self, cfg_path, shift):
+        # a dataset whose time columns start a quarter period (500 Hz), or
+        # 100 s and a quarter period, on, with a note after one header,
+        # ingests to the report of the dataset as simulated
+        base = cfg_path.parent
+        assert main(["simulate", "--config", str(cfg_path), "--out", str(base / "sim")]) == 0
+        shutil.copytree(base / "sim", base / "moved")
+        for path in (base / "moved" / "traces").glob("*.csv"):
+            tr = Trace.from_csv(path)
+            Trace(tr.t + shift, tr.u_d, tr.u_q, tr.i_d, tr.i_q).to_csv(path)
+        noted = next((base / "moved" / "traces").glob("000_*.csv"))
+        header, rows = noted.read_text().split("\n", 1)
+        noted.write_text(f"{header}\n# note, with commas\n{rows}")
+        for name in ("sim", "moved"):
+            assert main(["estimate", "--config", str(cfg_path), "--out", str(base / f"ing_{name}"),
+                         "--ingest", str(base / name / "manifest.txt")]) == 0
+        want, got = (oracles.read_report(base / f"ing_{name}" / "report.txt") for name in ("sim", "moved"))
+        for key, value in want["parameters"].items():
+            assert got["parameters"][key] == pytest.approx(value, rel=1e-9), key
 
     def test_run_roles_are_labels(self, cfg_path):
         # the estimator reads no run role: a manifest whose roles are all

@@ -390,6 +390,20 @@ class TestEndToEnd:
         with pytest.raises(ZeroRipple, match=r"run 0 \(ld, \+0\.000 A\): d-axis zero-bias"):
             identify(runs, oracles.in_memory(traces), ipm)
 
+    @pytest.mark.parametrize("shift", [0.0005, 100.0005], ids=["quarter_period", "100s"])
+    def test_time_column_may_start_anywhere(self, ipm, shift):
+        # a record's injection starts at its first sample, whatever its time
+        # stamp: traces shifted a quarter period (500 Hz), or 100 s on,
+        # identify as from 0, not as zero-bias runs without a ripple
+        plan = ipm_plan(id_grid=(-1.0, 0.5, 1.0), iq_grid=(-1.0, 0.5, 1.0))
+        runs = plan_runs(plan, ipm.R)
+        traces = list(simulate_plan(ipm, runs, measure_periods=10))
+        moved = [Trace(tr.t + shift, tr.u_d, tr.u_q, tr.i_d, tr.i_q) for tr in traces]
+        want = identify(runs, oracles.in_memory(traces), ipm).params
+        got = identify(runs, oracles.in_memory(moved), ipm).params
+        for name in ("Ld", "Lq", "a30", "a12", "a40", "a22", "a04"):
+            assert getattr(got, name) == pytest.approx(getattr(want, name), rel=1e-9), name
+
     def test_two_point_d_sweep_identifies(self, ipm):
         # the Gram matrix, not a count of bias currents, decides: each run's
         # transient from rest sweeps its flux from zero to its operating

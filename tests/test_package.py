@@ -45,6 +45,7 @@ UNCALLED_EXPORTS = {
     "energy": "the model's definition, which criterion 4 checks the current map against",
     "currents_from_flux": "the scalar current map that criterion 4 checks against energy",
     "flux_from_currents_exact": "the scalar exact inversion that criterion 3 checks the first-order one against",
+    "flux_from_currents_first_order": "criterion 3 checks it",
     "estimate_L": "the paper's first-order split (DECISIONS.md): its inductance step",
     "estimate_d_axis": "the paper's first-order split (DECISIONS.md), checked by criterion 7",
     "estimate_cross": "the paper's first-order split (DECISIONS.md), checked by criterion 7",

@@ -649,11 +649,12 @@ class TestTraceCsv:
         with pytest.raises(ValueError, match=re.escape(f"trace CSV {path} repeats column 'i_d'")):
             Trace.from_csv(path)
 
-    @pytest.mark.parametrize("row, values", [("0.001,1,0,0.6", 4), ("0.001,1,0,0.6,0,7", 6)],
-                             ids=["short", "long"])
+    @pytest.mark.parametrize("row, values", [("0.001,1,0,0.6", 4), ("0.001,1,0,0.6,0,7", 6), ("   ", 1)],
+                             ids=["short", "long", "whitespace"])
     def test_ragged_row_refused(self, tmp_path, row, values):
         # a row short of a value or one value over is refused naming the file
-        # and the row, not parsed by position nor cut to the header's width
+        # and the row, not parsed by position nor cut to the header's width;
+        # a line of whitespace only is a row of one value, as numpy reads it
         path = tmp_path / "ragged.csv"
         path.write_text("t,u_d,u_q,i_d,i_q\n" "0,1,0,0.5,0\n" f"{row}\n" "0.002,1,0,0.7,0\n")
         with pytest.raises(ValueError, match=re.escape(
@@ -669,6 +670,44 @@ class TestTraceCsv:
         path.write_text("t,u_d,u_q,i_d,i_q,phi_d,phi_q\n" "0,1,0,0.5,0,0,0\n" + "\n".join(rows) + "\n")
         with pytest.raises(ValueError, match=re.escape(
                 f"trace CSV {path}: data row 2 has {values} values, the header names 7")):
+            Trace.from_csv(path)
+
+    @pytest.mark.parametrize("header, rows, values", [
+        ("t,u_d,u_q,i_d,i_q", ("0,1,0,0.5", "0.001,1,0,0.6", "0.002,1,0,0.7"), 4),
+        ("t,u_d,u_q,i_d,i_q", ("0,1,0,0.5,0,7", "0.001,1,0,0.6,0,7", "0.002,1,0,0.7,0,7"), 6),
+        ("t,u_d,u_q,i_d,i_q", ("0,1,0,0.5,0,", "0.001,1,0,0.6,0,", "0.002,1,0,0.7,0,"), 6),
+        ("t,u_d,u_q,i_d,i_q,phi_d,phi_q", ("0,1,0,0.5,0,0", "0.001,1,0,0.6,0,0", "0.002,1,0,0.7,0,0"), 6),
+        ("t,u_d,u_q,i_d,i_q,note", ("0,1,0,0.5,0,a,b", "0.001,1,0,0.6,0,a,b", "0.002,1,0,0.7,0,a,b"), 7),
+    ], ids=["short", "long", "trailing_comma", "short_of_an_unread_column", "long_past_an_unread_column"])
+    def test_every_row_off_the_header_refused(self, tmp_path, header, rows, values):
+        # rows that agree with each other but not with the header are refused
+        # at the first data row, with its count, whatever the extra values hold
+        path = tmp_path / "ragged.csv"
+        path.write_text(f"{header}\n" "# bench note\n" + "\n".join(rows) + "\n")
+        with pytest.raises(ValueError, match=re.escape(
+                f"trace CSV {path}: data row 1 has {values} values, the header names {len(header.split(','))}")):
+            Trace.from_csv(path)
+
+    @pytest.mark.parametrize("row, message", [
+        ("0.002,1,0,0.7", "data row 3 has 4 values, the header names 5"),
+        ("0.002,1,0,0.7,0,7", "data row 3 has 6 values, the header names 5"),
+        ("0.002,1,0,abc,0", "data row 3, column i_d: could not convert string 'abc'"),
+        ("0.002,1,0,nan,0", "i_d in data row 3 is not finite"),
+    ], ids=["short", "long", "not_a_number", "nan"])
+    def test_faults_after_notes_name_one_data_row(self, tmp_path, row, message):
+        # a comment and a blank line before the faulty row are no data rows
+        # to any message: each of the four faults names the third data row
+        path = tmp_path / "notes.csv"
+        path.write_text("t,u_d,u_q,i_d,i_q\n" "0,1,0,0.5,0\n" "0.001,1,0,0.6,0\n" "# bench note, 20 degC\n" "\n"
+                        f"{row}\n" "0.003,1,0,0.8,0\n")
+        with pytest.raises(ValueError, match=re.escape(f"trace CSV {path}: {message}")):
+            Trace.from_csv(path)
+
+    @pytest.mark.parametrize("body", ["", "# bench note, 20 degC\n# a, b\n"], ids=["empty", "comments"])
+    def test_no_data_rows_refused(self, tmp_path, body):
+        path = tmp_path / "empty.csv"
+        path.write_text("t,u_d,u_q,i_d,i_q\n" + body)
+        with pytest.raises(ValueError, match=re.escape(f"trace CSV {path} has 0 data rows, needs at least 2")):
             Trace.from_csv(path)
 
     def test_comment_and_blank_lines_skipped(self, tmp_path):
@@ -705,6 +744,19 @@ class TestTraceCsv:
         path.write_text("t,u_d,u_q,i_d\n0,1,0,0.5\n")
         with pytest.raises(ValueError, match="i_q"):
             Trace.from_csv(path)
+
+    @pytest.mark.parametrize("offset", [0.0, 100.0, 1e4])
+    def test_time_stamps_far_from_zero(self, offset):
+        # the rounding of t, which grows with |t|, is no uneven sampling: a
+        # grid 100 s or 1e4 s into a session reads, one stamp 1e-6 of a step
+        # off does not
+        dt = 1e-5
+        t = offset + np.arange(5001) * dt
+        z = np.zeros_like(t)
+        Trace(t=t, u_d=z, u_q=z, i_d=z, i_q=z)
+        t[2500] += 1e-6 * dt
+        with pytest.raises(ValueError, match="t must be uniformly sampled"):
+            Trace(t=t, u_d=z, u_q=z, i_d=z, i_q=z)
 
     def test_trace_validation(self):
         t = np.array([0.0, 1.0, 1.5])

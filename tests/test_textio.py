@@ -1,4 +1,5 @@
 import math
+import re
 
 import pytest
 
@@ -123,6 +124,18 @@ class TestManifest:
             read_manifest(path)
         path.write_text("[run]\nrole = ld\ntrace = tr.csv\n")
         with pytest.raises(ConfigError, match=r"m\.txt \[run #1\]: missing field 'waveform'"):
+            read_manifest(path)
+
+    def test_bad_pulsation_names_its_run(self, tmp_path):
+        # a drive the injection refuses, a negative pulsation in the second
+        # block, names the manifest and the block as every manifest fault does
+        spec = InjectionSpec(0, 0, 30.0, 0, 2 * math.pi * 500, Waveform.square())
+        (tmp_path / "tr.csv").write_text("t,u_d,u_q,i_d,i_q\n0,0,0,0,0\n0.001,0,0,0,0\n")
+        path = tmp_path / "m.txt"
+        write_manifest(path, [PlanRun("ld", 0.0, spec)] * 2, ["tr.csv"] * 2)
+        first, second = path.read_text().split("[run]\n")[1:]
+        path.write_text("[run]\n" + first + "[run]\n" + re.sub(r"omega_Hz = .*", "omega_Hz = -500", second))
+        with pytest.raises(ConfigError, match=re.escape(f"{path} [run #2]: omega must be positive")):
             read_manifest(path)
 
 
