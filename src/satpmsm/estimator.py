@@ -485,9 +485,10 @@ def write_simulated(motor: MotorParams, runs: Sequence[PlanRun], paths: Sequence
 # BENCH_19.json measured two workers on a two-CPU host: identify 0.49 ->
 # 0.34 s. Each worker holds its slice's flux record and one run at a time;
 # `estimate` on the SPM fixture at 10 mA peaks at 43 MB in the parent and
-# 38 MB in the child (BENCH_24.json). Every worker repeats its plan's 47
-# coarse parareal calls and holds its own memory, so more workers are
-# unmeasured and may cost more than they save.
+# 38 MB in the child (BENCH_24.json). Every worker repeats its plan's 24
+# coarse parareal calls (P - 1 at 25 periods, 3n lanes wide) and holds its
+# own memory, so more workers are unmeasured and may cost more than they
+# save.
 _MAX_WORKERS = 2
 
 

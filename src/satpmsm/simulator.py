@@ -52,7 +52,7 @@ MIN_WHOLE_PERIODS = 2
 
 _SHOOT_MAX_ITER = 50     # Newton steps of `simulate_periodic`
 _SHOOT_TOL = 1e-12       # one-period flux residual per axis [Wb]
-_SHOOT_FD_STEP = 1e-6    # finite-difference step of the shooting Jacobian [Wb]
+_SHOOT_FD_STEP = 1e-8    # finite-difference step of every period-map Jacobian [Wb]
 
 _PARAREAL_COARSE_STEPS = 10  # RK4 steps per period of the coarse propagator; even
 _PARAREAL_COARSE_Z = 0.1     # largest coarse step R * dt_G / min(Ld, Lq) parareal runs with
@@ -163,7 +163,8 @@ class Trace:
     def from_csv(path) -> "Trace":
         """Read the five measured channels by header name; any other column
         is ignored, so the flux is None. A header name may have spaces
-        around it. Every data row must hold one value per header name.
+        around it, and comment (`#`) and blank lines may come before the
+        header. Every data row must hold one value per header name.
 
         The file is one numpy parse of all its columns, which refuses a row
         whose width differs from the first row's; a column that is no
@@ -171,7 +172,10 @@ class Trace:
         counted from 1, comment and blank lines skipped, as numpy counts
         them; its parse errors are told in these terms (`_parse_fault`)."""
         with open(path) as fh:
-            header = [name.strip() for name in fh.readline().split(",")]
+            line = fh.readline()
+            while line and (not line.strip() or line.lstrip().startswith("#")):
+                line = fh.readline()
+            header = [name.strip() for name in line.split(",")]
             text = fh.read()
         for name in _CSV_HEADER:
             if header.count(name) != 1:
@@ -437,6 +441,23 @@ def _coarse_fits(p: MotorParams, coarse_dt: float) -> bool:
     return coarse_dt * p.R / min(p.Ld, p.Lq) <= _PARAREAL_COARSE_Z
 
 
+def _fd_starts(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The starts (2, 2n) X + h e_d and X + s h e_q of a one-period map's
+    forward differences at the (2, n) starts X, h = `_SHOOT_FD_STEP` and s
+    the sign of each lane's q flux, and the q steps s h (n,). With the sign
+    a mirrored run, q negated, takes the mirror of the run's Jacobian bit
+    for bit."""
+    hq = np.copysign(_SHOOT_FD_STEP, X[1])
+    return np.concatenate((X + [[_SHOOT_FD_STEP], [0.0]], X + [np.zeros_like(hq), hq]), axis=1), hq
+
+
+def _fd_jacobian(end: np.ndarray, fd_end: np.ndarray, hq: np.ndarray) -> np.ndarray:
+    """The Jacobian (2, 2, n) of a one-period map, [axis out, axis in, lane],
+    from its ends (2, n) at the starts X and (2, 2n) at `_fd_starts`(X)."""
+    n = len(hq)
+    return np.stack(((fd_end[:, :n] - end) / _SHOOT_FD_STEP, (fd_end[:, n:] - end) / hq), axis=1)
+
+
 def _record(p: MotorParams, spec: InjectionSpec, dt: float, n_steps: int, u_bar: np.ndarray,
             u_tilde: np.ndarray) -> tuple[_Traces, int]:
     """The traces of n runs of motor p from rest over n_steps steps of dt,
@@ -445,22 +466,30 @@ def _record(p: MotorParams, spec: InjectionSpec, dt: float, n_steps: int, u_bar:
 
     The P = n_steps // spp whole injection periods of spp steps run side by
     side by parareal (Lions, Maday & Turinici, C. R. Acad. Sci. Paris 2001):
-    each fine sweep runs all runs x periods as one batch, lane (j, p), and
-    writes its samples straight into the record through a view of it. The
+    each fine sweep runs all runs x periods as one batch, lane (j, p). The
     fine propagator F is one period of `_rk4` at dt, the coarse G one period
     at `_PARAREAL_COARSE_STEPS` steps. The period starts U begin at U[0] = 0,
-    U[p+1] = G(U[p]). A fine sweep from U leaves a jump F(U[p]) - U[p+1]
-    in the record at every period boundary; a run whose jumps, summed over
-    both axes and all boundaries, come to at most `_PARAREAL_TOL` is done:
-    its record is continuous up to that sum, which bounds the record's
-    flux error against one pass. A done run keeps its starts, so later
-    sweeps rewrite its samples bit for bit and every run comes out as it
-    would alone. Only the runs still open get a coarse correction: after
-    sweep s their first s + 1 starts are exact, U'[p+1] = F(U[p]) for
-    p < s, and the others update as U'[p+1] = G(U'[p]) + F(U[p]) - G(U[p]).
-    After `_PARAREAL_MAX_SWEEPS` sweeps a run not yet done continues
-    sequentially from its last exact start, which no coarse value entered.
-    A trailing part period continues from the last period's end.
+    U[p+1] = G(U[p]), in P - 1 coarse calls, each of which also carries
+    the `_fd_starts` lanes of U[p]: it gives G's Jacobian J_p at U[p] with
+    no call of its own. A fine sweep from U leaves a jump F(U[p]) - U[p+1]
+    at every period boundary; a run whose jumps, summed over both axes and
+    all boundaries, come to at most `_PARAREAL_TOL` is done: its record is
+    continuous up to that sum, which bounds the record's flux error against
+    one pass. A done run keeps its starts, so later sweeps rewrite its
+    samples bit for bit and every run comes out as it would alone. Only
+    the runs still open get a correction, linear in the move of the start
+    before (parareal as multiple shooting on G's Jacobian, Gander &
+    Vandewalle, SIAM J. Sci. Comput. 2007): after sweep s their first s + 1
+    starts are exact, U'[p+1] = F(U[p]) for p < s, and the others update
+    as U'[p+1] = F(U[p]) + J_p (U'[p] - U[p]). After
+    `_PARAREAL_MAX_SWEEPS` sweeps a run not yet done continues sequentially
+    from its last exact start, which no coarse value entered. A trailing
+    part period continues from the last period's end.
+
+    The samples are written once, by a sweep that may be the last, straight
+    into the record through a view of it: the first sweep, from the coarse
+    prediction, writes none, and is run once more, writing them, only
+    where it leaves every run done.
 
     Parareal pays only where it converges in far fewer sweeps than there
     are periods. The record is one `_rk4` pass from rest, with no sweep,
@@ -479,30 +508,31 @@ def _record(p: MotorParams, spec: InjectionSpec, dt: float, n_steps: int, u_bar:
     rows_p, R_p, u_bar_p, u_tilde_p = (np.repeat(a[..., None], P, axis=-1) for a in (rows, R, u_bar, u_tilde))
     fine, coarse = _waveform_arrays(spec, dt, spp), _waveform_arrays(spec, coarse_dt, _PARAREAL_COARSE_STEPS)
     samples = phi[:, :, :P * spp].reshape(2, n, P, spp)  # a view: the sweeps write through it
+    rows_3, R_3, u_bar_3, u_tilde_3 = (*_lanes([p] * (3 * n)), np.tile(u_bar, 3), np.tile(u_tilde, 3))
 
-    def coarse_sweep(U, G, k0, lanes):
-        """Add G(U[..., k]) to U[..., k + 1] in period order from k0, keeping
-        the G values in G[..., k]; U and G hold the given lanes."""
-        rows_l, R_l, u_bar_l, u_tilde_l = rows[..., lanes], R[:, lanes], u_bar[:, lanes], u_tilde[:, lanes]
-        for k in range(k0, P - 1):
-            G[..., k] = _rk4(rows_l, R_l, coarse_dt, U[..., k], u_bar_l, u_tilde_l, *coarse)
-            U[..., k + 1] += G[..., k]
-
-    U, G, done = np.zeros((2, n, P)), np.empty((2, n, P - 1)), np.zeros(n, dtype=bool)
+    U, J, done = np.zeros((2, n, P)), np.empty((2, 2, n, P - 1)), np.zeros(n, dtype=bool)
     with np.errstate(over="ignore", invalid="ignore"):  # an unconverged start is never kept
-        coarse_sweep(U, G, 0, slice(None))
+        for k in range(P - 1):
+            fd, hq = _fd_starts(U[..., k])
+            end = _rk4(rows_3, R_3, coarse_dt, np.concatenate((U[..., k], fd), axis=1), u_bar_3, u_tilde_3, *coarse)
+            U[..., k + 1] = end[:, :n]
+            J[..., k] = _fd_jacobian(end[:, :n], end[:, n:], hq)
         for sweeps in range(1, _PARAREAL_MAX_SWEEPS + 1):
-            F = _rk4(rows_p, R_p, dt, U, u_bar_p, u_tilde_p, *fine, samples)
+            F = _rk4(rows_p, R_p, dt, U, u_bar_p, u_tilde_p, *fine, None if sweeps == 1 else samples)
             jumps = np.sum(np.abs(F[..., :-1] - U[..., 1:]), axis=(0, 2))  # where the record breaks
             done |= jumps <= _PARAREAL_TOL  # NaN stays open
             if done.all() or sweeps == _PARAREAL_MAX_SWEEPS:
                 break
             lanes = np.flatnonzero(~done)  # a done run keeps its starts
-            U_open, G_open = U[:, lanes], G[:, lanes]
-            U_open[..., 1:sweeps + 1] = F[:, lanes, :sweeps]
-            U_open[..., sweeps + 1:] = F[:, lanes, sweeps:-1] - G_open[..., sweeps:]
-            coarse_sweep(U_open, G_open, sweeps, lanes)
-            U[:, lanes], G[:, lanes] = U_open, G_open
+            U_old, F_open, J_open = U[:, lanes], F[:, lanes], J[:, :, lanes]
+            U_new = U_old.copy()
+            U_new[..., 1:sweeps + 1] = F_open[..., :sweeps]
+            for k in range(sweeps, P - 1):
+                move = U_new[..., k] - U_old[..., k]
+                U_new[..., k + 1] = F_open[..., k] + (J_open[:, 0, :, k] * move[0] + J_open[:, 1, :, k] * move[1])
+            U[:, lanes] = U_new
+        if sweeps == 1:
+            _rk4(rows_p, R_p, dt, U, u_bar_p, u_tilde_p, *fine, samples)
     starts = np.concatenate((np.zeros((2, n, 1)), F), axis=-1)  # starts[..., k]: period k's exact start
     for lanes, k in ((done, P), (~done, sweeps)):
         idx = np.flatnonzero(lanes)
@@ -554,18 +584,19 @@ def simulate_averaged(motors: Sequence[MotorParams], u_bar: Sequence[tuple[float
     return list(_Traces(rows, cfg.dt, _sampled(rows, R, cfg.dt, zero, u, zero, drive), u, zero, drive[0]))
 
 
-def _shooting_step(phi: np.ndarray, r: np.ndarray, col_d: np.ndarray, col_q: np.ndarray) -> np.ndarray:
+def _shooting_step(phi: np.ndarray, r: np.ndarray, J: np.ndarray) -> np.ndarray:
     """Newton step of each lane on the one-period residual r = P(phi) - phi,
-    given the changes col_d, col_q of P over `_SHOOT_FD_STEP` along d and q.
+    given the Jacobian J (2, 2, n) of P (`_fd_jacobian`).
 
-    Where the Jacobian J = dP/dphi - I has an eigenvalue lam > 0, the lane sits
+    Where the Jacobian dP/dphi - I has an eigenvalue lam > 0, the lane sits
     on the unstable side of a fold of the energy, and Newton would lead back
-    to the fold. There J is shifted by 2 lam, which flips that eigenvalue, so
-    the step follows the flow P(phi) - phi at Newton's length. No step is
+    to the fold. There it is shifted by 2 lam, which flips that eigenvalue,
+    so the step follows the flow P(phi) - phi at Newton's length. No step is
     longer than the larger of |phi| and |r|, which keeps a step next to a
-    fold, where J is nearly singular, from leaving the model's range.
+    fold, where the Jacobian is nearly singular, from leaving the model's
+    range.
     """
-    (j_dd, j_qd), (j_dq, j_qq) = col_d / _SHOOT_FD_STEP, col_q / _SHOOT_FD_STEP
+    (j_dd, j_dq), (j_qd, j_qq) = J
     j_dd, j_qq = j_dd - 1.0, j_qq - 1.0
     half_trace = 0.5 * (j_dd + j_qq)
     lam = half_trace + np.sqrt(np.maximum(half_trace**2 - (j_dd * j_qq - j_dq * j_qd), 0.0))
@@ -574,6 +605,38 @@ def _shooting_step(phi: np.ndarray, r: np.ndarray, col_d: np.ndarray, col_q: np.
     step = np.array([a_qq * r[0] + j_dq * r[1], j_qd * r[0] + a_dd * r[1]]) / (a_dd * a_qq - j_dq * j_qd)
     limit = np.maximum(np.hypot(*phi), np.hypot(*r))
     return step * (limit / np.maximum(np.hypot(*step), limit))
+
+
+def _shoot(p: MotorParams, spec: InjectionSpec, dt: float, steps: int, u_bar: np.ndarray, u_tilde: np.ndarray,
+           phi: np.ndarray, J: np.ndarray, fd: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Newton shooting of n runs of motor p on the period map of `steps`
+    steps of dt under spec's waveform, from the (2, n) starts phi: a run
+    whose one-period residual is at most `_SHOOT_TOL` on both axes keeps
+    its start, and the loop ends when every run does, or after
+    `_SHOOT_MAX_ITER` steps.
+
+    Each step integrates one period of the n runs, and of the
+    `_fd_starts` of the runs where fd, in one batch: those runs take the
+    Jacobian (`_fd_jacobian`) at their start of each step, the others keep
+    theirs from J (2, 2, n). Returns the starts, the Jacobians, the mask of
+    runs still open, and the record (2, n, steps) and end (2, n) of the
+    last period integrated from each run's start.
+    """
+    n, fd = phi.shape[1], np.flatnonzero(fd)
+    lanes = np.concatenate((np.arange(n), fd, fd))
+    rows, R = _lanes([p] * len(lanes))
+    drive = (u_bar[:, lanes], u_tilde[:, lanes], *_waveform_arrays(spec, dt, steps))
+    record, J = np.empty((2, len(lanes), steps)), J.copy()
+    for _ in range(_SHOOT_MAX_ITER):
+        starts, hq = _fd_starts(phi[:, fd])
+        end = _rk4(rows, R, dt, np.concatenate((phi, starts), axis=1), *drive, record)
+        J[..., fd] = _fd_jacobian(end[:, fd], end[:, n:], hq)
+        r = end[:, :n] - phi
+        open_ = ~np.all(np.abs(r) <= _SHOOT_TOL, axis=0)  # NaN stays open
+        if not open_.any():
+            break
+        phi = phi + np.where(open_, _shooting_step(phi, r, J), 0.0)
+    return phi, J, open_, record[:, :n], end[:, :n]
 
 
 def simulate_periodic(p: MotorParams, specs: Sequence[InjectionSpec], *,
@@ -585,24 +648,29 @@ def simulate_periodic(p: MotorParams, specs: Sequence[InjectionSpec], *,
 
     Each run starts at the flux phi0 that solves P(phi0) = phi0 for the
     one-period map P, found by Newton shooting (Aprille & Trick, Proc. IEEE
-    1972) with all runs in one batch. The Jacobian comes from forward
-    differences: the starts phi0, phi0 + h e_d and phi0 + h e_q of every run
+    1972) with all runs in one batch (`_shoot`). The Jacobian comes from
+    forward differences: the starts phi0 and `_fd_starts`(phi0) of every run
     integrate one period side by side, and `_shooting_step` turns the three
-    ends into each run's step. The warm start is
-    the first-order inverse at the mean current i_bar = u_bar / R, shifted by
-    the ripple flux u_tilde * F(0) / omega at t = 0.
+    ends into each run's step. The warm start is the first-order inverse at
+    the mean current i_bar = u_bar / R, shifted by the ripple flux
+    u_tilde * F(0) / omega at t = 0.
 
-    The Newton loop runs twice: first on the coarse period map of
-    `_PARAREAL_COARSE_STEPS` steps, from the warm start, where such a step
-    `_coarse_fits`; then on the fine map of steps_per_period steps, from
-    the coarse fixed point, which is off the fine one by the coarse map's
-    truncation error only, so one or two fine steps finish it. A run whose
-    coarse Newton does not converge starts the fine one from its warm start,
-    so a run comes out of a batch as it does alone. A run whose fine
-    one-period residual still exceeds `_SHOOT_TOL` on an axis after
-    `_SHOOT_MAX_ITER` steps raises NonConvergence naming its mean current.
+    Newton runs first on the coarse period map of `_PARAREAL_COARSE_STEPS`
+    steps, from the warm start, where such a step `_coarse_fits`; then on
+    the fine map of steps_per_period steps, from the coarse fixed point,
+    which is off the fine one by the coarse map's truncation error only.
+    There it keeps the coarse map's Jacobian at that point, so each fine
+    step integrates one period of the runs alone, and one or two steps and
+    a confirming period finish it. A run whose coarse Newton does not
+    converge, or every run where no coarse step fits, takes the fine
+    Jacobian at every step from its warm start instead, so a run comes out
+    of a batch as it does alone. A run whose fine one-period residual still
+    exceeds `_SHOOT_TOL` on an axis after `_SHOOT_MAX_ITER` steps raises
+    NonConvergence naming its mean current.
 
-    The record is one `_rk4` pass of `MIN_WHOLE_PERIODS` periods from phi0.
+    The record's first period is the one that confirmed phi0; the others
+    continue from its end in one `_rk4` pass, so the record is bit for bit
+    one pass of `MIN_WHOLE_PERIODS` periods from phi0.
     """
     if not specs:
         return []
@@ -612,27 +680,13 @@ def simulate_periodic(p: MotorParams, specs: Sequence[InjectionSpec], *,
     i_bar = u_bar / p.R
     phi = np.array(_first_order(p, *i_bar))
     phi = phi + u_tilde * float(F_array(specs[0].waveform, 0.0)) / specs[0].omega
-
-    lanes = _lanes([p] * (3 * n))
-    offsets = np.zeros((2, 3 * n))
-    offsets[0, n:2 * n] = offsets[1, 2 * n:] = _SHOOT_FD_STEP
+    J, fd = np.empty((2, 2, n)), np.ones(n, dtype=bool)
     coarse_dt = specs[0].period / _PARAREAL_COARSE_STEPS
-    maps = [(dt, steps_per_period)]
-    if _coarse_fits(p, coarse_dt):
-        maps.insert(0, (coarse_dt, _PARAREAL_COARSE_STEPS))
     with np.errstate(over="ignore", invalid="ignore"):  # a run that runs away is reported below
-        for h, steps in maps:
-            drive = (np.tile(u_bar, 3), np.tile(u_tilde, 3), *_waveform_arrays(specs[0], h, steps))
-            start = phi
-            for _ in range(_SHOOT_MAX_ITER):
-                end = _rk4(*lanes, h, np.tile(phi, 3) + offsets, *drive)
-                r = end[:, :n] - phi
-                open_ = ~np.all(np.abs(r) <= _SHOOT_TOL, axis=0)  # NaN stays open
-                if not open_.any():
-                    break
-                step = _shooting_step(phi, r, end[:, n:2 * n] - end[:, :n], end[:, 2 * n:] - end[:, :n])
-                phi = phi + np.where(open_, step, 0.0)
-            phi = np.where(open_, start, phi)  # an open run starts the next map where it started this one
+        if _coarse_fits(p, coarse_dt):
+            shot, J, fd, *_ = _shoot(p, specs[0], coarse_dt, _PARAREAL_COARSE_STEPS, u_bar, u_tilde, phi, J, fd)
+            phi = np.where(fd, phi, shot)  # a run still open starts the fine map where it started the coarse one
+        phi, _, open_, first, end = _shoot(p, specs[0], dt, steps_per_period, u_bar, u_tilde, phi, J, fd)
     if open_.any():
         d, q = i_bar[:, np.argmax(open_)]
         raise NonConvergence(
@@ -640,4 +694,8 @@ def simulate_periodic(p: MotorParams, specs: Sequence[InjectionSpec], *,
             f"i_bar = ({d:.6g}, {q:.6g}) A, |i_bar| = {math.hypot(d, q):.6g} A")
     rows, R = _lanes([p] * n)
     drive = _waveform_arrays(specs[0], dt, MIN_WHOLE_PERIODS * steps_per_period)
-    return list(_Traces(rows, dt, _sampled(rows, R, dt, phi, u_bar, u_tilde, drive), u_bar, u_tilde, drive[0]))
+    record = np.empty((2, n, MIN_WHOLE_PERIODS * steps_per_period + 1))
+    record[..., :steps_per_period] = first
+    record[..., -1] = _rk4(rows, R, dt, end, u_bar, u_tilde, *(f[steps_per_period:] for f in drive),
+                           record[..., steps_per_period:-1])
+    return list(_Traces(rows, dt, record, u_bar, u_tilde, drive[0]))

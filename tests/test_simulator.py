@@ -219,13 +219,20 @@ class TestSymmetryAndDeterminism:
 def sequential_currents(p, specs, cfg):
     """Reference: the currents (2, n, steps + 1) of the runs integrated from
     rest one step after the other, by the same RK4 kernel."""
+    rows, _ = simulator._lanes([p] * len(specs))
+    return _stacked_currents(rows[..., None], sequential_flux(p, specs, cfg))
+
+
+def sequential_flux(p, specs, cfg):
+    """Reference: the flux record (2, n, steps + 1) of the runs integrated
+    from rest one step after the other, by the same RK4 kernel."""
     u_bar, u_tilde = simulator._stacked_drive(specs, cfg.dt)
     n_steps = round(cfg.t_end / cfg.dt)
     rows, R = simulator._lanes([p] * len(specs))
     phi = np.empty((2, len(specs), n_steps + 1))
     phi[..., -1] = simulator._rk4(rows, R, cfg.dt, np.zeros(u_bar.shape), u_bar, u_tilde,
                                   *simulator._waveform_arrays(specs[0], cfg.dt, n_steps), phi[..., :-1])
-    return _stacked_currents(rows[..., None], phi)
+    return phi
 
 
 def from_rest(p, spec, dt, n_steps, u_bar, u_tilde):
@@ -257,24 +264,46 @@ class TestPeriodParallel:
         got = batch_currents(simulate_batch(config.motor, specs, cfg))
         assert np.max(np.abs(got - want)) <= 1e-12
         # the fixtures run parareal, and the shipped coarse step converges
-        # in two fine sweeps on both
+        # in two fine sweeps on both; every flux record is within 1e-13 Wb
+        # of one sequential pass
         u_bar, u_tilde = simulator._stacked_drive(specs, cfg.dt)
-        _, sweeps = from_rest(config.motor, specs[0], cfg.dt, want.shape[-1] - 1, u_bar, u_tilde)
-        assert 1 <= sweeps <= 2
+        (phi, _), sweeps = from_rest(config.motor, specs[0], cfg.dt, want.shape[-1] - 1, u_bar, u_tilde)
+        assert sweeps == 2
+        assert np.max(np.abs(phi - sequential_flux(config.motor, specs, cfg))) <= 1e-13
 
     @pytest.mark.parametrize("name", ["ipm", "spm"])
     def test_fixture_plan_coarse_work(self, name, rk4_calls):
-        # the fine sweep that finds a record continuous ends its parareal:
-        # the coarse work is the prediction of the P - 1 later chunk starts
-        # and one correction of the P - 2 after the first exact one
+        # one coarse pass predicts the P - 1 later period starts and carries
+        # the finite-difference lanes of its Jacobian, 3n lanes wide; the
+        # correction is linear, with no coarse call, and the second of two
+        # fine sweeps finds every record continuous
         config = load_config(Path(__file__).resolve().parents[1] / "configs" / f"{name}.cfg")
         specs = [r.spec for r in plan_runs(config.plan, config.motor.R)]
         period = specs[0].period
         simulate_batch(config.motor, specs, SimConfig(dt=period / config.steps_per_period,
                                                       t_end=config.measure_periods * period))
-        P = config.measure_periods
-        assert sum(steps == simulator._PARAREAL_COARSE_STEPS for steps, _ in rk4_calls) == (P - 1) + (P - 2)
-        assert sum(steps == config.steps_per_period for steps, _ in rk4_calls) == 2
+        P, n = config.measure_periods, len(specs)
+        assert rk4_calls == ([(simulator._PARAREAL_COARSE_STEPS, (3 * n,))] * (P - 1)
+                             + [(config.steps_per_period, (n, P))] * 2)
+
+    @pytest.mark.parametrize("name, tol_share", [("ipm", 0.1), ("spm", 0.25)])
+    def test_fixture_plan_jumps_margin(self, name, tol_share):
+        # the jumps of every record after its last sweep, summed, sit well
+        # under `_PARAREAL_TOL`, so a shrinking margin shows before it costs
+        # a third sweep. SPM's 1.6-1.8 Wb d fluxes put its rounding floor,
+        # 1 to 10 ulp per boundary, near 1.8e-14 Wb
+        config = load_config(Path(__file__).resolve().parents[1] / "configs" / f"{name}.cfg")
+        specs = [r.spec for r in plan_runs(config.plan, config.motor.R)]
+        spp, dt = config.steps_per_period, specs[0].period / config.steps_per_period
+        u_bar, u_tilde = simulator._stacked_drive(specs, dt)
+        (phi, _), _ = from_rest(config.motor, specs[0], dt, config.measure_periods * spp, u_bar, u_tilde)
+        # F(U[p]) is the last step of period p taken again from its sample
+        rows, R = simulator._lanes([config.motor] * len(specs))
+        last = (f[spp - 1:] for f in simulator._waveform_arrays(specs[0], dt, spp))
+        ends = simulator._rk4(rows[..., None], R[..., None], dt, phi[..., spp - 1:-1:spp], u_bar[..., None],
+                              u_tilde[..., None], *last)
+        jumps = np.sum(np.abs(ends - phi[..., spp::spp]), axis=(0, 2))
+        assert np.max(jumps) <= tol_share * simulator._PARAREAL_TOL
 
     @pytest.mark.parametrize("waveform", [
         Waveform.sine(),
@@ -306,6 +335,19 @@ class TestPeriodParallel:
         for j, ((phi_j, _), _) in enumerate(alone):
             assert np.array_equal(phi[:, j], phi_j[:, 0])
         assert np.max(np.abs(i - sequential_currents(spm, specs, cfg))) <= 1e-12
+
+    def test_one_sweep_writes_its_samples(self, spm, monkeypatch):
+        # the first sweep writes no samples; where it is the last, it runs
+        # again writing them. With a cap of one sweep, period 0 is that
+        # sweep's and the rest follows sequentially from its end: a square
+        # wave repeats its step values, so the record is bit for bit one pass
+        monkeypatch.setattr(simulator, "_PARAREAL_MAX_SWEEPS", 1)
+        specs = [square_spec(u_bar_d=-8.0, u_tilde_d=30.0), square_spec(u_bar_q=10.0, u_tilde_q=25.0)]
+        cfg = SimConfig(dt=specs[0].period / 200, t_end=10 * specs[0].period)
+        u_bar, u_tilde = simulator._stacked_drive(specs, cfg.dt)
+        (phi, _), sweeps = from_rest(spm, specs[0], cfg.dt, 2000, u_bar, u_tilde)
+        assert sweeps == 1
+        assert phi.tobytes() == sequential_flux(spm, specs, cfg).tobytes()
 
     @pytest.mark.parametrize("omega, periods", [(2 * math.pi * 5.0, 25), (OMEGA_500, 2), (OMEGA_500, 3)],
                              ids=["5Hz", "2-periods", "3-periods"])
@@ -523,14 +565,15 @@ class TestChunkedAveraged:
 class TestOrbitRecord:
     @pytest.mark.parametrize("angle", [0.0, 60.0, 180.0, 270.0])
     def test_both_periods_in_one_pass_are_the_sequential_record(self, spm, angle, rk4_calls):
-        # `simulate_periodic` records its 2 periods in one pass from phi:
-        # byte for byte the 400 steps from phi one after the other, signs of
-        # zero included
+        # `simulate_periodic` records its first period as the Newton
+        # residual that confirmed phi, at the runs' own width, and the second
+        # from that period's end: byte for byte the 400 steps from phi in one
+        # pass, signs of zero included
         a = math.radians(angle)
         specs = [square_spec(spm.R * m * math.cos(a), spm.R * m * math.sin(a), u_tilde_d=40.0)
                  for m in (0.0, 0.5, 2.0, 5.5)]
         traces = simulate_periodic(spm, specs)
-        assert rk4_calls[-1] == (400, (len(specs),))
+        assert rk4_calls[-2:] == [(200, (len(specs),))] * 2
         u_bar, u_tilde = simulator._stacked_drive(specs, specs[0].period / 200)
         rows, R = simulator._lanes([spm] * len(specs))
         phi = np.empty((2, len(specs), 401))
@@ -716,6 +759,21 @@ class TestTraceCsv:
         path.write_text("t,u_d,u_q,i_d,i_q\n" "0,1,0,0.5,0\n" "# bench note, 20 degC\n" "\n"
                         "0.001,1,0,0.6,0 # a, b\n")
         assert np.array_equal(Trace.from_csv(path).i_d, [0.5, 0.6])
+
+    @pytest.mark.parametrize("preamble", ["# logger v2, 20 degC\n", "\n# logger v2, 20 degC\n  # a, b\n\n"],
+                             ids=["comment", "comments_and_blanks"])
+    def test_lines_before_the_header_skipped(self, tmp_path, preamble):
+        # a logger's comment line first, blank lines around it: the header
+        # is the first other line, and data rows still count from 1 after it
+        path = tmp_path / "logger.csv"
+        rows = [f"{k * 0.001:g},1,0,{0.5 + k / 10:g},0" for k in range(6)]
+        path.write_text(preamble + "t,u_d,u_q,i_d,i_q\n" + "\n".join(rows) + "\n")
+        assert np.array_equal(Trace.from_csv(path).i_d, [0.5, 0.6, 0.7, 0.8, 0.9, 1.0])
+        rows[4] = "0.004,1,0,abc,0"
+        path.write_text(preamble + "t,u_d,u_q,i_d,i_q\n" + "\n".join(rows) + "\n")
+        with pytest.raises(ValueError, match=re.escape(
+                f"trace CSV {path}: data row 5, column i_d: could not convert string 'abc'")):
+            Trace.from_csv(path)
 
     def test_written_bytes(self, tmp_path):
         tr = Trace(t=np.array([0.0, 1e-5]), u_d=np.array([30.0, -30.0]), u_q=np.array([0.0, -0.0]),

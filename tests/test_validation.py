@@ -126,14 +126,16 @@ class TestAngleSweep:
     @pytest.mark.parametrize("name", ["ipm", "spm"])
     def test_fixture_sweeps_shoot_on_the_coarse_map_first(self, name, rk4_calls):
         # Newton converges on the coarse period map, then takes at most two
-        # fine one-period steps from its fixed point: one that moves the
-        # orbit by the coarse map's error and one that confirms it
+        # fine steps on the coarse Jacobian at its fixed point: one that
+        # moves the orbit by the coarse map's error and one that confirms
+        # it. Each integrates the runs alone, and so does the record's
+        # second period: no fine call carries finite-difference lanes
         config = load_config(Path(__file__).resolve().parents[1] / "configs" / f"{name}.cfg")
         angle_sweep(config.motor, config.sweep, steps_per_period=config.steps_per_period)
-        newton = collections.Counter(steps for steps, lanes in rk4_calls
-                                     if lanes == (3 * len(config.sweep.magnitudes),))
-        assert newton[simulator._PARAREAL_COARSE_STEPS] >= 1 and newton[config.steps_per_period] <= 2
-        assert set(newton) == {simulator._PARAREAL_COARSE_STEPS, config.steps_per_period}
+        n = len(config.sweep.magnitudes)
+        calls = collections.Counter(rk4_calls)
+        assert set(calls) == {(simulator._PARAREAL_COARSE_STEPS, (3 * n,)), (config.steps_per_period, (n,))}
+        assert calls[config.steps_per_period, (n,)] <= 3
 
     def test_no_orbit_names_the_magnitude(self):
         # the d-axis current peaks at 0.86 A, so a 2 A bias runs away
