@@ -22,9 +22,9 @@ mean is subtracted from the currents and from the regressors first.
 That keeps the ripple and the transient's drift within the period, and drops
 the slow random walk that current noise puts into the rebuilt flux,
 R * integral(n) dt, which would otherwise weigh on the sigmas (see
-DECISIONS.md). Only the t, u and i channels are read, never a trace's flux
-channels, so estimates from ingested measurement data and from in-memory
-simulations agree bit for bit.
+DECISIONS.md). A trace holds the t, u and i channels only, whether it is
+simulated or read from a file, so estimates from ingested measurement data
+and from in-memory simulations agree bit for bit.
 
 Reported uncertainties are 1-sigma ordinary least-squares standard errors
 from the residual scatter, propagated through 1/theta for Ld and Lq.

@@ -11,9 +11,9 @@ rotor is locked: no speed couples the axes. A batch starts at rest
 run on its own periodic steady state. A narrow record (a step response,
 an orbit) is one `_rk4` pass, one sample per step. An identification
 batch from rest (`_record`) integrates its injection periods side by side
-by parareal where that pays, else it too is one pass. A batch keeps its
-flux record only; a run's currents and voltages are computed when its
-trace is taken (`_Traces`), one run at a time.
+by parareal where that pays, else it too is one pass. A batch comes back
+as one record (`_Traces`): its `flux` is the motor's state, and a run's
+trace, built when taken, holds only the channels a sensor records.
 
 `_rk4` has two implementations of the same arithmetic, chosen by the batch
 width. A numpy step costs the dispatch of its ~60 array calls, about the
@@ -103,11 +103,9 @@ class SimConfig:
 
 @dataclasses.dataclass(frozen=True)
 class Trace:
-    """Uniformly sampled record of one run.
-
-    Voltages are the impressed values, currents may carry measurement noise,
-    flux channels are the noise-free internal state (None for a trace read
-    from a file, since measurement data has no flux channel).
+    """Uniformly sampled record of one run: the five channels of a trace
+    file (`_CSV_HEADER`). Voltages are the impressed values, currents may
+    carry measurement noise.
     """
 
     t: np.ndarray
@@ -115,17 +113,11 @@ class Trace:
     u_q: np.ndarray
     i_d: np.ndarray
     i_q: np.ndarray
-    phi_d: np.ndarray | None = None
-    phi_q: np.ndarray | None = None
 
     def __post_init__(self) -> None:
         n = len(self.t)
         for name in ("u_d", "u_q", "i_d", "i_q"):
             if len(getattr(self, name)) != n:
-                raise ValueError(f"channel {name} length mismatch")
-        for name in ("phi_d", "phi_q"):
-            ch = getattr(self, name)
-            if ch is not None and len(ch) != n:
                 raise ValueError(f"channel {name} length mismatch")
         if n >= 2:
             steps = np.diff(self.t)
@@ -140,9 +132,7 @@ class Trace:
         return float(self.t[1] - self.t[0])
 
     def with_noise(self, amp: float, seed: int) -> "Trace":
-        """Copy with fresh uniform noise in [-amp, +amp] on the currents;
-        the flux channels are internal state, not a measurement, and stay
-        as they are."""
+        """Copy with fresh uniform noise in [-amp, +amp] on the currents."""
         if amp < 0:
             raise ValueError(f"noise amplitude must be >= 0, got {amp}")
         if amp == 0.0:
@@ -155,15 +145,14 @@ class Trace:
         )
 
     def to_csv(self, path) -> None:
-        """Write the five measured channels, `t,u_d,u_q,i_d,i_q`; the flux
-        is internal state, which no measurement has."""
+        """Write the five channels, `t,u_d,u_q,i_d,i_q`."""
         _write_columns(path, ",".join(_CSV_HEADER), *(getattr(self, name) for name in _CSV_HEADER))
 
     @staticmethod
     def from_csv(path) -> "Trace":
-        """Read the five measured channels by header name; any other column
-        is ignored, so the flux is None. A header name may have spaces
-        around it, and comment (`#`) and blank lines may come before the
+        """Read the five channels by header name, ignoring any other column.
+        A header name may have spaces around it, a `#` ends the header as it
+        ends a data row, and comment and blank lines may come before the
         header. Every data row must hold one value per header name.
 
         The file is one numpy parse of all its columns, which refuses a row
@@ -175,7 +164,7 @@ class Trace:
             line = fh.readline()
             while line and (not line.strip() or line.lstrip().startswith("#")):
                 line = fh.readline()
-            header = [name.strip() for name in line.split(",")]
+            header = [name.strip() for name in line.partition("#")[0].split(",")]
             text = fh.read()
         for name in _CSV_HEADER:
             if header.count(name) != 1:
@@ -406,12 +395,12 @@ def _sampled(rows: np.ndarray, R: np.ndarray, dt: float, X0: np.ndarray, u_bar: 
 
 
 class _Traces(collections.abc.Sequence):
-    """The Trace of each lane j of the flux record phi (2, n, steps + 1),
-    sampled every dt from t = 0, of lanes with coefficient rows `rows` under
-    the drive u_bar + u_tilde * f0, built when it is taken: lane j's
-    currents and voltages are computed on each access, so no current or
-    voltage array of the whole batch exists. The channels are read-only,
-    the flux channels row views of the record, and all share one t."""
+    """The result of a batch: the Trace of each lane j of the flux record
+    phi (2, n, steps + 1), sampled every dt from t = 0, of lanes with
+    coefficient rows `rows` under the drive u_bar + u_tilde * f0, built when
+    it is taken: lane j's currents and voltages are computed on each access,
+    so no current or voltage array of the whole batch exists. The channels
+    are read-only and share one t; the flux stays on the record (`flux`)."""
 
     def __init__(self, rows: np.ndarray, dt: float, phi: np.ndarray, u_bar: np.ndarray, u_tilde: np.ndarray,
                  f0: np.ndarray) -> None:
@@ -419,6 +408,11 @@ class _Traces(collections.abc.Sequence):
         for a in (self._t, phi):
             a.flags.writeable = False
         self._rows, self._phi, self._u_bar, self._u_tilde, self._f0 = rows, phi, u_bar, u_tilde, f0
+
+    @property
+    def flux(self) -> np.ndarray:
+        """The noise-free flux (2, n, steps + 1) of every lane, read-only."""
+        return self._phi
 
     def __len__(self) -> int:
         return self._phi.shape[1]
@@ -432,7 +426,11 @@ class _Traces(collections.abc.Sequence):
         u = self._u_bar[:, j, None] + self._u_tilde[:, j, None] * self._f0
         for a in (i, u):
             a.flags.writeable = False
-        return Trace(t=self._t, u_d=u[0], u_q=u[1], i_d=i[0], i_q=i[1], phi_d=phi[0], phi_q=phi[1])
+        return Trace(t=self._t, u_d=u[0], u_q=u[1], i_d=i[0], i_q=i[1])
+
+
+_NO_RUNS = _Traces(  # the record of an empty batch
+    np.empty((5, 2, 0)), 1.0, np.empty((2, 0, 0)), np.empty((2, 0)), np.empty((2, 0)), np.empty(0))
 
 
 def _coarse_fits(p: MotorParams, coarse_dt: float) -> bool:
@@ -544,18 +542,18 @@ def _record(p: MotorParams, spec: InjectionSpec, dt: float, n_steps: int, u_bar:
     return _Traces(rows, dt, phi, u_bar, u_tilde, drive[0]), sweeps
 
 
-def simulate_batch(p: MotorParams, specs: Sequence[InjectionSpec], cfg: SimConfig) -> Sequence[Trace]:
-    """Noise-free traces of several runs from rest that share the waveform,
-    pulsation and config, one per spec in order.
+def simulate_batch(p: MotorParams, specs: Sequence[InjectionSpec], cfg: SimConfig) -> _Traces:
+    """The noise-free record of several runs from rest that share the
+    waveform, pulsation and config, one trace per spec in order.
 
     The runs advance as one vectorized state, and so do their injection
     periods (`_record`), which is what makes full identification sweeps
     affordable; per-run mean/ripple voltages are free to differ. The result
-    holds the batch's flux record only and builds a run's trace each time
-    it is taken (`_Traces`), so it may be iterated more than once.
+    holds the batch's flux record (`_Traces.flux`) only and builds a run's
+    trace each time it is taken, so it may be iterated more than once.
     """
     if not specs:
-        return []
+        return _NO_RUNS
     return _record(p, specs[0], cfg.dt, round(cfg.t_end / cfg.dt), *_stacked_drive(specs, cfg.dt))[0]
 
 
@@ -567,7 +565,7 @@ def simulate(p: MotorParams, spec: InjectionSpec, cfg: SimConfig) -> Trace:
 
 
 def simulate_averaged(motors: Sequence[MotorParams], u_bar: Sequence[tuple[float, float]],
-                      cfg: SimConfig) -> list[Trace]:
+                      cfg: SimConfig) -> _Traces:
     """Integrate the ripple-free averaged system dphi/dt = u_bar - R*i(phi)
     from rest, one lane per (motors[j], u_bar[j] = (u_bar_d, u_bar_q)) pair,
     all lanes in one `_rk4` pass. Each trajectory tends to the constant flux
@@ -576,12 +574,12 @@ def simulate_averaged(motors: Sequence[MotorParams], u_bar: Sequence[tuple[float
     if len(u_bar) != len(motors):
         raise ValueError("need one mean voltage pair per motor")
     if not motors:
-        return []
+        return _NO_RUNS
     n_steps = round(cfg.t_end / cfg.dt)
     u, zero = np.array(u_bar, dtype=float).T, np.zeros((2, len(motors)))
     rows, R = _lanes(motors)
     drive = np.zeros(n_steps + 1), np.zeros(n_steps), np.zeros(n_steps)
-    return list(_Traces(rows, cfg.dt, _sampled(rows, R, cfg.dt, zero, u, zero, drive), u, zero, drive[0]))
+    return _Traces(rows, cfg.dt, _sampled(rows, R, cfg.dt, zero, u, zero, drive), u, zero, drive[0])
 
 
 def _shooting_step(phi: np.ndarray, r: np.ndarray, J: np.ndarray) -> np.ndarray:
@@ -640,7 +638,7 @@ def _shoot(p: MotorParams, spec: InjectionSpec, dt: float, steps: int, u_bar: np
 
 
 def simulate_periodic(p: MotorParams, specs: Sequence[InjectionSpec], *,
-                      steps_per_period: int = 200) -> list[Trace]:
+                      steps_per_period: int = 200) -> _Traces:
     """Noise-free locked-rotor traces of `MIN_WHOLE_PERIODS` injection periods
     on the periodic steady state of each run; the runs share waveform and
     pulsation. Every period of an orbit is the same up to its residual, so
@@ -673,7 +671,7 @@ def simulate_periodic(p: MotorParams, specs: Sequence[InjectionSpec], *,
     one pass of `MIN_WHOLE_PERIODS` periods from phi0.
     """
     if not specs:
-        return []
+        return _NO_RUNS
     dt = specs[0].period / steps_per_period
     u_bar, u_tilde = _stacked_drive(specs, dt)
     n = len(specs)
@@ -698,4 +696,4 @@ def simulate_periodic(p: MotorParams, specs: Sequence[InjectionSpec], *,
     record[..., :steps_per_period] = first
     record[..., -1] = _rk4(rows, R, dt, end, u_bar, u_tilde, *(f[steps_per_period:] for f in drive),
                            record[..., steps_per_period:-1])
-    return list(_Traces(rows, dt, record, u_bar, u_tilde, drive[0]))
+    return _Traces(rows, dt, record, u_bar, u_tilde, drive[0])

@@ -36,7 +36,7 @@ from satpmsm.injection import InjectionSpec, Waveform
 from satpmsm.leastsq import RankDeficient
 from satpmsm.magnetics import MotorParams, _current_coefficients, _stacked_currents
 from satpmsm.ripple import RippleMeasurement, TooShort, Unresolved, extract_ripple, rebuild_flux
-from satpmsm.simulator import Trace
+from satpmsm.simulator import SimConfig, Trace, simulate_batch
 
 import oracles
 
@@ -56,6 +56,13 @@ def settled_ripples(motor, runs, periods):
     discard = oracles.default_discard(motor, runs[0].spec)
     traces = simulate_plan(motor, runs, measure_periods=round(discard / runs[0].spec.period) + periods)
     return [extract_ripple(tr, run.spec, discard) for tr, run in zip(traces, runs)]
+
+
+def plan_record(motor, runs, periods):
+    """The noise-free record, flux included, of the traces that
+    `simulate_plan(motor, runs, measure_periods=periods)` gives."""
+    period = runs[0].spec.period
+    return simulate_batch(motor, [r.spec for r in runs], SimConfig(dt=period / 200, t_end=periods * period))
 
 
 def scaled(p, eps):
@@ -413,16 +420,18 @@ class TestEndToEnd:
         for name in ("Ld", "Lq", "a30", "a12", "a40", "a22", "a04"):
             assert getattr(result.params, name) == pytest.approx(getattr(ipm, name), rel=1e-4), name
 
-    def test_reads_no_flux_channel(self, ipm):
-        # the flux is rebuilt from t, u and i alone: dropping the flux
-        # channels, as measured data has none, changes no bit of the result
+    def test_reads_no_flux_channel(self, ipm, tmp_path):
+        # the flux is rebuilt from t, u and i alone, all that a trace and its
+        # file hold: the traces read back from their files give the result
+        # of the traces in memory bit for bit
         plan = ipm_plan(id_grid=(-1.0, 0.5, 1.0), iq_grid=(-1.0, 0.5, 1.0))
         runs = plan_runs(plan, ipm.R)
         traces = list(simulate_plan(ipm, runs, measure_periods=10))
-        stripped = [dataclasses.replace(t, phi_d=None, phi_q=None) for t in traces]
-        full = identify(runs, oracles.in_memory(traces), ipm)
-        bare = identify(runs, oracles.in_memory(stripped), ipm)
-        assert full == bare
+        paths = [tmp_path / f"{k}.csv" for k in range(len(traces))]
+        for tr, path in zip(traces, paths):
+            tr.to_csv(path)
+        read = [Trace.from_csv(path) for path in paths]
+        assert identify(runs, oracles.in_memory(traces), ipm) == identify(runs, oracles.in_memory(read), ipm)
 
     def test_rebuilt_flux_matches_state(self, ipm):
         # the square-wave drive is held between its switching instants, so
@@ -431,9 +440,10 @@ class TestEndToEnd:
         # Wb here by the trapezoid rule)
         plan = ipm_plan(id_grid=(-1.0, 0.5, 1.0), iq_grid=(-1.0, 0.5, 1.0))
         runs = plan_runs(plan, ipm.R)
-        for run, tr in zip(runs, simulate_plan(ipm, runs, measure_periods=10)):
+        record = plan_record(ipm, runs, 10)
+        for j, (run, tr) in enumerate(zip(runs, record)):
             phi = rebuild_flux(tr, run.spec, ipm.R)
-            assert np.max(np.abs(phi - np.stack([tr.phi_d, tr.phi_q]))) <= 5e-6
+            assert np.max(np.abs(phi - record.flux[:, j])) <= 5e-6
 
     def test_regressor_rows_are_the_current_map(self):
         # the nine nonzero rows, written as the derivatives of their energy
@@ -469,14 +479,15 @@ class TestEndToEnd:
     def mixed_records(motor, make_trace):
         """The runs and traces of two plans at different pulsations,
         amplitudes and lengths, interleaved run by run; make_trace(run's
-        simulated trace) gives the trace recorded for it."""
+        simulated trace, its flux (2, samples)) gives the trace recorded
+        for it."""
         grids = dict(id_grid=(-1.0, 0.5, 1.0), iq_grid=(-1.0, 0.5, 1.0))
         mixed = []
         for plan, periods in ((ipm_plan(**grids), 10),
                               (ipm_plan(u_tilde=20.0, omega=2 * OMEGA, **grids), 16)):
             runs = plan_runs(plan, motor.R)
-            traces = simulate_plan(motor, runs, measure_periods=periods)
-            mixed.append(list(zip(runs, [make_trace(t) for t in traces])))
+            record = plan_record(motor, runs, periods)
+            mixed.append([(run, make_trace(tr, record.flux[:, j])) for j, (run, tr) in enumerate(zip(runs, record))])
         runs, traces = zip(*(pair[k % 2] for k, pair in enumerate(zip(*mixed))))
         assert {len(trace.t) for trace in traces} == {2001, 3201}
         return runs, traces
@@ -489,16 +500,14 @@ class TestEndToEnd:
         # obeys i = grad H(phi) whatever its drive, so the normal equations
         # summed run by run recover theta to rounding; a rebuilt flux off by
         # as little as half a sample would not
-        def exact(tr):
-            i_d, i_q = np.array([oracles.currents_oracle(ipm, a, b)
-                                 for a, b in zip(tr.phi_d, tr.phi_q)]).T
+        def exact(tr, phi):
+            i_d, i_q = np.array([oracles.currents_oracle(ipm, a, b) for a, b in zip(*phi)]).T
             h = np.diff(tr.t)
 
             def held_drive(phi, i):
                 return np.append(np.diff(phi) / h + ipm.R * 0.5 * (i[1:] + i[:-1]), 0.0)
 
-            return dataclasses.replace(tr, u_d=held_drive(tr.phi_d, i_d),
-                                       u_q=held_drive(tr.phi_q, i_q), i_d=i_d, i_q=i_q)
+            return dataclasses.replace(tr, u_d=held_drive(phi[0], i_d), u_q=held_drive(phi[1], i_q), i_d=i_d, i_q=i_q)
 
         runs, traces = self.mixed_records(ipm, exact)
         result = identify(runs, oracles.in_memory(traces), ipm)
@@ -508,7 +517,7 @@ class TestEndToEnd:
     def test_mixed_drives_simulated(self, ipm):
         # the same mixed runs as RK4 integrates them: only the integration
         # and trapezoid errors remain
-        runs, traces = self.mixed_records(ipm, lambda tr: tr)
+        runs, traces = self.mixed_records(ipm, lambda tr, phi: tr)
         result = identify(runs, oracles.in_memory(traces), ipm)
         for name in ("Ld", "Lq", "a30", "a12", "a40", "a22", "a04"):
             assert getattr(result.params, name) == pytest.approx(getattr(ipm, name), rel=1e-4), name

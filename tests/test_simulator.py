@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import re
 import warnings
@@ -164,12 +165,12 @@ class TestSymmetryAndDeterminism:
         spec = square_spec(u_bar_d=3.0, u_bar_q=2.0, u_tilde_d=8.0, u_tilde_q=5.0)
         mirrored = square_spec(u_bar_d=3.0, u_bar_q=-2.0, u_tilde_d=8.0, u_tilde_q=-5.0)
         cfg = SimConfig(dt=spec.period / 200, t_end=0.02)
-        tr = simulate(ipm, spec, cfg)
-        tr_m = simulate(ipm, mirrored, cfg)
+        run, run_m = simulate_batch(ipm, [spec], cfg), simulate_batch(ipm, [mirrored], cfg)
+        (tr,), (tr_m,) = run, run_m
         assert np.array_equal(tr.i_d, tr_m.i_d)
         assert np.array_equal(tr.i_q, -tr_m.i_q)
-        assert np.array_equal(tr.phi_q, -tr_m.phi_q)
-        assert np.array_equal(tr.phi_d, tr_m.phi_d)
+        assert np.array_equal(run.flux[1], -run_m.flux[1])
+        assert np.array_equal(run.flux[0], run_m.flux[0])
 
     def test_same_seed_reproduces(self, ipm):
         spec = square_spec(u_tilde_d=20.0)
@@ -177,8 +178,9 @@ class TestSymmetryAndDeterminism:
         a, b, c = (clean.with_noise(0.01, seed) for seed in (42, 42, 43))
         assert np.array_equal(a.i_d, b.i_d)
         assert not np.array_equal(a.i_d, c.i_d)
-        # noise never touches the state channels
-        assert np.array_equal(a.phi_d, c.phi_d)
+        # noise never touches the voltages or the time axis
+        for name in ("t", "u_d", "u_q"):
+            assert np.array_equal(getattr(a, name), getattr(clean, name)), name
 
     def test_with_noise_refuses_negative_amplitude(self, ipm):
         spec = square_spec(u_tilde_d=20.0)
@@ -198,15 +200,15 @@ class TestSymmetryAndDeterminism:
             assert np.array_equal(b.i_q, a.i_q)
         # the averaged system mixes motors per lane: saturated, linear and a
         # different-R lane in one batch match each lane run alone
-        import dataclasses
         lanes = [(ipm, (10.0, 5.0)), (ipm.without_saturation(), (10.0, 5.0)),
                  (dataclasses.replace(ipm, R=2 * ipm.R), (-8.0, 3.0))]
         cfg = SimConfig(dt=1e-5, t_end=0.01)
         batch = simulate_averaged([p for p, _ in lanes], [u for _, u in lanes], cfg)
-        for b, (p, u) in zip(batch, lanes):
-            a, = simulate_averaged([p], [u], cfg)
-            for name in ("t", "u_d", "u_q", "i_d", "i_q", "phi_d", "phi_q"):
-                assert np.array_equal(getattr(b, name), getattr(a, name)), name
+        for j, (b, (p, u)) in enumerate(zip(batch, lanes)):
+            alone = simulate_averaged([p], [u], cfg)
+            for name in ("t", "u_d", "u_q", "i_d", "i_q"):
+                assert np.array_equal(getattr(b, name), getattr(alone[0], name)), name
+            assert np.array_equal(batch.flux[:, j], alone.flux[:, 0])
 
     def test_batch_requires_common_omega(self, ipm):
         s1 = square_spec(u_tilde_d=10.0, omega=OMEGA_500)
@@ -214,6 +216,11 @@ class TestSymmetryAndDeterminism:
         cfg = SimConfig(dt=s1.period / 200, t_end=0.01)
         with pytest.raises(ValueError):
             simulate_batch(ipm, [s1, s2], cfg)
+
+    def test_no_runs_is_an_empty_record(self, ipm):
+        cfg = SimConfig(dt=1e-5, t_end=0.01)
+        for record in (simulate_batch(ipm, [], cfg), simulate_averaged([], [], cfg), simulate_periodic(ipm, [])):
+            assert len(record) == 0 and record.flux.shape[:2] == (2, 0)
 
 
 def sequential_currents(p, specs, cfg):
@@ -240,8 +247,7 @@ def from_rest(p, spec, dt, n_steps, u_bar, u_tilde):
     of motor p from rest under spec's waveform, and its number of fine
     sweeps."""
     traces, sweeps = simulator._record(p, spec, dt, n_steps, u_bar, u_tilde)
-    phi = np.array([[tr.phi_d for tr in traces], [tr.phi_q for tr in traces]])
-    return (phi, batch_currents(traces)), sweeps
+    return (traces.flux, batch_currents(traces)), sweeps
 
 
 def batch_currents(traces):
@@ -426,10 +432,10 @@ class TestAveragingOrder:
             tau_el = 7.0 * max(ipm.Ld, ipm.Lq) / ipm.R
             n_settle = int(np.ceil(tau_el / spec.period)) + 40
             cfg = SimConfig(dt=dt, t_end=(n_settle + 1) * spec.period)
-            tr = simulate(ipm, spec, cfg)
+            run = simulate_batch(ipm, [spec], cfg)
             sl = slice(-201, None)
-            model = (30.0 / omega) * F_array(spec.waveform, omega * tr.t[sl])
-            return float(np.max(np.abs(tr.phi_d[sl] - model)))
+            model = (30.0 / omega) * F_array(spec.waveform, omega * run[0].t[sl])
+            return float(np.max(np.abs(run.flux[0, 0, sl] - model)))
 
         gaps = [flux_gap(OMEGA_500 * 2**k) for k in range(3)]
         assert 3.0 <= gaps[0] / gaps[1] <= 5.0
@@ -453,9 +459,10 @@ class TestNumericalQuality:
         for p, i_bar in ((ipm, (1.5, -1.0)), (spm, (4.0, 2.0))):
             u = (p.R * i_bar[0], p.R * i_bar[1])
             t_end = 6.0 * max(p.Ld, p.Lq) / p.R
-            tr, = simulate_averaged([p], [u], SimConfig(dt=t_end / 2000, t_end=t_end))
-            V = np.array([energy(p, FluxLinkage(float(a), float(b))) for a, b in zip(tr.phi_d, tr.phi_q)])
-            V -= (tr.phi_d * u[0] + tr.phi_q * u[1]) / p.R
+            run = simulate_averaged([p], [u], SimConfig(dt=t_end / 2000, t_end=t_end))
+            (tr,), (phi_d, phi_q) = run, run.flux[:, 0]
+            V = np.array([energy(p, FluxLinkage(float(a), float(b))) for a, b in zip(phi_d, phi_q)])
+            V -= (phi_d * u[0] + phi_q * u[1]) / p.R
             live = np.hypot(tr.i_d - i_bar[0], tr.i_q - i_bar[1]) > 1e-5
             assert live[:-1].any()
             assert np.all(np.diff(V)[live[:-1]] < 0)
@@ -496,22 +503,21 @@ class TestSampledWaveformPath:
 class TestAveragedSystem:
     def test_zero_input_stays_at_zero(self, ipm):
         cfg = SimConfig(dt=1e-5, t_end=0.01)
-        tr, = simulate_averaged([ipm], [(0.0, 0.0)], cfg)
-        assert np.all(tr.phi_d == 0.0) and np.all(tr.phi_q == 0.0)
+        assert np.all(simulate_averaged([ipm], [(0.0, 0.0)], cfg).flux == 0.0)
 
     def test_linear_steady_state(self):
         # pure exponential settling: 16 time constants for the 1e-6 margin
         p = MotorParams(R=10.0, Ld=0.1, Lq=0.05)
         cfg = SimConfig(dt=1e-5, t_end=16 * p.Ld / p.R)
-        tr, = simulate_averaged([p], [(5.0, 0.0)], cfg)
-        assert tr.phi_d[-1] == pytest.approx(p.Ld * 0.5, abs=1e-6)
+        phi = simulate_averaged([p], [(5.0, 0.0)], cfg).flux
+        assert phi[0, 0, -1] == pytest.approx(p.Ld * 0.5, abs=1e-6)
 
     def test_saturated_steady_state_vs_exact_inversion(self, ipm):
         cfg = SimConfig(dt=1e-5, t_end=10 * ipm.Ld / ipm.R)
-        tr, = simulate_averaged([ipm], [(12.15 * 1.0, 0.0)], cfg)
+        phi = simulate_averaged([ipm], [(12.15 * 1.0, 0.0)], cfg).flux
         want = flux_from_currents_exact(ipm, Currents(1.0, 0.0), tol=1e-12)
-        assert abs(tr.phi_d[-1] - want.phi_d) <= 1e-6
-        assert abs(tr.phi_q[-1] - want.phi_q) <= 1e-6
+        assert abs(phi[0, 0, -1] - want.phi_d) <= 1e-6
+        assert abs(phi[1, 0, -1] - want.phi_q) <= 1e-6
 
 
 def sequential_averaged(motors, u_bar, cfg):
@@ -549,15 +555,15 @@ class TestChunkedAveraged:
         # four motors of three shortest time constants (ipm and its linear
         # twin share one): every lane of the mixed batch is bit for bit the
         # lane run alone, in input order, and the sequential reference
-        import dataclasses
         lanes = [(spm, (53.5, 0.0)), (ipm, (24.3, 0.0)), (dataclasses.replace(ipm, R=2 * ipm.R), (-8.0, 3.0)),
                  (ipm.without_saturation(), (24.3, 0.0))]
         cfg = SimConfig(dt=4e-5, t_end=0.12)
         batch = simulate_averaged([p for p, _ in lanes], [u for _, u in lanes], cfg)
-        for b, (p, u) in zip(batch, lanes):
-            a, = simulate_averaged([p], [u], cfg)
-            for name in ("t", "u_d", "u_q", "i_d", "i_q", "phi_d", "phi_q"):
-                assert np.array_equal(getattr(b, name), getattr(a, name)), name
+        for j, (b, (p, u)) in enumerate(zip(batch, lanes)):
+            alone = simulate_averaged([p], [u], cfg)
+            for name in ("t", "u_d", "u_q", "i_d", "i_q"):
+                assert np.array_equal(getattr(b, name), getattr(alone[0], name)), name
+            assert np.array_equal(batch.flux[:, j], alone.flux[:, 0])
         want = sequential_averaged([p for p, _ in lanes], [u for _, u in lanes], cfg)
         assert np.array_equal(batch_currents(batch), want)
 
@@ -577,13 +583,14 @@ class TestOrbitRecord:
         u_bar, u_tilde = simulator._stacked_drive(specs, specs[0].period / 200)
         rows, R = simulator._lanes([spm] * len(specs))
         phi = np.empty((2, len(specs), 401))
-        phi[..., 0] = [[tr.phi_d[0] for tr in traces], [tr.phi_q[0] for tr in traces]]
+        phi[..., 0] = traces.flux[..., 0]
         phi[..., -1] = simulator._rk4(rows, R, specs[0].period / 200, phi[..., 0], u_bar, u_tilde,
                                       *simulator._waveform_arrays(specs[0], specs[0].period / 200, 400),
                                       phi[..., :-1])
         i = _stacked_currents(rows[..., None], phi)
+        assert traces.flux.tobytes() == phi.tobytes()
         for j, tr in enumerate(traces):
-            for got, want in ((tr.phi_d, phi[0, j]), (tr.phi_q, phi[1, j]), (tr.i_d, i[0, j]), (tr.i_q, i[1, j])):
+            for got, want in ((tr.i_d, i[0, j]), (tr.i_q, i[1, j])):
                 assert got.tobytes() == want.tobytes()
 
 
@@ -611,30 +618,34 @@ class TestCoarseFirstShooting:
         alone = []
         for spec in specs:
             rk4_calls.clear()
-            alone.append(simulate_periodic(ipm, [spec])[0])
+            alone.append(simulate_periodic(ipm, [spec]))
             coarse = sum(steps == simulator._PARAREAL_COARSE_STEPS for steps, _ in rk4_calls)
             assert (coarse == simulator._SHOOT_MAX_ITER) == (spec is specs[1])
-        for a, b in zip(alone, simulate_periodic(ipm, specs)):
-            for name in ("t", "u_d", "u_q", "i_d", "i_q", "phi_d", "phi_q"):
-                assert getattr(a, name).tobytes() == getattr(b, name).tobytes(), name
+        batch = simulate_periodic(ipm, specs)
+        for j, (a, b) in enumerate(zip(alone, batch)):
+            for name in ("t", "u_d", "u_q", "i_d", "i_q"):
+                assert getattr(a[0], name).tobytes() == getattr(b, name).tobytes(), name
+            assert a.flux[:, 0].tobytes() == batch.flux[:, j].tobytes()
         # the fine orbit is the periodic steady state all the same
-        for tr in alone:
-            assert abs(tr.phi_d[200] - tr.phi_d[0]) <= 1e-12 and abs(tr.phi_q[200] - tr.phi_q[0]) <= 1e-12
+        for a in alone:
+            assert np.all(np.abs(a.flux[:, 0, 200] - a.flux[:, 0, 0]) <= 1e-12)
 
 
 class TestTraceCsv:
+    def test_fields_are_the_file_columns(self):
+        # a trace holds what a trace file holds, and nothing else
+        assert [f.name for f in dataclasses.fields(Trace)] == list(simulator._CSV_HEADER)
+
     def test_round_trip_bitwise(self, ipm, tmp_path):
-        # the five measured channels come back bit for bit; the flux, which
-        # no measurement has, is not written
+        # every channel of a trace comes back bit for bit
         spec = square_spec(u_bar_d=2.0, u_tilde_d=25.0)
         cfg = SimConfig(dt=spec.period / 200, t_end=0.01)
         tr = simulate(ipm, spec, cfg).with_noise(0.01, 7)
         path = tmp_path / "run.csv"
         tr.to_csv(path)
         back = Trace.from_csv(path)
-        for name in ("t", "u_d", "u_q", "i_d", "i_q"):
-            assert np.array_equal(getattr(tr, name), getattr(back, name)), name
-        assert back.phi_d is None and back.phi_q is None
+        for field in dataclasses.fields(Trace):
+            assert np.array_equal(getattr(tr, field.name), getattr(back, field.name)), field.name
 
     def test_header(self, ipm, tmp_path):
         spec = square_spec(u_tilde_d=25.0)
@@ -654,7 +665,6 @@ class TestTraceCsv:
                 ("0.001", "1", "0", "0.6", "0"),
                 ("0.002", "1", "0", "0.7", "0"))) + "\n")
             tr = Trace.from_csv(path)
-            assert tr.phi_d is None and tr.phi_q is None
             assert len(tr.t) == 3 and np.array_equal(tr.i_d, [0.5, 0.6, 0.7])
 
     @pytest.mark.parametrize("header", ["t,u_d,u_q,i_d,i_q,phi_d,phi_q", "phi_q,i_q,t,phi_d,u_q,i_d,u_d"])
@@ -662,13 +672,14 @@ class TestTraceCsv:
         # a file that also holds the flux, in any column order, reads to the
         # same five channels by header name; the extra columns are ignored
         spec = square_spec(u_bar_d=2.0, u_tilde_d=25.0)
-        tr = simulate(ipm, spec, SimConfig(dt=spec.period / 200, t_end=0.005)).with_noise(0.01, 7)
+        run = simulate_batch(ipm, [spec], SimConfig(dt=spec.period / 200, t_end=0.005))
+        tr = run[0].with_noise(0.01, 7)
+        columns = dict(vars(tr), phi_d=run.flux[0, 0], phi_q=run.flux[1, 0])
         path = tmp_path / "run.csv"
-        simulator._write_columns(path, header, *(getattr(tr, name) for name in header.split(",")))
+        simulator._write_columns(path, header, *(columns[name] for name in header.split(",")))
         back = Trace.from_csv(path)
         for name in ("t", "u_d", "u_q", "i_d", "i_q"):
             assert np.array_equal(getattr(tr, name), getattr(back, name)), name
-        assert back.phi_d is None and back.phi_q is None
 
     def test_unread_column_not_checked(self, tmp_path):
         # only the five channels are checked, so a column the estimator never
@@ -760,25 +771,28 @@ class TestTraceCsv:
                         "0.001,1,0,0.6,0 # a, b\n")
         assert np.array_equal(Trace.from_csv(path).i_d, [0.5, 0.6])
 
-    @pytest.mark.parametrize("preamble", ["# logger v2, 20 degC\n", "\n# logger v2, 20 degC\n  # a, b\n\n"],
-                             ids=["comment", "comments_and_blanks"])
-    def test_lines_before_the_header_skipped(self, tmp_path, preamble):
+    @pytest.mark.parametrize("preamble, header", [
+        ("# logger v2, 20 degC\n", "t,u_d,u_q,i_d,i_q"),
+        ("\n# logger v2, 20 degC\n  # a, b\n\n", "t,u_d,u_q,i_d,i_q"),
+        ("", "t,u_d,u_q,i_d,i_q # SI units, 20 degC"),
+    ], ids=["comment", "comments_and_blanks", "comment_on_the_header"])
+    def test_lines_before_the_header_skipped(self, tmp_path, preamble, header):
         # a logger's comment line first, blank lines around it: the header
-        # is the first other line, and data rows still count from 1 after it
+        # is the first other line, and data rows still count from 1 after it;
+        # a `#` ends the header's names as it ends a data row's values
         path = tmp_path / "logger.csv"
         rows = [f"{k * 0.001:g},1,0,{0.5 + k / 10:g},0" for k in range(6)]
-        path.write_text(preamble + "t,u_d,u_q,i_d,i_q\n" + "\n".join(rows) + "\n")
+        path.write_text(preamble + header + "\n" + "\n".join(rows) + "\n")
         assert np.array_equal(Trace.from_csv(path).i_d, [0.5, 0.6, 0.7, 0.8, 0.9, 1.0])
         rows[4] = "0.004,1,0,abc,0"
-        path.write_text(preamble + "t,u_d,u_q,i_d,i_q\n" + "\n".join(rows) + "\n")
+        path.write_text(preamble + header + "\n" + "\n".join(rows) + "\n")
         with pytest.raises(ValueError, match=re.escape(
                 f"trace CSV {path}: data row 5, column i_d: could not convert string 'abc'")):
             Trace.from_csv(path)
 
     def test_written_bytes(self, tmp_path):
         tr = Trace(t=np.array([0.0, 1e-5]), u_d=np.array([30.0, -30.0]), u_q=np.array([0.0, -0.0]),
-                   i_d=np.array([0.0, 0.1 + 0.2]), i_q=np.array([1e-300, 2.5e17]),
-                   phi_d=np.array([0.0, 1 / 3]), phi_q=np.array([-1.5, 7.0]))
+                   i_d=np.array([0.0, 0.1 + 0.2]), i_q=np.array([1e-300, 2.5e17]))
         path = tmp_path / "run.csv"
         tr.to_csv(path)
         assert path.read_bytes() == (

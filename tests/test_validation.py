@@ -17,8 +17,9 @@ from satpmsm.magnetics import (
 )
 from satpmsm.ripple import extract_ripple
 from satpmsm.simulator import (MIN_WHOLE_PERIODS, SimConfig, Trace, simulate, simulate_averaged,
-                               simulate_periodic)
+                               simulate_batch, simulate_periodic)
 from satpmsm.validation import (
+    _STEP_SAMPLES,
     AngleSweepResult,
     FluxIntegrationResult,
     MagnetizationCurves,
@@ -118,10 +119,9 @@ class TestAngleSweep:
         assert np.all(np.abs(r.simulated_q - ref_q) <= 1e-6 * np.abs(ref_q) + 1e-12)
         # the measured window starts on a periodic orbit: one period returns
         # the flux to its start
-        for tr in simulate_periodic(p, specs):
-            assert len(tr.t) == MIN_WHOLE_PERIODS * 200 + 1
-            assert abs(tr.phi_d[200] - tr.phi_d[0]) <= 1e-12
-            assert abs(tr.phi_q[200] - tr.phi_q[0]) <= 1e-12
+        phi = simulate_periodic(p, specs).flux
+        assert phi.shape == (2, len(specs), MIN_WHOLE_PERIODS * 200 + 1)
+        assert np.all(np.abs(phi[..., 200] - phi[..., 0]) <= 1e-12)
 
     @pytest.mark.parametrize("name", ["ipm", "spm"])
     def test_fixture_sweeps_shoot_on_the_coarse_map_first(self, name, rk4_calls):
@@ -186,9 +186,14 @@ class TestStepResponse:
         # both voltages in one batch give bit for bit the single-voltage runs
         for r, a in zip(step_response(ipm, volts, 0.05), alone):
             for field in ("saturated", "linear"):
-                for name in ("t", "u_d", "i_d", "i_q", "phi_d", "phi_q"):
+                for name in ("t", "u_d", "i_d", "i_q"):
                     assert np.array_equal(getattr(getattr(r, field), name),
                                           getattr(getattr(a, field), name)), (field, name)
+        # and so does the flux of the batch they are taken from
+        cfg, motors = SimConfig(dt=0.05 / _STEP_SAMPLES, t_end=0.05), [ipm] * 2 + [ipm.without_saturation()] * 2
+        batch = simulate_averaged(motors, [(u, 0.0) for u in volts * 2], cfg)
+        for j, (p, u) in enumerate(zip(motors, volts * 2)):
+            assert np.array_equal(batch.flux[:, j], simulate_averaged([p], [(u, 0.0)], cfg).flux[:, 0])
         # the harshest shipped step (SPM, R times the 8 A sweep limit over
         # 12 time constants) is resolved on its sample grid: a 50x finer
         # integration moves no sample by more than 1e-8 of the peak
@@ -226,17 +231,17 @@ class TestFluxIntegration:
         # smooth (sine) drive so the sampled integrand has no jumps
         spec = InjectionSpec(6.0, 0.0, 20.0, 0.0, OMEGA, Waveform.sine())
         cfg = SimConfig(dt=spec.period / 400, t_end=0.08)
-        tr = simulate(ipm, spec, cfg)
-        r = flux_by_integration(tr, ipm)
-        assert float(np.max(np.abs(r.phi_d_integrated - tr.phi_d))) < 1e-6
+        run = simulate_batch(ipm, [spec], cfg)
+        r = flux_by_integration(run[0], ipm)
+        assert float(np.max(np.abs(r.phi_d_integrated - run.flux[0, 0]))) < 1e-6
 
     def test_model_column_matches_state(self, ipm):
         spec = InjectionSpec(6.0, 0.0, 20.0, 0.0, OMEGA, Waveform.sine())
         cfg = SimConfig(dt=spec.period / 400, t_end=0.02)
-        tr = simulate(ipm, spec, cfg)
-        r = flux_by_integration(tr, ipm)
+        run = simulate_batch(ipm, [spec], cfg)
+        r = flux_by_integration(run[0], ipm)
         # exact inversion of noise-free currents recovers the true state flux
-        assert float(np.max(np.abs(r.phi_d_model - tr.phi_d))) < 1e-9
+        assert float(np.max(np.abs(r.phi_d_model - run.flux[0, 0]))) < 1e-9
 
     def test_model_column_past_the_fold(self, spm):
         # the harshest shipped SPM step (R times the 8 A sweep limit over 12
@@ -244,9 +249,10 @@ class TestFluxIntegration:
         # `flux_from_currents_exact` lands at -0.67 Wb, past the fold of the
         # d-axis curve at -0.27 Wb, and its line search stalls; seeded at the
         # integrated flux, the model column follows the state
-        r, = step_response(spm, [spm.R * 8.0], 12.0 * spm.Ld / spm.R)
-        flux = flux_by_integration(r.saturated, spm)
-        assert float(np.max(np.abs(flux.phi_d_model - r.saturated.phi_d))) <= 1e-9
+        u, t_end = spm.R * 8.0, 12.0 * spm.Ld / spm.R
+        step = simulate_averaged([spm], [(u, 0.0)], SimConfig(dt=t_end / _STEP_SAMPLES, t_end=t_end))
+        flux = flux_by_integration(step[0], spm)
+        assert float(np.max(np.abs(flux.phi_d_model - step.flux[0, 0]))) <= 1e-9
 
     def test_noise_drift_within_worst_case_bound(self, ipm):
         spec = InjectionSpec(6.0, 0.0, 20.0, 0.0, OMEGA, Waveform.sine())
