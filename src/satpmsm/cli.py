@@ -9,8 +9,8 @@ simulate writes one trace CSV per planned run plus a manifest; estimate runs
 the identification either on ingested traces (--ingest, or a manifest left by
 a previous simulate) or fully in memory; validate and curves emit plot-data
 CSVs. simulate and estimate split the plan's runs over one process per
-usable CPU, at most two, where `os.fork` exists, with the same bytes out as
-one process.
+usable CPU, at most two, forked by multiprocessing where the platform can
+fork, with the same bytes out as one process.
 Exit codes: 0 success, 1 configuration error, 2 numerical failure.
 """
 
@@ -21,7 +21,7 @@ import dataclasses
 import sys
 from pathlib import Path
 
-from .config import ProjectConfig, load_config
+from .config import ProjectConfig, load_config, step_files
 from .estimator import (
     ZeroRipple,
     NotAtRest,
@@ -104,11 +104,9 @@ def cmd_validate(config: ProjectConfig) -> int:
     print(f"wrote {sweep_path}")
 
     for u_step, r in zip(config.step_volts, step_response(config.motor, config.step_volts, config.step_t_end)):
-        step_path = config.out_dir / f"step_response_{u_step:+.2f}V.csv"
+        step_path, flux_path = (config.out_dir / name for name in step_files(u_step))
         r.write_csv(step_path)
-        flux = flux_by_integration(r.saturated, config.motor)
-        flux_path = config.out_dir / f"flux_integration_{u_step:+.2f}V.csv"
-        flux.write_csv(flux_path)
+        flux_by_integration(r.saturated, config.motor).write_csv(flux_path)
         print(f"wrote {step_path}")
         print(f"wrote {flux_path}")
     return EXIT_OK
@@ -123,6 +121,13 @@ def cmd_curves(config: ProjectConfig) -> int:
     print(f"wrote {path_d}")
     print(f"wrote {path_q}")
     return EXIT_OK
+
+
+def _seed(text: str) -> int:
+    """The type of --seed: numpy seeds its generators with non-negative integers only."""
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+    return int(text)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -140,7 +145,7 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--config", required=True, help="project config file")
         sp.add_argument("--out", help="output directory (overrides [paths] out_dir)")
         if needs_seed:
-            sp.add_argument("--seed", type=int, default=0, help="noise seed")
+            sp.add_argument("--seed", type=_seed, default=0, help="noise seed (a non-negative integer)")
         if needs_ingest:
             sp.add_argument("--ingest", help="run manifest of externally recorded traces")
     return parser

@@ -31,6 +31,13 @@ def symmetric_grid(limit: float, step: float) -> tuple[float, ...]:
     return tuple(sorted([-v for v in values] + values))
 
 
+def step_files(u_step: float) -> tuple[str, str]:
+    """The names of the step response and the integrated flux files that
+    `validate` writes for a d-axis step of u_step volts."""
+    label = f"{u_step:+.2f}V"
+    return f"step_response_{label}.csv", f"flux_integration_{label}.csv"
+
+
 def _parse_grid(body: dict[str, str], axis: str, where: str) -> tuple[float, ...]:
     key_list = f"{axis}_grid_A"
     key_max = f"{axis}_max_A"
@@ -151,6 +158,11 @@ def load_config(path) -> ProjectConfig:
         step_volts = get_floats(va, "step_volts_V", where)
     else:
         step_volts = (0.25 * motor.R * max_bias, motor.R * max_bias)
+    names = [step_files(u_step)[0] for u_step in step_volts]
+    for j, name in enumerate(names):
+        if name in names[:j]:
+            raise ConfigError(f"{where}: step_volts_V {step_volts[names.index(name)]!r} and "
+                              f"{step_volts[j]!r} both write {name}")
     sweep = checked(where, SweepSpec, angle_deg=get_float(va, "angle_deg", where) if "angle_deg" in va else 60.0,
                     magnitudes=mag_grid, omega=plan.omega, waveform=plan.waveform, u_tilde=plan.u_tilde,
                     inject_axis=va.get("inject_axis", "d"))

@@ -31,11 +31,12 @@ from the residual scatter, propagated through 1/theta for Ld and Lq.
 
 The normal equations are a sum over runs, so `identify` has each run
 simulated, read or taken from memory, checked and reduced to its terms in
-one forked worker per usable CPU, at most two (`_in_slices`), and sums the
-terms in run order: the result is bit for bit that of one process. A
-worker takes its runs one at a time: a simulated slice holds its flux
-record in full (`simulate_plan`), but each run's currents, voltages, noise
-and regressors exist only while that run is reduced.
+one worker per usable CPU, at most two, forked by multiprocessing
+(`_in_slices`), and sums the terms in run order: the result is bit for bit
+that of one process. A worker takes its runs one at a time: a simulated
+slice holds its flux record in full (`simulate_plan`), but each run's
+currents, voltages, noise and regressors exist only while that run is
+reduced.
 
 `estimate_L`, `estimate_d_axis` and `estimate_cross` keep the paper's
 first-order split: inductances from (a), then regressions of the settled
@@ -51,9 +52,8 @@ import dataclasses
 import itertools
 import math
 import os
-import pickle
 import threading
-from typing import Callable, Iterable, Iterator, NamedTuple, NoReturn, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -422,10 +422,10 @@ def identify(runs: Sequence[PlanRun], load: Callable[[int, int], Iterable[Trace]
     through from `nominal`.
 
     The runs are cut into contiguous slices (`_in_slices`: one worker per
-    usable CPU, at most two, all in this process where `os.fork` is missing
-    or other threads run), each worker loads, checks and reduces its own,
-    and no trace leaves it. The terms are summed in run order, so the result
-    is bit for bit that of one process.
+    usable CPU, at most two, all in this process where the platform cannot
+    fork, other threads run or this process is daemonic), each worker loads,
+    checks and reduces its own, and no trace leaves it. The terms are summed
+    in run order, so the result is bit for bit that of one process.
     """
     if names is None:
         names = [f"run {k} ({run.role}, {run.i_target:+.3f} A)" for k, run in enumerate(runs)]
@@ -485,7 +485,8 @@ def write_simulated(motor: MotorParams, runs: Sequence[PlanRun], paths: Sequence
 # BENCH_19.json measured two workers on a two-CPU host: identify 0.49 ->
 # 0.34 s. Each worker holds its slice's flux record and one run at a time;
 # `estimate` on the SPM fixture at 10 mA peaks at 43 MB in the parent and
-# 38 MB in the child (BENCH_24.json). Every worker repeats its plan's 24
+# 38 MB in the child (BENCH_24.json); multiprocessing's modules add about
+# 0.7 MB to the parent (BENCH_28.json). Every worker repeats its plan's 24
 # coarse parareal calls (P - 1 at 25 periods, 3n lanes wide) and holds its
 # own memory, so more workers are unmeasured and may cost more than they
 # save.
@@ -505,75 +506,68 @@ def _worker_count(n: int) -> int:
 def _in_slices(fn: Callable[[int, int], object], n: int) -> list:
     """fn(lo, hi) over range(n) cut into `_worker_count(n)` contiguous
     slices of near-equal length, in slice order: every slice but the last
-    in a child made by `os.fork`, the last in this process.
+    in a child that `multiprocessing` forks for it, the last in this process.
 
-    Each child pickles (ok, value or exception) down its own pipe and leaves
-    by `os._exit`, so it runs no exit handler and flushes none of this
-    process's buffers. The first exception in slice order is raised here as
-    it was raised; a child that leaves no result raises RuntimeError with
-    its exit status. On every exit path all pipes are closed before every
-    child is reaped, so no child outlives the call and one blocked on a
-    full pipe cannot hang it. Where `os.fork` is missing, or other threads
-    run (a fork copies only the calling thread), all slices run here.
+    The first exception in slice order is raised here as it was raised; a
+    child that leaves no result raises RuntimeError with its exit status.
+    On every exit path all pipes are closed before every child is joined,
+    so no child outlives the call and one blocked on a full pipe cannot
+    hang it. Where the platform cannot fork, other threads run (a fork
+    copies only the calling thread) or this process is daemonic (it may
+    have no children), all slices run here.
     """
     k = _worker_count(n)
     bounds = [n * j // k for j in range(k + 1)]
     parts = list(zip(bounds[:-1], bounds[1:]))
     if k < 2 or not hasattr(os, "fork") or threading.active_count() > 1:
         return [fn(lo, hi) for lo, hi in parts]
-    pids, fds = [], []
+    import multiprocessing  # here, so that importing the package does not pay for it
+    if multiprocessing.current_process().daemon:
+        return [fn(lo, hi) for lo, hi in parts]
+    fork = multiprocessing.get_context("fork")
+    readers, children = [], []
     try:
         for part in parts[:-1]:
-            r, w = os.pipe()
-            fds.append(r)
-            try:
-                pid = os.fork()
-                if pid == 0:
-                    _child(fn, part, w, fds)
-            finally:
-                os.close(w)
-            pids.append(pid)
+            r, w = fork.Pipe(duplex=False)
+            readers.append(r)
+            child = fork.Process(target=_child, args=(fn, part, w, readers))
+            with w:  # only the child holds the write end, so its exit ends the pipe
+                child.start()
+            children.append(child)
         try:
             last = (True, fn(*parts[-1]))
         except Exception as exc:
             last = (False, exc)
-        blobs = []
-        for r in fds:
-            chunks = [os.read(r, 1 << 20)]
-            while chunks[-1]:
-                chunks.append(os.read(r, 1 << 20))
-            blobs.append(b"".join(chunks))
+        outcomes = []
+        for j, (r, child) in enumerate(zip(readers, children)):
+            try:
+                outcomes.append(r.recv())
+            except EOFError:
+                child.join()
+                outcomes.append((False, RuntimeError(
+                    f"worker {j} of {k} left no result (exit status {child.exitcode})")))
     finally:
-        for r in fds:
-            os.close(r)
-        statuses = [os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) for pid in pids]
-    outcomes = [pickle.loads(blob) if status == 0 and blob else
-                (False, RuntimeError(f"worker {j} of {k} left no result (exit status {status})"))
-                for j, (blob, status) in enumerate(zip(blobs, statuses))]
+        for r in readers:
+            r.close()
+        for child in children:
+            child.join()
+            child.close()
     for ok, value in outcomes + [last]:
         if not ok:
             raise value
     return [value for _, value in outcomes + [last]]
 
 
-def _child(fn, part: tuple[int, int], w: int, inherited: list[int]) -> NoReturn:
+def _child(fn, part: tuple[int, int], w, inherited: list) -> None:
     """The body of an `_in_slices` child: close the read ends it inherited,
-    its own included, write the pickled outcome of fn(*part) to w and leave,
-    with status 1 if the write failed."""
-    status = 1
+    its own included, and send the outcome of fn(*part) down w."""
+    for r in inherited:
+        r.close()
     try:
-        for fd in inherited:
-            os.close(fd)
-        try:
-            outcome = (True, fn(*part))
-        except BaseException as exc:
-            outcome = (False, exc)
-        try:
-            blob = pickle.dumps(outcome)
-        except Exception as exc:
-            blob = pickle.dumps((False, RuntimeError(f"worker result cannot be pickled: {exc!r}")))
-        with open(w, "wb") as fh:
-            fh.write(blob)
-        status = 0
-    finally:
-        os._exit(status)
+        outcome = (True, fn(*part))
+    except Exception as exc:
+        outcome = (False, exc)
+    try:
+        w.send(outcome)
+    except Exception as exc:  # the outcome cannot be serialized, so nothing was sent
+        w.send((False, RuntimeError(f"worker result cannot be sent: {exc!r}")))

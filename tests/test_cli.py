@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import math
 import os
 import re
@@ -166,6 +167,33 @@ class TestConfig:
                 load_config(path)
             assert main(["estimate", "--config", str(path), "--out", str(tmp_path / "o")]) == 1
             assert message in capsys.readouterr().err
+
+    def test_colliding_step_files_refused(self, tmp_path, capsys):
+        # two step voltages whose files share a name exit 1 at load, naming
+        # both values and the file, rather than the second overwriting the
+        # first; the default pair, 0.25 R and R times the largest d bias,
+        # gets the same check
+        path = tmp_path / "steps.cfg"
+        path.write_text(IPM_CFG.replace("[paths]", "[validate]\nstep_volts_V = 6.001, 6.004\n\n[paths]"))
+        assert main(["validate", "--config", str(path), "--out", str(tmp_path / "o")]) == 1
+        assert (f"{path} [validate]: step_volts_V 6.001 and 6.004 both write step_response_+6.00V.csv"
+                in capsys.readouterr().err)
+        assert not (tmp_path / "o").exists()
+        path.write_text(IPM_CFG.replace("R_ohm = 12.15", "R_ohm = 0.004"))
+        with pytest.raises(ConfigError, match=re.escape("both write step_response_+0.00V.csv")):
+            load_config(path)
+
+    @pytest.mark.parametrize("noise_mA", ["0", "10"])
+    def test_negative_seed_refused(self, cfg_path, tmp_path, capsys, noise_mA):
+        # a seed numpy cannot take is refused while parsing, naming --seed,
+        # whether or not noise is drawn
+        cfg_path.write_text(IPM_CFG.replace("noise_mA = 0", f"noise_mA = {noise_mA}"))
+        for command, seed in itertools.product(("simulate", "estimate"), ("-1", "abc")):
+            with pytest.raises(SystemExit) as info:
+                main([command, "--config", str(cfg_path), "--out", str(tmp_path / "o"), "--seed", seed])
+            assert info.value.code == 2
+            assert f"argument --seed: expected a non-negative integer, got '{seed}'" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
 
 class TestSimulateCommand:

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import multiprocessing
 import os
 import re
 import signal
@@ -63,6 +64,17 @@ def plan_record(motor, runs, periods):
     `simulate_plan(motor, runs, measure_periods=periods)` gives."""
     period = runs[0].spec.period
     return simulate_batch(motor, [r.spec for r in runs], SimConfig(dt=period / 200, t_end=periods * period))
+
+
+def identify_leaving_no_child(motor, plan):
+    """`run_identification` at 10 mA in this process, and whether it left
+    no child process behind."""
+    result = run_identification(motor, plan, measure_periods=10, noise_amp=0.010, seed=3)
+    try:
+        os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return result, True
+    return result, False
 
 
 def scaled(p, eps):
@@ -691,6 +703,35 @@ class TestWorkers:
         assert info.type is error
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
+
+    def test_daemonic_process_runs_slices_in_process(self, ipm, monkeypatch):
+        # a multiprocessing pool worker is daemonic and may start no process
+        # of its own: there, all slices run in that worker, with the result
+        # of this process bit for bit and no child left
+        monkeypatch.setattr(estimator, "_worker_count", lambda n: 2)
+        plan = ipm_plan(id_grid=(-1.0, 1.0), iq_grid=(-1.0, 0.5, 1.0))
+        here = identify_leaving_no_child(ipm, plan)
+        with multiprocessing.get_context("fork").Pool(1) as pool:
+            there = pool.apply_async(identify_leaving_no_child, (ipm, plan)).get(timeout=120)
+        assert there == here == (here[0], True)
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
+    def test_no_descriptor_left_open(self, monkeypatch):
+        # a success, a child that raises and a child that leaves without a
+        # result each leave this process's open descriptors as they were
+        def fails(lo, hi):
+            if lo == 1:
+                raise ValueError("slice 1 failed")
+            return lo
+
+        monkeypatch.setattr(estimator, "_worker_count", lambda n: 3)
+        before = sorted(os.listdir("/proc/self/fd"))
+        assert _in_slices(lambda lo, hi: lo, 3) == [0, 1, 2]
+        with pytest.raises(ValueError, match="slice 1 failed"):
+            _in_slices(fails, 3)
+        with pytest.raises(RuntimeError, match=re.escape("left no result (exit status 3)")):
+            _in_slices(lambda lo, hi: os._exit(3) if lo == 0 else lo, 3)
+        assert sorted(os.listdir("/proc/self/fd")) == before
 
     def test_child_without_result(self, monkeypatch):
         # a child that leaves without writing its result is an error with
