@@ -11,7 +11,7 @@ a previous simulate) or fully in memory; validate and curves emit plot-data
 CSVs. simulate and estimate split the plan's runs over one process per
 usable CPU, at most two, forked by multiprocessing where the platform can
 fork, with the same bytes out as one process.
-Exit codes: 0 success, 1 configuration error, 2 numerical failure.
+Exit codes: 0 success, 1 configuration or usage error, 2 numerical failure.
 """
 
 from __future__ import annotations
@@ -130,8 +130,15 @@ def _seed(text: str) -> int:
     return int(text)
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse's parser, whose usage errors exit EXIT_CONFIG: its 2 is a numerical failure here."""
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_CONFIG, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="satpmsm",
         description="Saturated-PMSM injection simulator and magnetic-parameter estimator")
     sub = parser.add_subparsers(dest="command", required=True)

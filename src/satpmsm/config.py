@@ -1,9 +1,9 @@
 """Project configuration: one key-value text file wiring a motor, an
 experiment plan and simulation settings to the CLI commands.
 
-Field names carry their unit (Ld_mH, omega_Hz, noise_mA); values convert to
-SI exactly once, here. Keeping datasheet-style units in the file makes motor
-fixtures transcribable without conversion mistakes.
+Field names carry their unit (omega_Hz, noise_mA, textio.MOTOR_KEYS); values
+convert to SI exactly once, here. Keeping datasheet-style units in the file
+makes motor fixtures transcribable without conversion mistakes.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from pathlib import Path
 from .estimator import ExperimentPlan
 from .magnetics import MotorParams
 from .simulator import MIN_WHOLE_PERIODS
-from .textio import ConfigError, checked, get_float, get_floats, get_int, parse_sections, waveform_from_name
+from .textio import MOTOR_KEYS, ConfigError, checked, get_float, get_floats, get_int, parse_sections, waveform_from_name
 from .validation import SweepSpec
 
 
@@ -53,8 +53,7 @@ def _parse_grid(body: dict[str, str], axis: str, where: str) -> tuple[float, ...
 # every key each section may set; any other key or section exits 1 at load
 # rather than being ignored
 _KEYS = {
-    "motor": ("R_ohm", "Ld_mH", "Lq_mH", "phi_m_Wb", "pole_pairs",
-              "a30_AperWb2", "a12_AperWb2", "a40_AperWb3", "a22_AperWb3", "a04_AperWb3"),
+    "motor": tuple(key for key, *_ in MOTOR_KEYS.values()),
     "plan": ("omega_Hz", "waveform", "u_tilde_V",
              "id_grid_A", "id_max_A", "id_step_A", "iq_grid_A", "iq_max_A", "iq_step_A"),
     "sim": ("steps_per_period", "measure_periods", "noise_mA"),
@@ -101,19 +100,12 @@ def load_config(path) -> ProjectConfig:
 
     m = sections["motor"]
     where = f"{path} [motor]"
-    motor = checked(
-        where, MotorParams,
-        R=get_float(m, "R_ohm", where),
-        Ld=get_float(m, "Ld_mH", where) * 1e-3,
-        Lq=get_float(m, "Lq_mH", where) * 1e-3,
-        phi_m=get_float(m, "phi_m_Wb", where) if "phi_m_Wb" in m else 0.0,
-        n_pp=get_int(m, "pole_pairs", where) if "pole_pairs" in m else 1,
-        a30=get_float(m, "a30_AperWb2", where) if "a30_AperWb2" in m else 0.0,
-        a12=get_float(m, "a12_AperWb2", where) if "a12_AperWb2" in m else 0.0,
-        a40=get_float(m, "a40_AperWb3", where) if "a40_AperWb3" in m else 0.0,
-        a22=get_float(m, "a22_AperWb3", where) if "a22_AperWb3" in m else 0.0,
-        a04=get_float(m, "a04_AperWb3", where) if "a04_AperWb3" in m else 0.0,
-    )
+    values = {}
+    for field in dataclasses.fields(MotorParams):  # field order decides which of several faults is reported
+        key, read, into, _ = MOTOR_KEYS[field.name]
+        if key in m or field.default is dataclasses.MISSING:  # R, Ld and Lq have no default
+            values[field.name] = read(m, key, where) * into
+    motor = checked(where, MotorParams, **values)
 
     pl = sections["plan"]
     where = f"{path} [plan]"

@@ -508,7 +508,7 @@ def _in_slices(fn: Callable[[int, int], object], n: int) -> list:
     slices of near-equal length, in slice order: every slice but the last
     in a child that `multiprocessing` forks for it, the last in this process.
 
-    The first exception in slice order is raised here as it was raised; a
+    The first exception in slice order is raised here as `_child` sent it; a
     child that leaves no result raises RuntimeError with its exit status.
     On every exit path all pipes are closed before every child is joined,
     so no child outlives the call and one blocked on a full pipe cannot
@@ -527,10 +527,10 @@ def _in_slices(fn: Callable[[int, int], object], n: int) -> list:
     fork = multiprocessing.get_context("fork")
     readers, children = [], []
     try:
-        for part in parts[:-1]:
+        for j, part in enumerate(parts[:-1]):
             r, w = fork.Pipe(duplex=False)
             readers.append(r)
-            child = fork.Process(target=_child, args=(fn, part, w, readers))
+            child = fork.Process(target=_child, args=(fn, part, w, readers, f"worker {j} of {k}"))
             with w:  # only the child holds the write end, so its exit ends the pipe
                 child.start()
             children.append(child)
@@ -558,15 +558,22 @@ def _in_slices(fn: Callable[[int, int], object], n: int) -> list:
     return [value for _, value in outcomes + [last]]
 
 
-def _child(fn, part: tuple[int, int], w, inherited: list) -> None:
+def _child(fn, part: tuple[int, int], w, inherited: list, name: str) -> None:
     """The body of an `_in_slices` child: close the read ends it inherited,
-    its own included, and send the outcome of fn(*part) down w."""
+    its own included, and send the outcome of fn(*part) down w. An exception
+    the parent's `recv` could not rebuild from its pickle goes as a
+    RuntimeError naming `name`, the exception's type and its message."""
+    from multiprocessing.reduction import ForkingPickler  # the pickler of `w`, imported with it
     for r in inherited:
         r.close()
     try:
         outcome = (True, fn(*part))
     except Exception as exc:
         outcome = (False, exc)
+        try:
+            ForkingPickler.loads(ForkingPickler.dumps(exc))
+        except Exception:
+            outcome = (False, RuntimeError(f"{name} raised {type(exc).__name__}: {exc}"))
     try:
         w.send(outcome)
     except Exception as exc:  # the outcome cannot be serialized, so nothing was sent

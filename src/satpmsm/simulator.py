@@ -484,10 +484,8 @@ def _record(p: MotorParams, spec: InjectionSpec, dt: float, n_steps: int, u_bar:
     from its last exact start, which no coarse value entered. A trailing
     part period continues from the last period's end.
 
-    The samples are written once, by a sweep that may be the last, straight
-    into the record through a view of it: the first sweep, from the coarse
-    prediction, writes none, and is run once more, writing them, only
-    where it leaves every run done.
+    Every sweep writes its samples straight into the record through a view
+    of it, so the last sweep's are the ones kept.
 
     Parareal pays only where it converges in far fewer sweeps than there
     are periods. The record is one `_rk4` pass from rest, with no sweep,
@@ -516,7 +514,7 @@ def _record(p: MotorParams, spec: InjectionSpec, dt: float, n_steps: int, u_bar:
             U[..., k + 1] = end[:, :n]
             J[..., k] = _fd_jacobian(end[:, :n], end[:, n:], hq)
         for sweeps in range(1, _PARAREAL_MAX_SWEEPS + 1):
-            F = _rk4(rows_p, R_p, dt, U, u_bar_p, u_tilde_p, *fine, None if sweeps == 1 else samples)
+            F = _rk4(rows_p, R_p, dt, U, u_bar_p, u_tilde_p, *fine, samples)
             jumps = np.sum(np.abs(F[..., :-1] - U[..., 1:]), axis=(0, 2))  # where the record breaks
             done |= jumps <= _PARAREAL_TOL  # NaN stays open
             if done.all() or sweeps == _PARAREAL_MAX_SWEEPS:
@@ -529,8 +527,6 @@ def _record(p: MotorParams, spec: InjectionSpec, dt: float, n_steps: int, u_bar:
                 move = U_new[..., k] - U_old[..., k]
                 U_new[..., k + 1] = F_open[..., k] + (J_open[:, 0, :, k] * move[0] + J_open[:, 1, :, k] * move[1])
             U[:, lanes] = U_new
-        if sweeps == 1:
-            _rk4(rows_p, R_p, dt, U, u_bar_p, u_tilde_p, *fine, samples)
     starts = np.concatenate((np.zeros((2, n, 1)), F), axis=-1)  # starts[..., k]: period k's exact start
     for lanes, k in ((done, P), (~done, sweeps)):
         idx = np.flatnonzero(lanes)

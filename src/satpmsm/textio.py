@@ -11,7 +11,7 @@ import math
 from pathlib import Path
 
 from .injection import SAMPLED, InjectionSpec, Waveform
-from .estimator import EstimationResult, PlanRun
+from .estimator import PARAM_NAMES, EstimationResult, PlanRun
 
 
 class ConfigError(ValueError):
@@ -81,6 +81,25 @@ def get_int(section: dict[str, str], key: str, where: str) -> int:
     return int(value)
 
 
+# each MotorParams field's key in a config's [motor] and a report's [parameters]
+# section, in report order, with its reader and SI factors in and out (x * 1e3 may not be x / 1e-3)
+MOTOR_KEYS = {
+    "Ld": ("Ld_mH", get_float, 1e-3, 1e3),
+    "Lq": ("Lq_mH", get_float, 1e-3, 1e3),
+    "a30": ("a30_AperWb2", get_float, 1.0, 1.0),
+    "a12": ("a12_AperWb2", get_float, 1.0, 1.0),
+    "a40": ("a40_AperWb3", get_float, 1.0, 1.0),
+    "a22": ("a22_AperWb3", get_float, 1.0, 1.0),
+    "a04": ("a04_AperWb3", get_float, 1.0, 1.0),
+    "R": ("R_ohm", get_float, 1.0, 1.0),
+    "phi_m": ("phi_m_Wb", get_float, 1.0, 1.0),
+    "n_pp": ("pole_pairs", get_int, 1, 1),
+}
+
+# a manifest [run] block's voltage keys and their InjectionSpec fields
+_RUN_VOLTS = {"u_bar_d_V": "u_bar_d", "u_bar_q_V": "u_bar_q", "u_tilde_d_V": "u_tilde_d", "u_tilde_q_V": "u_tilde_q"}
+
+
 def waveform_from_name(name: str, base_dir: Path, where: str) -> Waveform:
     name = name.strip()
     if name == "square":
@@ -117,10 +136,8 @@ def write_manifest(path, runs: list[PlanRun], trace_files: list[str]) -> None:
             fh.write("\n[run]\n")
             fh.write(f"role = {run.role}\n")
             fh.write(f"i_target_A = {run.i_target:.17g}\n")
-            fh.write(f"u_bar_d_V = {run.spec.u_bar_d:.17g}\n")
-            fh.write(f"u_bar_q_V = {run.spec.u_bar_q:.17g}\n")
-            fh.write(f"u_tilde_d_V = {run.spec.u_tilde_d:.17g}\n")
-            fh.write(f"u_tilde_q_V = {run.spec.u_tilde_q:.17g}\n")
+            for key, field in _RUN_VOLTS.items():
+                fh.write(f"{key} = {getattr(run.spec, field):.17g}\n")
             fh.write(f"omega_Hz = {run.spec.omega / (2.0 * math.pi):.17g}\n")
             w = run.spec.waveform
             fh.write(f"waveform = {'file:' + files[w] if w in files else w.kind}\n")
@@ -144,10 +161,7 @@ def read_manifest(path) -> list[tuple[PlanRun, Path]]:
                 raise ConfigError(f"{where}: missing field {key!r}")
         spec = checked(
             where, InjectionSpec,
-            u_bar_d=get_float(body, "u_bar_d_V", where),
-            u_bar_q=get_float(body, "u_bar_q_V", where),
-            u_tilde_d=get_float(body, "u_tilde_d_V", where),
-            u_tilde_q=get_float(body, "u_tilde_q_V", where),
+            **{field: get_float(body, key, where) for key, field in _RUN_VOLTS.items()},
             omega=2.0 * math.pi * get_float(body, "omega_Hz", where),
             waveform=waveform_from_name(body["waveform"], base, where),
         )
@@ -161,26 +175,15 @@ def read_manifest(path) -> list[tuple[PlanRun, Path]]:
 
 def write_report(path, result: EstimationResult) -> None:
     """Parameter report; uncertainties are 1-sigma standard errors."""
-    p = result.params
     with open(path, "w") as fh:
         fh.write("# estimated magnetic parameters (uncertainties are 1-sigma)\n")
         fh.write("[parameters]\n")
-        fh.write(f"Ld_mH = {p.Ld * 1e3:.17g}\n")
-        fh.write(f"Lq_mH = {p.Lq * 1e3:.17g}\n")
-        fh.write(f"a30_AperWb2 = {p.a30:.17g}\n")
-        fh.write(f"a12_AperWb2 = {p.a12:.17g}\n")
-        fh.write(f"a40_AperWb3 = {p.a40:.17g}\n")
-        fh.write(f"a22_AperWb3 = {p.a22:.17g}\n")
-        fh.write(f"a04_AperWb3 = {p.a04:.17g}\n")
-        fh.write(f"R_ohm = {p.R:.17g}\n")
-        fh.write(f"phi_m_Wb = {p.phi_m:.17g}\n")
-        fh.write(f"pole_pairs = {p.n_pp}\n")
+        for field, (key, _, _, out) in MOTOR_KEYS.items():
+            fh.write(f"{key} = {getattr(result.params, field) * out:.17g}\n")
         fh.write("\n[sigma]\n")
-        fh.write(f"Ld_mH = {result.sigma['Ld'] * 1e3:.17g}\n")
-        fh.write(f"Lq_mH = {result.sigma['Lq'] * 1e3:.17g}\n")
-        for name in ("a30", "a12", "a40", "a22", "a04"):
-            unit = "AperWb2" if name in ("a30", "a12") else "AperWb3"
-            fh.write(f"{name}_{unit} = {result.sigma[name]:.17g}\n")
+        for field in PARAM_NAMES:
+            key, _, _, out = MOTOR_KEYS[field]
+            fh.write(f"{key} = {result.sigma[field] * out:.17g}\n")
         fh.write("\n[fit_residual_rms]\n")
         for name, value in result.fit_residuals.items():
             fh.write(f"{name} = {value:.17g}\n")

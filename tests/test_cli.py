@@ -12,7 +12,7 @@ import pytest
 from satpmsm import estimator
 from satpmsm.cli import main
 from satpmsm.config import load_config, symmetric_grid
-from satpmsm.estimator import identify, plan_runs
+from satpmsm.estimator import identify, plan_runs, run_identification
 from satpmsm.ripple import TooShort, Unresolved
 from satpmsm.simulator import Trace
 from satpmsm.textio import ConfigError, read_manifest
@@ -191,7 +191,7 @@ class TestConfig:
         for command, seed in itertools.product(("simulate", "estimate"), ("-1", "abc")):
             with pytest.raises(SystemExit) as info:
                 main([command, "--config", str(cfg_path), "--out", str(tmp_path / "o"), "--seed", seed])
-            assert info.value.code == 2
+            assert info.value.code == 1
             assert f"argument --seed: expected a non-negative integer, got '{seed}'" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
@@ -235,6 +235,27 @@ class TestEstimateCommand:
         assert report["parameters"]["Ld_mH"] == pytest.approx(91.9, rel=1e-2)
         assert report["parameters"]["Lq_mH"] == pytest.approx(45.8, rel=1e-2)
         assert "simulated" in capsys.readouterr().out
+
+    def test_report_parameters_load_as_motor(self, cfg_path):
+        # a report's [parameters] section, made a config's [motor] section,
+        # loads back to the estimated motor: every field exactly, but for Ld
+        # and Lq, which pass through mH and back, within 2 ulp
+        out = cfg_path.parent / "out"
+        assert main(["estimate", "--config", str(cfg_path), "--out", str(out)]) == 0
+        config = load_config(cfg_path)
+        result = run_identification(config.motor, config.plan, steps_per_period=config.steps_per_period,
+                                    measure_periods=config.measure_periods)
+        report = (out / "report.txt").read_text()
+        parameters = report.split("[parameters]\n", 1)[1].split("\n\n", 1)[0]
+        motor = IPM_CFG.split("[motor]\n", 1)[1].split("\n\n", 1)[0]
+        cfg_path.write_text(IPM_CFG.replace(motor, parameters))
+        loaded = load_config(cfg_path).motor
+        for field in dataclasses.fields(loaded):
+            got, want = getattr(loaded, field.name), getattr(result.params, field.name)
+            if field.name in ("Ld", "Lq"):
+                assert abs(got - want) <= 2 * math.ulp(want), field.name
+            else:
+                assert got == want, field.name
 
     def test_round_trip_ingest_equals_in_memory(self, cfg_path):
         base = cfg_path.parent

@@ -590,6 +590,14 @@ class TestEndToEnd:
             EstimationResult(params=ipm, sigma={"Ld": -1.0}, fit_residuals={})
 
 
+class Odd(Exception):
+    """An exception that pickles but cannot be rebuilt from its args."""
+
+    def __init__(self, message, *, b):
+        super().__init__(message)
+        self.b = b
+
+
 @pytest.fixture
 def deadline():
     """Fail the test, rather than hang the suite, once it has run 60 s."""
@@ -703,6 +711,24 @@ class TestWorkers:
         assert info.type is error
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
+
+    def test_error_that_cannot_be_rebuilt(self, monkeypatch, capfd):
+        # slice 0's error cannot be rebuilt from its args in this process:
+        # it arrives as a RuntimeError made in its child, naming the worker,
+        # its type and message. The later child's result, larger than a
+        # pipe's buffer, is still received, so no child prints a broken
+        # pipe, and no child is left
+        def fn(lo, hi):
+            if lo == 0:
+                raise Odd("slice 0 failed", b=1)
+            return np.full(1_000_000, float(lo))
+
+        monkeypatch.setattr(estimator, "_worker_count", lambda n: 3)
+        with pytest.raises(RuntimeError, match="^" + re.escape("worker 0 of 3 raised Odd: slice 0 failed")):
+            _in_slices(fn, 3)
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+        assert capfd.readouterr().err == ""
 
     def test_daemonic_process_runs_slices_in_process(self, ipm, monkeypatch):
         # a multiprocessing pool worker is daemonic and may start no process

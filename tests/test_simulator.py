@@ -343,10 +343,10 @@ class TestPeriodParallel:
         assert np.max(np.abs(i - sequential_currents(spm, specs, cfg))) <= 1e-12
 
     def test_one_sweep_writes_its_samples(self, spm, monkeypatch):
-        # the first sweep writes no samples; where it is the last, it runs
-        # again writing them. With a cap of one sweep, period 0 is that
-        # sweep's and the rest follows sequentially from its end: a square
-        # wave repeats its step values, so the record is bit for bit one pass
+        # the first sweep writes its samples too. With a cap of one sweep,
+        # period 0 is that sweep's and the rest follows sequentially from its
+        # end: a square wave repeats its step values, so the record is bit
+        # for bit one pass
         monkeypatch.setattr(simulator, "_PARAREAL_MAX_SWEEPS", 1)
         specs = [square_spec(u_bar_d=-8.0, u_tilde_d=30.0), square_spec(u_bar_q=10.0, u_tilde_q=25.0)]
         cfg = SimConfig(dt=specs[0].period / 200, t_end=10 * specs[0].period)
