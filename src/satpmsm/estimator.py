@@ -120,7 +120,7 @@ class PlanRun:
 class EstimationResult:
     params: MotorParams
     sigma: dict[str, float]
-    fit_residuals: dict[str, float]
+    residual_rms: float  # A, over every d and q row of the regression
 
     def __post_init__(self) -> None:
         if any(s < 0 for s in self.sigma.values()):
@@ -285,27 +285,50 @@ def _regressors(phi: np.ndarray) -> np.ndarray:
     return X
 
 
-def _period_centred(run: PlanRun, trace: Trace, R: float) -> tuple[np.ndarray, np.ndarray, int]:
-    """One run's regressor columns (7, m) and current samples (m,), d samples
-    then q samples, each block of one injection period centred on its own
-    mean, and the number of blocks. A block holds the nearest whole number of
-    samples per period (`ripple.period_blocks`); a trailing part period is
-    left out. The regressors are centred in place."""
-    per, blocks = period_blocks(trace, run.spec)
-    X = _regressors(rebuild_flux(trace, run.spec, R)[:, :blocks * per])
+def _noise_rms(i: np.ndarray) -> float:
+    """Noise RMS of a sampled current from its second differences: for white
+    noise their mean square is six times the noise variance, while a smooth
+    transient or ripple adds only O(dt^2) per sample."""
+    d2 = np.diff(i, 2)
+    return math.sqrt(float(d2 @ d2) / (6 * len(d2)))
+
+
+def _run_terms(run: PlanRun, trace: Trace, name: str, theta0: np.ndarray,
+               R: float) -> tuple[np.ndarray, np.ndarray, float, int, int]:
+    """One run's checks (see `identify`), faults naming it by `name`, then
+    its share of the normal equations about theta0: X X^T, X r0 and r0.r0
+    for its residuals r0 = y - theta0 X, its rows and its blocks.
+
+    X holds the regressor columns (7, m) and y the current samples (m,), d
+    samples then q samples, each block of one injection period centred on
+    its own mean. A block holds the whole number of samples per period
+    (`ripple.period_blocks`); a trailing part period is left out."""
+    try:
+        per, blocks = period_blocks(trace, run.spec)
+    except (TooShort, Unresolved) as exc:
+        raise type(exc)(f"{name}: {exc}") from None
+    i = np.stack([trace.i_d, trace.i_q])
+    for axis, i_axis in zip("dq", i):
+        floor = _noise_rms(i_axis)
+        if abs(i_axis[0]) > max(_AT_REST_FACTOR * floor, _ZERO_RIPPLE_FLOOR):
+            raise NotAtRest(
+                f"{name}: first i_{axis} sample {i_axis[0]:.3g} A exceeds "
+                f"{_AT_REST_FACTOR:g}x the noise RMS {floor:.3g} A; "
+                "traces must start de-energized")
+    s = run.spec
+    if s.u_bar_d == s.u_bar_q == 0.0:
+        meas = extract_ripple(trace, s, 0.0)
+        for axis, u_tilde, i_tilde, sigma in (("d", s.u_tilde_d, meas.i_tilde_d, meas.sigma_i_tilde_d),
+                                              ("q", s.u_tilde_q, meas.i_tilde_q, meas.sigma_i_tilde_q)):
+            if u_tilde != 0.0:
+                _checked_ripple(i_tilde, sigma, f"{name}: {axis}-axis zero-bias run")
+    X = _regressors(rebuild_flux(trace, s, R)[:, :blocks * per])
     periods = X.reshape(len(PARAM_NAMES), 2, blocks, per)
     periods -= periods.mean(axis=-1, keepdims=True)
-    y = _centred(np.stack([trace.i_d, trace.i_q]), per, blocks)
-    return X.reshape(len(PARAM_NAMES), -1), y.reshape(-1), 2 * blocks
-
-
-def _run_terms(run: PlanRun, trace: Trace, theta0: np.ndarray,
-               R: float) -> tuple[np.ndarray, np.ndarray, float, int, int]:
-    """One run's share of the normal equations about theta0: X X^T, X r0 and
-    r0.r0 for its residuals r0 = y - theta0 X, its rows and its blocks."""
-    X, y, blocks = _period_centred(run, trace, R)
+    X = X.reshape(len(PARAM_NAMES), -1)
+    y = _centred(i, per, blocks).reshape(-1)
     r0 = y - theta0 @ X
-    return X @ X.T, X @ r0, float(r0 @ r0), len(y), blocks
+    return X @ X.T, X @ r0, float(r0 @ r0), len(y), 2 * blocks
 
 
 def _solve(terms: Iterable[tuple], nominal: MotorParams) -> EstimationResult:
@@ -330,46 +353,7 @@ def _solve(terms: Iterable[tuple], nominal: MotorParams) -> EstimationResult:
         a30=a30, a12=a12, a40=a40, a22=a22, a04=a04)
     sigma = {"Ld": float(sig[0]) / inv_Ld**2, "Lq": float(sig[1]) / inv_Lq**2}
     sigma.update((name, float(s)) for name, s in zip(PARAM_NAMES[2:], sig[2:]))
-    return EstimationResult(params=params, sigma=sigma,
-                            fit_residuals={"current_A": math.sqrt(rss / n_rows)})
-
-
-def _noise_rms(i: np.ndarray) -> float:
-    """Noise RMS of a sampled current from its second differences: for white
-    noise their mean square is six times the noise variance, while a smooth
-    transient or ripple adds only O(dt^2) per sample."""
-    d2 = np.diff(i, 2)
-    return math.sqrt(float(d2 @ d2) / (6 * len(d2)))
-
-
-def _measured(runs: Sequence[PlanRun], traces: Iterable[Trace],
-              names: Sequence[str]) -> Iterator[tuple[PlanRun, Trace]]:
-    """The per-run checks of `identify`, yielding each checked (run, trace)
-    pair in run order. The traces are taken one at a time: where `traces`
-    reads each trace as it is taken, the first that cannot be read is
-    refused before any later run is read."""
-    for run, trace, name in itertools.zip_longest(runs, traces, names):
-        if run is None or trace is None:
-            raise ValueError("one trace per planned run required")
-        try:
-            period_blocks(trace, run.spec)
-        except (TooShort, Unresolved) as exc:
-            raise type(exc)(f"{name}: {exc}") from None
-        for axis, i in (("d", trace.i_d), ("q", trace.i_q)):
-            floor = _noise_rms(i)
-            if abs(i[0]) > max(_AT_REST_FACTOR * floor, _ZERO_RIPPLE_FLOOR):
-                raise NotAtRest(
-                    f"{name}: first i_{axis} sample {i[0]:.3g} A exceeds "
-                    f"{_AT_REST_FACTOR:g}x the noise RMS {floor:.3g} A; "
-                    "traces must start de-energized")
-        s = run.spec
-        if s.u_bar_d == s.u_bar_q == 0.0:
-            meas = extract_ripple(trace, s, 0.0)
-            for axis, u_tilde, i_tilde, sigma in (("d", s.u_tilde_d, meas.i_tilde_d, meas.sigma_i_tilde_d),
-                                                  ("q", s.u_tilde_q, meas.i_tilde_q, meas.sigma_i_tilde_q)):
-                if u_tilde != 0.0:
-                    _checked_ripple(i_tilde, sigma, f"{name}: {axis}-axis zero-bias run")
-        yield run, trace
+    return EstimationResult(params=params, sigma=sigma, residual_rms=math.sqrt(rss / n_rows))
 
 
 def simulate_plan(motor: MotorParams, runs: Sequence[PlanRun], *,
@@ -401,8 +385,9 @@ def identify(runs: Sequence[PlanRun], load: Callable[[int, int], Iterable[Trace]
     load(lo, hi) gives the traces of runs[lo:hi] in run order, one per run
     (else ValueError, as for `names` of another length); traces in memory go
     in as `lambda lo, hi: traces[lo:hi]`. Each trace must resolve at least
-    `MIN_WHOLE_PERIODS` whole injection periods (`ripple.period_blocks`:
-    Unresolved, TooShort) and start at rest, since its flux is integrated
+    `MIN_WHOLE_PERIODS` whole injection periods at a whole number of samples
+    each (`ripple.period_blocks`: Unresolved, TooShort) and start at rest,
+    since its flux is integrated
     from its first sample: a first current sample beyond five times its
     channel's noise RMS (`_noise_rms`, which the transient does not inflate)
     raises NotAtRest. Each zero-bias run, one driven with no bias voltage,
@@ -434,8 +419,12 @@ def identify(runs: Sequence[PlanRun], load: Callable[[int, int], Iterable[Trace]
     theta0 = np.array(nominal.theta)
 
     def reduce(lo: int, hi: int) -> list[tuple]:
-        return [_run_terms(run, trace, theta0, nominal.R)
-                for run, trace in _measured(runs[lo:hi], load(lo, hi), names[lo:hi])]
+        terms = []  # the traces are taken one at a time: one that cannot be read stops the later ones unread
+        for run, trace, name in itertools.zip_longest(runs[lo:hi], load(lo, hi), names[lo:hi]):
+            if run is None or trace is None:
+                raise ValueError("one trace per planned run required")
+            terms.append(_run_terms(run, trace, name, theta0, nominal.R))
+        return terms
 
     parts = _in_slices(reduce, len(runs))
     zero_bias = [run.spec for run in runs if run.spec.u_bar_d == run.spec.u_bar_q == 0.0]

@@ -98,20 +98,25 @@ def rebuild_flux(trace: Trace, spec: InjectionSpec, R: float) -> np.ndarray:
 
 
 def period_blocks(trace: Trace, spec: InjectionSpec, start: int = 0) -> tuple[int, int]:
-    """Samples per injection period, rounded to a whole number, and how many
-    such blocks the trace holds from sample `start` on.
+    """Samples per injection period, a whole number, and how many such
+    blocks the trace holds from sample `start` on.
 
-    Raises Unresolved below `MIN_SAMPLES_PER_PERIOD` samples per period and
+    Raises Unresolved below `MIN_SAMPLES_PER_PERIOD` samples per period, or
+    where their count is not within a relative 1e-6 of a whole number, an
+    even one for a square wave (its switching instants fall on samples), and
     TooShort below `MIN_WHOLE_PERIODS` blocks.
     """
     per = spec.period / trace.sample_period
     if per < MIN_SAMPLES_PER_PERIOD:
         raise Unresolved(f"{per:.1f} samples per period < {MIN_SAMPLES_PER_PERIOD}")
-    per = round(per)
-    blocks = (len(trace.t) - start) // per
+    step = 2 if spec.waveform.kind == SQUARE else 1
+    whole = step * round(per / step)
+    if abs(per - whole) > 1e-6 * per:
+        raise Unresolved(f"{per:.6g} samples per period is not {'an even' if step == 2 else 'a'} whole number")
+    blocks = (len(trace.t) - start) // whole
     if blocks < MIN_WHOLE_PERIODS:
         raise TooShort(f"only {blocks} whole periods, need {MIN_WHOLE_PERIODS}")
-    return per, blocks
+    return whole, blocks
 
 
 def _centred(a: np.ndarray, per: int, blocks: int) -> np.ndarray:

@@ -160,7 +160,7 @@ class Trace:
         channel reads as 0.0 unparsed, so it may hold text. Data rows are
         counted from 1, comment and blank lines skipped, as numpy counts
         them; its parse errors are told in these terms (`_parse_fault`)."""
-        with open(path) as fh:
+        with open(path, encoding="utf-8-sig") as fh:  # a leading byte-order mark is no text
             line = fh.readline()
             while line and (not line.strip() or line.lstrip().startswith("#")):
                 line = fh.readline()

@@ -22,7 +22,7 @@ def parse_sections(path) -> list[tuple[str, dict[str, str]]]:
     """All sections in file order as (name, {key: value})."""
     sections: list[tuple[str, dict[str, str]]] = []
     current: dict[str, str] | None = None
-    with open(path) as fh:
+    with open(path, encoding="utf-8-sig") as fh:  # a leading byte-order mark is no text
         for lineno, raw in enumerate(fh, start=1):
             line = raw.split("#", 1)[0].strip()
             if not line:
@@ -110,7 +110,7 @@ def waveform_from_name(name: str, base_dir: Path, where: str) -> Waveform:
         path = base_dir / name[len("file:"):].strip()
         if not path.exists():
             raise ConfigError(f"{where}: waveform file {path} does not exist")
-        with open(path) as fh:  # one value per line: one period, uniformly spaced in tau
+        with open(path, encoding="utf-8-sig") as fh:  # one value per line: one period, uniformly spaced in tau
             return checked(f"{where}: waveform file {path}", Waveform.from_samples,
                            (float(v) for v in map(str.strip, fh) if v and not v.startswith("#")))
     raise ConfigError(f"{where}: unknown waveform {name!r} (square, sine or file:<path>)")
@@ -184,7 +184,5 @@ def write_report(path, result: EstimationResult) -> None:
         for field in PARAM_NAMES:
             key, _, _, out = MOTOR_KEYS[field]
             fh.write(f"{key} = {result.sigma[field] * out:.17g}\n")
-        fh.write("\n[fit_residual_rms]\n")
-        for name, value in result.fit_residuals.items():
-            fh.write(f"{name} = {value:.17g}\n")
+        fh.write(f"\n[fit_residual_rms]\ncurrent_A = {result.residual_rms:.17g}\n")
 

@@ -23,7 +23,7 @@ from satpmsm.estimator import (
     NotAtRest,
     ZeroRipple,
     _in_slices,
-    _period_centred,
+    _run_terms,
     estimate_cross,
     estimate_d_axis,
     estimate_L,
@@ -387,19 +387,31 @@ class TestEndToEnd:
         assert len(plan_runs(plan, ipm.R)) == 2 + 3 + 6
 
     def test_refusals(self, ipm):
-        # records shorter than two periods or sampled too coarsely, records
-        # with no q excitation, whose zero-bias runs leave the q axis
-        # uninjected (they would leave the q columns of the regression zero,
-        # which `gram_fit` refuses: tests/test_ripple.py), then a d-axis
-        # zero-bias run whose current is noise alone, with no ripple
+        # records shorter than two periods or sampled too coarsely, or at a
+        # stride that leaves a part sample in each injection period (6: 33.3
+        # samples) or in each half-period of the square wave (8: 25
+        # samples), records with no q excitation, whose zero-bias runs leave
+        # the q axis uninjected (they would leave the q columns of the
+        # regression zero, which `gram_fit` refuses: tests/test_ripple.py),
+        # then a d-axis zero-bias run whose current is noise alone, with no
+        # ripple
         plan = ipm_plan(id_grid=(-1.0, 1.0), iq_grid=(-1.0, 0.5, 1.0))
         runs = plan_runs(plan, ipm.R)
         with pytest.raises(TooShort):
             identify(runs[:1], oracles.in_memory(list(simulate_plan(ipm, runs[:1], measure_periods=1))), ipm)
         traces = list(simulate_plan(ipm, runs, measure_periods=2))
-        coarse = Trace(*(getattr(traces[0], c)[::20] for c in ("t", "u_d", "u_q", "i_d", "i_q")))
+
+        def thinned(stride):
+            return [Trace(*(getattr(tr, c)[::stride] for c in ("t", "u_d", "u_q", "i_d", "i_q"))) for tr in traces]
+
         with pytest.raises(Unresolved):
-            identify(runs[:1], oracles.in_memory([coarse]), ipm)
+            identify(runs[:1], oracles.in_memory(thinned(20)), ipm)
+        for stride, per in ((6, r"33\.3333 samples per period is not an even whole number"),
+                            (8, r"25 samples per period is not an even whole number")):
+            with pytest.raises(Unresolved, match=r"^run 0 \(ld, \+0\.000 A\): " + per):
+                identify(runs, oracles.in_memory(thinned(stride)), ipm)
+        for stride in (5, 10):
+            identify(runs, oracles.in_memory(thinned(stride)), ipm)
         identify(runs, oracles.in_memory(traces), ipm)
         d_only = [k for k, run in enumerate(runs) if run.spec.u_bar_q == run.spec.u_tilde_q == 0.0]
         with pytest.raises(ValueError, match="plan must include both zero-bias runs"):
@@ -561,10 +573,9 @@ class TestEndToEnd:
         theta = np.array(result.params.theta)
         rss, n = 0.0, 0
         for run, trace in zip(runs, traces):
-            X, y, _ = _period_centred(run, trace, spm.R)
-            r = y - theta @ X
-            rss, n = rss + float(r @ r), n + len(r)
-        assert result.fit_residuals["current_A"] == pytest.approx(math.sqrt(rss / n), rel=1e-9)
+            _, _, rtr, rows, _ = _run_terms(run, trace, run.role, theta, spm.R)
+            rss, n = rss + rtr, n + rows
+        assert result.residual_rms == pytest.approx(math.sqrt(rss / n), rel=1e-9)
 
     def test_sigma_calibration_at_hardware_coefficients(self, ipm):
         # the IPM fixture itself at 500 Hz, 25 periods from rest, 10 mA:
@@ -587,7 +598,7 @@ class TestEndToEnd:
 
     def test_estimation_result_validation(self, ipm):
         with pytest.raises(ValueError):
-            EstimationResult(params=ipm, sigma={"Ld": -1.0}, fit_residuals={})
+            EstimationResult(params=ipm, sigma={"Ld": -1.0}, residual_rms=0.0)
 
 
 class Odd(Exception):

@@ -775,17 +775,20 @@ class TestTraceCsv:
         ("# logger v2, 20 degC\n", "t,u_d,u_q,i_d,i_q"),
         ("\n# logger v2, 20 degC\n  # a, b\n\n", "t,u_d,u_q,i_d,i_q"),
         ("", "t,u_d,u_q,i_d,i_q # SI units, 20 degC"),
-    ], ids=["comment", "comments_and_blanks", "comment_on_the_header"])
+        ("\ufeff", "t,u_d,u_q,i_d,i_q"),
+    ], ids=["comment", "comments_and_blanks", "comment_on_the_header", "byte_order_mark"])
     def test_lines_before_the_header_skipped(self, tmp_path, preamble, header):
         # a logger's comment line first, blank lines around it: the header
         # is the first other line, and data rows still count from 1 after it;
-        # a `#` ends the header's names as it ends a data row's values
+        # a `#` ends the header's names as it ends a data row's values; a
+        # UTF-8 byte-order mark, which spreadsheet CSV exports start with,
+        # is no part of the first name
         path = tmp_path / "logger.csv"
         rows = [f"{k * 0.001:g},1,0,{0.5 + k / 10:g},0" for k in range(6)]
-        path.write_text(preamble + header + "\n" + "\n".join(rows) + "\n")
+        path.write_text(preamble + header + "\n" + "\n".join(rows) + "\n", encoding="utf-8")
         assert np.array_equal(Trace.from_csv(path).i_d, [0.5, 0.6, 0.7, 0.8, 0.9, 1.0])
         rows[4] = "0.004,1,0,abc,0"
-        path.write_text(preamble + header + "\n" + "\n".join(rows) + "\n")
+        path.write_text(preamble + header + "\n" + "\n".join(rows) + "\n", encoding="utf-8")
         with pytest.raises(ValueError, match=re.escape(
                 f"trace CSV {path}: data row 5, column i_d: could not convert string 'abc'")):
             Trace.from_csv(path)

@@ -65,6 +65,11 @@ class TestWaveformNames:
         assert w.kind == "sampled"
         assert len(w.samples) == 4
 
+    def test_byte_order_mark_ignored(self, tmp_path):
+        # a waveform file saved as "UTF-8 with BOM" reads as without it
+        (tmp_path / "wave.txt").write_text("\ufeff1.0\n-1.0\n1.0\n-1.0\n", encoding="utf-8")
+        assert waveform_from_name("file:wave.txt", tmp_path, "x").samples == (1.0, -1.0, 1.0, -1.0)
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError, match="does not exist"):
             waveform_from_name("file:nope.txt", tmp_path, "x")
@@ -147,12 +152,12 @@ class TestReport:
             params=p,
             sigma={"Ld": 1e-4, "Lq": 2e-4, "a30": 0.1, "a12": 0.2,
                    "a40": 0.3, "a22": 0.4, "a04": 0.5},
-            fit_residuals={"d_axis": 1e-9, "a22": 2e-9, "a12": 3e-9, "a04": 4e-9})
+            residual_rms=4e-9)
         path = tmp_path / "report.txt"
         write_report(path, result)
         back = oracles.read_report(path)
         assert back["parameters"]["Ld_mH"] == pytest.approx(91.9, rel=1e-15)
         assert back["parameters"]["a22_AperWb3"] == 22.18
         assert back["sigma"]["Lq_mH"] == pytest.approx(0.2, rel=1e-12)
-        assert back["fit_residual_rms"]["a04"] == 4e-9
+        assert back["fit_residual_rms"] == {"current_A": 4e-9}
         assert back["parameters"]["pole_pairs"] == 6
