@@ -57,7 +57,7 @@ from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from .injection import InjectionSpec, Waveform
+from .injection import SQUARE, InjectionSpec, Waveform
 from .leastsq import RankDeficient, gram_fit
 from .magnetics import MotorParams, _hessian
 from .ripple import RippleMeasurement, TooShort, Unresolved, _centred, extract_ripple, period_blocks, rebuild_flux
@@ -322,7 +322,7 @@ def _run_terms(run: PlanRun, trace: Trace, name: str, theta0: np.ndarray,
                                               ("q", s.u_tilde_q, meas.i_tilde_q, meas.sigma_i_tilde_q)):
             if u_tilde != 0.0:
                 _checked_ripple(i_tilde, sigma, f"{name}: {axis}-axis zero-bias run")
-    X = _regressors(rebuild_flux(trace, s, R)[:, :blocks * per])
+    X = _regressors(rebuild_flux(trace, R, s.waveform.kind == SQUARE)[:, :blocks * per])
     periods = X.reshape(len(PARAM_NAMES), 2, blocks, per)
     periods -= periods.mean(axis=-1, keepdims=True)
     X = X.reshape(len(PARAM_NAMES), -1)

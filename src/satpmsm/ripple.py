@@ -12,9 +12,10 @@ over the window with the fitted ripple taken out. The regression in
 
 `rebuild_flux` gives the flux of a locked-rotor run started at rest at every
 sample, phi(t) = integral(u - R i) dt from the first sample, both axes in
-one pass. Currents and smooth drives are integrated by the trapezoid rule;
-a square-wave drive is read as right-continuous samples aligned to its
-switching instants and held constant over each sample interval.
+one pass, for identification and the flux validation alike. Currents and
+a drive that is not held are integrated by the trapezoid rule; a held drive
+(a square wave's) is read as right-continuous samples held constant over
+each sample interval, aligned to its switching instants.
 """
 
 from __future__ import annotations
@@ -74,26 +75,21 @@ def _trapezoid_steps(dt: np.ndarray, y: np.ndarray) -> np.ndarray:
     return 0.5 * (y[..., 1:] + y[..., :-1]) * dt
 
 
-def cumulative_trapezoid(t: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Running integral of y over t by the trapezoidal rule, 0 at t[0]."""
-    return _running_sum(_trapezoid_steps(np.diff(t), y))
-
-
-def rebuild_flux(trace: Trace, spec: InjectionSpec, R: float) -> np.ndarray:
+def rebuild_flux(trace: Trace, R: float, held: bool) -> np.ndarray:
     """Flux phi = integral(u - R i) dt from the first sample, at every sample,
     as stacked (2, n) d and q rows; exact only for a run started at rest.
     Both axes are integrated as (2, n) arrays over one set of sample steps;
     a running sum along a row adds in sample order, so each row is what it
     is integrated alone.
 
-    A square-wave drive is constant between its switching instants, where its
-    samples take the new level, so it is integrated as held levels, each
-    sample until the next; the trapezoid rule would shift the injected-axis
-    flux by -u_tilde * dt / 2.
+    With held, the drive is integrated as held levels, each sample until the
+    next, as a square wave's is (its samples take the new level at its
+    switching instants; the trapezoid rule would shift the injected-axis flux
+    by -u_tilde * dt / 2); without, by the trapezoid rule.
     """
     dt = np.diff(trace.t)
     u, i = np.stack([trace.u_d, trace.u_q]), np.stack([trace.i_d, trace.i_q])
-    u_steps = u[:, :-1] * dt if spec.waveform.kind == SQUARE else _trapezoid_steps(dt, u)
+    u_steps = u[:, :-1] * dt if held else _trapezoid_steps(dt, u)
     return _running_sum(u_steps) - R * _running_sum(_trapezoid_steps(dt, i))
 
 

@@ -663,8 +663,8 @@ def simulate_periodic(p: MotorParams, specs: Sequence[InjectionSpec], *,
     NonConvergence naming its mean current.
 
     The record's first period is the one that confirmed phi0; the others
-    continue from its end in one `_rk4` pass, so the record is bit for bit
-    one pass of `MIN_WHOLE_PERIODS` periods from phi0.
+    are one `_sampled` pass from its end, so the record is bit for bit one
+    pass of `MIN_WHOLE_PERIODS` periods from phi0.
     """
     if not specs:
         return _NO_RUNS
@@ -688,8 +688,6 @@ def simulate_periodic(p: MotorParams, specs: Sequence[InjectionSpec], *,
             f"i_bar = ({d:.6g}, {q:.6g}) A, |i_bar| = {math.hypot(d, q):.6g} A")
     rows, R = _lanes([p] * n)
     drive = _waveform_arrays(specs[0], dt, MIN_WHOLE_PERIODS * steps_per_period)
-    record = np.empty((2, n, MIN_WHOLE_PERIODS * steps_per_period + 1))
-    record[..., :steps_per_period] = first
-    record[..., -1] = _rk4(rows, R, dt, end, u_bar, u_tilde, *(f[steps_per_period:] for f in drive),
-                           record[..., steps_per_period:-1])
+    record = np.concatenate(
+        (first, _sampled(rows, R, dt, end, u_bar, u_tilde, tuple(f[steps_per_period:] for f in drive))), axis=-1)
     return _Traces(rows, dt, record, u_bar, u_tilde, drive[0])

@@ -16,7 +16,7 @@ import numpy as np
 from .estimator import predict_ripple
 from .injection import InjectionSpec, Waveform
 from .magnetics import MotorParams, _invert
-from .ripple import cumulative_trapezoid, extract_ripple
+from .ripple import extract_ripple, rebuild_flux
 from .simulator import SimConfig, Trace, _write_columns, simulate_averaged, simulate_periodic
 
 _STEP_SAMPLES = 2000  # integration steps of each step response, one sample each
@@ -114,9 +114,9 @@ class FluxIntegrationResult:
 
 
 def flux_by_integration(trace: Trace, p: MotorParams) -> FluxIntegrationResult:
-    """Reconstruct phi(t) = integral(u - R i) dt on both axes by the
-    trapezoidal rule and pair phi_d with the concurrent current. The trace
-    must start de-energized (zero flux), as every step response does.
+    """Reconstruct phi(t) = integral(u - R i) dt on both axes by identification's
+    `ripple.rebuild_flux`, trapezoid rule, and pair phi_d with the concurrent
+    current. The trace must start de-energized, as every step response does.
 
     The model column re-derives the flux from the measured current pair by
     Newton inversion of the model to 1e-10 A, seeded at each sample's
@@ -125,8 +125,7 @@ def flux_by_integration(trace: Trace, p: MotorParams) -> FluxIntegrationResult:
     `flux_from_currents_exact` can land past it. All samples invert in one
     array Newton (`magnetics._invert`), each as it would alone.
     """
-    phi = [cumulative_trapezoid(trace.t, u - p.R * i)
-           for u, i in ((trace.u_d, trace.i_d), (trace.u_q, trace.i_q))]
+    phi = rebuild_flux(trace, p.R, False)
     model, _ = _invert(p, trace.i_d, trace.i_q, 1e-10, phi)
     return FluxIntegrationResult(i_d=trace.i_d.copy(), phi_d_integrated=phi[0], phi_d_model=model)
 

@@ -466,7 +466,7 @@ class TestEndToEnd:
         runs = plan_runs(plan, ipm.R)
         record = plan_record(ipm, runs, 10)
         for j, (run, tr) in enumerate(zip(runs, record)):
-            phi = rebuild_flux(tr, run.spec, ipm.R)
+            phi = rebuild_flux(tr, ipm.R, run.spec.waveform == Waveform.square())
             assert np.max(np.abs(phi - record.flux[:, j])) <= 5e-6
 
     def test_regressor_rows_are_the_current_map(self):

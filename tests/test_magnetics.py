@@ -22,7 +22,7 @@ from satpmsm.magnetics import (
     _invert,
     _stacked_currents,
 )
-from satpmsm.ripple import cumulative_trapezoid
+from satpmsm.ripple import rebuild_flux
 from satpmsm.simulator import Trace
 from satpmsm.validation import flux_by_integration, magnetization_curves, step_response
 
@@ -302,7 +302,7 @@ class TestArrayNewton:
         for r in step_response(p, config.step_volts, config.step_t_end):
             tr = r.saturated
             model = flux_by_integration(tr, p).phi_d_model
-            seeds = [cumulative_trapezoid(tr.t, u - p.R * i) for u, i in ((tr.u_d, tr.i_d), (tr.u_q, tr.i_q))]
+            seeds = rebuild_flux(tr, p.R, False)
             want = [scalar_newton(p, Currents(float(a), float(b)), float(fd), float(fq), 1e-10)[0]
                     for a, b, fd, fq in zip(tr.i_d, tr.i_q, *seeds)]
             assert model.tobytes() == np.array(want).tobytes()

@@ -68,8 +68,17 @@ class TestRebuildFlux:
 
         u_rule = held if waveform == Waveform.square() else trapezoid
         want = np.stack([u_rule(u) - R * trapezoid(i) for u, i in ((u_d, i_d), (u_q, i_q))])
-        got = rebuild_flux(Trace(t, u_d, u_q, i_d, i_q), InjectionSpec(0.0, 0.0, 30.0, 0.0, OMEGA, waveform), R)
+        got = rebuild_flux(Trace(t, u_d, u_q, i_d, i_q), R, waveform == Waveform.square())
         assert got.tobytes() == want.tobytes()
+
+    def test_constant_drive_takes_either_rule(self):
+        # the trapezoid of two equal samples, 0.5 * (u + u) * dt, is u * dt
+        # bit for bit, so a step response's constant drive rebuilds the same
+        # flux held or not
+        t = 1e-5 * np.arange(1001)
+        i_d, i_q = np.random.default_rng(7).normal(size=(2, len(t)))
+        tr = Trace(t, np.full_like(t, 97.2), np.full_like(t, -0.3), i_d, i_q)
+        assert rebuild_flux(tr, 12.15, True).tobytes() == rebuild_flux(tr, 12.15, False).tobytes()
 
 
 class TestExtractRipple:

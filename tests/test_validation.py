@@ -15,7 +15,7 @@ from satpmsm.magnetics import (
     currents_from_flux,
     FluxLinkage,
 )
-from satpmsm.ripple import extract_ripple
+from satpmsm.ripple import extract_ripple, rebuild_flux
 from satpmsm.simulator import (MIN_WHOLE_PERIODS, SimConfig, Trace, simulate, simulate_averaged,
                                simulate_batch, simulate_periodic)
 from satpmsm.validation import (
@@ -253,6 +253,16 @@ class TestFluxIntegration:
         step = simulate_averaged([spm], [(u, 0.0)], SimConfig(dt=t_end / _STEP_SAMPLES, t_end=t_end))
         flux = flux_by_integration(step[0], spm)
         assert float(np.max(np.abs(flux.phi_d_model - step.flux[0, 0]))) <= 1e-9
+
+    @pytest.mark.parametrize("name", ["ipm", "spm"])
+    def test_fixture_steps_take_the_identification_rebuild(self, name):
+        # the integrated column is identification's flux rebuild, trapezoid
+        # rule, bit for bit on every validate step of both fixtures
+        config = load_config(Path(__file__).resolve().parents[1] / "configs" / f"{name}.cfg")
+        p = config.motor
+        for r in step_response(p, config.step_volts, config.step_t_end):
+            got = flux_by_integration(r.saturated, p).phi_d_integrated
+            assert got.tobytes() == rebuild_flux(r.saturated, p.R, False)[0].tobytes()
 
     def test_noise_drift_within_worst_case_bound(self, ipm):
         spec = InjectionSpec(6.0, 0.0, 20.0, 0.0, OMEGA, Waveform.sine())
