@@ -18,6 +18,7 @@ from .ripple import RippleMeasurement, TooShort, Unresolved, extract_ripple
 from .estimator import (
     EstimationResult,
     ExperimentPlan,
+    NonPhysical,
     NotAtRest,
     PlanRun,
     ZeroRipple,
@@ -48,6 +49,7 @@ __all__ = [
     "InjectionSpec",
     "MotorParams",
     "NonConvergence",
+    "NonPhysical",
     "NotAtRest",
     "PlanRun",
     "RankDeficient",

@@ -24,6 +24,7 @@ from pathlib import Path
 from .config import ProjectConfig, load_config, step_files
 from .estimator import (
     ZeroRipple,
+    NonPhysical,
     NotAtRest,
     identify,
     plan_runs,
@@ -42,7 +43,7 @@ EXIT_CONFIG = 1
 EXIT_NUMERICAL = 2
 
 _NUMERICAL_ERRORS = (NonConvergence, StepTooLarge, TooShort, Unresolved, ZeroRipple,
-                     RankDeficient, NotAtRest)
+                     RankDeficient, NotAtRest, NonPhysical)
 
 
 def _run_name(idx: int, role: str, i_target: float) -> str:

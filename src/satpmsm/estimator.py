@@ -80,6 +80,11 @@ class ZeroRipple(RuntimeError):
     """Measured ripple is indistinguishable from zero; cannot divide by it."""
 
 
+class NonPhysical(RuntimeError):
+    """The fit gives an inductance that is not positive and finite, as data
+    with a reversed current channel do."""
+
+
 class NotAtRest(RuntimeError):
     """A trace does not start de-energized, so integrating u - R i from its
     first sample would not give its flux."""
@@ -268,8 +273,8 @@ def _regressors(phi: np.ndarray) -> np.ndarray:
     (2, n): row k on axis a is the derivative along a of parameter k's
     energy monomial, and zero (five rows) where that monomial holds no power
     of a's flux. Each of the nine other rows keeps the operand order of
-    `magnetics._row_currents` and ends on + 0.0 where it could give -0.0, so
-    all are bit for bit `_stacked_currents` at one-hot theta."""
+    `magnetics._stacked_currents` and ends on + 0.0 where it could give
+    -0.0, so all are bit for bit that map at one-hot theta."""
     fd, fq = phi
     fq2 = fq * fq
     X = np.zeros((len(PARAM_NAMES), *phi.shape))
@@ -348,6 +353,9 @@ def _solve(terms: Iterable[tuple], nominal: MotorParams) -> EstimationResult:
     sig = np.sqrt(rss / (n_rows - n_blocks - k) * np.diag(xtx_inv))
 
     inv_Ld, inv_Lq, a30, a12, a40, a22, a04 = (float(v) for v in theta)
+    if not (0.0 < inv_Ld < math.inf and 0.0 < inv_Lq < math.inf):
+        raise NonPhysical(f"estimated 1/Ld = {inv_Ld:.6g} 1/H and 1/Lq = {inv_Lq:.6g} 1/H, but both must be "
+                          "positive and finite: check the sign of the current channels")
     params = dataclasses.replace(
         nominal, Ld=1.0 / inv_Ld, Lq=1.0 / inv_Lq,
         a30=a30, a12=a12, a40=a40, a22=a22, a04=a04)
@@ -404,7 +412,8 @@ def identify(runs: Sequence[PlanRun], load: Callable[[int, int], Iterable[Trace]
     `gram_fit` alone decides whether the runs determine theta; roles are
     labels only. The seven magnetic parameters are replaced by their
     estimates; R (which also rebuilds the flux), phi_m and n_pp are passed
-    through from `nominal`.
+    through from `nominal`. An estimated 1/Ld or 1/Lq that is not positive
+    and finite raises NonPhysical.
 
     The runs are cut into contiguous slices (`_in_slices`: one worker per
     usable CPU, at most two, all in this process where the platform cannot

@@ -67,10 +67,10 @@ class MotorParams:
                 raise ValueError(f"{name} must be finite")
 
     @functools.cached_property
-    def _current_table(self) -> tuple[tuple[float, float], ...]:
-        """`_current_coefficients` of this motor. Cached per motor, because
-        building it costs about as much as one scalar evaluation of the map."""
-        return _current_coefficients(self.theta)
+    def _rows(self) -> np.ndarray:
+        """`_current_coefficients` as one (5, 2, 1) lane of `_current_rows`;
+        cached, because building it costs about one evaluation of the map."""
+        return np.array(_current_coefficients(self.theta), dtype=float)[..., None]
 
     @functools.cached_property
     def theta(self) -> tuple[float, ...]:
@@ -129,8 +129,8 @@ def energy(p: MotorParams, f: FluxLinkage) -> float:
 
 
 def _current_coefficients(theta):
-    """Coefficient rows (d, q) of the current map `_row_currents`: c0, c1, c2,
-    c3 and e, in that order, for the parameters theta = `MotorParams.theta`.
+    """Coefficient rows (d, q) of the current map `_stacked_currents`: c0, c1,
+    c2, c3 and e, in that order, for the parameters theta = `MotorParams.theta`.
 
     Linear in theta, so theta = np.eye(7) gives each coefficient as a row of
     7 regressor weights, and the map evaluated with them gives the current's
@@ -146,39 +146,28 @@ def _current_coefficients(theta):
 
 
 def _current_rows(motors) -> np.ndarray:
-    """`_current_table` of each motor as a C-contiguous (5, 2, n) array: the
+    """`MotorParams._rows` of each motor as a C-contiguous (5, 2, n) array: the
     five coefficient rows of a batch of n lanes, lane j holding motors[j].
     Contiguous because a strided operand costs a numpy call about twice."""
-    return np.array([p._current_table for p in motors], dtype=float).transpose(1, 2, 0).copy()
-
-
-def _row_currents(x, fd, fq2, c0, c1, c2, c3, e):
-    """Gradient of `energy` along the axis whose flux is x (fd or fq), given
-    that axis's coefficient rows; fq2 = fq*fq. Elementwise, so x may be one
-    float or the stacked (2, ...) d/q flux rows with (2, ...) coefficients.
-    With e_q = 0, i_d is even and i_q odd in fq, exactly."""
-    return x * (c0 + fd * (c1 + c2 * fd) + c3 * fq2) + e * fq2
+    return np.concatenate([p._rows for p in motors], axis=-1)
 
 
 def _stacked_currents(rows, X):
-    """Both current rows of stacked fluxes X = (phi_d, phi_q) in one pass;
-    rows are `_current_rows` shaped to broadcast against X."""
-    return _row_currents(X, X[0], X[1] * X[1], *rows)
+    """The current map: stacked currents (i_d, i_q), the gradient of `energy`,
+    at stacked fluxes X = (phi_d, phi_q), for rows `_current_rows` shaped to
+    broadcast against X; one pair is a (2, 1) batch. With e_q = 0, i_d is
+    even and i_q odd in phi_q, exactly."""
+    c0, c1, c2, c3, e = rows
+    fd, fq2 = X[0], X[1] * X[1]
+    return X * (c0 + fd * (c1 + c2 * fd) + c3 * fq2) + e * fq2
 
 
-def _currents(p: MotorParams, fd, fq):
-    """Gradient of `energy` at (fd, fq): `_row_currents` once per axis."""
-    fq2 = fq * fq
-    (c0d, c0q), (c1d, c1q), (c2d, c2q), (c3d, c3q), (ed, eq) = p._current_table
-    return (_row_currents(fd, fd, fq2, c0d, c1d, c2d, c3d, ed),
-            _row_currents(fq, fd, fq2, c0q, c1q, c2q, c3q, eq))
-
-
+@np.errstate(over="ignore", invalid="ignore")  # a pair that overflows fails in Currents, as floats do
 def currents_from_flux(p: MotorParams, f: FluxLinkage) -> Currents:
-    """Currents as the gradient of `energy` (the magnetization curves), at
-    one flux pair. The package evaluates the same map on arrays; this scalar
-    form stays for acceptance criterion 4, which checks it against `energy`."""
-    return Currents(*_currents(p, f.phi_d, f.phi_q))
+    """`_stacked_currents` at one flux pair, for acceptance criterion 4,
+    which checks the current map against `energy`."""
+    (i_d,), (i_q,) = _stacked_currents(p._rows, np.array([[f.phi_d], [f.phi_q]])).tolist()
+    return Currents(i_d, i_q)
 
 
 def _hessian(theta, fd, fq):
@@ -198,18 +187,19 @@ def _hessian(theta, fd, fq):
     return h_dd, h_dq, h_qq
 
 
-def _first_order(p: MotorParams, i_d, i_q):
-    """`flux_from_currents_first_order` at the currents (i_d, i_q), floats or
-    arrays."""
-    c_d, c_q = _currents(p, p.Ld * i_d, p.Lq * i_q)
-    return p.Ld * (2.0 * i_d - c_d), p.Lq * (2.0 * i_q - c_q)
+def _first_order(p: MotorParams, I: np.ndarray) -> np.ndarray:
+    """`flux_from_currents_first_order` at the stacked (2, n) currents I."""
+    L = np.array([[p.Ld], [p.Lq]])
+    return L * (2.0 * I - _stacked_currents(p._rows, L * I))
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a pair that overflows fails in FluxLinkage, as floats do
 def flux_from_currents_first_order(p: MotorParams, i: Currents) -> FluxLinkage:
     """Explicit flux-from-current inversion, first order in the saturation
     coefficients: phi = L (i - g(L i)) = L (2 i - i(L i)), with g the
     saturation part of the current map (the O(|a|^2) remainder is dropped)."""
-    return FluxLinkage(*_first_order(p, i.i_d, i.i_q))
+    (phi_d,), (phi_q,) = _first_order(p, np.array([[i.i_d], [i.i_q]])).tolist()
+    return FluxLinkage(phi_d, phi_q)
 
 
 _NEWTON_MAX_ITER = 50
@@ -256,13 +246,13 @@ def _invert(p: MotorParams, i_d: np.ndarray, i_q: np.ndarray, tol: float,
     """
     if not (np.all(np.isfinite(i_d)) and np.all(np.isfinite(i_q))):
         raise ValueError("currents must be finite")
-    fd, fq = (np.array(a, dtype=float) for a in (seed if seed is not None else _first_order(p, i_d, i_q)))
+    fd, fq = np.array(seed if seed is not None else _first_order(p, np.array((i_d, i_q))), dtype=float)
     live = np.ones(len(i_d), dtype=bool) if seed is not None else np.isfinite(fd) & np.isfinite(fq)
     # element -> what it raises alone; `flux_from_currents_first_order` refuses a seed that is not finite
     failures: dict[int, Exception] = {j: ValueError("flux linkage must be finite") for j in np.flatnonzero(~live)}
 
     def residual(k, fd, fq):
-        c_d, c_q = _currents(p, fd, fq)
+        c_d, c_q = _stacked_currents(p._rows, np.array((fd, fq)))
         return c_d - i_d[k], c_q - i_q[k]
 
     def fail(k, text):

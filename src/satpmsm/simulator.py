@@ -672,7 +672,7 @@ def simulate_periodic(p: MotorParams, specs: Sequence[InjectionSpec], *,
     u_bar, u_tilde = _stacked_drive(specs, dt)
     n = len(specs)
     i_bar = u_bar / p.R
-    phi = np.array(_first_order(p, *i_bar))
+    phi = _first_order(p, i_bar)
     phi = phi + u_tilde * float(F_array(specs[0].waveform, 0.0)) / specs[0].omega
     J, fd = np.empty((2, 2, n)), np.ones(n, dtype=bool)
     coarse_dt = specs[0].period / _PARAREAL_COARSE_STEPS

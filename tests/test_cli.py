@@ -453,6 +453,19 @@ class TestEstimateCommand:
             with pytest.raises(ChildProcessError):  # every worker reaped
                 os.waitpid(-1, os.WNOHANG)
 
+    def test_reversed_current_channels_exit_code(self, cfg_path, capsys):
+        # i_d and i_q negated in every ingested trace, as reversed current
+        # sensors record them: a numerical failure, not a configuration error
+        base = cfg_path.parent
+        assert main(["simulate", "--config", str(cfg_path), "--out", str(base / "sim")]) == 0
+        for path in (base / "sim" / "traces").glob("*.csv"):
+            tr = Trace.from_csv(path)
+            dataclasses.replace(tr, i_d=-tr.i_d, i_q=-tr.i_q).to_csv(path)
+        code = main(["estimate", "--config", str(cfg_path), "--out", str(base / "x"),
+                     "--ingest", str(base / "sim" / "manifest.txt")])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("numerical failure: NonPhysical: estimated 1/Ld = -")
+
     def test_same_files_for_any_worker_count(self, tmp_path, monkeypatch):
         # the IPM fixture's plan at 10 mA, simulated by one, two or three
         # workers: the same trace files and manifest, byte for byte

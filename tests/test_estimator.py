@@ -20,6 +20,7 @@ from satpmsm.estimator import (
     ROLE_LQ,
     EstimationResult,
     ExperimentPlan,
+    NonPhysical,
     NotAtRest,
     ZeroRipple,
     _in_slices,
@@ -498,6 +499,18 @@ class TestEndToEnd:
         with pytest.raises(NotAtRest, match="bench_03.csv"):
             identify(runs, oracles.in_memory(traces), ipm,
                      names=[f"bench_{k:02d}.csv" for k in range(len(runs))])
+
+    def test_reversed_current_channels_refused(self, ipm):
+        # both current channels negated, as reversed sensors record them: the
+        # fit's inductances come out negative, a numerical failure naming
+        # both estimates, not a motor that fails its own validation
+        plan = ipm_plan(id_grid=(-1.0, 0.5, 1.0), iq_grid=(-1.0, 0.5, 1.0))
+        runs = plan_runs(plan, ipm.R)
+        traces = [dataclasses.replace(tr, i_d=-tr.i_d, i_q=-tr.i_q)
+                  for tr in simulate_plan(ipm, runs, measure_periods=10)]
+        with pytest.raises(NonPhysical, match=r"^estimated 1/Ld = -[0-9.]+ 1/H and 1/Lq = -[0-9.]+ 1/H, .*"
+                                              r"check the sign of the current channels$"):
+            identify(runs, oracles.in_memory(traces), ipm)
 
     @staticmethod
     def mixed_records(motor, make_trace):

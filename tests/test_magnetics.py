@@ -16,8 +16,9 @@ from satpmsm.magnetics import (
     flux_from_currents_first_order,
     _NEWTON_MAX_HALVINGS,
     _NEWTON_MAX_ITER,
+    _current_coefficients,
     _current_rows,
-    _currents,
+    _first_order,
     _hessian,
     _invert,
     _stacked_currents,
@@ -109,17 +110,17 @@ class TestCurrentsFromFlux:
         want_d, want_q = oracles.currents_oracle(ipm, 0.1, 0.05)
         assert c.i_d == pytest.approx(want_d, rel=1e-14)
         assert c.i_q == pytest.approx(want_q, rel=1e-14)
-        # the scalar path on floats and the stacked (2, n) form the simulator
+        # one flux pair at a time and the stacked (2, n) form the simulator
         # integrates, one lane per flux, element by element
         rng = np.random.default_rng(9)
         fd, fq = rng.uniform(-0.3, 0.3, size=(2, 200))
         stacked = _stacked_currents(_current_rows([ipm] * len(fd)), np.stack([fd, fq]))
         for k in range(len(fd)):
             want_d, want_q = oracles.currents_oracle(ipm, fd[k], fq[k])
-            i_d, i_q = _currents(ipm, float(fd[k]), float(fq[k]))
-            assert i_d == pytest.approx(want_d, rel=1e-14)
-            assert i_q == pytest.approx(want_q, rel=1e-14)
-            assert (stacked[0, k], stacked[1, k]) == (i_d, i_q)
+            c = currents_from_flux(ipm, FluxLinkage(float(fd[k]), float(fq[k])))
+            assert c.i_d == pytest.approx(want_d, rel=1e-14)
+            assert c.i_q == pytest.approx(want_q, rel=1e-14)
+            assert (stacked[0, k], stacked[1, k]) == (c.i_d, c.i_q)
 
     def test_gradient_of_energy(self):
         # central finite differences of the potential, relative 1e-6
@@ -133,6 +134,29 @@ class TestCurrentsFromFlux:
             scale = max(abs(c.i_d), abs(c.i_q), 1e-3)
             assert abs(c.i_d - fd_id) <= 1e-6 * scale
             assert abs(c.i_q - fd_iq) <= 1e-6 * scale
+
+    @pytest.mark.parametrize("name", ["ipm", "spm"])
+    def test_pair_is_one_lane_of_the_batch(self, name, request):
+        # currents_from_flux and flux_from_currents_first_order are the
+        # batch maps on one (2, 1) lane: bit for bit, as Python floats
+        p = request.getfixturevalue(name)
+        X = np.random.default_rng(13).uniform(-0.3, 0.3, size=(2, 50))
+        currents = _stacked_currents(_current_rows([p] * X.shape[1]), X)
+        fluxes = _first_order(p, X * 10.0)
+        for k in range(X.shape[1]):
+            c = currents_from_flux(p, FluxLinkage(float(X[0, k]), float(X[1, k])))
+            f = flux_from_currents_first_order(p, Currents(float(X[0, k] * 10.0), float(X[1, k] * 10.0)))
+            assert all(type(v) is float for v in (c.i_d, c.i_q, f.phi_d, f.phi_q))
+            assert (c.i_d, c.i_q) == (currents[0, k], currents[1, k])
+            assert (f.phi_d, f.phi_q) == (fluxes[0, k], fluxes[1, k])
+
+    def test_rows_of_a_mixed_batch(self, ipm):
+        # each lane of the step responses' [p, p.without_saturation()] holds
+        # its own motor's coefficients
+        rows = _current_rows([ipm, ipm.without_saturation()])
+        assert rows.shape == (5, 2, 2) and rows.flags.c_contiguous
+        for j, p in enumerate([ipm, ipm.without_saturation()]):
+            assert rows[..., j].tolist() == [list(row) for row in _current_coefficients(p.theta)]
 
     def test_mirror_maps_currents(self):
         rng = np.random.default_rng(5)
@@ -239,12 +263,20 @@ class TestExactInversion:
             flux_from_currents_exact(ipm, Currents(0.1, 0.1), tol=0.0)
 
 
+def float_currents(p, fd, fq):
+    """The library's current map at one flux pair of Python floats, as two
+    floats that may overflow, as a Newton iterate's residual may."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        (c_d,), (c_q,) = _stacked_currents(p._rows, np.array([[fd], [fq]])).tolist()
+    return c_d, c_q
+
+
 def scalar_newton(p, i, fd, fq, tol):
     """Reference: the damped Newton of one target (Currents i) from the seed
     (fd, fq), written as a loop over Python floats on the library's current
     map and Hessian."""
     def residual(fd, fq):
-        c_d, c_q = _currents(p, fd, fq)
+        c_d, c_q = float_currents(p, fd, fq)
         return c_d - i.i_d, c_q - i.i_q
 
     rd, rq = residual(fd, fq)
