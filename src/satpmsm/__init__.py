@@ -22,9 +22,8 @@ from .estimator import (
     NotAtRest,
     PlanRun,
     ZeroRipple,
-    estimate_cross,
-    estimate_d_axis,
     estimate_L,
+    estimate_saturation,
     identify,
     plan_runs,
     predict_ripple,
@@ -66,8 +65,7 @@ __all__ = [
     "currents_from_flux",
     "energy",
     "estimate_L",
-    "estimate_cross",
-    "estimate_d_axis",
+    "estimate_saturation",
     "extract_ripple",
     "flux_by_integration",
     "flux_from_currents_exact",

@@ -38,11 +38,12 @@ slice holds its flux record in full (`simulate_plan`), but each run's
 currents, voltages, noise and regressors exist only while that run is
 reduced.
 
-`estimate_L`, `estimate_d_axis` and `estimate_cross` keep the paper's
-first-order split: inductances from (a), then regressions of the settled
-ripple amplitudes on columns of the Hessian, evaluated at the linearized
-flux L * i_bar. That flux misses the true operating point at second order in
-the coefficients, a bias that does not shrink with pulsation, so the
+`estimate_L` and `estimate_saturation` keep the paper's first-order split:
+inductances from (a), then one least squares of every run's settled d and
+q ripple amplitudes on the first-order ripple model, the Hessian at the
+linearized flux L * i_bar applied to u_tilde / omega (`_ripple_model`).
+That flux misses the true operating point at second order in the
+coefficients, a bias that does not shrink with pulsation, so the
 identification itself does not use them.
 """
 
@@ -58,7 +59,7 @@ from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 import numpy as np
 
 from .injection import SQUARE, InjectionSpec, Waveform
-from .leastsq import RankDeficient, gram_fit
+from .leastsq import gram_fit
 from .magnetics import MotorParams, _hessian
 from .ripple import RippleMeasurement, TooShort, Unresolved, _centred, extract_ripple, period_blocks, rebuild_flux
 from .simulator import SimConfig, Trace, simulate_batch
@@ -139,24 +140,10 @@ class InductanceEstimate(NamedTuple):
     sigma_L_q: float
 
 
-class DAxisEstimate(NamedTuple):
-    a30: float
-    a40: float
-    sigma_a30: float
-    sigma_a40: float
-    residual_rms: float
-
-
-class CrossEstimate(NamedTuple):
-    a22: float
-    a12: float
-    a04: float
-    sigma_a22: float
-    sigma_a12: float
-    sigma_a04: float
-    residual_rms_a22: float
-    residual_rms_a12: float
-    residual_rms_a04: float
+class SaturationEstimate(NamedTuple):
+    coefficients: dict[str, float]  # keyed a30 ... a04
+    sigma: dict[str, float]
+    residual_rms: float  # A, over the d and q row of every run
 
 
 def plan_runs(plan: ExperimentPlan, R: float) -> list[PlanRun]:
@@ -212,60 +199,40 @@ def _fit_with_sigma(X, y, sigma_y):
     return beta, np.sqrt((A * A) @ (np.asarray(sigma_y) ** 2)), float(np.sqrt(np.mean((y - X @ beta) ** 2)))
 
 
-def estimate_d_axis(meas: Sequence[RippleMeasurement], L_d: float, plan: ExperimentPlan) -> DAxisEstimate:
-    """d-axis saturation from the bias sweep (b): regress the excess ripple
-    slope omega*i_tilde_d/u_tilde - 1/L_d on the a30 and a40 columns of
-    H_dd at the linearized flux (L_d i_bar, 0)."""
-    if len({m.i_bar_d for m in meas}) < 3:
-        raise RankDeficient("d-axis sweep needs >= 3 distinct bias currents")
-    i_bar = np.array([m.i_bar_d for m in meas])[:, None]
-    i_tilde = np.array([m.i_tilde_d for m in meas])
-    sigma_y = plan.omega * np.array([m.sigma_i_tilde_d for m in meas]) / plan.u_tilde
-    h_dd = _hessian(_THETA_BASIS, L_d * i_bar, 0.0)[0]
-    beta, sig, rms = _fit_with_sigma(
-        h_dd[:, [2, 4]], plan.omega * i_tilde / plan.u_tilde - 1.0 / L_d, sigma_y)
-    return DAxisEstimate(float(beta[0]), float(beta[1]), float(sig[0]), float(sig[1]), rms)
+def estimate_saturation(runs: Sequence[PlanRun], meas: Sequence[RippleMeasurement],
+                        L_d: float, L_q: float) -> SaturationEstimate:
+    """The five saturation coefficients from the settled ripples `meas` of
+    the runs, by one least squares over each run's d and q ripple. A row is
+    the first-order ripple model at one-hot theta (`_ripple_model`) at the
+    flux (L_d i_bar_d, L_q i_bar_q) of the run's measured mean currents,
+    under the run's own drive; the inductance part, theta = (1/L_d, 1/L_q,
+    0, ...), is subtracted from the measured ripple first. The sigmas
+    propagate each ripple's standard error. Roles are not read: `gram_fit`
+    alone decides whether the runs determine the coefficients."""
+    X = np.array([_ripple_model(_THETA_BASIS, L_d * m.i_bar_d, L_q * m.i_bar_q, run.spec)
+                  for run, m in zip(runs, meas, strict=True)]).reshape(-1, len(PARAM_NAMES))
+    y = np.array([(m.i_tilde_d, m.i_tilde_q) for m in meas]).reshape(-1) - X[:, :2] @ (1.0 / L_d, 1.0 / L_q)
+    sigma_y = [s for m in meas for s in (m.sigma_i_tilde_d, m.sigma_i_tilde_q)]
+    beta, sig, rms = _fit_with_sigma(X[:, 2:], y, sigma_y)
+    names = PARAM_NAMES[2:]
+    return SaturationEstimate(dict(zip(names, beta.tolist())), dict(zip(names, sig.tolist())), rms)
 
 
-def estimate_cross(meas_c: Sequence[RippleMeasurement], meas_d: Sequence[RippleMeasurement],
-                   L_d: float, L_q: float, plan: ExperimentPlan) -> CrossEstimate:
-    """Cross and q-axis saturation from the q-bias sweeps, each regressed on
-    one column of the Hessian at the linearized flux (0, L_q i_bar_q).
-
-    a22 from the d ripple under d injection (c), on H_dd; a12 from one
-    stacked regression over the q ripple of (c) and the d ripple of (d), both
-    on H_dq; a04 from the q ripple under q injection (d), on H_qq.
-    """
-    if len({m.i_bar_q for m in meas_c} | {m.i_bar_q for m in meas_d}) < 3:
-        raise RankDeficient("cross sweeps need >= 3 distinct bias currents")
-    om, ut = plan.omega, plan.u_tilde
-    h_c = _hessian(_THETA_BASIS, 0.0, L_q * np.array([m.i_bar_q for m in meas_c])[:, None])
-    h_d = _hessian(_THETA_BASIS, 0.0, L_q * np.array([m.i_bar_q for m in meas_d])[:, None])
-    b22, s22, r22 = _fit_with_sigma(
-        h_c[0][:, [5]], om * np.array([m.i_tilde_d for m in meas_c]) / ut - 1.0 / L_d,
-        om / ut * np.array([m.sigma_i_tilde_d for m in meas_c]))
-    b12, s12, r12 = _fit_with_sigma(
-        np.concatenate([h_c[1], h_d[1]])[:, [3]],
-        om / ut * np.array([m.i_tilde_q for m in meas_c] + [m.i_tilde_d for m in meas_d]),
-        om / ut * np.array([m.sigma_i_tilde_q for m in meas_c]
-                           + [m.sigma_i_tilde_d for m in meas_d]))
-    b04, s04, r04 = _fit_with_sigma(
-        h_d[2][:, [6]], om * np.array([m.i_tilde_q for m in meas_d]) / ut - 1.0 / L_q,
-        om / ut * np.array([m.sigma_i_tilde_q for m in meas_d]))
-    return CrossEstimate(
-        a22=float(b22[0]), a12=float(b12[0]), a04=float(b04[0]),
-        sigma_a22=float(s22[0]), sigma_a12=float(s12[0]), sigma_a04=float(s04[0]),
-        residual_rms_a22=r22, residual_rms_a12=r12, residual_rms_a04=r04,
-    )
+def _ripple_model(theta, fd, fq, spec: InjectionSpec) -> tuple:
+    """First-order ripple amplitudes (i_tilde_d, i_tilde_q) of a locked-rotor
+    injection run whose mean flux is (fd, fq): the Hessian (`_hessian`) at
+    that flux applied to (u_tilde_d, u_tilde_q) / omega. Linear in theta, so
+    theta = `_THETA_BASIS` gives each as a row of seven regressor columns."""
+    h_dd, h_dq, h_qq = _hessian(theta, fd, fq)
+    utd, utq = spec.u_tilde_d, spec.u_tilde_q
+    return (h_dd * utd + h_dq * utq) / spec.omega, (h_dq * utd + h_qq * utq) / spec.omega
 
 
 def predict_ripple(p: MotorParams, spec: InjectionSpec) -> tuple[float, float]:
     """First-order ripple amplitudes for a locked-rotor injection run: the
     Hessian at the linearized flux L * i_bar applied to u_tilde / omega, with
     the bias currents i_bar = u_bar / R."""
-    h_dd, h_dq, h_qq = _hessian(p.theta, p.Ld * spec.u_bar_d / p.R, p.Lq * spec.u_bar_q / p.R)
-    utd, utq = spec.u_tilde_d, spec.u_tilde_q
-    return (h_dd * utd + h_dq * utq) / spec.omega, (h_dq * utd + h_qq * utq) / spec.omega
+    return _ripple_model(p.theta, p.Ld * spec.u_bar_d / p.R, p.Lq * spec.u_bar_q / p.R, spec)
 
 
 def _regressors(phi: np.ndarray) -> np.ndarray:

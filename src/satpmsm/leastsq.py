@@ -1,6 +1,6 @@
 """Ordinary least squares on normal equations, the one solver of the
 parameter regressions: the identification accumulates its Gram matrix run
-by run, the paper's split forms it from a regressor matrix of at most two
+by run, the paper's split forms it from a regressor matrix of five
 columns."""
 
 from __future__ import annotations

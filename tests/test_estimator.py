@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import math
 import multiprocessing
 import os
@@ -25,9 +26,8 @@ from satpmsm.estimator import (
     ZeroRipple,
     _in_slices,
     _run_terms,
-    estimate_cross,
-    estimate_d_axis,
     estimate_L,
+    estimate_saturation,
     identify,
     plan_runs,
     predict_ripple,
@@ -160,67 +160,68 @@ class TestEstimateL:
         assert est.sigma_L_q == 0.0
 
 
-class TestDAxisRegression:
-    def test_exact_recovery_from_model_data(self, ipm):
-        # ripple generated exactly from the sweep's regression model
-        plan = ipm_plan(id_grid=np.linspace(-2, 2, 14))
-        ms = []
-        for ib in plan.id_grid:
-            it = plan.u_tilde / OMEGA * (
-                1 / ipm.Ld + 6 * ipm.a30 * ipm.Ld * ib + 12 * ipm.a40 * ipm.Ld**2 * ib * ib)
-            ms.append(meas(i_bar_d=ib, i_tilde_d=it))
-        est = estimate_d_axis(ms, ipm.Ld, plan)
-        assert est.a30 == pytest.approx(7.70, rel=1e-10)
-        assert est.a40 == pytest.approx(19.42, rel=1e-10)
-        assert est.residual_rms < 1e-10
-
-    def test_rank_deficient_grid(self, ipm):
-        plan = ipm_plan(id_grid=(1.0, 1.0, 1.0))
-        ms = [meas(i_bar_d=1.0, i_tilde_d=0.1)] * 3
-        with pytest.raises(RankDeficient):
-            estimate_d_axis(ms, ipm.Ld, plan)
-
-    def test_needs_three_points(self, ipm):
-        plan = ipm_plan(id_grid=(1.0, -1.0))
-        ms = [meas(i_bar_d=1.0, i_tilde_d=0.1), meas(i_bar_d=-1.0, i_tilde_d=0.1)]
-        with pytest.raises(RankDeficient):
-            estimate_d_axis(ms, ipm.Ld, plan)
+def split_model_data(p, plan, even=0.0):
+    """The plan's biased runs and their ripples from the paper's first-order
+    model at the linearized flux, written out per configuration. `even`
+    adds even * i_bar**2 to the two ripples that only a12 predicts."""
+    k = plan.u_tilde / plan.omega
+    runs = plan_runs(plan, p.R)[2:]
+    ms = []
+    for run in runs:
+        ib = run.i_target
+        if run.role == ROLE_D_SWEEP:
+            ms.append(meas(i_bar_d=ib, i_tilde_d=k * (
+                1 / p.Ld + 6 * p.a30 * p.Ld * ib + 12 * p.a40 * p.Ld**2 * ib * ib)))
+        elif run.role == ROLE_CROSS_D_INJ:
+            ms.append(meas(i_bar_q=ib, i_tilde_d=k * (1 / p.Ld + 2 * p.a22 * p.Lq**2 * ib * ib),
+                           i_tilde_q=2 * k * p.a12 * p.Lq * ib + even * ib * ib))
+        else:
+            ms.append(meas(i_bar_q=ib, i_tilde_d=2 * k * p.a12 * p.Lq * ib + even * ib * ib,
+                           i_tilde_q=k * (1 / p.Lq + 12 * p.a04 * p.Lq**2 * ib * ib)))
+    return runs, ms
 
 
-class TestCrossRegression:
-    def test_exact_recovery_from_model_data(self, spm):
-        # all three cross regressions on data generated from their models
-        plan = ipm_plan(iq_grid=np.linspace(-8, 8, 33), u_tilde=40.0)
-        ms_c, ms_d = [], []
-        for ib in plan.iq_grid:
-            it_d_c = plan.u_tilde / OMEGA * (1 / spm.Ld + 2 * spm.a22 * spm.Lq**2 * ib * ib)
-            it_q_c = 2 * plan.u_tilde / OMEGA * spm.a12 * spm.Lq * ib
-            it_d_d = 2 * plan.u_tilde / OMEGA * spm.a12 * spm.Lq * ib
-            it_q_d = plan.u_tilde / OMEGA * (1 / spm.Lq + 12 * spm.a04 * spm.Lq**2 * ib * ib)
-            ms_c.append(meas(i_bar_q=ib, i_tilde_d=it_d_c, i_tilde_q=it_q_c))
-            ms_d.append(meas(i_bar_q=ib, i_tilde_d=it_d_d, i_tilde_q=it_q_d))
-        est = estimate_cross(ms_c, ms_d, spm.Ld, spm.Lq, plan)
-        assert est.a22 == pytest.approx(8.76, rel=1e-10)
-        assert est.a12 == pytest.approx(4.83, rel=1e-10)
-        assert est.a04 == pytest.approx(1.18, rel=1e-10)
-        assert max(est.residual_rms_a22, est.residual_rms_a12, est.residual_rms_a04) < 1e-10
+class TestSaturationRegression:
+    @pytest.mark.parametrize("fixture, id_grid, iq_grid, u_tilde, even", [
+        ("ipm", symmetric_grid(2.0, 0.3), symmetric_grid(2.0, 0.3), 30.0, 0.0),
+        ("spm", symmetric_grid(8.0, 0.5), symmetric_grid(8.0, 0.5), 40.0, 0.0),
+        ("ipm", (-1.0, 1.0), symmetric_grid(2.0, 0.3), 30.0, 0.0),  # two d biases suffice
+        # no a12 and even data on a symmetric grid: the odd a12 column sees 0
+        ("spm", symmetric_grid(1.5, 0.5), (-1.5, -0.5, 0.5, 1.5), 40.0, 0.002),
+    ], ids=["ipm", "spm", "two_point_d_sweep", "even_a12_data"])
+    def test_exact_recovery_from_model_data(self, request, fixture, id_grid, iq_grid, u_tilde, even):
+        p = request.getfixturevalue(fixture)
+        if even:
+            p = dataclasses.replace(p, a12=0.0)
+        plan = ipm_plan(id_grid=id_grid, iq_grid=iq_grid, u_tilde=u_tilde)
+        est = estimate_saturation(*split_model_data(p, plan, even), p.Ld, p.Lq)
+        for name in ("a30", "a12", "a40", "a22", "a04"):
+            assert est.coefficients[name] == pytest.approx(getattr(p, name), rel=1e-10, abs=1e-12), name
+        assert even or est.residual_rms < 1e-10
 
-    def test_even_data_gives_zero_a12(self, spm):
-        # symmetric grid, q-ripple even in the bias: the odd regressor sees 0
-        plan = ipm_plan(iq_grid=(-1.5, -0.5, 0.5, 1.5), u_tilde=40.0)
-        ms_c = [meas(i_bar_q=ib, i_tilde_d=0.0, i_tilde_q=0.002 * ib * ib)
-                for ib in plan.iq_grid]
-        ms_d = [meas(i_bar_q=ib, i_tilde_d=0.002 * ib * ib, i_tilde_q=0.0)
-                for ib in plan.iq_grid]
-        est = estimate_cross(ms_c, ms_d, spm.Ld, spm.Lq, plan)
-        assert abs(est.a12) < 1e-12
+    @pytest.mark.parametrize("id_grid, iq_grid, match", [
+        (symmetric_grid(2.0, 0.3), (), "zero"),  # no q sweep: a12, a22, a04 see nothing
+        ((1.0, 1.0, 1.0), symmetric_grid(2.0, 0.3), "rank-deficient"),  # a30 and a40 columns proportional
+    ], ids=["no_q_sweep", "one_d_bias"])
+    def test_undetermined_plans_refused(self, ipm, id_grid, iq_grid, match):
+        runs, ms = split_model_data(ipm, ipm_plan(id_grid=id_grid, iq_grid=iq_grid))
+        with pytest.raises(RankDeficient, match=match):
+            estimate_saturation(runs, ms, ipm.Ld, ipm.Lq)
 
-    def test_needs_three_distinct(self, spm):
-        plan = ipm_plan(iq_grid=(1.0, -1.0))
-        ms = [meas(i_bar_q=1.0, i_tilde_d=0.1, i_tilde_q=0.1),
-              meas(i_bar_q=-1.0, i_tilde_d=0.1, i_tilde_q=0.1)]
-        with pytest.raises(RankDeficient):
-            estimate_cross(ms, ms, spm.Ld, spm.Lq, plan)
+    def test_off_axis_runs(self, ipm):
+        # bias currents at 45 and 135 degrees, each run injected on d or on
+        # q: every row mixes the coefficient blocks of the paper's plan
+        w, ut = Waveform.square(), 30.0
+        runs, ms = [], []
+        for mag, angle, inj in itertools.product((0.5, 1.0, 1.5, 2.0), (45.0, 135.0), ("d", "q")):
+            i_d, i_q = mag * math.cos(math.radians(angle)), mag * math.sin(math.radians(angle))
+            spec = InjectionSpec(ipm.R * i_d, ipm.R * i_q, ut * (inj == "d"), ut * (inj == "q"), OMEGA, w)
+            runs.append(estimator.PlanRun("off_axis", mag, spec))
+            ms.append(meas(spec.u_bar_d / ipm.R, spec.u_bar_q / ipm.R, *predict_ripple(ipm, spec)))
+        est = estimate_saturation(runs, ms, ipm.Ld, ipm.Lq)
+        for name in ("a30", "a12", "a40", "a22", "a04"):
+            assert est.coefficients[name] == pytest.approx(getattr(ipm, name), rel=1e-10), name
+        assert est.residual_rms < 1e-12
 
 
 def split_sigma_data(motor):
@@ -255,20 +256,19 @@ class TestSplitSigmas:
             A = np.linalg.pinv(np.column_stack(columns))
             return np.sqrt(np.diag(A @ np.diag((k * np.asarray(sigma_i)) ** 2) @ A.T))
 
+        est = estimate_saturation(plan_runs(plan, ipm.R)[2:], ms_d + ms_c + ms_q, ipm.Ld, ipm.Lq)
         x_d = ipm.Ld * np.array([m.i_bar_d for m in ms_d])
         want = propagated([6 * x_d, 12 * x_d**2], [m.sigma_i_tilde_d for m in ms_d])
-        est = estimate_d_axis(ms_d, ipm.Ld, plan)
-        assert [est.sigma_a30, est.sigma_a40] == pytest.approx(want, rel=1e-10)
+        assert [est.sigma["a30"], est.sigma["a40"]] == pytest.approx(want, rel=1e-10)
 
         x_c = ipm.Lq * np.array([m.i_bar_q for m in ms_c])
         x_q = ipm.Lq * np.array([m.i_bar_q for m in ms_q])
-        est = estimate_cross(ms_c, ms_q, ipm.Ld, ipm.Lq, plan)
-        assert est.sigma_a22 == pytest.approx(
+        assert est.sigma["a22"] == pytest.approx(
             propagated([2 * x_c**2], [m.sigma_i_tilde_d for m in ms_c])[0], rel=1e-10)
-        assert est.sigma_a12 == pytest.approx(propagated(
+        assert est.sigma["a12"] == pytest.approx(propagated(
             [2 * np.concatenate([x_c, x_q])],
             [m.sigma_i_tilde_q for m in ms_c] + [m.sigma_i_tilde_d for m in ms_q])[0], rel=1e-10)
-        assert est.sigma_a04 == pytest.approx(
+        assert est.sigma["a04"] == pytest.approx(
             propagated([12 * x_q**2], [m.sigma_i_tilde_q for m in ms_q])[0], rel=1e-10)
 
 
@@ -334,15 +334,10 @@ class TestEndToEnd:
         plan = ExperimentPlan(omega=OMEGA, waveform=Waveform.square(), u_tilde=30.0,
                               id_grid=grid, iq_grid=grid)
         runs = plan_runs(plan, ipm.R)
-        by_role = {}
-        for run, m in zip(runs, settled_ripples(ipm, runs, 20)):
-            by_role.setdefault(run.role, []).append(m)
-        ind = estimate_L(by_role[ROLE_LD][0], by_role[ROLE_LQ][0], plan)
-        d_ax = estimate_d_axis(by_role[ROLE_D_SWEEP], ind.L_d, plan)
-        cross = estimate_cross(by_role[ROLE_CROSS_D_INJ], by_role[ROLE_CROSS_Q_INJ],
-                               ind.L_d, ind.L_q, plan)
-        got = {"Ld": ind.L_d, "Lq": ind.L_q, "a30": d_ax.a30, "a40": d_ax.a40,
-               "a22": cross.a22, "a12": cross.a12, "a04": cross.a04}
+        ms = settled_ripples(ipm, runs, 20)
+        ind = estimate_L(ms[0], ms[1], plan)
+        got = {"Ld": ind.L_d, "Lq": ind.L_q,
+               **estimate_saturation(runs, ms, ind.L_d, ind.L_q).coefficients}
         want = oracles.analytic_pipeline_oracle(ipm, grid, grid)
         # the finite-pulsation averaging remainder is (R/(omega L))^2 ~ 0.7%
         # on the q axis at 500 Hz

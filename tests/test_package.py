@@ -48,8 +48,7 @@ UNCALLED_EXPORTS = {
     "flux_from_currents_exact": "the scalar exact inversion that criterion 3 checks the first-order one against",
     "flux_from_currents_first_order": "criterion 3 checks it",
     "estimate_L": "the paper's first-order split (DECISIONS.md): its inductance step",
-    "estimate_d_axis": "the paper's first-order split (DECISIONS.md), checked by criterion 7",
-    "estimate_cross": "the paper's first-order split (DECISIONS.md), checked by criterion 7",
+    "estimate_saturation": "the paper's first-order split (DECISIONS.md), checked by criterion 7",
 }
 
 
