@@ -15,10 +15,11 @@ integral(u - R i) dt from the first sample (`ripple.rebuild_flux`), and its
 current is i(t) = grad H(phi(t)). The potential is quartic, so that relation
 is linear in theta = (1/Ld, 1/Lq, a30, a12, a40, a22, a04) at every sample,
 the transient from rest included: `identify` solves one least squares over
-every d and q sample of every run, with the regressor columns the
-derivatives of the energy's seven monomials, which are the model's current
-map at one-hot theta (`_regressors`). Each whole injection period's
-mean is subtracted from the currents and from the regressors first.
+every d and q sample of every run, with the regressor columns the model's
+current map at one-hot theta: per-axis moments of the map's monomials,
+projected through its coefficient rows (`magnetics._current_monomials`,
+`_current_coefficients`). Each whole injection period's mean is subtracted
+from the currents and from the monomials first.
 That keeps the ripple and the transient's drift within the period, and drops
 the slow random walk that current noise puts into the rebuilt flux,
 R * integral(n) dt, which would otherwise weigh on the sigmas (see
@@ -35,7 +36,7 @@ one worker per usable CPU, at most two, forked by multiprocessing
 (`_in_slices`), and sums the terms in run order: the result is bit for bit
 that of one process. A worker takes its runs one at a time: a simulated
 slice holds its flux record in full (`simulate_plan`), but each run's
-currents, voltages, noise and regressors exist only while that run is
+currents, voltages, noise and monomials exist only while that run is
 reduced.
 
 `estimate_L` and `estimate_saturation` keep the paper's first-order split:
@@ -60,8 +61,8 @@ import numpy as np
 
 from .injection import SQUARE, InjectionSpec, Waveform
 from .leastsq import gram_fit
-from .magnetics import MotorParams, _hessian
-from .ripple import RippleMeasurement, TooShort, Unresolved, _centred, extract_ripple, period_blocks, rebuild_flux
+from .magnetics import MotorParams, _current_coefficients, _current_monomials, _hessian
+from .ripple import RippleMeasurement, TooShort, Unresolved, _centred, _ripple_fit, period_blocks, rebuild_flux
 from .simulator import SimConfig, Trace, simulate_batch
 
 ROLE_LD = "ld"
@@ -235,28 +236,6 @@ def predict_ripple(p: MotorParams, spec: InjectionSpec) -> tuple[float, float]:
     return _ripple_model(p.theta, p.Ld * spec.u_bar_d / p.R, p.Lq * spec.u_bar_q / p.R, spec)
 
 
-def _regressors(phi: np.ndarray) -> np.ndarray:
-    """The regressor columns (7, 2, n) of the current map at the fluxes phi
-    (2, n): row k on axis a is the derivative along a of parameter k's
-    energy monomial, and zero (five rows) where that monomial holds no power
-    of a's flux. Each of the nine other rows keeps the operand order of
-    `magnetics._stacked_currents` and ends on + 0.0 where it could give
-    -0.0, so all are bit for bit that map at one-hot theta."""
-    fd, fq = phi
-    fq2 = fq * fq
-    X = np.zeros((len(PARAM_NAMES), *phi.shape))
-    X[0, 0] = fd + 0.0                      # 1/Ld: fd^2 / 2
-    X[1, 1] = fq + 0.0                      # 1/Lq: fq^2 / 2
-    X[2, 0] = fd * (fd * 3.0)               # a30: fd^3
-    X[3, 0] = fq2                           # a12: fd fq^2
-    X[3, 1] = fq * (fd * 2.0) + 0.0
-    X[4, 0] = fd * (fd * (fd * 4.0)) + 0.0  # a40: fd^4
-    X[5, 0] = fd * (fq2 * 2.0) + 0.0        # a22: fd^2 fq^2
-    X[5, 1] = fq * (fd * (fd * 2.0)) + 0.0
-    X[6, 1] = fq * (fq2 * 4.0) + 0.0        # a04: fq^4
-    return X
-
-
 def _noise_rms(i: np.ndarray) -> float:
     """Noise RMS of a sampled current from its second differences: for white
     noise their mean square is six times the noise variance, while a smooth
@@ -268,12 +247,13 @@ def _noise_rms(i: np.ndarray) -> float:
 def _run_terms(run: PlanRun, trace: Trace, name: str, theta0: np.ndarray,
                R: float) -> tuple[np.ndarray, np.ndarray, float, int, int]:
     """One run's checks (see `identify`), faults naming it by `name`, then
-    its share of the normal equations about theta0: X X^T, X r0 and r0.r0
-    for its residuals r0 = y - theta0 X, its rows and its blocks.
+    its share of the normal equations about theta0 per axis a, Z_a Z_a^T
+    (2, 5, 5) and Z_a r0_a (2, 5), with r0.r0, its rows and its blocks.
 
-    X holds the regressor columns (7, m) and y the current samples (m,), d
-    samples then q samples, each block of one injection period centred on
-    its own mean. A block holds the whole number of samples per period
+    Z_a holds the current map's monomials (`magnetics._current_monomials`)
+    and y_a the current samples on axis a, each block of one injection period
+    centred on its own mean; r0_a = y_a - rows_a Z_a at theta0's coefficient
+    rows. A block holds the whole number of samples per period
     (`ripple.period_blocks`); a trailing part period is left out."""
     try:
         per, blocks = period_blocks(trace, run.spec)
@@ -288,32 +268,30 @@ def _run_terms(run: PlanRun, trace: Trace, name: str, theta0: np.ndarray,
                 f"{_AT_REST_FACTOR:g}x the noise RMS {floor:.3g} A; "
                 "traces must start de-energized")
     s = run.spec
+    y = _centred(i, per, blocks)
     if s.u_bar_d == s.u_bar_q == 0.0:
-        meas = extract_ripple(trace, s, 0.0)
-        for axis, u_tilde, i_tilde, sigma in (("d", s.u_tilde_d, meas.i_tilde_d, meas.sigma_i_tilde_d),
-                                              ("q", s.u_tilde_q, meas.i_tilde_q, meas.sigma_i_tilde_q)):
+        _, fits = _ripple_fit(trace, s, 0, per, blocks, y)
+        for axis, u_tilde, (i_tilde, _, sigma) in zip("dq", (s.u_tilde_d, s.u_tilde_q), fits):
             if u_tilde != 0.0:
                 _checked_ripple(i_tilde, sigma, f"{name}: {axis}-axis zero-bias run")
-    X = _regressors(rebuild_flux(trace, R, s.waveform.kind == SQUARE)[:, :blocks * per])
-    periods = X.reshape(len(PARAM_NAMES), 2, blocks, per)
-    periods -= periods.mean(axis=-1, keepdims=True)
-    X = X.reshape(len(PARAM_NAMES), -1)
-    y = _centred(i, per, blocks).reshape(-1)
-    r0 = y - theta0 @ X
-    return X @ X.T, X @ r0, float(r0 @ r0), len(y), 2 * blocks
+    Z = _current_monomials(rebuild_flux(trace, R, s.waveform.kind == SQUARE)[:, :blocks * per])
+    periods = Z.reshape(*Z.shape[:-1], blocks, per)
+    periods -= periods.mean(axis=-1, keepdims=True)  # in place: Z is the largest array a run holds
+    Z = Z.swapaxes(0, 1)
+    r0 = y - np.einsum("ka,akm->am", np.array(_current_coefficients(theta0)), Z)
+    return Z @ Z.swapaxes(1, 2), np.einsum("akm,am->ak", Z, r0), float(np.vdot(r0, r0)), r0.size, 2 * blocks
 
 
 def _solve(terms: Iterable[tuple], nominal: MotorParams) -> EstimationResult:
-    """Sum the runs' `_run_terms` in run order and solve them (see `identify`)."""
+    """Sum the runs' `_run_terms` in run order, project the sums onto theta by
+    the coefficient rows T_a at one-hot theta, X X^T = sum_a T_a^T Z_a Z_a^T
+    T_a and X r0 = sum_a T_a^T Z_a r0_a, and solve them (see `identify`)."""
     theta0 = np.array(nominal.theta)
     k = len(PARAM_NAMES)
-    xtx, xtr, rtr, n_rows, n_blocks = np.zeros((k, k)), np.zeros(k), 0.0, 0, 0
-    for run_xtx, run_xtr, run_rtr, rows, blocks in terms:
-        xtx += run_xtx
-        xtr += run_xtr
-        rtr += run_rtr
-        n_rows += rows
-        n_blocks += blocks
+    zz, zr, rtr, n_rows, n_blocks = (sum(column) for column in zip(*terms))
+    T = np.array(_current_coefficients(_THETA_BASIS)).swapaxes(0, 1)  # (2, 5, 7): axis, row, parameter
+    xtx = sum(T_a.T @ zz_a @ T_a for T_a, zz_a in zip(T, zz))
+    xtr = sum(T_a.T @ zr_a for T_a, zr_a in zip(T, zr))
     delta, xtx_inv = gram_fit(xtx, xtr)
     theta = theta0 + delta
     rss = max(rtr - float(delta @ xtr), 0.0)
@@ -366,8 +344,8 @@ def identify(runs: Sequence[PlanRun], load: Callable[[int, int], Iterable[Trace]
     from its first sample: a first current sample beyond five times its
     channel's noise RMS (`_noise_rms`, which the transient does not inflate)
     raises NotAtRest. Each zero-bias run, one driven with no bias voltage,
-    must show a ripple on every axis it injects (`extract_ripple` over the
-    whole record), else ZeroRipple, and together they must inject both axes
+    must show a ripple on every axis it injects (`extract_ripple`'s fit over
+    the whole record), else ZeroRipple, and together they must inject both axes
     (ValueError). Faults name the run by `names`, or by its index and role,
     and are those of the first failing run in run order.
 

@@ -145,6 +145,15 @@ def _current_coefficients(theta):
             (a12, 0.0 * inv_ld))
 
 
+def _current_monomials(X):
+    """The monomials z = (X, X fd, X fd^2, X fq^2, fq^2), (5, *X.shape), at
+    stacked fluxes X = (phi_d, phi_q), that the rows c0, c1, c2, c3 and e of
+    `_current_coefficients` multiply in `_stacked_currents`: the current on
+    axis a is the sum over k of rows[k, a] * z[k, a]."""
+    fd, fq2 = X[0], X[1] * X[1]
+    return np.stack([X, X * fd, X * fd * fd, X * fq2, np.broadcast_to(fq2, X.shape)])
+
+
 def _current_rows(motors) -> np.ndarray:
     """`MotorParams._rows` of each motor as a C-contiguous (5, 2, n) array: the
     five coefficient rows of a batch of n lanes, lane j holding motors[j].

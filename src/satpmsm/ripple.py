@@ -8,7 +8,7 @@ over whole injection periods (`period_blocks`) with F and the current each
 centred on their own mean in every period (`_centred`), so a drifting mean
 moves the fit only by its swing within a period; the mean is then averaged
 over the window with the fitted ripple taken out. The regression in
-`estimator` centres its regressors by the same rule.
+`estimator` centres the current map's monomials by the same rule.
 
 `rebuild_flux` gives the flux of a locked-rotor run started at rest at every
 sample, phi(t) = integral(u - R i) dt from the first sample, both axes in
@@ -122,13 +122,30 @@ def _centred(a: np.ndarray, per: int, blocks: int) -> np.ndarray:
     return (a - a.mean(axis=-1, keepdims=True)).reshape(*a.shape[:-2], -1)
 
 
+def _ripple_fit(trace: Trace, spec: InjectionSpec, start: int, per: int, blocks: int, y: np.ndarray) -> tuple:
+    """F(omega*(t - t[0])) over the blocks * per samples from `start`, and
+    per row of y, their period-centred currents, i_tilde = f.y / f.f with f
+    the period-centred F, the residual sum of squares and i_tilde's
+    standard error, which takes one degree of freedom per period mean."""
+    n = per * blocks
+    F = F_array(spec.waveform, spec.omega * (trace.t[start:start + n] - trace.t[0]))
+    f = _centred(F, per, blocks)
+    ff = float(f @ f)
+    fits = []
+    for y_axis in y:
+        i_tilde = float(f @ y_axis) / ff
+        r = y_axis - i_tilde * f
+        rss = float(r @ r)
+        fits.append((i_tilde, rss, math.sqrt(rss / (n - blocks - 1) / ff)))
+    return F, fits
+
+
 def extract_ripple(trace: Trace, spec: InjectionSpec, discard: float) -> RippleMeasurement:
     """Fit i(t) ~ i_bar + i_tilde * F(omega*(t - t[0])) per axis after `discard`.
 
     The window is the whole injection periods from the first sample at or
-    after `discard`. i_tilde = f.y / f.f with F and i centred per period, and
-    its standard error takes one degree of freedom per period mean; i_bar is
-    the window mean of i - i_tilde * F.
+    after `discard`, fitted by `_ripple_fit`; i_bar is the window mean of
+    i - i_tilde * F.
     """
     if discard < 0:
         raise ValueError("discard must be >= 0")
@@ -136,21 +153,11 @@ def extract_ripple(trace: Trace, spec: InjectionSpec, discard: float) -> RippleM
     i0 = int(np.searchsorted(t, t[0] + discard - 1e-12 * trace.sample_period))
     per, blocks = period_blocks(trace, spec, i0)
     n = per * blocks
-    window = slice(i0, i0 + n)
-    F = F_array(spec.waveform, spec.omega * (t[window] - t[0]))
-    f = _centred(F, per, blocks)
-    ff = float(f @ f)
-
-    def fit(i):
-        y = _centred(i[window], per, blocks)
-        i_tilde = float(f @ y) / ff
-        r = y - i_tilde * f
-        rss = float(r @ r)
-        i_bar = float(np.mean(i[window] - i_tilde * F))
-        return i_bar, i_tilde, math.sqrt(rss / n), math.sqrt(rss / (n - blocks - 1) / ff)
-
-    bar_d, til_d, rms_d, stil_d = fit(trace.i_d)
-    bar_q, til_q, rms_q, stil_q = fit(trace.i_q)
+    i = np.stack([trace.i_d[i0:i0 + n], trace.i_q[i0:i0 + n]])
+    F, fits = _ripple_fit(trace, spec, i0, per, blocks, _centred(i, per, blocks))
+    (bar_d, til_d, rms_d, stil_d), (bar_q, til_q, rms_q, stil_q) = (
+        (float(np.mean(i_axis - i_tilde * F)), i_tilde, math.sqrt(rss / n), sigma)
+        for i_axis, (i_tilde, rss, sigma) in zip(i, fits))
     return RippleMeasurement(
         i_bar_d=bar_d, i_bar_q=bar_q,
         i_tilde_d=til_d, i_tilde_q=til_q,

@@ -465,19 +465,34 @@ class TestEndToEnd:
             phi = rebuild_flux(tr, ipm.R, run.spec.waveform == Waveform.square())
             assert np.max(np.abs(phi - record.flux[:, j])) <= 5e-6
 
-    def test_regressor_rows_are_the_current_map(self):
-        # the nine nonzero rows, written as the derivatives of their energy
-        # monomials, are the current map at one-hot theta bit for bit, signed
-        # zeros included: fluxes of both signs, exact zeros of both signs and
-        # values whose products underflow
-        values = [0.0, -0.0, 5e-324, -5e-324, 1e-200, -1e-200, 0.37, -0.37, 1.9, -2.3]
-        fd, fq = np.meshgrid(values, values)
-        phi = np.concatenate([np.stack([fd.ravel(), fq.ravel()]),
-                              np.random.default_rng(4).normal(scale=0.5, size=(2, 200))], axis=1)
+    @pytest.mark.parametrize("fixture, i_max, i_step, u_tilde", [
+        ("ipm", 2.0, 0.3, 30.0), ("spm", 8.0, 0.5, 40.0)])
+    @pytest.mark.parametrize("noise_amp", [0.0, 0.010])
+    def test_theta_is_the_per_sample_regression(self, fixture, i_max, i_step, u_tilde, noise_amp, request):
+        # the per-axis moments of the current map's monomials, projected
+        # through its coefficient table, give the least squares of every
+        # period-centred current sample on the current map at one-hot theta,
+        # solved here sample by sample about the nominal theta
+        p = request.getfixturevalue(fixture)
+        grid = symmetric_grid(i_max, i_step)
+        runs = plan_runs(ipm_plan(id_grid=grid, iq_grid=grid, u_tilde=u_tilde), p.R)
+        traces = list(simulate_plan(p, runs, measure_periods=10, noise_amp=noise_amp, seed=3))
         basis = np.array(_current_coefficients(np.eye(7))).transpose(0, 2, 1)[..., None]
-        want = _stacked_currents(basis, phi)
-        assert estimator._regressors(phi).tobytes() == want.tobytes()
-        assert np.count_nonzero(np.any(want != 0.0, axis=-1)) == 9
+        theta0 = np.array(p.theta)
+        xtx, xtr = np.zeros((7, 7)), np.zeros(7)
+        for run, trace in zip(runs, traces):
+            per = round(run.spec.period / trace.sample_period)
+            blocks = len(trace.t) // per
+            phi = rebuild_flux(trace, p.R, held=True)[:, :blocks * per]
+            X = _stacked_currents(basis, phi).reshape(7, 2, blocks, per)
+            X = (X - X.mean(axis=-1, keepdims=True)).reshape(7, -1)
+            i = np.stack([trace.i_d, trace.i_q])[:, :blocks * per].reshape(2, blocks, per)
+            y = (i - i.mean(axis=-1, keepdims=True)).reshape(-1)
+            xtx += X @ X.T
+            xtr += X @ (y - theta0 @ X)
+        want = theta0 + np.linalg.solve(xtx, xtr)
+        result = identify(runs, oracles.in_memory(traces), p)
+        assert np.array(result.params.theta) == pytest.approx(want, rel=1e-12, abs=0.0)
 
     def test_trace_not_at_rest_refused(self, ipm):
         # a record that starts one period into its run breaks phi(0) = 0, on

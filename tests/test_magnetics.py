@@ -17,6 +17,7 @@ from satpmsm.magnetics import (
     _NEWTON_MAX_HALVINGS,
     _NEWTON_MAX_ITER,
     _current_coefficients,
+    _current_monomials,
     _current_rows,
     _first_order,
     _hessian,
@@ -157,6 +158,29 @@ class TestCurrentsFromFlux:
         assert rows.shape == (5, 2, 2) and rows.flags.c_contiguous
         for j, p in enumerate([ipm, ipm.without_saturation()]):
             assert rows[..., j].tolist() == [list(row) for row in _current_coefficients(p.theta)]
+
+    def test_monomials_expand_the_current_map(self):
+        # the coefficient rows times their monomials are the Horner-form
+        # current map to rounding, at one-hot and at random theta: fluxes of
+        # both signs, exact zeros of both signs and values whose products
+        # underflow, where each coefficient times a subnormal product is off
+        # by its own subnormal steps; e_q multiplies nothing, so i_q is odd
+        # in phi_q
+        values = [0.0, -0.0, 5e-324, -5e-324, 1e-200, -1e-200, 0.37, -0.37, 1.9, -2.3]
+        fd, fq = np.meshgrid(values, values)
+        rng = np.random.default_rng(4)
+        phi = np.concatenate([np.stack([fd.ravel(), fq.ravel()]), rng.normal(scale=0.5, size=(2, 200))], axis=1)
+        z = _current_monomials(phi)
+        assert z.shape == (5, *phi.shape)
+        thetas = [*np.eye(7), *rng.normal(scale=(10.0, 20.0, 8.0, 6.0, 20.0, 25.0, 7.0), size=(20, 7))]
+        eps, step = np.finfo(float).eps, np.finfo(float).smallest_subnormal
+        for theta in thetas:
+            rows = np.array(_current_coefficients(theta))
+            terms = rows[..., None] * z
+            want = _stacked_currents(rows[..., None], phi)
+            tol = eps * np.abs(terms).sum(axis=0) + step * np.abs(rows).sum(axis=0)[:, None] * (1.0 + np.abs(phi[0]))
+            assert np.all(np.abs(terms.sum(axis=0) - want) <= 4.0 * tol), theta
+            assert rows[4, 1] == 0.0
 
     def test_mirror_maps_currents(self):
         rng = np.random.default_rng(5)
