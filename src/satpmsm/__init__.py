@@ -4,8 +4,6 @@ injection simulator, ripple extraction and magnetic-parameter identification.
 
 from .injection import InjectionSpec, Waveform
 from .magnetics import (
-    Currents,
-    FluxLinkage,
     MotorParams,
     NonConvergence,
     currents_from_flux,
@@ -41,10 +39,8 @@ from .validation import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "Currents",
     "EstimationResult",
     "ExperimentPlan",
-    "FluxLinkage",
     "InjectionSpec",
     "MotorParams",
     "NonConvergence",

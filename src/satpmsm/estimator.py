@@ -176,17 +176,24 @@ def _checked_ripple(i_tilde: float, sigma: float, context: str) -> float:
     return i_tilde
 
 
-def estimate_L(meas_d: RippleMeasurement, meas_q: RippleMeasurement,
-               plan: ExperimentPlan) -> InductanceEstimate:
-    """Inductances from the two zero-bias runs: L = u_tilde / (omega * i_tilde)
-    on the injected axis of each run."""
-    it_d = _checked_ripple(meas_d.i_tilde_d, meas_d.sigma_i_tilde_d, "d-axis zero-bias run")
-    it_q = _checked_ripple(meas_q.i_tilde_q, meas_q.sigma_i_tilde_q, "q-axis zero-bias run")
-    L_d = plan.u_tilde / (plan.omega * it_d)
-    L_q = plan.u_tilde / (plan.omega * it_q)
-    sigma_L_d = abs(L_d) * meas_d.sigma_i_tilde_d / abs(it_d)
-    sigma_L_q = abs(L_q) * meas_q.sigma_i_tilde_q / abs(it_q)
-    return InductanceEstimate(L_d, L_q, sigma_L_d, sigma_L_q)
+def estimate_L(runs: Sequence[PlanRun], meas: Sequence[RippleMeasurement]) -> InductanceEstimate:
+    """Inductances from the ripples `meas` of the runs: L = u_tilde / (omega *
+    i_tilde) on axis d of the first zero-bias run that injects d, and on
+    axis q of the first that injects q, each at its own run's amplitude and
+    pulsation. Zero-bias runs are found by their drive, as `identify` finds
+    them; a missing axis raises ValueError."""
+    zero_bias = [(run.spec, m) for run, m in zip(runs, meas, strict=True)
+                 if run.spec.u_bar_d == run.spec.u_bar_q == 0.0]
+    L, sigma_L = [], []
+    for axis in "dq":
+        spec, m = next(((s, m) for s, m in zero_bias if getattr(s, f"u_tilde_{axis}")), (None, None))
+        if spec is None:
+            raise ValueError(f"no zero-bias run injects the {axis} axis")
+        sigma = getattr(m, f"sigma_i_tilde_{axis}")
+        i_tilde = _checked_ripple(getattr(m, f"i_tilde_{axis}"), sigma, f"{axis}-axis zero-bias run")
+        L.append(getattr(spec, f"u_tilde_{axis}") / (spec.omega * i_tilde))
+        sigma_L.append(abs(L[-1]) * sigma / abs(i_tilde))
+    return InductanceEstimate(*L, *sigma_L)
 
 
 def _fit_with_sigma(X, y, sigma_y):

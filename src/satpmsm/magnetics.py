@@ -7,7 +7,8 @@ cross-saturation. Five coefficients (a30, a12, a40, a22, a04, subscripts =
 powers of phi_d and phi_q) parameterize the nonlinear part; mirror symmetry
 about the d axis removes the odd-in-phi_q monomials.
 
-All quantities are SI: weber, ampere, henry, ohm, volt, rad/s.
+The public functions take and return stacked (2, ...) arrays, a pair being
+a (2,) or a (2, 1) array. Units are SI: Wb, A, H, ohm, V, rad/s.
 """
 
 from __future__ import annotations
@@ -60,7 +61,7 @@ class MotorParams:
             raise ValueError(f"Ld must be positive, got {self.Ld}")
         if not (self.Lq > 0 and math.isfinite(self.Lq)):
             raise ValueError(f"Lq must be positive, got {self.Lq}")
-        if int(self.n_pp) != self.n_pp or self.n_pp < 1:
+        if not math.isfinite(self.n_pp) or int(self.n_pp) != self.n_pp or self.n_pp < 1:
             raise ValueError(f"n_pp must be an integer >= 1, got {self.n_pp}")
         for name in ("phi_m", "a30", "a12", "a40", "a22", "a04"):
             if not math.isfinite(getattr(self, name)):
@@ -83,49 +84,20 @@ class MotorParams:
         return dataclasses.replace(self, a30=0.0, a12=0.0, a40=0.0, a22=0.0, a04=0.0)
 
 
-@dataclasses.dataclass(frozen=True)
-class FluxLinkage:
-    """d-q flux linkage pair [weber]."""
-
-    phi_d: float
-    phi_q: float
-
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.phi_d) and math.isfinite(self.phi_q)):
-            raise ValueError("flux linkage must be finite")
-
-
-@dataclasses.dataclass(frozen=True)
-class Currents:
-    """d-q current pair [ampere]."""
-
-    i_d: float
-    i_q: float
-
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.i_d) and math.isfinite(self.i_q)):
-            raise ValueError("currents must be finite")
-
-
-def energy(p: MotorParams, f: FluxLinkage) -> float:
-    """Magnetic potential H(phi_d, phi_q); H(0,0) = 0.
+def energy(p: MotorParams, X: np.ndarray) -> np.ndarray:
+    """Magnetic potential H(phi_d, phi_q) at stacked fluxes X = (phi_d, phi_q),
+    of shape X.shape[1:]; H(0,0) = 0.
 
     Quadratic part phi_d^2/(2 Ld) + phi_q^2/(2 Lq) plus the five saturation
     monomials. Only its gradient is physical. No code of the package calls
     it: it stays as the definition of the model that acceptance criterion 4
     checks the current map against.
     """
-    fd, fq = f.phi_d, f.phi_q
+    fd, fq = X[0], X[1]
     fd2, fq2 = fd * fd, fq * fq
     quad = fd2 / (2.0 * p.Ld) + fq2 / (2.0 * p.Lq)
-    return (
-        quad
-        + p.a30 * fd2 * fd
-        + p.a12 * fd * fq2
-        + p.a40 * fd2 * fd2
-        + p.a22 * fd2 * fq2
-        + p.a04 * fq2 * fq2
-    )
+    return (quad + p.a30 * fd2 * fd + p.a12 * fd * fq2
+            + p.a40 * fd2 * fd2 + p.a22 * fd2 * fq2 + p.a04 * fq2 * fq2)
 
 
 def _current_coefficients(theta):
@@ -171,12 +143,15 @@ def _stacked_currents(rows, X):
     return X * (c0 + fd * (c1 + c2 * fd) + c3 * fq2) + e * fq2
 
 
-@np.errstate(over="ignore", invalid="ignore")  # a pair that overflows fails in Currents, as floats do
-def currents_from_flux(p: MotorParams, f: FluxLinkage) -> Currents:
-    """`_stacked_currents` at one flux pair, for acceptance criterion 4,
-    which checks the current map against `energy`."""
-    (i_d,), (i_q,) = _stacked_currents(p._rows, np.array([[f.phi_d], [f.phi_q]])).tolist()
-    return Currents(i_d, i_q)
+def _to_rank(lane, X):
+    """One motor's (..., 2, 1) lane, shaped to broadcast against X of any rank."""
+    return lane.reshape(lane.shape[:-1] + (1,) * (np.ndim(X) - 1))
+
+
+def currents_from_flux(p: MotorParams, X: np.ndarray) -> np.ndarray:
+    """The current map `_stacked_currents` of motor p at stacked fluxes
+    X = (phi_d, phi_q) of shape (2, ...); a pair is a (2,) or a (2, 1) array."""
+    return _stacked_currents(_to_rank(p._rows, X), X)
 
 
 def _hessian(theta, fd, fq):
@@ -196,68 +171,53 @@ def _hessian(theta, fd, fq):
     return h_dd, h_dq, h_qq
 
 
-def _first_order(p: MotorParams, I: np.ndarray) -> np.ndarray:
-    """`flux_from_currents_first_order` at the stacked (2, n) currents I."""
-    L = np.array([[p.Ld], [p.Lq]])
-    return L * (2.0 * I - _stacked_currents(p._rows, L * I))
-
-
-@np.errstate(over="ignore", invalid="ignore")  # a pair that overflows fails in FluxLinkage, as floats do
-def flux_from_currents_first_order(p: MotorParams, i: Currents) -> FluxLinkage:
-    """Explicit flux-from-current inversion, first order in the saturation
-    coefficients: phi = L (i - g(L i)) = L (2 i - i(L i)), with g the
-    saturation part of the current map (the O(|a|^2) remainder is dropped)."""
-    (phi_d,), (phi_q,) = _first_order(p, np.array([[i.i_d], [i.i_q]])).tolist()
-    return FluxLinkage(phi_d, phi_q)
+def flux_from_currents_first_order(p: MotorParams, I: np.ndarray) -> np.ndarray:
+    """Explicit flux-from-current inversion at stacked currents I = (i_d, i_q)
+    of shape (2, ...), first order in the saturation coefficients:
+    phi = L (i - g(L i)) = L (2 i - i(L i)), with g the saturation part of
+    the current map (the O(|a|^2) remainder is dropped)."""
+    L = _to_rank(np.array([[p.Ld], [p.Lq]]), I)
+    return L * (2.0 * I - currents_from_flux(p, L * I))
 
 
 _NEWTON_MAX_ITER = 50
 _NEWTON_MAX_HALVINGS = 40
-
-
-def flux_from_currents_exact(p: MotorParams, i: Currents, tol: float = 1e-12) -> FluxLinkage:
-    """Numerically exact flux-from-current inversion.
-
-    Damped Newton on currents_from_flux, seeded at the first-order inversion;
-    the step is halved while the current residual grows. Convergence means
-    both current components match the target within `tol` amperes. The
-    scalar form of `_invert`.
-
-    Raises NonConvergence when the iteration stalls, which in practice means
-    the target lies outside the locally invertible region of the quartic
-    model (no global invertibility analysis is attempted).
-    """
-    if not tol > 0:
-        raise ValueError(f"tol must be positive, got {tol}")
-    fd, fq = _invert(p, np.array([i.i_d]), np.array([i.i_q]), tol)
-    return FluxLinkage(float(fd[0]), float(fq[0]))
+_TARGET = "for target (i_d, i_q) = ({2:.6g}, {3:.6g}) A"
 
 
 @np.errstate(over="ignore", invalid="ignore")  # an element that overflows fails as it does alone
-def _invert(p: MotorParams, i_d: np.ndarray, i_q: np.ndarray, tol: float,
-            seed: tuple[np.ndarray, np.ndarray] | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """The damped Newton of `flux_from_currents_exact` for the 1-D arrays of
-    current targets (i_d[k], i_q[k]), seeded at the fluxes seed = (fd, fq),
-    or at the first-order inversion; returns the flux arrays (fd, fq).
+def flux_from_currents_exact(p: MotorParams, I: np.ndarray, tol: float = 1e-12,
+                             seed: np.ndarray | None = None) -> np.ndarray:
+    """Numerically exact flux-from-current inversion at stacked current
+    targets I = (i_d, i_q) of shape (2, ...), seeded at the stacked fluxes
+    `seed` of the same shape, or at the first-order inversion.
 
-    Every element runs the scalar iteration on its own, with the same float
-    operations, so each result is bit for bit what that element gives alone:
-    a Newton step on the inverse-inductance matrix `_hessian`, then its own
-    line search, halving its own step until the current residual falls.
-    Masks of element indices replace the scalar loop: an element that
-    converges or fails is frozen while the others go on, and so is every
-    element past a failure, which can no longer be the one reported. Once
-    none is left, the lowest-index failure raises what that element raises
-    alone: NonConvergence for a singular Jacobian, a stalled line search or
-    no convergence within `_NEWTON_MAX_ITER` steps, ValueError for a
-    first-order seed that is not finite. Non-finite targets raise
-    ValueError before any iteration.
+    Damped Newton on the current map: a Newton step on the
+    inverse-inductance matrix `_hessian`, then a line search that halves
+    the step while the current residual grows. Convergence means both
+    current components match the target within `tol` amperes.
+
+    Every element runs the iteration on its own, with the same float
+    operations, so each result is bit for bit what that element gives alone
+    as a (2,) pair. Masks of element indices replace a loop over elements:
+    one that converges or fails is frozen while the others go on, and so is
+    every element past a failure (in C order), which can no longer be the
+    one reported. Once none is left, the lowest-index failure raises what
+    that element raises alone: NonConvergence for a singular Jacobian, a
+    stalled line search or no convergence within `_NEWTON_MAX_ITER` steps
+    (in practice a target outside the locally invertible region of the
+    quartic model), ValueError for a first-order seed that is not finite.
+    Non-finite targets raise ValueError before any iteration.
     """
-    if not (np.all(np.isfinite(i_d)) and np.all(np.isfinite(i_q))):
+    if not tol > 0:
+        raise ValueError(f"tol must be positive, got {tol}")
+    if not np.all(np.isfinite(I)):
         raise ValueError("currents must be finite")
-    fd, fq = np.array(seed if seed is not None else _first_order(p, np.array((i_d, i_q))), dtype=float)
+    i_d, i_q = targets = np.reshape(I, (2, -1))
+    fd, fq = np.array(seed if seed is not None else flux_from_currents_first_order(p, targets),
+                      dtype=float).reshape(2, -1)
     live = np.ones(len(i_d), dtype=bool) if seed is not None else np.isfinite(fd) & np.isfinite(fq)
-    # element -> what it raises alone; `flux_from_currents_first_order` refuses a seed that is not finite
+    # element -> what it raises alone; a first-order seed that is not finite is refused
     failures: dict[int, Exception] = {j: ValueError("flux linkage must be finite") for j in np.flatnonzero(~live)}
 
     def residual(k, fd, fq):
@@ -266,7 +226,7 @@ def _invert(p: MotorParams, i_d: np.ndarray, i_q: np.ndarray, tol: float,
 
     def fail(k, text):
         for j in k:
-            failures[j] = NonConvergence(text.format(fd[j], fq[j], Currents(float(i_d[j]), float(i_q[j]))))
+            failures[j] = NonConvergence(text.format(fd[j], fq[j], i_d[j], i_q[j]))
 
     def open_(k):
         return k[~((np.abs(rd[k]) <= tol) & (np.abs(rq[k]) <= tol))]
@@ -283,7 +243,7 @@ def _invert(p: MotorParams, i_d: np.ndarray, i_q: np.ndarray, tol: float,
         h_dd, h_dq, h_qq = _hessian(p.theta, fd[k], fq[k])
         det = h_dd * h_qq - h_dq * h_dq
         singular = (det == 0.0) | ~np.isfinite(det)
-        fail(k[singular], "singular Jacobian at ({:.6g}, {:.6g}) for target {}")
+        fail(k[singular], "singular Jacobian at ({0:.6g}, {1:.6g}) " + _TARGET)
         k, h_dd, h_dq, h_qq, det = (a[~singular] for a in (k, h_dd, h_dq, h_qq, det))
         step_d = -(h_qq * rd[k] - h_dq * rq[k]) / det
         step_q = -(h_dd * rq[k] - h_dq * rd[k]) / det
@@ -301,10 +261,10 @@ def _invert(p: MotorParams, i_d: np.ndarray, i_q: np.ndarray, tol: float,
             if not len(s):
                 break
             lam *= 0.5
-        fail(k[s], "line search stalled at ({:.6g}, {:.6g}) for target {}")
+        fail(k[s], "line search stalled at ({0:.6g}, {1:.6g}) " + _TARGET)
         k = np.delete(k, s)
     else:
-        fail(open_(k), f"no convergence within {_NEWTON_MAX_ITER} iterations for target {{2}}")
+        fail(open_(k), f"no convergence within {_NEWTON_MAX_ITER} iterations " + _TARGET)
     if failures:
         raise failures[min(failures)]
-    return fd, fq
+    return np.array((fd, fq)).reshape(np.shape(I))

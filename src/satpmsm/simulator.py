@@ -41,7 +41,7 @@ from typing import Sequence
 import numpy as np
 
 from .injection import F_array, InjectionSpec, f_array
-from .magnetics import MotorParams, NonConvergence, _current_rows, _first_order, _stacked_currents
+from .magnetics import MotorParams, NonConvergence, _current_rows, _stacked_currents, flux_from_currents_first_order
 
 _CSV_HEADER = ("t", "u_d", "u_q", "i_d", "i_q")  # the measured channels: all a trace file holds
 
@@ -672,7 +672,7 @@ def simulate_periodic(p: MotorParams, specs: Sequence[InjectionSpec], *,
     u_bar, u_tilde = _stacked_drive(specs, dt)
     n = len(specs)
     i_bar = u_bar / p.R
-    phi = _first_order(p, i_bar)
+    phi = flux_from_currents_first_order(p, i_bar)
     phi = phi + u_tilde * float(F_array(specs[0].waveform, 0.0)) / specs[0].omega
     J, fd = np.empty((2, 2, n)), np.ones(n, dtype=bool)
     coarse_dt = specs[0].period / _PARAREAL_COARSE_STEPS

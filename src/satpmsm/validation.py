@@ -15,7 +15,7 @@ import numpy as np
 
 from .estimator import predict_ripple
 from .injection import InjectionSpec, Waveform
-from .magnetics import MotorParams, _invert
+from .magnetics import MotorParams, flux_from_currents_exact
 from .ripple import extract_ripple, rebuild_flux
 from .simulator import SimConfig, Trace, _write_columns, simulate_averaged, simulate_periodic
 
@@ -123,10 +123,10 @@ def flux_by_integration(trace: Trace, p: MotorParams) -> FluxIntegrationResult:
     integrated flux: the record says on which side of a fold of the d-axis
     curve the motor sits, where the first-order seed of
     `flux_from_currents_exact` can land past it. All samples invert in one
-    array Newton (`magnetics._invert`), each as it would alone.
+    call of that array Newton, each as it would alone.
     """
     phi = rebuild_flux(trace, p.R, False)
-    model, _ = _invert(p, trace.i_d, trace.i_q, 1e-10, phi)
+    model = flux_from_currents_exact(p, np.array((trace.i_d, trace.i_q)), tol=1e-10, seed=phi)[0]
     return FluxIntegrationResult(i_d=trace.i_d.copy(), phi_d_integrated=phi[0], phi_d_model=model)
 
 
@@ -152,13 +152,11 @@ def magnetization_curves(p: MotorParams, grid: Sequence[float],
     """Flux-current curves by numerically inverting the magnetization map on
     a grid; one curve per fixed other-axis current level.
 
-    Every point inverts as `flux_from_currents_exact` does, in one array
-    Newton (`magnetics._invert`) over the targets of a loop over levels, then
-    grid points, d curve before q curve; a failure names the first point of
-    that loop that fails."""
+    Every point inverts in one call of `flux_from_currents_exact`, on the
+    (2, levels, grid, 2) targets of a loop over levels, then grid points,
+    d curve before q curve; a failure names the first point of that loop
+    that fails."""
     grid = np.asarray(grid, dtype=float)
     level, x = np.meshgrid(np.asarray(levels, dtype=float), grid, indexing="ij")
-    fd, fq = _invert(p, np.stack((x, level), axis=-1).ravel(), np.stack((level, x), axis=-1).ravel(), 1e-12)
-    shape = (len(levels), len(grid), 2)
-    return MagnetizationCurves(grid=grid, levels=tuple(levels), phi_d=fd.reshape(shape)[..., 0],
-                               phi_q=fq.reshape(shape)[..., 1])
+    phi = flux_from_currents_exact(p, np.stack((np.stack((x, level), axis=-1), np.stack((level, x), axis=-1))))
+    return MagnetizationCurves(grid=grid, levels=tuple(levels), phi_d=phi[0, ..., 0], phi_q=phi[1, ..., 1])

@@ -29,8 +29,6 @@ from satpmsm.estimator import (
 )
 from satpmsm.injection import F_array, InjectionSpec, Waveform
 from satpmsm.magnetics import (
-    Currents,
-    FluxLinkage,
     currents_from_flux,
     energy,
     flux_from_currents_exact,
@@ -116,17 +114,12 @@ def test_criterion_2_averaging_order(ipm):
 def test_criterion_3_first_order_inversion_order(ipm):
     """Exact-vs-first-order flux gap contracts by [3.5, 4.5] per halving of
     the saturation coefficients, eps in {1, 1/2, 1/4}."""
-    grid = [(i_d, i_q) for i_d in np.linspace(-0.3, 0.3, 5)
-            for i_q in np.linspace(-0.3, 0.3, 5)]
+    grid = np.array(np.meshgrid(np.linspace(-0.3, 0.3, 5), np.linspace(-0.3, 0.3, 5), indexing="ij"))
 
     def max_gap(eps):
         pk = scaled(ipm, eps)
-        worst = 0.0
-        for i_d, i_q in grid:
-            exact = flux_from_currents_exact(pk, Currents(i_d, i_q), tol=1e-13)
-            first = flux_from_currents_first_order(pk, Currents(i_d, i_q))
-            worst = max(worst, abs(exact.phi_d - first.phi_d), abs(exact.phi_q - first.phi_q))
-        return worst
+        exact = flux_from_currents_exact(pk, grid, tol=1e-13)
+        return float(np.abs(exact - flux_from_currents_first_order(pk, grid)).max())
 
     gaps = [max_gap(eps) for eps in (1.0, 0.5, 0.25)]
     r1, r2 = gaps[0] / gaps[1], gaps[1] / gaps[2]
@@ -140,28 +133,31 @@ def test_criterion_4_model_structure(ipm, spm):
     symmetry; gradient matches finite differences of the energy to 1e-6."""
     rng = np.random.default_rng(2024)
     motors = [ipm, spm, scaled(ipm, 0.5), scaled(spm, 2.0)]
+    points = rng.uniform(-0.5, 0.5, size=(1000, 2))  # point k on motors[k % 4]
     h = 1e-6
     worst_sym = 0.0
     worst_grad = 0.0
-    for k in range(1000):
-        p = motors[k % len(motors)]
-        fd, fq = rng.uniform(-0.5, 0.5, size=2)
-        didq_dfd = (currents_from_flux(p, FluxLinkage(fd + h, fq)).i_q
-                    - currents_from_flux(p, FluxLinkage(fd - h, fq)).i_q) / (2 * h)
-        did_dfq = (currents_from_flux(p, FluxLinkage(fd, fq + h)).i_d
-                   - currents_from_flux(p, FluxLinkage(fd, fq - h)).i_d) / (2 * h)
-        scale = max(1.0 / p.Ld, 1.0 / p.Lq, abs(didq_dfd), abs(did_dfq))
-        worst_sym = max(worst_sym, abs(didq_dfd - did_dfq) / scale)
+    for j, p in enumerate(motors):
+        fd, fq = points[j::len(motors)].T
 
-        assert energy(p, FluxLinkage(fd, -fq)) == energy(p, FluxLinkage(fd, fq))
-        c = currents_from_flux(p, FluxLinkage(fd, fq))
-        m = currents_from_flux(p, FluxLinkage(fd, -fq))
-        assert (m.i_d, m.i_q) == (c.i_d, -c.i_q)
+        def i(a, b):
+            return currents_from_flux(p, np.array([a, b]))
 
-        g_d = (energy(p, FluxLinkage(fd + h, fq)) - energy(p, FluxLinkage(fd - h, fq))) / (2 * h)
-        g_q = (energy(p, FluxLinkage(fd, fq + h)) - energy(p, FluxLinkage(fd, fq - h))) / (2 * h)
-        cscale = max(abs(c.i_d), abs(c.i_q), 1e-3)
-        worst_grad = max(worst_grad, abs(c.i_d - g_d) / cscale, abs(c.i_q - g_q) / cscale)
+        def H(a, b):
+            return energy(p, np.array([a, b]))
+
+        didq_dfd = (i(fd + h, fq)[1] - i(fd - h, fq)[1]) / (2 * h)
+        did_dfq = (i(fd, fq + h)[0] - i(fd, fq - h)[0]) / (2 * h)
+        scale = np.maximum(max(1.0 / p.Ld, 1.0 / p.Lq), np.maximum(abs(didq_dfd), abs(did_dfq)))
+        worst_sym = max(worst_sym, float((abs(didq_dfd - did_dfq) / scale).max()))
+
+        assert np.array_equal(H(fd, -fq), H(fd, fq))
+        c, m = i(fd, fq), i(fd, -fq)
+        assert np.array_equal(m[0], c[0]) and np.array_equal(m[1], -c[1])
+
+        g = np.array([(H(fd + h, fq) - H(fd - h, fq)) / (2 * h), (H(fd, fq + h) - H(fd, fq - h)) / (2 * h)])
+        cscale = np.maximum(abs(c).max(axis=0), 1e-3)
+        worst_grad = max(worst_grad, float((abs(c - g) / cscale).max()))
     ok = worst_sym <= 1e-8 and worst_grad <= 1e-6
     report(4, ok, f"worst Jacobian asymmetry {worst_sym:.2e} (tol 1e-8), "
                   f"worst gradient mismatch {worst_grad:.2e} (tol 1e-6), mirror exact")

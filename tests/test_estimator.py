@@ -23,6 +23,7 @@ from satpmsm.estimator import (
     ExperimentPlan,
     NonPhysical,
     NotAtRest,
+    PlanRun,
     ZeroRipple,
     _in_slices,
     _run_terms,
@@ -134,30 +135,57 @@ class TestPlanRuns:
 
 class TestEstimateL:
     def test_inverts_known_inductance(self):
-        plan = ipm_plan()
+        runs = plan_runs(ipm_plan(), R=12.15)
         m_d = meas(i_tilde_d=30.0 / (OMEGA * 0.0919))
         m_q = meas(i_tilde_q=30.0 / (OMEGA * 0.0458))
-        est = estimate_L(m_d, m_q, plan)
+        est = estimate_L(runs, [m_d, m_q])
         assert est.L_d == pytest.approx(0.0919, rel=1e-12)
         assert est.L_q == pytest.approx(0.0458, rel=1e-12)
 
     def test_zero_ripple_raises(self):
-        plan = ipm_plan()
+        runs = plan_runs(ipm_plan(), R=12.15)
         with pytest.raises(ZeroRipple):
-            estimate_L(meas(i_tilde_d=0.0), meas(i_tilde_q=0.1), plan)
+            estimate_L(runs, [meas(i_tilde_d=0.0), meas(i_tilde_q=0.1)])
 
     def test_ripple_below_noise_floor_raises(self):
-        plan = ipm_plan()
+        runs = plan_runs(ipm_plan(), R=12.15)
         with pytest.raises(ZeroRipple):
-            estimate_L(meas(i_tilde_d=1e-4, sigma=1e-4), meas(i_tilde_q=0.1), plan)
+            estimate_L(runs, [meas(i_tilde_d=1e-4, sigma=1e-4), meas(i_tilde_q=0.1)])
 
     def test_sigma_propagation(self):
         plan = ipm_plan()
         it = 30.0 / (OMEGA * 0.0919)
-        est = estimate_L(meas(i_tilde_d=it, sigma=0.01 * it),
-                         meas(i_tilde_q=0.1, sigma=0.0), plan)
+        est = estimate_L(plan_runs(plan, R=12.15), [meas(i_tilde_d=it, sigma=0.01 * it),
+                                                     meas(i_tilde_q=0.1, sigma=0.0)])
         assert est.sigma_L_d == pytest.approx(0.01 * est.L_d, rel=1e-12)
         assert est.sigma_L_q == 0.0
+        # on plan-built runs, the plan's amplitude and pulsation, bit for bit
+        L_d, L_q = plan.u_tilde / (plan.omega * it), plan.u_tilde / (plan.omega * 0.1)
+        assert tuple(est) == (L_d, L_q, abs(L_d) * (0.01 * it) / abs(it), 0.0)
+
+    def test_each_run_at_its_own_drive(self):
+        # zero-bias runs found by their drive, wherever they stand, each at
+        # its own amplitude and pulsation; a later zero-bias run is not read
+        w = Waveform.square()
+        runs = [PlanRun("sweep", 1.0, InjectionSpec(12.0, 0.0, 30.0, 0.0, OMEGA, w)),
+                PlanRun("a", 0.0, InjectionSpec(0.0, 0.0, 0.0, 45.0, 2.0 * OMEGA, w)),
+                PlanRun("b", 0.0, InjectionSpec(0.0, 0.0, 20.0, 0.0, 0.5 * OMEGA, w)),
+                PlanRun("c", 0.0, InjectionSpec(0.0, 0.0, 0.0, 30.0, OMEGA, w))]
+        ms = [meas(i_tilde_d=9.0),
+              meas(i_tilde_q=45.0 / (2.0 * OMEGA * 0.0458)),
+              meas(i_tilde_d=20.0 / (0.5 * OMEGA * 0.0919)),
+              meas(i_tilde_q=1.0)]
+        est = estimate_L(runs, ms)
+        assert est.L_d == pytest.approx(0.0919, rel=1e-12)
+        assert est.L_q == pytest.approx(0.0458, rel=1e-12)
+
+    def test_missing_axis_refused(self):
+        runs = plan_runs(ipm_plan(id_grid=(1.0,)), R=12.15)
+        ms = [meas(i_tilde_d=1.0), meas(i_tilde_q=1.0), meas(i_tilde_d=1.0)]
+        with pytest.raises(ValueError, match="^no zero-bias run injects the q axis$"):
+            estimate_L([runs[0], runs[2]], [ms[0], ms[2]])
+        with pytest.raises(ValueError, match="^no zero-bias run injects the d axis$"):
+            estimate_L(runs[1:], ms[1:])
 
 
 def split_model_data(p, plan, even=0.0):
@@ -335,7 +363,7 @@ class TestEndToEnd:
                               id_grid=grid, iq_grid=grid)
         runs = plan_runs(plan, ipm.R)
         ms = settled_ripples(ipm, runs, 20)
-        ind = estimate_L(ms[0], ms[1], plan)
+        ind = estimate_L(runs, ms)
         got = {"Ld": ind.L_d, "Lq": ind.L_q,
                **estimate_saturation(runs, ms, ind.L_d, ind.L_q).coefficients}
         want = oracles.analytic_pipeline_oracle(ipm, grid, grid)
@@ -353,8 +381,7 @@ class TestEndToEnd:
         def lq_error(omega):
             plan = ExperimentPlan(omega=omega, waveform=Waveform.square(), u_tilde=30.0)
             runs = plan_runs(plan, ipm.R)
-            m_d, m_q = settled_ripples(ipm, runs, 20)
-            est = estimate_L(m_d, m_q, plan)
+            est = estimate_L(runs, settled_ripples(ipm, runs, 20))
             return abs(est.L_q - ipm.Lq)
 
         errs = [lq_error(OMEGA * 2**k) for k in range(3)]

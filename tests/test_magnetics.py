@@ -6,8 +6,6 @@ import pytest
 
 from satpmsm.config import load_config
 from satpmsm.magnetics import (
-    Currents,
-    FluxLinkage,
     MotorParams,
     NonConvergence,
     currents_from_flux,
@@ -19,9 +17,7 @@ from satpmsm.magnetics import (
     _current_coefficients,
     _current_monomials,
     _current_rows,
-    _first_order,
     _hessian,
-    _invert,
     _stacked_currents,
 )
 from satpmsm.ripple import rebuild_flux
@@ -63,11 +59,11 @@ class TestTypes:
         with pytest.raises(ValueError):
             MotorParams(R=1.0, Ld=0.1, Lq=0.1, a30=float("nan"))
 
-    def test_flux_and_currents_must_be_finite(self):
-        with pytest.raises(ValueError):
-            FluxLinkage(float("inf"), 0.0)
-        with pytest.raises(ValueError):
-            Currents(0.0, float("nan"))
+    @pytest.mark.parametrize("n_pp", [math.inf, math.nan])
+    def test_pole_pairs_must_be_finite(self, n_pp):
+        # checked before the integer test, which inf and nan cannot take
+        with pytest.raises(ValueError, match=rf"^n_pp must be an integer >= 1, got {n_pp}$"):
+            MotorParams(R=1.0, Ld=0.1, Lq=0.1, n_pp=n_pp)
 
     def test_without_saturation(self, ipm):
         lin = ipm.without_saturation()
@@ -77,14 +73,14 @@ class TestTypes:
 
 class TestEnergy:
     def test_zero_flux_zero_energy(self, ipm):
-        assert energy(ipm, FluxLinkage(0.0, 0.0)) == 0.0
+        assert energy(ipm, np.zeros(2)) == 0.0
 
     def test_pure_quadratic(self):
         p = MotorParams(R=1.0, Ld=0.1, Lq=0.05)
-        assert energy(p, FluxLinkage(0.2, 0.1)) == pytest.approx(0.3, rel=1e-14)
+        assert energy(p, np.array([0.2, 0.1])) == pytest.approx(0.3, rel=1e-14)
 
     def test_ipm_point_vs_term_oracle(self, ipm):
-        got = energy(ipm, FluxLinkage(0.1, 0.05))
+        got = energy(ipm, np.array([0.1, 0.05]))
         want = oracles.energy_oracle(ipm, 0.1, 0.05)
         assert got == pytest.approx(want, rel=1e-14)
 
@@ -92,64 +88,65 @@ class TestEnergy:
         rng = np.random.default_rng(1)
         for p in random_motors(20, seed=2):
             fd, fq = rng.uniform(-0.5, 0.5, size=2)
-            assert energy(p, FluxLinkage(fd, -fq)) == energy(p, FluxLinkage(fd, fq))
+            assert energy(p, np.array([fd, -fq])) == energy(p, np.array([fd, fq]))
 
 
 class TestCurrentsFromFlux:
     def test_zero_flux(self, ipm):
-        c = currents_from_flux(ipm, FluxLinkage(0.0, 0.0))
-        assert c.i_d == 0.0 and c.i_q == 0.0
+        assert currents_from_flux(ipm, np.zeros(2)).tolist() == [0.0, 0.0]
 
     def test_linear_motor(self):
         p = MotorParams(R=1.0, Ld=0.1, Lq=0.05)
-        c = currents_from_flux(p, FluxLinkage(0.1, 0.0))
-        assert c.i_d == pytest.approx(1.0, rel=1e-14)
-        assert c.i_q == 0.0
+        i_d, i_q = currents_from_flux(p, np.array([0.1, 0.0]))
+        assert i_d == pytest.approx(1.0, rel=1e-14)
+        assert i_q == 0.0
 
     def test_ipm_point_vs_term_oracle(self, ipm):
-        c = currents_from_flux(ipm, FluxLinkage(0.1, 0.05))
+        i_d, i_q = currents_from_flux(ipm, np.array([0.1, 0.05]))
         want_d, want_q = oracles.currents_oracle(ipm, 0.1, 0.05)
-        assert c.i_d == pytest.approx(want_d, rel=1e-14)
-        assert c.i_q == pytest.approx(want_q, rel=1e-14)
-        # one flux pair at a time and the stacked (2, n) form the simulator
+        assert i_d == pytest.approx(want_d, rel=1e-14)
+        assert i_q == pytest.approx(want_q, rel=1e-14)
+        # the motor's map and the stacked (2, n) form the simulator
         # integrates, one lane per flux, element by element
         rng = np.random.default_rng(9)
-        fd, fq = rng.uniform(-0.3, 0.3, size=(2, 200))
-        stacked = _stacked_currents(_current_rows([ipm] * len(fd)), np.stack([fd, fq]))
-        for k in range(len(fd)):
-            want_d, want_q = oracles.currents_oracle(ipm, fd[k], fq[k])
-            c = currents_from_flux(ipm, FluxLinkage(float(fd[k]), float(fq[k])))
-            assert c.i_d == pytest.approx(want_d, rel=1e-14)
-            assert c.i_q == pytest.approx(want_q, rel=1e-14)
-            assert (stacked[0, k], stacked[1, k]) == (c.i_d, c.i_q)
+        X = rng.uniform(-0.3, 0.3, size=(2, 200))
+        stacked = _stacked_currents(_current_rows([ipm] * X.shape[1]), X)
+        c = currents_from_flux(ipm, X)
+        assert c.tobytes() == stacked.tobytes()
+        for k in range(X.shape[1]):
+            want_d, want_q = oracles.currents_oracle(ipm, X[0, k], X[1, k])
+            assert c[0, k] == pytest.approx(want_d, rel=1e-14)
+            assert c[1, k] == pytest.approx(want_q, rel=1e-14)
 
     def test_gradient_of_energy(self):
         # central finite differences of the potential, relative 1e-6
         rng = np.random.default_rng(3)
         for p in random_motors(25, seed=4):
             fd, fq = rng.uniform(-0.4, 0.4, size=2)
-            c = currents_from_flux(p, FluxLinkage(fd, fq))
+            i_d, i_q = currents_from_flux(p, np.array([fd, fq]))
             h = 1e-6
-            fd_id = (energy(p, FluxLinkage(fd + h, fq)) - energy(p, FluxLinkage(fd - h, fq))) / (2 * h)
-            fd_iq = (energy(p, FluxLinkage(fd, fq + h)) - energy(p, FluxLinkage(fd, fq - h))) / (2 * h)
-            scale = max(abs(c.i_d), abs(c.i_q), 1e-3)
-            assert abs(c.i_d - fd_id) <= 1e-6 * scale
-            assert abs(c.i_q - fd_iq) <= 1e-6 * scale
+            fd_id = (energy(p, np.array([fd + h, fq])) - energy(p, np.array([fd - h, fq]))) / (2 * h)
+            fd_iq = (energy(p, np.array([fd, fq + h])) - energy(p, np.array([fd, fq - h]))) / (2 * h)
+            scale = max(abs(i_d), abs(i_q), 1e-3)
+            assert abs(i_d - fd_id) <= 1e-6 * scale
+            assert abs(i_q - fd_iq) <= 1e-6 * scale
 
     @pytest.mark.parametrize("name", ["ipm", "spm"])
     def test_pair_is_one_lane_of_the_batch(self, name, request):
-        # currents_from_flux and flux_from_currents_first_order are the
-        # batch maps on one (2, 1) lane: bit for bit, as Python floats
+        # each public function on a (2, 50) batch is its (2,) and (2, 1)
+        # calls, lane by lane, bit for bit; the exact inversion at currents
+        # inside the SPM fold, the first-order one at ten times them
         p = request.getfixturevalue(name)
         X = np.random.default_rng(13).uniform(-0.3, 0.3, size=(2, 50))
-        currents = _stacked_currents(_current_rows([p] * X.shape[1]), X)
-        fluxes = _first_order(p, X * 10.0)
-        for k in range(X.shape[1]):
-            c = currents_from_flux(p, FluxLinkage(float(X[0, k]), float(X[1, k])))
-            f = flux_from_currents_first_order(p, Currents(float(X[0, k] * 10.0), float(X[1, k] * 10.0)))
-            assert all(type(v) is float for v in (c.i_d, c.i_q, f.phi_d, f.phi_q))
-            assert (c.i_d, c.i_q) == (currents[0, k], currents[1, k])
-            assert (f.phi_d, f.phi_q) == (fluxes[0, k], fluxes[1, k])
+        calls = [(energy, X), (currents_from_flux, X),
+                 (flux_from_currents_first_order, X * 10.0), (flux_from_currents_exact, X)]
+        for fn, batch in calls:
+            out = fn(p, batch)
+            assert out.shape == batch.shape[fn is energy:]
+            for k in range(batch.shape[1]):
+                lane = out[..., k].tobytes()
+                assert fn(p, batch[:, k]).tobytes() == lane, (fn.__name__, k)
+                assert fn(p, batch[:, k:k + 1]).tobytes() == lane, (fn.__name__, k)
 
     def test_rows_of_a_mixed_batch(self, ipm):
         # each lane of the step responses' [p, p.without_saturation()] holds
@@ -186,9 +183,9 @@ class TestCurrentsFromFlux:
         rng = np.random.default_rng(5)
         for p in random_motors(10, seed=6):
             fd, fq = rng.uniform(-0.4, 0.4, size=2)
-            c = currents_from_flux(p, FluxLinkage(fd, fq))
-            m = currents_from_flux(p, FluxLinkage(fd, -fq))
-            assert m.i_d == c.i_d and m.i_q == -c.i_q
+            c = currents_from_flux(p, np.array([fd, fq]))
+            m = currents_from_flux(p, np.array([fd, -fq]))
+            assert m[0] == c[0] and m[1] == -c[1]
 
     def test_jacobian_symmetric(self):
         # numerical d(i)/d(phi) must be symmetric (currents are a gradient)
@@ -196,10 +193,10 @@ class TestCurrentsFromFlux:
         for p in random_motors(15, seed=8):
             fd, fq = rng.uniform(-0.4, 0.4, size=2)
             h = 1e-7
-            didq_dfd = (currents_from_flux(p, FluxLinkage(fd + h, fq)).i_q
-                        - currents_from_flux(p, FluxLinkage(fd - h, fq)).i_q) / (2 * h)
-            did_dfq = (currents_from_flux(p, FluxLinkage(fd, fq + h)).i_d
-                       - currents_from_flux(p, FluxLinkage(fd, fq - h)).i_d) / (2 * h)
+            didq_dfd = (currents_from_flux(p, np.array([fd + h, fq]))[1]
+                        - currents_from_flux(p, np.array([fd - h, fq]))[1]) / (2 * h)
+            did_dfq = (currents_from_flux(p, np.array([fd, fq + h]))[0]
+                       - currents_from_flux(p, np.array([fd, fq - h]))[0]) / (2 * h)
             scale = max(abs(didq_dfd), abs(did_dfq), 1.0)
             assert abs(didq_dfd - did_dfq) <= 1e-6 * scale
 
@@ -207,36 +204,31 @@ class TestCurrentsFromFlux:
 class TestFirstOrderInversion:
     def test_linear_motor_exact(self):
         p = MotorParams(R=1.0, Ld=0.1, Lq=0.05)
-        f = flux_from_currents_first_order(p, Currents(2.0, -1.0))
-        assert f.phi_d == pytest.approx(0.2, rel=1e-14)
-        assert f.phi_q == pytest.approx(-0.05, rel=1e-14)
+        phi_d, phi_q = flux_from_currents_first_order(p, np.array([2.0, -1.0]))
+        assert phi_d == pytest.approx(0.2, rel=1e-14)
+        assert phi_q == pytest.approx(-0.05, rel=1e-14)
 
     def test_zero(self, ipm):
-        f = flux_from_currents_first_order(ipm, Currents(0.0, 0.0))
-        assert f.phi_d == 0.0 and f.phi_q == 0.0
+        assert flux_from_currents_first_order(ipm, np.zeros(2)).tolist() == [0.0, 0.0]
 
     def test_ipm_point_vs_term_oracle(self, ipm):
-        f = flux_from_currents_first_order(ipm, Currents(1.0, 1.0))
+        phi_d, phi_q = flux_from_currents_first_order(ipm, np.ones(2))
         want_d, want_q = oracles.first_order_flux_oracle(ipm, 1.0, 1.0)
-        assert f.phi_d == pytest.approx(want_d, rel=1e-14)
-        assert f.phi_q == pytest.approx(want_q, rel=1e-14)
+        assert phi_d == pytest.approx(want_d, rel=1e-14)
+        assert phi_q == pytest.approx(want_q, rel=1e-14)
 
     def test_second_order_accuracy(self, ipm):
         # scaling all coefficients by eps, the gap to the exact inversion
         # shrinks by ~4x per halving of eps
-        grid = [(i_d, i_q) for i_d in np.linspace(-0.3, 0.3, 5) for i_q in np.linspace(-0.3, 0.3, 5)]
+        grid = np.array(np.meshgrid(np.linspace(-0.3, 0.3, 5), np.linspace(-0.3, 0.3, 5)))
 
         def max_gap(eps):
             import dataclasses
             pk = dataclasses.replace(
                 ipm, a30=ipm.a30 * eps, a12=ipm.a12 * eps,
                 a40=ipm.a40 * eps, a22=ipm.a22 * eps, a04=ipm.a04 * eps)
-            worst = 0.0
-            for i_d, i_q in grid:
-                exact = flux_from_currents_exact(pk, Currents(i_d, i_q), tol=1e-13)
-                first = flux_from_currents_first_order(pk, Currents(i_d, i_q))
-                worst = max(worst, abs(exact.phi_d - first.phi_d), abs(exact.phi_q - first.phi_q))
-            return worst
+            exact = flux_from_currents_exact(pk, grid, tol=1e-13)
+            return np.abs(exact - flux_from_currents_first_order(pk, grid)).max()
 
         gaps = [max_gap(eps) for eps in (1.0, 0.5, 0.25)]
         assert 3.5 <= gaps[0] / gaps[1] <= 4.5
@@ -246,31 +238,27 @@ class TestFirstOrderInversion:
 class TestExactInversion:
     def test_linear_motor(self):
         p = MotorParams(R=1.0, Ld=0.1, Lq=0.05)
-        f = flux_from_currents_exact(p, Currents(3.0, -2.0), tol=1e-12)
-        assert f.phi_d == pytest.approx(0.3, abs=1e-12)
-        assert f.phi_q == pytest.approx(-0.1, abs=1e-12)
+        phi_d, phi_q = flux_from_currents_exact(p, np.array([3.0, -2.0]))
+        assert phi_d == pytest.approx(0.3, abs=1e-12)
+        assert phi_q == pytest.approx(-0.1, abs=1e-12)
 
     def test_round_trip(self, ipm):
-        f0 = FluxLinkage(0.08, 0.03)
-        i = currents_from_flux(ipm, f0)
-        f = flux_from_currents_exact(ipm, i, tol=1e-12)
-        assert f.phi_d == pytest.approx(f0.phi_d, abs=1e-10)
-        assert f.phi_q == pytest.approx(f0.phi_q, abs=1e-10)
+        f0 = np.array([0.08, 0.03])
+        phi_d, phi_q = flux_from_currents_exact(ipm, currents_from_flux(ipm, f0))
+        assert phi_d == pytest.approx(f0[0], abs=1e-10)
+        assert phi_q == pytest.approx(f0[1], abs=1e-10)
 
     def test_ipm_point_vs_bisection_oracle(self, ipm):
         want_d, want_q = oracles.invert_flux_bisection(ipm, 2.0, 2.0)
-        f = flux_from_currents_exact(ipm, Currents(2.0, 2.0), tol=1e-10)
-        assert f.phi_d == pytest.approx(want_d, abs=1e-9)
-        assert f.phi_q == pytest.approx(want_q, abs=1e-9)
+        phi_d, phi_q = flux_from_currents_exact(ipm, np.array([2.0, 2.0]), tol=1e-10)
+        assert phi_d == pytest.approx(want_d, abs=1e-9)
+        assert phi_q == pytest.approx(want_q, abs=1e-9)
 
     def test_round_trip_on_grid(self, ipm, spm):
         for p, span in ((ipm, 2.0), (spm, 0.5)):
-            for i_d in np.linspace(-span, span, 7):
-                for i_q in np.linspace(-span, span, 7):
-                    f = flux_from_currents_exact(p, Currents(float(i_d), float(i_q)), tol=1e-11)
-                    back = currents_from_flux(p, f)
-                    assert abs(back.i_d - i_d) <= 1e-11
-                    assert abs(back.i_q - i_q) <= 1e-11
+            targets = np.array(np.meshgrid(np.linspace(-span, span, 7), np.linspace(-span, span, 7)))
+            back = currents_from_flux(p, flux_from_currents_exact(p, targets, tol=1e-11))
+            assert np.all(np.abs(back - targets) <= 1e-11)
 
     def test_non_invertible_point_raises(self, spm):
         # the surface-mount model loses d-axis monotonicity for strongly
@@ -280,28 +268,30 @@ class TestExactInversion:
             # make the model non-invertible in a controlled way: strong
             # negative cubic coefficient creates a fold right next to 0
             bad = MotorParams(R=1.0, Ld=0.1, Lq=0.1, a30=-60.0, a40=1.0)
-            flux_from_currents_exact(bad, Currents(1.8, 0.0), tol=1e-12)
+            flux_from_currents_exact(bad, np.array([1.8, 0.0]))
 
     def test_tol_validation(self, ipm):
         with pytest.raises(ValueError):
-            flux_from_currents_exact(ipm, Currents(0.1, 0.1), tol=0.0)
+            flux_from_currents_exact(ipm, np.array([0.1, 0.1]), tol=0.0)
 
 
 def float_currents(p, fd, fq):
     """The library's current map at one flux pair of Python floats, as two
     floats that may overflow, as a Newton iterate's residual may."""
     with np.errstate(over="ignore", invalid="ignore"):
-        (c_d,), (c_q,) = _stacked_currents(p._rows, np.array([[fd], [fq]])).tolist()
+        c_d, c_q = currents_from_flux(p, np.array([fd, fq])).tolist()
     return c_d, c_q
 
 
-def scalar_newton(p, i, fd, fq, tol):
-    """Reference: the damped Newton of one target (Currents i) from the seed
+def scalar_newton(p, i_d, i_q, fd, fq, tol):
+    """Reference: the damped Newton of one target (i_d, i_q) from the seed
     (fd, fq), written as a loop over Python floats on the library's current
     map and Hessian."""
+    target = f"for target (i_d, i_q) = ({i_d:.6g}, {i_q:.6g}) A"
+
     def residual(fd, fq):
         c_d, c_q = float_currents(p, fd, fq)
-        return c_d - i.i_d, c_q - i.i_q
+        return c_d - i_d, c_q - i_q
 
     rd, rq = residual(fd, fq)
     for _ in range(_NEWTON_MAX_ITER):
@@ -310,7 +300,7 @@ def scalar_newton(p, i, fd, fq, tol):
         h_dd, h_dq, h_qq = _hessian(p.theta, fd, fq)
         det = h_dd * h_qq - h_dq * h_dq
         if det == 0.0 or not math.isfinite(det):
-            raise NonConvergence(f"singular Jacobian at ({fd:.6g}, {fq:.6g}) for target {i}")
+            raise NonConvergence(f"singular Jacobian at ({fd:.6g}, {fq:.6g}) {target}")
         step_d = -(h_qq * rd - h_dq * rq) / det
         step_q = -(h_dd * rq - h_dq * rd) / det
         norm0 = rd * rd + rq * rq
@@ -323,20 +313,22 @@ def scalar_newton(p, i, fd, fq, tol):
                 break
             lam *= 0.5
         else:
-            raise NonConvergence(f"line search stalled at ({fd:.6g}, {fq:.6g}) for target {i}")
+            raise NonConvergence(f"line search stalled at ({fd:.6g}, {fq:.6g}) {target}")
     if abs(rd) <= tol and abs(rq) <= tol:
         return fd, fq
-    raise NonConvergence(f"no convergence within {_NEWTON_MAX_ITER} iterations for target {i}")
+    raise NonConvergence(f"no convergence within {_NEWTON_MAX_ITER} iterations {target}")
 
 
 def scalar_exact(p, i_d, i_q, tol=1e-12):
-    """Reference `flux_from_currents_exact`: `scalar_newton` from the
-    first-order seed, or the exception it raises."""
-    i = Currents(float(i_d), float(i_q))
+    """Reference `flux_from_currents_exact` at one target: `scalar_newton`
+    from the first-order seed, or the exception it raises."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        seed = flux_from_currents_first_order(p, np.array([i_d, i_q]))
+    if not np.all(np.isfinite(seed)):
+        return ValueError("flux linkage must be finite")
     try:
-        seed = flux_from_currents_first_order(p, i)
-        return scalar_newton(p, i, seed.phi_d, seed.phi_q, tol)
-    except (NonConvergence, ValueError) as exc:
+        return scalar_newton(p, float(i_d), float(i_q), *seed.tolist(), tol)
+    except NonConvergence as exc:
         return exc
 
 
@@ -345,9 +337,9 @@ def fixture_config(name):
 
 
 class TestArrayNewton:
-    """`_invert` runs the scalar damped Newton per element on arrays: every
-    result is bit for bit the scalar one, and a failure raises what the
-    scalar loop over the same targets raises."""
+    """`flux_from_currents_exact` runs the scalar damped Newton per element
+    on arrays: every result is bit for bit the scalar one, and a failure
+    raises what the scalar loop over the same targets raises."""
 
     @pytest.mark.parametrize("name", ["ipm", "spm"])
     def test_step_response_samples_bitwise(self, name):
@@ -359,7 +351,7 @@ class TestArrayNewton:
             tr = r.saturated
             model = flux_by_integration(tr, p).phi_d_model
             seeds = rebuild_flux(tr, p.R, False)
-            want = [scalar_newton(p, Currents(float(a), float(b)), float(fd), float(fq), 1e-10)[0]
+            want = [scalar_newton(p, float(a), float(b), float(fd), float(fq), 1e-10)[0]
                     for a, b, fd, fq in zip(tr.i_d, tr.i_q, *seeds)]
             assert model.tobytes() == np.array(want).tobytes()
 
@@ -379,7 +371,7 @@ class TestArrayNewton:
         first = next(exc for lv in config.curve_levels for x in config.curve_grid
                      for exc in (scalar_exact(config.motor, x, lv), scalar_exact(config.motor, lv, x))
                      if isinstance(exc, Exception))
-        assert str(first) == "line search stalled at (-0.265611, 0) for target Currents(i_d=-1.0, i_q=0.0)"
+        assert str(first) == "line search stalled at (-0.265611, 0) for target (i_d, i_q) = (-1, 0) A"
         with pytest.raises(NonConvergence) as info:
             magnetization_curves(config.motor, config.curve_grid, config.curve_levels)
         assert str(info.value) == str(first)
@@ -395,34 +387,34 @@ class TestArrayNewton:
         assert str(scalar[1]).startswith("no convergence within 50 iterations")
         assert str(scalar[2]).startswith("line search stalled")
         with pytest.raises(NonConvergence) as info:
-            _invert(bad, np.array(targets), np.zeros(4), 1e-12)
+            flux_from_currents_exact(bad, np.array([targets, np.zeros(4)]))
         assert str(info.value) == str(scalar[1])
         with pytest.raises(NonConvergence) as info:
-            _invert(bad, np.array(targets[2:]), np.zeros(2), 1e-12)
+            flux_from_currents_exact(bad, np.array([targets[2:], np.zeros(2)]))
         assert str(info.value) == str(scalar[2])
         for x, want in zip(targets, scalar):
             if isinstance(want, Exception):
                 with pytest.raises(NonConvergence) as info:
-                    flux_from_currents_exact(bad, Currents(x, 0.0))
+                    flux_from_currents_exact(bad, np.array([x, 0.0]))
                 assert str(info.value) == str(want)
             else:
-                got = flux_from_currents_exact(bad, Currents(x, 0.0))
-                assert (got.phi_d, got.phi_q) == want
+                assert tuple(flux_from_currents_exact(bad, np.array([x, 0.0])).tolist()) == want
 
     def test_seeds_that_fail_alone_fail_the_same(self):
         # a seed that is not finite: singular Jacobian; a first-order seed
-        # that overflows: the ValueError of its FluxLinkage
+        # that overflows: the ValueError of a flux that is not finite
         bad = MotorParams(R=1.0, Ld=0.1, Lq=0.1, a30=-60.0, a40=1.0)
         with pytest.raises(NonConvergence, match=r"^singular Jacobian at \(inf, 0\) for target "
-                                                  r"Currents\(i_d=1\.0, i_q=0\.0\)$"):
-            _invert(bad, np.array([0.0, 1.0]), np.zeros(2), 1e-12, (np.array([0.0, np.inf]), np.zeros(2)))
+                                                  r"\(i_d, i_q\) = \(1, 0\) A$"):
+            flux_from_currents_exact(bad, np.array([[0.0, 1.0], [0.0, 0.0]]),
+                                     seed=np.array([[0.0, np.inf], [0.0, 0.0]]))
         assert str(scalar_exact(bad, 1e300, 0.0)) == "flux linkage must be finite"
         with pytest.raises(ValueError, match="^flux linkage must be finite$"):
-            _invert(bad, np.array([0.0, 1e300]), np.zeros(2), 1e-12)
+            flux_from_currents_exact(bad, np.array([[0.0, 1e300], [0.0, 0.0]]))
 
     def test_nan_current_raises(self, ipm):
         with pytest.raises(ValueError, match="currents must be finite"):
-            _invert(ipm, np.array([0.5, np.nan]), np.zeros(2), 1e-12)
+            flux_from_currents_exact(ipm, np.array([[0.5, np.nan], [0.0, 0.0]]))
         t = np.arange(4) * 1e-4
         tr = Trace(t=t, u_d=np.zeros(4), u_q=np.zeros(4), i_d=np.array([0.0, 0.1, np.nan, 0.2]), i_q=np.zeros(4))
         with pytest.raises(ValueError, match="currents must be finite"):
@@ -439,18 +431,16 @@ def test_hessian_symmetry_many_points():
         p = motors[k % len(motors)]
         fd, fq = rng.uniform(-0.5, 0.5, size=2)
         h = 1e-6
-        didq_dfd = (currents_from_flux(p, FluxLinkage(fd + h, fq)).i_q
-                    - currents_from_flux(p, FluxLinkage(fd - h, fq)).i_q) / (2 * h)
-        did_dfq = (currents_from_flux(p, FluxLinkage(fd, fq + h)).i_d
-                   - currents_from_flux(p, FluxLinkage(fd, fq - h)).i_d) / (2 * h)
+        up_d, down_d = currents_from_flux(p, np.array([[fd + h, fd - h], [fq, fq]])).T
+        up_q, down_q = currents_from_flux(p, np.array([[fd, fd], [fq + h, fq - h]])).T
+        didq_dfd = (up_d[1] - down_d[1]) / (2 * h)
+        did_dfq = (up_q[0] - down_q[0]) / (2 * h)
         scale = max(1.0 / p.Ld, 1.0 / p.Lq, abs(didq_dfd), abs(did_dfq))
         assert abs(didq_dfd - did_dfq) <= 1e-8 * scale
         # the closed-form Hessian is that Jacobian, and one-hot theta gives
         # its regressor rows
-        did_dfd = (currents_from_flux(p, FluxLinkage(fd + h, fq)).i_d
-                   - currents_from_flux(p, FluxLinkage(fd - h, fq)).i_d) / (2 * h)
-        didq_dfq = (currents_from_flux(p, FluxLinkage(fd, fq + h)).i_q
-                    - currents_from_flux(p, FluxLinkage(fd, fq - h)).i_q) / (2 * h)
+        did_dfd = (up_d[0] - down_d[0]) / (2 * h)
+        didq_dfq = (up_q[1] - down_q[1]) / (2 * h)
         hess = _hessian(p.theta, fd, fq)
         for got, want in zip(hess, (did_dfd, did_dfq, didq_dfq)):
             assert abs(got - want) <= 1e-6 * scale

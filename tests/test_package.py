@@ -44,9 +44,6 @@ def test_public_definitions_are_used():
 UNCALLED_EXPORTS = {
     "simulate": "the one-run entry point that acceptance criteria 2 and 5 call",
     "energy": "the model's definition, which criterion 4 checks the current map against",
-    "currents_from_flux": "the scalar current map that criterion 4 checks against energy",
-    "flux_from_currents_exact": "the scalar exact inversion that criterion 3 checks the first-order one against",
-    "flux_from_currents_first_order": "criterion 3 checks it",
     "estimate_L": "the paper's first-order split (DECISIONS.md): its inductance step",
     "estimate_saturation": "the paper's first-order split (DECISIONS.md), checked by criterion 7",
 }

@@ -11,8 +11,7 @@ from satpmsm import simulator
 from satpmsm.config import load_config
 from satpmsm.estimator import plan_runs
 from satpmsm.injection import F_array, InjectionSpec, Waveform
-from satpmsm.magnetics import (Currents, FluxLinkage, MotorParams, _stacked_currents, energy,
-                               flux_from_currents_exact)
+from satpmsm.magnetics import MotorParams, _stacked_currents, energy, flux_from_currents_exact
 from satpmsm.simulator import (
     SimConfig,
     StepTooLarge,
@@ -461,7 +460,7 @@ class TestNumericalQuality:
             t_end = 6.0 * max(p.Ld, p.Lq) / p.R
             run = simulate_averaged([p], [u], SimConfig(dt=t_end / 2000, t_end=t_end))
             (tr,), (phi_d, phi_q) = run, run.flux[:, 0]
-            V = np.array([energy(p, FluxLinkage(float(a), float(b))) for a, b in zip(phi_d, phi_q)])
+            V = energy(p, np.array([phi_d, phi_q]))
             V -= (phi_d * u[0] + phi_q * u[1]) / p.R
             live = np.hypot(tr.i_d - i_bar[0], tr.i_q - i_bar[1]) > 1e-5
             assert live[:-1].any()
@@ -515,9 +514,9 @@ class TestAveragedSystem:
     def test_saturated_steady_state_vs_exact_inversion(self, ipm):
         cfg = SimConfig(dt=1e-5, t_end=10 * ipm.Ld / ipm.R)
         phi = simulate_averaged([ipm], [(12.15 * 1.0, 0.0)], cfg).flux
-        want = flux_from_currents_exact(ipm, Currents(1.0, 0.0), tol=1e-12)
-        assert abs(phi[0, 0, -1] - want.phi_d) <= 1e-6
-        assert abs(phi[1, 0, -1] - want.phi_q) <= 1e-6
+        want_d, want_q = flux_from_currents_exact(ipm, np.array([1.0, 0.0]))
+        assert abs(phi[0, 0, -1] - want_d) <= 1e-6
+        assert abs(phi[1, 0, -1] - want_q) <= 1e-6
 
 
 def sequential_averaged(motors, u_bar, cfg):
