@@ -351,8 +351,9 @@ def identify(runs: Sequence[PlanRun], load: Callable[[int, int], Iterable[Trace]
     from its first sample: a first current sample beyond five times its
     channel's noise RMS (`_noise_rms`, which the transient does not inflate)
     raises NotAtRest. Each zero-bias run, one driven with no bias voltage,
-    must show a ripple on every axis it injects (`extract_ripple`'s fit over
-    the whole record), else ZeroRipple, and together they must inject both axes
+    must show a ripple on every axis it injects (`ripple._ripple_fit` on the
+    period-centred currents of its whole periods, which the regression
+    takes too), else ZeroRipple, and together they must inject both axes
     (ValueError). Faults name the run by `names`, or by its index and role,
     and are those of the first failing run in run order.
 

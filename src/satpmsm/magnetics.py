@@ -183,9 +183,17 @@ def flux_from_currents_first_order(p: MotorParams, I: np.ndarray) -> np.ndarray:
 _NEWTON_MAX_ITER = 50
 _NEWTON_MAX_HALVINGS = 40
 _TARGET = "for target (i_d, i_q) = ({2:.6g}, {3:.6g}) A"
+# An element's fault code indexes what it raises alone, the text formatted
+# with its flux and its target; code 0 is no fault.
+_SEED, _SINGULAR, _STALLED, _NO_CONVERGENCE = 1, 2, 3, 4
+_FAULTS = (None, "flux linkage must be finite",
+           "singular Jacobian at ({0:.6g}, {1:.6g}) " + _TARGET,
+           "line search stalled at ({0:.6g}, {1:.6g}) " + _TARGET,
+           f"no convergence within {_NEWTON_MAX_ITER} iterations " + _TARGET)
 
 
-@np.errstate(over="ignore", invalid="ignore")  # an element that overflows fails as it does alone
+# an element that overflows fails as it does alone; a value an inactive element computes is never kept
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def flux_from_currents_exact(p: MotorParams, I: np.ndarray, tol: float = 1e-12,
                              seed: np.ndarray | None = None) -> np.ndarray:
     """Numerically exact flux-from-current inversion at stacked current
@@ -199,72 +207,56 @@ def flux_from_currents_exact(p: MotorParams, I: np.ndarray, tol: float = 1e-12,
 
     Every element runs the iteration on its own, with the same float
     operations, so each result is bit for bit what that element gives alone
-    as a (2,) pair. Masks of element indices replace a loop over elements:
-    one that converges or fails is frozen while the others go on, and so is
-    every element past a failure (in C order), which can no longer be the
-    one reported. Once none is left, the lowest-index failure raises what
-    that element raises alone: NonConvergence for a singular Jacobian, a
-    stalled line search or no convergence within `_NEWTON_MAX_ITER` steps
-    (in practice a target outside the locally invertible region of the
-    quartic model), ValueError for a first-order seed that is not finite.
+    as a (2,) pair. The whole (2, n) flux state iterates under one mask of
+    the elements still active: each Newton step and each line-search trial
+    is taken on every element, and only the active ones that it improves
+    keep it. An element that converges is no longer active. One that fails
+    gets a fault code and is frozen at the flux where it failed, and so is
+    every element past it (in C order), which can no longer be the one
+    reported. Once none is active, the lowest fault raises what that
+    element raises alone: NonConvergence for a singular Jacobian, a stalled
+    line search or no convergence within `_NEWTON_MAX_ITER` steps (in
+    practice a target outside the locally invertible region of the quartic
+    model), ValueError for a first-order seed that is not finite.
     Non-finite targets raise ValueError before any iteration.
     """
     if not tol > 0:
         raise ValueError(f"tol must be positive, got {tol}")
     if not np.all(np.isfinite(I)):
         raise ValueError("currents must be finite")
-    i_d, i_q = targets = np.reshape(I, (2, -1))
-    fd, fq = np.array(seed if seed is not None else flux_from_currents_first_order(p, targets),
-                      dtype=float).reshape(2, -1)
-    live = np.ones(len(i_d), dtype=bool) if seed is not None else np.isfinite(fd) & np.isfinite(fq)
-    # element -> what it raises alone; a first-order seed that is not finite is refused
-    failures: dict[int, Exception] = {j: ValueError("flux linkage must be finite") for j in np.flatnonzero(~live)}
-
-    def residual(k, fd, fq):
-        c_d, c_q = _stacked_currents(p._rows, np.array((fd, fq)))
-        return c_d - i_d[k], c_q - i_q[k]
-
-    def fail(k, text):
-        for j in k:
-            failures[j] = NonConvergence(text.format(fd[j], fq[j], i_d[j], i_q[j]))
-
-    def open_(k):
-        return k[~((np.abs(rd[k]) <= tol) & (np.abs(rq[k]) <= tol))]
-
-    k = np.flatnonzero(live)  # the elements still iterating
-    rd, rq = np.empty_like(fd), np.empty_like(fq)
-    rd[k], rq[k] = residual(k, fd[k], fq[k])
-    for _ in range(_NEWTON_MAX_ITER):
-        k = open_(k)
-        if failures:
-            k = k[k < min(failures)]  # the failure raised is the lowest-index one
-        if not len(k):
+    targets = np.reshape(I, (2, -1))
+    X = np.array(seed if seed is not None else flux_from_currents_first_order(p, targets), dtype=float).reshape(2, -1)
+    fault = np.zeros(targets.shape[1], dtype=np.int8)
+    if seed is None:
+        fault[~np.all(np.isfinite(X), axis=0)] = _SEED
+    R = _stacked_currents(p._rows, X) - targets
+    for iteration in range(_NEWTON_MAX_ITER + 1):
+        # open elements before the lowest fault, which is the one raised
+        active = ~np.all(np.abs(R) <= tol, axis=0) & ~np.logical_or.accumulate(fault != 0)
+        if iteration == _NEWTON_MAX_ITER or not active.any():
+            fault[active] = _NO_CONVERGENCE  # none is active unless the iterations ran out
             break
-        h_dd, h_dq, h_qq = _hessian(p.theta, fd[k], fq[k])
+        h_dd, h_dq, h_qq = _hessian(p.theta, *X)
         det = h_dd * h_qq - h_dq * h_dq
-        singular = (det == 0.0) | ~np.isfinite(det)
-        fail(k[singular], "singular Jacobian at ({0:.6g}, {1:.6g}) " + _TARGET)
-        k, h_dd, h_dq, h_qq, det = (a[~singular] for a in (k, h_dd, h_dq, h_qq, det))
-        step_d = -(h_qq * rd[k] - h_dq * rq[k]) / det
-        step_q = -(h_dd * rq[k] - h_dq * rd[k]) / det
-        norm0 = rd[k] * rd[k] + rq[k] * rq[k]
+        singular = active & ((det == 0.0) | ~np.isfinite(det))
+        fault[singular] = _SINGULAR
+        rd, rq = R
+        step = -np.array((h_qq * rd - h_dq * rq, h_dd * rq - h_dq * rd)) / det
+        norm0 = rd * rd + rq * rq
         # every element still searching has halved its own step as often as the others
-        lam, s = 1.0, np.arange(len(k))  # s: positions in k still searching
+        lam, searching = 1.0, active & ~singular
         for _ in range(_NEWTON_MAX_HALVINGS):
-            ks = k[s]
-            nd, nq = fd[ks] + lam * step_d[s], fq[ks] + lam * step_q[s]
-            rd_n, rq_n = residual(ks, nd, nq)
-            better = rd_n * rd_n + rq_n * rq_n < norm0[s]
-            j = ks[better]
-            fd[j], fq[j], rd[j], rq[j] = nd[better], nq[better], rd_n[better], rq_n[better]
-            s = s[~better]
-            if not len(s):
+            trial = X + lam * step
+            R_trial = _stacked_currents(p._rows, trial) - targets
+            better = searching & (R_trial[0] * R_trial[0] + R_trial[1] * R_trial[1] < norm0)
+            X, R = np.where(better, trial, X), np.where(better, R_trial, R)
+            searching &= ~better
+            if not searching.any():
                 break
             lam *= 0.5
-        fail(k[s], "line search stalled at ({0:.6g}, {1:.6g}) " + _TARGET)
-        k = np.delete(k, s)
-    else:
-        fail(open_(k), f"no convergence within {_NEWTON_MAX_ITER} iterations " + _TARGET)
-    if failures:
-        raise failures[min(failures)]
-    return np.array((fd, fq)).reshape(np.shape(I))
+        fault[searching] = _STALLED
+    if fault.any():
+        j = np.argmax(fault != 0)  # the lowest fault
+        text = _FAULTS[fault[j]]
+        raise ValueError(text) if fault[j] == _SEED else NonConvergence(text.format(*X[:, j], *targets[:, j]))
+    return X.reshape(np.shape(I))

@@ -138,11 +138,8 @@ class Trace:
         if amp == 0.0:
             return self
         rng = np.random.default_rng(seed)
-        return dataclasses.replace(
-            self,
-            i_d=self.i_d + rng.uniform(-amp, amp, size=len(self.t)),
-            i_q=self.i_q + rng.uniform(-amp, amp, size=len(self.t)),
-        )
+        noise_d, noise_q = rng.uniform(-amp, amp, size=(2, len(self.t)))  # the stream of two draws of n, i_d's first
+        return dataclasses.replace(self, i_d=self.i_d + noise_d, i_q=self.i_q + noise_q)
 
     def to_csv(self, path) -> None:
         """Write the five channels, `t,u_d,u_q,i_d,i_q`."""
@@ -474,15 +471,15 @@ def _record(p: MotorParams, spec: InjectionSpec, dt: float, n_steps: int, u_bar:
     all boundaries, come to at most `_PARAREAL_TOL` is done: its record is
     continuous up to that sum, which bounds the record's flux error against
     one pass. A done run keeps its starts, so later sweeps rewrite its
-    samples bit for bit and every run comes out as it would alone. Only
-    the runs still open get a correction, linear in the move of the start
-    before (parareal as multiple shooting on G's Jacobian, Gander &
-    Vandewalle, SIAM J. Sci. Comput. 2007): after sweep s their first s + 1
-    starts are exact, U'[p+1] = F(U[p]) for p < s, and the others update
-    as U'[p+1] = F(U[p]) + J_p (U'[p] - U[p]). After
-    `_PARAREAL_MAX_SWEEPS` sweeps a run not yet done continues sequentially
-    from its last exact start, which no coarse value entered. A trailing
-    part period continues from the last period's end.
+    samples bit for bit and every run comes out as it would alone. Every
+    run gets a correction, linear in the move of the start before
+    (parareal as multiple shooting on G's Jacobian, Gander & Vandewalle,
+    SIAM J. Sci. Comput. 2007), and only the runs still open keep it: after
+    sweep s their first s + 1 starts are exact, U'[p+1] = F(U[p]) for
+    p < s, and the others update as U'[p+1] = F(U[p]) + J_p (U'[p] - U[p]).
+    After `_PARAREAL_MAX_SWEEPS` sweeps a run not yet done continues
+    sequentially from its last exact start, which no coarse value entered.
+    A trailing part period continues from the last period's end.
 
     Every sweep writes its samples straight into the record through a view
     of it, so the last sweep's are the ones kept.
@@ -519,14 +516,12 @@ def _record(p: MotorParams, spec: InjectionSpec, dt: float, n_steps: int, u_bar:
             done |= jumps <= _PARAREAL_TOL  # NaN stays open
             if done.all() or sweeps == _PARAREAL_MAX_SWEEPS:
                 break
-            lanes = np.flatnonzero(~done)  # a done run keeps its starts
-            U_old, F_open, J_open = U[:, lanes], F[:, lanes], J[:, :, lanes]
-            U_new = U_old.copy()
-            U_new[..., 1:sweeps + 1] = F_open[..., :sweeps]
+            U_new = U.copy()
+            U_new[..., 1:sweeps + 1] = F[..., :sweeps]
             for k in range(sweeps, P - 1):
-                move = U_new[..., k] - U_old[..., k]
-                U_new[..., k + 1] = F_open[..., k] + (J_open[:, 0, :, k] * move[0] + J_open[:, 1, :, k] * move[1])
-            U[:, lanes] = U_new
+                move = U_new[..., k] - U[..., k]
+                U_new[..., k + 1] = F[..., k] + (J[:, 0, :, k] * move[0] + J[:, 1, :, k] * move[1])
+            U = np.where(done[:, None], U, U_new)  # a done run keeps its starts
     starts = np.concatenate((np.zeros((2, n, 1)), F), axis=-1)  # starts[..., k]: period k's exact start
     for lanes, k in ((done, P), (~done, sweeps)):
         idx = np.flatnonzero(lanes)

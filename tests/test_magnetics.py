@@ -332,6 +332,14 @@ def scalar_exact(p, i_d, i_q, tol=1e-12):
         return exc
 
 
+def outcome(call):
+    """What call() returns, or the ValueError or NonConvergence it raises."""
+    try:
+        return call()
+    except (ValueError, NonConvergence) as exc:
+        return exc
+
+
 def fixture_config(name):
     return load_config(Path(__file__).resolve().parents[1] / "configs" / f"{name}.cfg")
 
@@ -399,6 +407,45 @@ class TestArrayNewton:
                 assert str(info.value) == str(want)
             else:
                 assert tuple(flux_from_currents_exact(bad, np.array([x, 0.0])).tolist()) == want
+
+    def test_seed_fault_ranks_by_index(self):
+        # 1e300 A overflows its first-order seed, a fault found before any
+        # iteration; 1.8 A stalls in a line search. Either way the lower
+        # index is raised, what that element raises alone
+        bad = MotorParams(R=1.0, Ld=0.1, Lq=0.1, a30=-60.0, a40=1.0)
+        alone = {x: outcome(lambda: flux_from_currents_exact(bad, np.array([x, 0.0]))) for x in (-1.0, 1e300, 1.8)}
+        assert tuple(alone[-1.0].tolist()) == scalar_exact(bad, -1.0, 0.0)
+        assert type(alone[1e300]) is ValueError and str(alone[1e300]) == "flux linkage must be finite"
+        assert type(alone[1.8]) is NonConvergence and str(alone[1.8]) == str(scalar_exact(bad, 1.8, 0.0))
+        assert str(alone[1.8]).startswith("line search stalled")
+        for order, first in (((-1.0, 1e300, 1.8), 1e300), ((-1.0, 1.8, 1e300), 1.8)):
+            with pytest.raises(type(alone[first])) as info:
+                flux_from_currents_exact(bad, np.array([order, np.zeros(3)]))
+            assert type(info.value) is type(alone[first]) and str(info.value) == str(alone[first])
+
+    @pytest.mark.parametrize("name", ["ipm", "spm"])
+    def test_batch_is_its_elements_alone(self, name):
+        # about 200 random targets from 0.05 to 8 A at any angle, past the
+        # SPM fold (-1 A on the d axis) too, unseeded and seeded: a batch
+        # gives each element's own (2,) result, or raises what its lowest
+        # element that fails alone raises
+        p = fixture_config(name).motor
+        rng = np.random.default_rng(38)
+        raised = []
+        for size in (1, 3, 10, 30, 60, 100):
+            mag, angle = np.exp(rng.uniform(np.log(0.05), np.log(8.0), size)), rng.uniform(-np.pi, np.pi, size)
+            I = mag * np.array([np.cos(angle), np.sin(angle)])
+            for seed in (None, rng.uniform(-0.3, 0.3, (2, size))):
+                seeds = [None] * size if seed is None else seed.T
+                alone = [outcome(lambda: flux_from_currents_exact(p, I[:, j], seed=seeds[j])) for j in range(size)]
+                batch = outcome(lambda: flux_from_currents_exact(p, I, seed=seed))
+                failed = [r for r in alone if isinstance(r, Exception)]
+                if failed:
+                    assert type(batch) is type(failed[0]) and str(batch) == str(failed[0])
+                else:
+                    assert [batch[:, j].tobytes() for j in range(size)] == [r.tobytes() for r in alone]
+                raised.append(bool(failed))
+        assert not any(raised) if name == "ipm" else any(raised) and not all(raised)
 
     def test_seeds_that_fail_alone_fail_the_same(self):
         # a seed that is not finite: singular Jacobian; a first-order seed
