@@ -11,7 +11,11 @@ rotor is locked: no speed couples the axes. A batch starts at rest
 run on its own periodic steady state. A narrow record (a step response,
 an orbit) is one `_rk4` pass, one sample per step. An identification
 batch from rest (`_record`) integrates its injection periods side by side
-by parareal where that pays, else it too is one pass. A batch comes back
+by parareal where that pays, else it too is one pass. Parareal cuts each
+period into quarters where every quarter's drive is +1 or -1 times the
+first's, bit for bit (a square wave whose quarter period is whole steps),
+else into halves on the same test, else not at all; a chunk's sign goes
+into its lanes' u_tilde, so every chunk runs one waveform. A batch comes back
 as one record (`_Traces`): its `flux` is the motor's state, and a run's
 trace, built when taken, holds only the channels a sensor records.
 
@@ -453,61 +457,101 @@ def _fd_jacobian(end: np.ndarray, fd_end: np.ndarray, hq: np.ndarray) -> np.ndar
     return np.stack(((fd_end[:, :n] - end) / _SHOOT_FD_STEP, (fd_end[:, n:] - end) / hq), axis=1)
 
 
+def _chunk_signs(drive: tuple[np.ndarray, ...], C: int) -> np.ndarray | None:
+    """The signs s (C,) such that the step values (f0, fmid, f1) of chunk c,
+    the c-th of C equal parts of drive's steps, are bit for bit s[c] times
+    chunk 0's, or None where no such signs exist."""
+    f0, fmid, f1 = drive
+    steps = np.stack((f0[:len(fmid)], fmid, f1)).reshape(3, C, -1)
+    first = steps[:, :1]
+    signs = np.where(np.all(steps == first, axis=(0, 2)), 1.0, -1.0)
+    return signs if (first * signs[:, None]).tobytes() == steps.tobytes() else None
+
+
+def _chunking(spec: InjectionSpec, dt: float, spp: int) -> tuple[np.ndarray, int, float]:
+    """How `_record` cuts a period of spp steps of dt under spec's waveform
+    into C chunks: their signs (C,), the coarse steps per chunk and the
+    coarse step. C is 4 where every quarter of the period's fine and coarse
+    waveform values is bit for bit +1 or -1 times the first quarter (a
+    square wave whose quarter period is whole steps), else 2 on the same
+    test with halves, else 1. A chunk takes ceil(`_PARAREAL_COARSE_STEPS` /
+    C) coarse steps, so no coarse step is longer than a tenth of a period."""
+    for C in (4, 2):
+        if spp % C == 0 and (signs := _chunk_signs(_waveform_arrays(spec, dt, spp), C)) is not None:
+            coarse_steps = -(-_PARAREAL_COARSE_STEPS // C)
+            coarse_dt = spp * dt / (C * coarse_steps)
+            if np.array_equal(signs, _chunk_signs(_waveform_arrays(spec, coarse_dt, C * coarse_steps), C)):
+                return signs, coarse_steps, coarse_dt
+    return np.ones(1), _PARAREAL_COARSE_STEPS, spp * dt / _PARAREAL_COARSE_STEPS
+
+
 def _record(p: MotorParams, spec: InjectionSpec, dt: float, n_steps: int, u_bar: np.ndarray,
             u_tilde: np.ndarray) -> tuple[_Traces, int]:
     """The traces of n runs of motor p from rest over n_steps steps of dt,
     one sample per step, run j driven by u_bar[:, j] + u_tilde[:, j] * f
     under spec's waveform f, and the number of fine sweeps they took.
 
-    The P = n_steps // spp whole injection periods of spp steps run side by
-    side by parareal (Lions, Maday & Turinici, C. R. Acad. Sci. Paris 2001):
-    each fine sweep runs all runs x periods as one batch, lane (j, p). The
-    fine propagator F is one period of `_rk4` at dt, the coarse G one period
-    at `_PARAREAL_COARSE_STEPS` steps. The period starts U begin at U[0] = 0,
-    U[p+1] = G(U[p]), in P - 1 coarse calls, each of which also carries
-    the `_fd_starts` lanes of U[p]: it gives G's Jacobian J_p at U[p] with
-    no call of its own. A fine sweep from U leaves a jump F(U[p]) - U[p+1]
-    at every period boundary; a run whose jumps, summed over both axes and
-    all boundaries, come to at most `_PARAREAL_TOL` is done: its record is
-    continuous up to that sum, which bounds the record's flux error against
-    one pass. A done run keeps its starts, so later sweeps rewrite its
-    samples bit for bit and every run comes out as it would alone. Every
-    run gets a correction, linear in the move of the start before
-    (parareal as multiple shooting on G's Jacobian, Gander & Vandewalle,
-    SIAM J. Sci. Comput. 2007), and only the runs still open keep it: after
-    sweep s their first s + 1 starts are exact, U'[p+1] = F(U[p]) for
-    p < s, and the others update as U'[p+1] = F(U[p]) + J_p (U'[p] - U[p]).
-    After `_PARAREAL_MAX_SWEEPS` sweeps a run not yet done continues
-    sequentially from its last exact start, which no coarse value entered.
-    A trailing part period continues from the last period's end.
+    The P = n_steps // spp whole injection periods of spp steps are cut
+    into K = C P chunks of L = spp / C steps (`_chunking`): C = 4 or 2 where
+    each quarter or half of a period's drive is +1 or -1 times the first,
+    bit for bit, as a square wave's is, else C = 1, whole periods. Chunk k's
+    sign goes into its lanes' u_tilde, so every chunk runs the first
+    chunk's waveform values, and u_tilde * -f = -u_tilde * f bit for bit.
+    The chunks run side by side by parareal (Lions, Maday & Turinici,
+    C. R. Acad. Sci. Paris 2001): each fine sweep runs all runs x chunks as
+    one batch, lane (j, k). The fine propagator F is one chunk of `_rk4` at
+    dt, the coarse G one chunk at ceil(`_PARAREAL_COARSE_STEPS` / C) steps.
+    The chunk starts U begin at U[0] = 0, U[k+1] = G(U[k]), in K - 1 coarse
+    calls, each of which also carries the `_fd_starts` lanes of U[k]: it
+    gives G's Jacobian J_k at U[k] with no call of its own. A fine sweep
+    from U leaves a jump F(U[k]) - U[k+1] at every chunk boundary; a run
+    whose jumps, summed over both axes and all boundaries, come to at most
+    `_PARAREAL_TOL` is done: its record is continuous up to that sum, which
+    bounds the record's flux error against one pass. A done run keeps its
+    starts, so later sweeps rewrite its samples bit for bit and every run
+    comes out as it would alone. Every run gets a correction, linear in the
+    move of the start before (parareal as multiple shooting on G's
+    Jacobian, Gander & Vandewalle, SIAM J. Sci. Comput. 2007), and only the
+    runs still open keep it: after sweep s their first s + 1 starts are
+    exact, U'[k+1] = F(U[k]) for k < s, and the others update as U'[k+1] =
+    F(U[k]) + J_k (U'[k] - U[k]). After `_PARAREAL_MAX_SWEEPS` sweeps a run
+    not yet done continues sequentially from its last exact start, which
+    no coarse value entered. A trailing part period continues from the last
+    period's end.
 
     Every sweep writes its samples straight into the record through a view
     of it, so the last sweep's are the ones kept.
 
     Parareal pays only where it converges in far fewer sweeps than there
-    are periods. The record is one `_rk4` pass from rest, with no sweep,
+    are chunks. The record is one `_rk4` pass from rest, with no sweep,
     when it holds no more whole periods than the sweep cap, or when a
     coarse step fails `_coarse_fits`: there the coarse propagator is
     inaccurate or unstable.
     """
     n, spp = u_bar.shape[1], round(spec.period / dt)
-    P, coarse_dt = n_steps // spp, spp * dt / _PARAREAL_COARSE_STEPS
+    P = n_steps // spp
+    signs, coarse_steps, coarse_dt = _chunking(spec, dt, spp)
     rows, R = _lanes([p] * n)
     drive = _waveform_arrays(spec, dt, n_steps)
     if P <= _PARAREAL_MAX_SWEEPS or not _coarse_fits(p, coarse_dt):
         return _Traces(rows, dt, _sampled(rows, R, dt, np.zeros((2, n)), u_bar, u_tilde, drive), u_bar, u_tilde,
                        drive[0]), 0
+    C = len(signs)
+    K, L = P * C, spp // C
     phi = np.empty((2, n, n_steps + 1))
-    rows_p, R_p, u_bar_p, u_tilde_p = (np.repeat(a[..., None], P, axis=-1) for a in (rows, R, u_bar, u_tilde))
-    fine, coarse = _waveform_arrays(spec, dt, spp), _waveform_arrays(spec, coarse_dt, _PARAREAL_COARSE_STEPS)
-    samples = phi[:, :, :P * spp].reshape(2, n, P, spp)  # a view: the sweeps write through it
-    rows_3, R_3, u_bar_3, u_tilde_3 = (*_lanes([p] * (3 * n)), np.tile(u_bar, 3), np.tile(u_tilde, 3))
+    rows_p, R_p, u_bar_p = (np.repeat(a[..., None], K, axis=-1) for a in (rows, R, u_bar))
+    u_tilde_p = u_tilde[..., None] * np.tile(signs, P)  # lane (j, k) carries chunk k's sign
+    fine, coarse = _waveform_arrays(spec, dt, L), _waveform_arrays(spec, coarse_dt, coarse_steps)
+    samples = phi[:, :, :K * L].reshape(2, n, K, L)  # a view: the sweeps write through it
+    rows_3, R_3, u_bar_3 = (*_lanes([p] * (3 * n)), np.tile(u_bar, 3))
+    u_tilde_3 = [np.tile(u_tilde, 3) * s for s in signs]
 
-    U, J, done = np.zeros((2, n, P)), np.empty((2, 2, n, P - 1)), np.zeros(n, dtype=bool)
+    U, J, done = np.zeros((2, n, K)), np.empty((2, 2, n, K - 1)), np.zeros(n, dtype=bool)
     with np.errstate(over="ignore", invalid="ignore"):  # an unconverged start is never kept
-        for k in range(P - 1):
+        for k in range(K - 1):
             fd, hq = _fd_starts(U[..., k])
-            end = _rk4(rows_3, R_3, coarse_dt, np.concatenate((U[..., k], fd), axis=1), u_bar_3, u_tilde_3, *coarse)
+            end = _rk4(rows_3, R_3, coarse_dt, np.concatenate((U[..., k], fd), axis=1), u_bar_3, u_tilde_3[k % C],
+                       *coarse)
             U[..., k + 1] = end[:, :n]
             J[..., k] = _fd_jacobian(end[:, :n], end[:, n:], hq)
         for sweeps in range(1, _PARAREAL_MAX_SWEEPS + 1):
@@ -518,18 +562,18 @@ def _record(p: MotorParams, spec: InjectionSpec, dt: float, n_steps: int, u_bar:
                 break
             U_new = U.copy()
             U_new[..., 1:sweeps + 1] = F[..., :sweeps]
-            for k in range(sweeps, P - 1):
+            for k in range(sweeps, K - 1):
                 move = U_new[..., k] - U[..., k]
                 U_new[..., k + 1] = F[..., k] + (J[:, 0, :, k] * move[0] + J[:, 1, :, k] * move[1])
             U = np.where(done[:, None], U, U_new)  # a done run keeps its starts
-    starts = np.concatenate((np.zeros((2, n, 1)), F), axis=-1)  # starts[..., k]: period k's exact start
-    for lanes, k in ((done, P), (~done, sweeps)):
+    starts = np.concatenate((np.zeros((2, n, 1)), F), axis=-1)  # starts[..., k]: chunk k's exact start
+    for lanes, k in ((done, K), (~done, sweeps)):
         idx = np.flatnonzero(lanes)
-        if len(idx) and k * spp == n_steps:  # the record ends where period k starts
+        if len(idx) and k * L == n_steps:  # the record ends where chunk k starts
             phi[:, idx, -1] = starts[:, idx, k]
-        elif len(idx):  # the rest of the record, from the start of period k
-            phi[:, idx, k * spp:] = _sampled(rows[..., idx], R[:, idx], dt, starts[:, idx, k], u_bar[:, idx],
-                                             u_tilde[:, idx], [f[k * spp:] for f in drive])
+        elif len(idx):  # the rest of the record, from the start of chunk k
+            phi[:, idx, k * L:] = _sampled(rows[..., idx], R[:, idx], dt, starts[:, idx, k], u_bar[:, idx],
+                                           u_tilde[:, idx], [f[k * L:] for f in drive])
     return _Traces(rows, dt, phi, u_bar, u_tilde, drive[0]), sweeps
 
 
@@ -604,28 +648,37 @@ def _shoot(p: MotorParams, spec: InjectionSpec, dt: float, steps: int, u_bar: np
     its start, and the loop ends when every run does, or after
     `_SHOOT_MAX_ITER` steps.
 
-    Each step integrates one period of the n runs, and of the
-    `_fd_starts` of the runs where fd, in one batch: those runs take the
-    Jacobian (`_fd_jacobian`) at their start of each step, the others keep
-    theirs from J (2, 2, n). Returns the starts, the Jacobians, the mask of
-    runs still open, and the record (2, n, steps) and end (2, n) of the
-    last period integrated from each run's start.
+    Each step integrates one period of the runs still open, and of the
+    `_fd_starts` of those of them where fd, in one batch: those runs take
+    the Jacobian (`_fd_jacobian`) at their start of each step, the others
+    keep theirs from J (2, 2, n). A run that converges keeps the record and
+    end of the step that confirmed it; `_rk4` gives the same bits at any
+    width, so that is what a later step would integrate again. Returns the
+    starts, the Jacobians, the mask of runs still open, and the record
+    (2, n, steps) and end (2, n) of the last period integrated from each
+    run's start.
     """
-    n, fd = phi.shape[1], np.flatnonzero(fd)
-    lanes = np.concatenate((np.arange(n), fd, fd))
-    rows, R = _lanes([p] * len(lanes))
-    drive = (u_bar[:, lanes], u_tilde[:, lanes], *_waveform_arrays(spec, dt, steps))
-    record, J = np.empty((2, len(lanes), steps)), J.copy()
+    n = phi.shape[1]
+    rows, R = _lanes([p] * (n + 2 * np.count_nonzero(fd)))  # the first, widest batch; each later one a prefix
+    waveform = _waveform_arrays(spec, dt, steps)
+    record, end, r, J = np.empty((2, n, steps)), np.empty((2, n)), np.empty((2, n)), J.copy()
+    open_ = np.ones(n, dtype=bool)
     for _ in range(_SHOOT_MAX_ITER):
-        starts, hq = _fd_starts(phi[:, fd])
-        end = _rk4(rows, R, dt, np.concatenate((phi, starts), axis=1), *drive, record)
-        J[..., fd] = _fd_jacobian(end[:, fd], end[:, n:], hq)
-        r = end[:, :n] - phi
-        open_ = ~np.all(np.abs(r) <= _SHOOT_TOL, axis=0)  # NaN stays open
+        runs = np.flatnonzero(open_)
+        fd_runs = runs[fd[runs]]
+        lanes = np.concatenate((runs, fd_runs, fd_runs))
+        starts, hq = _fd_starts(phi[:, fd_runs])
+        out = np.empty((2, len(lanes), steps))
+        ends = _rk4(rows[..., :len(lanes)], R[:, :len(lanes)], dt, np.concatenate((phi[:, runs], starts), axis=1),
+                    u_bar[:, lanes], u_tilde[:, lanes], *waveform, out)
+        record[:, runs], end[:, runs] = out[:, :len(runs)], ends[:, :len(runs)]
+        J[..., fd_runs] = _fd_jacobian(end[:, fd_runs], ends[:, len(runs):], hq)
+        r[:, runs] = end[:, runs] - phi[:, runs]
+        open_[runs] = ~np.all(np.abs(r[:, runs]) <= _SHOOT_TOL, axis=0)  # NaN stays open
         if not open_.any():
             break
-        phi = phi + np.where(open_, _shooting_step(phi, r, J), 0.0)
-    return phi, J, open_, record[:, :n], end[:, :n]
+        phi = np.where(open_, phi + _shooting_step(phi, r, J), phi)
+    return phi, J, open_, record, end
 
 
 def simulate_periodic(p: MotorParams, specs: Sequence[InjectionSpec], *,

@@ -278,18 +278,18 @@ class TestPeriodParallel:
 
     @pytest.mark.parametrize("name", ["ipm", "spm"])
     def test_fixture_plan_coarse_work(self, name, rk4_calls):
-        # one coarse pass predicts the P - 1 later period starts and carries
-        # the finite-difference lanes of its Jacobian, 3n lanes wide; the
-        # correction is linear, with no coarse call, and the second of two
-        # fine sweeps finds every record continuous
+        # the fixtures' square wave runs in quarter periods: one coarse pass
+        # of 3 steps per quarter predicts the 4P - 1 later quarter starts and
+        # carries the finite-difference lanes of its Jacobian, 3n lanes wide;
+        # the correction is linear, with no coarse call, and the second of
+        # two fine sweeps of a quarter period finds every record continuous
         config = load_config(Path(__file__).resolve().parents[1] / "configs" / f"{name}.cfg")
         specs = [r.spec for r in plan_runs(config.plan, config.motor.R)]
         period = specs[0].period
         simulate_batch(config.motor, specs, SimConfig(dt=period / config.steps_per_period,
                                                       t_end=config.measure_periods * period))
-        P, n = config.measure_periods, len(specs)
-        assert rk4_calls == ([(simulator._PARAREAL_COARSE_STEPS, (3 * n,))] * (P - 1)
-                             + [(config.steps_per_period, (n, P))] * 2)
+        K, n = 4 * config.measure_periods, len(specs)
+        assert rk4_calls == [(3, (3 * n,))] * (K - 1) + [(config.steps_per_period // 4, (n, K))] * 2
 
     @pytest.mark.parametrize("name, tol_share", [("ipm", 0.1), ("spm", 0.25)])
     def test_fixture_plan_jumps_margin(self, name, tol_share):
@@ -309,6 +309,49 @@ class TestPeriodParallel:
                               u_tilde[..., None], *last)
         jumps = np.sum(np.abs(ends - phi[..., spp::spp]), axis=(0, 2))
         assert np.max(jumps) <= tol_share * simulator._PARAREAL_TOL
+
+    @pytest.mark.parametrize("name, tol_share", [("ipm", 0.1), ("spm", 0.5)])
+    def test_fixture_plan_chunk_jumps_margin(self, name, tol_share):
+        # the fixtures run in quarter periods: their jumps, summed over all
+        # 99 quarter boundaries after the last sweep, read 5.9e-15 Wb (IPM)
+        # and 3.65e-14 Wb (SPM), 1.7 and 1.4 times under these shares of
+        # `_PARAREAL_TOL`
+        config = load_config(Path(__file__).resolve().parents[1] / "configs" / f"{name}.cfg")
+        specs = [r.spec for r in plan_runs(config.plan, config.motor.R)]
+        spp, dt = config.steps_per_period, specs[0].period / config.steps_per_period
+        n_steps = config.measure_periods * spp
+        u_bar, u_tilde = simulator._stacked_drive(specs, dt)
+        (phi, _), _ = from_rest(config.motor, specs[0], dt, n_steps, u_bar, u_tilde)
+        # F(U[k]) is the last step of chunk k taken again from its sample
+        rows, R = simulator._lanes([config.motor] * len(specs))
+        drive = simulator._waveform_arrays(specs[0], dt, n_steps)
+        ends = np.stack([simulator._rk4(rows, R, dt, phi[..., s], u_bar, u_tilde, *(f[s:s + 1] for f in drive))
+                         for s in range(spp // 4 - 1, n_steps - 1, spp // 4)], axis=-1)
+        jumps = np.sum(np.abs(ends - phi[..., spp // 4:-1:spp // 4]), axis=(0, 2))
+        assert np.max(jumps) <= tol_share * simulator._PARAREAL_TOL
+
+    @pytest.mark.parametrize("waveform, spp, chunks", [
+        (Waveform.sine(), 200, 1),
+        (Waveform.from_samples(np.sin(2 * math.pi * np.arange(64) / 64)
+                               + 0.3 * np.cos(6 * math.pi * np.arange(64) / 64)), 200, 1),
+        (Waveform.square(), 50, 2),
+        (Waveform.square(), 200, 4),
+    ], ids=["sine", "sampled", "square-half", "square-quarter"])
+    def test_chunk_rule(self, ipm, rk4_calls, waveform, spp, chunks):
+        # a period runs in C chunks where each C-th of its drive is +1 or -1
+        # times the first, bit for bit: in quarters where a square wave's
+        # quarter period is whole steps, else in halves. A continuous drive
+        # runs in whole periods, as it did before chunks, and so does the
+        # sampled one here, though it is odd over a half period up to
+        # rounding. A chunk takes ceil(10 / C) coarse steps
+        specs = [InjectionSpec(u_d, u_q, 20.0, 10.0, OMEGA_500, waveform)
+                 for u_d, u_q in ((0.0, 0.0), (12.0, -6.0), (-20.0, 15.0))]
+        cfg = SimConfig(dt=specs[0].period / spp, t_end=12 * specs[0].period)
+        u_bar, u_tilde = simulator._stacked_drive(specs, cfg.dt)
+        (_, i), sweeps = from_rest(ipm, specs[0], cfg.dt, 12 * spp, u_bar, u_tilde)
+        K, n = 12 * chunks, len(specs)
+        assert rk4_calls == [(-(-10 // chunks), (3 * n,))] * (K - 1) + [(spp // chunks, (n, K))] * sweeps
+        assert np.max(np.abs(i - sequential_currents(ipm, specs, cfg))) <= 1e-12
 
     @pytest.mark.parametrize("waveform", [
         Waveform.sine(),
@@ -614,13 +657,28 @@ class TestCoarseFirstShooting:
         specs = [square_spec(ipm.R * m * math.cos(a), ipm.R * m * math.sin(a), u_tilde_d=30.0,
                              omega=2 * math.pi * 400.0) for m in (1.0, 0.0)]
         specs.insert(1, square_spec(ipm.R * 8.0, u_tilde_d=30.0, omega=2 * math.pi * 400.0))
-        alone = []
+        alone, coarse_steps, fine_steps = [], [], []
         for spec in specs:
             rk4_calls.clear()
             alone.append(simulate_periodic(ipm, [spec]))
             coarse = sum(steps == simulator._PARAREAL_COARSE_STEPS for steps, _ in rk4_calls)
             assert (coarse == simulator._SHOOT_MAX_ITER) == (spec is specs[1])
+            coarse_steps.append(coarse)
+            fine_steps.append(len(rk4_calls) - coarse - 1)  # the last call is the record's second period
+        rk4_calls.clear()
         batch = simulate_periodic(ipm, specs)
+        # a Newton step integrates the runs still open and their
+        # finite-difference lanes: on the coarse map every run has two, on
+        # the fine map only the failing run. So once the two converging runs
+        # are done, each call carries the failing run's three lanes alone
+        assert rk4_calls == (
+            [(simulator._PARAREAL_COARSE_STEPS, (3 * sum(c > k for c in coarse_steps),))
+             for k in range(max(coarse_steps))]
+            + [(200, (sum(f > k for f in fine_steps) + 2 * (fine_steps[1] > k),)) for k in range(max(fine_steps))]
+            + [(200, (len(specs),))])
+        done = max(coarse_steps[0], coarse_steps[2])
+        assert coarse_steps[1] > done and rk4_calls[done:coarse_steps[1]] == [
+            (simulator._PARAREAL_COARSE_STEPS, (3,))] * (coarse_steps[1] - done)
         for j, (a, b) in enumerate(zip(alone, batch)):
             for name in ("t", "u_d", "u_q", "i_d", "i_q"):
                 assert getattr(a[0], name).tobytes() == getattr(b, name).tobytes(), name
@@ -628,6 +686,16 @@ class TestCoarseFirstShooting:
         # the fine orbit is the periodic steady state all the same
         for a in alone:
             assert np.all(np.abs(a.flux[:, 0, 200] - a.flux[:, 0, 0]) <= 1e-12)
+
+    def test_converged_run_keeps_its_start_bit_for_bit(self, ipm):
+        # a run with no drive rests where its warm start puts it, at the
+        # -0.0 Wb of u_bar_d = -0.0: it converges at its first Newton step,
+        # the other run later, and it keeps the start and the record of the
+        # step that confirmed it, the sign of zero included, as it does alone
+        specs = [square_spec(-0.0), square_spec(ipm.R * 2.0, u_tilde_d=30.0)]
+        alone, batch = simulate_periodic(ipm, specs[:1]), simulate_periodic(ipm, specs)
+        assert math.copysign(1.0, alone.flux[0, 0, 0]) == -1.0
+        assert alone.flux[:, 0].tobytes() == batch.flux[:, 0].tobytes()
 
 
 class TestTraceCsv:
