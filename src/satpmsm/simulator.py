@@ -10,14 +10,14 @@ rotor is locked: no speed couples the axes. A batch starts at rest
 (`simulate_batch`, `simulate_averaged`) or, in `simulate_periodic`, each
 run on its own periodic steady state. A narrow record (a step response,
 an orbit) is one `_rk4` pass, one sample per step. An identification
-batch from rest (`_record`) integrates its injection periods side by side
-by parareal where that pays, else it too is one pass. Parareal cuts each
-period into quarters where every quarter's drive is +1 or -1 times the
-first's, bit for bit (a square wave whose quarter period is whole steps),
-else into halves on the same test, else not at all; a chunk's sign goes
-into its lanes' u_tilde, so every chunk runs one waveform. A batch comes back
-as one record (`_Traces`): its `flux` is the motor's state, and a run's
-trace, built when taken, holds only the channels a sensor records.
+batch from rest (`_record`) integrates its injection periods side by
+side by parareal where that pays, else it too is one pass. Parareal cuts
+the periods of a square wave whose quarter period is whole steps into
+quarters, each +1 or -1 times the first, and every other drive not at
+all; a chunk's sign goes into its lanes' u_tilde, so every chunk runs
+one waveform. A batch comes back as one record (`_Traces`): its `flux`
+is the motor's state, and a run's trace, built when taken, holds only
+the channels a sensor records.
 
 `_rk4` has two implementations of the same arithmetic, chosen by the batch
 width. A numpy step costs the dispatch of its ~60 array calls, about the
@@ -457,67 +457,41 @@ def _fd_jacobian(end: np.ndarray, fd_end: np.ndarray, hq: np.ndarray) -> np.ndar
     return np.stack(((fd_end[:, :n] - end) / _SHOOT_FD_STEP, (fd_end[:, n:] - end) / hq), axis=1)
 
 
-def _chunk_signs(drive: tuple[np.ndarray, ...], C: int) -> np.ndarray | None:
-    """The signs s (C,) such that the step values (f0, fmid, f1) of chunk c,
-    the c-th of C equal parts of drive's steps, are bit for bit s[c] times
-    chunk 0's, or None where no such signs exist."""
-    f0, fmid, f1 = drive
-    steps = np.stack((f0[:len(fmid)], fmid, f1)).reshape(3, C, -1)
-    first = steps[:, :1]
-    signs = np.where(np.all(steps == first, axis=(0, 2)), 1.0, -1.0)
-    return signs if (first * signs[:, None]).tobytes() == steps.tobytes() else None
-
-
-def _chunking(spec: InjectionSpec, dt: float, spp: int) -> tuple[np.ndarray, int, float]:
-    """How `_record` cuts a period of spp steps of dt under spec's waveform
-    into C chunks: their signs (C,), the coarse steps per chunk and the
-    coarse step. C is 4 where every quarter of the period's fine and coarse
-    waveform values is bit for bit +1 or -1 times the first quarter (a
-    square wave whose quarter period is whole steps), else 2 on the same
-    test with halves, else 1. A chunk takes ceil(`_PARAREAL_COARSE_STEPS` /
-    C) coarse steps, so no coarse step is longer than a tenth of a period."""
-    for C in (4, 2):
-        if spp % C == 0 and (signs := _chunk_signs(_waveform_arrays(spec, dt, spp), C)) is not None:
-            coarse_steps = -(-_PARAREAL_COARSE_STEPS // C)
-            coarse_dt = spp * dt / (C * coarse_steps)
-            if np.array_equal(signs, _chunk_signs(_waveform_arrays(spec, coarse_dt, C * coarse_steps), C)):
-                return signs, coarse_steps, coarse_dt
-    return np.ones(1), _PARAREAL_COARSE_STEPS, spp * dt / _PARAREAL_COARSE_STEPS
-
-
 def _record(p: MotorParams, spec: InjectionSpec, dt: float, n_steps: int, u_bar: np.ndarray,
             u_tilde: np.ndarray) -> tuple[_Traces, int]:
     """The traces of n runs of motor p from rest over n_steps steps of dt,
     one sample per step, run j driven by u_bar[:, j] + u_tilde[:, j] * f
     under spec's waveform f, and the number of fine sweeps they took.
 
-    The P = n_steps // spp whole injection periods of spp steps are cut
-    into K = C P chunks of L = spp / C steps (`_chunking`): C = 4 or 2 where
-    each quarter or half of a period's drive is +1 or -1 times the first,
-    bit for bit, as a square wave's is, else C = 1, whole periods. Chunk k's
-    sign goes into its lanes' u_tilde, so every chunk runs the first
-    chunk's waveform values, and u_tilde * -f = -u_tilde * f bit for bit.
-    The chunks run side by side by parareal (Lions, Maday & Turinici,
-    C. R. Acad. Sci. Paris 2001): each fine sweep runs all runs x chunks as
-    one batch, lane (j, k). The fine propagator F is one chunk of `_rk4` at
-    dt, the coarse G one chunk at ceil(`_PARAREAL_COARSE_STEPS` / C) steps.
-    The chunk starts U begin at U[0] = 0, U[k+1] = G(U[k]), in K - 1 coarse
-    calls, each of which also carries the `_fd_starts` lanes of U[k]: it
-    gives G's Jacobian J_k at U[k] with no call of its own. A fine sweep
-    from U leaves a jump F(U[k]) - U[k+1] at every chunk boundary; a run
-    whose jumps, summed over both axes and all boundaries, come to at most
+    The P = n_steps // spp whole injection periods of spp steps are cut into
+    K = C P chunks of L = spp / C steps. A square wave whose quarter period
+    is whole steps runs in quarters, C = 4: its quarters' drive is +1, +1,
+    -1, -1 times the first's, index for index (`_waveform_arrays`). Any
+    other drive runs in whole periods, C = 1. Chunk k's sign goes into its
+    lanes' u_tilde, so every chunk runs the first chunk's waveform values,
+    and u_tilde * -f = -u_tilde * f bit for bit. The chunks run side by side
+    by parareal (Lions, Maday & Turinici, C. R. Acad. Sci. Paris 2001): each
+    fine sweep runs all runs x chunks as one batch, lane (j, k). The fine
+    propagator F is one chunk of `_rk4` at dt, the coarse G one period at
+    `_PARAREAL_COARSE_STEPS` steps or one quarter at 3, so no coarse step is
+    longer than a tenth of a period. The chunk starts U begin at U[0] = 0,
+    U[k+1] = G(U[k]): one `_rk4` pass over the coarse steps of K - 1 chunks,
+    chunk k's sign on its waveform values, the same bits as K - 1 calls of
+    one chunk. One more call, of one chunk from the `_fd_starts` of every
+    start but the last, gives G's Jacobians J_k at U[k]. A fine sweep from U
+    leaves a jump F(U[k]) - U[k+1] at every chunk boundary; a run whose
+    jumps, summed over both axes and all boundaries, come to at most
     `_PARAREAL_TOL` is done: its record is continuous up to that sum, which
     bounds the record's flux error against one pass. A done run keeps its
     starts, so later sweeps rewrite its samples bit for bit and every run
     comes out as it would alone. Every run gets a correction, linear in the
-    move of the start before (parareal as multiple shooting on G's
-    Jacobian, Gander & Vandewalle, SIAM J. Sci. Comput. 2007), and only the
-    runs still open keep it: after sweep s their first s + 1 starts are
-    exact, U'[k+1] = F(U[k]) for k < s, and the others update as U'[k+1] =
-    F(U[k]) + J_k (U'[k] - U[k]). After `_PARAREAL_MAX_SWEEPS` sweeps a run
-    not yet done continues sequentially from its last exact start, which
-    no coarse value entered. A trailing part period continues from the last
-    period's end.
+    move of the start before (parareal as multiple shooting on G's Jacobian,
+    Gander & Vandewalle, SIAM J. Sci. Comput. 2007), and only the runs still
+    open keep it: after sweep s their first s + 1 starts are exact, U'[k+1]
+    = F(U[k]) for k < s, and the others update as U'[k+1] = F(U[k]) + J_k
+    (U'[k] - U[k]). After `_PARAREAL_MAX_SWEEPS` sweeps a run not yet done
+    continues sequentially from its last exact start, which no coarse value
+    entered. A trailing part period continues from the last period's end.
 
     Every sweep writes its samples straight into the record through a view
     of it, so the last sweep's are the ones kept.
@@ -525,35 +499,36 @@ def _record(p: MotorParams, spec: InjectionSpec, dt: float, n_steps: int, u_bar:
     Parareal pays only where it converges in far fewer sweeps than there
     are chunks. The record is one `_rk4` pass from rest, with no sweep,
     when it holds no more whole periods than the sweep cap, or when a
-    coarse step fails `_coarse_fits`: there the coarse propagator is
-    inaccurate or unstable.
+    coarse step of a tenth of a period fails `_coarse_fits`: there the
+    coarse propagator is inaccurate or unstable.
     """
     n, spp = u_bar.shape[1], round(spec.period / dt)
     P = n_steps // spp
-    signs, coarse_steps, coarse_dt = _chunking(spec, dt, spp)
     rows, R = _lanes([p] * n)
     drive = _waveform_arrays(spec, dt, n_steps)
-    if P <= _PARAREAL_MAX_SWEEPS or not _coarse_fits(p, coarse_dt):
+    if P <= _PARAREAL_MAX_SWEEPS or not _coarse_fits(p, spp * dt / _PARAREAL_COARSE_STEPS):
         return _Traces(rows, dt, _sampled(rows, R, dt, np.zeros((2, n)), u_bar, u_tilde, drive), u_bar, u_tilde,
                        drive[0]), 0
-    C = len(signs)
-    K, L = P * C, spp // C
+    C, coarse_steps = (4, 3) if spec.waveform.kind == "square" and spp % 4 == 0 else (1, _PARAREAL_COARSE_STEPS)
+    K, L, sign = P * C, spp // C, np.tile([1.0, 1.0, -1.0, -1.0][:C], P)  # sign[k]: chunk k's
+    coarse_dt = L * dt / coarse_steps
     phi = np.empty((2, n, n_steps + 1))
     rows_p, R_p, u_bar_p = (np.repeat(a[..., None], K, axis=-1) for a in (rows, R, u_bar))
-    u_tilde_p = u_tilde[..., None] * np.tile(signs, P)  # lane (j, k) carries chunk k's sign
+    u_tilde_p = u_tilde[..., None] * sign  # lane (j, k) carries chunk k's sign
     fine, coarse = _waveform_arrays(spec, dt, L), _waveform_arrays(spec, coarse_dt, coarse_steps)
     samples = phi[:, :, :K * L].reshape(2, n, K, L)  # a view: the sweeps write through it
-    rows_3, R_3, u_bar_3 = (*_lanes([p] * (3 * n)), np.tile(u_bar, 3))
-    u_tilde_3 = [np.tile(u_tilde, 3) * s for s in signs]
 
-    U, J, done = np.zeros((2, n, K)), np.empty((2, 2, n, K - 1)), np.zeros(n, dtype=bool)
+    U, done = np.zeros((2, n, K)), np.zeros(n, dtype=bool)
     with np.errstate(over="ignore", invalid="ignore"):  # an unconverged start is never kept
-        for k in range(K - 1):
-            fd, hq = _fd_starts(U[..., k])
-            end = _rk4(rows_3, R_3, coarse_dt, np.concatenate((U[..., k], fd), axis=1), u_bar_3, u_tilde_3[k % C],
-                       *coarse)
-            U[..., k + 1] = end[:, :n]
-            J[..., k] = _fd_jacobian(end[:, :n], end[:, n:], hq)
+        G = np.empty((2, n, K - 1, coarse_steps))  # G's steps, chunk k's from its start U[k]
+        U[..., -1] = _rk4(rows, R, coarse_dt, U[..., 0], u_bar, u_tilde,
+                          *(np.outer(sign[:-1], f[:coarse_steps]).ravel() for f in coarse), G.reshape(2, n, -1))
+        U[..., 1:-1] = G[..., 1:, 0]
+        m = n * (K - 1)  # the lanes (j, k) of the K - 1 starts a Jacobian is taken at
+        fd, hq = _fd_starts(U[..., :-1].reshape(2, m))
+        fd_end = _rk4(*(np.repeat(a[..., :1], 2 * m, axis=-1) for a in (rows, R)), coarse_dt, fd,
+                      *(np.tile(a[..., :-1].reshape(2, m), 2) for a in (u_bar_p, u_tilde_p)), *coarse)
+        J = _fd_jacobian(U[..., 1:].reshape(2, m), fd_end, hq).reshape(2, 2, n, K - 1)
         for sweeps in range(1, _PARAREAL_MAX_SWEEPS + 1):
             F = _rk4(rows_p, R_p, dt, U, u_bar_p, u_tilde_p, *fine, samples)
             jumps = np.sum(np.abs(F[..., :-1] - U[..., 1:]), axis=(0, 2))  # where the record breaks

@@ -279,17 +279,19 @@ class TestPeriodParallel:
     @pytest.mark.parametrize("name", ["ipm", "spm"])
     def test_fixture_plan_coarse_work(self, name, rk4_calls):
         # the fixtures' square wave runs in quarter periods: one coarse pass
-        # of 3 steps per quarter predicts the 4P - 1 later quarter starts and
-        # carries the finite-difference lanes of its Jacobian, 3n lanes wide;
-        # the correction is linear, with no coarse call, and the second of
-        # two fine sweeps of a quarter period finds every record continuous
+        # of 3 steps per quarter predicts the 4P - 1 later quarter starts, n
+        # lanes wide, and one call of a quarter from the finite-difference
+        # starts of each gives their Jacobians, 2n (4P - 1) lanes wide; the
+        # correction is linear, with no coarse call, and the second of two
+        # fine sweeps of a quarter period finds every record continuous
         config = load_config(Path(__file__).resolve().parents[1] / "configs" / f"{name}.cfg")
         specs = [r.spec for r in plan_runs(config.plan, config.motor.R)]
         period = specs[0].period
         simulate_batch(config.motor, specs, SimConfig(dt=period / config.steps_per_period,
                                                       t_end=config.measure_periods * period))
         K, n = 4 * config.measure_periods, len(specs)
-        assert rk4_calls == [(3, (3 * n,))] * (K - 1) + [(config.steps_per_period // 4, (n, K))] * 2
+        assert rk4_calls == ([(3 * (K - 1), (n,)), (3, (2 * n * (K - 1),))]
+                             + [(config.steps_per_period // 4, (n, K))] * 2)
 
     @pytest.mark.parametrize("name, tol_share", [("ipm", 0.1), ("spm", 0.25)])
     def test_fixture_plan_jumps_margin(self, name, tol_share):
@@ -334,23 +336,24 @@ class TestPeriodParallel:
         (Waveform.sine(), 200, 1),
         (Waveform.from_samples(np.sin(2 * math.pi * np.arange(64) / 64)
                                + 0.3 * np.cos(6 * math.pi * np.arange(64) / 64)), 200, 1),
-        (Waveform.square(), 50, 2),
+        (Waveform.square(), 50, 1),
         (Waveform.square(), 200, 4),
-    ], ids=["sine", "sampled", "square-half", "square-quarter"])
+    ], ids=["sine", "sampled", "square-50", "square-200"])
     def test_chunk_rule(self, ipm, rk4_calls, waveform, spp, chunks):
-        # a period runs in C chunks where each C-th of its drive is +1 or -1
-        # times the first, bit for bit: in quarters where a square wave's
-        # quarter period is whole steps, else in halves. A continuous drive
-        # runs in whole periods, as it did before chunks, and so does the
-        # sampled one here, though it is odd over a half period up to
-        # rounding. A chunk takes ceil(10 / C) coarse steps
+        # a square wave whose quarter period is whole steps runs in quarters
+        # of 3 coarse steps; every other drive runs in whole periods of 10,
+        # as before chunks: a continuous one, the sampled one here, though it
+        # is odd over a half period up to rounding, and a square wave whose
+        # quarter period falls between two steps
         specs = [InjectionSpec(u_d, u_q, 20.0, 10.0, OMEGA_500, waveform)
                  for u_d, u_q in ((0.0, 0.0), (12.0, -6.0), (-20.0, 15.0))]
         cfg = SimConfig(dt=specs[0].period / spp, t_end=12 * specs[0].period)
         u_bar, u_tilde = simulator._stacked_drive(specs, cfg.dt)
         (_, i), sweeps = from_rest(ipm, specs[0], cfg.dt, 12 * spp, u_bar, u_tilde)
         K, n = 12 * chunks, len(specs)
-        assert rk4_calls == [(-(-10 // chunks), (3 * n,))] * (K - 1) + [(spp // chunks, (n, K))] * sweeps
+        coarse_steps = 3 if chunks == 4 else 10
+        assert rk4_calls == ([(coarse_steps * (K - 1), (n,)), (coarse_steps, (2 * n * (K - 1),))]
+                             + [(spp // chunks, (n, K))] * sweeps)
         assert np.max(np.abs(i - sequential_currents(ipm, specs, cfg))) <= 1e-12
 
     @pytest.mark.parametrize("waveform", [
@@ -397,13 +400,17 @@ class TestPeriodParallel:
         assert sweeps == 1
         assert phi.tobytes() == sequential_flux(spm, specs, cfg).tobytes()
 
-    @pytest.mark.parametrize("omega, periods", [(2 * math.pi * 5.0, 25), (OMEGA_500, 2), (OMEGA_500, 3)],
-                             ids=["5Hz", "2-periods", "3-periods"])
+    @pytest.mark.parametrize("omega, periods", [(2 * math.pi * 5.0, 25), (2 * math.pi * 240.0, 25),
+                                                (OMEGA_500, 2), (OMEGA_500, 3)],
+                             ids=["5Hz", "240Hz", "2-periods", "3-periods"])
     def test_sequential_where_parareal_cannot_pay(self, ipm, omega, periods):
         # at 5 Hz a period spans 5 unsaturated time constants of the IPM
-        # motor, where a coarse step of a tenth of a period is unstable; a
-        # record of no more whole periods than the sweep cap leaves nothing
-        # to gain. Both integrate sequentially, exactly as the reference
+        # motor, where a coarse step of a tenth of a period is unstable. At
+        # 240 Hz a tenth of a period still fails `_coarse_fits`, though the
+        # twelfth that a quarter chunk's coarse step spans would pass; the
+        # check is on the tenth. A record of no more whole periods than the
+        # sweep cap leaves nothing to gain. All integrate sequentially,
+        # exactly as the reference
         specs = [square_spec(u_tilde_d=30.0, omega=omega), square_spec(u_bar_d=20.0, u_tilde_q=30.0, omega=omega)]
         cfg = SimConfig(dt=specs[0].period / 200, t_end=periods * specs[0].period)
         u_bar, u_tilde = simulator._stacked_drive(specs, cfg.dt)

@@ -121,24 +121,21 @@ class TestAngleSweep:
         assert phi.shape == (2, len(specs), MIN_WHOLE_PERIODS * 200 + 1)
         assert np.all(np.abs(phi[..., 200] - phi[..., 0]) <= 1e-12)
 
-    @pytest.mark.parametrize("name", ["ipm", "spm"])
-    def test_fixture_sweeps_shoot_on_the_coarse_map_first(self, name, rk4_calls):
-        # Newton converges on the coarse period map, then takes at most two
-        # fine steps on the coarse Jacobian at its fixed point: one that
-        # moves the orbit by the coarse map's error and one that confirms
-        # it. Each integrates the runs alone, and so does the record's
-        # second period: no fine call carries finite-difference lanes. A
-        # coarse call carries the runs still open, each with its two
-        # finite-difference lanes, so the calls narrow as runs converge
+    @pytest.mark.parametrize("name, coarse", [("ipm", [21, 21, 21, 12]), ("spm", [33, 33, 33, 30, 24, 12])])
+    def test_fixture_sweeps_shoot_on_the_coarse_map_first(self, name, coarse, rk4_calls):
+        # Newton converges on the coarse period map, then takes two fine
+        # steps on the coarse Jacobian at its fixed point: one that moves
+        # the orbit by the coarse map's error and one that confirms it. Each
+        # integrates the runs alone, and so does the record's second period:
+        # no fine call carries finite-difference lanes. A coarse call
+        # carries the runs still open, each with its two finite-difference
+        # lanes, so the calls narrow as runs converge
         config = load_config(Path(__file__).resolve().parents[1] / "configs" / f"{name}.cfg")
         angle_sweep(config.motor, config.sweep, steps_per_period=config.steps_per_period)
         n = len(config.sweep.magnitudes)
-        coarse = [width for steps, (width,) in rk4_calls if steps == simulator._PARAREAL_COARSE_STEPS]
-        fine = [width for steps, (width,) in rk4_calls if steps == config.steps_per_period]
-        assert rk4_calls == [(simulator._PARAREAL_COARSE_STEPS, (w,)) for w in coarse] + [
-            (config.steps_per_period, (w,)) for w in fine]
-        assert coarse[0] == 3 * n and coarse == sorted(coarse, reverse=True) and all(w % 3 == 0 for w in coarse)
-        assert fine == [n] * len(fine) and len(fine) <= 3
+        assert coarse[0] == 3 * n
+        assert rk4_calls == ([(simulator._PARAREAL_COARSE_STEPS, (w,)) for w in coarse]
+                             + [(config.steps_per_period, (n,))] * 3)
 
     def test_no_orbit_names_the_magnitude(self):
         # the d-axis current peaks at 0.86 A, so a 2 A bias runs away
