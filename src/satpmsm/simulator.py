@@ -512,11 +512,9 @@ def _record(p: MotorParams, spec: InjectionSpec, dt: float, n_steps: int, u_bar:
     C, coarse_steps = (4, 3) if spec.waveform.kind == "square" and spp % 4 == 0 else (1, _PARAREAL_COARSE_STEPS)
     K, L, sign = P * C, spp // C, np.tile([1.0, 1.0, -1.0, -1.0][:C], P)  # sign[k]: chunk k's
     coarse_dt = L * dt / coarse_steps
-    phi = np.empty((2, n, n_steps + 1))
     rows_p, R_p, u_bar_p = (np.repeat(a[..., None], K, axis=-1) for a in (rows, R, u_bar))
     u_tilde_p = u_tilde[..., None] * sign  # lane (j, k) carries chunk k's sign
     fine, coarse = _waveform_arrays(spec, dt, L), _waveform_arrays(spec, coarse_dt, coarse_steps)
-    samples = phi[:, :, :K * L].reshape(2, n, K, L)  # a view: the sweeps write through it
 
     U, done = np.zeros((2, n, K)), np.zeros(n, dtype=bool)
     with np.errstate(over="ignore", invalid="ignore"):  # an unconverged start is never kept
@@ -524,11 +522,15 @@ def _record(p: MotorParams, spec: InjectionSpec, dt: float, n_steps: int, u_bar:
         U[..., -1] = _rk4(rows, R, coarse_dt, U[..., 0], u_bar, u_tilde,
                           *(np.outer(sign[:-1], f[:coarse_steps]).ravel() for f in coarse), G.reshape(2, n, -1))
         U[..., 1:-1] = G[..., 1:, 0]
-        m = n * (K - 1)  # the lanes (j, k) of the K - 1 starts a Jacobian is taken at
-        fd, hq = _fd_starts(U[..., :-1].reshape(2, m))
-        fd_end = _rk4(*(np.repeat(a[..., :1], 2 * m, axis=-1) for a in (rows, R)), coarse_dt, fd,
-                      *(np.tile(a[..., :-1].reshape(2, m), 2) for a in (u_bar_p, u_tilde_p)), *coarse)
-        J = _fd_jacobian(U[..., 1:].reshape(2, m), fd_end, hq).reshape(2, 2, n, K - 1)
+        J = np.empty((2, 2, n, K - 1))
+        for ks in np.array_split(np.arange(K - 1), min(4, K - 1)):  # half a fine sweep wide: below its memory
+            m = n * len(ks)  # the lanes (j, k) of the starts U[k] the call takes G's Jacobian at
+            fd, hq = _fd_starts(U[..., ks].reshape(2, m))
+            fd_end = _rk4(*(np.repeat(a[..., :1], 2 * m, axis=-1) for a in (rows, R)), coarse_dt, fd,
+                          *(np.tile(a[..., ks].reshape(2, m), 2) for a in (u_bar_p, u_tilde_p)), *coarse)
+            J[..., ks] = _fd_jacobian(U[..., ks + 1].reshape(2, m), fd_end, hq).reshape(2, 2, n, len(ks))
+        phi = np.empty((2, n, n_steps + 1))
+        samples = phi[:, :, :K * L].reshape(2, n, K, L)  # a view: the sweeps write through it
         for sweeps in range(1, _PARAREAL_MAX_SWEEPS + 1):
             F = _rk4(rows_p, R_p, dt, U, u_bar_p, u_tilde_p, *fine, samples)
             jumps = np.sum(np.abs(F[..., :-1] - U[..., 1:]), axis=(0, 2))  # where the record breaks

@@ -280,17 +280,19 @@ class TestPeriodParallel:
     def test_fixture_plan_coarse_work(self, name, rk4_calls):
         # the fixtures' square wave runs in quarter periods: one coarse pass
         # of 3 steps per quarter predicts the 4P - 1 later quarter starts, n
-        # lanes wide, and one call of a quarter from the finite-difference
-        # starts of each gives their Jacobians, 2n (4P - 1) lanes wide; the
-        # correction is linear, with no coarse call, and the second of two
-        # fine sweeps of a quarter period finds every record continuous
+        # lanes wide, and four calls of a quarter from the finite-difference
+        # starts of a quarter of them each give their Jacobians, at most 2n P
+        # lanes wide; the correction is linear, with no coarse call, and the
+        # second of two fine sweeps of a quarter period finds every record
+        # continuous
         config = load_config(Path(__file__).resolve().parents[1] / "configs" / f"{name}.cfg")
         specs = [r.spec for r in plan_runs(config.plan, config.motor.R)]
         period = specs[0].period
         simulate_batch(config.motor, specs, SimConfig(dt=period / config.steps_per_period,
                                                       t_end=config.measure_periods * period))
         K, n = 4 * config.measure_periods, len(specs)
-        assert rk4_calls == ([(3 * (K - 1), (n,)), (3, (2 * n * (K - 1),))]
+        P = config.measure_periods
+        assert rk4_calls == ([(3 * (K - 1), (n,))] + [(3, (2 * n * P,))] * 3 + [(3, (2 * n * (P - 1),))]
                              + [(config.steps_per_period // 4, (n, K))] * 2)
 
     @pytest.mark.parametrize("name, tol_share", [("ipm", 0.1), ("spm", 0.25)])
@@ -351,9 +353,9 @@ class TestPeriodParallel:
         u_bar, u_tilde = simulator._stacked_drive(specs, cfg.dt)
         (_, i), sweeps = from_rest(ipm, specs[0], cfg.dt, 12 * spp, u_bar, u_tilde)
         K, n = 12 * chunks, len(specs)
-        coarse_steps = 3 if chunks == 4 else 10
-        assert rk4_calls == ([(coarse_steps * (K - 1), (n,)), (coarse_steps, (2 * n * (K - 1),))]
-                             + [(spp // chunks, (n, K))] * sweeps)
+        coarse_steps, w = (3 if chunks == 4 else 10), K // 4  # the Jacobians of K - 1 starts in four calls
+        assert rk4_calls == ([(coarse_steps * (K - 1), (n,))] + [(coarse_steps, (2 * n * w,))] * 3
+                             + [(coarse_steps, (2 * n * (w - 1),)), *[(spp // chunks, (n, K))] * sweeps])
         assert np.max(np.abs(i - sequential_currents(ipm, specs, cfg))) <= 1e-12
 
     @pytest.mark.parametrize("waveform", [
@@ -366,6 +368,17 @@ class TestPeriodParallel:
         cfg = SimConfig(dt=specs[0].period / 200, t_end=12 * specs[0].period)
         got = batch_currents(simulate_batch(ipm, specs, cfg))
         assert np.max(np.abs(got - sequential_currents(ipm, specs, cfg))) <= 1e-12
+
+    def test_fewest_periods_on_parareal(self, ipm, rk4_calls):
+        # 4 whole periods of a sine, one more than the sweep cap: parareal
+        # takes the coarse Jacobians at 3 period starts, one call each
+        specs = [InjectionSpec(u_d, u_q, 20.0, 10.0, OMEGA_500, Waveform.sine())
+                 for u_d, u_q in ((0.0, 0.0), (12.0, -6.0))]
+        cfg = SimConfig(dt=specs[0].period / 200, t_end=4 * specs[0].period)
+        u_bar, u_tilde = simulator._stacked_drive(specs, cfg.dt)
+        (_, i), sweeps = from_rest(ipm, specs[0], cfg.dt, 4 * 200, u_bar, u_tilde)
+        assert rk4_calls[:4] == [(30, (2,))] + [(10, (4,))] * 3 and sweeps > 0
+        assert np.max(np.abs(i - sequential_currents(ipm, specs, cfg))) <= 1e-12
 
     @pytest.mark.parametrize("max_sweeps, alone_sweeps", [(3, [2, 3]), (2, [2, 2])])
     def test_run_comes_out_as_alone(self, spm, monkeypatch, max_sweeps, alone_sweeps):
