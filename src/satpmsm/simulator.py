@@ -493,8 +493,10 @@ def _record(p: MotorParams, spec: InjectionSpec, dt: float, n_steps: int, u_bar:
     continues sequentially from its last exact start, which no coarse value
     entered. A trailing part period continues from the last period's end.
 
-    Every sweep writes its samples straight into the record through a view
-    of it, so the last sweep's are the ones kept.
+    Every sweep but the first writes its samples straight into the record
+    through a view of it, so the last sweep's are the ones kept. The first
+    sweep's are always overwritten unless it is the last; then it is
+    integrated once more from the same starts to write them, the same bits.
 
     Parareal pays only where it converges in far fewer sweeps than there
     are chunks. The record is one `_rk4` pass from rest, with no sweep,
@@ -532,7 +534,7 @@ def _record(p: MotorParams, spec: InjectionSpec, dt: float, n_steps: int, u_bar:
         phi = np.empty((2, n, n_steps + 1))
         samples = phi[:, :, :K * L].reshape(2, n, K, L)  # a view: the sweeps write through it
         for sweeps in range(1, _PARAREAL_MAX_SWEEPS + 1):
-            F = _rk4(rows_p, R_p, dt, U, u_bar_p, u_tilde_p, *fine, samples)
+            F = _rk4(rows_p, R_p, dt, U, u_bar_p, u_tilde_p, *fine, None if sweeps == 1 else samples)
             jumps = np.sum(np.abs(F[..., :-1] - U[..., 1:]), axis=(0, 2))  # where the record breaks
             done |= jumps <= _PARAREAL_TOL  # NaN stays open
             if done.all() or sweeps == _PARAREAL_MAX_SWEEPS:
@@ -543,6 +545,8 @@ def _record(p: MotorParams, spec: InjectionSpec, dt: float, n_steps: int, u_bar:
                 move = U_new[..., k] - U[..., k]
                 U_new[..., k + 1] = F[..., k] + (J[:, 0, :, k] * move[0] + J[:, 1, :, k] * move[1])
             U = np.where(done[:, None], U, U_new)  # a done run keeps its starts
+        if sweeps == 1:  # the only sweep, again for its samples
+            _rk4(rows_p, R_p, dt, U, u_bar_p, u_tilde_p, *fine, samples)
     starts = np.concatenate((np.zeros((2, n, 1)), F), axis=-1)  # starts[..., k]: chunk k's exact start
     for lanes, k in ((done, K), (~done, sweeps)):
         idx = np.flatnonzero(lanes)
