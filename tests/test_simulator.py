@@ -343,10 +343,10 @@ class TestPeriodParallel:
     ], ids=["sine", "sampled", "square-50", "square-200"])
     def test_chunk_rule(self, ipm, rk4_calls, waveform, spp, chunks):
         # a square wave whose quarter period is whole steps runs in quarters
-        # of 3 coarse steps; every other drive runs in whole periods of 10,
-        # as before chunks: a continuous one, the sampled one here, though it
-        # is odd over a half period up to rounding, and a square wave whose
-        # quarter period falls between two steps
+        # of 3 coarse steps; every other drive runs in whole periods of 10:
+        # a continuous one, the sampled one here, though it is odd over a
+        # half period up to rounding, and a square wave whose quarter period
+        # falls between two steps
         specs = [InjectionSpec(u_d, u_q, 20.0, 10.0, OMEGA_500, waveform)
                  for u_d, u_q in ((0.0, 0.0), (12.0, -6.0), (-20.0, 15.0))]
         cfg = SimConfig(dt=specs[0].period / spp, t_end=12 * specs[0].period)
@@ -412,19 +412,6 @@ class TestPeriodParallel:
         (phi, _), sweeps = from_rest(spm, specs[0], cfg.dt, 2000, u_bar, u_tilde)
         assert sweeps == 1
         assert phi.tobytes() == sequential_flux(spm, specs, cfg).tobytes()
-
-    def test_plan_done_in_one_sweep_writes_its_samples(self, spm, monkeypatch, rk4_calls):
-        # with no tolerance to meet, every run is done after the first fine
-        # sweep, which writes no samples: it runs once more from the same
-        # starts to write them, so the first quarter period, which starts at
-        # rest, is the sequential pass's bit for bit
-        monkeypatch.setattr(simulator, "_PARAREAL_TOL", math.inf)
-        specs = [square_spec(u_bar_d=-8.0, u_tilde_d=30.0), square_spec(u_bar_q=10.0, u_tilde_q=25.0)]
-        cfg = SimConfig(dt=specs[0].period / 200, t_end=10 * specs[0].period)
-        u_bar, u_tilde = simulator._stacked_drive(specs, cfg.dt)
-        (phi, _), sweeps = from_rest(spm, specs[0], cfg.dt, 2000, u_bar, u_tilde)
-        assert sweeps == 1 and rk4_calls[-2:] == [(50, (2, 40))] * 2
-        assert phi[..., :50].tobytes() == sequential_flux(spm, specs, cfg)[..., :50].tobytes()
 
     @pytest.mark.parametrize("omega, periods", [(2 * math.pi * 5.0, 25), (2 * math.pi * 240.0, 25),
                                                 (OMEGA_500, 2), (OMEGA_500, 3)],

@@ -121,7 +121,8 @@ class TestAngleSweep:
         assert phi.shape == (2, len(specs), MIN_WHOLE_PERIODS * 200 + 1)
         assert np.all(np.abs(phi[..., 200] - phi[..., 0]) <= 1e-12)
 
-    @pytest.mark.parametrize("name, coarse", [("ipm", [21, 21, 21, 12]), ("spm", [33, 33, 33, 30, 24, 12])])
+    @pytest.mark.parametrize("name, coarse", [("ipm", [21, 21, 21, 12]), ("spm", [33, 33, 33, 30, 24, 12])],
+                             ids=["ipm", "spm"])
     def test_fixture_sweeps_shoot_on_the_coarse_map_first(self, name, coarse, rk4_calls):
         # Newton converges on the coarse period map, then takes two fine
         # steps on the coarse Jacobian at its fixed point: one that moves
