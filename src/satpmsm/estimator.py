@@ -185,12 +185,12 @@ def estimate_L(runs: Sequence[PlanRun], meas: Sequence[RippleMeasurement]) -> In
     zero_bias = [(run.spec, m) for run, m in zip(runs, meas, strict=True)
                  if run.spec.u_bar_d == run.spec.u_bar_q == 0.0]
     L, sigma_L = [], []
-    for axis in "dq":
+    for a, axis in enumerate("dq"):
         spec, m = next(((s, m) for s, m in zero_bias if getattr(s, f"u_tilde_{axis}")), (None, None))
         if spec is None:
             raise ValueError(f"no zero-bias run injects the {axis} axis")
-        sigma = getattr(m, f"sigma_i_tilde_{axis}")
-        i_tilde = _checked_ripple(getattr(m, f"i_tilde_{axis}"), sigma, f"{axis}-axis zero-bias run")
+        sigma = float(m.sigma_i_tilde[a])
+        i_tilde = _checked_ripple(float(m.i_tilde[a]), sigma, f"{axis}-axis zero-bias run")
         L.append(getattr(spec, f"u_tilde_{axis}") / (spec.omega * i_tilde))
         sigma_L.append(abs(L[-1]) * sigma / abs(i_tilde))
     return InductanceEstimate(*L, *sigma_L)
@@ -210,17 +210,18 @@ def _fit_with_sigma(X, y, sigma_y):
 def estimate_saturation(runs: Sequence[PlanRun], meas: Sequence[RippleMeasurement],
                         L_d: float, L_q: float) -> SaturationEstimate:
     """The five saturation coefficients from the settled ripples `meas` of
-    the runs, by one least squares over each run's d and q ripple. A row is
-    the first-order ripple model at one-hot theta (`_ripple_model`) at the
-    flux (L_d i_bar_d, L_q i_bar_q) of the run's measured mean currents,
-    under the run's own drive; the inductance part, theta = (1/L_d, 1/L_q,
+    the runs, by one least squares over each run's d and q ripple, the
+    (2,) `i_tilde` of every run concatenated in run order. A row is the
+    first-order ripple model at one-hot theta (`_ripple_model`) at the
+    flux (L_d, L_q) * i_bar of the run's measured mean currents, under the
+    run's own drive; the inductance part, theta = (1/L_d, 1/L_q,
     0, ...), is subtracted from the measured ripple first. The sigmas
     propagate each ripple's standard error. Roles are not read: `gram_fit`
     alone decides whether the runs determine the coefficients."""
-    X = np.array([_ripple_model(_THETA_BASIS, L_d * m.i_bar_d, L_q * m.i_bar_q, run.spec)
+    X = np.array([_ripple_model(_THETA_BASIS, L_d * m.i_bar[0], L_q * m.i_bar[1], run.spec)
                   for run, m in zip(runs, meas, strict=True)]).reshape(-1, len(PARAM_NAMES))
-    y = np.array([(m.i_tilde_d, m.i_tilde_q) for m in meas]).reshape(-1) - X[:, :2] @ (1.0 / L_d, 1.0 / L_q)
-    sigma_y = [s for m in meas for s in (m.sigma_i_tilde_d, m.sigma_i_tilde_q)]
+    y = np.ravel([m.i_tilde for m in meas]) - X[:, :2] @ (1.0 / L_d, 1.0 / L_q)
+    sigma_y = np.ravel([m.sigma_i_tilde for m in meas])
     beta, sig, rms = _fit_with_sigma(X[:, 2:], y, sigma_y)
     names = PARAM_NAMES[2:]
     return SaturationEstimate(dict(zip(names, beta.tolist())), dict(zip(names, sig.tolist())), rms)
@@ -266,8 +267,7 @@ def _run_terms(run: PlanRun, trace: Trace, name: str, theta0: np.ndarray,
         per, blocks = period_blocks(trace, run.spec)
     except (TooShort, Unresolved) as exc:
         raise type(exc)(f"{name}: {exc}") from None
-    i = np.stack([trace.i_d, trace.i_q])
-    for axis, i_axis in zip("dq", i):
+    for axis, i_axis in zip("dq", trace.i):
         floor = _noise_rms(i_axis)
         if abs(i_axis[0]) > max(_AT_REST_FACTOR * floor, _ZERO_RIPPLE_FLOOR):
             raise NotAtRest(
@@ -275,7 +275,7 @@ def _run_terms(run: PlanRun, trace: Trace, name: str, theta0: np.ndarray,
                 f"{_AT_REST_FACTOR:g}x the noise RMS {floor:.3g} A; "
                 "traces must start de-energized")
     s = run.spec
-    y = _centred(i, per, blocks)
+    y = _centred(trace.i, per, blocks)
     if s.u_bar_d == s.u_bar_q == 0.0:
         _, fits = _ripple_fit(trace, s, 0, per, blocks, y)
         for axis, u_tilde, (i_tilde, _, sigma) in zip("dq", (s.u_tilde_d, s.u_tilde_q), fits):

@@ -7,8 +7,10 @@ remainder of the injection expansion, plus whatever drift the mean still has
 over whole injection periods (`period_blocks`) with F and the current each
 centred on their own mean in every period (`_centred`), so a drifting mean
 moves the fit only by its swing within a period; the mean is then averaged
-over the window with the fitted ripple taken out. The regression in
-`estimator` centres the current map's monomials by the same rule.
+over the window with the fitted ripple taken out. Both axes are fit from
+the trace's stacked (2, n) currents, and a `RippleMeasurement` holds each
+per-axis result as a (2,) array, d first. The regression in `estimator`
+centres the current map's monomials by the same rule.
 
 `rebuild_flux` gives the flux of a locked-rotor run started at rest at every
 sample, phi(t) = integral(u - R i) dt from the first sample, both axes in
@@ -42,22 +44,19 @@ class Unresolved(RuntimeError):
 
 @dataclasses.dataclass(frozen=True)
 class RippleMeasurement:
-    """Per-axis mean currents, ripple amplitudes (coefficient of F), the
-    ripple's standard errors from the fit, and fit diagnostics."""
+    """Mean currents, ripple amplitudes (coefficient of F), the fit's
+    residual RMS and the ripple's standard errors from the fit, each a (2,)
+    array with d first, and fit diagnostics."""
 
-    i_bar_d: float
-    i_bar_q: float
-    i_tilde_d: float
-    i_tilde_q: float
-    residual_rms_d: float
-    residual_rms_q: float
+    i_bar: np.ndarray
+    i_tilde: np.ndarray
+    residual_rms: np.ndarray
     n_periods_used: int
-    n_samples: int = 0
-    sigma_i_tilde_d: float = 0.0
-    sigma_i_tilde_q: float = 0.0
+    n_samples: int
+    sigma_i_tilde: np.ndarray
 
     def __post_init__(self) -> None:
-        if self.residual_rms_d < 0 or self.residual_rms_q < 0:
+        if np.any(np.less(self.residual_rms, 0)):
             raise ValueError("residuals must be >= 0")
         if self.n_periods_used < 1:
             raise ValueError("n_periods_used must be >= 1")
@@ -78,9 +77,9 @@ def _trapezoid_steps(dt: np.ndarray, y: np.ndarray) -> np.ndarray:
 def rebuild_flux(trace: Trace, R: float, held: bool) -> np.ndarray:
     """Flux phi = integral(u - R i) dt from the first sample, at every sample,
     as stacked (2, n) d and q rows; exact only for a run started at rest.
-    Both axes are integrated as (2, n) arrays over one set of sample steps;
-    a running sum along a row adds in sample order, so each row is what it
-    is integrated alone.
+    The trace's (2, n) u and i are integrated as they are, over one set of
+    sample steps; a running sum along a row adds in sample order, so each
+    row is what it is integrated alone.
 
     With held, the drive is integrated as held levels, each sample until the
     next, as a square wave's is (its samples take the new level at its
@@ -88,9 +87,8 @@ def rebuild_flux(trace: Trace, R: float, held: bool) -> np.ndarray:
     by -u_tilde * dt / 2); without, by the trapezoid rule.
     """
     dt = np.diff(trace.t)
-    u, i = np.stack([trace.u_d, trace.u_q]), np.stack([trace.i_d, trace.i_q])
-    u_steps = u[:, :-1] * dt if held else _trapezoid_steps(dt, u)
-    return _running_sum(u_steps) - R * _running_sum(_trapezoid_steps(dt, i))
+    u_steps = trace.u[:, :-1] * dt if held else _trapezoid_steps(dt, trace.u)
+    return _running_sum(u_steps) - R * _running_sum(_trapezoid_steps(dt, trace.i))
 
 
 def period_blocks(trace: Trace, spec: InjectionSpec, start: int = 0) -> tuple[int, int]:
@@ -145,7 +143,7 @@ def extract_ripple(trace: Trace, spec: InjectionSpec, discard: float) -> RippleM
 
     The window is the whole injection periods from the first sample at or
     after `discard`, fitted by `_ripple_fit`; i_bar is the window mean of
-    i - i_tilde * F.
+    i - i_tilde * F, both rows at once.
     """
     if discard < 0:
         raise ValueError("discard must be >= 0")
@@ -153,15 +151,8 @@ def extract_ripple(trace: Trace, spec: InjectionSpec, discard: float) -> RippleM
     i0 = int(np.searchsorted(t, t[0] + discard - 1e-12 * trace.sample_period))
     per, blocks = period_blocks(trace, spec, i0)
     n = per * blocks
-    i = np.stack([trace.i_d[i0:i0 + n], trace.i_q[i0:i0 + n]])
+    i = trace.i[:, i0:i0 + n]
     F, fits = _ripple_fit(trace, spec, i0, per, blocks, _centred(i, per, blocks))
-    (bar_d, til_d, rms_d, stil_d), (bar_q, til_q, rms_q, stil_q) = (
-        (float(np.mean(i_axis - i_tilde * F)), i_tilde, math.sqrt(rss / n), sigma)
-        for i_axis, (i_tilde, rss, sigma) in zip(i, fits))
-    return RippleMeasurement(
-        i_bar_d=bar_d, i_bar_q=bar_q,
-        i_tilde_d=til_d, i_tilde_q=til_q,
-        residual_rms_d=rms_d, residual_rms_q=rms_q,
-        n_periods_used=blocks, n_samples=n,
-        sigma_i_tilde_d=stil_d, sigma_i_tilde_q=stil_q,
-    )
+    i_tilde, rss, sigma = np.array(fits).T
+    return RippleMeasurement(i_bar=np.mean(i - i_tilde[:, None] * F, axis=1), i_tilde=i_tilde,
+                             residual_rms=np.sqrt(rss / n), n_periods_used=blocks, n_samples=n, sigma_i_tilde=sigma)

@@ -17,7 +17,9 @@ quarters, each +1 or -1 times the first, and every other drive not at
 all; a chunk's sign goes into its lanes' u_tilde, so every chunk runs
 one waveform. A batch comes back as one record (`_Traces`): its `flux`
 is the motor's state, and a run's trace, built when taken, holds only
-the channels a sensor records.
+the channels a sensor records: the time stamps t and the voltages u and
+currents i, each stacked (2, n) with the d row first, as the model's
+array functions take them.
 
 `_rk4` has two implementations of the same arithmetic, chosen by the batch
 width. A numpy step costs the dispatch of its ~60 array calls, about the
@@ -29,7 +31,7 @@ identification plan, as arrays. Both give the same bits.
 
 The simulator stands in for the motor, not for the sensors: measurement
 noise is added afterwards, by `estimator.simulate_plan` through
-`Trace.with_noise`, to the sampled currents only.
+`Trace.with_noise`, to the sampled currents only, as one (2, n) draw.
 """
 
 from __future__ import annotations
@@ -108,21 +110,22 @@ class SimConfig:
 @dataclasses.dataclass(frozen=True)
 class Trace:
     """Uniformly sampled record of one run: the five channels of a trace
-    file (`_CSV_HEADER`). Voltages are the impressed values, currents may
-    carry measurement noise.
+    file (`_CSV_HEADER`), the time stamps t (n,) and the stacked voltages u
+    and currents i, each (2, n) with the d row first. Voltages are the
+    impressed values, currents may carry measurement noise.
     """
 
     t: np.ndarray
-    u_d: np.ndarray
-    u_q: np.ndarray
-    i_d: np.ndarray
-    i_q: np.ndarray
+    u: np.ndarray
+    i: np.ndarray
 
     def __post_init__(self) -> None:
         n = len(self.t)
-        for name in ("u_d", "u_q", "i_d", "i_q"):
-            if len(getattr(self, name)) != n:
-                raise ValueError(f"channel {name} length mismatch")
+        for name, channel in (("u", self.u), ("i", self.i)):
+            if np.shape(channel) != (2, n):
+                raise ValueError(f"channel {name} must be shaped (2, {n}), got {np.shape(channel)}")
+        if not np.all(np.isfinite(self.t)):
+            raise ValueError("t must be finite")
         if n >= 2:
             steps = np.diff(self.t)
             if np.any(steps <= 0):
@@ -139,15 +142,16 @@ class Trace:
         """Copy with fresh uniform noise in [-amp, +amp] on the currents."""
         if amp < 0:
             raise ValueError(f"noise amplitude must be >= 0, got {amp}")
+        if not math.isfinite(amp):
+            raise ValueError(f"noise amplitude must be finite, got {amp}")
         if amp == 0.0:
             return self
-        rng = np.random.default_rng(seed)
-        noise_d, noise_q = rng.uniform(-amp, amp, size=(2, len(self.t)))  # the stream of two draws of n, i_d's first
-        return dataclasses.replace(self, i_d=self.i_d + noise_d, i_q=self.i_q + noise_q)
+        noise = np.random.default_rng(seed).uniform(-amp, amp, size=self.i.shape)  # one draw, i_d's row first
+        return dataclasses.replace(self, i=self.i + noise)
 
     def to_csv(self, path) -> None:
         """Write the five channels, `t,u_d,u_q,i_d,i_q`."""
-        _write_columns(path, ",".join(_CSV_HEADER), *(getattr(self, name) for name in _CSV_HEADER))
+        _write_columns(path, ",".join(_CSV_HEADER), self.t, *self.u, *self.i)
 
     @staticmethod
     def from_csv(path) -> "Trace":
@@ -188,7 +192,7 @@ class Trace:
             row, col = bad[0]
             raise ValueError(f"trace CSV {path}: {_CSV_HEADER[col]} in data row {row + 1} is not finite")
         try:
-            return Trace(*channels)
+            return Trace(channels[0], channels[1:3], channels[3:])
         except ValueError as exc:
             raise ValueError(f"trace CSV {path}: {exc}") from None
 
@@ -427,7 +431,7 @@ class _Traces(collections.abc.Sequence):
         u = self._u_bar[:, j, None] + self._u_tilde[:, j, None] * self._f0
         for a in (i, u):
             a.flags.writeable = False
-        return Trace(t=self._t, u_d=u[0], u_q=u[1], i_d=i[0], i_q=i[1])
+        return Trace(t=self._t, u=u, i=i)
 
 
 _NO_RUNS = _Traces(  # the record of an empty batch

@@ -45,18 +45,18 @@ class SweepSpec:
 
 @dataclasses.dataclass(frozen=True)
 class AngleSweepResult:
+    """Predicted and simulated ripple amplitudes, each (2, magnitudes) with
+    the d row first, at the sweep's magnitudes."""
+
     magnitudes: np.ndarray
-    predicted_d: np.ndarray
-    simulated_d: np.ndarray
-    predicted_q: np.ndarray
-    simulated_q: np.ndarray
+    predicted: np.ndarray
+    simulated: np.ndarray
     inject_axis: str
 
     def write_csv(self, path) -> None:
         """x,y_model,y_measured for the injected-axis ripple."""
-        pred = self.predicted_d if self.inject_axis == "d" else self.predicted_q
-        sim = self.simulated_d if self.inject_axis == "d" else self.simulated_q
-        _write_columns(path, "x,y_model,y_measured", self.magnitudes, pred, sim)
+        a = "dq".index(self.inject_axis)
+        _write_columns(path, "x,y_model,y_measured", self.magnitudes, self.predicted[a], self.simulated[a])
 
 
 def angle_sweep(p: MotorParams, s: SweepSpec, *, steps_per_period: int = 200) -> AngleSweepResult:
@@ -72,13 +72,9 @@ def angle_sweep(p: MotorParams, s: SweepSpec, *, steps_per_period: int = 200) ->
                            s.omega, s.waveform) for m in s.magnitudes]
     traces = simulate_periodic(p, specs, steps_per_period=steps_per_period)
     pred = np.array([predict_ripple(p, spec) for spec in specs]).reshape(-1, 2)
-    meas = np.array([(m.i_tilde_d, m.i_tilde_q) for m in (
-        extract_ripple(tr, spec, 0.0) for tr, spec in zip(traces, specs))]).reshape(-1, 2)
-    return AngleSweepResult(
-        magnitudes=np.asarray(s.magnitudes, dtype=float),
-        predicted_d=pred[:, 0], simulated_d=meas[:, 0],
-        predicted_q=pred[:, 1], simulated_q=meas[:, 1],
-        inject_axis=s.inject_axis)
+    meas = np.array([extract_ripple(tr, spec, 0.0).i_tilde for tr, spec in zip(traces, specs)]).reshape(-1, 2)
+    return AngleSweepResult(magnitudes=np.asarray(s.magnitudes, dtype=float), predicted=pred.T, simulated=meas.T,
+                            inject_axis=s.inject_axis)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -87,7 +83,7 @@ class StepResponseResult:
     linear: Trace
 
     def write_csv(self, path) -> None:
-        _write_columns(path, "t,i_sat,i_lin", self.saturated.t, self.saturated.i_d, self.linear.i_d)
+        _write_columns(path, "t,i_sat,i_lin", self.saturated.t, self.saturated.i[0], self.linear.i[0])
 
 
 def step_response(p: MotorParams, u_steps: Sequence[float], t_end: float) -> list[StepResponseResult]:
@@ -126,8 +122,8 @@ def flux_by_integration(trace: Trace, p: MotorParams) -> FluxIntegrationResult:
     call of that array Newton, each as it would alone.
     """
     phi = rebuild_flux(trace, p.R, False)
-    model = flux_from_currents_exact(p, np.array((trace.i_d, trace.i_q)), tol=1e-10, seed=phi)[0]
-    return FluxIntegrationResult(i_d=trace.i_d.copy(), phi_d_integrated=phi[0], phi_d_model=model)
+    model = flux_from_currents_exact(p, trace.i, tol=1e-10, seed=phi)[0]
+    return FluxIntegrationResult(i_d=trace.i[0].copy(), phi_d_integrated=phi[0], phi_d_model=model)
 
 
 @dataclasses.dataclass(frozen=True)

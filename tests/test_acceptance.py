@@ -101,7 +101,7 @@ def test_criterion_2_averaging_order(ipm):
         it_d, _ = oracles.ripple_amplitudes_oracle(ipm, 0.0, 0.0, 30.0, 0.0, omega)
         sl = slice(-201, None)
         model = it_d * F_array(spec.waveform, omega * tr.t[sl])
-        return float(np.max(np.abs(tr.i_d[sl] - model)))
+        return float(np.max(np.abs(tr.i[0, sl] - model)))
 
     gaps = [gap(OMEGA_500 * 2**k) for k in range(3)]
     r1, r2 = gaps[0] / gaps[1], gaps[1] / gaps[2]
@@ -172,9 +172,9 @@ def test_criterion_5_steady_state_identity(spm):
     cfg = SimConfig(dt=spec.period / 200, t_end=discard + 40 * spec.period)
     meas = extract_ripple(simulate(spm, spec, cfg), spec, discard)
     want = 23.0 / 6.69
-    err = abs(meas.i_bar_d - want) / want
+    err = abs(meas.i_bar[0] - want) / want
     ok = err <= 1e-3
-    report(5, ok, f"mean {meas.i_bar_d:.5f} A vs u_bar/R {want:.5f} A, "
+    report(5, ok, f"mean {meas.i_bar[0]:.5f} A vs u_bar/R {want:.5f} A, "
                   f"relative error {err:.2e} (tol 1e-3)")
     assert ok
 
@@ -223,12 +223,10 @@ def test_criterion_7_noiseless_regression_exactness(ipm, spm):
     """Coefficients recovered to 1e-10 relative from data generated exactly
     by the sweep regression models."""
 
-    def meas(**kw):
-        base = dict(i_bar_d=0.0, i_bar_q=0.0, i_tilde_d=0.0, i_tilde_q=0.0,
-                    residual_rms_d=0.0, residual_rms_q=0.0,
-                    n_periods_used=10, n_samples=1000)
-        base.update(kw)
-        return RippleMeasurement(**base)
+    def meas(i_bar_d=0.0, i_bar_q=0.0, i_tilde_d=0.0, i_tilde_q=0.0):
+        return RippleMeasurement(i_bar=np.array([i_bar_d, i_bar_q]), i_tilde=np.array([i_tilde_d, i_tilde_q]),
+                                 residual_rms=np.zeros(2), n_periods_used=10, n_samples=1000,
+                                 sigma_i_tilde=np.zeros(2))
 
     worst = 0.0
     for p, grid, ut in ((ipm, symmetric_grid(2.0, 0.3), 30.0),

@@ -95,6 +95,14 @@ class TestConfig:
         with pytest.raises(ConfigError, match="plan"):
             load_config(path)
 
+    def test_duplicate_section(self, tmp_path, capsys):
+        path = tmp_path / "twice.cfg"
+        path.write_text(IPM_CFG + "\n[motor]\nR_ohm = 1\n")
+        with pytest.raises(ConfigError, match=re.escape(f"{path}: duplicate section [motor]")):
+            load_config(path)
+        assert main(["validate", "--config", str(path), "--out", str(tmp_path / "o")]) == 1
+        assert capsys.readouterr().err == f"error: {path}: duplicate section [motor]\n"
+
     def test_bad_value_diagnostics(self, tmp_path):
         path = tmp_path / "bad.cfg"
         path.write_text(IPM_CFG.replace("R_ohm = 12.15", "R_ohm = twelve"))
@@ -124,7 +132,15 @@ class TestConfig:
                 ("[paths]", "[curves]\nlevels_A = 0.0, nan\n\n[paths]", "curves",
                  "levels_A must be a comma-separated list of finite numbers"),
                 ("[paths]", "[validate]\nstep_t_end_s = -0.5\n\n[paths]", "validate",
-                 "step_t_end_s must be positive")):
+                 "step_t_end_s must be positive"),
+                ("noise_mA = 0", "noise_mA = -1", "sim", "noise_mA must be >= 0"),
+                ("steps_per_period = 200", "steps_per_period = 51", "sim", "steps_per_period must be even and >= 50"),
+                ("steps_per_period = 200", "steps_per_period = 48", "sim", "steps_per_period must be even and >= 50"),
+                ("measure_periods = 12", "measure_periods = 1", "sim", "measure_periods must be >= 2"),
+                ("R_ohm = 12.15\n", "", "motor", "missing field 'R_ohm'"),
+                ("R_ohm = 12.15", "R_ohm = inf", "motor", "field 'R_ohm' must be finite"),
+                ("[paths]", "[curves]\nlevels_A = a, b\n\n[paths]", "curves",
+                 "levels_A must be a comma-separated list of finite numbers")):
             path.write_text(IPM_CFG.replace(old, new))
             with pytest.raises(ConfigError, match=re.escape(f"{path} [{where}]: ") + ".*"
                                + re.escape(message)):
@@ -284,7 +300,7 @@ class TestEstimateCommand:
         shutil.copytree(base / "sim", base / "moved")
         for path in (base / "moved" / "traces").glob("*.csv"):
             tr = Trace.from_csv(path)
-            Trace(tr.t + shift, tr.u_d, tr.u_q, tr.i_d, tr.i_q).to_csv(path)
+            Trace(tr.t + shift, tr.u, tr.i).to_csv(path)
         noted = next((base / "moved" / "traces").glob("000_*.csv"))
         header, rows = noted.read_text().split("\n", 1)
         noted.write_text(f"{header}\n# note, with commas\n{rows}")
@@ -326,7 +342,7 @@ class TestEstimateCommand:
             traces = base / "sim" / "traces"
             late = next(traces.glob("005_*.csv"))
             tr = Trace.from_csv(late)
-            Trace(tr.t[200:], tr.u_d[200:], tr.u_q[200:], tr.i_d[200:], tr.i_q[200:]).to_csv(late)
+            Trace(tr.t[200:], tr.u[:, 200:], tr.i[:, 200:]).to_csv(late)
             victim, later = next(traces.glob("003_*.csv")), next(traces.glob("010_*.csv"))
             edit(victim)
             edit(later)
@@ -367,7 +383,7 @@ class TestEstimateCommand:
         assert main(["simulate", "--config", str(cfg_path), "--out", str(base / "sim")]) == 0
         victim = next((base / "sim" / "traces").glob("003_*.csv"))
         tr = Trace.from_csv(victim)
-        Trace(*(getattr(tr, c)[keep] for c in ("t", "u_d", "u_q", "i_d", "i_q"))).to_csv(victim)
+        Trace(tr.t[keep], tr.u[:, keep], tr.i[:, keep]).to_csv(victim)
         code = main(["estimate", "--config", str(cfg_path), "--out", str(base / "x"),
                      "--ingest", str(base / "sim" / "manifest.txt")])
         assert code == 2
@@ -415,7 +431,7 @@ class TestEstimateCommand:
         victim = next((cfg_path.parent / "fast" / "traces").glob("000_ld_*.csv"))
         tr = Trace.from_csv(victim)
         noise = np.random.default_rng(1).uniform(-0.010, 0.010, len(tr.t))
-        dataclasses.replace(tr, i_d=noise).to_csv(victim)
+        dataclasses.replace(tr, i=np.stack([noise, tr.i[1]])).to_csv(victim)
         code = main(["estimate", "--config", str(cfg_path), "--out", str(cfg_path.parent / "est"),
                      "--ingest", str(manifest)])
         assert code == 2
@@ -432,7 +448,7 @@ class TestEstimateCommand:
 
         def late_start(path):
             tr = Trace.from_csv(path)
-            Trace(tr.t[200:], tr.u_d[200:], tr.u_q[200:], tr.i_d[200:], tr.i_q[200:]).to_csv(path)
+            Trace(tr.t[200:], tr.u[:, 200:], tr.i[:, 200:]).to_csv(path)
 
         def short_row(path):
             lines = path.read_text().splitlines()
@@ -460,7 +476,7 @@ class TestEstimateCommand:
         assert main(["simulate", "--config", str(cfg_path), "--out", str(base / "sim")]) == 0
         for path in (base / "sim" / "traces").glob("*.csv"):
             tr = Trace.from_csv(path)
-            dataclasses.replace(tr, i_d=-tr.i_d, i_q=-tr.i_q).to_csv(path)
+            dataclasses.replace(tr, i=-tr.i).to_csv(path)
         code = main(["estimate", "--config", str(cfg_path), "--out", str(base / "x"),
                      "--ingest", str(base / "sim" / "manifest.txt")])
         assert code == 2

@@ -48,9 +48,9 @@ OMEGA = 2 * math.pi * 500.0
 
 def meas(i_bar_d=0.0, i_bar_q=0.0, i_tilde_d=0.0, i_tilde_q=0.0, sigma=0.0):
     return RippleMeasurement(
-        i_bar_d=i_bar_d, i_bar_q=i_bar_q, i_tilde_d=i_tilde_d, i_tilde_q=i_tilde_q,
-        residual_rms_d=0.0, residual_rms_q=0.0, n_periods_used=10, n_samples=2000,
-        sigma_i_tilde_d=sigma, sigma_i_tilde_q=sigma)
+        i_bar=np.array([i_bar_d, i_bar_q]), i_tilde=np.array([i_tilde_d, i_tilde_q]),
+        residual_rms=np.zeros(2), n_periods_used=10, n_samples=2000,
+        sigma_i_tilde=np.array([sigma, sigma]))
 
 
 def settled_ripples(motor, runs, periods):
@@ -131,6 +131,13 @@ class TestPlanRuns:
             ExperimentPlan(omega=OMEGA, waveform=Waveform.square(), u_tilde=0.0)
         with pytest.raises(ValueError):
             plan_runs(ipm_plan(), R=0.0)
+
+    @pytest.mark.parametrize("amp", [math.nan, math.inf])
+    def test_simulate_plan_refuses_non_finite_noise(self, ipm, amp):
+        # refused as a noise amplitude, not by numpy's sampler
+        runs = plan_runs(ipm_plan(), ipm.R)
+        with pytest.raises(ValueError, match=f"^noise amplitude must be finite, got {amp}$"):
+            list(simulate_plan(ipm, runs, measure_periods=2, noise_amp=amp))
 
 
 class TestEstimateL:
@@ -266,7 +273,7 @@ def split_sigma_data(motor):
         return dataclasses.replace(
             meas(ib_d, ib_q, it_d * (1 + 0.01 * rng.standard_normal()),
                  it_q * (1 + 0.01 * rng.standard_normal())),
-            sigma_i_tilde_d=s_d, sigma_i_tilde_q=s_q)
+            sigma_i_tilde=np.array([s_d, s_q]))
 
     return (plan, [noisy(ib, 0.0) for ib in grid], [noisy(0.0, ib) for ib in grid],
             [noisy(0.0, ib) for ib in grid])
@@ -285,19 +292,19 @@ class TestSplitSigmas:
             return np.sqrt(np.diag(A @ np.diag((k * np.asarray(sigma_i)) ** 2) @ A.T))
 
         est = estimate_saturation(plan_runs(plan, ipm.R)[2:], ms_d + ms_c + ms_q, ipm.Ld, ipm.Lq)
-        x_d = ipm.Ld * np.array([m.i_bar_d for m in ms_d])
-        want = propagated([6 * x_d, 12 * x_d**2], [m.sigma_i_tilde_d for m in ms_d])
+        x_d = ipm.Ld * np.array([m.i_bar[0] for m in ms_d])
+        want = propagated([6 * x_d, 12 * x_d**2], [m.sigma_i_tilde[0] for m in ms_d])
         assert [est.sigma["a30"], est.sigma["a40"]] == pytest.approx(want, rel=1e-10)
 
-        x_c = ipm.Lq * np.array([m.i_bar_q for m in ms_c])
-        x_q = ipm.Lq * np.array([m.i_bar_q for m in ms_q])
+        x_c = ipm.Lq * np.array([m.i_bar[1] for m in ms_c])
+        x_q = ipm.Lq * np.array([m.i_bar[1] for m in ms_q])
         assert est.sigma["a22"] == pytest.approx(
-            propagated([2 * x_c**2], [m.sigma_i_tilde_d for m in ms_c])[0], rel=1e-10)
+            propagated([2 * x_c**2], [m.sigma_i_tilde[0] for m in ms_c])[0], rel=1e-10)
         assert est.sigma["a12"] == pytest.approx(propagated(
             [2 * np.concatenate([x_c, x_q])],
-            [m.sigma_i_tilde_q for m in ms_c] + [m.sigma_i_tilde_d for m in ms_q])[0], rel=1e-10)
+            [m.sigma_i_tilde[1] for m in ms_c] + [m.sigma_i_tilde[0] for m in ms_q])[0], rel=1e-10)
         assert est.sigma["a04"] == pytest.approx(
-            propagated([12 * x_q**2], [m.sigma_i_tilde_q for m in ms_q])[0], rel=1e-10)
+            propagated([12 * x_q**2], [m.sigma_i_tilde[1] for m in ms_q])[0], rel=1e-10)
 
 
 class TestPredictRipple:
@@ -425,7 +432,7 @@ class TestEndToEnd:
         traces = list(simulate_plan(ipm, runs, measure_periods=2))
 
         def thinned(stride):
-            return [Trace(*(getattr(tr, c)[::stride] for c in ("t", "u_d", "u_q", "i_d", "i_q"))) for tr in traces]
+            return [Trace(tr.t[::stride], tr.u[:, ::stride], tr.i[:, ::stride]) for tr in traces]
 
         with pytest.raises(Unresolved):
             identify(runs[:1], oracles.in_memory(thinned(20)), ipm)
@@ -439,7 +446,7 @@ class TestEndToEnd:
         d_only = [k for k, run in enumerate(runs) if run.spec.u_bar_q == run.spec.u_tilde_q == 0.0]
         with pytest.raises(ValueError, match="plan must include both zero-bias runs"):
             identify([runs[k] for k in d_only], oracles.in_memory([traces[k] for k in d_only]), ipm)
-        silent = dataclasses.replace(traces[0], i_d=np.zeros_like(traces[0].i_d))
+        silent = dataclasses.replace(traces[0], i=np.stack([np.zeros_like(traces[0].i[0]), traces[0].i[1]]))
         traces[0] = silent.with_noise(0.010, seed=1)
         with pytest.raises(ZeroRipple, match=r"run 0 \(ld, \+0\.000 A\): d-axis zero-bias"):
             identify(runs, oracles.in_memory(traces), ipm)
@@ -452,7 +459,7 @@ class TestEndToEnd:
         plan = ipm_plan(id_grid=(-1.0, 0.5, 1.0), iq_grid=(-1.0, 0.5, 1.0))
         runs = plan_runs(plan, ipm.R)
         traces = list(simulate_plan(ipm, runs, measure_periods=10))
-        moved = [Trace(tr.t + shift, tr.u_d, tr.u_q, tr.i_d, tr.i_q) for tr in traces]
+        moved = [Trace(tr.t + shift, tr.u, tr.i) for tr in traces]
         want = identify(runs, oracles.in_memory(traces), ipm).params
         got = identify(runs, oracles.in_memory(moved), ipm).params
         for name in ("Ld", "Lq", "a30", "a12", "a40", "a22", "a04"):
@@ -513,7 +520,7 @@ class TestEndToEnd:
             phi = rebuild_flux(trace, p.R, held=True)[:, :blocks * per]
             X = _stacked_currents(basis, phi).reshape(7, 2, blocks, per)
             X = (X - X.mean(axis=-1, keepdims=True)).reshape(7, -1)
-            i = np.stack([trace.i_d, trace.i_q])[:, :blocks * per].reshape(2, blocks, per)
+            i = trace.i[:, :blocks * per].reshape(2, blocks, per)
             y = (i - i.mean(axis=-1, keepdims=True)).reshape(-1)
             xtx += X @ X.T
             xtr += X @ (y - theta0 @ X)
@@ -530,7 +537,7 @@ class TestEndToEnd:
         traces = list(simulate_plan(ipm, runs, measure_periods=10,
                                     noise_amp=0.010, seed=3))
         identify(runs, oracles.in_memory(traces), ipm)
-        traces[3] = Trace(*(getattr(traces[3], f.name)[200:] for f in dataclasses.fields(Trace)))
+        traces[3] = Trace(*(getattr(traces[3], f.name)[..., 200:] for f in dataclasses.fields(Trace)))
         with pytest.raises(NotAtRest, match=r"run 3 \(d_sweep, \+0\.500 A\)"):
             identify(runs, oracles.in_memory(traces), ipm)
         with pytest.raises(NotAtRest, match="bench_03.csv"):
@@ -543,7 +550,7 @@ class TestEndToEnd:
         # both estimates, not a motor that fails its own validation
         plan = ipm_plan(id_grid=(-1.0, 0.5, 1.0), iq_grid=(-1.0, 0.5, 1.0))
         runs = plan_runs(plan, ipm.R)
-        traces = [dataclasses.replace(tr, i_d=-tr.i_d, i_q=-tr.i_q)
+        traces = [dataclasses.replace(tr, i=-tr.i)
                   for tr in simulate_plan(ipm, runs, measure_periods=10)]
         with pytest.raises(NonPhysical, match=r"^estimated 1/Ld = -[0-9.]+ 1/H and 1/Lq = -[0-9.]+ 1/H, .*"
                                               r"check the sign of the current channels$"):
@@ -581,7 +588,8 @@ class TestEndToEnd:
             def held_drive(phi, i):
                 return np.append(np.diff(phi) / h + ipm.R * 0.5 * (i[1:] + i[:-1]), 0.0)
 
-            return dataclasses.replace(tr, u_d=held_drive(phi[0], i_d), u_q=held_drive(phi[1], i_q), i_d=i_d, i_q=i_q)
+            u = np.stack([held_drive(phi[0], i_d), held_drive(phi[1], i_q)])
+            return dataclasses.replace(tr, u=u, i=np.stack([i_d, i_q]))
 
         runs, traces = self.mixed_records(ipm, exact)
         result = identify(runs, oracles.in_memory(traces), ipm)

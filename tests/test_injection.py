@@ -126,17 +126,17 @@ class TestInjectionSpec:
         spec = InjectionSpec(u_bar_d=23.0, u_bar_q=0.0, u_tilde_d=30.0, u_tilde_q=0.0,
                              omega=2 * math.pi * 500, waveform=Waveform.square())
         tr = simulate(ipm, spec, SimConfig(dt=spec.period / 200, t_end=spec.period))
-        assert tr.u_d[50] == pytest.approx(53.0, rel=1e-14)
-        assert np.all(tr.u_q == 0.0)
+        assert tr.u[0, 50] == pytest.approx(53.0, rel=1e-14)
+        assert np.all(tr.u[1] == 0.0)
 
     def test_constant_when_no_ripple(self, ipm):
         spec = InjectionSpec(u_bar_d=5.0, u_bar_q=-2.0, u_tilde_d=0.0, u_tilde_q=0.0,
                              omega=100.0, waveform=Waveform.sine())
         tr = simulate(ipm, spec, SimConfig(dt=spec.period / 200, t_end=0.5))
-        assert np.all(tr.u_d == 5.0) and np.all(tr.u_q == -2.0)
+        assert np.all(tr.u[0] == 5.0) and np.all(tr.u[1] == -2.0)
 
     def test_sine_zero_crossing(self, ipm):
         spec = InjectionSpec(0.0, 0.0, 7.0, 3.0, omega=1000.0, waveform=Waveform.sine())
         tr = simulate(ipm, spec, SimConfig(dt=spec.period / 200, t_end=spec.period))
         # sample 100 sits at half a period
-        assert abs(tr.u_d[100]) < 1e-12 and abs(tr.u_q[100]) < 1e-12
+        assert abs(tr.u[0, 100]) < 1e-12 and abs(tr.u[1, 100]) < 1e-12

@@ -360,7 +360,7 @@ class TestArrayNewton:
             model = flux_by_integration(tr, p).phi_d_model
             seeds = rebuild_flux(tr, p.R, False)
             want = [scalar_newton(p, float(a), float(b), float(fd), float(fq), 1e-10)[0]
-                    for a, b, fd, fq in zip(tr.i_d, tr.i_q, *seeds)]
+                    for a, b, fd, fq in zip(tr.i[0], tr.i[1], *seeds)]
             assert model.tobytes() == np.array(want).tobytes()
 
     def test_curves_grid_bitwise(self):
@@ -463,7 +463,7 @@ class TestArrayNewton:
         with pytest.raises(ValueError, match="currents must be finite"):
             flux_from_currents_exact(ipm, np.array([[0.5, np.nan], [0.0, 0.0]]))
         t = np.arange(4) * 1e-4
-        tr = Trace(t=t, u_d=np.zeros(4), u_q=np.zeros(4), i_d=np.array([0.0, 0.1, np.nan, 0.2]), i_q=np.zeros(4))
+        tr = Trace(t=t, u=np.zeros((2, 4)), i=np.array([[0.0, 0.1, np.nan, 0.2], np.zeros(4)]))
         with pytest.raises(ValueError, match="currents must be finite"):
             flux_by_integration(tr, ipm)
 

@@ -19,8 +19,7 @@ def synthetic_trace(spec, n_periods=20, samples_per_period=200,
     t = t0 + sp * np.arange(n_periods * samples_per_period + 1)
     F = F_array(spec.waveform, spec.omega * t)
     u_d = spec.u_bar_d + spec.u_tilde_d * np.zeros_like(t)
-    return Trace(t=t, u_d=u_d, u_q=np.zeros_like(t),
-                 i_d=bar_d + til_d * F, i_q=bar_q + til_q * F)
+    return Trace(t=t, u=np.stack([u_d, np.zeros_like(t)]), i=np.stack([bar_d + til_d * F, bar_q + til_q * F]))
 
 
 class TestOls:
@@ -68,7 +67,7 @@ class TestRebuildFlux:
 
         u_rule = held if waveform == Waveform.square() else trapezoid
         want = np.stack([u_rule(u) - R * trapezoid(i) for u, i in ((u_d, i_d), (u_q, i_q))])
-        got = rebuild_flux(Trace(t, u_d, u_q, i_d, i_q), R, waveform == Waveform.square())
+        got = rebuild_flux(Trace(t, np.stack([u_d, u_q]), np.stack([i_d, i_q])), R, waveform == Waveform.square())
         assert got.tobytes() == want.tobytes()
 
     def test_constant_drive_takes_either_rule(self):
@@ -77,7 +76,7 @@ class TestRebuildFlux:
         # flux held or not
         t = 1e-5 * np.arange(1001)
         i_d, i_q = np.random.default_rng(7).normal(size=(2, len(t)))
-        tr = Trace(t, np.full_like(t, 97.2), np.full_like(t, -0.3), i_d, i_q)
+        tr = Trace(t, np.stack([np.full_like(t, 97.2), np.full_like(t, -0.3)]), np.stack([i_d, i_q]))
         assert rebuild_flux(tr, 12.15, True).tobytes() == rebuild_flux(tr, 12.15, False).tobytes()
 
 
@@ -86,30 +85,30 @@ class TestExtractRipple:
         spec = InjectionSpec(0, 0, 30.0, 0, OMEGA, Waveform.square())
         tr = synthetic_trace(spec, bar_d=2.0, til_d=0.3, bar_q=-0.5, til_q=0.01)
         m = extract_ripple(tr, spec, discard=0.0)
-        assert m.i_bar_d == pytest.approx(2.0, abs=1e-12)
-        assert m.i_tilde_d == pytest.approx(0.3, abs=1e-12)
-        assert m.i_bar_q == pytest.approx(-0.5, abs=1e-12)
-        assert m.i_tilde_q == pytest.approx(0.01, abs=1e-12)
-        assert m.residual_rms_d < 1e-13
+        assert m.i_bar[0] == pytest.approx(2.0, abs=1e-12)
+        assert m.i_tilde[0] == pytest.approx(0.3, abs=1e-12)
+        assert m.i_bar[1] == pytest.approx(-0.5, abs=1e-12)
+        assert m.i_tilde[1] == pytest.approx(0.01, abs=1e-12)
+        assert m.residual_rms[0] < 1e-13
         assert m.n_periods_used == 20
 
     def test_constant_trace(self):
         spec = InjectionSpec(0, 0, 0.0, 0, OMEGA, Waveform.square())
         tr = synthetic_trace(spec, bar_q=1.25)
         m = extract_ripple(tr, spec, discard=0.0)
-        assert m.i_tilde_q == pytest.approx(0.0, abs=1e-13)
-        assert m.i_bar_q == pytest.approx(1.25, abs=1e-13)
+        assert m.i_tilde[1] == pytest.approx(0.0, abs=1e-13)
+        assert m.i_bar[1] == pytest.approx(1.25, abs=1e-13)
 
     def test_constant_offset_orthogonality(self):
         # adding a constant moves the mean by that constant and leaves the
         # ripple coefficient untouched
         spec = InjectionSpec(0, 0, 10.0, 0, OMEGA, Waveform.square())
         tr = synthetic_trace(spec, bar_d=1.0, til_d=0.2)
-        shifted = Trace(t=tr.t, u_d=tr.u_d, u_q=tr.u_q, i_d=tr.i_d + 0.77, i_q=tr.i_q)
+        shifted = Trace(t=tr.t, u=tr.u, i=np.stack([tr.i[0] + 0.77, tr.i[1]]))
         a = extract_ripple(tr, spec, discard=0.0)
         b = extract_ripple(shifted, spec, discard=0.0)
-        assert b.i_bar_d - a.i_bar_d == pytest.approx(0.77, abs=1e-12)
-        assert abs(b.i_tilde_d - a.i_tilde_d) < 1e-12
+        assert b.i_bar[0] - a.i_bar[0] == pytest.approx(0.77, abs=1e-12)
+        assert abs(b.i_tilde[0] - a.i_tilde[0]) < 1e-12
 
     def test_phase_robustness(self):
         # moving the discard by a non-integer fraction of a period must not
@@ -118,8 +117,8 @@ class TestExtractRipple:
         tr = synthetic_trace(spec, n_periods=30, bar_d=1.0, til_d=0.2)
         a = extract_ripple(tr, spec, discard=2.0 * spec.period)
         b = extract_ripple(tr, spec, discard=2.37 * spec.period)
-        assert abs(a.i_tilde_d - b.i_tilde_d) < 1e-10
-        assert abs(a.i_bar_d - b.i_bar_d) < 1e-10
+        assert abs(a.i_tilde[0] - b.i_tilde[0]) < 1e-10
+        assert abs(a.i_bar[0] - b.i_bar[0]) < 1e-10
 
     def test_too_short(self):
         spec = InjectionSpec(0, 0, 10.0, 0, OMEGA, Waveform.square())
@@ -142,7 +141,7 @@ class TestExtractRipple:
         for seed in range(100):
             noisy = base.with_noise(0.010, seed)
             m = extract_ripple(noisy, spec, discard=0.0)
-            estimates.append(m.i_tilde_d)
+            estimates.append(m.i_tilde[0])
         estimates = np.array(estimates)
         assert abs(float(np.mean(estimates)) - 0.3) < 1e-3
         assert np.max(np.abs(estimates - 0.3)) < 1e-3
@@ -156,25 +155,24 @@ class TestExtractRipple:
         traces = [base]
         for tau_periods in (5, 15, 30):
             drift = 0.2 * (1.0 - np.exp(-base.t / (tau_periods * spec.period)))
-            traces.append(Trace(t=base.t, u_d=base.u_d, u_q=base.u_q,
-                                i_d=base.i_d - 1.0 + drift, i_q=base.i_q))
+            traces.append(Trace(t=base.t, u=base.u, i=np.stack([base.i[0] - 1.0 + drift, base.i[1]])))
         for tr in traces:
             estimates, sigmas = [], []
             for seed in range(60):
                 m = extract_ripple(tr.with_noise(0.010, seed), spec, discard=0.0)
-                estimates.append(m.i_tilde_d)
-                sigmas.append(m.sigma_i_tilde_d)
+                estimates.append(m.i_tilde[0])
+                sigmas.append(m.sigma_i_tilde[0])
             scatter = float(np.std(estimates))
             sigma = float(np.mean(sigmas))
             assert 0.7 * scatter < sigma < 1.4 * scatter
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            RippleMeasurement(0, 0, 0, 0, residual_rms_d=-1.0, residual_rms_q=0.0,
-                              n_periods_used=3)
+            RippleMeasurement(np.zeros(2), np.zeros(2), residual_rms=np.array([-1.0, 0.0]),
+                              n_periods_used=3, n_samples=0, sigma_i_tilde=np.zeros(2))
         with pytest.raises(ValueError):
-            RippleMeasurement(0, 0, 0, 0, residual_rms_d=0.0, residual_rms_q=0.0,
-                              n_periods_used=0)
+            RippleMeasurement(np.zeros(2), np.zeros(2), residual_rms=np.zeros(2),
+                              n_periods_used=0, n_samples=0, sigma_i_tilde=np.zeros(2))
 
 
 class TestOnSimulatedRuns:
@@ -192,8 +190,8 @@ class TestOnSimulatedRuns:
         cfg = SimConfig(dt=dt, t_end=discard + 30 * spec.period)
         m = extract_ripple(simulate(ipm, spec, cfg), spec, discard)
         want = 30.0 / (OMEGA * ipm.Ld)
-        assert m.i_tilde_d == pytest.approx(want, rel=2e-3)
-        assert abs(m.i_bar_d) < 1e-3
+        assert m.i_tilde[0] == pytest.approx(want, rel=2e-3)
+        assert abs(m.i_bar[0]) < 1e-3
 
     def test_extraction_tracks_operating_point_hessian(self, spm):
         # biased run: the measured ripple slope equals the inverse-inductance
@@ -205,8 +203,8 @@ class TestOnSimulatedRuns:
         m = extract_ripple(simulate(spm, spec, cfg), spec, discard)
         fd, fq = oracles.invert_flux_bisection(spm, 23.0 / spm.R, 0.0)
         h_dd, _, _ = oracles.hessian_fd_oracle(spm, fd, fq)
-        assert m.i_tilde_d == pytest.approx(30.0 * h_dd / OMEGA, rel=5e-3)
-        assert m.i_bar_d == pytest.approx(23.0 / spm.R, rel=1e-3)
+        assert m.i_tilde[0] == pytest.approx(30.0 * h_dd / OMEGA, rel=5e-3)
+        assert m.i_bar[0] == pytest.approx(23.0 / spm.R, rel=1e-3)
 
     def test_prediction_gap_contracts_when_omega_doubles(self, ipm):
         # extracted ripple approaches the first-order prediction at O(1/omega^2)
@@ -217,7 +215,7 @@ class TestOnSimulatedRuns:
             cfg = SimConfig(dt=dt, t_end=discard + 30 * spec.period)
             m = extract_ripple(simulate(ipm, spec, cfg), spec, discard)
             want_d, _ = oracles.ripple_amplitudes_oracle(ipm, 0.3 * ipm.R, 0.0, 30.0, 0.0, omega)
-            return abs(m.i_tilde_d - want_d) * omega  # scale out the 1/omega of i_tilde itself
+            return abs(m.i_tilde[0] - want_d) * omega  # scale out the 1/omega of i_tilde itself
 
         gaps = [gap(OMEGA * 2**k) for k in range(3)]
         assert gaps[0] > gaps[1] > gaps[2]

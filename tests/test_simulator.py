@@ -139,10 +139,10 @@ class TestAgainstLinearAnalytic:
         dt = spec.period / 200
         tr = simulate(p, spec, SimConfig(dt=dt, t_end=0.05))
         scale = 1.0 / p.R
-        for t, i in zip(tr.t[::10], tr.i_d[::10]):
+        for t, i in zip(tr.t[::10], tr.i[0, ::10]):
             want = oracles.rl_step_current(1.0, p.R, p.Ld, t)
             assert abs(i - want) <= 1e-6 * scale
-        assert np.all(tr.i_q == 0.0)
+        assert np.all(tr.i[1] == 0.0)
 
     def test_post_transient_mean_matches_bias_over_R(self, spm):
         # square injection on top of a bias: mean current settles at u_bar/R
@@ -151,7 +151,7 @@ class TestAgainstLinearAnalytic:
         cfg = SimConfig(dt=dt, t_end=0.24)
         tr = simulate(spm, spec, cfg)
         n_per = 200
-        window = tr.i_d[-40 * n_per - 1:-1]
+        window = tr.i[0, -40 * n_per - 1:-1]
         mean = float(np.mean(window))
         want = 23.0 / 6.69  # = 3.438... from the drive voltage and resistance
         assert abs(mean - want) <= 1e-3 * want
@@ -166,8 +166,8 @@ class TestSymmetryAndDeterminism:
         cfg = SimConfig(dt=spec.period / 200, t_end=0.02)
         run, run_m = simulate_batch(ipm, [spec], cfg), simulate_batch(ipm, [mirrored], cfg)
         (tr,), (tr_m,) = run, run_m
-        assert np.array_equal(tr.i_d, tr_m.i_d)
-        assert np.array_equal(tr.i_q, -tr_m.i_q)
+        assert np.array_equal(tr.i[0], tr_m.i[0])
+        assert np.array_equal(tr.i[1], -tr_m.i[1])
         assert np.array_equal(run.flux[1], -run_m.flux[1])
         assert np.array_equal(run.flux[0], run_m.flux[0])
 
@@ -175,10 +175,10 @@ class TestSymmetryAndDeterminism:
         spec = square_spec(u_tilde_d=20.0)
         clean = simulate(ipm, spec, SimConfig(dt=spec.period / 200, t_end=0.02))
         a, b, c = (clean.with_noise(0.01, seed) for seed in (42, 42, 43))
-        assert np.array_equal(a.i_d, b.i_d)
-        assert not np.array_equal(a.i_d, c.i_d)
+        assert np.array_equal(a.i[0], b.i[0])
+        assert not np.array_equal(a.i[0], c.i[0])
         # noise never touches the voltages or the time axis
-        for name in ("t", "u_d", "u_q"):
+        for name in ("t", "u"):
             assert np.array_equal(getattr(a, name), getattr(clean, name)), name
 
     def test_with_noise_refuses_negative_amplitude(self, ipm):
@@ -188,6 +188,13 @@ class TestSymmetryAndDeterminism:
         with pytest.raises(ValueError, match="noise amplitude must be >= 0"):
             clean.with_noise(-0.01, 1)
 
+    @pytest.mark.parametrize("amp", [math.nan, math.inf])
+    def test_with_noise_refuses_non_finite_amplitude(self, ipm, amp):
+        spec = square_spec(u_tilde_d=20.0)
+        clean = simulate(ipm, spec, SimConfig(dt=spec.period / 200, t_end=0.002))
+        with pytest.raises(ValueError, match=f"^noise amplitude must be finite, got {amp}$"):
+            clean.with_noise(amp, 1)
+
     def test_batch_matches_single(self, ipm):
         s1 = square_spec(u_bar_d=2.0, u_tilde_d=20.0)
         s2 = square_spec(u_bar_q=4.0, u_tilde_q=15.0)
@@ -195,8 +202,8 @@ class TestSymmetryAndDeterminism:
         batch = simulate_batch(ipm, [s1, s2], cfg)
         alone = [simulate(ipm, s1, cfg), simulate(ipm, s2, cfg)]
         for b, a in zip(batch, alone):
-            assert np.array_equal(b.i_d, a.i_d)
-            assert np.array_equal(b.i_q, a.i_q)
+            assert np.array_equal(b.i[0], a.i[0])
+            assert np.array_equal(b.i[1], a.i[1])
         # the averaged system mixes motors per lane: saturated, linear and a
         # different-R lane in one batch match each lane run alone
         lanes = [(ipm, (10.0, 5.0)), (ipm.without_saturation(), (10.0, 5.0)),
@@ -205,7 +212,7 @@ class TestSymmetryAndDeterminism:
         batch = simulate_averaged([p for p, _ in lanes], [u for _, u in lanes], cfg)
         for j, (b, (p, u)) in enumerate(zip(batch, lanes)):
             alone = simulate_averaged([p], [u], cfg)
-            for name in ("t", "u_d", "u_q", "i_d", "i_q"):
+            for name in ("t", "u", "i"):
                 assert np.array_equal(getattr(b, name), getattr(alone[0], name)), name
             assert np.array_equal(batch.flux[:, j], alone.flux[:, 0])
 
@@ -250,7 +257,7 @@ def from_rest(p, spec, dt, n_steps, u_bar, u_tilde):
 
 
 def batch_currents(traces):
-    return np.array([[tr.i_d for tr in traces], [tr.i_q for tr in traces]])
+    return np.array([[tr.i[0] for tr in traces], [tr.i[1] for tr in traces]])
 
 
 class TestPeriodParallel:
@@ -473,7 +480,7 @@ class TestAveragingOrder:
         it_d, _ = oracles.ripple_amplitudes_oracle(p, u_bar_d, u_bar_q, u_tilde_d, u_tilde_q, omega)
         sl = slice(-201, None)
         model = i_bar_d + it_d * F_array(spec.waveform, omega * tr.t[sl])
-        return float(np.max(np.abs(tr.i_d[sl] - model)))
+        return float(np.max(np.abs(tr.i[0, sl] - model)))
 
     def test_current_gap_contracts_quadratically(self, ipm):
         gaps = [self.steady_gap(ipm, 0.0, 0.0, 30.0, 0.0, OMEGA_500 * 2**k) for k in range(3)]
@@ -510,9 +517,9 @@ class TestNumericalQuality:
         dt = spec.period / 200
         a = simulate(ipm, spec, SimConfig(dt=dt, t_end=0.02))
         b = simulate(ipm, spec, SimConfig(dt=dt / 2, t_end=0.02))
-        scale = float(np.max(np.abs(a.i_d)))
-        assert np.max(np.abs(a.i_d - b.i_d[::2])) <= 1e-8 * scale
-        assert np.max(np.abs(a.i_q - b.i_q[::2])) <= 1e-8 * scale
+        scale = float(np.max(np.abs(a.i[0])))
+        assert np.max(np.abs(a.i[0] - b.i[0, ::2])) <= 1e-8 * scale
+        assert np.max(np.abs(a.i[1] - b.i[1, ::2])) <= 1e-8 * scale
 
     def test_dissipation_monotone(self, ipm, spm):
         # under a constant drive u the averaged system dissipates
@@ -525,7 +532,7 @@ class TestNumericalQuality:
             (tr,), (phi_d, phi_q) = run, run.flux[:, 0]
             V = energy(p, np.array([phi_d, phi_q]))
             V -= (phi_d * u[0] + phi_q * u[1]) / p.R
-            live = np.hypot(tr.i_d - i_bar[0], tr.i_q - i_bar[1]) > 1e-5
+            live = np.hypot(tr.i[0] - i_bar[0], tr.i[1] - i_bar[1]) > 1e-5
             assert live[:-1].any()
             assert np.all(np.diff(V)[live[:-1]] < 0)
 
@@ -545,8 +552,8 @@ class TestSampledWaveformPath:
         tr_s = simulate(ipm, spec_s, cfg)
         tr_b = simulate(ipm, spec_b, cfg)
         # the phase offset of the half-cell sample grid dominates the gap
-        scale = float(np.max(np.abs(tr_b.i_d)))
-        assert np.max(np.abs(tr_s.i_d - tr_b.i_d)) < 2e-3 * scale
+        scale = float(np.max(np.abs(tr_b.i[0])))
+        assert np.max(np.abs(tr_s.i[0] - tr_b.i[0])) < 2e-3 * scale
 
     def test_ripple_extraction_on_sampled_waveform(self, ipm):
         from satpmsm.ripple import extract_ripple
@@ -559,7 +566,7 @@ class TestSampledWaveformPath:
         cfg = SimConfig(dt=spec.period / 200, t_end=discard + 20 * spec.period)
         meas = extract_ripple(simulate(ipm, spec, cfg), spec, discard)
         # zero bias: ripple coefficient is u_tilde/(omega Ld) up to O(1/omega^2)
-        assert meas.i_tilde_d == pytest.approx(20.0 / (OMEGA_500 * ipm.Ld), rel=5e-3)
+        assert meas.i_tilde[0] == pytest.approx(20.0 / (OMEGA_500 * ipm.Ld), rel=5e-3)
 
 
 class TestAveragedSystem:
@@ -623,7 +630,7 @@ class TestChunkedAveraged:
         batch = simulate_averaged([p for p, _ in lanes], [u for _, u in lanes], cfg)
         for j, (b, (p, u)) in enumerate(zip(batch, lanes)):
             alone = simulate_averaged([p], [u], cfg)
-            for name in ("t", "u_d", "u_q", "i_d", "i_q"):
+            for name in ("t", "u", "i"):
                 assert np.array_equal(getattr(b, name), getattr(alone[0], name)), name
             assert np.array_equal(batch.flux[:, j], alone.flux[:, 0])
         want = sequential_averaged([p for p, _ in lanes], [u for _, u in lanes], cfg)
@@ -652,7 +659,7 @@ class TestOrbitRecord:
         i = _stacked_currents(rows[..., None], phi)
         assert traces.flux.tobytes() == phi.tobytes()
         for j, tr in enumerate(traces):
-            for got, want in ((tr.i_d, i[0, j]), (tr.i_q, i[1, j])):
+            for got, want in ((tr.i[0], i[0, j]), (tr.i[1], i[1, j])):
                 assert got.tobytes() == want.tobytes()
 
 
@@ -700,7 +707,7 @@ class TestCoarseFirstShooting:
         assert coarse_steps[1] > done and rk4_calls[done:coarse_steps[1]] == [
             (simulator._PARAREAL_COARSE_STEPS, (3,))] * (coarse_steps[1] - done)
         for j, (a, b) in enumerate(zip(alone, batch)):
-            for name in ("t", "u_d", "u_q", "i_d", "i_q"):
+            for name in ("t", "u", "i"):
                 assert getattr(a[0], name).tobytes() == getattr(b, name).tobytes(), name
             assert a.flux[:, 0].tobytes() == batch.flux[:, j].tobytes()
         # the fine orbit is the periodic steady state all the same
@@ -719,9 +726,15 @@ class TestCoarseFirstShooting:
 
 
 class TestTraceCsv:
-    def test_fields_are_the_file_columns(self):
-        # a trace holds what a trace file holds, and nothing else
-        assert [f.name for f in dataclasses.fields(Trace)] == list(simulator._CSV_HEADER)
+    def test_fields_are_the_file_columns(self, tmp_path):
+        # a trace holds what a trace file holds, and nothing else: t, then
+        # the d and q rows of u, then those of i, in the file's column order
+        assert [f.name for f in dataclasses.fields(Trace)] == ["t", "u", "i"]
+        assert ["t", *(f"{name}_{axis}" for name in ("u", "i") for axis in "dq")] == list(simulator._CSV_HEADER)
+        path = tmp_path / "run.csv"
+        tr = Trace(np.array([0.0, 1.0]), np.array([[1.0, 1.0], [2.0, 2.0]]), np.array([[3.0, 3.0], [4.0, 4.0]]))
+        tr.to_csv(path)
+        assert path.read_text().splitlines()[1:] == ["0,1,2,3,4", "1,1,2,3,4"]
 
     def test_round_trip_bitwise(self, ipm, tmp_path):
         # every channel of a trace comes back bit for bit
@@ -752,7 +765,7 @@ class TestTraceCsv:
                 ("0.001", "1", "0", "0.6", "0"),
                 ("0.002", "1", "0", "0.7", "0"))) + "\n")
             tr = Trace.from_csv(path)
-            assert len(tr.t) == 3 and np.array_equal(tr.i_d, [0.5, 0.6, 0.7])
+            assert len(tr.t) == 3 and np.array_equal(tr.i[0], [0.5, 0.6, 0.7])
 
     @pytest.mark.parametrize("header", ["t,u_d,u_q,i_d,i_q,phi_d,phi_q", "phi_q,i_q,t,phi_d,u_q,i_d,u_d"])
     def test_seven_column_file_reads_five_channels(self, ipm, tmp_path, header):
@@ -761,11 +774,11 @@ class TestTraceCsv:
         spec = square_spec(u_bar_d=2.0, u_tilde_d=25.0)
         run = simulate_batch(ipm, [spec], SimConfig(dt=spec.period / 200, t_end=0.005))
         tr = run[0].with_noise(0.01, 7)
-        columns = dict(vars(tr), phi_d=run.flux[0, 0], phi_q=run.flux[1, 0])
+        columns = dict(zip(simulator._CSV_HEADER, (tr.t, *tr.u, *tr.i)), phi_d=run.flux[0, 0], phi_q=run.flux[1, 0])
         path = tmp_path / "run.csv"
         simulator._write_columns(path, header, *(columns[name] for name in header.split(",")))
         back = Trace.from_csv(path)
-        for name in ("t", "u_d", "u_q", "i_d", "i_q"):
+        for name in ("t", "u", "i"):
             assert np.array_equal(getattr(tr, name), getattr(back, name)), name
 
     def test_unread_column_not_checked(self, tmp_path):
@@ -777,7 +790,7 @@ class TestTraceCsv:
         for n in (2, 3):
             path.write_text("t,u_d,u_q,i_d,i_q,note\n" + "\n".join(rows[:n]) + "\n")
             tr = Trace.from_csv(path)
-            assert np.array_equal(tr.i_d, [0.5, 0.6, 0.7][:n])
+            assert np.array_equal(tr.i[0], [0.5, 0.6, 0.7][:n])
 
     def test_repeated_channel_refused(self, tmp_path):
         # a channel named twice has no one column to read: refused naming the
@@ -856,7 +869,7 @@ class TestTraceCsv:
         path = tmp_path / "notes.csv"
         path.write_text("t,u_d,u_q,i_d,i_q\n" "0,1,0,0.5,0\n" "# bench note, 20 degC\n" "\n"
                         "0.001,1,0,0.6,0 # a, b\n")
-        assert np.array_equal(Trace.from_csv(path).i_d, [0.5, 0.6])
+        assert np.array_equal(Trace.from_csv(path).i[0], [0.5, 0.6])
 
     @pytest.mark.parametrize("preamble, header", [
         ("# logger v2, 20 degC\n", "t,u_d,u_q,i_d,i_q"),
@@ -873,7 +886,7 @@ class TestTraceCsv:
         path = tmp_path / "logger.csv"
         rows = [f"{k * 0.001:g},1,0,{0.5 + k / 10:g},0" for k in range(6)]
         path.write_text(preamble + header + "\n" + "\n".join(rows) + "\n", encoding="utf-8")
-        assert np.array_equal(Trace.from_csv(path).i_d, [0.5, 0.6, 0.7, 0.8, 0.9, 1.0])
+        assert np.array_equal(Trace.from_csv(path).i[0], [0.5, 0.6, 0.7, 0.8, 0.9, 1.0])
         rows[4] = "0.004,1,0,abc,0"
         path.write_text(preamble + header + "\n" + "\n".join(rows) + "\n", encoding="utf-8")
         with pytest.raises(ValueError, match=re.escape(
@@ -881,8 +894,8 @@ class TestTraceCsv:
             Trace.from_csv(path)
 
     def test_written_bytes(self, tmp_path):
-        tr = Trace(t=np.array([0.0, 1e-5]), u_d=np.array([30.0, -30.0]), u_q=np.array([0.0, -0.0]),
-                   i_d=np.array([0.0, 0.1 + 0.2]), i_q=np.array([1e-300, 2.5e17]))
+        tr = Trace(t=np.array([0.0, 1e-5]), u=np.array([[30.0, -30.0], [0.0, -0.0]]),
+                   i=np.array([[0.0, 0.1 + 0.2], [1e-300, 2.5e17]]))
         path = tmp_path / "run.csv"
         tr.to_csv(path)
         assert path.read_bytes() == (
@@ -914,16 +927,27 @@ class TestTraceCsv:
         # off does not
         dt = 1e-5
         t = offset + np.arange(5001) * dt
-        z = np.zeros_like(t)
-        Trace(t=t, u_d=z, u_q=z, i_d=z, i_q=z)
+        z = np.zeros((2, len(t)))
+        Trace(t=t, u=z, i=z)
         t[2500] += 1e-6 * dt
         with pytest.raises(ValueError, match="t must be uniformly sampled"):
-            Trace(t=t, u_d=z, u_q=z, i_d=z, i_q=z)
+            Trace(t=t, u=z, i=z)
 
     def test_trace_validation(self):
         t = np.array([0.0, 1.0, 1.5])
-        z = np.zeros(3)
+        z = np.zeros((2, 3))
         with pytest.raises(ValueError, match="uniform"):
-            Trace(t=t, u_d=z, u_q=z, i_d=z, i_q=z)
-        with pytest.raises(ValueError, match="length"):
-            Trace(t=np.array([0.0, 1.0]), u_d=z, u_q=np.zeros(2), i_d=np.zeros(2), i_q=np.zeros(2))
+            Trace(t=t, u=z, i=z)
+        with pytest.raises(ValueError, match=re.escape("channel u must be shaped (2, 2), got (2, 3)")):
+            Trace(t=np.array([0.0, 1.0]), u=z, i=np.zeros((2, 2)))
+        with pytest.raises(ValueError, match=re.escape("channel i must be shaped (2, 3), got (3,)")):
+            Trace(t=t, u=z, i=np.zeros(3))
+
+    @pytest.mark.parametrize("t", [[0.0, np.nan, 2.0, 3.0], [0.0, 1.0, 2.0, np.inf], [-np.inf, 0.0]],
+                             ids=["nan_inside", "inf_last", "-inf_first"])
+    def test_non_finite_time_stamps_refused(self, t):
+        # a step to or from a stamp that is not finite is NaN or inf, and
+        # no comparison on it fails, so finiteness is checked first
+        z = np.zeros((2, len(t)))
+        with pytest.raises(ValueError, match="^t must be finite$"):
+            Trace(t=np.array(t), u=z, i=z)

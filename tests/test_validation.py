@@ -45,8 +45,8 @@ class TestAngleSweep:
         s = SweepSpec(60.0, (0.0,), OMEGA, Waveform.square(), 30.0)
         r = angle_sweep(ipm, s)
         want = 30.0 / (OMEGA * ipm.Ld)
-        assert r.predicted_d[0] == pytest.approx(want, rel=1e-12)
-        assert r.simulated_d[0] == pytest.approx(want, rel=5e-3)
+        assert r.predicted[0][0] == pytest.approx(want, rel=1e-12)
+        assert r.simulated[0][0] == pytest.approx(want, rel=5e-3)
 
     def test_axis_aligned_matches_cross_config_forms(self, ipm):
         # angle 90 deg with d injection reproduces the q-bias sweep models
@@ -55,8 +55,8 @@ class TestAngleSweep:
         ib = 1.0
         want_d = 30.0 / OMEGA * (1 / ipm.Ld + 2 * ipm.a22 * ipm.Lq**2 * ib * ib)
         want_q = 2 * 30.0 / OMEGA * ipm.a12 * ipm.Lq * ib
-        assert r.predicted_d[0] == pytest.approx(want_d, rel=1e-9)
-        assert r.predicted_q[0] == pytest.approx(want_q, rel=1e-9)
+        assert r.predicted[0][0] == pytest.approx(want_d, rel=1e-9)
+        assert r.predicted[1][0] == pytest.approx(want_q, rel=1e-9)
 
     def test_simulation_tracks_exact_operating_point(self, ipm):
         # the measured ripple equals the potential's second derivative at the
@@ -66,8 +66,8 @@ class TestAngleSweep:
         i_d, i_q = 2.0 * math.cos(math.radians(60)), 2.0 * math.sin(math.radians(60))
         fd, fq = oracles.invert_flux_bisection(ipm, i_d, i_q)
         h_dd, h_dq, _ = oracles.hessian_fd_oracle(ipm, fd, fq)
-        assert r.simulated_d[0] == pytest.approx(30.0 * h_dd / OMEGA, rel=1e-2)
-        assert r.simulated_q[0] == pytest.approx(30.0 * h_dq / OMEGA, rel=2e-2)
+        assert r.simulated[0][0] == pytest.approx(30.0 * h_dd / OMEGA, rel=1e-2)
+        assert r.simulated[1][0] == pytest.approx(30.0 * h_dq / OMEGA, rel=2e-2)
 
     def test_gap_to_exact_reference_contracts(self, ipm):
         # against the exact-flux reference the simulated ripple converges at
@@ -79,7 +79,7 @@ class TestAngleSweep:
             i_d, i_q = 2.0 * math.cos(math.radians(60)), 2.0 * math.sin(math.radians(60))
             fd, fq = oracles.invert_flux_bisection(ipm, i_d, i_q)
             h_dd, _, _ = oracles.hessian_fd_oracle(ipm, fd, fq)
-            return abs(r.simulated_d[0] - 30.0 * h_dd / omega) * omega
+            return abs(r.simulated[0][0] - 30.0 * h_dd / omega) * omega
 
         gaps = [gap(OMEGA * 2**k) for k in range(3)]
         assert gaps[0] > gaps[1] > gaps[2]
@@ -95,7 +95,7 @@ class TestAngleSweep:
         discard = 4.0 * oracles.default_discard(p, runs[0].spec)
         traces = simulate_plan(p, runs, measure_periods=round(discard / runs[0].spec.period) + 2)
         ripple = [extract_ripple(tr, run.spec, discard) for tr, run in zip(traces, runs)]
-        return (np.array([m.i_tilde_d for m in ripple]), np.array([m.i_tilde_q for m in ripple]),
+        return (np.array([m.i_tilde[0] for m in ripple]), np.array([m.i_tilde[1] for m in ripple]),
                 [run.spec for run in runs])
 
     @pytest.mark.parametrize("fixture, angle, magnitudes, u_tilde, waveform", [
@@ -111,10 +111,10 @@ class TestAngleSweep:
         s = SweepSpec(angle, magnitudes, OMEGA, waveform, u_tilde)
         ref_d, ref_q, specs = self._settled_reference(p, s)
         r = angle_sweep(p, s)
-        assert np.all(np.abs(r.simulated_d - ref_d) <= 1e-6 * np.abs(ref_d))
+        assert np.all(np.abs(r.simulated[0] - ref_d) <= 1e-6 * np.abs(ref_d))
         # the cross ripple too; at 180 deg it is rounding noise of sin(pi),
         # so a 1e-12 A floor
-        assert np.all(np.abs(r.simulated_q - ref_q) <= 1e-6 * np.abs(ref_q) + 1e-12)
+        assert np.all(np.abs(r.simulated[1] - ref_q) <= 1e-6 * np.abs(ref_q) + 1e-12)
         # the measured window starts on a periodic orbit: one period returns
         # the flux to its start
         phi = simulate_periodic(p, specs).flux
@@ -155,9 +155,10 @@ class TestAngleSweep:
         assert len(lines) == 3
         # the bytes of a two-row file: round-trip digits, signed zero
         x, a, b = np.array([0.0, 1.5]), np.array([1 / 3, -0.0]), np.array([0.1 + 0.2, 2.5e17])
-        AngleSweepResult(x, a, b, b, a, "d").write_csv(path)
-        assert path.read_bytes() == (b"x,y_model,y_measured\n"
-                                     b"0,0.33333333333333331,0.30000000000000004\n1.5,-0,2.5e+17\n")
+        for axis, predicted, simulated in (("d", (a, b), (b, a)), ("q", (b, a), (a, b))):
+            AngleSweepResult(x, np.stack(predicted), np.stack(simulated), axis).write_csv(path)
+            assert path.read_bytes() == (b"x,y_model,y_measured\n"
+                                         b"0,0.33333333333333331,0.30000000000000004\n1.5,-0,2.5e+17\n")
         FluxIntegrationResult(x, a, b).write_csv(path)
         assert path.read_bytes() == (b"x,y_model,y_measured\n"
                                      b"0,0.30000000000000004,0.33333333333333331\n1.5,2.5e+17,-0\n")
@@ -167,19 +168,19 @@ class TestStepResponse:
     def test_zero_coefficients_identical(self):
         p = MotorParams(R=10.0, Ld=0.1, Lq=0.05)
         r, = step_response(p, [5.0], 0.02)
-        assert np.array_equal(r.saturated.i_d, r.linear.i_d)
+        assert np.array_equal(r.saturated.i[0], r.linear.i[0])
 
     def test_small_step_stays_linear(self, ipm):
         r, = step_response(ipm, [ipm.R * 0.05], 0.05)
-        scale = float(np.max(np.abs(r.linear.i_d)))
-        dev = float(np.max(np.abs(r.saturated.i_d - r.linear.i_d)))
+        scale = float(np.max(np.abs(r.linear.i[0])))
+        dev = float(np.max(np.abs(r.saturated.i[0] - r.linear.i[0])))
         assert dev <= 0.01 * scale
 
     def test_large_step_shows_saturation(self, ipm, spm):
         # frozen against a measured ratio of ~39x between the deviations
         def rel_dev(r):
-            scale = float(np.max(np.abs(r.linear.i_d)))
-            return float(np.max(np.abs(r.saturated.i_d - r.linear.i_d))) / scale
+            scale = float(np.max(np.abs(r.linear.i[0])))
+            return float(np.max(np.abs(r.saturated.i[0] - r.linear.i[0]))) / scale
 
         volts = [ipm.R * 2.0, ipm.R * 0.05]
         alone = [step_response(ipm, [u], 0.05)[0] for u in volts]
@@ -187,7 +188,7 @@ class TestStepResponse:
         # both voltages in one batch give bit for bit the single-voltage runs
         for r, a in zip(step_response(ipm, volts, 0.05), alone):
             for field in ("saturated", "linear"):
-                for name in ("t", "u_d", "i_d", "i_q"):
+                for name in ("t", "u", "i"):
                     assert np.array_equal(getattr(getattr(r, field), name),
                                           getattr(getattr(a, field), name)), (field, name)
         # and so does the flux of the batch they are taken from
@@ -203,8 +204,8 @@ class TestStepResponse:
         dt = t_end / 2000
         fine, = simulate_averaged([spm], [(u, 0.0)], SimConfig(dt=dt / 50, t_end=t_end))
         assert len(fine.t[::50]) == len(r.saturated.t)
-        scale = float(np.max(np.abs(fine.i_d)))
-        assert np.max(np.abs(r.saturated.i_d - fine.i_d[::50])) <= 1e-8 * scale
+        scale = float(np.max(np.abs(fine.i[0])))
+        assert np.max(np.abs(r.saturated.i[0] - fine.i[0, ::50])) <= 1e-8 * scale
 
     def test_csv(self, ipm, tmp_path):
         r, = step_response(ipm, [10.0], 0.01)
@@ -212,8 +213,8 @@ class TestStepResponse:
         r.write_csv(path)
         assert path.read_text().splitlines()[0] == "t,i_sat,i_lin"
         t = np.array([0.0, 1e-5])
-        sat = Trace(t=t, u_d=t, u_q=t, i_d=np.array([0.1 + 0.2, 2.5e17]), i_q=t)
-        lin = Trace(t=t, u_d=t, u_q=t, i_d=np.array([1e-300, -7.0]), i_q=t)
+        sat = Trace(t=t, u=np.stack([t, t]), i=np.stack([[0.1 + 0.2, 2.5e17], t]))
+        lin = Trace(t=t, u=np.stack([t, t]), i=np.stack([[1e-300, -7.0], t]))
         StepResponseResult(sat, lin).write_csv(path)
         assert path.read_bytes() == (b"t,i_sat,i_lin\n0,0.30000000000000004,1e-300\n"
                                      b"1.0000000000000001e-05,2.5e+17,-7\n")
@@ -224,7 +225,7 @@ class TestFluxIntegration:
         # u = R*i everywhere: integrand is zero, flux stays put
         t = np.arange(200) * 1e-4
         i = np.full_like(t, 1.3)
-        tr = Trace(t=t, u_d=ipm.R * i, u_q=np.zeros_like(t), i_d=i, i_q=np.zeros_like(t))
+        tr = Trace(t=t, u=np.stack([ipm.R * i, np.zeros_like(t)]), i=np.stack([i, np.zeros_like(t)]))
         r = flux_by_integration(tr, ipm)
         assert np.max(np.abs(r.phi_d_integrated - r.phi_d_integrated[0])) < 1e-15
 
