@@ -19,6 +19,7 @@ from .estimator import (
     NonPhysical,
     NotAtRest,
     PlanRun,
+    RankDeficient,
     ZeroRipple,
     estimate_L,
     estimate_saturation,
@@ -27,7 +28,6 @@ from .estimator import (
     predict_ripple,
     run_identification,
 )
-from .leastsq import RankDeficient
 from .validation import (
     SweepSpec,
     angle_sweep,

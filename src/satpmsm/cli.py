@@ -26,12 +26,12 @@ from .estimator import (
     ZeroRipple,
     NonPhysical,
     NotAtRest,
+    RankDeficient,
     identify,
     plan_runs,
     run_identification,
     write_simulated,
 )
-from .leastsq import RankDeficient
 from .magnetics import NonConvergence
 from .ripple import TooShort, Unresolved
 from .simulator import StepTooLarge, Trace

@@ -60,7 +60,6 @@ from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 import numpy as np
 
 from .injection import SQUARE, InjectionSpec, Waveform
-from .leastsq import gram_fit
 from .magnetics import MotorParams, _current_coefficients, _current_monomials, _hessian
 from .ripple import RippleMeasurement, TooShort, Unresolved, _centred, _ripple_fit, period_blocks, rebuild_flux
 from .simulator import SimConfig, Trace, simulate_batch
@@ -90,6 +89,10 @@ class NonPhysical(RuntimeError):
 class NotAtRest(RuntimeError):
     """A trace does not start de-energized, so integrating u - R i from its
     first sample would not give its flux."""
+
+
+class RankDeficient(RuntimeError):
+    """The regressor matrix does not determine the coefficients."""
 
 
 @dataclasses.dataclass(frozen=True)
@@ -194,6 +197,25 @@ def estimate_L(runs: Sequence[PlanRun], meas: Sequence[RippleMeasurement]) -> In
         L.append(getattr(spec, f"u_tilde_{axis}") / (spec.omega * i_tilde))
         sigma_L.append(abs(L[-1]) * sigma / abs(i_tilde))
     return InductanceEstimate(*L, *sigma_L)
+
+
+def gram_fit(xtx: np.ndarray, xty: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Solve the normal equations xtx b = xty of a least squares accumulated
+    as its Gram matrix, with the columns scaled to a unit diagonal.
+
+    Returns (b, xtx_inv), where xtx_inv = xtx^-1 is the unscaled coefficient
+    covariance. Raises RankDeficient when a column is zero or not finite, or
+    the scaled Gram matrix is numerically singular.
+    """
+    scale = np.sqrt(np.diag(xtx))
+    if not np.all(scale > 0.0) or not np.all(np.isfinite(xtx)):
+        raise RankDeficient("a regressor column is zero or not finite")
+    outer = np.outer(scale, scale)
+    scaled = xtx / outer
+    if np.linalg.cond(scaled) > 1e12:
+        raise RankDeficient("regressor matrix is numerically rank-deficient")
+    xtx_inv = np.linalg.inv(scaled) / outer
+    return xtx_inv @ xty, xtx_inv
 
 
 def _fit_with_sigma(X, y, sigma_y):

@@ -113,6 +113,12 @@ class Trace:
     file (`_CSV_HEADER`), the time stamps t (n,) and the stacked voltages u
     and currents i, each (2, n) with the d row first. Voltages are the
     impressed values, currents may carry measurement noise.
+
+    Whether built in memory, by `dataclasses.replace` or from a file, a
+    record is refused, in this order, for: a channel of another shape;
+    fewer than 2 samples; a value that is not finite, named by its channel
+    and its sample counted from 1, which in a file is its data row; time
+    stamps that are not strictly increasing and uniform.
     """
 
     t: np.ndarray
@@ -120,19 +126,24 @@ class Trace:
     i: np.ndarray
 
     def __post_init__(self) -> None:
+        if np.ndim(self.t) != 1:
+            raise ValueError(f"channel t must be shaped (n,), got {np.shape(self.t)}")
         n = len(self.t)
         for name, channel in (("u", self.u), ("i", self.i)):
             if np.shape(channel) != (2, n):
                 raise ValueError(f"channel {name} must be shaped (2, {n}), got {np.shape(channel)}")
-        if not np.all(np.isfinite(self.t)):
-            raise ValueError("t must be finite")
-        if n >= 2:
-            steps = np.diff(self.t)
-            if np.any(steps <= 0):
-                raise ValueError("t must be strictly increasing")
-            # a spread of 1e-9 of a step, plus the rounding of t itself, largest at an end of t
-            if np.max(steps) - np.min(steps) > 1e-9 * float(steps[0]) + 4 * np.spacing(max(-self.t[0], self.t[-1])):
-                raise ValueError("t must be uniformly sampled")
+        if n < 2:
+            raise ValueError(f"a trace needs at least 2 samples, got {n}")
+        if not all(np.isfinite(channel).all() for channel in (self.t, self.u, self.i)):
+            bad = ~np.isfinite(np.vstack((self.t, self.u, self.i)))  # the rows of `_CSV_HEADER`
+            sample, column = np.argwhere(bad.T)[0]  # the first sample with one, then its first channel
+            raise ValueError(f"{_CSV_HEADER[column]} in data row {sample + 1} is not finite")
+        steps = np.diff(self.t)
+        if np.any(steps <= 0):
+            raise ValueError("t must be strictly increasing")
+        # a spread of 1e-9 of a step, plus the rounding of t itself, largest at an end of t
+        if np.max(steps) - np.min(steps) > 1e-9 * float(steps[0]) + 4 * np.spacing(max(-self.t[0], self.t[-1])):
+            raise ValueError("t must be uniformly sampled")
 
     @property
     def sample_period(self) -> float:
@@ -164,7 +175,9 @@ class Trace:
         whose width differs from the first row's; a column that is no
         channel reads as 0.0 unparsed, so it may hold text. Data rows are
         counted from 1, comment and blank lines skipped, as numpy counts
-        them; its parse errors are told in these terms (`_parse_fault`)."""
+        them; its parse errors are told in these terms (`_parse_fault`).
+        What the channels hold is `Trace`'s to check, and its refusals, as
+        every fault here, name the file."""
         with open(path, encoding="utf-8-sig") as fh:  # a leading byte-order mark is no text
             line = fh.readline()
             while line and (not line.strip() or line.lstrip().startswith("#")):
@@ -176,7 +189,7 @@ class Trace:
                 what = "repeats" if name in header else "missing"
                 raise ValueError(f"trace CSV {path} {what} column {name!r}")
         unread = {col: lambda value: 0.0 for col, name in enumerate(header) if name not in _CSV_HEADER}
-        with warnings.catch_warnings():  # an empty file is refused below
+        with warnings.catch_warnings():  # a file of no data rows is `Trace`'s to refuse
             warnings.filterwarnings("ignore", "loadtxt: input contained no data")
             try:
                 data = np.loadtxt(io.StringIO(text), delimiter=",", ndmin=2, converters=unread)
@@ -184,13 +197,8 @@ class Trace:
                 raise ValueError(f"trace CSV {path}: {_parse_fault(str(exc), header, text)}") from None
         if len(data) and data.shape[1] != len(header):  # every row alike, none as wide as the header
             raise ValueError(f"trace CSV {path}: data row 1 has {data.shape[1]} values, the header names {len(header)}")
-        if len(data) < 2:
-            raise ValueError(f"trace CSV {path} has {len(data)} data rows, needs at least 2")
+        data = data.reshape(-1, len(header))  # no data rows parse as (0, 1)
         channels = data.T[[header.index(name) for name in _CSV_HEADER]]
-        bad = np.argwhere(~np.isfinite(channels.T))
-        if len(bad):
-            row, col = bad[0]
-            raise ValueError(f"trace CSV {path}: {_CSV_HEADER[col]} in data row {row + 1} is not finite")
         try:
             return Trace(channels[0], channels[1:3], channels[3:])
         except ValueError as exc:

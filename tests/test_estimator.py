@@ -24,6 +24,7 @@ from satpmsm.estimator import (
     NonPhysical,
     NotAtRest,
     PlanRun,
+    RankDeficient,
     ZeroRipple,
     _in_slices,
     _run_terms,
@@ -36,7 +37,6 @@ from satpmsm.estimator import (
     simulate_plan,
 )
 from satpmsm.injection import InjectionSpec, Waveform
-from satpmsm.leastsq import RankDeficient
 from satpmsm.magnetics import MotorParams, _current_coefficients, _stacked_currents
 from satpmsm.ripple import RippleMeasurement, TooShort, Unresolved, extract_ripple, rebuild_flux
 from satpmsm.simulator import SimConfig, Trace, simulate_batch

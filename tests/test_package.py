@@ -1,4 +1,8 @@
 import ast
+import os
+import re
+import subprocess
+import sys
 from pathlib import Path
 
 import satpmsm
@@ -15,6 +19,26 @@ def test_exports_resolve_and_are_listed():
     imported = {alias.asname or alias.name for node in tree.body
                 if isinstance(node, ast.ImportFrom) for alias in node.names}
     assert sorted(n for n in imported if not n.startswith("_") and n not in exported) == []
+
+
+def test_readme_library_example_runs():
+    # the README's python block runs as printed, so renaming a function, a
+    # plan field or a model call it uses fails here, not only in the README
+    text = (Path(__file__).parents[1] / "README.md").read_text()
+    blocks = re.findall(r"^```python\n(.*?)^```$", text, re.DOTALL | re.MULTILINE)
+    assert len(blocks) == 1
+    exec(compile(blocks[0], "README.md", "exec"), {})
+
+
+def test_import_leaves_multiprocessing_out():
+    # the console script's import does not pay for multiprocessing: it is
+    # imported where the first worker starts (DECISIONS.md "Identification
+    # in forked workers")
+    src = str(Path(satpmsm.__file__).parents[1])
+    code = "import sys, satpmsm.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'multiprocessing'))"
+    out = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
+                         capture_output=True, text=True, check=True)
+    assert out.stdout == "[]\n"
 
 
 def _referenced(node):

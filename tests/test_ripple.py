@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
+from satpmsm.estimator import RankDeficient, gram_fit
 from satpmsm.injection import F_array, InjectionSpec, Waveform
-from satpmsm.leastsq import RankDeficient, gram_fit
 from satpmsm.ripple import RippleMeasurement, TooShort, Unresolved, extract_ripple, rebuild_flux
 from satpmsm.simulator import SimConfig, Trace, simulate
 

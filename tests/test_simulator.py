@@ -857,11 +857,14 @@ class TestTraceCsv:
         with pytest.raises(ValueError, match=re.escape(f"trace CSV {path}: {message}")):
             Trace.from_csv(path)
 
-    @pytest.mark.parametrize("body", ["", "# bench note, 20 degC\n# a, b\n"], ids=["empty", "comments"])
-    def test_no_data_rows_refused(self, tmp_path, body):
+    @pytest.mark.parametrize("body, rows", [("", 0), ("# bench note, 20 degC\n# a, b\n", 0), ("0,1,0,0.5,0\n", 1)],
+                             ids=["empty", "comments", "one_row"])
+    def test_no_data_rows_refused(self, tmp_path, body, rows):
+        # a file of fewer than 2 data rows parses, and `Trace` refuses it
         path = tmp_path / "empty.csv"
         path.write_text("t,u_d,u_q,i_d,i_q\n" + body)
-        with pytest.raises(ValueError, match=re.escape(f"trace CSV {path} has 0 data rows, needs at least 2")):
+        with pytest.raises(ValueError, match=re.escape(
+                f"trace CSV {path}: a trace needs at least 2 samples, got {rows}")):
             Trace.from_csv(path)
 
     def test_comment_and_blank_lines_skipped(self, tmp_path):
@@ -942,12 +945,38 @@ class TestTraceCsv:
             Trace(t=np.array([0.0, 1.0]), u=z, i=np.zeros((2, 2)))
         with pytest.raises(ValueError, match=re.escape("channel i must be shaped (2, 3), got (3,)")):
             Trace(t=t, u=z, i=np.zeros(3))
+        with pytest.raises(ValueError, match=re.escape("channel t must be shaped (n,), got (3, 1)")):
+            Trace(t=t[:, None], u=z, i=z)
+        for n in (0, 1):  # no sample period: refused when built, not by an IndexError where it is read
+            with pytest.raises(ValueError, match=f"^a trace needs at least 2 samples, got {n}$"):
+                Trace(t=t[:n], u=z[:, :n], i=z[:, :n])
 
-    @pytest.mark.parametrize("t", [[0.0, np.nan, 2.0, 3.0], [0.0, 1.0, 2.0, np.inf], [-np.inf, 0.0]],
+    @pytest.mark.parametrize("t, row", [([0.0, np.nan, 2.0, 3.0], 2), ([0.0, 1.0, 2.0, np.inf], 4), ([-np.inf, 0.0], 1)],
                              ids=["nan_inside", "inf_last", "-inf_first"])
-    def test_non_finite_time_stamps_refused(self, t):
+    def test_non_finite_time_stamps_refused(self, t, row):
         # a step to or from a stamp that is not finite is NaN or inf, and
         # no comparison on it fails, so finiteness is checked first
         z = np.zeros((2, len(t)))
-        with pytest.raises(ValueError, match="^t must be finite$"):
+        with pytest.raises(ValueError, match=f"^t in data row {row} is not finite$"):
             Trace(t=np.array(t), u=z, i=z)
+
+    @pytest.mark.parametrize("field, row, sample, value, message", [
+        ("i", 0, 299, np.nan, "i_d in data row 300 is not finite"),
+        ("u", 1, 41, np.inf, "u_q in data row 42 is not finite"),
+        ("t", None, 7, np.nan, "t in data row 8 is not finite"),
+    ], ids=["nan_i_d", "inf_u_q", "nan_t"])
+    def test_non_finite_channel_refused(self, ipm, field, row, sample, value, message):
+        # a value that is not finite in any channel is refused where the
+        # record is made, here by `dataclasses.replace`, in the words a trace
+        # file's refusal ends with, not later by the regression
+        spec = square_spec(u_bar_d=2.0, u_tilde_d=25.0)
+        tr = simulate(ipm, spec, SimConfig(dt=spec.period / 200, t_end=0.005))
+        channel = getattr(tr, field).copy()
+        channel[(sample,) if row is None else (row, sample)] = value
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            dataclasses.replace(tr, **{field: channel})
+        # the first sample holding one decides, and in it the first channel
+        channel = tr.i.copy()
+        channel[1, 10] = channel[0, 10] = channel[1, 9] = np.nan
+        with pytest.raises(ValueError, match="^i_q in data row 10 is not finite$"):
+            dataclasses.replace(tr, i=channel)
