@@ -60,8 +60,7 @@ _SHOOT_MAX_ITER = 50     # Newton steps of `simulate_periodic`
 _SHOOT_TOL = 1e-12       # one-period flux residual per axis [Wb]
 _SHOOT_FD_STEP = 1e-8    # finite-difference step of every period-map Jacobian [Wb]
 
-_PARAREAL_COARSE_STEPS = 10  # RK4 steps per period of the coarse propagator; even
-_PARAREAL_COARSE_Z = 0.1     # largest coarse step R * dt_G / min(Ld, Lq) parareal runs with
+_PARAREAL_COARSE_STEPS = 12  # RK4 steps per period of every coarse map; a multiple of 4
 _PARAREAL_TOL = 1e-13        # largest summed chunk-boundary jump of a done lane [Wb]
 _PARAREAL_MAX_SWEEPS = 3     # fine sweeps before an open run finishes sequentially
 
@@ -446,10 +445,11 @@ _NO_RUNS = _Traces(  # the record of an empty batch
     np.empty((5, 2, 0)), 1.0, np.empty((2, 0, 0)), np.empty((2, 0)), np.empty((2, 0)), np.empty(0))
 
 
-def _coarse_fits(p: MotorParams, coarse_dt: float) -> bool:
-    """Whether a coarse step of coarse_dt is at most `_PARAREAL_COARSE_Z` of
-    p's shortest unsaturated time constant min(Ld, Lq) / R."""
-    return coarse_dt * p.R / min(p.Ld, p.Lq) <= _PARAREAL_COARSE_Z
+def _coarse_fits(p: MotorParams, period: float) -> bool:
+    """Whether the coarse maps may run at injection period: where it is at
+    most p's shortest unsaturated time constant min(Ld, Lq) / R. Beyond it
+    the coarse propagator is inaccurate or unstable."""
+    return period * p.R <= min(p.Ld, p.Lq)
 
 
 def _fd_starts(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -484,15 +484,15 @@ def _record(p: MotorParams, spec: InjectionSpec, dt: float, n_steps: int, u_bar:
     and u_tilde * -f = -u_tilde * f bit for bit. The chunks run side by side
     by parareal (Lions, Maday & Turinici, C. R. Acad. Sci. Paris 2001): each
     fine sweep runs all runs x chunks as one batch, lane (j, k). The fine
-    propagator F is one chunk of `_rk4` at dt, the coarse G one period at
-    `_PARAREAL_COARSE_STEPS` steps or one quarter at 3, so no coarse step is
-    longer than a tenth of a period. The chunk starts U begin at U[0] = 0,
-    U[k+1] = G(U[k]): one `_rk4` pass over the coarse steps of K - 1 chunks,
-    chunk k's sign on its waveform values, the same bits as K - 1 calls of
-    one chunk. One more call, of one chunk from the `_fd_starts` of every
-    start but the last, gives G's Jacobians J_k at U[k]. A fine sweep from U
-    leaves a jump F(U[k]) - U[k+1] at every chunk boundary; a run whose
-    jumps, summed over both axes and all boundaries, come to at most
+    propagator F is one chunk of `_rk4` at dt, the coarse G one chunk of
+    `_PARAREAL_COARSE_STEPS` // C steps, each a `_PARAREAL_COARSE_STEPS`th
+    of a period. The chunk starts U begin at U[0] = 0, U[k+1] = G(U[k]):
+    one `_rk4` pass over the coarse steps of K - 1 chunks, chunk k's sign on
+    its waveform values, the same bits as K - 1 calls of one chunk. One
+    more call, of one chunk from the `_fd_starts` of every start but the
+    last, gives G's Jacobians J_k at U[k]. A fine sweep from U leaves a
+    jump F(U[k]) - U[k+1] at every chunk boundary; a run whose jumps,
+    summed over both axes and all boundaries, come to at most
     `_PARAREAL_TOL` is done: its record is continuous up to that sum, which
     bounds the record's flux error against one pass. A done run keeps its
     starts, so later sweeps rewrite its samples bit for bit and every run
@@ -512,18 +512,18 @@ def _record(p: MotorParams, spec: InjectionSpec, dt: float, n_steps: int, u_bar:
 
     Parareal pays only where it converges in far fewer sweeps than there
     are chunks. The record is one `_rk4` pass from rest, with no sweep,
-    when it holds no more whole periods than the sweep cap, or when a
-    coarse step of a tenth of a period fails `_coarse_fits`: there the
-    coarse propagator is inaccurate or unstable.
+    when it holds no more whole periods than the sweep cap, or where the
+    injection period fails `_coarse_fits`.
     """
     n, spp = u_bar.shape[1], round(spec.period / dt)
     P = n_steps // spp
     rows, R = _lanes([p] * n)
     drive = _waveform_arrays(spec, dt, n_steps)
-    if P <= _PARAREAL_MAX_SWEEPS or not _coarse_fits(p, spp * dt / _PARAREAL_COARSE_STEPS):
+    if P <= _PARAREAL_MAX_SWEEPS or not _coarse_fits(p, spec.period):
         return _Traces(rows, dt, _sampled(rows, R, dt, np.zeros((2, n)), u_bar, u_tilde, drive), u_bar, u_tilde,
                        drive[0]), 0
-    C, coarse_steps = (4, 3) if spec.waveform.kind == "square" and spp % 4 == 0 else (1, _PARAREAL_COARSE_STEPS)
+    C = 4 if spec.waveform.kind == "square" and spp % 4 == 0 else 1
+    coarse_steps = _PARAREAL_COARSE_STEPS // C
     K, L, sign = P * C, spp // C, np.tile([1.0, 1.0, -1.0, -1.0][:C], P)  # sign[k]: chunk k's
     coarse_dt = L * dt / coarse_steps
     rows_p, R_p, u_bar_p = (np.repeat(a[..., None], K, axis=-1) for a in (rows, R, u_bar))
@@ -691,13 +691,13 @@ def simulate_periodic(p: MotorParams, specs: Sequence[InjectionSpec], *,
     u_tilde * F(0) / omega at t = 0.
 
     Newton runs first on the coarse period map of `_PARAREAL_COARSE_STEPS`
-    steps, from the warm start, where such a step `_coarse_fits`; then on
+    steps, from the warm start, where the period `_coarse_fits`; then on
     the fine map of steps_per_period steps, from the coarse fixed point,
     which is off the fine one by the coarse map's truncation error only.
     There it keeps the coarse map's Jacobian at that point, so each fine
     step integrates one period of the runs alone, and one or two steps and
     a confirming period finish it. A run whose coarse Newton does not
-    converge, or every run where no coarse step fits, takes the fine
+    converge, or every run where the period does not fit, takes the fine
     Jacobian at every step from its warm start instead, so a run comes out
     of a batch as it does alone. A run whose fine one-period residual still
     exceeds `_SHOOT_TOL` on an axis after `_SHOOT_MAX_ITER` steps raises
@@ -718,7 +718,7 @@ def simulate_periodic(p: MotorParams, specs: Sequence[InjectionSpec], *,
     J, fd = np.empty((2, 2, n)), np.ones(n, dtype=bool)
     coarse_dt = specs[0].period / _PARAREAL_COARSE_STEPS
     with np.errstate(over="ignore", invalid="ignore"):  # a run that runs away is reported below
-        if _coarse_fits(p, coarse_dt):
+        if _coarse_fits(p, specs[0].period):
             shot, J, fd, *_ = _shoot(p, specs[0], coarse_dt, _PARAREAL_COARSE_STEPS, u_bar, u_tilde, phi, J, fd)
             phi = np.where(fd, phi, shot)  # a run still open starts the fine map where it started the coarse one
         phi, _, open_, first, end = _shoot(p, specs[0], dt, steps_per_period, u_bar, u_tilde, phi, J, fd)

@@ -129,6 +129,9 @@ class TestPlanRuns:
             ExperimentPlan(omega=-1.0, waveform=Waveform.square(), u_tilde=30.0)
         with pytest.raises(ValueError):
             ExperimentPlan(omega=OMEGA, waveform=Waveform.square(), u_tilde=0.0)
+        for grid in ({"id_grid": (0.5, math.nan)}, {"iq_grid": (math.inf,)}):
+            with pytest.raises(ValueError, match="^grid currents must be finite$"):
+                ExperimentPlan(omega=OMEGA, waveform=Waveform.square(), u_tilde=30.0, **grid)
         with pytest.raises(ValueError):
             plan_runs(ipm_plan(), R=0.0)
 

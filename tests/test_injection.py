@@ -19,6 +19,9 @@ class TestWaveformConstruction:
     def test_builtins(self):
         assert Waveform.square().kind == "square"
         assert Waveform.sine().kind == "sine"
+        for kind in ("square", "sine"):
+            with pytest.raises(ValueError, match=f"^{kind} waveform takes no samples$"):
+                Waveform(kind, (1.0, -1.0))
 
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
@@ -31,6 +34,13 @@ class TestWaveformConstruction:
     def test_sampled_too_short(self):
         with pytest.raises(ValueError):
             Waveform.from_samples([0.0])
+
+    def test_sampled_values_finite_and_not_all_zero(self):
+        for value in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="^sampled waveform values must be finite$"):
+                Waveform.from_samples([1.0, value, -1.0])
+        with pytest.raises(ValueError, match="^sampled waveform is identically zero$"):
+            Waveform.from_samples([0.0, -0.0, 0.0])
 
 
 class TestF:
@@ -116,6 +126,9 @@ class TestInjectionSpec:
     def test_omega_positive(self):
         with pytest.raises(ValueError):
             InjectionSpec(0, 0, 1, 0, omega=0.0, waveform=Waveform.square())
+        # so must every voltage be finite
+        with pytest.raises(ValueError, match="^u_tilde_q must be finite$"):
+            InjectionSpec(0, 0, 1, math.inf, omega=1.0, waveform=Waveform.square())
 
     def test_period(self):
         spec = InjectionSpec(0, 0, 1, 0, omega=2 * math.pi * 500, waveform=Waveform.square())

@@ -53,6 +53,8 @@ class TestTypes:
             MotorParams(R=-1.0, Ld=0.1, Lq=0.1)
         with pytest.raises(ValueError):
             MotorParams(R=1.0, Ld=0.0, Lq=0.1)
+        with pytest.raises(ValueError, match=r"^Lq must be positive, got -0.1$"):
+            MotorParams(R=1.0, Ld=0.1, Lq=-0.1)
         with pytest.raises(ValueError):
             MotorParams(R=1.0, Ld=0.1, Lq=0.1, n_pp=0)
         with pytest.raises(ValueError):

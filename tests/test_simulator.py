@@ -222,6 +222,9 @@ class TestSymmetryAndDeterminism:
         cfg = SimConfig(dt=s1.period / 200, t_end=0.01)
         with pytest.raises(ValueError):
             simulate_batch(ipm, [s1, s2], cfg)
+        # the averaged batch takes one mean voltage pair per lane's motor
+        with pytest.raises(ValueError, match="^need one mean voltage pair per motor$"):
+            simulate_averaged([ipm, ipm], [(1.0, 0.0)], cfg)
 
     def test_no_runs_is_an_empty_record(self, ipm):
         cfg = SimConfig(dt=1e-5, t_end=0.01)
@@ -349,18 +352,19 @@ class TestPeriodParallel:
         (Waveform.square(), 200, 4),
     ], ids=["sine", "sampled", "square-50", "square-200"])
     def test_chunk_rule(self, ipm, rk4_calls, waveform, spp, chunks):
-        # a square wave whose quarter period is whole steps runs in quarters
-        # of 3 coarse steps; every other drive runs in whole periods of 10:
-        # a continuous one, the sampled one here, though it is odd over a
-        # half period up to rounding, and a square wave whose quarter period
-        # falls between two steps
+        # a square wave whose quarter period is whole steps runs in quarters;
+        # every other drive runs in whole periods: a continuous one, the
+        # sampled one here, though it is odd over a half period up to
+        # rounding, and a square wave whose quarter period falls between two
+        # steps. Either chunk takes its share of the coarse period map's
+        # steps
         specs = [InjectionSpec(u_d, u_q, 20.0, 10.0, OMEGA_500, waveform)
                  for u_d, u_q in ((0.0, 0.0), (12.0, -6.0), (-20.0, 15.0))]
         cfg = SimConfig(dt=specs[0].period / spp, t_end=12 * specs[0].period)
         u_bar, u_tilde = simulator._stacked_drive(specs, cfg.dt)
         (_, i), sweeps = from_rest(ipm, specs[0], cfg.dt, 12 * spp, u_bar, u_tilde)
         K, n = 12 * chunks, len(specs)
-        coarse_steps, w = (3 if chunks == 4 else 10), K // 4  # the Jacobians of K - 1 starts in four calls
+        coarse_steps, w = simulator._PARAREAL_COARSE_STEPS // chunks, K // 4  # K - 1 starts' Jacobians in 4 calls
         assert rk4_calls == ([(coarse_steps * (K - 1), (n,))] + [(coarse_steps, (2 * n * w,))] * 3
                              + [(coarse_steps, (2 * n * (w - 1),)), *[(spp // chunks, (n, K))] * sweeps])
         assert np.max(np.abs(i - sequential_currents(ipm, specs, cfg))) <= 1e-12
@@ -384,7 +388,8 @@ class TestPeriodParallel:
         cfg = SimConfig(dt=specs[0].period / 200, t_end=4 * specs[0].period)
         u_bar, u_tilde = simulator._stacked_drive(specs, cfg.dt)
         (_, i), sweeps = from_rest(ipm, specs[0], cfg.dt, 4 * 200, u_bar, u_tilde)
-        assert rk4_calls[:4] == [(30, (2,))] + [(10, (4,))] * 3 and sweeps > 0
+        coarse_steps = simulator._PARAREAL_COARSE_STEPS
+        assert rk4_calls[:4] == [(3 * coarse_steps, (2,))] + [(coarse_steps, (4,))] * 3 and sweeps > 0
         assert np.max(np.abs(i - sequential_currents(ipm, specs, cfg))) <= 1e-12
 
     @pytest.mark.parametrize("max_sweeps, alone_sweeps", [(3, [2, 3]), (2, [2, 2])])
@@ -424,13 +429,11 @@ class TestPeriodParallel:
                                                 (OMEGA_500, 2), (OMEGA_500, 3)],
                              ids=["5Hz", "240Hz", "2-periods", "3-periods"])
     def test_sequential_where_parareal_cannot_pay(self, ipm, omega, periods):
-        # at 5 Hz a period spans 5 unsaturated time constants of the IPM
-        # motor, where a coarse step of a tenth of a period is unstable. At
-        # 240 Hz a tenth of a period still fails `_coarse_fits`, though the
-        # twelfth that a quarter chunk's coarse step spans would pass; the
-        # check is on the tenth. A record of no more whole periods than the
-        # sweep cap leaves nothing to gain. All integrate sequentially,
-        # exactly as the reference
+        # at 5 Hz a period spans 53 unsaturated time constants of the IPM
+        # motor, where the coarse propagator is unstable. At 240 Hz it still
+        # spans 1.1 of them and fails `_coarse_fits`. A record of no more
+        # whole periods than the sweep cap leaves nothing to gain. All
+        # integrate sequentially, exactly as the reference
         specs = [square_spec(u_tilde_d=30.0, omega=omega), square_spec(u_bar_d=20.0, u_tilde_q=30.0, omega=omega)]
         cfg = SimConfig(dt=specs[0].period / 200, t_end=periods * specs[0].period)
         u_bar, u_tilde = simulator._stacked_drive(specs, cfg.dt)
@@ -442,7 +445,7 @@ class TestPeriodParallel:
         # forced onto parareal at 5 Hz, the coarse propagator overflows: no
         # run converges, and each finishes sequentially from its last start
         # that no coarse value entered
-        monkeypatch.setattr(simulator, "_PARAREAL_COARSE_Z", math.inf)
+        monkeypatch.setattr(simulator, "_coarse_fits", lambda p, period: True)
         omega = 2 * math.pi * 5.0
         specs = [square_spec(u_tilde_d=30.0, omega=omega), square_spec(u_bar_d=20.0, u_tilde_q=30.0, omega=omega)]
         cfg = SimConfig(dt=specs[0].period / 200, t_end=25 * specs[0].period)
@@ -665,25 +668,25 @@ class TestOrbitRecord:
 
 class TestCoarseFirstShooting:
     """`simulate_periodic` runs its Newton shooting on the coarse period map
-    first, where a coarse step fits, then on the fine map from there."""
+    first, where the period fits, then on the fine map from there."""
 
     def test_fine_only_where_a_coarse_step_does_not_fit(self, ipm, rk4_calls):
-        # at 25 Hz a tenth of a period is about one time constant of the IPM
-        # motor: no coarse period map, only fine Newton steps
+        # at 25 Hz a period spans about 11 time constants of the IPM motor:
+        # no coarse period map, only fine Newton steps
         specs = [square_spec(ipm.R * m, u_tilde_d=30.0, omega=2 * math.pi * 25.0) for m in (0.0, 1.0, 2.0)]
-        assert not simulator._coarse_fits(ipm, specs[0].period / simulator._PARAREAL_COARSE_STEPS)
+        assert not simulator._coarse_fits(ipm, specs[0].period)
         simulate_periodic(ipm, specs)
         assert rk4_calls and all(steps != simulator._PARAREAL_COARSE_STEPS for steps, _ in rk4_calls)
 
     def test_run_whose_coarse_newton_fails_leaves_the_others_as_alone(self, ipm, rk4_calls):
-        # at 400 Hz the coarse Newton of the 8 A run on the d axis exhausts
+        # at 400 Hz the coarse Newton of the 9 A run on the d axis exhausts
         # its steps, so that run starts the fine map from its warm start; the
         # others start it from their coarse orbits. Every run comes out of
         # the batch bit for bit as it does alone
         a = math.radians(60.0)
         specs = [square_spec(ipm.R * m * math.cos(a), ipm.R * m * math.sin(a), u_tilde_d=30.0,
                              omega=2 * math.pi * 400.0) for m in (1.0, 0.0)]
-        specs.insert(1, square_spec(ipm.R * 8.0, u_tilde_d=30.0, omega=2 * math.pi * 400.0))
+        specs.insert(1, square_spec(ipm.R * 9.0, u_tilde_d=30.0, omega=2 * math.pi * 400.0))
         alone, coarse_steps, fine_steps = [], [], []
         for spec in specs:
             rk4_calls.clear()
@@ -832,10 +835,13 @@ class TestTraceCsv:
         ("t,u_d,u_q,i_d,i_q", ("0,1,0,0.5,0,", "0.001,1,0,0.6,0,", "0.002,1,0,0.7,0,"), 6),
         ("t,u_d,u_q,i_d,i_q,phi_d,phi_q", ("0,1,0,0.5,0,0", "0.001,1,0,0.6,0,0", "0.002,1,0,0.7,0,0"), 6),
         ("t,u_d,u_q,i_d,i_q,note", ("0,1,0,0.5,0,a,b", "0.001,1,0,0.6,0,a,b", "0.002,1,0,0.7,0,a,b"), 7),
-    ], ids=["short", "long", "trailing_comma", "short_of_an_unread_column", "long_past_an_unread_column"])
+        ("t,u_d,u_q,i_d,i_q", ("0,1,0,0.5", "0.001,1,0,0.6,0", "0.002,1,0,0.7,0"), 4),
+    ], ids=["short", "long", "trailing_comma", "short_of_an_unread_column", "long_past_an_unread_column",
+            "short_first_row"])
     def test_every_row_off_the_header_refused(self, tmp_path, header, rows, values):
         # rows that agree with each other but not with the header are refused
-        # at the first data row, with its count, whatever the extra values hold
+        # at the first data row, with its count, whatever the extra values
+        # hold; so is a lone first row off the header, the rows after it whole
         path = tmp_path / "ragged.csv"
         path.write_text(f"{header}\n" "# bench note\n" + "\n".join(rows) + "\n")
         with pytest.raises(ValueError, match=re.escape(
@@ -941,6 +947,8 @@ class TestTraceCsv:
         z = np.zeros((2, 3))
         with pytest.raises(ValueError, match="uniform"):
             Trace(t=t, u=z, i=z)
+        with pytest.raises(ValueError, match="^t must be strictly increasing$"):
+            Trace(t=np.array([0.0, 1.0, 1.0]), u=z, i=z)
         with pytest.raises(ValueError, match=re.escape("channel u must be shaped (2, 2), got (2, 3)")):
             Trace(t=np.array([0.0, 1.0]), u=z, i=np.zeros((2, 2)))
         with pytest.raises(ValueError, match=re.escape("channel i must be shaped (2, 3), got (3,)")):

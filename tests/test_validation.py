@@ -40,6 +40,9 @@ class TestAngleSweep:
             SweepSpec(60.0, (-1.0,), OMEGA, Waveform.square(), 30.0)
         with pytest.raises(ValueError, match="inject_axis must be 'd' or 'q', got 'x'"):
             SweepSpec(60.0, (1.0,), OMEGA, Waveform.square(), 30.0, inject_axis="x")
+        for omega, u_tilde in ((0.0, 30.0), (-OMEGA, 30.0), (OMEGA, 0.0), (OMEGA, -30.0)):
+            with pytest.raises(ValueError, match="^omega and u_tilde must be positive$"):
+                SweepSpec(60.0, (1.0,), omega, Waveform.square(), u_tilde)
 
     def test_zero_magnitude_is_linear_limit(self, ipm):
         s = SweepSpec(60.0, (0.0,), OMEGA, Waveform.square(), 30.0)
