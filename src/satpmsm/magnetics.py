@@ -133,14 +133,25 @@ def _current_rows(motors) -> np.ndarray:
     return np.concatenate([p._rows for p in motors], axis=-1)
 
 
-def _stacked_currents(rows, X):
+def _stacked_currents(rows, X, out=None, fq2=None, tmp=None):
     """The current map: stacked currents (i_d, i_q), the gradient of `energy`,
     at stacked fluxes X = (phi_d, phi_q), for rows `_current_rows` shaped to
     broadcast against X; one pair is a (2, 1) batch. With e_q = 0, i_d is
-    even and i_q odd in phi_q, exactly."""
+    even and i_q odd in phi_q, exactly. Its ten ufunc calls keep the order of
+    X * (c0 + fd * (c1 + c2 * fd) + c3 * fq2) + e * fq2, each into its buffer
+    out (the result), fq2 or tmp where given, so no buffer moves a bit."""
     c0, c1, c2, c3, e = rows
-    fd, fq2 = X[0], X[1] * X[1]
-    return X * (c0 + fd * (c1 + c2 * fd) + c3 * fq2) + e * fq2
+    mul, add = np.multiply, np.add
+    fd, fq2 = X[0], mul(X[1], X[1], fq2)
+    out = mul(c2, fd, out)
+    add(c1, out, out)
+    mul(fd, out, out)
+    add(c0, out, out)
+    tmp = mul(c3, fq2, tmp)
+    add(out, tmp, out)
+    mul(X, out, out)
+    mul(e, fq2, tmp)
+    return add(out, tmp, out)
 
 
 def _to_rank(lane, X):

@@ -145,7 +145,7 @@ def extract_ripple(trace: Trace, spec: InjectionSpec, discard: float) -> RippleM
     after `discard`, fitted by `_ripple_fit`; i_bar is the window mean of
     i - i_tilde * F, both rows at once.
     """
-    if discard < 0:
+    if not discard >= 0:  # NaN too
         raise ValueError("discard must be >= 0")
     t = trace.t
     i0 = int(np.searchsorted(t, t[0] + discard - 1e-12 * trace.sample_period))

@@ -46,7 +46,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .injection import F_array, InjectionSpec, f_array
+from .injection import SQUARE, F_array, InjectionSpec, f_array
 from .magnetics import MotorParams, NonConvergence, _current_rows, _stacked_currents, flux_from_currents_first_order
 
 _CSV_HEADER = ("t", "u_d", "u_q", "i_d", "i_q")  # the measured channels: all a trace file holds
@@ -232,20 +232,20 @@ def _check_step(spec: InjectionSpec, dt: float) -> None:
             f"dt={dt:.3g}s is not positive or exceeds 1/50 of the injection period {period:.3g}s")
     # every period is the same step sequence (`_record` integrates the
     # periods side by side); a square wave also switches on step boundaries
-    span, what = (period / 2.0, "half-period") if spec.waveform.kind == "square" else (period, "period")
+    span, what = (period / 2.0, "half-period") if spec.waveform.kind == SQUARE else (period, "period")
     steps = span / dt
     if abs(steps - round(steps)) > 1e-6:
         raise ValueError(
             f"the injection {what} {span:.6g}s is not an integer multiple of dt={dt:.6g}s"
             + (": square-wave switching instants must fall on step boundaries"
-               if spec.waveform.kind == "square" else ""))
+               if spec.waveform.kind == SQUARE else ""))
 
 
 def _waveform_arrays(spec: InjectionSpec, dt: float, n_steps: int) -> tuple[np.ndarray, ...]:
     """The waveform values f0, fmid, f1 that `_rk4` takes for n_steps
     steps of dt from t = 0 under `spec`'s drive."""
     w, omega = spec.waveform, spec.omega
-    if w.kind == "square":
+    if w.kind == SQUARE:
         # switching instants sit on step boundaries (`_check_step`); derive
         # the sign from the integer step index, because the float phase
         # omega*dt*k eventually rounds to the wrong side of a boundary and a
@@ -290,14 +290,13 @@ def _rk4(rows: np.ndarray, R: np.ndarray, dt: float, X0: np.ndarray, u_bar: np.n
     closing the step (f1[k], left-sided). Given out (2, *lanes, steps), the
     flux at the start of step k goes to out[..., k]; nothing else is stored.
 
-    Each step is the binary float operations of u - R * i(X) per stage and
-    X + h6 * (k1 + 2 k2 + 2 k3 + k4), written into buffers allocated once
-    per call, with operands swapped at most, so the result is bit for bit
-    that of the plain expressions. A stage reuses the drive of the stage
-    before it, across steps too, when its waveform value has the same bits:
-    a square wave or the averaged system computes a drive once per half
-    period or once per call, a continuous drive once per closing stage and
-    midpoint, as f1[k] is f0[k + 1].
+    Each stage is `_stacked_currents` and u - R * i, each step X + h6 * (k1 +
+    2 k2 + 2 k3 + k4), all written into buffers allocated once per call, so
+    the result is bit for bit that of the plain expressions. A stage reuses
+    the drive of the stage before it, across steps too, when its waveform
+    value has the same bits: a square wave or the averaged system computes a
+    drive once per half period or once per call, a continuous drive once per
+    closing stage and midpoint, as f1[k] is f0[k + 1].
 
     A batch of at most `_FLOAT_LANES` lanes runs in `_rk4_floats` instead,
     where a step costs a few microseconds per lane rather than the ~60 array
@@ -305,7 +304,7 @@ def _rk4(rows: np.ndarray, R: np.ndarray, dt: float, X0: np.ndarray, u_bar: np.n
     """
     if math.prod(X0.shape[1:]) <= _FLOAT_LANES:
         return _rk4_floats(rows, R, dt, X0, u_bar, u_tilde, f0, fmid, f1, out)
-    c0, c1, c2, c3, e = rows
+    rows = tuple(rows)  # unpacked at every stage, which a tuple does without making views
     mul, add = np.multiply, np.add
     X = np.array(X0, dtype=float)  # a contiguous copy, the state buffer
     S, U, k1, k2, k3, k4, tmp = (np.empty_like(X) for _ in range(7))
@@ -313,41 +312,31 @@ def _rk4(rows: np.ndarray, R: np.ndarray, dt: float, X0: np.ndarray, u_bar: np.n
     h2, h6 = 0.5 * dt, dt / 6.0
     key = None  # the bits of the waveform value whose drive U holds
 
-    def rhs(X, Xd, Xq, f, k):
+    def rhs(X, f, k):
         """k = u - R * `_stacked_currents`(rows, X) under waveform value f."""
         nonlocal key
         if key != (f, math.copysign(1.0, f)):  # -0.0 == 0.0, but its drive may differ
             key = f, math.copysign(1.0, f)
             mul(u_tilde, f, U)
             add(u_bar, U, U)
-        mul(Xq, Xq, fq2)
-        mul(c2, Xd, k)
-        add(c1, k, k)
-        mul(Xd, k, k)
-        add(c0, k, k)
-        mul(c3, fq2, tmp)
-        add(k, tmp, k)
-        mul(X, k, k)
-        mul(e, fq2, tmp)
-        add(k, tmp, k)
+        _stacked_currents(rows, X, k, fq2, tmp)
         mul(R, k, k)
         np.subtract(U, k, k)
 
-    state, stage = (X, X[0], X[1]), (S, S[0], S[1])  # the axis rows as views made once
     steps = None if out is None else np.moveaxis(out, -1, 0)  # steps[k] is a view of out[..., k]
     for k, (a, m, b) in enumerate(zip(f0.tolist(), fmid.tolist(), f1.tolist())):  # f0 may run one longer
         if steps is not None:
             steps[k] = X
-        rhs(*state, a, k1)
+        rhs(X, a, k1)
         mul(h2, k1, S)
         add(X, S, S)
-        rhs(*stage, m, k2)
+        rhs(S, m, k2)
         mul(h2, k2, S)
         add(X, S, S)
-        rhs(*stage, m, k3)
+        rhs(S, m, k3)
         mul(dt, k3, S)
         add(X, S, S)
-        rhs(*stage, b, k4)
+        rhs(S, b, k4)
         mul(2.0, k2, k2)
         add(k1, k2, k1)
         mul(2.0, k3, k3)
@@ -360,8 +349,8 @@ def _rk4(rows: np.ndarray, R: np.ndarray, dt: float, X0: np.ndarray, u_bar: np.n
 
 def _rk4_floats(rows, R, dt, X0, u_bar, u_tilde, f0, fmid, f1, out):
     """`_rk4` one lane after another in Python floats: per lane and axis the
-    same binary operations on the same operands in the same order as the
-    array kernel, so the same bits, an overflow to inf or NaN included."""
+    same binary operations on the same operands in the same order as
+    `_stacked_currents` and `_rk4`, so the same bits, inf and NaN included."""
     lanes = X0.shape[1:]
     fs = list(zip(f0.tolist(), fmid.tolist(), f1.tolist()))
     h2, h6 = 0.5 * dt, dt / 6.0
@@ -522,7 +511,7 @@ def _record(p: MotorParams, spec: InjectionSpec, dt: float, n_steps: int, u_bar:
     if P <= _PARAREAL_MAX_SWEEPS or not _coarse_fits(p, spec.period):
         return _Traces(rows, dt, _sampled(rows, R, dt, np.zeros((2, n)), u_bar, u_tilde, drive), u_bar, u_tilde,
                        drive[0]), 0
-    C = 4 if spec.waveform.kind == "square" and spp % 4 == 0 else 1
+    C = 4 if spec.waveform.kind == SQUARE and spp % 4 == 0 else 1
     coarse_steps = _PARAREAL_COARSE_STEPS // C
     K, L, sign = P * C, spp // C, np.tile([1.0, 1.0, -1.0, -1.0][:C], P)  # sign[k]: chunk k's
     coarse_dt = L * dt / coarse_steps

@@ -41,6 +41,12 @@ class SweepSpec:
             raise ValueError(f"inject_axis must be 'd' or 'q', got {self.inject_axis!r}")
         if not (self.omega > 0 and self.u_tilde > 0):
             raise ValueError("omega and u_tilde must be positive")
+        if not math.isfinite(self.angle_deg):
+            raise ValueError("angle_deg must be finite")
+        if not all(math.isfinite(m) for m in self.magnitudes):
+            raise ValueError("magnitudes must be finite")
+        if not (math.isfinite(self.omega) and math.isfinite(self.u_tilde)):
+            raise ValueError("omega and u_tilde must be finite")
 
 
 @dataclasses.dataclass(frozen=True)

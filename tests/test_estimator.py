@@ -142,6 +142,9 @@ class TestPlanRuns:
         with pytest.raises(ValueError, match=f"^noise amplitude must be finite, got {amp}$"):
             list(simulate_plan(ipm, runs, measure_periods=2, noise_amp=amp))
 
+    def test_simulate_plan_of_no_runs_yields_nothing(self, ipm):
+        assert list(simulate_plan(ipm, [])) == []
+
 
 class TestEstimateL:
     def test_inverts_known_inductance(self):
@@ -705,6 +708,14 @@ class TestWorkers:
             finally:
                 tracemalloc.stop()
         assert peak <= 2 * record, (peak, record)
+
+    def test_worker_count_without_affinity(self, monkeypatch):
+        # a platform without os.sched_getaffinity counts os.cpu_count, which
+        # may not know
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        for cpus, n, want in ((None, 5, 1), (1, 5, 1), (8, 5, estimator._MAX_WORKERS), (8, 1, 1)):
+            monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+            assert estimator._worker_count(n) == want, (cpus, n)
 
     def test_result_independent_of_worker_count(self, ipm, monkeypatch, tmp_path):
         # the IPM fixture plan at 10 mA, simulated by the workers, read back

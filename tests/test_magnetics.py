@@ -119,6 +119,30 @@ class TestCurrentsFromFlux:
             assert c[0, k] == pytest.approx(want_d, rel=1e-14)
             assert c[1, k] == pytest.approx(want_q, rel=1e-14)
 
+    @pytest.mark.parametrize("lanes", [(7,), (7, 3)])
+    @pytest.mark.parametrize("name", ["ipm", "spm"])
+    def test_buffers_are_workspace(self, name, lanes, request):
+        # into the buffers out, fq2 and tmp, as the RK4 kernel calls it, the
+        # map returns out itself with the bits of the allocating call and of
+        # the plain expression, and leaves X as it was: NaN-filled buffers,
+        # a -0.0 start and a lane that overflows to inf included
+        p = request.getfixturevalue(name)
+        rows = _current_rows([p] * math.prod(lanes)).reshape(5, 2, *lanes)
+        X = np.random.default_rng(17).uniform(-0.3, 0.3, size=(2, *lanes))
+        X[:, 0] = -0.0
+        X[0, 1], X[1, 1] = 1e120, -1e120
+        given = X.tobytes()
+        out, fq2, tmp = np.full_like(X, np.nan), np.full(lanes, np.nan), np.full_like(X, np.nan)
+        with np.errstate(over="ignore", invalid="ignore"):
+            c0, c1, c2, c3, e = rows
+            plain = X * (c0 + X[0] * (c1 + c2 * X[0]) + c3 * (X[1] * X[1])) + e * (X[1] * X[1])
+            want = _stacked_currents(rows, X)
+            got = _stacked_currents(rows, X, out, fq2, tmp)
+        assert got is out
+        assert got.tobytes() == want.tobytes() == plain.tobytes()
+        assert X.tobytes() == given
+        assert np.isposinf(got[0, 1]).all() and np.isneginf(got[1, 1]).all()
+
     def test_gradient_of_energy(self):
         # central finite differences of the potential, relative 1e-6
         rng = np.random.default_rng(3)

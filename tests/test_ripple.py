@@ -127,8 +127,9 @@ class TestExtractRipple:
             extract_ripple(tr, spec, discard=2.5 * spec.period)
         with pytest.raises(TooShort):
             extract_ripple(tr, spec, discard=10 * spec.period)
-        with pytest.raises(ValueError, match="^discard must be >= 0$"):
-            extract_ripple(tr, spec, discard=-spec.period)
+        for discard in (-spec.period, math.nan):
+            with pytest.raises(ValueError, match="^discard must be >= 0$"):
+                extract_ripple(tr, spec, discard=discard)
 
     def test_unresolved(self):
         spec = InjectionSpec(0, 0, 10.0, 0, OMEGA, Waveform.square())

@@ -43,6 +43,16 @@ class TestAngleSweep:
         for omega, u_tilde in ((0.0, 30.0), (-OMEGA, 30.0), (OMEGA, 0.0), (OMEGA, -30.0)):
             with pytest.raises(ValueError, match="^omega and u_tilde must be positive$"):
                 SweepSpec(60.0, (1.0,), omega, Waveform.square(), u_tilde)
+        # refused as the sweep's fields, not later as an InjectionSpec's
+        for angle in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="^angle_deg must be finite$"):
+                SweepSpec(angle, (1.0,), OMEGA, Waveform.square(), 30.0)
+        for magnitude in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="^magnitudes must be finite$"):
+                SweepSpec(60.0, (1.0, magnitude), OMEGA, Waveform.square(), 30.0)
+        for omega, u_tilde in ((math.inf, 30.0), (OMEGA, math.inf)):
+            with pytest.raises(ValueError, match="^omega and u_tilde must be finite$"):
+                SweepSpec(60.0, (1.0,), omega, Waveform.square(), u_tilde)
 
     def test_zero_magnitude_is_linear_limit(self, ipm):
         s = SweepSpec(60.0, (0.0,), OMEGA, Waveform.square(), 30.0)
