@@ -6,6 +6,7 @@ from .injection import InjectionSpec, Waveform
 from .magnetics import (
     MotorParams,
     NonConvergence,
+    NumericalFailure,
     currents_from_flux,
     energy,
     flux_from_currents_exact,
@@ -46,6 +47,7 @@ __all__ = [
     "NonConvergence",
     "NonPhysical",
     "NotAtRest",
+    "NumericalFailure",
     "PlanRun",
     "RankDeficient",
     "RippleMeasurement",

@@ -22,28 +22,15 @@ import sys
 from pathlib import Path
 
 from .config import ProjectConfig, load_config, step_files
-from .estimator import (
-    ZeroRipple,
-    NonPhysical,
-    NotAtRest,
-    RankDeficient,
-    identify,
-    plan_runs,
-    run_identification,
-    write_simulated,
-)
-from .magnetics import NonConvergence
-from .ripple import TooShort, Unresolved
-from .simulator import StepTooLarge, Trace
-from .textio import ConfigError, read_manifest, write_manifest, write_report
+from .estimator import identify, plan_runs, run_identification, write_simulated
+from .magnetics import NumericalFailure
+from .simulator import Trace
+from .textio import read_manifest, write_manifest, write_report
 from .validation import angle_sweep, flux_by_integration, magnetization_curves, step_response
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
 EXIT_NUMERICAL = 2
-
-_NUMERICAL_ERRORS = (NonConvergence, StepTooLarge, TooShort, Unresolved, ZeroRipple,
-                     RankDeficient, NotAtRest, NonPhysical)
 
 
 def _run_name(idx: int, role: str, i_target: float) -> str:
@@ -173,10 +160,10 @@ def main(argv=None) -> int:
         if args.command == "validate":
             return cmd_validate(config)
         return cmd_curves(config)
-    except (ConfigError, OSError, ValueError) as exc:
+    except (OSError, ValueError) as exc:  # a refused input, a config's ConfigError included
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except _NUMERICAL_ERRORS as exc:
+    except NumericalFailure as exc:
         print(f"numerical failure: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
 

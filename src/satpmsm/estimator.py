@@ -60,7 +60,7 @@ from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 import numpy as np
 
 from .injection import SQUARE, InjectionSpec, Waveform
-from .magnetics import MotorParams, _current_coefficients, _current_monomials, _hessian
+from .magnetics import MotorParams, NumericalFailure, _current_coefficients, _current_monomials, _hessian
 from .ripple import RippleMeasurement, TooShort, Unresolved, _centred, _ripple_fit, period_blocks, rebuild_flux
 from .simulator import SimConfig, Trace, simulate_batch
 
@@ -77,21 +77,21 @@ _THETA_BASIS = np.eye(len(PARAM_NAMES))  # one-hot theta: the model as regressor
 _AT_REST_FACTOR = 5.0
 
 
-class ZeroRipple(RuntimeError):
+class ZeroRipple(NumericalFailure):
     """Measured ripple is indistinguishable from zero; cannot divide by it."""
 
 
-class NonPhysical(RuntimeError):
-    """The fit gives an inductance that is not positive and finite, as data
-    with a reversed current channel do."""
+class NonPhysical(NumericalFailure):
+    """An estimated inductance is not positive and finite, as data with a
+    reversed current channel give."""
 
 
-class NotAtRest(RuntimeError):
+class NotAtRest(NumericalFailure):
     """A trace does not start de-energized, so integrating u - R i from its
     first sample would not give its flux."""
 
 
-class RankDeficient(RuntimeError):
+class RankDeficient(NumericalFailure):
     """The regressor matrix does not determine the coefficients."""
 
 
@@ -184,7 +184,7 @@ def estimate_L(runs: Sequence[PlanRun], meas: Sequence[RippleMeasurement]) -> In
     i_tilde) on axis d of the first zero-bias run that injects d, and on
     axis q of the first that injects q, each at its own run's amplitude and
     pulsation. Zero-bias runs are found by their drive, as `identify` finds
-    them; a missing axis raises ValueError."""
+    them; a missing axis raises ValueError, a non-positive L NonPhysical."""
     zero_bias = [(run.spec, m) for run, m in zip(runs, meas, strict=True)
                  if run.spec.u_bar_d == run.spec.u_bar_q == 0.0]
     L, sigma_L = [], []
@@ -195,7 +195,10 @@ def estimate_L(runs: Sequence[PlanRun], meas: Sequence[RippleMeasurement]) -> In
         sigma = float(m.sigma_i_tilde[a])
         i_tilde = _checked_ripple(float(m.i_tilde[a]), sigma, f"{axis}-axis zero-bias run")
         L.append(getattr(spec, f"u_tilde_{axis}") / (spec.omega * i_tilde))
-        sigma_L.append(abs(L[-1]) * sigma / abs(i_tilde))
+        if not 0.0 < L[-1] < math.inf:
+            raise NonPhysical(f"{axis}-axis zero-bias run: estimated L{axis} = {L[-1]:.6g} H, but an inductance "
+                              "must be positive: check the sign of the current channels")
+        sigma_L.append(L[-1] * sigma / abs(i_tilde))
     return InductanceEstimate(*L, *sigma_L)
 
 
@@ -459,10 +462,10 @@ def write_simulated(motor: MotorParams, runs: Sequence[PlanRun], paths: Sequence
 # 0.34 s. Each worker holds its slice's flux record and one run at a time;
 # `estimate` on the SPM fixture at 10 mA peaks at 43 MB in the parent and
 # 38 MB in the child (BENCH_24.json); multiprocessing's modules add about
-# 0.7 MB to the parent (BENCH_28.json). Every worker repeats its plan's 24
-# coarse parareal calls (P - 1 at 25 periods, 3n lanes wide) and holds its
-# own memory, so more workers are unmeasured and may cost more than they
-# save.
+# 0.7 MB to the parent (BENCH_28.json). Every worker repeats its record's
+# coarse pass (3(K - 1) steps at n lanes for K quarter periods, plus at most
+# four Jacobian calls) and holds its own memory, so more workers are
+# unmeasured and may cost more than they save.
 _MAX_WORKERS = 2
 
 
@@ -482,7 +485,7 @@ def _in_slices(fn: Callable[[int, int], object], n: int) -> list:
     in a child that `multiprocessing` forks for it, the last in this process.
 
     The first exception in slice order is raised here as `_child` sent it; a
-    child that leaves no result raises RuntimeError with its exit status.
+    child that leaves no result raises ChildProcessError with its exit status.
     On every exit path all pipes are closed before every child is joined,
     so no child outlives the call and one blocked on a full pipe cannot
     hang it. Where the platform cannot fork, other threads run (a fork
@@ -517,7 +520,7 @@ def _in_slices(fn: Callable[[int, int], object], n: int) -> list:
                 outcomes.append(r.recv())
             except EOFError:
                 child.join()
-                outcomes.append((False, RuntimeError(
+                outcomes.append((False, ChildProcessError(
                     f"worker {j} of {k} left no result (exit status {child.exitcode})")))
     finally:
         for r in readers:

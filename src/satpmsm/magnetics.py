@@ -20,7 +20,12 @@ import math
 import numpy as np
 
 
-class NonConvergence(RuntimeError):
+class NumericalFailure(RuntimeError):
+    """A failure the data cause, not the input's form: the CLI exits 2 on
+    it, and on a ValueError or OSError, a refused input, it exits 1."""
+
+
+class NonConvergence(NumericalFailure):
     """Newton inversion of the flux-current map failed to converge.
 
     Signals a current target outside the locally invertible region of the

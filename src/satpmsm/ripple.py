@@ -28,17 +28,18 @@ import math
 import numpy as np
 
 from .injection import SQUARE, F_array, InjectionSpec
+from .magnetics import NumericalFailure
 from .simulator import MIN_WHOLE_PERIODS, Trace
 
 MIN_SAMPLES_PER_PERIOD = 16
 
 
-class TooShort(RuntimeError):
+class TooShort(NumericalFailure):
     """A record holds fewer than `MIN_WHOLE_PERIODS` whole injection periods
     of samples from its first sample at or after the discard."""
 
 
-class Unresolved(RuntimeError):
+class Unresolved(NumericalFailure):
     """The trace sampling does not resolve the injection period."""
 
 

@@ -47,7 +47,8 @@ from typing import Sequence
 import numpy as np
 
 from .injection import SQUARE, F_array, InjectionSpec, f_array
-from .magnetics import MotorParams, NonConvergence, _current_rows, _stacked_currents, flux_from_currents_first_order
+from .magnetics import (MotorParams, NonConvergence, NumericalFailure, _current_rows, _stacked_currents,
+                        flux_from_currents_first_order)
 
 _CSV_HEADER = ("t", "u_d", "u_q", "i_d", "i_q")  # the measured channels: all a trace file holds
 
@@ -82,7 +83,7 @@ def _write_columns(path, header: str, *columns) -> None:
         fh.write((row * len(values)) % tuple(values.ravel().tolist()))
 
 
-class StepTooLarge(RuntimeError):
+class StepTooLarge(NumericalFailure):
     """dt does not resolve the injection period (under-resolved ripple)."""
 
 
@@ -262,10 +263,10 @@ def _waveform_arrays(spec: InjectionSpec, dt: float, n_steps: int) -> tuple[np.n
 def _stacked_drive(specs: Sequence[InjectionSpec], dt: float) -> tuple[np.ndarray, np.ndarray]:
     """u_bar and u_tilde of a batch of runs as (2, n) d and q rows; the runs
     must share waveform and pulsation, resolved by the step dt."""
-    for s in specs:
+    _check_step(specs[0], dt)  # it reads only the period and the waveform kind, which every spec shares
+    for s in specs[1:]:
         if s.waveform != specs[0].waveform or s.omega != specs[0].omega:
             raise ValueError("batched runs must share waveform and omega")
-        _check_step(s, dt)
     return (np.array([[s.u_bar_d for s in specs], [s.u_bar_q for s in specs]]),
             np.array([[s.u_tilde_d for s in specs], [s.u_tilde_q for s in specs]]))
 

@@ -482,6 +482,16 @@ class TestEstimateCommand:
         assert code == 2
         assert capsys.readouterr().err.startswith("numerical failure: NonPhysical: estimated 1/Ld = -")
 
+    def test_dead_worker_exit_code(self, cfg_path, capsys, monkeypatch):
+        # a worker that dies without a result is no numerical failure of the
+        # data: one error line naming the worker and its exit status, exit 1
+        monkeypatch.setattr(estimator, "_worker_count", lambda n: 2)
+        monkeypatch.setattr(estimator, "_child", lambda *args: os._exit(3))
+        assert main(["estimate", "--config", str(cfg_path), "--out", str(cfg_path.parent / "x")]) == 1
+        assert capsys.readouterr().err == "error: worker 0 of 2 left no result (exit status 3)\n"
+        with pytest.raises(ChildProcessError):  # the worker reaped
+            os.waitpid(-1, os.WNOHANG)
+
     def test_same_files_for_any_worker_count(self, tmp_path, monkeypatch):
         # the IPM fixture's plan at 10 mA, simulated by one, two or three
         # workers: the same trace files and manifest, byte for byte

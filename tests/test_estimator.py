@@ -192,6 +192,17 @@ class TestEstimateL:
         assert est.L_d == pytest.approx(0.0919, rel=1e-12)
         assert est.L_q == pytest.approx(0.0458, rel=1e-12)
 
+    @pytest.mark.parametrize("axis, ms", [("d", (meas(i_tilde_d=-0.1), meas(i_tilde_q=-0.2))),
+                                          ("q", (meas(i_tilde_d=0.1), meas(i_tilde_q=-0.2)))])
+    def test_non_positive_inductance_refused(self, axis, ms):
+        # ripples of reversed sign, as reversed current sensors record them,
+        # give a negative inductance: refused naming the first axis they hit
+        L = 30.0 / (OMEGA * -(0.1 if axis == "d" else 0.2))
+        with pytest.raises(NonPhysical, match="^" + re.escape(
+                f"{axis}-axis zero-bias run: estimated L{axis} = {L:.6g} H, but an inductance must be positive: "
+                "check the sign of the current channels") + "$"):
+            estimate_L(plan_runs(ipm_plan(), R=12.15), list(ms))
+
     def test_missing_axis_refused(self):
         runs = plan_runs(ipm_plan(id_grid=(1.0,)), R=12.15)
         ms = [meas(i_tilde_d=1.0), meas(i_tilde_q=1.0), meas(i_tilde_d=1.0)]
@@ -838,7 +849,7 @@ class TestWorkers:
         assert _in_slices(lambda lo, hi: lo, 3) == [0, 1, 2]
         with pytest.raises(ValueError, match="slice 1 failed"):
             _in_slices(fails, 3)
-        with pytest.raises(RuntimeError, match=re.escape("left no result (exit status 3)")):
+        with pytest.raises(ChildProcessError, match=re.escape("left no result (exit status 3)")):
             _in_slices(lambda lo, hi: os._exit(3) if lo == 0 else lo, 3)
         assert sorted(os.listdir("/proc/self/fd")) == before
 
@@ -846,7 +857,7 @@ class TestWorkers:
         # a child that leaves without writing its result is an error with
         # its exit status, not a hang
         monkeypatch.setattr(estimator, "_worker_count", lambda n: 2)
-        with pytest.raises(RuntimeError, match=re.escape("left no result (exit status 3)")):
+        with pytest.raises(ChildProcessError, match=re.escape("left no result (exit status 3)")):
             _in_slices(lambda lo, hi: os._exit(3) if lo == 0 else lo, 2)
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)

@@ -1,4 +1,5 @@
 import ast
+import importlib
 import os
 import re
 import subprocess
@@ -19,6 +20,19 @@ def test_exports_resolve_and_are_listed():
     imported = {alias.asname or alias.name for node in tree.body
                 if isinstance(node, ast.ImportFrom) for alias in node.names}
     assert sorted(n for n in imported if not n.startswith("_") and n not in exported) == []
+
+
+def test_every_exception_is_one_exit_code_family():
+    # every exception class the package defines is a refused input
+    # (ValueError, exit 1) or a numerical failure (exit 2), so the CLI
+    # reports each as one line, by its family alone
+    src = Path(satpmsm.__file__).parent
+    modules = [importlib.import_module(f"satpmsm.{path.stem}") for path in sorted(src.glob("*.py"))
+               if path.stem != "__init__"]
+    defined = [obj for module in modules for obj in vars(module).values()
+               if isinstance(obj, type) and issubclass(obj, BaseException) and obj.__module__ == module.__name__]
+    assert satpmsm.NumericalFailure in defined
+    assert [cls.__name__ for cls in defined if not issubclass(cls, (ValueError, satpmsm.NumericalFailure))] == []
 
 
 def test_readme_library_example_runs():

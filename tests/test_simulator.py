@@ -873,6 +873,11 @@ class TestTraceCsv:
                 f"trace CSV {path}: a trace needs at least 2 samples, got {rows}")):
             Trace.from_csv(path)
 
+    def test_unknown_parse_fault_passed_through(self):
+        # a numpy message of no form told here is reported as numpy words it
+        message = "could not read the file"
+        assert simulator._parse_fault(message, ["t", "u_d", "u_q", "i_d", "i_q"], "0,1,0,0.5,0\n") == message
+
     def test_comment_and_blank_lines_skipped(self, tmp_path):
         # neither is a ragged row: numpy skips them, and so does the check
         path = tmp_path / "notes.csv"
