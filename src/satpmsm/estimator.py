@@ -221,17 +221,6 @@ def gram_fit(xtx: np.ndarray, xty: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return xtx_inv @ xty, xtx_inv
 
 
-def _fit_with_sigma(X, y, sigma_y):
-    """OLS of y on the columns of X by its normal equations.
-
-    Returns the coefficients, their standard errors from the independent
-    per-point noise sigma_y, and the residual RMS.
-    """
-    beta, xtx_inv = gram_fit(X.T @ X, X.T @ y)
-    A = xtx_inv @ X.T
-    return beta, np.sqrt((A * A) @ (np.asarray(sigma_y) ** 2)), float(np.sqrt(np.mean((y - X @ beta) ** 2)))
-
-
 def estimate_saturation(runs: Sequence[PlanRun], meas: Sequence[RippleMeasurement],
                         L_d: float, L_q: float) -> SaturationEstimate:
     """The five saturation coefficients from the settled ripples `meas` of
@@ -246,8 +235,12 @@ def estimate_saturation(runs: Sequence[PlanRun], meas: Sequence[RippleMeasuremen
     X = np.array([_ripple_model(_THETA_BASIS, L_d * m.i_bar[0], L_q * m.i_bar[1], run.spec)
                   for run, m in zip(runs, meas, strict=True)]).reshape(-1, len(PARAM_NAMES))
     y = np.ravel([m.i_tilde for m in meas]) - X[:, :2] @ (1.0 / L_d, 1.0 / L_q)
+    X = X[:, 2:]  # the five saturation columns
     sigma_y = np.ravel([m.sigma_i_tilde for m in meas])
-    beta, sig, rms = _fit_with_sigma(X[:, 2:], y, sigma_y)
+    beta, xtx_inv = gram_fit(X.T @ X, X.T @ y)
+    A = xtx_inv @ X.T
+    sig = np.sqrt((A * A) @ sigma_y**2)
+    rms = float(np.sqrt(np.mean((y - X @ beta) ** 2)))
     names = PARAM_NAMES[2:]
     return SaturationEstimate(dict(zip(names, beta.tolist())), dict(zip(names, sig.tolist())), rms)
 

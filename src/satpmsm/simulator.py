@@ -84,7 +84,8 @@ def _write_columns(path, header: str, *columns) -> None:
 
 
 class StepTooLarge(NumericalFailure):
-    """dt does not resolve the injection period (under-resolved ripple)."""
+    """dt does not resolve the injection period (under-resolved ripple), or
+    a simulated response that leaves the finite range."""
 
 
 @dataclasses.dataclass(frozen=True)
@@ -402,11 +403,16 @@ class _Traces(collections.abc.Sequence):
     coefficient rows `rows` under the drive u_bar + u_tilde * f0, built when
     it is taken: lane j's currents and voltages are computed on each access,
     so no current or voltage array of the whole batch exists. The channels
-    are read-only and share one t; the flux stays on the record (`flux`)."""
+    are read-only and share one t; the flux stays on the record (`flux`). A
+    flux that is not finite, a run that ran away, raises StepTooLarge."""
 
     def __init__(self, rows: np.ndarray, dt: float, phi: np.ndarray, u_bar: np.ndarray, u_tilde: np.ndarray,
                  f0: np.ndarray) -> None:
         self._t = np.arange(phi.shape[-1]) * dt
+        if not np.isfinite([phi.min(initial=0.0), phi.max(initial=0.0)]).all():  # no temporary of phi's size
+            j, k = np.argwhere(~np.isfinite(phi).all(axis=0))[0]  # the first lane with one, then its first sample
+            raise StepTooLarge(f"the response to u_bar = ({u_bar[0, j]:g}, {u_bar[1, j]:g}) V left the finite range"
+                               f" at t = {self._t[k]:g} s: dt = {dt:g} s does not resolve it")
         for a in (self._t, phi):
             a.flags.writeable = False
         self._rows, self._phi, self._u_bar, self._u_tilde, self._f0 = rows, phi, u_bar, u_tilde, f0
@@ -530,7 +536,7 @@ def _record(p: MotorParams, spec: InjectionSpec, dt: float, n_steps: int, u_bar:
         for ks in np.array_split(np.arange(K - 1), min(4, K - 1)):  # half a fine sweep wide: below its memory
             m = n * len(ks)  # the lanes (j, k) of the starts U[k] the call takes G's Jacobian at
             fd, hq = _fd_starts(U[..., ks].reshape(2, m))
-            fd_end = _rk4(*(np.repeat(a[..., :1], 2 * m, axis=-1) for a in (rows, R)), coarse_dt, fd,
+            fd_end = _rk4(*(np.tile(a[..., ks].reshape(*a.shape[:-2], m), 2) for a in (rows_p, R_p)), coarse_dt, fd,
                           *(np.tile(a[..., ks].reshape(2, m), 2) for a in (u_bar_p, u_tilde_p)), *coarse)
             J[..., ks] = _fd_jacobian(U[..., ks + 1].reshape(2, m), fd_end, hq).reshape(2, 2, n, len(ks))
         phi = np.empty((2, n, n_steps + 1))
@@ -623,45 +629,48 @@ def _shooting_step(phi: np.ndarray, r: np.ndarray, J: np.ndarray) -> np.ndarray:
     return step * (limit / np.maximum(np.hypot(*step), limit))
 
 
-def _shoot(p: MotorParams, spec: InjectionSpec, dt: float, steps: int, u_bar: np.ndarray, u_tilde: np.ndarray,
-           phi: np.ndarray, J: np.ndarray, fd: np.ndarray) -> tuple[np.ndarray, ...]:
-    """Newton shooting of n runs of motor p on the period map of `steps`
-    steps of dt under spec's waveform, from the (2, n) starts phi: a run
-    whose one-period residual is at most `_SHOOT_TOL` on both axes keeps
-    its start, and the loop ends when every run does, or after
+def _shoot(rows: np.ndarray, R: np.ndarray, spec: InjectionSpec, maps: Sequence[tuple[float, int]],
+           u_bar: np.ndarray, u_tilde: np.ndarray, phi: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Newton shooting of n runs, run j on the motor operands rows[..., j]
+    and R[:, j] (`_lanes`), from the (2, n) starts phi, on each period map
+    (dt, steps) of maps in turn, `steps` steps of dt under spec's waveform:
+    a run whose one-period residual is at most `_SHOOT_TOL` on both axes
+    keeps its start, and a map is done when every run is, or after
     `_SHOOT_MAX_ITER` steps.
 
-    Each step integrates one period of the runs still open, and of the
-    `_fd_starts` of those of them where fd, in one batch: those runs take
-    the Jacobian (`_fd_jacobian`) at their start of each step, the others
-    keep theirs from J (2, 2, n). A run that converges keeps the record and
-    end of the step that confirmed it; `_rk4` gives the same bits at any
-    width, so that is what a later step would integrate again. Returns the
-    starts, the Jacobians, the mask of runs still open, and the record
-    (2, n, steps) and end (2, n) of the last period integrated from each
-    run's start.
+    Each step integrates one period of the runs still open, and the
+    `_fd_starts` of those that take their Jacobian (`_fd_jacobian`) at each
+    start, in one batch of their own lanes. Every run does so on the first
+    map; on a later one a run converged on the map before keeps that map's
+    Jacobian at its start, and a run left open restarts where it started it.
+    A run that converges keeps the record and end of the step that confirmed
+    it; `_rk4` gives the same bits at any width, so that is what a later step
+    would integrate again. Returns the mask of runs open on the last map, and
+    the record (2, n, steps) and end (2, n) of its last period from each start.
     """
     n = phi.shape[1]
-    rows, R = _lanes([p] * (n + 2 * np.count_nonzero(fd)))  # the first, widest batch; each later one a prefix
-    waveform = _waveform_arrays(spec, dt, steps)
-    record, end, r, J = np.empty((2, n, steps)), np.empty((2, n)), np.empty((2, n)), J.copy()
-    open_ = np.ones(n, dtype=bool)
-    for _ in range(_SHOOT_MAX_ITER):
-        runs = np.flatnonzero(open_)
-        fd_runs = runs[fd[runs]]
-        lanes = np.concatenate((runs, fd_runs, fd_runs))
-        starts, hq = _fd_starts(phi[:, fd_runs])
-        out = np.empty((2, len(lanes), steps))
-        ends = _rk4(rows[..., :len(lanes)], R[:, :len(lanes)], dt, np.concatenate((phi[:, runs], starts), axis=1),
-                    u_bar[:, lanes], u_tilde[:, lanes], *waveform, out)
-        record[:, runs], end[:, runs] = out[:, :len(runs)], ends[:, :len(runs)]
-        J[..., fd_runs] = _fd_jacobian(end[:, fd_runs], ends[:, len(runs):], hq)
-        r[:, runs] = end[:, runs] - phi[:, runs]
-        open_[runs] = ~np.all(np.abs(r[:, runs]) <= _SHOOT_TOL, axis=0)  # NaN stays open
-        if not open_.any():
-            break
-        phi = np.where(open_, phi + _shooting_step(phi, r, J), phi)
-    return phi, J, open_, record, end
+    J, fd = np.empty((2, 2, n)), np.ones(n, dtype=bool)
+    for dt, steps in maps:
+        waveform = _waveform_arrays(spec, dt, steps)
+        record, end, r, start = np.empty((2, n, steps)), np.empty((2, n)), np.empty((2, n)), phi
+        open_ = np.ones(n, dtype=bool)
+        for _ in range(_SHOOT_MAX_ITER):
+            runs = np.flatnonzero(open_)
+            fd_runs = runs[fd[runs]]
+            lanes = np.concatenate((runs, fd_runs, fd_runs))
+            starts, hq = _fd_starts(phi[:, fd_runs])
+            out = np.empty((2, len(lanes), steps))
+            ends = _rk4(rows[..., lanes], R[:, lanes], dt, np.concatenate((phi[:, runs], starts), axis=1),
+                        u_bar[:, lanes], u_tilde[:, lanes], *waveform, out)
+            record[:, runs], end[:, runs] = out[:, :len(runs)], ends[:, :len(runs)]
+            J[..., fd_runs] = _fd_jacobian(end[:, fd_runs], ends[:, len(runs):], hq)
+            r[:, runs] = end[:, runs] - phi[:, runs]
+            open_[runs] = ~np.all(np.abs(r[:, runs]) <= _SHOOT_TOL, axis=0)  # NaN stays open
+            if not open_.any():
+                break
+            phi = np.where(open_, phi + _shooting_step(phi, r, J), phi)
+        fd, phi = open_, np.where(open_, start, phi)  # a run left open restarts the next map where it started
+    return open_, record, end
 
 
 def simulate_periodic(p: MotorParams, specs: Sequence[InjectionSpec], *,
@@ -673,12 +682,12 @@ def simulate_periodic(p: MotorParams, specs: Sequence[InjectionSpec], *,
 
     Each run starts at the flux phi0 that solves P(phi0) = phi0 for the
     one-period map P, found by Newton shooting (Aprille & Trick, Proc. IEEE
-    1972) with all runs in one batch (`_shoot`). The Jacobian comes from
-    forward differences: the starts phi0 and `_fd_starts`(phi0) of every run
-    integrate one period side by side, and `_shooting_step` turns the three
-    ends into each run's step. The warm start is the first-order inverse at
-    the mean current i_bar = u_bar / R, shifted by the ripple flux
-    u_tilde * F(0) / omega at t = 0.
+    1972) with all runs in one batch, one lane each (`_shoot`). The Jacobian
+    comes from forward differences: the starts phi0 and `_fd_starts`(phi0)
+    of every run integrate one period side by side, and `_shooting_step`
+    turns the three ends into each run's step. The warm start is the
+    first-order inverse at the mean current i_bar = u_bar / R, shifted by
+    the ripple flux u_tilde * F(0) / omega at t = 0.
 
     Newton runs first on the coarse period map of `_PARAREAL_COARSE_STEPS`
     steps, from the warm start, where the period `_coarse_fits`; then on
@@ -694,30 +703,25 @@ def simulate_periodic(p: MotorParams, specs: Sequence[InjectionSpec], *,
     NonConvergence naming its mean current.
 
     The record's first period is the one that confirmed phi0; the others
-    are one `_sampled` pass from its end, so the record is bit for bit one
-    pass of `MIN_WHOLE_PERIODS` periods from phi0.
+    are one `_sampled` pass from its end on the same lanes, so the record
+    is bit for bit one pass of `MIN_WHOLE_PERIODS` periods from phi0.
     """
     if not specs:
         return _NO_RUNS
     dt = specs[0].period / steps_per_period
     u_bar, u_tilde = _stacked_drive(specs, dt)
-    n = len(specs)
+    rows, R = _lanes([p] * len(specs))
     i_bar = u_bar / p.R
     phi = flux_from_currents_first_order(p, i_bar)
     phi = phi + u_tilde * float(F_array(specs[0].waveform, 0.0)) / specs[0].omega
-    J, fd = np.empty((2, 2, n)), np.ones(n, dtype=bool)
-    coarse_dt = specs[0].period / _PARAREAL_COARSE_STEPS
+    maps = [(specs[0].period / _PARAREAL_COARSE_STEPS, _PARAREAL_COARSE_STEPS)] * _coarse_fits(p, specs[0].period)
     with np.errstate(over="ignore", invalid="ignore"):  # a run that runs away is reported below
-        if _coarse_fits(p, specs[0].period):
-            shot, J, fd, *_ = _shoot(p, specs[0], coarse_dt, _PARAREAL_COARSE_STEPS, u_bar, u_tilde, phi, J, fd)
-            phi = np.where(fd, phi, shot)  # a run still open starts the fine map where it started the coarse one
-        phi, _, open_, first, end = _shoot(p, specs[0], dt, steps_per_period, u_bar, u_tilde, phi, J, fd)
+        open_, first, end = _shoot(rows, R, specs[0], maps + [(dt, steps_per_period)], u_bar, u_tilde, phi)
     if open_.any():
         d, q = i_bar[:, np.argmax(open_)]
         raise NonConvergence(
             f"no periodic orbit within {_SHOOT_MAX_ITER} shooting steps for the run at "
             f"i_bar = ({d:.6g}, {q:.6g}) A, |i_bar| = {math.hypot(d, q):.6g} A")
-    rows, R = _lanes([p] * n)
     drive = _waveform_arrays(specs[0], dt, MIN_WHOLE_PERIODS * steps_per_period)
     record = np.concatenate(
         (first, _sampled(rows, R, dt, end, u_bar, u_tilde, tuple(f[steps_per_period:] for f in drive))), axis=-1)

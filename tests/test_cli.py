@@ -568,6 +568,26 @@ class TestValidateAndCurves:
         path.write_text("[motor]\nR_ohm = -5\n")
         assert main(["estimate", "--config", str(path)]) == 1
 
+    def test_validate_runaway_step_exit_code(self, tmp_path, capsys):
+        # a simulated response that overflows is a numerical failure naming
+        # its drive, not a trace file's refused data row
+        text = (Path(__file__).resolve().parents[1] / "configs" / "ipm.cfg").read_text()
+        path = tmp_path / "ipm_huge_step.cfg"
+        path.write_text(text.replace("[validate]\n", "[validate]\nstep_volts_V = 1e6\n"))
+        assert main(["validate", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == (
+            "numerical failure: StepTooLarge: the response to u_bar = (1e+06, 0) V left the finite range at "
+            "t = 9.07654e-05 s: dt = 4.53827e-05 s does not resolve it\n")
+
+    def test_estimate_runaway_bias_exit_code(self, tmp_path, capsys):
+        text = (Path(__file__).resolve().parents[1] / "configs" / "ipm.cfg").read_text()
+        path = tmp_path / "ipm_huge_bias.cfg"
+        path.write_text(text.replace("id_max_A = 2.0", "id_max_A = 1e6").replace("id_step_A = 0.3", "id_step_A = 5e5"))
+        assert main(["estimate", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == (
+            "numerical failure: StepTooLarge: the response to u_bar = (-1.215e+07, 0) V left the finite range at "
+            "t = 2e-05 s: dt = 1e-05 s does not resolve it\n")
+
     def test_numerical_failure_exit_code(self, tmp_path, capsys):
         # a strongly folded d-axis curve is not invertible across the
         # requested curve grid: curves must exit 2 and name the point

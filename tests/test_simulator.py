@@ -11,7 +11,8 @@ from satpmsm import simulator
 from satpmsm.config import load_config
 from satpmsm.estimator import plan_runs
 from satpmsm.injection import F_array, InjectionSpec, Waveform
-from satpmsm.magnetics import MotorParams, _stacked_currents, energy, flux_from_currents_exact
+from satpmsm.magnetics import (MotorParams, _stacked_currents, energy, flux_from_currents_exact,
+                               flux_from_currents_first_order)
 from satpmsm.simulator import (
     SimConfig,
     StepTooLarge,
@@ -716,6 +717,32 @@ class TestCoarseFirstShooting:
         # the fine orbit is the periodic steady state all the same
         for a in alone:
             assert np.all(np.abs(a.flux[:, 0, 200] - a.flux[:, 0, 0]) <= 1e-12)
+
+    def test_lane_comes_out_as_alone_whatever_motor_its_neighbours_carry(self, ipm, spm, rk4_calls):
+        # `_shoot` reads every run's motor from its own lane: an IPM and an
+        # SPM run under the fixtures' 500 Hz square drives, each on the
+        # coarse map first, give in one call the record and end each gives
+        # alone, bit for bit
+        runs = [(ipm, square_spec(ipm.R * 1.0, ipm.R * 1.5, u_tilde_d=30.0)),
+                (spm, square_spec(spm.R * 2.0, spm.R * 3.0, u_tilde_d=40.0))]
+        period = runs[0][1].period
+        assert all(simulator._coarse_fits(p, period) for p, _ in runs)
+        maps = [(period / simulator._PARAREAL_COARSE_STEPS, simulator._PARAREAL_COARSE_STEPS), (period / 200, 200)]
+
+        def shoot(lanes):
+            u_bar, u_tilde = simulator._stacked_drive([spec for _, spec in lanes], period / 200)
+            phi = np.concatenate([flux_from_currents_first_order(p, u_bar[:, j, None] / p.R)
+                                  + u_tilde[:, j, None] * F_array(spec.waveform, 0.0) / spec.omega
+                                  for j, (p, spec) in enumerate(lanes)], axis=1)
+            return simulator._shoot(*simulator._lanes([p for p, _ in lanes]), lanes[0][1], maps, u_bar, u_tilde, phi)
+
+        open_, record, end = shoot(runs)
+        assert rk4_calls[0] == (simulator._PARAREAL_COARSE_STEPS, (6,)) and not open_.any()
+        for j, run in enumerate(runs):
+            alone_open, alone_record, alone_end = shoot([run])
+            assert not alone_open.any()
+            assert record[:, j].tobytes() == alone_record[:, 0].tobytes()
+            assert end[:, j].tobytes() == alone_end[:, 0].tobytes()
 
     def test_converged_run_keeps_its_start_bit_for_bit(self, ipm):
         # a run with no drive rests where its warm start puts it, at the

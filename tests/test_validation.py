@@ -183,6 +183,13 @@ class TestStepResponse:
         r, = step_response(p, [5.0], 0.02)
         assert np.array_equal(r.saturated.i[0], r.linear.i[0])
 
+    def test_runaway_names_the_step(self, ipm):
+        # a 1 MV step leaves the finite range within a few steps: a numerical
+        # failure naming the drive, not a refused trace
+        with pytest.raises(simulator.StepTooLarge, match=r"^the response to u_bar = \(1e\+06, 0\) V left the finite "
+                           r"range at t = \S+ s: dt = \S+ s does not resolve it$"):
+            step_response(ipm, [6.0, 1e6], 0.05)
+
     def test_small_step_stays_linear(self, ipm):
         r, = step_response(ipm, [ipm.R * 0.05], 0.05)
         scale = float(np.max(np.abs(r.linear.i[0])))
