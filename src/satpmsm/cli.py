@@ -86,7 +86,7 @@ def cmd_estimate(config: ProjectConfig, seed: int, ingest: Path | None) -> int:
 
 def cmd_validate(config: ProjectConfig) -> int:
     config.out_dir.mkdir(parents=True, exist_ok=True)
-    result = angle_sweep(config.motor, config.sweep, steps_per_period=config.steps_per_period)
+    result = angle_sweep(config.motor, config.plan, config.sweep, steps_per_period=config.steps_per_period)
     sweep_path = config.out_dir / f"angle_sweep_{config.sweep.angle_deg:g}deg.csv"
     result.write_csv(sweep_path)
     print(f"wrote {sweep_path}")

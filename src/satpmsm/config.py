@@ -156,8 +156,7 @@ def load_config(path) -> ProjectConfig:
             raise ConfigError(f"{where}: step_volts_V {step_volts[names.index(name)]!r} and "
                               f"{step_volts[j]!r} both write {name}")
     sweep = checked(where, SweepSpec, angle_deg=get_float(va, "angle_deg", where) if "angle_deg" in va else 60.0,
-                    magnitudes=mag_grid, omega=plan.omega, waveform=plan.waveform, u_tilde=plan.u_tilde,
-                    inject_axis=va.get("inject_axis", "d"))
+                    magnitudes=mag_grid, inject_axis=va.get("inject_axis", "d"))
     step_t_end = get_float(va, "step_t_end_s", where) if "step_t_end_s" in va else 12.0 * motor.Ld / motor.R
     if step_t_end <= 0:
         raise ConfigError(f"{where}: step_t_end_s must be positive")

@@ -62,7 +62,7 @@ import numpy as np
 from .injection import SQUARE, InjectionSpec, Waveform
 from .magnetics import MotorParams, NumericalFailure, _current_coefficients, _current_monomials, _hessian
 from .ripple import RippleMeasurement, TooShort, Unresolved, _centred, _ripple_fit, period_blocks, rebuild_flux
-from .simulator import SimConfig, Trace, simulate_batch
+from .simulator import SimConfig, StepTooLarge, Trace, simulate_batch
 
 ROLE_LD = "ld"
 ROLE_LQ = "lq"
@@ -399,8 +399,12 @@ def identify(runs: Sequence[PlanRun], load: Callable[[int, int], Iterable[Trace]
     theta0 = np.array(nominal.theta)
 
     def reduce(lo: int, hi: int) -> list[tuple]:
+        try:
+            traces = load(lo, hi)
+        except StepTooLarge as exc:  # a simulated run ran away: name it before the error leaves the worker
+            raise exc if exc.lane is None else StepTooLarge(f"{names[lo + exc.lane]}: {exc}")
         terms = []  # the traces are taken one at a time: one that cannot be read stops the later ones unread
-        for run, trace, name in itertools.zip_longest(runs[lo:hi], load(lo, hi), names[lo:hi]):
+        for run, trace, name in itertools.zip_longest(runs[lo:hi], traces, names[lo:hi]):
             if run is None or trace is None:
                 raise ValueError("one trace per planned run required")
             terms.append(_run_terms(run, trace, name, theta0, nominal.R))

@@ -85,7 +85,9 @@ def _write_columns(path, header: str, *columns) -> None:
 
 class StepTooLarge(NumericalFailure):
     """dt does not resolve the injection period (under-resolved ripple), or
-    a simulated response that leaves the finite range."""
+    a simulated response leaves the finite range: the first at batch `lane`."""
+
+    lane: int | None = None
 
 
 @dataclasses.dataclass(frozen=True)
@@ -411,8 +413,10 @@ class _Traces(collections.abc.Sequence):
         self._t = np.arange(phi.shape[-1]) * dt
         if not np.isfinite([phi.min(initial=0.0), phi.max(initial=0.0)]).all():  # no temporary of phi's size
             j, k = np.argwhere(~np.isfinite(phi).all(axis=0))[0]  # the first lane with one, then its first sample
-            raise StepTooLarge(f"the response to u_bar = ({u_bar[0, j]:g}, {u_bar[1, j]:g}) V left the finite range"
+            exc = StepTooLarge(f"the response to u_bar = ({u_bar[0, j]:g}, {u_bar[1, j]:g}) V left the finite range"
                                f" at t = {self._t[k]:g} s: dt = {dt:g} s does not resolve it")
+            exc.lane = int(j)
+            raise exc
         for a in (self._t, phi):
             a.flags.writeable = False
         self._rows, self._phi, self._u_bar, self._u_tilde, self._f0 = rows, phi, u_bar, u_tilde, f0

@@ -13,8 +13,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .estimator import predict_ripple
-from .injection import InjectionSpec, Waveform
+from .estimator import ExperimentPlan, predict_ripple
+from .injection import InjectionSpec
 from .magnetics import MotorParams, flux_from_currents_exact
 from .ripple import extract_ripple, rebuild_flux
 from .simulator import SimConfig, Trace, _write_columns, simulate_averaged, simulate_periodic
@@ -24,14 +24,11 @@ _STEP_SAMPLES = 2000  # integration steps of each step response, one sample each
 
 @dataclasses.dataclass(frozen=True)
 class SweepSpec:
-    """Current-angle sweep: vector angle, magnitude grid and the injection
-    used to measure the ripple at each operating point."""
+    """Current-angle sweep: vector angle, magnitude grid and the axis that
+    carries the plan's injection at each operating point."""
 
     angle_deg: float
     magnitudes: tuple[float, ...]
-    omega: float
-    waveform: Waveform
-    u_tilde: float
     inject_axis: str = "d"
 
     def __post_init__(self) -> None:
@@ -39,14 +36,10 @@ class SweepSpec:
             raise ValueError("magnitudes must be >= 0")
         if self.inject_axis not in ("d", "q"):
             raise ValueError(f"inject_axis must be 'd' or 'q', got {self.inject_axis!r}")
-        if not (self.omega > 0 and self.u_tilde > 0):
-            raise ValueError("omega and u_tilde must be positive")
         if not math.isfinite(self.angle_deg):
             raise ValueError("angle_deg must be finite")
         if not all(math.isfinite(m) for m in self.magnitudes):
             raise ValueError("magnitudes must be finite")
-        if not (math.isfinite(self.omega) and math.isfinite(self.u_tilde)):
-            raise ValueError("omega and u_tilde must be finite")
 
 
 @dataclasses.dataclass(frozen=True)
@@ -65,17 +58,16 @@ class AngleSweepResult:
         _write_columns(path, "x,y_model,y_measured", self.magnitudes, self.predicted[a], self.simulated[a])
 
 
-def angle_sweep(p: MotorParams, s: SweepSpec, *, steps_per_period: int = 200) -> AngleSweepResult:
-    """Ripple amplitudes along a fixed current-vector angle: first-order
-    prediction next to a measurement per magnitude. Each magnitude is one
-    locked-rotor run biased at u_bar = R * i_bar on both axes, measured by
-    `extract_ripple` over `MIN_WHOLE_PERIODS` periods of its periodic steady
-    state (`simulate_periodic`, all magnitudes in one batch)."""
+def angle_sweep(p: MotorParams, plan: ExperimentPlan, s: SweepSpec, *, steps_per_period: int = 200) -> AngleSweepResult:
+    """Ripple amplitudes along a fixed current-vector angle under the plan's
+    injection on the sweep's axis: first-order prediction next to a measurement
+    per magnitude, each one locked-rotor run biased at u_bar = R * i_bar on
+    both axes and measured by `extract_ripple` over `MIN_WHOLE_PERIODS` periods
+    of its periodic steady state (`simulate_periodic`, all in one batch)."""
     angle = math.radians(s.angle_deg)
-    ut_d = s.u_tilde if s.inject_axis == "d" else 0.0
-    ut_q = s.u_tilde if s.inject_axis == "q" else 0.0
-    specs = [InjectionSpec(p.R * (m * math.cos(angle)), p.R * (m * math.sin(angle)), ut_d, ut_q,
-                           s.omega, s.waveform) for m in s.magnitudes]
+    u_tilde = (plan.u_tilde, 0.0) if s.inject_axis == "d" else (0.0, plan.u_tilde)
+    specs = [InjectionSpec(p.R * (m * math.cos(angle)), p.R * (m * math.sin(angle)), *u_tilde,
+                           plan.omega, plan.waveform) for m in s.magnitudes]
     traces = simulate_periodic(p, specs, steps_per_period=steps_per_period)
     pred = np.array([predict_ripple(p, spec) for spec in specs]).reshape(-1, 2)
     meas = np.array([extract_ripple(tr, spec, 0.0).i_tilde for tr, spec in zip(traces, specs)]).reshape(-1, 2)

@@ -585,8 +585,8 @@ class TestValidateAndCurves:
         path.write_text(text.replace("id_max_A = 2.0", "id_max_A = 1e6").replace("id_step_A = 0.3", "id_step_A = 5e5"))
         assert main(["estimate", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
         assert capsys.readouterr().err == (
-            "numerical failure: StepTooLarge: the response to u_bar = (-1.215e+07, 0) V left the finite range at "
-            "t = 2e-05 s: dt = 1e-05 s does not resolve it\n")
+            "numerical failure: StepTooLarge: run 2 (d_sweep, -1000000.000 A): the response to u_bar = "
+            "(-1.215e+07, 0) V left the finite range at t = 2e-05 s: dt = 1e-05 s does not resolve it\n")
 
     def test_numerical_failure_exit_code(self, tmp_path, capsys):
         # a strongly folded d-axis curve is not invertible across the

@@ -39,7 +39,7 @@ from satpmsm.estimator import (
 from satpmsm.injection import InjectionSpec, Waveform
 from satpmsm.magnetics import MotorParams, _current_coefficients, _stacked_currents
 from satpmsm.ripple import RippleMeasurement, TooShort, Unresolved, extract_ripple, rebuild_flux
-from satpmsm.simulator import SimConfig, Trace, simulate_batch
+from satpmsm.simulator import SimConfig, StepTooLarge, Trace, simulate_batch
 
 import oracles
 
@@ -125,10 +125,13 @@ class TestPlanRuns:
         assert config_c[0].spec.u_tilde_q == 0.0
 
     def test_invalid_plan(self):
-        with pytest.raises(ValueError):
-            ExperimentPlan(omega=-1.0, waveform=Waveform.square(), u_tilde=30.0)
-        with pytest.raises(ValueError):
-            ExperimentPlan(omega=OMEGA, waveform=Waveform.square(), u_tilde=0.0)
+        # the plan is where every drive enters, the angle sweep's too
+        for omega in (-1.0, 0.0, -OMEGA, math.nan, math.inf):
+            with pytest.raises(ValueError, match="^omega must be positive$"):
+                ExperimentPlan(omega=omega, waveform=Waveform.square(), u_tilde=30.0)
+        for u_tilde in (0.0, -30.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="^u_tilde must be positive$"):
+                ExperimentPlan(omega=OMEGA, waveform=Waveform.square(), u_tilde=u_tilde)
         for grid in ({"id_grid": (0.5, math.nan)}, {"iq_grid": (math.inf,)}):
             with pytest.raises(ValueError, match="^grid currents must be finite$"):
                 ExperimentPlan(omega=OMEGA, waveform=Waveform.square(), u_tilde=30.0, **grid)
@@ -560,6 +563,13 @@ class TestEndToEnd:
         with pytest.raises(NotAtRest, match="bench_03.csv"):
             identify(runs, oracles.in_memory(traces), ipm,
                      names=[f"bench_{k:02d}.csv" for k in range(len(runs))])
+
+    def test_runaway_run_is_named(self, ipm):
+        # a simulated run that leaves the finite range is named by its run,
+        # as every other fault of the identification is
+        plan = ipm_plan(id_grid=(-1e6, 1e6))
+        with pytest.raises(StepTooLarge, match=r"^run 2 \(d_sweep, -1000000\.000 A\): the response to u_bar = "):
+            run_identification(ipm, plan, measure_periods=10)
 
     def test_reversed_current_channels_refused(self, ipm):
         # both current channels negated, as reversed sensors record them: the

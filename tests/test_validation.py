@@ -6,7 +6,7 @@ import pytest
 
 from satpmsm import simulator
 from satpmsm.config import load_config
-from satpmsm.estimator import PlanRun, simulate_plan
+from satpmsm.estimator import ExperimentPlan, PlanRun, simulate_plan
 from satpmsm.injection import InjectionSpec, Waveform
 from satpmsm.magnetics import (
     MotorParams,
@@ -32,39 +32,34 @@ from satpmsm.validation import (
 import oracles
 
 OMEGA = 2 * math.pi * 500.0
+PLAN = ExperimentPlan(OMEGA, Waveform.square(), 30.0)  # the drive of the angle sweeps
 
 
 class TestAngleSweep:
     def test_spec_validation(self):
         with pytest.raises(ValueError):
-            SweepSpec(60.0, (-1.0,), OMEGA, Waveform.square(), 30.0)
+            SweepSpec(60.0, (-1.0,))
         with pytest.raises(ValueError, match="inject_axis must be 'd' or 'q', got 'x'"):
-            SweepSpec(60.0, (1.0,), OMEGA, Waveform.square(), 30.0, inject_axis="x")
-        for omega, u_tilde in ((0.0, 30.0), (-OMEGA, 30.0), (OMEGA, 0.0), (OMEGA, -30.0)):
-            with pytest.raises(ValueError, match="^omega and u_tilde must be positive$"):
-                SweepSpec(60.0, (1.0,), omega, Waveform.square(), u_tilde)
+            SweepSpec(60.0, (1.0,), inject_axis="x")
         # refused as the sweep's fields, not later as an InjectionSpec's
         for angle in (math.nan, math.inf):
             with pytest.raises(ValueError, match="^angle_deg must be finite$"):
-                SweepSpec(angle, (1.0,), OMEGA, Waveform.square(), 30.0)
+                SweepSpec(angle, (1.0,))
         for magnitude in (math.nan, math.inf):
             with pytest.raises(ValueError, match="^magnitudes must be finite$"):
-                SweepSpec(60.0, (1.0, magnitude), OMEGA, Waveform.square(), 30.0)
-        for omega, u_tilde in ((math.inf, 30.0), (OMEGA, math.inf)):
-            with pytest.raises(ValueError, match="^omega and u_tilde must be finite$"):
-                SweepSpec(60.0, (1.0,), omega, Waveform.square(), u_tilde)
+                SweepSpec(60.0, (1.0, magnitude))
 
     def test_zero_magnitude_is_linear_limit(self, ipm):
-        s = SweepSpec(60.0, (0.0,), OMEGA, Waveform.square(), 30.0)
-        r = angle_sweep(ipm, s)
+        s = SweepSpec(60.0, (0.0,))
+        r = angle_sweep(ipm, PLAN, s)
         want = 30.0 / (OMEGA * ipm.Ld)
         assert r.predicted[0][0] == pytest.approx(want, rel=1e-12)
         assert r.simulated[0][0] == pytest.approx(want, rel=5e-3)
 
     def test_axis_aligned_matches_cross_config_forms(self, ipm):
         # angle 90 deg with d injection reproduces the q-bias sweep models
-        s = SweepSpec(90.0, (1.0,), OMEGA, Waveform.square(), 30.0)
-        r = angle_sweep(ipm, s)
+        s = SweepSpec(90.0, (1.0,))
+        r = angle_sweep(ipm, PLAN, s)
         ib = 1.0
         want_d = 30.0 / OMEGA * (1 / ipm.Ld + 2 * ipm.a22 * ipm.Lq**2 * ib * ib)
         want_q = 2 * 30.0 / OMEGA * ipm.a12 * ipm.Lq * ib
@@ -74,8 +69,8 @@ class TestAngleSweep:
     def test_simulation_tracks_exact_operating_point(self, ipm):
         # the measured ripple equals the potential's second derivative at the
         # exact steady flux of the 60-degree bias point
-        s = SweepSpec(60.0, (2.0,), OMEGA, Waveform.square(), 30.0)
-        r = angle_sweep(ipm, s)
+        s = SweepSpec(60.0, (2.0,))
+        r = angle_sweep(ipm, PLAN, s)
         i_d, i_q = 2.0 * math.cos(math.radians(60)), 2.0 * math.sin(math.radians(60))
         fd, fq = oracles.invert_flux_bisection(ipm, i_d, i_q)
         h_dd, h_dq, _ = oracles.hessian_fd_oracle(ipm, fd, fq)
@@ -87,8 +82,8 @@ class TestAngleSweep:
         # O(1/omega^2); the first-order closed form differs from that
         # reference by a fixed truncation offset at saturating magnitudes
         def gap(omega):
-            s = SweepSpec(60.0, (2.0,), omega, Waveform.square(), 30.0)
-            r = angle_sweep(ipm, s)
+            s = SweepSpec(60.0, (2.0,))
+            r = angle_sweep(ipm, ExperimentPlan(omega, Waveform.square(), 30.0), s)
             i_d, i_q = 2.0 * math.cos(math.radians(60)), 2.0 * math.sin(math.radians(60))
             fd, fq = oracles.invert_flux_bisection(ipm, i_d, i_q)
             h_dd, _, _ = oracles.hessian_fd_oracle(ipm, fd, fq)
@@ -98,12 +93,12 @@ class TestAngleSweep:
         assert gaps[0] > gaps[1] > gaps[2]
 
     @staticmethod
-    def _settled_reference(p, s):
+    def _settled_reference(p, plan, s):
         """d and q ripples of from-rest runs settled over four times the
         default discard, and the sweep's specs."""
         angle = math.radians(s.angle_deg)
         runs = [PlanRun("angle_sweep", m, InjectionSpec(
-            p.R * (m * math.cos(angle)), p.R * (m * math.sin(angle)), s.u_tilde, 0.0, s.omega, s.waveform))
+            p.R * (m * math.cos(angle)), p.R * (m * math.sin(angle)), plan.u_tilde, 0.0, plan.omega, plan.waveform))
             for m in s.magnitudes]
         discard = 4.0 * oracles.default_discard(p, runs[0].spec)
         traces = simulate_plan(p, runs, measure_periods=round(discard / runs[0].spec.period) + 2)
@@ -121,9 +116,9 @@ class TestAngleSweep:
     ])
     def test_orbit_matches_long_settled_runs(self, fixture, angle, magnitudes, u_tilde, waveform, request):
         p = request.getfixturevalue(fixture)
-        s = SweepSpec(angle, magnitudes, OMEGA, waveform, u_tilde)
-        ref_d, ref_q, specs = self._settled_reference(p, s)
-        r = angle_sweep(p, s)
+        plan, s = ExperimentPlan(OMEGA, waveform, u_tilde), SweepSpec(angle, magnitudes)
+        ref_d, ref_q, specs = self._settled_reference(p, plan, s)
+        r = angle_sweep(p, plan, s)
         assert np.all(np.abs(r.simulated[0] - ref_d) <= 1e-6 * np.abs(ref_d))
         # the cross ripple too; at 180 deg it is rounding noise of sin(pi),
         # so a 1e-12 A floor
@@ -145,7 +140,7 @@ class TestAngleSweep:
         # carries the runs still open, each with its two finite-difference
         # lanes, so the calls narrow as runs converge
         config = load_config(Path(__file__).resolve().parents[1] / "configs" / f"{name}.cfg")
-        angle_sweep(config.motor, config.sweep, steps_per_period=config.steps_per_period)
+        angle_sweep(config.motor, config.plan, config.sweep, steps_per_period=config.steps_per_period)
         n = len(config.sweep.magnitudes)
         assert coarse[0] == 3 * n
         assert rk4_calls == ([(simulator._PARAREAL_COARSE_STEPS, (w,)) for w in coarse]
@@ -154,13 +149,13 @@ class TestAngleSweep:
     def test_no_orbit_names_the_magnitude(self):
         # the d-axis current peaks at 0.86 A, so a 2 A bias runs away
         bad = MotorParams(R=1.0, Ld=0.1, Lq=0.1, a40=-50.0)
-        s = SweepSpec(0.0, (0.5, 2.0), OMEGA, Waveform.square(), 30.0)
+        s = SweepSpec(0.0, (0.5, 2.0))
         with pytest.raises(NonConvergence, match=r"\|i_bar\| = 2 A"):
-            angle_sweep(bad, s)
+            angle_sweep(bad, PLAN, s)
 
     def test_csv(self, ipm, tmp_path):
-        s = SweepSpec(0.0, (0.0, 1.0), OMEGA, Waveform.square(), 30.0)
-        r = angle_sweep(ipm, s)
+        s = SweepSpec(0.0, (0.0, 1.0))
+        r = angle_sweep(ipm, PLAN, s)
         path = tmp_path / "sweep.csv"
         r.write_csv(path)
         lines = path.read_text().splitlines()
