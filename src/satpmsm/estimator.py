@@ -61,8 +61,8 @@ import numpy as np
 
 from .injection import SQUARE, InjectionSpec, Waveform
 from .magnetics import MotorParams, NumericalFailure, _current_coefficients, _current_monomials, _hessian
-from .ripple import RippleMeasurement, TooShort, Unresolved, _centred, _ripple_fit, period_blocks, rebuild_flux
-from .simulator import SimConfig, StepTooLarge, Trace, simulate_batch
+from .ripple import RippleMeasurement, _centred, _ripple_fit, period_blocks, rebuild_flux
+from .simulator import SimConfig, Trace, simulate_batch
 
 ROLE_LD = "ld"
 ROLE_LQ = "lq"
@@ -270,26 +270,23 @@ def _noise_rms(i: np.ndarray) -> float:
     return math.sqrt(float(d2 @ d2) / (6 * len(d2)))
 
 
-def _run_terms(run: PlanRun, trace: Trace, name: str, theta0: np.ndarray,
+def _run_terms(run: PlanRun, trace: Trace, theta0: np.ndarray,
                R: float) -> tuple[np.ndarray, np.ndarray, float, int, int]:
-    """One run's checks (see `identify`), faults naming it by `name`, then
-    its share of the normal equations about theta0 per axis a, Z_a Z_a^T
-    (2, 5, 5) and Z_a r0_a (2, 5), with r0.r0, its rows and its blocks.
+    """One run's checks (see `identify`, whose worker names the run in their
+    faults), then its share of the normal equations about theta0 per axis
+    a, Z_a Z_a^T (2, 5, 5) and Z_a r0_a (2, 5), with r0.r0, rows and blocks.
 
     Z_a holds the current map's monomials (`magnetics._current_monomials`)
     and y_a the current samples on axis a, each block of one injection period
     centred on its own mean; r0_a = y_a - rows_a Z_a at theta0's coefficient
     rows. A block holds the whole number of samples per period
     (`ripple.period_blocks`); a trailing part period is left out."""
-    try:
-        per, blocks = period_blocks(trace, run.spec)
-    except (TooShort, Unresolved) as exc:
-        raise type(exc)(f"{name}: {exc}") from None
+    per, blocks = period_blocks(trace, run.spec)
     for axis, i_axis in zip("dq", trace.i):
         floor = _noise_rms(i_axis)
         if abs(i_axis[0]) > max(_AT_REST_FACTOR * floor, _ZERO_RIPPLE_FLOOR):
             raise NotAtRest(
-                f"{name}: first i_{axis} sample {i_axis[0]:.3g} A exceeds "
+                f"first i_{axis} sample {i_axis[0]:.3g} A exceeds "
                 f"{_AT_REST_FACTOR:g}x the noise RMS {floor:.3g} A; "
                 "traces must start de-energized")
     s = run.spec
@@ -298,7 +295,7 @@ def _run_terms(run: PlanRun, trace: Trace, name: str, theta0: np.ndarray,
         _, fits = _ripple_fit(trace, s, 0, per, blocks, y)
         for axis, u_tilde, (i_tilde, _, sigma) in zip("dq", (s.u_tilde_d, s.u_tilde_q), fits):
             if u_tilde != 0.0:
-                _checked_ripple(i_tilde, sigma, f"{name}: {axis}-axis zero-bias run")
+                _checked_ripple(i_tilde, sigma, f"{axis}-axis zero-bias run")
     Z = _current_monomials(rebuild_flux(trace, R, s.waveform.kind == SQUARE)[:, :blocks * per])
     periods = Z.reshape(*Z.shape[:-1], blocks, per)
     periods -= periods.mean(axis=-1, keepdims=True)  # in place: Z is the largest array a run holds
@@ -365,15 +362,16 @@ def identify(runs: Sequence[PlanRun], load: Callable[[int, int], Iterable[Trace]
     in as `lambda lo, hi: traces[lo:hi]`. Each trace must resolve at least
     `MIN_WHOLE_PERIODS` whole injection periods at a whole number of samples
     each (`ripple.period_blocks`: Unresolved, TooShort) and start at rest,
-    since its flux is integrated
-    from its first sample: a first current sample beyond five times its
-    channel's noise RMS (`_noise_rms`, which the transient does not inflate)
-    raises NotAtRest. Each zero-bias run, one driven with no bias voltage,
-    must show a ripple on every axis it injects (`ripple._ripple_fit` on the
-    period-centred currents of its whole periods, which the regression
-    takes too), else ZeroRipple, and together they must inject both axes
-    (ValueError). Faults name the run by `names`, or by its index and role,
-    and are those of the first failing run in run order.
+    since its flux is integrated from its first sample: a first current
+    sample beyond five times its channel's noise RMS (`_noise_rms`, which
+    the transient does not inflate) raises NotAtRest. Each zero-bias run,
+    one driven with no bias voltage, must show a ripple on every axis it
+    injects (`ripple._ripple_fit` on the period-centred currents of its
+    whole periods, which the regression takes too), else ZeroRipple, and
+    together they must inject both axes (ValueError). A numerical failure
+    in taking or checking a trace, a runaway's StepTooLarge included, names
+    its run by `names`, or by its index and role; the one raised is that of
+    the first failing run in run order.
 
     The normal equations, a sum of per-run terms (so runs may differ in
     pulsation, amplitude and length), are taken on the residuals r0 = y -
@@ -399,15 +397,14 @@ def identify(runs: Sequence[PlanRun], load: Callable[[int, int], Iterable[Trace]
     theta0 = np.array(nominal.theta)
 
     def reduce(lo: int, hi: int) -> list[tuple]:
+        traces, terms = load(lo, hi), []  # taken one at a time: one that fails stops the later ones untaken
         try:
-            traces = load(lo, hi)
-        except StepTooLarge as exc:  # a simulated run ran away: name it before the error leaves the worker
-            raise exc if exc.lane is None else StepTooLarge(f"{names[lo + exc.lane]}: {exc}")
-        terms = []  # the traces are taken one at a time: one that cannot be read stops the later ones unread
-        for run, trace, name in itertools.zip_longest(runs[lo:hi], traces, names[lo:hi]):
-            if run is None or trace is None:
-                raise ValueError("one trace per planned run required")
-            terms.append(_run_terms(run, trace, name, theta0, nominal.R))
+            for run, trace in itertools.zip_longest(runs[lo:hi], traces):
+                if run is None or trace is None:
+                    raise ValueError("one trace per planned run required")
+                terms.append(_run_terms(run, trace, theta0, nominal.R))
+        except NumericalFailure as exc:  # taking or checking run lo + len(terms), a runaway included
+            raise type(exc)(f"{names[lo + len(terms)]}: {exc}") from None
         return terms
 
     parts = _in_slices(reduce, len(runs))
@@ -444,13 +441,17 @@ def write_simulated(motor: MotorParams, runs: Sequence[PlanRun], paths: Sequence
     """Simulate the runs as `simulate_plan` does and write run k's trace to
     paths[k] (`Trace.to_csv`): the worker of each slice (`_in_slices`)
     simulates and writes its own runs, so the files are those of one
-    process."""
+    process. A run that ran away raises StepTooLarge naming its path."""
     load = _simulated(motor, runs, steps_per_period=steps_per_period, measure_periods=measure_periods,
                       noise_amp=noise_amp, seed=seed)
 
     def write(lo: int, hi: int) -> None:
-        for path, trace in zip(paths[lo:hi], load(lo, hi), strict=True):
-            trace.to_csv(path)
+        traces = load(lo, hi)
+        for path in paths[lo:hi]:
+            try:
+                next(traces).to_csv(path)
+            except NumericalFailure as exc:  # a runaway, found when its trace is taken
+                raise type(exc)(f"{path}: {exc}") from None
 
     _in_slices(write, len(runs))
 

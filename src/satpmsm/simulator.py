@@ -16,10 +16,10 @@ the periods of a square wave whose quarter period is whole steps into
 quarters, each +1 or -1 times the first, and every other drive not at
 all; a chunk's sign goes into its lanes' u_tilde, so every chunk runs
 one waveform. A batch comes back as one record (`_Traces`): its `flux`
-is the motor's state, and a run's trace, built when taken, holds only
-the channels a sensor records: the time stamps t and the voltages u and
-currents i, each stacked (2, n) with the d row first, as the model's
-array functions take them.
+is the motor's state, and a run's trace, built and checked when taken,
+holds only the channels a sensor records: the time stamps t and the
+voltages u and currents i, each stacked (2, n) with the d row first, as
+the model's array functions take them.
 
 `_rk4` has two implementations of the same arithmetic, chosen by the batch
 width. A numpy step costs the dispatch of its ~60 array calls, about the
@@ -85,9 +85,8 @@ def _write_columns(path, header: str, *columns) -> None:
 
 class StepTooLarge(NumericalFailure):
     """dt does not resolve the injection period (under-resolved ripple), or
-    a simulated response leaves the finite range: the first at batch `lane`."""
-
-    lane: int | None = None
+    a simulated response leaves the finite range, found when its trace is
+    taken (`_Traces`)."""
 
 
 @dataclasses.dataclass(frozen=True)
@@ -405,21 +404,16 @@ class _Traces(collections.abc.Sequence):
     coefficient rows `rows` under the drive u_bar + u_tilde * f0, built when
     it is taken: lane j's currents and voltages are computed on each access,
     so no current or voltage array of the whole batch exists. The channels
-    are read-only and share one t; the flux stays on the record (`flux`). A
-    flux that is not finite, a run that ran away, raises StepTooLarge."""
+    are read-only and share one t; the flux stays on the record (`flux`).
+    Taking a lane whose flux is not finite, a run that ran away, raises
+    StepTooLarge naming its u_bar and its first non-finite sample's time."""
 
     def __init__(self, rows: np.ndarray, dt: float, phi: np.ndarray, u_bar: np.ndarray, u_tilde: np.ndarray,
                  f0: np.ndarray) -> None:
         self._t = np.arange(phi.shape[-1]) * dt
-        if not np.isfinite([phi.min(initial=0.0), phi.max(initial=0.0)]).all():  # no temporary of phi's size
-            j, k = np.argwhere(~np.isfinite(phi).all(axis=0))[0]  # the first lane with one, then its first sample
-            exc = StepTooLarge(f"the response to u_bar = ({u_bar[0, j]:g}, {u_bar[1, j]:g}) V left the finite range"
-                               f" at t = {self._t[k]:g} s: dt = {dt:g} s does not resolve it")
-            exc.lane = int(j)
-            raise exc
         for a in (self._t, phi):
             a.flags.writeable = False
-        self._rows, self._phi, self._u_bar, self._u_tilde, self._f0 = rows, phi, u_bar, u_tilde, f0
+        self._rows, self._dt, self._phi, self._u_bar, self._u_tilde, self._f0 = rows, dt, phi, u_bar, u_tilde, f0
 
     @property
     def flux(self) -> np.ndarray:
@@ -434,6 +428,11 @@ class _Traces(collections.abc.Sequence):
         if isinstance(j, range):
             return [self[k] for k in j]
         phi = self._phi[:, j]
+        if not np.isfinite([phi.min(), phi.max()]).all():  # NaN propagates: no temporary of the lane's size
+            finite = np.isfinite(phi).all(axis=0)
+            raise StepTooLarge(f"the response to u_bar = ({self._u_bar[0, j]:g}, {self._u_bar[1, j]:g}) V left the "
+                               f"finite range at t = {self._t[finite.argmin()]:g} s: dt = {self._dt:g} s does not "
+                               "resolve it")
         i = _stacked_currents(self._rows[:, :, j, None], phi)
         u = self._u_bar[:, j, None] + self._u_tilde[:, j, None] * self._f0
         for a in (i, u):

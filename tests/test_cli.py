@@ -588,6 +588,24 @@ class TestValidateAndCurves:
             "numerical failure: StepTooLarge: run 2 (d_sweep, -1000000.000 A): the response to u_bar = "
             "(-1.215e+07, 0) V left the finite range at t = 2e-05 s: dt = 1e-05 s does not resolve it\n")
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_simulate_runaway_bias_names_trace_file(self, tmp_path, capsys, monkeypatch, workers):
+        # the runaway run 2 above, simulated: simulate names the trace file
+        # it was to write and writes no manifest, estimate names the run
+        monkeypatch.setattr(estimator, "_worker_count", lambda n: workers)
+        text = (Path(__file__).resolve().parents[1] / "configs" / "ipm.cfg").read_text()
+        path = tmp_path / "ipm_huge_bias.cfg"
+        path.write_text(text.replace("id_max_A = 2.0", "id_max_A = 1e6").replace("id_step_A = 0.3", "id_step_A = 5e5"))
+        runaway = ("the response to u_bar = (-1.215e+07, 0) V left the finite range at t = 2e-05 s: "
+                   "dt = 1e-05 s does not resolve it\n")
+        out = tmp_path / "sim"
+        assert main(["simulate", "--config", str(path), "--out", str(out)]) == 2
+        trace = out / "traces" / "002_d_sweep_-1000000.000A.csv"
+        assert capsys.readouterr().err == f"numerical failure: StepTooLarge: {trace}: {runaway}"
+        assert not trace.exists() and not (out / "manifest.txt").exists()
+        assert main(["estimate", "--config", str(path), "--out", str(tmp_path / "est")]) == 2
+        assert capsys.readouterr().err == f"numerical failure: StepTooLarge: run 2 (d_sweep, -1000000.000 A): {runaway}"
+
     def test_numerical_failure_exit_code(self, tmp_path, capsys):
         # a strongly folded d-axis curve is not invertible across the
         # requested curve grid: curves must exit 2 and name the point

@@ -571,6 +571,26 @@ class TestEndToEnd:
         with pytest.raises(StepTooLarge, match=r"^run 2 \(d_sweep, -1000000\.000 A\): the response to u_bar = "):
             run_identification(ipm, plan, measure_periods=10)
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_first_failing_run_before_a_runaway(self, ipm, monkeypatch, workers):
+        # run 0's currents carry an offset (NotAtRest) and run 2 runs away,
+        # both in the first slice, which is simulated as one batch before any
+        # of its traces is taken: the fault raised is run 0's, the first in
+        # run order, as for faults of every other kind
+        monkeypatch.setattr(estimator, "_worker_count", lambda n: workers)
+        runs = plan_runs(ipm_plan(id_grid=(-1e6, 1e6), iq_grid=(-1.0, 0.5, 1.0)), ipm.R)
+        assert runs[2].i_target == -1e6 and len(runs) == 10
+        simulated = estimator._simulated(ipm, runs, steps_per_period=200, measure_periods=10, noise_amp=0.0, seed=0)
+
+        def load(lo, hi):
+            traces = simulated(lo, hi)
+            return (dataclasses.replace(tr, i=tr.i + 0.1) if k == 0 else tr for k, tr in enumerate(traces, lo))
+
+        with pytest.raises(NotAtRest, match=r"^run 0 \(ld, \+0\.000 A\): first i_d sample 0\.1 A exceeds "):
+            identify(runs, load, ipm)
+        with pytest.raises(StepTooLarge, match=r"^run 2 \(d_sweep, -1000000\.000 A\): the response to u_bar = "):
+            identify(runs, simulated, ipm)
+
     def test_reversed_current_channels_refused(self, ipm):
         # both current channels negated, as reversed sensors record them: the
         # fit's inductances come out negative, a numerical failure naming
@@ -658,7 +678,7 @@ class TestEndToEnd:
         theta = np.array(result.params.theta)
         rss, n = 0.0, 0
         for run, trace in zip(runs, traces):
-            _, _, rtr, rows, _ = _run_terms(run, trace, run.role, theta, spm.R)
+            _, _, rtr, rows, _ = _run_terms(run, trace, theta, spm.R)
             rss, n = rss + rtr, n + rows
         assert result.residual_rms == pytest.approx(math.sqrt(rss / n), rel=1e-9)
 

@@ -217,6 +217,28 @@ class TestSymmetryAndDeterminism:
                 assert np.array_equal(getattr(b, name), getattr(alone[0], name)), name
             assert np.array_equal(batch.flux[:, j], alone.flux[:, 0])
 
+    def test_runaway_lane_refused_when_taken(self, ipm):
+        # a parareal record whose lane 1 leaves the finite range: that lane
+        # alone raises when taken, naming its u_bar and the time of its first
+        # non-finite sample, and every other lane is the trace of its run alone
+        specs = [square_spec(u_tilde_d=30.0), square_spec(u_bar_d=-1.215e7, u_tilde_d=30.0),
+                 square_spec(u_bar_q=6.0, u_tilde_q=30.0)]
+        cfg = SimConfig(dt=specs[0].period / 200, t_end=10 * specs[0].period)
+        batch = simulate_batch(ipm, specs, cfg)
+        for j in (0, 2):
+            alone = simulate_batch(ipm, [specs[j]], cfg)[0]
+            for name in ("t", "u", "i"):
+                assert getattr(batch[j], name).tobytes() == getattr(alone, name).tobytes(), (j, name)
+        flux = simulate_batch(ipm, specs[1:2], cfg).flux[:, 0]
+        k = next(k for k in range(flux.shape[1]) if not (math.isfinite(flux[0, k]) and math.isfinite(flux[1, k])))
+        assert 0 < k < flux.shape[1] - 1
+        with pytest.raises(StepTooLarge, match=re.escape(
+                f"the response to u_bar = (-1.215e+07, 0) V left the finite range at t = {k * cfg.dt:g} s: "
+                f"dt = {cfg.dt:g} s does not resolve it")):
+            batch[1]
+        with pytest.raises(StepTooLarge):
+            list(batch)
+
     def test_batch_requires_common_omega(self, ipm):
         s1 = square_spec(u_tilde_d=10.0, omega=OMEGA_500)
         s2 = square_spec(u_tilde_d=10.0, omega=2 * OMEGA_500)
